@@ -1,19 +1,23 @@
-"""Process-pool drivers for the per-prime scans.
+"""Process pool for the per-prime scans.
 
 Primes are split into contiguous chunks and each chunk is handed to a
 worker; only integer counters and per-prime rows cross process boundaries,
 and results merge in chunk order, so the output is independent of the
 worker count.  Float accumulations (heuristic sums, observed densities)
 always happen in the parent from the merged integers.
+
+The per-prime loops live in `chebotarev` and `powermap`, and the
+`chebotarev` scans call back into this module.  Both modules of that cycle
+import each other as modules and look names up at call time, so the cycle
+resolves in either import order and a name replaced on a module (as
+`perfbench/tracing.py` does) takes effect everywhere.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from . import kernels
-from .chebotarev import density_counts
-from .powermap import MultiplicativeMap, _integer_values, local_exponent
+from . import chebotarev, kernels, powermap
 
 
 def chunked(seq, n: int):
@@ -30,22 +34,30 @@ def chunked(seq, n: int):
     return out
 
 
+def _run_chunks(fn, primes, workers: int, *rest) -> list:
+    """fn((chunk, *rest)) for each contiguous chunk of primes, results in chunk order.
+
+    One chunk, or one worker, runs in this process on the whole list.
+    """
+    if workers > 1 and len(primes) > 1:
+        jobs = [(part, *rest) for part in chunked(primes, workers)]
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn((primes, *rest))]
+
+
 def _merge_counts(parts):
     return tuple(sum(col) for col in zip(*parts))
 
 
 def _density_chunk(args):
     primes, ell, nums, dens, mode = args
-    return density_counts(primes, ell, nums, dens, mode)
+    return chebotarev.density_counts(primes, ell, nums, dens, mode)
 
 
 def density_counts_parallel(primes, ell, nums, dens, mode, workers: int = 1):
     """(counted, skipped, hits) over the primes, split across processes."""
-    if workers <= 1 or len(primes) < 2:
-        return density_counts(primes, ell, nums, dens, mode)
-    jobs = [(part, ell, nums, dens, mode) for part in chunked(primes, workers)]
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return _merge_counts(pool.map(_density_chunk, jobs))
+    return _merge_counts(_run_chunks(_density_chunk, primes, workers, ell, nums, dens, mode))
 
 
 def _omega_chunk(args):
@@ -55,61 +67,34 @@ def _omega_chunk(args):
 
 def omega_members_parallel(primes, ns, fnums, fdens, workers: int = 1):
     """(counted, skipped, members) over the primes, split across processes."""
-    if workers <= 1 or len(primes) < 2:
-        return kernels.omega_members(primes, ns, fnums, fdens)
-    jobs = [(part, ns, fnums, fdens) for part in chunked(primes, workers)]
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return _merge_counts(pool.map(_omega_chunk, jobs))
+    return _merge_counts(_run_chunks(_omega_chunk, primes, workers, ns, fnums, fdens))
 
 
 def _sf_chunk(args):
     primes, f_json, mode, bound, domain = args
-    f = MultiplicativeMap.from_json(f_json)
-    members = []
-    unknown = 0
-    for p in primes:
-        v = local_exponent(f, p, mode=mode, bound=bound, domain=domain)
-        if v.member == "yes":
-            members.append((p, v.k_p))
-        elif v.member == "unknown":
-            unknown += 1
-    return members, unknown
+    f = powermap.MultiplicativeMap.from_json(f_json)
+    return powermap.sf_members(f, primes, mode, bound, domain)
 
 
 def sf_scan_parallel(f_json, primes, mode, bound, domain, workers: int = 1):
-    """([(p, k_p) members], unknown count), chunk results concatenated in order."""
-    jobs = [(part, f_json, mode, bound, domain) for part in chunked(primes, workers)]
-    if workers <= 1 or len(jobs) <= 1:
-        return _sf_chunk((list(primes), f_json, mode, bound, domain))
+    """([member verdicts], unknown count), chunk results concatenated in order."""
     members = []
     unknown = 0
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        for part_members, part_unknown in pool.map(_sf_chunk, jobs):
-            members.extend(part_members)
-            unknown += part_unknown
+    for part_members, part_unknown in _run_chunks(
+        _sf_chunk, primes, workers, f_json, mode, bound, domain
+    ):
+        members.extend(part_members)
+        unknown += part_unknown
     return members, unknown
 
 
 def _tf_chunk(args):
     primes, f_json, shift_bound = args
-    if not primes:
-        return []
-    f = MultiplicativeMap.from_json(f_json)
-    vals = _integer_values(f, shift_bound + primes[-1])
-    return [
-        p
-        for p in primes
-        if all((vals[n + p] - vals[n]) % p == 0 for n in range(1, shift_bound + 1))
-    ]
+    f = powermap.MultiplicativeMap.from_json(f_json)
+    return powermap.tf_members(f, primes, shift_bound)
 
 
 def tf_scan_parallel(f_json, primes, shift_bound: int, workers: int = 1):
     """Primes passing the shift-periodicity check, in ascending order."""
-    jobs = [(part, f_json, shift_bound) for part in chunked(primes, workers)]
-    if workers <= 1 or len(jobs) <= 1:
-        return _tf_chunk((list(primes), f_json, shift_bound))
-    out = []
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        for part in pool.map(_tf_chunk, jobs):
-            out.extend(part)
-    return out
+    parts = _run_chunks(_tf_chunk, primes, workers, f_json, shift_bound)
+    return [p for part in parts for p in part]

@@ -11,7 +11,7 @@ primes, and the headline count bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, e, exp, log, sqrt
+from math import ceil, e, exp, isfinite, log, sqrt
 
 from . import kernels
 from .errors import (
@@ -143,6 +143,8 @@ def yz_schedule(x: float, cfg: BoundConfig | None = None) -> YZSchedule:
     rather than hide that.
     """
     cfg = cfg or BoundConfig()
+    if not isfinite(x):
+        raise DomainError(f"x must be a finite number, got {x}")
     if x <= MINIMAL_SCHEDULE_X:
         raise ScheduleDomainError(
             f"x must exceed e^(e^e) ~ {MINIMAL_SCHEDULE_X:.1f}",

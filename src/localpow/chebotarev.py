@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from . import kernels
+from . import _parallel, kernels
 from .errors import (
     ConfigError,
     CongruenceClassError,
@@ -201,15 +201,14 @@ def scan_density(
     cache: PrimeCache,
     mode: str = "c4",
     enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-    primes=None,
-    counts=None,
+    workers: int = 1,
 ) -> DensityScan:
     """Observed vs expected frequency of a Frobenius event over p ≡ 1 (mod ell).
 
     mode "c4" counts the proportionality class of 4-tuples (n1, n2, f1, f2);
     mode "split" counts primes where every tuple entry is an ell-th power.
-    Precomputed (counted, skipped, hits) can be injected via `counts` by
-    parallel drivers; `primes` overrides the cache-derived list.
+    The inputs are checked and the expected value computed before any prime
+    is scanned; `workers` processes split the scan without changing it.
     """
     entries = [as_factored(v) for v in c]
     if not entries:
@@ -230,13 +229,12 @@ def scan_density(
         _, _, _, expected = class_ratio(cspec, enumeration_bound)
     else:
         expected = Fraction(1, ell**d)
-    if counts is None:
-        if primes is None:
-            primes = [p for p in cache.up_to(x) if p % ell == 1]
-        nums = [e.sign * e.num for e in entries]
-        dens = [e.den for e in entries]
-        counts = density_counts(primes, ell, nums, dens, mode)
-    counted, skipped, hits = counts
+    primes = [p for p in cache.up_to(x) if p % ell == 1]
+    nums = [e.sign * e.num for e in entries]
+    dens = [e.den for e in entries]
+    counted, skipped, hits = _parallel.density_counts_parallel(
+        primes, ell, nums, dens, mode, workers
+    )
     observed = hits / counted if counted else 0.0
     return DensityScan(
         ell=ell,
@@ -271,12 +269,13 @@ def heuristic_sum(primes) -> float:
     return total
 
 
-def heuristic_scan(f, witnesses, x: int, cache: PrimeCache, counts=None) -> HeuristicScan:
+def heuristic_scan(f, witnesses, x: int, cache: PrimeCache, workers: int = 1) -> HeuristicScan:
     """Count primes where (f(n_j)) looks like a power of (n_j) mod p.
 
     The expectation (for witnesses with f(n) outside ±n^Z) is that the count
-    stays below the sum of 1/(p-1)^2.  Precomputed (counted, skipped, members)
-    can be injected via `counts` by parallel drivers.
+    stays below the sum of 1/(p-1)^2.  The witnesses are checked and that sum
+    computed before any prime is scanned; `workers` processes split the scan
+    without changing it.
     """
     ns = [int(n) for n in witnesses]
     if len(ns) != 3:
@@ -285,14 +284,15 @@ def heuristic_scan(f, witnesses, x: int, cache: PrimeCache, counts=None) -> Heur
     fnums = [v.sign * v.num for v in values]
     fdens = [v.den for v in values]
     primes = cache.up_to(x)
-    if counts is None:
-        counts = kernels.omega_members(primes, ns, fnums, fdens)
-    counted, skipped, members = counts
+    total = heuristic_sum(primes)
+    counted, skipped, members = _parallel.omega_members_parallel(
+        primes, ns, fnums, fdens, workers
+    )
     return HeuristicScan(
         x=x,
         witnesses=tuple(ns),
         counted=counted,
         skipped=skipped,
         members=members,
-        heuristic_sum=heuristic_sum(primes),
+        heuristic_sum=total,
     )

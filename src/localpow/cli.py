@@ -17,12 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import kernels
-from ._parallel import (
-    density_counts_parallel,
-    omega_members_parallel,
-    sf_scan_parallel,
-    tf_scan_parallel,
-)
+from ._parallel import sf_scan_parallel, tf_scan_parallel
 from .bounds import (
     BoundConfig,
     chebyshev_check,
@@ -115,27 +110,31 @@ def _parse_tuple(text: str) -> list[str]:
     return parts
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _number_pair(text: str) -> tuple[float, float]:
+    """argparse type: exactly two comma-separated numbers."""
+    try:
+        first, second = (float(v) for v in _parse_tuple(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need two numbers Y,Z, got {text!r}") from None
+    return first, second
+
+
 def _config(args) -> BoundConfig:
     return BoundConfig(
         c1=args.c1, c2=args.c2, implied_constant=args.implied_constant
     )
-
-
-def _get_cache(args, needed: int) -> PrimeCache:
-    path = getattr(args, "prime_cache", None)
-    if path:
-        p = Path(path)
-        if p.exists():
-            cache = PrimeCache.load(p)
-            if cache.limit >= needed:
-                return cache
-            _progress(f"cache at {path} stops at {cache.limit}; rebuilding to {needed}")
-        else:
-            _progress(f"building prime cache to {needed} at {path}")
-        cache = PrimeCache(needed)
-        cache.save(p)
-        return cache
-    return PrimeCache(needed)
 
 
 # ---------------------------------------------------------------- handlers
@@ -144,7 +143,7 @@ def _get_cache(args, needed: int) -> PrimeCache:
 def _cmd_sf_scan(args):
     f = _load_function(args.function)
     cfg = _config(args)
-    cache = _get_cache(args, args.limit)
+    cache = PrimeCache(args.limit)
     primes = cache.up_to(args.limit)
     _progress(f"scanning {len(primes)} primes for local power exponents")
     members, _unknown = sf_scan_parallel(
@@ -166,7 +165,7 @@ def _cmd_sf_scan(args):
         "counted": counted,
         "skipped": total - counted,
         "observed": counted / total if total else 0.0,
-        "items": [{"p": p, "k_p": k} for p, k in members],
+        "items": [{"p": v.p, "k_p": v.k_p} for v in members],
         "cache_limit": cache.limit,
     }
 
@@ -174,7 +173,7 @@ def _cmd_sf_scan(args):
 def _cmd_tf_scan(args):
     f = _load_function(args.function)
     cfg = _config(args)
-    cache = _get_cache(args, args.limit)
+    cache = PrimeCache(args.limit)
     primes = cache.up_to(args.limit)
     _progress(f"shift-checking {len(primes)} primes")
     members = tf_scan_parallel(f.to_json(), primes, args.shift_bound, args.workers)
@@ -269,25 +268,18 @@ def _cmd_frobenius(args):
 
 def _cmd_density_scan(args):
     raw = _parse_tuple(args.tuple)
-    entries = [as_factored(x) for x in raw]
     cfg = _config(args)
-    cache = _get_cache(args, args.limit)
-    filtered = [p for p in cache.up_to(args.limit) if p % args.ell == 1]
-    _progress(f"testing {len(filtered)} primes = 1 mod {args.ell}")
-    nums = [e.sign * e.num for e in entries]
-    dens = [e.den for e in entries]
-    counts = density_counts_parallel(
-        filtered, args.ell, nums, dens, args.mode, args.workers
-    )
+    cache = PrimeCache(args.limit)
     ds = scan_density(
         args.ell,
-        entries,
+        raw,
         args.limit,
         cache,
         mode=args.mode,
         enumeration_bound=args.enumeration_bound,
-        counts=counts,
+        workers=args.workers,
     )
+    _progress(f"tested {ds.counted + ds.skipped} primes = 1 mod {args.ell}")
     return {
         "command": "density-scan",
         "parameters": {
@@ -311,15 +303,10 @@ def _cmd_heuristic(args):
     f = _load_function(args.function)
     witnesses = [int(x) for x in _parse_tuple(args.witnesses)]
     cfg = _config(args)
-    cache = _get_cache(args, args.limit)
-    primes = cache.up_to(args.limit)
-    _progress(f"testing {len(primes)} primes for simultaneous power membership")
-    values = [as_factored(f(n)) for n in witnesses]
-    fnums = [v.sign * v.num for v in values]
-    fdens = [v.den for v in values]
-    counts = omega_members_parallel(primes, witnesses, fnums, fdens, args.workers)
-    hs = heuristic_scan(f, witnesses, args.limit, cache, counts=counts)
+    cache = PrimeCache(args.limit)
+    hs = heuristic_scan(f, witnesses, args.limit, cache, workers=args.workers)
     total = hs.counted + hs.skipped
+    _progress(f"tested {total} primes for simultaneous power membership")
     return {
         "command": "heuristic",
         "parameters": {
@@ -339,7 +326,7 @@ def _cmd_heuristic(args):
 
 def _cmd_bounds(args):
     cfg = _config(args)
-    x = float(args.x)
+    x = args.x
     mb = main_bound(x, args.b_f, cfg, pi_x=args.pi_x)
     out = {
         "command": "bounds",
@@ -368,12 +355,12 @@ def _cmd_bounds(args):
         },
     }
     if args.mertens:
-        y, z = (float(v) for v in _parse_tuple(args.mertens))
-        cache = _get_cache(args, int(z) + 1)
+        y, z = args.mertens
+        cache = PrimeCache(int(z) + 1)
         out["mertens"] = mertens_product(y, z, cache)
     if args.chebyshev_z is not None:
         z = args.chebyshev_z
-        cache = _get_cache(args, int(z) + 1)
+        cache = PrimeCache(int(z) + 1)
         theta, bound, holds = chebyshev_check(z, cfg, cache)
         out["chebyshev"] = {"theta": theta, "bound": bound, "holds": holds}
     return out
@@ -389,7 +376,7 @@ def _cmd_disc(args):
 def build_parser() -> _Parser:
     parser = _Parser(prog="localpow", description=__doc__)
     common = _Parser(add_help=False)
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=_int_at_least(1), default=1)
     common.add_argument("--csv", default=None)
     common.add_argument("--prime-cache", default=None)
     common.add_argument("--c1", type=float, default=1.0)
@@ -399,7 +386,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sf-scan", parents=[common])
     p.add_argument("--function", required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.add_argument("--mode", choices=("exact", "empirical"), default="exact")
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--domain", choices=("positive", "rational"), default="positive")
@@ -407,7 +394,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tf-scan", parents=[common])
     p.add_argument("--function", required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.add_argument("--shift-bound", type=int, default=100)
     p.set_defaults(handler=_cmd_tf_scan)
 
@@ -440,7 +427,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("density-scan", parents=[common])
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--tuple", required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.add_argument("--mode", choices=("c4", "split"), default="c4")
     p.add_argument(
         "--enumeration-bound", type=int, default=DEFAULT_ENUMERATION_BOUND
@@ -450,14 +437,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("heuristic", parents=[common])
     p.add_argument("--function", required=True)
     p.add_argument("--witnesses", required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.set_defaults(handler=_cmd_heuristic)
 
     p = sub.add_parser("bounds", parents=[common])
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=float, required=True)
     p.add_argument("--b-f", type=float, default=0.0)
     p.add_argument("--pi-x", type=int, default=None)
-    p.add_argument("--mertens", default=None)
+    p.add_argument("--mertens", type=_number_pair, default=None)
     p.add_argument("--chebyshev-z", type=float, default=None)
     p.set_defaults(handler=_cmd_bounds)
 

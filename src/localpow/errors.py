@@ -102,10 +102,6 @@ class ConfigError(DomainError):
     code = "bad-config"
 
 
-class CacheFormatError(DomainError):
-    code = "prime-cache-format"
-
-
 class CacheLimitError(DomainError):
     """A scan asked for primes beyond the supplied cache's limit."""
 

@@ -1,13 +1,11 @@
-"""Prime cache, primitive roots, discrete logs, and power-residue classes."""
+"""Prime lists, primitive roots, discrete logs, and power-residue classes."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import gcd
 
 from . import kernels
 from .errors import (
-    CacheFormatError,
     CacheLimitError,
     CongruenceClassError,
     DomainError,
@@ -21,43 +19,11 @@ from .ratfact import as_factored, is_prime
 
 
 class PrimeCache:
-    """Ascending list of all primes up to a limit, optionally file-backed."""
+    """Ascending list of all primes up to a limit."""
 
-    def __init__(self, limit: int, primes: list[int] | None = None):
+    def __init__(self, limit: int):
         self.limit = int(limit)
-        self.primes = kernels.sieve(self.limit) if primes is None else primes
-
-    @classmethod
-    def build(cls, limit: int) -> "PrimeCache":
-        return cls(limit)
-
-    @classmethod
-    def load(cls, path) -> "PrimeCache":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            if len(header) != 3 or header[0] != "PRIMECACHE" or header[1] != "v1":
-                raise CacheFormatError(f"bad prime cache header in {path}", path=str(path))
-            try:
-                limit = int(header[2])
-                primes = [int(line) for line in fh if line.strip()]
-            except ValueError as exc:
-                raise CacheFormatError(f"bad prime cache body in {path}", path=str(path)) from exc
-        last = 0
-        for p in primes:
-            if p <= last or p > limit:
-                raise CacheFormatError(
-                    f"prime cache {path} is not an ascending list below its limit",
-                    path=str(path),
-                )
-            last = p
-        return cls(limit, primes)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"PRIMECACHE v1 {self.limit}\n")
-            fh.write("\n".join(map(str, self.primes)))
-            if self.primes:
-                fh.write("\n")
+        self.primes = kernels.sieve(self.limit)
 
     def up_to(self, x: int) -> list[int]:
         """All cached primes <= x."""
@@ -132,21 +98,4 @@ def solve_power_congruences(a, b, m: int):
         raise WrongLengthError(f"got {len(a)} coefficients and {len(b)} targets")
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    r, mod = 0, 1
-    for ai, bi in zip(a, b):
-        ai %= m
-        bi %= m
-        g = gcd(ai, m)
-        if bi % g:
-            return None
-        mi = m // g
-        ri = (bi // g) * pow(ai // g, -1, mi) % mi if mi > 1 else 0
-        gg = gcd(mod, mi)
-        if (ri - r) % gg:
-            return None
-        step = mi // gg
-        t = (ri - r) // gg * pow(mod // gg, -1, step) % step if step > 1 else 0
-        lcm = mod // gg * mi
-        r = (r + mod * t) % lcm
-        mod = lcm
-    return r
+    return kernels.solve_exponent_system([x % m for x in a], [y % m for y in b], m)

@@ -217,19 +217,24 @@ def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> Lo
     raise ConfigError(f"unknown mode {mode!r}")
 
 
-def scan_Sf(
-    f, x: int, cache: PrimeCache, mode="exact", bound=None, domain="positive"
-) -> tuple[list[LocalVerdict], int]:
-    """All yes-verdicts for primes <= x, plus the count of unknowns."""
+def sf_members(f, primes, mode, bound, domain) -> tuple[list[LocalVerdict], int]:
+    """Yes-verdicts among the primes, in their order, plus the count of unknowns."""
     members = []
     unknown = 0
-    for p in cache.up_to(x):
+    for p in primes:
         v = local_exponent(f, p, mode=mode, bound=bound, domain=domain)
         if v.member == "yes":
             members.append(v)
         elif v.member == "unknown":
             unknown += 1
     return members, unknown
+
+
+def scan_Sf(
+    f, x: int, cache: PrimeCache, mode="exact", bound=None, domain="positive"
+) -> tuple[list[LocalVerdict], int]:
+    """All yes-verdicts for primes <= x, plus the count of unknowns."""
+    return sf_members(f, cache.up_to(x), mode, bound, domain)
 
 
 def _integer_values(f, top: int) -> list[int]:
@@ -265,9 +270,8 @@ def shift_and_quasi_check(f, p: int, bound: int) -> tuple[bool, bool]:
     return shift_ok, quasi_ok
 
 
-def scan_Tf(f, x: int, cache: PrimeCache, shift_bound: int = 100) -> list[int]:
-    """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound."""
-    primes = cache.up_to(x)
+def tf_members(f, primes, shift_bound: int) -> list[int]:
+    """Primes of an ascending list passing f(n+p) ≡ f(n) (mod p) for n <= shift_bound."""
     if not primes:
         return []
     vals = _integer_values(f, shift_bound + primes[-1])
@@ -276,6 +280,11 @@ def scan_Tf(f, x: int, cache: PrimeCache, shift_bound: int = 100) -> list[int]:
         if all((vals[n + p] - vals[n]) % p == 0 for n in range(1, shift_bound + 1)):
             out.append(p)
     return out
+
+
+def scan_Tf(f, x: int, cache: PrimeCache, shift_bound: int = 100) -> list[int]:
+    """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound."""
+    return tf_members(f, cache.up_to(x), shift_bound)
 
 
 def extend_to_Q(overrides, default_exponent: int, nu_f: int) -> MultiplicativeMap:

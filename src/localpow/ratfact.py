@@ -16,37 +16,9 @@ from .errors import (
     NotPrimeError,
     ZeroValueError,
 )
-
-# Deterministic Miller-Rabin witness set, exact for all n < 3.3e24 (covers the
-# 64-bit inputs this library accepts).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .kernels import is_prime
 
 DEFAULT_TRIAL_BOUND = 10**6
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for the library's input range."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _factor_abs(n: int, bound: int) -> dict[int, int]:

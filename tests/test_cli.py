@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from localpow import cli
-from localpow.modular import PrimeCache
 
 TABLE_F = json.dumps(
     {
@@ -41,7 +40,7 @@ def test_sf_scan_worked_example(capsys):
     assert rep["parameters"]["limit"] == 100
     assert "bound_config" in rep["parameters"]
     # execution knobs must not leak into the echoed parameters
-    for key in ("workers", "csv", "prime_cache"):
+    for key in ("workers", "csv"):
         assert key not in rep["parameters"]
     assert rep["cache_limit"] >= 100
 
@@ -80,6 +79,16 @@ def test_usage_errors_exit_64(capsys):
         capsys, "construct", "--set", "2,3", "--exponents", "1"
     )  # length mismatch
     assert code == 64
+    for argv in (
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--workers", "0"),
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--workers", "-3"),
+        ("sf-scan", "--function", TABLE_F, "--limit", "1"),
+        ("tf-scan", "--function", TABLE_F, "--limit", "-5"),
+        ("bounds", "--x", "1e8", "--mertens", "5"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert out == ""
 
 
 def test_function_spec_errors_exit_65(capsys):
@@ -107,6 +116,16 @@ def test_domain_errors_exit_2(capsys):
     code, out = run_cli(capsys, "frobenius", "--p", "7", "--ell", "3", "--tuple", "14")
     assert code == 2
     assert json.loads(out)["type"] == "ramified-prime"
+    # JSON errors, not tracebacks; the two scans reject before scanning a prime
+    for argv in (
+        ("bounds", "--x", "nan"),
+        ("bounds", "--x", "inf"),
+        ("density-scan", "--ell", "4", "--tuple", "2,3,5,7", "--limit", "1000"),
+        ("heuristic", "--function", TABLE_F, "--witnesses", "2,3", "--limit", "1000"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["message"]
 
 
 def test_frobenius_worked_example(capsys):
@@ -274,34 +293,6 @@ def test_csv_scalar_summary(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2  # header plus one row of scalar fields
     assert len(lines[0].split(",")) == len(lines[1].split(","))
-
-
-def test_prime_cache_saved_and_regrown(tmp_path, capsys):
-    path = tmp_path / "primes.cache"
-    code, _ = run_cli(
-        capsys,
-        "sf-scan",
-        "--function",
-        TABLE_F,
-        "--limit",
-        "100",
-        "--prime-cache",
-        str(path),
-    )
-    assert code == 0
-    assert PrimeCache.load(str(path)).limit >= 100
-    code, _ = run_cli(
-        capsys,
-        "sf-scan",
-        "--function",
-        TABLE_F,
-        "--limit",
-        "1000",
-        "--prime-cache",
-        str(path),
-    )
-    assert code == 0
-    assert PrimeCache.load(str(path)).limit >= 1000
 
 
 def test_exit_codes_through_real_process():

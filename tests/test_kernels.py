@@ -27,7 +27,7 @@ def test_env_override_selects_pure_backend():
         [sys.executable, "-c", "from localpow import kernels; print(kernels.BACKEND)"],
         capture_output=True,
         text=True,
-        env={"LOCALPOW_PURE": "1", "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "LOCALPOW_PURE": "1"},
     )
     assert out.stdout.strip() == "pure"
 

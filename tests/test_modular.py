@@ -4,7 +4,6 @@ import pytest
 import sympy
 
 from localpow.errors import (
-    CacheFormatError,
     CacheLimitError,
     CongruenceClassError,
     DomainError,
@@ -29,26 +28,6 @@ def test_cache_contents_match_sympy():
     assert cache.pi(10000) == sympy.primepi(10000)
     assert cache.between(100, 150) == list(sympy.primerange(100, 151))
     assert len(cache) == cache.pi(10000)
-
-
-def test_cache_save_load_roundtrip(tmp_path):
-    cache = PrimeCache(5000)
-    path = tmp_path / "primes.cache"
-    cache.save(path)
-    loaded = PrimeCache.load(path)
-    assert loaded.limit == cache.limit
-    assert loaded.up_to(5000) == cache.up_to(5000)
-
-
-def test_cache_format_errors(tmp_path):
-    bad = tmp_path / "bad.cache"
-    bad.write_text("not a cache\n2\n3\n")
-    with pytest.raises(CacheFormatError):
-        PrimeCache.load(bad)
-    unsorted = tmp_path / "unsorted.cache"
-    unsorted.write_text("PRIMECACHE v1 100\n5\n3\n")
-    with pytest.raises(CacheFormatError):
-        PrimeCache.load(unsorted)
 
 
 def test_cache_limit_error_reports_needed():
