@@ -6,11 +6,11 @@ and results merge in chunk order, so the output is independent of the
 worker count.  Float accumulations (heuristic sums, observed densities)
 always happen in the parent from the merged integers.
 
-The per-prime loops live in `chebotarev` and `powermap`, and the
-`chebotarev` scans call back into this module.  Both modules of that cycle
-import each other as modules and look names up at call time, so the cycle
-resolves in either import order and a name replaced on a module (as
-`perfbench/tracing.py` does) takes effect everywhere.
+The per-prime loops live in `chebotarev` and `powermap`, and the scans of
+both call back into this module.  The modules of each cycle import each
+other as modules and look names up at call time, so the cycles resolve in
+any import order and a name replaced on a module (as `perfbench/tracing.py`
+does) takes effect everywhere.
 """
 
 from __future__ import annotations
@@ -73,11 +73,12 @@ def omega_members_parallel(primes, ns, fnums, fdens, workers: int = 1):
 def _sf_chunk(args):
     primes, f_json, mode, bound, domain = args
     f = powermap.MultiplicativeMap.from_json(f_json)
-    return powermap.sf_members(f, primes, mode, bound, domain)
+    members, unknown = powermap.sf_members(f, primes, mode, bound, domain)
+    return [(v.p, v.k_p) for v in members], unknown
 
 
 def sf_scan_parallel(f_json, primes, mode, bound, domain, workers: int = 1):
-    """([member verdicts], unknown count), chunk results concatenated in order."""
+    """([(p, k_p) of members], unknown count), chunk results concatenated in order."""
     members = []
     unknown = 0
     for part_members, part_unknown in _run_chunks(

@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import kernels
-from ._parallel import sf_scan_parallel, tf_scan_parallel
 from .bounds import (
     BoundConfig,
     chebyshev_check,
@@ -36,7 +35,13 @@ from .chebotarev import (
 from .errors import FunctionSpecError, LocalPowError
 from .lattice import build_lattice, kummer_degree, relations
 from .modular import PrimeCache
-from .powermap import MultiplicativeMap, construct_prescribed, find_witness
+from .powermap import (
+    MultiplicativeMap,
+    construct_prescribed,
+    find_witness,
+    scan_Sf,
+    scan_Tf,
+)
 from .ratfact import as_factored
 
 
@@ -144,13 +149,12 @@ def _cmd_sf_scan(args):
     f = _load_function(args.function)
     cfg = _config(args)
     cache = PrimeCache(args.limit)
-    primes = cache.up_to(args.limit)
-    _progress(f"scanning {len(primes)} primes for local power exponents")
-    members, _unknown = sf_scan_parallel(
-        f.to_json(), primes, args.mode, args.bound, args.domain, args.workers
+    total = len(cache)
+    _progress(f"scanning {total} primes for local power exponents")
+    members, _unknown = scan_Sf(
+        f, args.limit, cache, args.mode, args.bound, args.domain, args.workers
     )
     counted = len(members)
-    total = len(primes)
     return {
         "command": "sf-scan",
         "parameters": {
@@ -174,11 +178,10 @@ def _cmd_tf_scan(args):
     f = _load_function(args.function)
     cfg = _config(args)
     cache = PrimeCache(args.limit)
-    primes = cache.up_to(args.limit)
-    _progress(f"shift-checking {len(primes)} primes")
-    members = tf_scan_parallel(f.to_json(), primes, args.shift_bound, args.workers)
+    total = len(cache)
+    _progress(f"shift-checking {total} primes")
+    members = scan_Tf(f, args.limit, cache, args.shift_bound, args.workers)
     counted = len(members)
-    total = len(primes)
     return {
         "command": "tf-scan",
         "parameters": {
@@ -269,12 +272,10 @@ def _cmd_frobenius(args):
 def _cmd_density_scan(args):
     raw = _parse_tuple(args.tuple)
     cfg = _config(args)
-    cache = PrimeCache(args.limit)
     ds = scan_density(
         args.ell,
         raw,
         args.limit,
-        cache,
         mode=args.mode,
         enumeration_bound=args.enumeration_bound,
         workers=args.workers,
@@ -295,7 +296,7 @@ def _cmd_density_scan(args):
         "skipped": ds.skipped,
         "observed": ds.observed,
         "expected": float(ds.expected),
-        "cache_limit": cache.limit,
+        "cache_limit": args.limit,
     }
 
 
@@ -303,8 +304,7 @@ def _cmd_heuristic(args):
     f = _load_function(args.function)
     witnesses = [int(x) for x in _parse_tuple(args.witnesses)]
     cfg = _config(args)
-    cache = PrimeCache(args.limit)
-    hs = heuristic_scan(f, witnesses, args.limit, cache, workers=args.workers)
+    hs = heuristic_scan(f, witnesses, args.limit, workers=args.workers)
     total = hs.counted + hs.skipped
     _progress(f"tested {total} primes for simultaneous power membership")
     return {
@@ -320,7 +320,7 @@ def _cmd_heuristic(args):
         "skipped": total - hs.members,
         "observed": hs.members / total if total else 0.0,
         "expected": hs.heuristic_sum / total if total else 0.0,
-        "cache_limit": cache.limit,
+        "cache_limit": args.limit,
     }
 
 
@@ -378,7 +378,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--workers", type=_int_at_least(1), default=1)
     common.add_argument("--csv", default=None)
-    common.add_argument("--prime-cache", default=None)
     common.add_argument("--c1", type=float, default=1.0)
     common.add_argument("--c2", type=float, default=1.0)
     common.add_argument("--implied-constant", type=float, default=1.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels
+from . import _parallel, kernels
 from .errors import (
     ConfigError,
     DomainError,
@@ -24,6 +24,9 @@ from .errors import (
 )
 from .modular import PrimeCache, discrete_log
 from .ratfact import ONE, FactoredRational, as_factored, is_prime
+
+
+EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
 
 
 class MultiplicativeMap:
@@ -213,7 +216,7 @@ def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> Lo
             raise ConfigError("exact mode needs the structured model")
         return _exact_verdict(f, p, domain)
     if mode == "empirical":
-        return _empirical_verdict(f, p, 50 if bound is None else bound, domain)
+        return _empirical_verdict(f, p, EMPIRICAL_BOUND if bound is None else bound, domain)
     raise ConfigError(f"unknown mode {mode!r}")
 
 
@@ -230,11 +233,35 @@ def sf_members(f, primes, mode, bound, domain) -> tuple[list[LocalVerdict], int]
     return members, unknown
 
 
+def _scan_spec(f) -> dict:
+    # the scans hand f to their workers as its JSON spec
+    if not isinstance(f, MultiplicativeMap):
+        raise ConfigError("a scan needs the structured model")
+    return f.to_json()
+
+
 def scan_Sf(
-    f, x: int, cache: PrimeCache, mode="exact", bound=None, domain="positive"
+    f,
+    x: int,
+    cache: PrimeCache,
+    mode="exact",
+    bound=None,
+    domain="positive",
+    workers: int = 1,
 ) -> tuple[list[LocalVerdict], int]:
-    """All yes-verdicts for primes <= x, plus the count of unknowns."""
-    return sf_members(f, cache.up_to(x), mode, bound, domain)
+    """All yes-verdicts for primes <= x, plus the count of unknowns.
+
+    f must be a MultiplicativeMap; `workers` processes split the scan
+    without changing it.
+    """
+    pairs, unknown = _parallel.sf_scan_parallel(
+        _scan_spec(f), cache.up_to(x), mode, bound, domain, workers
+    )
+    if mode == "exact":
+        bound = None
+    elif bound is None:
+        bound = EMPIRICAL_BOUND
+    return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
 
 
 def _integer_values(f, top: int) -> list[int]:
@@ -282,9 +309,15 @@ def tf_members(f, primes, shift_bound: int) -> list[int]:
     return out
 
 
-def scan_Tf(f, x: int, cache: PrimeCache, shift_bound: int = 100) -> list[int]:
-    """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound."""
-    return tf_members(f, cache.up_to(x), shift_bound)
+def scan_Tf(
+    f, x: int, cache: PrimeCache, shift_bound: int = 100, workers: int = 1
+) -> list[int]:
+    """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound.
+
+    f must be a MultiplicativeMap; `workers` processes split the scan
+    without changing it.
+    """
+    return _parallel.tf_scan_parallel(_scan_spec(f), cache.up_to(x), shift_bound, workers)
 
 
 def extend_to_Q(overrides, default_exponent: int, nu_f: int) -> MultiplicativeMap:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from localpow import cli
+from localpow.modular import PrimeCache
 
 TABLE_F = json.dumps(
     {
@@ -40,7 +41,7 @@ def test_sf_scan_worked_example(capsys):
     assert rep["parameters"]["limit"] == 100
     assert "bound_config" in rep["parameters"]
     # execution knobs must not leak into the echoed parameters
-    for key in ("workers", "csv"):
+    for key in ("workers", "csv", "prime_cache"):
         assert key not in rep["parameters"]
     assert rep["cache_limit"] >= 100
 
@@ -85,6 +86,7 @@ def test_usage_errors_exit_64(capsys):
         ("sf-scan", "--function", TABLE_F, "--limit", "1"),
         ("tf-scan", "--function", TABLE_F, "--limit", "-5"),
         ("bounds", "--x", "1e8", "--mertens", "5"),
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--prime-cache", "x"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 64, argv
@@ -126,6 +128,26 @@ def test_domain_errors_exit_2(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["message"]
+
+
+def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
+    built = []
+    init = PrimeCache.__init__
+
+    def recording_init(self, limit):
+        built.append(limit)
+        init(self, limit)
+
+    monkeypatch.setattr(PrimeCache, "__init__", recording_init)
+    for argv in (
+        ("density-scan", "--ell", "4", "--tuple", "2,3,5,7", "--limit", "10000000"),
+        ("density-scan", "--ell", "3", "--tuple", "2,3", "--limit", "10000000"),
+        ("heuristic", "--function", TABLE_F, "--witnesses", "2,3", "--limit", "10000000"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["message"]
+    assert built == []
 
 
 def test_frobenius_worked_example(capsys):

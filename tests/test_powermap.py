@@ -169,6 +169,25 @@ def test_scan_tf_power_maps():
     assert scan_Tf(f, 200, cache, shift_bound=60) == [2]
 
 
+def test_scans_split_across_workers_unchanged():
+    f = table_f()
+    cache = PrimeCache(300)
+    for mode in ("exact", "empirical"):
+        one = scan_Sf(f, 300, cache, mode=mode)
+        assert scan_Sf(f, 300, cache, mode=mode, workers=2) == one
+        assert one == sf_members_oracle(f, cache.up_to(300), mode)
+    g = MultiplicativeMap.global_power(2)
+    assert scan_Tf(g, 300, cache, workers=2) == scan_Tf(g, 300, cache) == cache.up_to(300)
+    with pytest.raises(ConfigError):
+        scan_Tf(lambda n: n, 300, cache)
+
+
+def sf_members_oracle(f, primes, mode):
+    verdicts = [local_exponent(f, p, mode=mode) for p in primes]
+    members = [v for v in verdicts if v.member == "yes"]
+    return members, sum(v.member == "unknown" for v in verdicts)
+
+
 def test_extend_to_q_and_nu_vote():
     f = extend_to_Q({2: 5}, 1, 1)
     assert f(-3).value() == -3
