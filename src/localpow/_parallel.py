@@ -73,8 +73,7 @@ def omega_members_parallel(primes, ns, fnums, fdens, workers: int = 1):
 def _sf_chunk(args):
     primes, f_json, mode, bound, domain = args
     f = powermap.MultiplicativeMap.from_json(f_json)
-    members, unknown = powermap.sf_members(f, primes, mode, bound, domain)
-    return [(v.p, v.k_p) for v in members], unknown
+    return powermap.sf_members(f, primes, mode, bound, domain)
 
 
 def sf_scan_parallel(f_json, primes, mode, bound, domain, workers: int = 1):

@@ -160,13 +160,17 @@ def yz_schedule(x: float, cfg: BoundConfig | None = None) -> YZSchedule:
     return YZSchedule(x=x, Y=y, Z=z, cap=cap, y_le_z=y <= z, z_within_cap=z <= cap)
 
 
-def mertens_product(Y: float, Z: float, cache: PrimeCache) -> float:
+def mertens_product(Y: float, Z: float, cache: PrimeCache | None = None) -> float:
     """prod (1 - 1/(ell-1)) over odd primes Y <= ell < Z."""
+    if not (isfinite(Y) and isfinite(Z)):
+        raise DomainError(f"Y and Z must be finite numbers, got Y={Y}, Z={Z}")
     if Y < 3:
         raise DomainError(f"Y must be >= 3 (ell = 2 gives a zero factor), got {Y}")
     if Z < Y:
         raise DomainError(f"need Y <= Z, got Y={Y}, Z={Z}")
     hi = ceil(Z) - 1
+    if cache is None:
+        cache = PrimeCache(hi)
     out = 1.0
     for p in cache.between(ceil(Y), hi):
         out *= 1.0 - 1.0 / (p - 1)
@@ -176,6 +180,8 @@ def mertens_product(Y: float, Z: float, cache: PrimeCache) -> float:
 def chebyshev_check(Z: float, cfg: BoundConfig | None = None, cache: PrimeCache | None = None):
     """(log prod_{p<=Z} p, M*Z, holds) for the primorial growth bound."""
     cfg = cfg or BoundConfig()
+    if not isfinite(Z):
+        raise DomainError(f"Z must be a finite number, got {Z}")
     if Z < 2:
         raise DomainError(f"Z must be >= 2, got {Z}")
     if cache is None:

@@ -17,18 +17,16 @@ from math import gcd
 from . import _parallel, kernels
 from .errors import (
     ConfigError,
-    CongruenceClassError,
     DomainError,
     EmptyTupleError,
     EnumerationBoundError,
-    EqualPrimeError,
     NotPrimeError,
     OddPrimeRequiredError,
     RamifiedPrimeError,
     WrongLengthError,
 )
 from .lattice import build_lattice, kummer_degree, row_space_mod_ell
-from .modular import PrimeCache
+from .modular import PrimeCache, validate_split
 from .ratfact import as_factored, is_prime
 
 DEFAULT_ENUMERATION_BOUND = 13
@@ -64,19 +62,6 @@ def cyclotomic_frobenius(p: int, n: int) -> int:
     return p % n
 
 
-def _validate_split(p: int, ell: int) -> None:
-    if not is_prime(ell):
-        raise NotPrimeError(f"{ell} is not prime")
-    if ell == 2:
-        raise OddPrimeRequiredError("ell must be an odd prime")
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if p == ell:
-        raise EqualPrimeError(f"p = ell = {p} is excluded", p=p)
-    if p % ell != 1:
-        raise CongruenceClassError(f"{p} is not 1 mod {ell}", p=p, ell=ell)
-
-
 def _normalize(b: tuple[int, ...], ell: int) -> tuple[int, ...]:
     # scale so the first nonzero coordinate is 1; the zero vector stays zero
     for x in b:
@@ -91,7 +76,7 @@ def frobenius_vector(p: int, ell: int, c) -> FrobeniusSample:
     entries = [as_factored(x) for x in c]
     if not entries:
         raise EmptyTupleError("tuple must be nonempty")
-    _validate_split(p, ell)
+    validate_split(p, ell)
     nums = [x.sign * x.num for x in entries]
     dens = [x.den for x in entries]
     _, zs, bs = kernels.z_b_rows([p], ell, nums, dens)[0]

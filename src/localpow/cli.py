@@ -115,6 +115,23 @@ def _parse_tuple(text: str) -> list[str]:
     return parts
 
 
+def _entries(convert):
+    """argparse type: comma-separated entries, each passed through `convert`."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(part) for part in _parse_tuple(text)]
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"malformed entry in {text!r}") from None
+
+    return parse
+
+
+def _rational(text: str) -> str:
+    Fraction(text)  # raises unless text is a rational like '3' or '-7/4'
+    return text  # kept as typed: reports echo it
+
+
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than `low`."""
 
@@ -214,14 +231,12 @@ def _cmd_witness(args):
 
 
 def _cmd_construct(args):
-    primes = [int(x) for x in _parse_tuple(args.set)]
-    exps = [int(x) for x in _parse_tuple(args.exponents)]
-    if len(exps) != len(primes):
+    if len(args.exponents) != len(args.set):
         raise UsageError("--set and --exponents must have the same length")
-    g = construct_prescribed(primes, dict(zip(primes, exps)))
+    g = construct_prescribed(args.set, dict(zip(args.set, args.exponents)))
     return {
         "command": "construct",
-        "parameters": {"set": primes, "exponents": exps},
+        "parameters": {"set": args.set, "exponents": args.exponents},
         "modulus": g.modulus,
         "items": [{"p": p, "k_p": k} for p, k in g.exponents.items()],
         "values": [g(n) for n in range(1, 21)],
@@ -229,12 +244,12 @@ def _cmd_construct(args):
 
 
 def _cmd_relations(args):
-    entries = [as_factored(x) for x in _parse_tuple(args.tuple)]
+    entries = [as_factored(x) for x in args.tuple]
     lat = build_lattice(entries)
     rep = relations(lat)
     return {
         "command": "relations",
-        "parameters": {"tuple": _parse_tuple(args.tuple)},
+        "parameters": {"tuple": args.tuple},
         "support": lat.support,
         "matrix": lat.matrix,
         "integer_kernel_basis": [list(v) for v in rep.integer_kernel_basis],
@@ -244,11 +259,11 @@ def _cmd_relations(args):
 
 
 def _cmd_kummer_degree(args):
-    entries = [as_factored(x) for x in _parse_tuple(args.tuple)]
+    entries = [as_factored(x) for x in args.tuple]
     dim_v, degree, d = kummer_degree(entries, args.ell)
     return {
         "command": "kummer-degree",
-        "parameters": {"tuple": _parse_tuple(args.tuple), "ell": args.ell},
+        "parameters": {"tuple": args.tuple, "ell": args.ell},
         "dim_v": dim_v,
         "degree": degree,
         "d": d,
@@ -256,11 +271,11 @@ def _cmd_kummer_degree(args):
 
 
 def _cmd_frobenius(args):
-    entries = [as_factored(x) for x in _parse_tuple(args.tuple)]
+    entries = [as_factored(x) for x in args.tuple]
     sample = frobenius_vector(args.p, args.ell, entries)
     out = {
         "command": "frobenius",
-        "parameters": {"p": args.p, "ell": args.ell, "tuple": _parse_tuple(args.tuple)},
+        "parameters": {"p": args.p, "ell": args.ell, "tuple": args.tuple},
         "z_vector": list(sample.z_vector),
         "b_vector": list(sample.b_vector),
     }
@@ -270,11 +285,10 @@ def _cmd_frobenius(args):
 
 
 def _cmd_density_scan(args):
-    raw = _parse_tuple(args.tuple)
     cfg = _config(args)
     ds = scan_density(
         args.ell,
-        raw,
+        args.tuple,
         args.limit,
         mode=args.mode,
         enumeration_bound=args.enumeration_bound,
@@ -285,7 +299,7 @@ def _cmd_density_scan(args):
         "command": "density-scan",
         "parameters": {
             "ell": args.ell,
-            "tuple": raw,
+            "tuple": args.tuple,
             "limit": args.limit,
             "mode": args.mode,
             "enumeration_bound": args.enumeration_bound,
@@ -302,16 +316,15 @@ def _cmd_density_scan(args):
 
 def _cmd_heuristic(args):
     f = _load_function(args.function)
-    witnesses = [int(x) for x in _parse_tuple(args.witnesses)]
     cfg = _config(args)
-    hs = heuristic_scan(f, witnesses, args.limit, workers=args.workers)
+    hs = heuristic_scan(f, args.witnesses, args.limit, workers=args.workers)
     total = hs.counted + hs.skipped
     _progress(f"tested {total} primes for simultaneous power membership")
     return {
         "command": "heuristic",
         "parameters": {
             "function": f.to_json(),
-            "witnesses": witnesses,
+            "witnesses": args.witnesses,
             "limit": args.limit,
             "bound_config": cfg.to_json(),
         },
@@ -356,12 +369,9 @@ def _cmd_bounds(args):
     }
     if args.mertens:
         y, z = args.mertens
-        cache = PrimeCache(int(z) + 1)
-        out["mertens"] = mertens_product(y, z, cache)
+        out["mertens"] = mertens_product(y, z)
     if args.chebyshev_z is not None:
-        z = args.chebyshev_z
-        cache = PrimeCache(int(z) + 1)
-        theta, bound, holds = chebyshev_check(z, cfg, cache)
+        theta, bound, holds = chebyshev_check(args.chebyshev_z, cfg)
         out["chebyshev"] = {"theta": theta, "bound": bound, "holds": holds}
     return out
 
@@ -387,14 +397,14 @@ def build_parser() -> _Parser:
     p.add_argument("--function", required=True)
     p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.add_argument("--mode", choices=("exact", "empirical"), default="exact")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_int_at_least(2), default=None)
     p.add_argument("--domain", choices=("positive", "rational"), default="positive")
     p.set_defaults(handler=_cmd_sf_scan)
 
     p = sub.add_parser("tf-scan", parents=[common])
     p.add_argument("--function", required=True)
     p.add_argument("--limit", type=_int_at_least(2), required=True)
-    p.add_argument("--shift-bound", type=int, default=100)
+    p.add_argument("--shift-bound", type=_int_at_least(1), default=100)
     p.set_defaults(handler=_cmd_tf_scan)
 
     p = sub.add_parser("witness", parents=[common])
@@ -404,28 +414,28 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("construct", parents=[common])
-    p.add_argument("--set", required=True)
-    p.add_argument("--exponents", required=True)
+    p.add_argument("--set", type=_entries(int), required=True)
+    p.add_argument("--exponents", type=_entries(int), required=True)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("relations", parents=[common])
-    p.add_argument("--tuple", required=True)
+    p.add_argument("--tuple", type=_entries(_rational), required=True)
     p.set_defaults(handler=_cmd_relations)
 
     p = sub.add_parser("kummer-degree", parents=[common])
-    p.add_argument("--tuple", required=True)
+    p.add_argument("--tuple", type=_entries(_rational), required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(handler=_cmd_kummer_degree)
 
     p = sub.add_parser("frobenius", parents=[common])
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--tuple", required=True)
+    p.add_argument("--tuple", type=_entries(_rational), required=True)
     p.set_defaults(handler=_cmd_frobenius)
 
     p = sub.add_parser("density-scan", parents=[common])
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--tuple", required=True)
+    p.add_argument("--tuple", type=_entries(_rational), required=True)
     p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.add_argument("--mode", choices=("c4", "split"), default="c4")
     p.add_argument(
@@ -435,7 +445,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("heuristic", parents=[common])
     p.add_argument("--function", required=True)
-    p.add_argument("--witnesses", required=True)
+    p.add_argument("--witnesses", type=_entries(int), required=True)
     p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.set_defaults(handler=_cmd_heuristic)
 

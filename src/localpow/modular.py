@@ -74,9 +74,8 @@ def discrete_log(g: int, h: int, p: int) -> int:
         raise DomainError(f"{h} is not a power of {g} mod {p}", p=p) from exc
 
 
-def ell_power_class(c, ell: int, p: int) -> tuple[int, bool]:
-    """z_c = c^((p-1)/ell) mod p and whether c is an ell-th power residue."""
-    c = as_factored(c)
+def validate_split(p: int, ell: int) -> None:
+    """Reject all but an odd prime ell and a prime p ≠ ell with p ≡ 1 (mod ell)."""
     if not is_prime(ell):
         raise NotPrimeError(f"{ell} is not prime")
     if ell == 2:
@@ -87,6 +86,12 @@ def ell_power_class(c, ell: int, p: int) -> tuple[int, bool]:
         raise EqualPrimeError(f"p = ell = {p} is excluded", p=p)
     if p % ell != 1:
         raise CongruenceClassError(f"{p} is not 1 mod {ell}", p=p, ell=ell)
+
+
+def ell_power_class(c, ell: int, p: int) -> tuple[int, bool]:
+    """z_c = c^((p-1)/ell) mod p and whether c is an ell-th power residue."""
+    c = as_factored(c)
+    validate_split(p, ell)
     r = c.reduce_mod(p)  # raises NonUnitError when ord_p(c) != 0
     z = pow(r, (p - 1) // ell, p)
     return z, z == 1

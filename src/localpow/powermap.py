@@ -22,7 +22,7 @@ from .errors import (
     WitnessSearchExhausted,
     ZeroValueError,
 )
-from .modular import PrimeCache, discrete_log
+from .modular import PrimeCache
 from .ratfact import ONE, FactoredRational, as_factored, is_prime
 
 
@@ -64,11 +64,17 @@ class MultiplicativeMap:
         return cls(sign_value, overrides, default_exponent, kind="table")
 
     def value_at_prime(self, q: int) -> FactoredRational:
+        if not is_prime(q):
+            raise NotPrimeError(f"{q} is not prime")
+        return self._value_at_prime(q)
+
+    def _value_at_prime(self, q: int) -> FactoredRational:
+        # f(q) for a q already known to be prime
         v = self.overrides.get(q)
         if v is not None:
             return v
         k = self.default_exponent
-        return FactoredRational(1, {q: k}) if k else ONE
+        return FactoredRational._raw(1, {q: k}) if k else ONE
 
     def __call__(self, x) -> FactoredRational:
         return evaluate(self, x)
@@ -113,7 +119,7 @@ def evaluate(f: MultiplicativeMap, x) -> FactoredRational:
     x = as_factored(x)
     out = FactoredRational(f.sign_value if x.sign < 0 else 1, {})
     for q, e in sorted(x.exponents.items()):
-        out = out * f.value_at_prime(q) ** e
+        out = out * f._value_at_prime(q) ** e
     return out
 
 
@@ -128,107 +134,97 @@ class LocalVerdict:
     bound: int | None = None
 
 
-def _exact_verdict(f: MultiplicativeMap, p: int, domain: str) -> LocalVerdict:
-    if p == 2:
-        # k lives in Z/1Z; membership = f maps 2-adic units to 2-adic units
-        for q, v in f.overrides.items():
-            if q != 2 and v.ord(2) != 0:
-                return LocalVerdict(2, "no", None, "exact")
-        return LocalVerdict(2, "yes", 0, "exact")
-    k_p = f.default_exponent % (p - 1)
-    if domain == "rational" and (f.sign_value - (-1) ** k_p) % p != 0:
-        return LocalVerdict(p, "no", None, "exact")
-    for q, v in f.overrides.items():
-        if q == p:
-            continue  # ord_p(q) != 0 exempts the override
-        if v.ord(p) != 0:
-            return LocalVerdict(p, "no", None, "exact")
-        if v.reduce_mod(p) != pow(q, k_p, p):
-            return LocalVerdict(p, "no", None, "exact")
-    return LocalVerdict(p, "yes", k_p, "exact")
-
-
-def _residue(value, p: int):
-    # unit residue of an int/Fraction/FactoredRational mod p, or None
-    if isinstance(value, FactoredRational):
-        if value.ord(p) != 0:
-            return None
-        return value.reduce_mod(p)
-    v = Fraction(value)
+def _fraction_pair(value) -> tuple[int, int]:
+    # (a, b) with value = a/b and b > 0
+    v = value.value() if isinstance(value, FactoredRational) else Fraction(value)
     if v == 0:
         raise ZeroValueError("function value 0 has no residue")
-    num, den = v.numerator, v.denominator
-    if num % p == 0 or den % p == 0:
+    return v.numerator, v.denominator
+
+
+def _verdict_bound(mode: str, bound):
+    # the prime bound a verdict reports: none in exact mode
+    if mode == "exact":
         return None
-    return num * pow(den, -1, p) % p
+    return EMPIRICAL_BOUND if bound is None else bound
 
 
-def _empirical_verdict(f, p: int, bound: int, domain: str) -> LocalVerdict:
+def _verdicts(f, mode: str, bound, domain: str):
+    """Check mode, domain and model once; the decision p -> (member, k_p) for primes p.
+
+    Each value f(q) the decision reads becomes a pair (a, b) here, so a prime
+    costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p) exactly when
+    p ∤ b and p | a - q^k_p·b.
+    """
+    if domain not in ("positive", "rational"):
+        raise ConfigError(f"unknown domain {domain!r}")
     structured = isinstance(f, MultiplicativeMap)
-    if domain == "rational" and not structured:
-        raise ConfigError("rational domain checks need the structured model")
-    qs = [q for q in _small_primes(bound) if q != p and q % p != 0]
-    values = {}
-    for q in qs:
-        values[q] = f.value_at_prime(q) if structured else f(q)
-    candidate = None
-    for q in qs:
-        # smallest prime whose residue generates the units mod p
-        if _is_generator(q % p, p):
-            r = _residue(values[q], p)
-            if r is None:
-                return LocalVerdict(p, "no", None, "empirical", bound)
-            candidate = discrete_log(q % p, r, p)
-            break
-    if candidate is None:
-        return LocalVerdict(p, "unknown", None, "empirical", bound)
-    for q in qs:
-        r = _residue(values[q], p)
-        if r is None or r != pow(q, candidate, p):
-            return LocalVerdict(p, "no", None, "empirical", bound)
-    if domain == "rational" and (f.sign_value - (-1) ** candidate) % p != 0:
-        return LocalVerdict(p, "no", None, "empirical", bound)
-    return LocalVerdict(p, "yes", candidate, "empirical", bound)
+    rational = domain == "rational"
+    if mode == "exact":
+        if not structured:
+            raise ConfigError("exact mode needs the structured model")
+        table = [(q, *_fraction_pair(v)) for q, v in f.overrides.items()]
+    elif mode == "empirical":
+        if rational and not structured:
+            raise ConfigError("rational domain checks need the structured model")
+        table = [
+            (q, *_fraction_pair(f._value_at_prime(q) if structured else f(q)))
+            for q in kernels.sieve(_verdict_bound(mode, bound))
+        ]
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
 
+    def agrees(p: int, k_p: int) -> bool:
+        # every tabulated q other than p maps to a unit ≡ q^k_p (mod p);
+        # at p = 2 (k_p = 0) that says f(q) is a 2-adic unit
+        for q, a, b in table:
+            if q != p and (b % p == 0 or (a - pow(q, k_p, p) * b) % p):
+                return False
+        return not rational or (f.sign_value - (-1) ** k_p) % p == 0
 
-def _small_primes(bound: int) -> list[int]:
-    return [n for n in range(2, bound + 1) if is_prime(n)]
+    def exact(p: int):
+        k_p = f.default_exponent % (p - 1)
+        return ("yes", k_p) if agrees(p, k_p) else ("no", None)
 
+    def empirical(p: int):
+        # k_p is the log of f(g) to the base g, the smallest tabulated prime
+        # other than p whose residue generates the units mod p
+        factors = [r for r, _ in kernels.factorize(p - 1)]
+        for q, a, b in table:
+            g = q % p
+            if q != p and all(pow(g, (p - 1) // r, p) != 1 for r in factors):
+                break
+        else:
+            return "unknown", None
+        if a % p == 0 or b % p == 0:
+            return "no", None
+        k_p = kernels.discrete_log(g, a * pow(b, -1, p) % p, p)
+        return ("yes", k_p) if agrees(p, k_p) else ("no", None)
 
-def _is_generator(g: int, p: int) -> bool:
-    if g % p == 0:
-        return False
-    order = p - 1
-    for q, _ in kernels.factorize(order):
-        if pow(g, order // q, p) == 1:
-            return False
-    return True
+    return exact if mode == "exact" else empirical
 
 
 def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> LocalVerdict:
     """Decide whether f is a local power map at p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if domain not in ("positive", "rational"):
-        raise ConfigError(f"unknown domain {domain!r}")
-    if mode == "exact":
-        if not isinstance(f, MultiplicativeMap):
-            raise ConfigError("exact mode needs the structured model")
-        return _exact_verdict(f, p, domain)
-    if mode == "empirical":
-        return _empirical_verdict(f, p, EMPIRICAL_BOUND if bound is None else bound, domain)
-    raise ConfigError(f"unknown mode {mode!r}")
+    member, k_p = _verdicts(f, mode, bound, domain)(p)
+    return LocalVerdict(p, member, k_p, mode, _verdict_bound(mode, bound))
 
 
-def sf_members(f, primes, mode, bound, domain) -> tuple[list[LocalVerdict], int]:
-    """Yes-verdicts among the primes, in their order, plus the count of unknowns."""
+def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], int]:
+    """(p, k_p) of the members among the primes, in their order, plus the count of unknowns.
+
+    The primes come from a sieve and are not checked again.
+    """
+    decide = _verdicts(f, mode, bound, domain)
     members = []
     unknown = 0
     for p in primes:
-        v = local_exponent(f, p, mode=mode, bound=bound, domain=domain)
-        if v.member == "yes":
-            members.append(v)
-        elif v.member == "unknown":
+        member, k_p = decide(p)
+        if member == "yes":
+            members.append((p, k_p))
+        elif member == "unknown":
             unknown += 1
     return members, unknown
 
@@ -257,10 +253,7 @@ def scan_Sf(
     pairs, unknown = _parallel.sf_scan_parallel(
         _scan_spec(f), cache.up_to(x), mode, bound, domain, workers
     )
-    if mode == "exact":
-        bound = None
-    elif bound is None:
-        bound = EMPIRICAL_BOUND
+    bound = _verdict_bound(mode, bound)
     return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
 
 
@@ -285,7 +278,7 @@ def shift_and_quasi_check(f, p: int, bound: int) -> tuple[bool, bool]:
     vals = _integer_values(f, bound + p)
     shift_ok = all((vals[n + p] - vals[n]) % p == 0 for n in range(1, bound + 1))
     quasi_ok = True
-    for q in _small_primes(bound):
+    for q in kernels.sieve(bound):
         for n in range(1, bound // q + 1):
             if n % q == 0:
                 continue
@@ -353,7 +346,7 @@ def _power_of(fr: FactoredRational, n: int) -> bool:
 def find_witness(f: MultiplicativeMap, count: int, search_limit: int = 1000) -> list[int]:
     """Square-free n > 1 with f(n) outside ±n^Z: single primes, then prime pairs."""
     found = []
-    primes = _small_primes(search_limit)
+    primes = kernels.sieve(search_limit)
     for q in primes:
         if not _power_of(evaluate(f, q), q):
             found.append(q)

@@ -45,8 +45,9 @@ def _factor_abs(n: int, bound: int) -> dict[int, int]:
         i += 6
         top = min(bound, isqrt(n))
     if n > 1:
-        # Cofactor exceeds every trial divisor; it is prime unless n > bound^2.
-        if not is_prime(n):
+        # Cofactor exceeds every trial divisor.  Once the trial passed its
+        # square root it is prime; otherwise Miller-Rabin decides.
+        if i * i <= n and not is_prime(n):
             raise CompositeCofactorError(
                 f"cofactor {n} is composite and exceeds the trial bound {bound}",
                 cofactor=n,

@@ -16,6 +16,7 @@ TABLE_F = json.dumps(
         "overrides": {"2": "5", "3": "7", "5": "11"},
     }
 )
+OVERRIDE_3 = json.dumps({"kind": "table", "overrides": {"3": "5"}})
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +88,18 @@ def test_usage_errors_exit_64(capsys):
         ("tf-scan", "--function", TABLE_F, "--limit", "-5"),
         ("bounds", "--x", "1e8", "--mertens", "5"),
         ("sf-scan", "--function", TABLE_F, "--limit", "100", "--prime-cache", "x"),
+        # malformed numbers
+        ("density-scan", "--ell", "3", "--tuple", "abc,2,3,5", "--limit", "100"),
+        ("relations", "--tuple", "abc,2"),
+        ("heuristic", "--function", TABLE_F, "--witnesses", "a,b,c", "--limit", "100"),
+        ("construct", "--set", "3,x", "--exponents", "1,2"),
+        # vacuous scan bounds: every prime would pass, or none could be decided
+        ("tf-scan", "--function", OVERRIDE_3, "--limit", "100", "--shift-bound", "0"),
+        ("tf-scan", "--function", OVERRIDE_3, "--limit", "100", "--shift-bound", "-1"),
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--mode", "empirical",
+         "--bound", "1"),
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--mode", "empirical",
+         "--bound", "-3"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 64, argv
@@ -128,6 +141,15 @@ def test_domain_errors_exit_2(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["message"]
+    for argv in (
+        # --pi-x spares the prime count to 10^8 that comes before these checks
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--mertens", "5,inf"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "nan"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "inf"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["type"] == "domain-error"
 
 
 def test_rejected_scans_sieve_nothing(capsys, monkeypatch):

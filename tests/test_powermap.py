@@ -1,8 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from localpow import kernels
 from localpow.errors import (
     ConfigError,
     DomainError,
@@ -11,6 +15,7 @@ from localpow.errors import (
     NotPrimeError,
     OddPrimeRequiredError,
     WitnessSearchExhausted,
+    ZeroValueError,
 )
 from localpow.modular import PrimeCache
 from localpow.powermap import (
@@ -54,6 +59,9 @@ def test_table_evaluation_is_completely_multiplicative():
 def test_overrides_must_be_prime_keyed():
     with pytest.raises(NotPrimeError):
         MultiplicativeMap.table({4: 3})
+    for f in (table_f(), MultiplicativeMap.global_power(0)):
+        with pytest.raises(NotPrimeError):
+            f.value_at_prime(4)
     with pytest.raises(ConfigError):
         MultiplicativeMap(overrides={2: 3}, kind="global_power")
 
@@ -136,6 +144,11 @@ def test_empirical_callable_function():
         local_exponent(f, 11, mode="empirical", domain="rational")
     with pytest.raises(ConfigError):
         local_exponent(f, 11, mode="exact")
+    # every value at a prime <= bound is read, so a zero is never hidden
+    # behind an earlier "no" (f(2) = 8 is not 2 mod 11)
+    g = lambda n: 0 if n == 29 else 8 if n == 2 else n
+    with pytest.raises(ZeroValueError):
+        local_exponent(g, 11, mode="empirical", bound=30)
 
 
 def test_rational_domain_sign_check():
@@ -186,6 +199,98 @@ def sf_members_oracle(f, primes, mode):
     verdicts = [local_exponent(f, p, mode=mode) for p in primes]
     members = [v for v in verdicts if v.member == "yes"]
     return members, sum(v.member == "unknown" for v in verdicts)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+PROPERTY_LIMIT = 400
+PROPERTY_CACHE = PrimeCache(PROPERTY_LIMIT)
+
+
+@st.composite
+def table_maps(draw):
+    """f(q) = q^k times a small rational twist at up to four primes <= 30."""
+    k = draw(st.integers(-3, 4))
+    keys = draw(st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=4))
+    twists = st.one_of(
+        st.just(Fraction(1)),
+        st.just(Fraction(-1)),
+        st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+    )
+    overrides = {q: Fraction(q) ** k * draw(twists) for q in keys}
+    sign = draw(st.sampled_from((1, -1)))
+    return MultiplicativeMap.table(overrides, default_exponent=k, sign_value=sign)
+
+
+def exact_oracle(f, p, domain):
+    """(member, k_p) by the exact case analysis, from the public FactoredRational API."""
+    if p == 2:
+        # k_p lives in Z/1Z; f must map 2-adic units to 2-adic units
+        if any(v.ord(2) != 0 for q, v in f.overrides.items() if q != 2):
+            return "no", None
+        return "yes", 0
+    k_p = f.default_exponent % (p - 1)
+    if domain == "rational" and (f.sign_value - (-1) ** k_p) % p != 0:
+        return "no", None
+    for q, v in f.overrides.items():
+        if q == p:
+            continue  # ord_p(q) != 0 exempts the override
+        if v.ord(p) != 0 or v.reduce_mod(p) != pow(q, k_p, p):
+            return "no", None
+    return "yes", k_p
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_maps(), st.sampled_from(("positive", "rational")))
+def test_exact_scan_matches_case_analysis(f, domain):
+    members, unknown = scan_Sf(f, PROPERTY_LIMIT, PROPERTY_CACHE, domain=domain)
+    expected = []
+    for p in PROPERTY_CACHE.up_to(PROPERTY_LIMIT):
+        member, k_p = exact_oracle(f, p, domain)
+        if member == "yes":
+            expected.append((p, k_p))
+    assert [(v.p, v.k_p) for v in members] == expected
+    assert unknown == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_maps(), st.sampled_from(("positive", "rational")))
+def test_empirical_verdicts_agree_with_exact(f, domain):
+    for p in PROPERTY_CACHE.up_to(200):
+        emp = local_exponent(f, p, mode="empirical", domain=domain)
+        if emp.member == "unknown":
+            continue
+        exact = local_exponent(f, p, domain=domain)
+        assert (emp.member, emp.k_p) == (exact.member, exact.k_p), p
+
+
+def count_is_prime_calls(monkeypatch) -> list:
+    # rebind is_prime in every library module that imported it by name
+    calls = []
+    real = kernels.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localpow") and not name.startswith("localpow.kernels"):
+            if getattr(module, "is_prime", None) is real:
+                monkeypatch.setattr(module, "is_prime", counting)
+    return calls
+
+
+def test_sf_scan_does_not_reprove_sieved_primes(monkeypatch, cache_10k):
+    calls = count_is_prime_calls(monkeypatch)
+    f = table_f()
+    for mode in ("exact", "empirical"):
+        counts = []
+        for x in (10**3, 10**4):
+            del calls[:]
+            scan_Sf(f, x, cache_10k, mode=mode)
+            counts.append(len(calls))
+        # the checks made once per scan (the map's override keys) do not
+        # grow with the 1229 primes below 10^4
+        assert counts[0] == counts[1] <= 10, (mode, counts)
 
 
 def test_extend_to_q_and_nu_vote():
