@@ -23,7 +23,7 @@ from .errors import (
     ScheduleDomainError,
     WrongLengthError,
 )
-from .modular import PrimeCache
+from .modular import PrimeCache, check_table_limit
 from .ratfact import as_factored, is_prime
 
 EXACT_DISCRIMINANT_LIMIT = 10**4
@@ -40,8 +40,9 @@ class BoundConfig:
 
     def __post_init__(self):
         for name in ("M", "c1", "c2", "implied_constant"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
     def to_json(self) -> dict:
         return {
@@ -156,7 +157,10 @@ def yz_schedule(x: float, cfg: BoundConfig | None = None) -> YZSchedule:
     l4 = log(l3)
     y = l3 / (l4 * l4)
     z = l2 / (3 * cfg.M + 1)
-    cap = (l1 / (6 * cfg.c2 * l2) ** 2) ** (1 / 15)
+    try:
+        cap = (l1 / (6 * cfg.c2 * l2) ** 2) ** (1 / 15)
+    except OverflowError:
+        raise ConfigError(f"c2 = {cfg.c2} overflows the cap on Z") from None
     return YZSchedule(x=x, Y=y, Z=z, cap=cap, y_le_z=y <= z, z_within_cap=z <= cap)
 
 
@@ -267,7 +271,10 @@ def main_bound(
     """Headline count bound (llll x/lll x)*pi(x)*C + b_f with its two range terms."""
     cfg = cfg or BoundConfig()
     sched = yz_schedule(x, cfg)
+    if not isfinite(b_f):
+        raise DomainError(f"b_f must be a finite number, got {b_f}")
     if pi_x is None:
+        check_table_limit(int(x))
         pi_x = cache.pi(int(x)) if cache is not None else kernels.count_primes(int(x))
     l3 = log(log(log(x)))
     l4 = log(l3)

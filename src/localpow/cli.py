@@ -32,7 +32,7 @@ from .chebotarev import (
     in_C4,
     scan_density,
 )
-from .errors import FunctionSpecError, LocalPowError
+from .errors import DomainError, FunctionSpecError, LocalPowError
 from .lattice import build_lattice, kummer_degree, relations
 from .modular import PrimeCache
 from .powermap import (
@@ -68,9 +68,17 @@ def _round_floats(obj):
 
 def _emit(report: dict, csv_path=None):
     report = _round_floats(report)
-    print(json.dumps(report, indent=2))
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError("a reported number overflowed to infinity or NaN") from None
     if csv_path:
-        _write_csv(csv_path, report)
+        # written first, so an unwritable path leaves stdout empty
+        try:
+            _write_csv(csv_path, report)
+        except OSError as exc:
+            raise UsageError(f"cannot write --csv {csv_path}: {exc.strerror}") from None
+    print(text)
 
 
 def _write_csv(path, report):
@@ -153,18 +161,12 @@ def _number_pair(text: str) -> tuple[float, float]:
     return first, second
 
 
-def _config(args) -> BoundConfig:
-    return BoundConfig(
-        c1=args.c1, c2=args.c2, implied_constant=args.implied_constant
-    )
-
-
 # ---------------------------------------------------------------- handlers
 
 
 def _cmd_sf_scan(args):
     f = _load_function(args.function)
-    cfg = _config(args)
+    cfg = args.config
     cache = PrimeCache(args.limit)
     total = len(cache)
     _progress(f"scanning {total} primes for local power exponents")
@@ -193,7 +195,7 @@ def _cmd_sf_scan(args):
 
 def _cmd_tf_scan(args):
     f = _load_function(args.function)
-    cfg = _config(args)
+    cfg = args.config
     cache = PrimeCache(args.limit)
     total = len(cache)
     _progress(f"shift-checking {total} primes")
@@ -233,6 +235,8 @@ def _cmd_witness(args):
 def _cmd_construct(args):
     if len(args.exponents) != len(args.set):
         raise UsageError("--set and --exponents must have the same length")
+    if len(set(args.set)) != len(args.set):
+        raise UsageError("--set repeats a prime")
     g = construct_prescribed(args.set, dict(zip(args.set, args.exponents)))
     return {
         "command": "construct",
@@ -285,7 +289,7 @@ def _cmd_frobenius(args):
 
 
 def _cmd_density_scan(args):
-    cfg = _config(args)
+    cfg = args.config
     ds = scan_density(
         args.ell,
         args.tuple,
@@ -316,7 +320,7 @@ def _cmd_density_scan(args):
 
 def _cmd_heuristic(args):
     f = _load_function(args.function)
-    cfg = _config(args)
+    cfg = args.config
     hs = heuristic_scan(f, args.witnesses, args.limit, workers=args.workers)
     total = hs.counted + hs.skipped
     _progress(f"tested {total} primes for simultaneous power membership")
@@ -338,7 +342,7 @@ def _cmd_heuristic(args):
 
 
 def _cmd_bounds(args):
-    cfg = _config(args)
+    cfg = args.config
     x = args.x
     mb = main_bound(x, args.b_f, cfg, pi_x=args.pi_x)
     out = {
@@ -409,8 +413,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("witness", parents=[common])
     p.add_argument("--function", required=True)
-    p.add_argument("--count", type=int, default=3)
-    p.add_argument("--search-limit", type=int, default=1000)
+    p.add_argument("--count", type=_int_at_least(1), default=3)
+    p.add_argument("--search-limit", type=_int_at_least(2), default=1000)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("construct", parents=[common])
@@ -452,7 +456,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", parents=[common])
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--b-f", type=float, default=0.0)
-    p.add_argument("--pi-x", type=int, default=None)
+    p.add_argument("--pi-x", type=_int_at_least(0), default=None)
     p.add_argument("--mertens", type=_number_pair, default=None)
     p.add_argument("--chebyshev-z", type=float, default=None)
     p.set_defaults(handler=_cmd_bounds)
@@ -465,6 +469,10 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact reports are long integers: the discriminant at conductor
+        # 10^4 alone has about 14,000 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -477,7 +485,11 @@ def run(argv=None) -> int:
         print("usage error: missing subcommand", file=sys.stderr)
         return 64
     try:
-        report = args.handler(args)
+        # the bound constants are common to every subcommand
+        args.config = BoundConfig(
+            c1=args.c1, c2=args.c2, implied_constant=args.implied_constant
+        )
+        _emit(args.handler(args), args.csv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
@@ -487,7 +499,6 @@ def run(argv=None) -> int:
     except LocalPowError as exc:
         print(json.dumps(_round_floats(exc.payload()), indent=2))
         return 2
-    _emit(report, getattr(args, "csv", None))
     return 0
 
 

@@ -21,12 +21,12 @@ BACKEND = _impl.BACKEND
 
 sieve = _impl.sieve
 count_primes = _impl.count_primes
-primitive_root = _impl.primitive_root
-discrete_log = _impl.discrete_log
 
 if _impl is _pure:
     is_prime = _pure.is_prime
     factorize = _pure.factorize
+    primitive_root = _pure.primitive_root
+    discrete_log = _pure.discrete_log
     solve_exponent_system = _pure.solve_exponent_system
     z_b_rows = _pure.z_b_rows
     omega_members = _pure.omega_members
@@ -48,18 +48,40 @@ else:
             return _impl.factorize(n)
         return _pure.factorize(n)
 
+    def primitive_root(p):
+        if p <= _I64_MAX:
+            return _impl.primitive_root(p)
+        return _pure.primitive_root(p)
+
+    def discrete_log(g, h, p):
+        if p <= _I64_MAX:
+            return _impl.discrete_log(g, h, p)
+        return _pure.discrete_log(g, h, p)
+
     def solve_exponent_system(a, b, m):
         if len(a) <= 64 and m <= _I64_MAX:
             return _impl.solve_exponent_system(a, b, m)
         return _pure.solve_exponent_system(a, b, m)
 
     def z_b_rows(primes, ell, nums, dens):
-        if len(nums) <= 16 and _fits(nums) and _fits(dens):
+        if (
+            len(nums) <= 16
+            and max(primes, default=0) <= _I64_MAX
+            and _fits(nums)
+            and _fits(dens)
+        ):
             return _impl.z_b_rows(primes, ell, nums, dens)
         return _pure.z_b_rows(primes, ell, nums, dens)
 
     def omega_members(primes, ns, fnums, fdens):
-        if len(ns) <= 16 and _fits(ns) and _fits(fnums) and _fits(fdens):
+        # the compiled kernel reads the witnesses as unsigned words
+        if (
+            len(ns) <= 16
+            and max(primes, default=0) <= _I64_MAX
+            and all(0 <= n <= _I64_MAX for n in ns)
+            and _fits(fnums)
+            and _fits(fdens)
+        ):
             return _impl.omega_members(primes, ns, fnums, fdens)
         return _pure.omega_members(primes, ns, fnums, fdens)
 

@@ -6,14 +6,12 @@ return exactly what the native one does.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd, isqrt
 
 BACKEND = "pure"
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Prime orders checked by the cheap rejection filter inside omega_members.
-_SMALL_Q = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _flags(limit: int) -> bytearray:
@@ -38,6 +36,10 @@ def count_primes(limit: int) -> int:
     if limit < 2:
         return 0
     return sum(_flags(limit))
+
+
+# factorize divides by these; larger prime factors are split by rho
+_TRIAL_PRIMES = tuple(sieve(10**4))
 
 
 def is_prime(n: int) -> bool:
@@ -93,34 +95,39 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    # (q, e) with q^e || n in ascending q, each yielded as soon as trial
+    # division finds it; once the trial passes the square root of the
+    # cofactor, that cofactor is prime and needs no Miller-Rabin test
     if n < 1:
         raise ValueError("factorize needs n >= 1")
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            if n > 1:
+                yield n, 1
+            return
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            yield q, e
+    # every prime factor left exceeds 10^4
     exps: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            n //= p
-            exps[p] = exps.get(p, 0) + 1
-    i = 5
-    while i <= 10**4 and i * i <= n:
-        for p in (i, i + 2):
-            while n % p == 0:
-                n //= p
-                exps[p] = exps.get(p, 0) + 1
-        i += 6
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             exps[m] = exps.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return sorted(exps.items())
+        else:
+            d = _pollard_brent(m)
+            stack += (d, m // d)
+    yield from sorted(exps.items())
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
+    return list(_prime_powers(n))
 
 
 def primitive_root(p: int) -> int:
@@ -272,26 +279,23 @@ def z_b_rows(
     return out
 
 
-def _projection_solvable(us: list[int], vs: list[int], q: int, p: int) -> bool:
-    # is there t mod q with u_j^t == v_j for all j?  (all u_j have order 1 or q)
-    piv = -1
-    for idx, u in enumerate(us):
-        if u != 1:
-            piv = idx
-            break
-    if piv < 0:
-        return all(v == 1 for v in vs)
-    u, v = us[piv], vs[piv]
-    t = None
-    w = 1
-    for k in range(q):
-        if w == v:
-            t = k
-            break
-        w = w * u % p
-    if t is None:
+def _component_solvable(us: list[int], vs: list[int], q: int, p: int) -> bool:
+    # is there t with u_j^t == v_j for all j?  All u_j, v_j lie in the cyclic
+    # subgroup of order q^e, where the u_j of largest order q^s generates
+    # every other u_j; v_pivot must lie in its group, and t = log v_pivot
+    # (mod q^s) is then the only candidate
+    u_piv, v_piv, s = 1, 1, 0
+    for u, v in zip(us, vs):
+        w, order_exp = u, 0
+        while w != 1:
+            w = pow(w, q, p)
+            order_exp += 1
+        if order_exp > s:
+            u_piv, v_piv, s = u, v, order_exp
+    if pow(v_piv, q**s, p) != 1:
         return False
-    return all(pow(us[j], t, p) == vs[j] for j in range(len(us)))
+    t = _prime_power_log(u_piv, v_piv, q, s, p) if s else 0
+    return all(pow(u, t, p) == v for u, v in zip(us, vs))
 
 
 def omega_members(
@@ -315,29 +319,17 @@ def omega_members(
             skipped += 1
             continue
         counted += 1
-        avals = [ns[j] % p for j in range(width)]
-        bvals = [fnums[j] * pow(fdens[j], -1, p) % p for j in range(width)]
-        n1 = p - 1
-        # exact rejection on each small prime order q | p-1: a solution
-        # mod p-1 projects to one mod q, so failure here is final
-        rem = n1
-        rejected = False
-        for q in _SMALL_Q:
-            if rem % q:
-                continue
-            while rem % q == 0:
-                rem //= q
-            e = n1 // q
-            us = [pow(a, e, p) for a in avals]
-            vs = [pow(b, e, p) for b in bvals]
-            if not _projection_solvable(us, vs, q, p):
-                rejected = True
+        avals = [n % p for n in ns]
+        bvals = [fn * pow(fd, -1, p) % p for fn, fd in zip(fnums, fdens)]
+        # a common k mod p-1 exists iff one exists mod each q^e || p-1 (CRT);
+        # small q come first, so most primes are rejected within a component
+        # or two
+        for q, e in _prime_powers(p - 1):
+            cof = (p - 1) // q**e
+            us = [pow(a, cof, p) for a in avals]
+            vs = [pow(b, cof, p) for b in bvals]
+            if not _component_solvable(us, vs, q, p):
                 break
-        if rejected:
-            continue
-        g = primitive_root(p)
-        alphas = [discrete_log(g, a, p) for a in avals]
-        betas = [discrete_log(g, b, p) for b in bvals]
-        if solve_exponent_system(alphas, betas, n1) is not None:
+        else:
             members += 1
     return counted, skipped, members

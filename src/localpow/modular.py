@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 
 from . import kernels
@@ -18,11 +19,21 @@ from .errors import (
 from .ratfact import as_factored, is_prime
 
 
+def check_table_limit(limit: int) -> None:
+    """Reject a sieve or value-table limit beyond what a sequence can index."""
+    if limit >= sys.maxsize:
+        raise DomainError(
+            f"cannot sieve or tabulate that far: limits stop below {sys.maxsize}",
+            limit=limit,
+        )
+
+
 class PrimeCache:
     """Ascending list of all primes up to a limit."""
 
     def __init__(self, limit: int):
         self.limit = int(limit)
+        check_table_limit(self.limit)
         self.primes = kernels.sieve(self.limit)
 
     def up_to(self, x: int) -> list[int]:

@@ -22,7 +22,7 @@ from .errors import (
     WitnessSearchExhausted,
     ZeroValueError,
 )
-from .modular import PrimeCache
+from .modular import PrimeCache, check_table_limit
 from .ratfact import ONE, FactoredRational, as_factored, is_prime
 
 
@@ -167,9 +167,11 @@ def _verdicts(f, mode: str, bound, domain: str):
     elif mode == "empirical":
         if rational and not structured:
             raise ConfigError("rational domain checks need the structured model")
+        bound = _verdict_bound(mode, bound)
+        check_table_limit(bound)
         table = [
             (q, *_fraction_pair(f._value_at_prime(q) if structured else f(q)))
-            for q in kernels.sieve(_verdict_bound(mode, bound))
+            for q in kernels.sieve(bound)
         ]
     else:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -259,6 +261,7 @@ def scan_Sf(
 
 def _integer_values(f, top: int) -> list[int]:
     # 1-indexed table vals[n] = f(n) as ints; index 0 unused
+    check_table_limit(top)
     vals = [0] * (top + 1)
     for n in range(1, top + 1):
         v = f(n)
@@ -346,6 +349,7 @@ def _power_of(fr: FactoredRational, n: int) -> bool:
 def find_witness(f: MultiplicativeMap, count: int, search_limit: int = 1000) -> list[int]:
     """Square-free n > 1 with f(n) outside ±n^Z: single primes, then prime pairs."""
     found = []
+    check_table_limit(search_limit)
     primes = kernels.sieve(search_limit)
     for q in primes:
         if not _power_of(evaluate(f, q), q):

@@ -12,6 +12,7 @@ from math import gcd, isqrt
 
 from .errors import (
     CompositeCofactorError,
+    ExactRangeError,
     NonUnitError,
     NotPrimeError,
     ZeroValueError,
@@ -19,6 +20,10 @@ from .errors import (
 from .kernels import is_prime
 
 DEFAULT_TRIAL_BOUND = 10**6
+
+# num and den are built as integers only below 2^MAX_VALUE_BITS: a value such
+# as 2^(2^64) would exhaust memory long before its product was done.
+MAX_VALUE_BITS = 2**20
 
 
 def _factor_abs(n: int, bound: int) -> dict[int, int]:
@@ -116,21 +121,30 @@ class FactoredRational:
             raise NotPrimeError(f"{p} is not prime")
         return self._exp.get(p, 0)
 
+    def _part(self, side: int) -> int:
+        # numerator (side 1) or denominator (side -1) as an integer
+        out = 1
+        bits = 0  # a lower bound on log2(out)
+        for q, e in self._exp.items():
+            e *= side
+            if e > 0:
+                bits += (q.bit_length() - 1) * e
+                if bits >= MAX_VALUE_BITS:
+                    raise ExactRangeError(
+                        f"{self} is at least 2^{bits}; exact values stop "
+                        f"below about 2^{MAX_VALUE_BITS}",
+                        limit=MAX_VALUE_BITS,
+                    )
+                out *= q**e
+        return out
+
     @property
     def num(self) -> int:
-        n = 1
-        for q, e in self._exp.items():
-            if e > 0:
-                n *= q**e
-        return n
+        return self._part(1)
 
     @property
     def den(self) -> int:
-        d = 1
-        for q, e in self._exp.items():
-            if e < 0:
-                d *= q**-e
-        return d
+        return self._part(-1)
 
     def value(self) -> Fraction:
         return Fraction(self.sign * self.num, self.den)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localpow import cli
+from localpow.bounds import cyclotomic_discriminant
 from localpow.modular import PrimeCache
 
 TABLE_F = json.dumps(
@@ -17,6 +23,8 @@ TABLE_F = json.dumps(
     }
 )
 OVERRIDE_3 = json.dumps({"kind": "table", "overrides": {"3": "5"}})
+WIDE = 2**64 + 13  # wider than any machine word
+WIDE_POWER = json.dumps({"kind": "power", "exponent": WIDE})
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +76,9 @@ def test_disc_payload_is_exact(capsys):
     assert rep == {"value": 125}
     rep = run_json(capsys, "disc", "--cyclotomic", "7")
     assert rep == {"value": -16807}
+    # the largest exact conductor: a value of about 14,000 digits
+    rep = run_json(capsys, "disc", "--cyclotomic", "10000")
+    assert rep == {"value": cyclotomic_discriminant(10000)}
 
 
 def test_usage_errors_exit_64(capsys):
@@ -100,6 +111,15 @@ def test_usage_errors_exit_64(capsys):
          "--bound", "1"),
         ("sf-scan", "--function", TABLE_F, "--limit", "100", "--mode", "empirical",
          "--bound", "-3"),
+        # vacuous or contradictory counts
+        ("witness", "--function", TABLE_F, "--count", "0"),
+        ("witness", "--function", TABLE_F, "--count", "-1"),
+        ("witness", "--function", TABLE_F, "--search-limit", "-5"),
+        ("construct", "--set", "5,5", "--exponents", "1,2"),
+        ("bounds", "--x", "1e8", "--pi-x", "-5"),
+        # an unwritable --csv path, found before any report is printed
+        ("disc", "--cyclotomic", "5", "--csv", "/nonexistent/x.csv"),
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--csv", "/nonexistent/x.csv"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 64, argv
@@ -146,10 +166,55 @@ def test_domain_errors_exit_2(capsys):
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--mertens", "5,inf"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "nan"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "inf"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--b-f", "nan"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--b-f", "inf"),
+        # limits that no sieve can index
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--mertens", "5,1e300"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e300"),
+        ("bounds", "--x", "1e300"),
+        ("sf-scan", "--function", TABLE_F, "--limit", str(WIDE)),
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--mode", "empirical",
+         "--bound", str(WIDE)),
+        ("tf-scan", "--function", TABLE_F, "--limit", "100", "--shift-bound", str(WIDE)),
+        ("witness", "--function", TABLE_F, "--search-limit", str(WIDE)),
+        # a report number that overflows to infinity
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--implied-constant", "1e308"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["type"] == "domain-error"
+    # non-finite or overflowing bound constants, common to every subcommand
+    for argv in (
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--c2", "nan"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--implied-constant", "inf"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--c2", "1e300"),
+        ("sf-scan", "--function", TABLE_F, "--limit", "100", "--c1=-inf"),
+        ("disc", "--cyclotomic", "5", "--c1", "0"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["type"] == "bad-config"
+    # f(n) = n^k with k wider than 64 bits has no exact value to build
+    for argv in (
+        ("tf-scan", "--function", WIDE_POWER, "--limit", "100"),
+        ("heuristic", "--function", WIDE_POWER, "--witnesses", "2,3,5", "--limit", "100"),
+        ("sf-scan", "--function", WIDE_POWER, "--limit", "100", "--mode", "empirical"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["type"] == "exact-range"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_non_integral_value_exits_2(capsys, workers):
+    spec = json.dumps({"kind": "table", "overrides": {"3": "1/2"}})
+    code, out = run_cli(
+        capsys, "tf-scan", "--function", spec, "--limit", "100", "--workers", workers
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["type"] == "non-integral-value"
+    assert payload["n"] == 3
 
 
 def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
@@ -382,3 +447,157 @@ def test_progress_goes_to_stderr_not_stdout():
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout is pure JSON
     assert "scanning" in proc.stderr
+
+
+# ---------------------------------------------------------------- CLI contract
+
+UNWRITABLE_CSV = (os.devnull + "/x.csv", os.path.dirname(__file__))
+
+
+def _valid_or(valid, bad):
+    # half the draws are valid, so most argv get past the parser
+    return st.one_of(st.sampled_from(valid), st.sampled_from(bad))
+
+
+def _ints(*valid):
+    # an integer flag value: a valid one, or zero, negative, wide or not a number
+    return _valid_or(valid, ("0", "-1", "-5", str(WIDE), str(-WIDE), "x", ""))
+
+
+def _floats(*valid):
+    return _valid_or(valid, ("0", "-5", "nan", "inf", "-inf", "1e300", "1e308", "x"))
+
+
+def _entries_text(*valid):
+    entry = _valid_or(valid, ("0", "-1", "1", str(WIDE), "1/2", "x", ""))
+    return st.lists(entry, max_size=5).map(",".join)
+
+
+_LIMIT = _ints("2", "100", "2000")
+_FUNCTION = st.one_of(
+    st.sampled_from(
+        (TABLE_F, OVERRIDE_3, '{"kind": "bogus"}', "{bad json", "/no/such/file.json")
+    ),
+    st.builds(
+        lambda e: json.dumps({"kind": "power", "exponent": e}),
+        st.sampled_from((0, 1, 3, -2, WIDE)),
+    ),
+    st.builds(
+        lambda q, v, k, s: json.dumps(
+            {"kind": "table", "overrides": {q: v}, "default_exponent": k, "sign_value": s}
+        ),
+        st.sampled_from(("2", "3", "4", "0", "-3", str(WIDE))),
+        st.sampled_from(("5", "1/2", "0", "-7", str(WIDE), "x")),
+        st.sampled_from((1, 0, -1, 2)),
+        st.sampled_from((1, -1, 0, 2)),
+    ),
+)
+
+_SUBCOMMANDS = {
+    "sf-scan": {
+        "--function": _FUNCTION,
+        "--limit": _LIMIT,
+        "--mode": st.sampled_from(("exact", "empirical", "bogus")),
+        "--bound": _ints("2", "50"),
+        "--domain": st.sampled_from(("positive", "rational", "bogus")),
+    },
+    "tf-scan": {
+        "--function": _FUNCTION,
+        "--limit": _LIMIT,
+        "--shift-bound": _ints("1", "20"),
+    },
+    "witness": {
+        "--function": _FUNCTION,
+        "--count": _ints("1", "3"),
+        "--search-limit": _ints("2", "100", "2000"),
+    },
+    "construct": {
+        "--set": _entries_text("3", "5", "7", "4"),
+        "--exponents": _entries_text("1", "2", "-3"),
+    },
+    "relations": {"--tuple": _entries_text("12", "18", "-2", "3/4")},
+    "kummer-degree": {
+        "--tuple": _entries_text("12", "18", "-2", "3/4"),
+        "--ell": _ints("2", "3", "5", "4"),
+    },
+    "frobenius": {
+        "--p": _ints("7", "13", "31", str(2**89 - 1)),
+        "--ell": _ints("2", "3", "5"),
+        "--tuple": _entries_text("2", "3", "-5", "3/4"),
+    },
+    "density-scan": {
+        "--ell": _ints("3", "5", "4"),
+        "--tuple": _entries_text("2", "3", "5", "7", "-2", "3/4"),
+        "--limit": _LIMIT,
+        "--mode": st.sampled_from(("c4", "split", "bogus")),
+        "--enumeration-bound": _ints("3", "50"),
+    },
+    "heuristic": {
+        "--function": _FUNCTION,
+        "--witnesses": _entries_text("2", "3", "5", "6"),
+        "--limit": _LIMIT,
+    },
+    "bounds": {
+        "--x": _floats("4e6", "1e100"),
+        "--b-f": _floats("10"),
+        "--pi-x": _ints("5761455", "1"),
+        "--mertens": st.tuples(_floats("5", "20"), _floats("3", "1000")).map(",".join),
+        "--chebyshev-z": _floats("2", "1000"),
+    },
+    "disc": {"--cyclotomic": _ints("1", "5", "7", "10000", "10001")},
+}
+_REQUIRED = {
+    "sf-scan": ("--function", "--limit"),
+    "tf-scan": ("--function", "--limit"),
+    "witness": ("--function",),
+    "construct": ("--set", "--exponents"),
+    "relations": ("--tuple",),
+    "kummer-degree": ("--tuple", "--ell"),
+    "frobenius": ("--p", "--ell", "--tuple"),
+    "density-scan": ("--ell", "--tuple", "--limit"),
+    "heuristic": ("--function", "--witnesses", "--limit"),
+    "bounds": ("--x",),
+    "disc": ("--cyclotomic",),
+}
+# --workers stays small: a scan starts one process per chunk
+_COMMON = {
+    "--workers": st.sampled_from(("1", "2", "0", "-3", "x")),
+    "--csv": st.sampled_from(UNWRITABLE_CSV),
+    "--c1": _floats("1", "0.5"),
+    "--c2": _floats("1", "2"),
+    "--implied-constant": _floats("1", "3"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    flags = {**_SUBCOMMANDS[cmd], **_COMMON}
+    chosen = set(_REQUIRED[cmd]) | set(
+        draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+    )
+    # a required flag is dropped now and then, which is a usage error
+    if draw(st.integers(0, 9)) == 0:
+        chosen.discard(draw(st.sampled_from(_REQUIRED[cmd])))
+    argv = [cmd]
+    for flag in sorted(chosen):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_cli_contract_holds_for_generated_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 64, 65), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 64:
+        assert out.getvalue() == "", argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

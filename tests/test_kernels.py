@@ -9,13 +9,17 @@ import sympy
 from localpow import kernels
 from localpow.kernels import pure
 
-native = pytest.importorskip(
-    "localpow.kernels._native", reason="compiled backend not built"
-)
+try:
+    from localpow.kernels import _native as native
+except ImportError:
+    native = None
 
-BACKENDS = (pure, native)
+# every check runs on each importable backend; only native-only checks skip
+BACKENDS = (pure,) if native is None else (pure, native)
+needs_native = pytest.mark.skipif(native is None, reason="compiled backend not built")
 
 
+@needs_native
 def test_a_compiled_backend_is_selected():
     if os.environ.get("LOCALPOW_PURE") == "1":
         pytest.skip("pure backend forced via environment")
@@ -52,8 +56,8 @@ def test_is_prime_agreement():
     samples = list(range(2, 500)) + [rng.randint(2, 2**62) for _ in range(100)]
     for n in samples:
         expected = sympy.isprime(n)
-        assert pure.is_prime(n) == expected
-        assert native.is_prime(n) == expected
+        for mod in BACKENDS:
+            assert mod.is_prime(n) == expected
 
 
 def test_factorize_agreement():
@@ -63,18 +67,22 @@ def test_factorize_agreement():
         2**40,
         3**25,
         (10**6 + 3) ** 2,
+        # trial division ends on 9973 = the largest prime below 10^4
+        9973**2,
+        9973 * 10007,
+        10007**2,
     ]
     for n in samples:
         expected = sorted(sympy.factorint(n).items())
-        assert pure.factorize(n) == expected
-        assert native.factorize(n) == expected
+        for mod in BACKENDS:
+            assert mod.factorize(n) == expected
 
 
 def test_primitive_root_is_smallest_generator():
     for p in pure.sieve(2000)[1:]:
-        g = pure.primitive_root(p)
-        assert native.primitive_root(p) == g
-        assert g == sympy.primitive_root(p)
+        g = sympy.primitive_root(p)
+        for mod in BACKENDS:
+            assert mod.primitive_root(p) == g
 
 
 def test_discrete_log_random_instances():
@@ -85,10 +93,10 @@ def test_discrete_log_random_instances():
         g = rng.randint(2, p - 1)
         e = rng.randint(0, p - 2)
         h = pow(g, e, p)
-        x = pure.discrete_log(g, h, p)
-        assert native.discrete_log(g, h, p) == x
+        x = sympy.discrete_log(p, h, g)
         assert pow(g, x, p) == h
-        assert x == sympy.discrete_log(p, h, g)
+        for mod in BACKENDS:
+            assert mod.discrete_log(g, h, p) == x
 
 
 def test_discrete_log_smallest_solution_small_primes():
@@ -97,10 +105,9 @@ def test_discrete_log_smallest_solution_small_primes():
         p = rng.choice((7, 11, 13, 31, 61, 97, 151, 241))
         g = rng.randint(1, p - 1)
         h = pow(g, rng.randint(0, p - 2), p)
-        x = pure.discrete_log(g, h, p)
         brute = next(k for k in range(p - 1) if pow(g, k, p) == h)
-        assert x == brute
-        assert native.discrete_log(g, h, p) == brute
+        for mod in BACKENDS:
+            assert mod.discrete_log(g, h, p) == brute
 
 
 def test_discrete_log_outside_subgroup():
@@ -123,8 +130,8 @@ def test_solve_exponent_system_brute_force():
             (k for k in range(m) if all((ai * k - bi) % m == 0 for ai, bi in zip(a, b))),
             None,
         )
-        assert pure.solve_exponent_system(a, b, m) == brute
-        assert native.solve_exponent_system(a, b, m) == brute
+        for mod in BACKENDS:
+            assert mod.solve_exponent_system(a, b, m) == brute
 
 
 def test_z_b_rows_agreement_and_oracle():
@@ -133,8 +140,8 @@ def test_z_b_rows_agreement_and_oracle():
     nums = [2, -3, 7, 10]
     dens = [1, 2, 3, 1]
     rows_pure = pure.z_b_rows(primes, ell, nums, dens)
-    rows_native = native.z_b_rows(primes, ell, nums, dens)
-    assert rows_pure == rows_native
+    if native is not None:
+        assert native.z_b_rows(primes, ell, nums, dens) == rows_pure
     for p, zs, bs in rows_pure:
         if zs is None:
             assert any(n % p == 0 or d % p == 0 for n, d in zip(nums, dens))
@@ -149,6 +156,23 @@ def test_z_b_rows_agreement_and_oracle():
             assert pow(zeta, b, p) == z
 
 
+def _omega_brute_force(primes, ns, fnums, fdens):
+    counted = skipped = members = 0
+    for p in primes:
+        if any(v % p == 0 for v in ns + fnums + fdens):
+            skipped += 1
+            continue
+        counted += 1
+        targets = [fn * pow(fd, -1, p) % p for fn, fd in zip(fnums, fdens)]
+        powers = [1] * len(ns)  # n_j^k for k = 0, 1, ..., p - 2
+        for _ in range(p - 1):
+            if powers == targets:
+                members += 1
+                break
+            powers = [w * n % p for w, n in zip(powers, ns)]
+    return counted, skipped, members
+
+
 def test_omega_members_agreement_and_brute_force():
     primes = pure.sieve(3000)
     cases = [
@@ -156,24 +180,33 @@ def test_omega_members_agreement_and_brute_force():
         ([2, 3, 5], [4, 9, 25], [1, 1, 1]),
         ([2, 3], [8, 27], [1, 1]),
         ([2, 3], [1, 2], [2, 1]),
+        # rejected at p = 107 = 2*53 + 1 only by its order-53 component
+        ([2, 3], [4, 3], [1, 1]),
+        # x -> x^3: where 4 | ord(2), the order-2^e component's largest
+        # projection is the second entry's
+        ([4, 2], [64, 8], [1, 1]),
+        # witnesses +-1
+        ([1, -1, 3], [1, -1, 27], [1, 1, 1]),
+        ([-1, 2], [-1, 4], [1, 1]),
+        ([1, 5], [2, 5], [1, 1]),
+        # f values wider than 64 bits
+        ([2, 3], [2**70, 3**45], [1, 1]),
+        ([2, 3, 5], [2**64 + 1, 3**41, 5], [1, 1, 7**23]),
     ]
+    p = 107
+    assert not any(pow(2, k, p) == 4 and pow(3, k, p) == 3 for k in range(p - 1))
+    assert any(pow(2, 53 * k, p) == pow(4, 53, p) and pow(3, 53 * k, p) == pow(3, 53, p)
+               for k in range(2))
     for ns, fnums, fdens in cases:
-        got_pure = pure.omega_members(primes, ns, fnums, fdens)
-        got_native = native.omega_members(primes, ns, fnums, fdens)
-        assert got_pure == got_native
-        counted = skipped = members = 0
-        for p in primes:
-            if any(v % p == 0 for v in ns + fnums + fdens):
-                skipped += 1
-                continue
-            counted += 1
-            targets = [fn * pow(fd, -1, p) % p for fn, fd in zip(fnums, fdens)]
-            if any(
-                all(pow(n, k, p) == t for n, t in zip(ns, targets))
-                for k in range(p - 1)
-            ):
-                members += 1
-        assert got_pure == (counted, skipped, members)
+        got = pure.omega_members(primes, ns, fnums, fdens)
+        assert got == _omega_brute_force(primes, ns, fnums, fdens), (ns, fnums, fdens)
+        # the dispatch layer routes values wider than 64 bits to pure
+        assert kernels.omega_members(primes, ns, fnums, fdens) == got
+        # the compiled kernel reads witnesses as unsigned words
+        if native is not None and all(
+            0 <= n < 2**63 for n in ns
+        ) and all(abs(v) < 2**63 for v in fnums + fdens):
+            assert native.omega_members(primes, ns, fnums, fdens) == got
 
 
 def test_dispatch_falls_back_beyond_64_bits():
