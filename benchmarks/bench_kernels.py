@@ -30,7 +30,7 @@ def main():
 
     tasks = [
         ("sieve(10^6)", lambda m: m.sieve(10**6), 3),
-        ("count_primes(10^7)", lambda m: m.count_primes(10**7), 1),
+        ("count_primes(10^8)", lambda m: m.count_primes(10**8), 1),
         (
             "factorize 2000 ints near 10^12",
             lambda m: [m.factorize(n) for n in range(10**12, 10**12 + 2000)],

@@ -15,6 +15,7 @@ does) takes effect everywhere.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from . import chebotarev, kernels, powermap
@@ -37,8 +38,10 @@ def chunked(seq, n: int):
 def _run_chunks(fn, primes, workers: int, *rest) -> list:
     """fn((chunk, *rest)) for each contiguous chunk of primes, results in chunk order.
 
-    One chunk, or one worker, runs in this process on the whole list.
+    There are at most as many chunks as cores; one chunk runs in this
+    process on the whole list.
     """
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(primes) > 1:
         jobs = [(part, *rest) for part in chunked(primes, workers)]
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:

@@ -23,10 +23,14 @@ from .errors import (
     ScheduleDomainError,
     WrongLengthError,
 )
-from .modular import PrimeCache, check_table_limit
+from .modular import PrimeCache
 from .ratfact import as_factored, is_prime
 
 EXACT_DISCRIMINANT_LIMIT = 10**4
+
+# main_bound counts pi(x) itself only up to here (about 2 minutes); a larger
+# x needs pi_x from the caller
+PI_COUNT_LIMIT = 10**12
 
 
 @dataclass
@@ -164,7 +168,7 @@ def yz_schedule(x: float, cfg: BoundConfig | None = None) -> YZSchedule:
     return YZSchedule(x=x, Y=y, Z=z, cap=cap, y_le_z=y <= z, z_within_cap=z <= cap)
 
 
-def mertens_product(Y: float, Z: float, cache: PrimeCache | None = None) -> float:
+def mertens_product(Y: float, Z: float) -> float:
     """prod (1 - 1/(ell-1)) over odd primes Y <= ell < Z."""
     if not (isfinite(Y) and isfinite(Z)):
         raise DomainError(f"Y and Z must be finite numbers, got Y={Y}, Z={Z}")
@@ -172,57 +176,50 @@ def mertens_product(Y: float, Z: float, cache: PrimeCache | None = None) -> floa
         raise DomainError(f"Y must be >= 3 (ell = 2 gives a zero factor), got {Y}")
     if Z < Y:
         raise DomainError(f"need Y <= Z, got Y={Y}, Z={Z}")
-    hi = ceil(Z) - 1
-    if cache is None:
-        cache = PrimeCache(hi)
+    lo = ceil(Y)
     out = 1.0
-    for p in cache.between(ceil(Y), hi):
-        out *= 1.0 - 1.0 / (p - 1)
+    for p in PrimeCache(ceil(Z) - 1).primes:
+        if p >= lo:
+            out *= 1.0 - 1.0 / (p - 1)
     return out
 
 
-def chebyshev_check(Z: float, cfg: BoundConfig | None = None, cache: PrimeCache | None = None):
+def chebyshev_check(Z: float, cfg: BoundConfig | None = None):
     """(log prod_{p<=Z} p, M*Z, holds) for the primorial growth bound."""
     cfg = cfg or BoundConfig()
     if not isfinite(Z):
         raise DomainError(f"Z must be a finite number, got {Z}")
     if Z < 2:
         raise DomainError(f"Z must be >= 2, got {Z}")
-    if cache is None:
-        cache = PrimeCache(int(Z))
-    theta = sum(log(p) for p in cache.up_to(int(Z)))
+    theta = sum(log(p) for p in PrimeCache(int(Z)).primes)
     bound = cfg.M * Z
     return theta, bound, theta <= bound
 
 
-def chebyshev_sweep(z_max: int, cfg: BoundConfig | None = None, cache: PrimeCache | None = None):
+def chebyshev_sweep(z_max: int, cfg: BoundConfig | None = None):
     """Check theta(p) <= M*p at every prime p <= z_max; returns (holds, first_violation).
 
     Between primes theta is flat while M*Z grows, so checking at primes
     covers every real Z in [2, z_max].
     """
     cfg = cfg or BoundConfig()
-    if cache is None:
-        cache = PrimeCache(z_max)
     theta = 0.0
-    for p in cache.up_to(z_max):
+    for p in PrimeCache(z_max).primes:
         theta += log(p)
         if theta > cfg.M * p:
             return False, p
     return True, None
 
 
-def cyclotomic_max_term(Y: float, Z: float, cfg: BoundConfig | None = None, cache: PrimeCache | None = None):
+def cyclotomic_max_term(Y: float, Z: float, cfg: BoundConfig | None = None):
     """max(log|d|, |d|^(1/phi)) for the conductor prod of odd primes in [Y, Z).
 
     Returns (max_term, M*Z*e^(M*Z), holds); the second value is the closed
     bound the max-term is asserted to stay under.
     """
     cfg = cfg or BoundConfig()
-    if cache is None:
-        cache = PrimeCache(int(Z) + 1)
     lo = max(3, ceil(Y))
-    primes = cache.between(lo, ceil(Z) - 1)
+    primes = [p for p in PrimeCache(ceil(Z) - 1).primes if p >= lo]
     phi, log_disc = squarefree_cyclotomic_log(primes)
     max_term = max(log_disc, exp(log_disc / phi))
     bound = cfg.M * Z * exp(cfg.M * Z)
@@ -266,7 +263,6 @@ def main_bound(
     b_f: float,
     cfg: BoundConfig | None = None,
     pi_x: int | None = None,
-    cache: PrimeCache | None = None,
 ) -> MainBound:
     """Headline count bound (llll x/lll x)*pi(x)*C + b_f with its two range terms."""
     cfg = cfg or BoundConfig()
@@ -274,8 +270,13 @@ def main_bound(
     if not isfinite(b_f):
         raise DomainError(f"b_f must be a finite number, got {b_f}")
     if pi_x is None:
-        check_table_limit(int(x))
-        pi_x = cache.pi(int(x)) if cache is not None else kernels.count_primes(int(x))
+        if x > PI_COUNT_LIMIT:
+            raise DomainError(
+                f"pi(x) is counted only up to x = {PI_COUNT_LIMIT}; pass pi_x beyond it",
+                x=x,
+                limit=PI_COUNT_LIMIT,
+            )
+        pi_x = kernels.count_primes(int(x))
     l3 = log(log(log(x)))
     l4 = log(l3)
     ratio = l4 / l3

@@ -183,7 +183,6 @@ def scan_density(
     ell: int,
     c,
     x: int,
-    cache: PrimeCache | None = None,
     mode: str = "c4",
     enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
     workers: int = 1,
@@ -193,8 +192,7 @@ def scan_density(
     mode "c4" counts the proportionality class of 4-tuples (n1, n2, f1, f2);
     mode "split" counts primes where every tuple entry is an ell-th power.
     The inputs are checked and the expected value computed before any prime
-    is scanned or, without a cache, sieved; `workers` processes split the
-    scan without changing it.
+    is sieved; `workers` processes split the scan without changing it.
     """
     entries = [as_factored(v) for v in c]
     if not entries:
@@ -215,9 +213,7 @@ def scan_density(
         _, _, _, expected = class_ratio(cspec, enumeration_bound)
     else:
         expected = Fraction(1, ell**d)
-    if cache is None:
-        cache = PrimeCache(x)
-    primes = [p for p in cache.up_to(x) if p % ell == 1]
+    primes = [p for p in PrimeCache(x).primes if p % ell == 1]
     nums = [e.sign * e.num for e in entries]
     dens = [e.den for e in entries]
     counted, skipped, hits = _parallel.density_counts_parallel(
@@ -257,15 +253,12 @@ def heuristic_sum(primes) -> float:
     return total
 
 
-def heuristic_scan(
-    f, witnesses, x: int, cache: PrimeCache | None = None, workers: int = 1
-) -> HeuristicScan:
+def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     """Count primes where (f(n_j)) looks like a power of (n_j) mod p.
 
     The expectation (for witnesses with f(n) outside ±n^Z) is that the count
     stays below the sum of 1/(p-1)^2.  The witnesses are checked before any
-    prime is scanned or, without a cache, sieved; `workers` processes split
-    the scan without changing it.
+    prime is sieved; `workers` processes split the scan without changing it.
     """
     ns = [int(n) for n in witnesses]
     if len(ns) != 3:
@@ -273,9 +266,7 @@ def heuristic_scan(
     values = [as_factored(f(n)) for n in ns]
     fnums = [v.sign * v.num for v in values]
     fdens = [v.den for v in values]
-    if cache is None:
-        cache = PrimeCache(x)
-    primes = cache.up_to(x)
+    primes = PrimeCache(x).primes
     total = heuristic_sum(primes)
     counted, skipped, members = _parallel.omega_members_parallel(
         primes, ns, fnums, fdens, workers

@@ -34,7 +34,6 @@ from .chebotarev import (
 )
 from .errors import DomainError, FunctionSpecError, LocalPowError
 from .lattice import build_lattice, kummer_degree, relations
-from .modular import PrimeCache
 from .powermap import (
     MultiplicativeMap,
     construct_prescribed,
@@ -167,12 +166,11 @@ def _number_pair(text: str) -> tuple[float, float]:
 def _cmd_sf_scan(args):
     f = _load_function(args.function)
     cfg = args.config
-    cache = PrimeCache(args.limit)
-    total = len(cache)
-    _progress(f"scanning {total} primes for local power exponents")
+    _progress(f"scanning the primes up to {args.limit} for local power exponents")
     members, _unknown = scan_Sf(
-        f, args.limit, cache, args.mode, args.bound, args.domain, args.workers
+        f, args.limit, args.mode, args.bound, args.domain, args.workers
     )
+    total = kernels.count_primes(args.limit)
     counted = len(members)
     return {
         "command": "sf-scan",
@@ -189,17 +187,16 @@ def _cmd_sf_scan(args):
         "skipped": total - counted,
         "observed": counted / total if total else 0.0,
         "items": [{"p": v.p, "k_p": v.k_p} for v in members],
-        "cache_limit": cache.limit,
+        "cache_limit": args.limit,
     }
 
 
 def _cmd_tf_scan(args):
     f = _load_function(args.function)
     cfg = args.config
-    cache = PrimeCache(args.limit)
-    total = len(cache)
-    _progress(f"shift-checking {total} primes")
-    members = scan_Tf(f, args.limit, cache, args.shift_bound, args.workers)
+    _progress(f"shift-checking the primes up to {args.limit}")
+    members = scan_Tf(f, args.limit, args.shift_bound, args.workers)
+    total = kernels.count_primes(args.limit)
     counted = len(members)
     return {
         "command": "tf-scan",
@@ -214,7 +211,7 @@ def _cmd_tf_scan(args):
         "skipped": total - counted,
         "observed": counted / total if total else 0.0,
         "items": [{"p": p} for p in members],
-        "cache_limit": cache.limit,
+        "cache_limit": args.limit,
     }
 
 

@@ -102,12 +102,6 @@ class ConfigError(DomainError):
     code = "bad-config"
 
 
-class CacheLimitError(DomainError):
-    """A scan asked for primes beyond the supplied cache's limit."""
-
-    code = "prime-cache-too-small"
-
-
 class FunctionSpecError(LocalPowError):
     """Malformed function-spec JSON (CLI exit code 65)."""
 

@@ -2,7 +2,8 @@
 
 Both backends implement the same functions with identical outputs; the
 compiled one is picked when its extension module imported cleanly.  Set
-LOCALPOW_PURE=1 to force the fallback.
+LOCALPOW_PURE=1 to force the fallback.  `count_primes` is pure under every
+backend: its sublinear sum beats the compiled sieve count.
 """
 
 import os
@@ -20,7 +21,7 @@ else:
 BACKEND = _impl.BACKEND
 
 sieve = _impl.sieve
-count_primes = _impl.count_primes
+count_primes = _pure.count_primes
 
 if _impl is _pure:
     is_prime = _pure.is_prime

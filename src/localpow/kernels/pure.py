@@ -32,10 +32,32 @@ def sieve(limit: int) -> list[int]:
 
 
 def count_primes(limit: int) -> int:
-    """Number of primes <= limit."""
+    """Number of primes <= limit, without listing them.
+
+    Lucy's form of the Legendre sum (Lagarias, Miller and Odlyzko, Math.
+    Comp. 44, 1985): O(limit^(3/4)) time and O(sqrt(limit)) memory.
+    """
     if limit < 2:
         return 0
-    return sum(_flags(limit))
+    r = isqrt(limit)
+    # small[v] and large[i] count the n in [2, v] and in [2, limit // i]
+    # that are prime or have no prime factor below the current p
+    small = [v - 1 for v in range(r + 1)]
+    large = [0] + [limit // i - 1 for i in range(1, r + 1)]
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        below = small[p - 1]  # primes < p
+        # each list is rebuilt from its old values: strike the n whose
+        # smallest prime factor is p
+        top = min(r, limit // (p * p))
+        cut = r // p
+        large[1 : top + 1] = [
+            large[i] - (large[i * p] if i <= cut else small[limit // (i * p)]) + below
+            for i in range(1, top + 1)
+        ]
+        small[p * p :] = [small[v] - small[v // p] + below for v in range(p * p, r + 1)]
+    return large[1]
 
 
 # factorize divides by these; larger prime factors are split by rho

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
 
 from . import kernels
 from .errors import (
-    CacheLimitError,
     CongruenceClassError,
     DomainError,
     EqualPrimeError,
@@ -35,33 +33,6 @@ class PrimeCache:
         self.limit = int(limit)
         check_table_limit(self.limit)
         self.primes = kernels.sieve(self.limit)
-
-    def up_to(self, x: int) -> list[int]:
-        """All cached primes <= x."""
-        if x > self.limit:
-            raise CacheLimitError(
-                f"prime cache covers {self.limit}, need {x}", limit=self.limit, needed=x
-            )
-        return self.primes[: bisect_right(self.primes, x)]
-
-    def between(self, lo: int, hi: int) -> list[int]:
-        """All cached primes in [lo, hi]."""
-        if hi > self.limit:
-            raise CacheLimitError(
-                f"prime cache covers {self.limit}, need {hi}", limit=self.limit, needed=hi
-            )
-        return self.primes[bisect_left(self.primes, lo) : bisect_right(self.primes, hi)]
-
-    def pi(self, x: int) -> int:
-        """Prime counting function from the cache."""
-        if x > self.limit:
-            raise CacheLimitError(
-                f"prime cache covers {self.limit}, need {x}", limit=self.limit, needed=x
-            )
-        return bisect_right(self.primes, x)
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 def primitive_root(p: int) -> int:

@@ -149,6 +149,26 @@ def _verdict_bound(mode: str, bound):
     return EMPIRICAL_BOUND if bound is None else bound
 
 
+def _check_verdicts(f, mode: str, bound, domain: str) -> None:
+    """Reject a domain, mode, model or empirical bound that no verdict can use."""
+    if domain not in ("positive", "rational"):
+        raise ConfigError(f"unknown domain {domain!r}")
+    structured = isinstance(f, MultiplicativeMap)
+    if mode == "exact":
+        if not structured:
+            raise ConfigError("exact mode needs the structured model")
+    elif mode == "empirical":
+        if domain == "rational" and not structured:
+            raise ConfigError("rational domain checks need the structured model")
+        bound = _verdict_bound(mode, bound)
+        if bound < 2:
+            # no prime q <= bound could generate the units mod p
+            raise DomainError(f"the empirical bound must be >= 2, got {bound}", bound=bound)
+        check_table_limit(bound)
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
+
+
 def _verdicts(f, mode: str, bound, domain: str):
     """Check mode, domain and model once; the decision p -> (member, k_p) for primes p.
 
@@ -156,25 +176,16 @@ def _verdicts(f, mode: str, bound, domain: str):
     costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p) exactly when
     p ∤ b and p | a - q^k_p·b.
     """
-    if domain not in ("positive", "rational"):
-        raise ConfigError(f"unknown domain {domain!r}")
+    _check_verdicts(f, mode, bound, domain)
     structured = isinstance(f, MultiplicativeMap)
     rational = domain == "rational"
     if mode == "exact":
-        if not structured:
-            raise ConfigError("exact mode needs the structured model")
         table = [(q, *_fraction_pair(v)) for q, v in f.overrides.items()]
-    elif mode == "empirical":
-        if rational and not structured:
-            raise ConfigError("rational domain checks need the structured model")
-        bound = _verdict_bound(mode, bound)
-        check_table_limit(bound)
+    else:
         table = [
             (q, *_fraction_pair(f._value_at_prime(q) if structured else f(q)))
-            for q in kernels.sieve(bound)
+            for q in kernels.sieve(_verdict_bound(mode, bound))
         ]
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
 
     def agrees(p: int, k_p: int) -> bool:
         # every tabulated q other than p maps to a unit ≡ q^k_p (mod p);
@@ -239,21 +250,17 @@ def _scan_spec(f) -> dict:
 
 
 def scan_Sf(
-    f,
-    x: int,
-    cache: PrimeCache,
-    mode="exact",
-    bound=None,
-    domain="positive",
-    workers: int = 1,
+    f, x: int, mode="exact", bound=None, domain="positive", workers: int = 1
 ) -> tuple[list[LocalVerdict], int]:
     """All yes-verdicts for primes <= x, plus the count of unknowns.
 
-    f must be a MultiplicativeMap; `workers` processes split the scan
-    without changing it.
+    f must be a MultiplicativeMap.  The inputs are checked before any prime
+    is sieved; `workers` processes split the scan without changing it.
     """
+    spec = _scan_spec(f)
+    _check_verdicts(f, mode, bound, domain)
     pairs, unknown = _parallel.sf_scan_parallel(
-        _scan_spec(f), cache.up_to(x), mode, bound, domain, workers
+        spec, PrimeCache(x).primes, mode, bound, domain, workers
     )
     bound = _verdict_bound(mode, bound)
     return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
@@ -274,10 +281,17 @@ def _integer_values(f, top: int) -> list[int]:
     return vals
 
 
+def _check_shift_bound(bound: int) -> None:
+    # a bound below 1 checks no n, so every prime would pass
+    if bound < 1:
+        raise DomainError(f"the shift bound must be >= 1, got {bound}", bound=bound)
+
+
 def shift_and_quasi_check(f, p: int, bound: int) -> tuple[bool, bool]:
     """Shift periodicity f(n+p) ≡ f(n) (mod p) and quasi-multiplicativity, n <= bound."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
+    _check_shift_bound(bound)
     vals = _integer_values(f, bound + p)
     shift_ok = all((vals[n + p] - vals[n]) % p == 0 for n in range(1, bound + 1))
     quasi_ok = True
@@ -305,15 +319,15 @@ def tf_members(f, primes, shift_bound: int) -> list[int]:
     return out
 
 
-def scan_Tf(
-    f, x: int, cache: PrimeCache, shift_bound: int = 100, workers: int = 1
-) -> list[int]:
+def scan_Tf(f, x: int, shift_bound: int = 100, workers: int = 1) -> list[int]:
     """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound.
 
-    f must be a MultiplicativeMap; `workers` processes split the scan
-    without changing it.
+    f must be a MultiplicativeMap.  The inputs are checked before any prime
+    is sieved; `workers` processes split the scan without changing it.
     """
-    return _parallel.tf_scan_parallel(_scan_spec(f), cache.up_to(x), shift_bound, workers)
+    spec = _scan_spec(f)
+    _check_shift_bound(shift_bound)
+    return _parallel.tf_scan_parallel(spec, PrimeCache(x).primes, shift_bound, workers)
 
 
 def extend_to_Q(overrides, default_exponent: int, nu_f: int) -> MultiplicativeMap:

@@ -26,9 +26,9 @@ DEFAULT_TRIAL_BOUND = 10**6
 MAX_VALUE_BITS = 2**20
 
 
-def _factor_abs(n: int, bound: int) -> dict[int, int]:
-    # Trial division up to `bound`; a surviving cofactor must itself be prime
-    # or the input is rejected (no silent heavy factoring).
+def _factor_abs(n: int) -> dict[int, int]:
+    # Trial division up to DEFAULT_TRIAL_BOUND; a surviving cofactor must
+    # itself be prime or the input is rejected (no silent heavy factoring).
     exps: dict[int, int] = {}
     for p in (2, 3):
         if n % p == 0:
@@ -38,7 +38,7 @@ def _factor_abs(n: int, bound: int) -> dict[int, int]:
                 e += 1
             exps[p] = e
     i = 5
-    top = min(bound, isqrt(n))
+    top = min(DEFAULT_TRIAL_BOUND, isqrt(n))
     while i <= top:
         for q in (i, i + 2):
             if n % q == 0:
@@ -48,15 +48,16 @@ def _factor_abs(n: int, bound: int) -> dict[int, int]:
                     e += 1
                 exps[q] = e
         i += 6
-        top = min(bound, isqrt(n))
+        top = min(DEFAULT_TRIAL_BOUND, isqrt(n))
     if n > 1:
         # Cofactor exceeds every trial divisor.  Once the trial passed its
         # square root it is prime; otherwise Miller-Rabin decides.
         if i * i <= n and not is_prime(n):
             raise CompositeCofactorError(
-                f"cofactor {n} is composite and exceeds the trial bound {bound}",
+                f"cofactor {n} is composite and exceeds the trial bound "
+                f"{DEFAULT_TRIAL_BOUND}",
                 cofactor=n,
-                bound=bound,
+                bound=DEFAULT_TRIAL_BOUND,
             )
         exps[n] = exps.get(n, 0) + 1
     return exps
@@ -91,9 +92,7 @@ class FactoredRational:
         return self
 
     @classmethod
-    def factor(
-        cls, numerator: int, denominator: int = 1, *, bound: int = DEFAULT_TRIAL_BOUND
-    ) -> "FactoredRational":
+    def factor(cls, numerator: int, denominator: int = 1) -> "FactoredRational":
         if numerator == 0 or denominator == 0:
             raise ZeroValueError("0 has no factored form")
         sign = -1 if (numerator < 0) != (denominator < 0) else 1
@@ -101,8 +100,8 @@ class FactoredRational:
         g = gcd(a, b)
         a //= g
         b //= g
-        exp = _factor_abs(a, bound)
-        for q, e in _factor_abs(b, bound).items():
+        exp = _factor_abs(a)
+        for q, e in _factor_abs(b).items():
             exp[q] = -e  # a and b are coprime, so no key collides
         return cls._raw(sign, exp)
 
@@ -222,14 +221,14 @@ class FactoredRational:
 ONE = FactoredRational._raw(1, {})
 
 
-def as_factored(x, *, bound: int = DEFAULT_TRIAL_BOUND) -> FactoredRational:
+def as_factored(x) -> FactoredRational:
     """Coerce an int, Fraction, 'a/b' string, or FactoredRational."""
     if isinstance(x, FactoredRational):
         return x
     if isinstance(x, int):
-        return FactoredRational.factor(x, bound=bound)
+        return FactoredRational.factor(x)
     if isinstance(x, str):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return FactoredRational.factor(x.numerator, x.denominator, bound=bound)
+        return FactoredRational.factor(x.numerator, x.denominator)
     raise TypeError(f"cannot interpret {x!r} as a factored rational")

@@ -1,18 +1,3 @@
-import pytest
-
-from localpow.modular import PrimeCache
-
-
-@pytest.fixture(scope="session")
-def cache_1m():
-    return PrimeCache(10**6)
-
-
-@pytest.fixture(scope="session")
-def cache_10k():
-    return PrimeCache(10**4)
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # one pass/fail line per acceptance criterion
     lines = []

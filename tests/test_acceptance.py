@@ -14,6 +14,7 @@ from itertools import combinations, product
 
 import sympy
 
+from localpow import kernels
 from localpow.bounds import (
     chebyshev_sweep,
     cyclotomic_discriminant,
@@ -51,9 +52,9 @@ TABLE_F = json.dumps(
 )
 
 
-def test_criterion_01_c4_density_full_image(cache_1m):
+def test_criterion_01_c4_density_full_image():
     start = time.perf_counter()
-    ds = scan_density(3, (2, 3, 5, 7), 10**6, cache_1m)
+    ds = scan_density(3, (2, 3, 5, 7), 10**6)
     elapsed = time.perf_counter() - start
     assert ds.expected == Fraction(25, 81)
     assert abs(ds.observed - 25 / 81) <= 0.01
@@ -62,22 +63,22 @@ def test_criterion_01_c4_density_full_image(cache_1m):
     assert elapsed < 30, f"single-worker scan took {elapsed:.1f}s"
 
 
-def test_criterion_02_split_layer_density(cache_1m):
-    ds = scan_density(3, (2,), 10**6, cache_1m, mode="split")
+def test_criterion_02_split_layer_density():
+    ds = scan_density(3, (2,), 10**6, mode="split")
     assert ds.expected == Fraction(1, 3)
     assert abs(ds.observed - 1 / 3) <= 0.01
 
 
-def test_criterion_03_degenerate_tuple_saturates(cache_1m):
-    ds = scan_density(3, (2, 3, 4, 9), 10**6, cache_1m)
+def test_criterion_03_degenerate_tuple_saturates():
+    ds = scan_density(3, (2, 3, 4, 9), 10**6)
     assert ds.expected == 1
     assert ds.observed == 1.0
 
 
-def test_criterion_04_heuristic_boundedness(cache_1m):
+def test_criterion_04_heuristic_boundedness():
     f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11}, default_exponent=1)
-    hs = heuristic_scan(f, (2, 3, 5), 10**6, cache_1m)
-    assert hs.members / cache_1m.pi(10**6) <= 0.001
+    hs = heuristic_scan(f, (2, 3, 5), 10**6)
+    assert hs.members / kernels.count_primes(10**6) <= 0.001
     primes = list(sympy.primerange(2, 101))
     oracle = sum(1 / (p - 1) ** 2 for p in primes)
     got = heuristic_sum(primes)
@@ -85,9 +86,9 @@ def test_criterion_04_heuristic_boundedness(cache_1m):
     assert abs(got - 1.373) <= 0.001
 
 
-def test_criterion_05_exact_membership_scan(cache_1m):
+def test_criterion_05_exact_membership_scan():
     f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11}, default_exponent=1)
-    members, unknown = scan_Sf(f, 10**4, cache_1m, mode="exact")
+    members, unknown = scan_Sf(f, 10**4, mode="exact")
     assert {v.p for v in members} == {2, 3}
     assert unknown == 0
 
@@ -138,10 +139,10 @@ def test_criterion_07_discriminant_formula():
         assert abs(cyclotomic_discriminant(n)) <= n ** int(sympy.totient(n))
 
 
-def test_criterion_08_bound_evaluators(cache_1m):
-    holds, first = chebyshev_sweep(10**6, cache=cache_1m)
+def test_criterion_08_bound_evaluators():
+    holds, first = chebyshev_sweep(10**6)
     assert holds and first is None
-    assert abs(mertens_product(5, 20, cache_1m) - 0.456543) <= 1e-6
+    assert abs(mertens_product(5, 20) - 0.456543) <= 1e-6
     s = yz_schedule(1e100)
     assert abs(s.Y - 6.10) <= 0.01
     assert abs(s.Z - 1.05) <= 0.01
@@ -153,9 +154,9 @@ def test_criterion_08_bound_evaluators(cache_1m):
 
 def test_criterion_09_transport_invariants():
     rng = random.Random(901)
-    cache = PrimeCache(10**5)
+    primes = PrimeCache(10**5).primes
     by_ell = {
-        ell: [p for p in cache.up_to(10**5) if p % ell == 1 and p > 60]
+        ell: [p for p in primes if p % ell == 1 and p > 60]
         for ell in (3, 5, 7)
     }
     for _ in range(1000):

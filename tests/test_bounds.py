@@ -25,7 +25,6 @@ from localpow.errors import (
     ScheduleDomainError,
     WrongLengthError,
 )
-from localpow.modular import PrimeCache
 
 
 def test_bound_config_defaults_and_validation():
@@ -130,52 +129,52 @@ def test_yz_schedule_m_limit():
     assert math.isclose(s.Z, math.log(math.log(1e100)), rel_tol=1e-9)
 
 
-def test_mertens_product_values(cache_10k):
-    got = mertens_product(5, 20, cache_10k)
+def test_mertens_product_values():
+    got = mertens_product(5, 20)
     expected = 1.0
     for p in (5, 7, 11, 13, 17, 19):
         expected *= 1 - 1 / (p - 1)
     assert got == expected
     assert abs(got - 0.456543) < 1e-6
-    assert mertens_product(7, 7, cache_10k) == 1.0
-    assert mertens_product(3, 5, cache_10k) == 0.5
+    assert mertens_product(7, 7) == 1.0
+    assert mertens_product(3, 5) == 0.5
     with pytest.raises(DomainError):
-        mertens_product(2, 10, cache_10k)
+        mertens_product(2, 10)
     with pytest.raises(DomainError):
-        mertens_product(10, 5, cache_10k)
+        mertens_product(10, 5)
 
 
-def test_mertens_asymptotic_sanity(cache_1m):
-    got = mertens_product(50, 10**5, cache_1m)
+def test_mertens_asymptotic_sanity():
+    got = mertens_product(50, 10**5)
     ratio = got * math.log(10**5) / math.log(50)
     assert 0.3 <= ratio <= 3
 
 
-def test_chebyshev_check_values(cache_10k):
-    theta, bound, holds = chebyshev_check(10, cache=cache_10k)
+def test_chebyshev_check_values():
+    theta, bound, holds = chebyshev_check(10)
     assert math.isclose(theta, math.log(210))
     assert math.isclose(bound, 10 * math.log(4))
     assert holds
-    theta, bound, holds = chebyshev_check(2, cache=cache_10k)
+    theta, bound, holds = chebyshev_check(2)
     assert math.isclose(theta, math.log(2)) and holds
     with pytest.raises(DomainError):
         chebyshev_check(1.5)
 
 
-def test_chebyshev_sweep_small(cache_10k):
-    holds, first = chebyshev_sweep(10**4, cache=cache_10k)
+def test_chebyshev_sweep_small():
+    holds, first = chebyshev_sweep(10**4)
     assert holds and first is None
     # a tiny M makes the bound fail immediately
-    holds, first = chebyshev_sweep(100, BoundConfig(M=0.01), cache_10k)
+    holds, first = chebyshev_sweep(100, BoundConfig(M=0.01))
     assert not holds and first == 2
 
 
-def test_cyclotomic_max_term_bound(cache_10k):
+def test_cyclotomic_max_term_bound():
     for z in (10, 20, 30):
-        max_term, bound, holds = cyclotomic_max_term(3, z, cache=cache_10k)
+        max_term, bound, holds = cyclotomic_max_term(3, z)
         assert holds, (z, max_term, bound)
     # empty prime range: the field is Q, max term 1 = e^0
-    max_term, _, holds = cyclotomic_max_term(24, 29, cache=cache_10k)
+    max_term, _, holds = cyclotomic_max_term(24, 29)
     assert max_term == 1.0 and holds
 
 
@@ -196,6 +195,11 @@ def test_main_bound_ratio_at_1e100():
 def test_main_bound_sieves_pi_when_missing():
     mb = main_bound(10**7, 0)
     assert mb.pi_x == 664579  # pi(10^7)
+    assert main_bound(1e8, 10).pi_x == 5761455
+    # beyond the counting cap pi(x) must come from the caller
+    with pytest.raises(DomainError):
+        main_bound(1e13, 0)
+    assert main_bound(1e13, 0, pi_x=346065536839).pi_x == 346065536839
 
 
 def test_main_bound_schedule_error_propagates():

@@ -27,6 +27,8 @@ from localpow.modular import PrimeCache, ell_power_class
 from localpow.powermap import MultiplicativeMap
 from localpow.ratfact import as_factored
 
+PRIMES_10K = list(sympy.primerange(2, 10**4 + 1))
+
 
 def test_cyclotomic_frobenius():
     assert cyclotomic_frobenius(7, 5) == 2
@@ -42,8 +44,7 @@ def test_frobenius_vector_worked_example():
 
 
 def test_frobenius_vector_consistent_with_power_classes():
-    cache = PrimeCache(2000)
-    for p in cache.up_to(2000):
+    for p in PrimeCache(2000).primes:
         if p % 3 != 1 or p in (2, 3, 5, 7):
             continue
         s = frobenius_vector(p, 3, (2, 5, 7))
@@ -122,11 +123,11 @@ def test_class_ratio_subgroup_enumeration():
         class_ratio(ClassSpec(17, 2, basis))
 
 
-def test_scan_density_c4_small_range_oracle(cache_10k):
+def test_scan_density_c4_small_range_oracle():
     c = tuple(as_factored(x) for x in (2, 3, 5, 7))
-    ds = scan_density(3, c, 10**4, cache_10k)
+    ds = scan_density(3, c, 10**4)
     counted = skipped = hits = 0
-    for p in cache_10k.up_to(10**4):
+    for p in PRIMES_10K:
         if p % 3 != 1:
             continue
         try:
@@ -142,10 +143,10 @@ def test_scan_density_c4_small_range_oracle(cache_10k):
     assert ds.dim_v == 0 and ds.degree == 81
 
 
-def test_scan_density_split_oracle(cache_10k):
-    ds = scan_density(3, (as_factored(2),), 10**4, cache_10k, mode="split")
+def test_scan_density_split_oracle():
+    ds = scan_density(3, (as_factored(2),), 10**4, mode="split")
     hits = counted = 0
-    for p in cache_10k.up_to(10**4):
+    for p in PRIMES_10K:
         if p % 3 != 1 or p == 2:
             continue
         counted += 1
@@ -155,16 +156,16 @@ def test_scan_density_split_oracle(cache_10k):
     assert ds.expected == Fraction(1, 3)
 
 
-def test_scan_density_degenerate_expectation(cache_10k):
+def test_scan_density_degenerate_expectation():
     # (2, 3, 4, 9): the relation forces every Frobenius into the class
     c = tuple(as_factored(x) for x in (2, 3, 4, 9))
-    ds = scan_density(3, c, 10**4, cache_10k)
+    ds = scan_density(3, c, 10**4)
     assert ds.expected == 1
     assert ds.observed == 1.0
 
 
-def test_density_counts_merge_by_addition(cache_10k):
-    primes = [p for p in cache_10k.up_to(10**4) if p % 3 == 1]
+def test_density_counts_merge_by_addition():
+    primes = [p for p in PRIMES_10K if p % 3 == 1]
     nums, dens = [2, 3, 5, 7], [1, 1, 1, 1]
     whole = density_counts(primes, 3, nums, dens, "c4")
     halves = [
@@ -181,20 +182,19 @@ def test_heuristic_sum_oracle():
     assert abs(heuristic_sum(primes) - 1.373) < 0.001
 
 
-def test_heuristic_scan_counts(cache_10k):
+def test_heuristic_scan_counts():
     f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11}, default_exponent=1)
-    hs = heuristic_scan(f, (2, 3, 5), 10**4, cache_10k)
-    assert hs.counted + hs.skipped == cache_10k.pi(10**4)
+    hs = heuristic_scan(f, (2, 3, 5), 10**4)
+    assert hs.counted + hs.skipped == len(PRIMES_10K)
     assert hs.skipped == 5  # 2, 3, 5, 7, 11 divide a witness or value
     assert hs.members == 0
     with pytest.raises(WrongLengthError):
-        heuristic_scan(f, (2, 3), 10**4, cache_10k)
+        heuristic_scan(f, (2, 3), 10**4)
 
 
 def test_z_transport_power_compatibility():
     rng = random.Random(601)
-    cache = PrimeCache(10**5)
-    primes = [p for p in cache.up_to(10**5) if p > 3]
+    primes = [p for p in PrimeCache(10**5).primes if p > 3]
     for _ in range(300):
         ell = rng.choice((3, 5, 7))
         p = rng.choice(primes)

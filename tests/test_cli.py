@@ -172,6 +172,8 @@ def test_domain_errors_exit_2(capsys):
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--mertens", "5,1e300"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e300"),
         ("bounds", "--x", "1e300"),
+        # pi(x) is counted only up to 10^12
+        ("bounds", "--x", "1e13"),
         ("sf-scan", "--function", TABLE_F, "--limit", str(WIDE)),
         ("sf-scan", "--function", TABLE_F, "--limit", "100", "--mode", "empirical",
          "--bound", str(WIDE)),

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 
 import pytest
 import sympy
@@ -49,6 +50,29 @@ def test_count_primes_oracle():
         expected = sympy.primepi(x)
         for mod in BACKENDS:
             assert mod.count_primes(x) == expected
+
+
+def test_count_primes_matches_a_running_sieve_count():
+    primes = pure.sieve(10**6 + 1)
+    flags = set(primes)
+    running = 0
+    for x in range(2 * 10**4 + 1):
+        running += x in flags
+        assert kernels.count_primes(x) == running, x
+    # the sum turns on the squares of primes
+    for p in primes[: bisect_right(primes, 1000)]:
+        for x in (p * p - 1, p * p, p * p + 1):
+            assert kernels.count_primes(x) == bisect_right(primes, x), x
+
+
+def test_count_primes_published_values():
+    published = (0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534)
+    for k, expected in enumerate(published):
+        assert kernels.count_primes(10**k) == expected, k
+
+
+def test_count_primes_is_pure_under_every_backend():
+    assert kernels.count_primes is pure.count_primes
 
 
 def test_is_prime_agreement():

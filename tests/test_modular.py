@@ -4,7 +4,6 @@ import pytest
 import sympy
 
 from localpow.errors import (
-    CacheLimitError,
     CongruenceClassError,
     DomainError,
     EqualPrimeError,
@@ -24,22 +23,11 @@ from localpow.modular import (
 
 def test_cache_contents_match_sympy():
     cache = PrimeCache(10000)
-    assert cache.up_to(10000) == list(sympy.primerange(2, 10001))
-    assert cache.pi(10000) == sympy.primepi(10000)
-    assert cache.between(100, 150) == list(sympy.primerange(100, 151))
-    assert len(cache) == cache.pi(10000)
-
-
-def test_cache_limit_error_reports_needed():
-    cache = PrimeCache(100)
-    with pytest.raises(CacheLimitError) as exc:
-        cache.up_to(200)
-    assert exc.value.details["limit"] == 100
-    assert exc.value.details["needed"] == 200
-    with pytest.raises(CacheLimitError):
-        cache.pi(101)
-    with pytest.raises(CacheLimitError):
-        cache.between(50, 150)
+    assert cache.limit == 10000
+    assert cache.primes == list(sympy.primerange(2, 10001))
+    assert PrimeCache(1).primes == []
+    with pytest.raises(DomainError):
+        PrimeCache(2**63)
 
 
 def test_primitive_root_requires_prime():

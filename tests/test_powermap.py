@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localpow import kernels
+from localpow import _parallel, kernels
 from localpow.errors import (
     ConfigError,
     DomainError,
@@ -80,8 +80,7 @@ def test_function_spec_json_roundtrip():
 
 def test_exact_scan_small_table():
     f = table_f()
-    cache = PrimeCache(100)
-    members, unknown = scan_Sf(f, 100, cache, mode="exact")
+    members, unknown = scan_Sf(f, 100, mode="exact")
     assert [(v.p, v.k_p) for v in members] == [(2, 0), (3, 1)]
     assert unknown == 0
 
@@ -106,9 +105,8 @@ def test_exact_p2_unit_rule():
 
 def test_global_power_is_everywhere_local():
     f = MultiplicativeMap.global_power(2)
-    cache = PrimeCache(200)
-    members, unknown = scan_Sf(f, 200, cache, mode="exact")
-    assert [v.p for v in members] == cache.up_to(200)
+    members, unknown = scan_Sf(f, 200, mode="exact")
+    assert [v.p for v in members] == PrimeCache(200).primes
     assert unknown == 0
     for v in members:
         if v.p > 2:
@@ -117,7 +115,6 @@ def test_global_power_is_everywhere_local():
 
 def test_empirical_agrees_with_exact_on_structured_maps():
     rng = random.Random(402)
-    cache = PrimeCache(300)
     fs = [
         MultiplicativeMap.global_power(2),
         MultiplicativeMap.global_power(5),
@@ -125,7 +122,7 @@ def test_empirical_agrees_with_exact_on_structured_maps():
         MultiplicativeMap.table({2: 8}, default_exponent=3),
     ]
     for f in fs:
-        for p in cache.up_to(300):
+        for p in PrimeCache(300).primes:
             exact = local_exponent(f, p, mode="exact")
             emp = local_exponent(f, p, mode="empirical", bound=60)
             if emp.member == "unknown":
@@ -140,6 +137,9 @@ def test_empirical_callable_function():
     f = lambda n: as_factored(n) ** 3
     v = local_exponent(f, 11, mode="empirical", bound=30)
     assert v.member == "yes" and v.k_p == 3
+    # below 2 no prime is tabulated, so every verdict would be unknown
+    with pytest.raises(DomainError):
+        local_exponent(f, 11, mode="empirical", bound=1)
     with pytest.raises(ConfigError):
         local_exponent(f, 11, mode="empirical", domain="rational")
     with pytest.raises(ConfigError):
@@ -168,31 +168,84 @@ def test_shift_and_quasi_check_identity_map():
     f = MultiplicativeMap.global_power(1)
     shift_ok, quasi_ok = shift_and_quasi_check(f, 7, 50)
     assert shift_ok and quasi_ok
+    # a bound below 1 checks no n, so it would pass every prime
+    for bound in (0, -5):
+        with pytest.raises(DomainError):
+            shift_and_quasi_check(f, 7, bound)
 
 
 def test_scan_tf_power_maps():
-    cache = PrimeCache(200)
+    primes = PrimeCache(200).primes
     # f(n) = n: f(n+p) - f(n) = p, divisible by every p
-    assert scan_Tf(MultiplicativeMap.global_power(1), 200, cache) == cache.up_to(200)
+    assert scan_Tf(MultiplicativeMap.global_power(1), 200) == primes
     # f(n) = n^2: (n+p)^2 - n^2 = p(2n+p)
-    assert scan_Tf(MultiplicativeMap.global_power(2), 200, cache) == cache.up_to(200)
+    assert scan_Tf(MultiplicativeMap.global_power(2), 200) == primes
     # the table map shifts correctly mod 2 (all values odd) but not mod 3:
     # f(6) = f(2)f(3) = 35 while f(3) = 7, and 35 - 7 = 28 is not divisible by 3
     f = table_f()
-    assert scan_Tf(f, 200, cache, shift_bound=60) == [2]
+    assert scan_Tf(f, 200, shift_bound=60) == [2]
+    # a bound below 1 checks no n: every prime would pass
+    for bound in (0, -5):
+        with pytest.raises(DomainError):
+            scan_Tf(MultiplicativeMap.table({3: 5}), 100, shift_bound=bound)
 
 
 def test_scans_split_across_workers_unchanged():
     f = table_f()
-    cache = PrimeCache(300)
+    primes = PrimeCache(300).primes
     for mode in ("exact", "empirical"):
-        one = scan_Sf(f, 300, cache, mode=mode)
-        assert scan_Sf(f, 300, cache, mode=mode, workers=2) == one
-        assert one == sf_members_oracle(f, cache.up_to(300), mode)
+        one = scan_Sf(f, 300, mode=mode)
+        assert scan_Sf(f, 300, mode=mode, workers=2) == one
+        assert one == sf_members_oracle(f, primes, mode)
     g = MultiplicativeMap.global_power(2)
-    assert scan_Tf(g, 300, cache, workers=2) == scan_Tf(g, 300, cache) == cache.up_to(300)
+    assert scan_Tf(g, 300, workers=2) == scan_Tf(g, 300) == primes
     with pytest.raises(ConfigError):
-        scan_Tf(lambda n: n, 300, cache)
+        scan_Tf(lambda n: n, 300)
+
+
+def test_pool_is_capped_at_the_core_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        # records the pool size asked for and maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    f = table_f()
+    one = scan_Sf(f, 2000)
+    assert sizes == []  # one worker runs in this process
+    assert scan_Sf(f, 2000, workers=500) == one
+    assert sizes == [2]
+    # an unknown core count allows one chunk, run in this process
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    assert scan_Sf(f, 2000, workers=500) == one
+    assert sizes == [2]
+
+
+def test_rejected_library_scans_sieve_nothing(monkeypatch):
+    def refuse(self, limit):
+        # fails fast instead of sieving and scanning to 10^7
+        raise AssertionError(f"sieved to {limit} before rejecting")
+
+    monkeypatch.setattr(PrimeCache, "__init__", refuse)
+    f = table_f()
+    with pytest.raises(DomainError):
+        scan_Tf(f, 10**7, shift_bound=0)
+    with pytest.raises(ConfigError):
+        scan_Sf(f, 10**7, mode="bogus")
+    with pytest.raises(DomainError):
+        scan_Sf(f, 10**7, mode="empirical", bound=1)
 
 
 def sf_members_oracle(f, primes, mode):
@@ -203,7 +256,7 @@ def sf_members_oracle(f, primes, mode):
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 PROPERTY_LIMIT = 400
-PROPERTY_CACHE = PrimeCache(PROPERTY_LIMIT)
+PROPERTY_PRIMES = PrimeCache(PROPERTY_LIMIT).primes
 
 
 @st.composite
@@ -242,9 +295,9 @@ def exact_oracle(f, p, domain):
 @settings(max_examples=80, deadline=None)
 @given(table_maps(), st.sampled_from(("positive", "rational")))
 def test_exact_scan_matches_case_analysis(f, domain):
-    members, unknown = scan_Sf(f, PROPERTY_LIMIT, PROPERTY_CACHE, domain=domain)
+    members, unknown = scan_Sf(f, PROPERTY_LIMIT, domain=domain)
     expected = []
-    for p in PROPERTY_CACHE.up_to(PROPERTY_LIMIT):
+    for p in PROPERTY_PRIMES:
         member, k_p = exact_oracle(f, p, domain)
         if member == "yes":
             expected.append((p, k_p))
@@ -255,7 +308,9 @@ def test_exact_scan_matches_case_analysis(f, domain):
 @settings(max_examples=40, deadline=None)
 @given(table_maps(), st.sampled_from(("positive", "rational")))
 def test_empirical_verdicts_agree_with_exact(f, domain):
-    for p in PROPERTY_CACHE.up_to(200):
+    for p in PROPERTY_PRIMES:
+        if p > 200:
+            break
         emp = local_exponent(f, p, mode="empirical", domain=domain)
         if emp.member == "unknown":
             continue
@@ -279,14 +334,14 @@ def count_is_prime_calls(monkeypatch) -> list:
     return calls
 
 
-def test_sf_scan_does_not_reprove_sieved_primes(monkeypatch, cache_10k):
+def test_sf_scan_does_not_reprove_sieved_primes(monkeypatch):
     calls = count_is_prime_calls(monkeypatch)
     f = table_f()
     for mode in ("exact", "empirical"):
         counts = []
         for x in (10**3, 10**4):
             del calls[:]
-            scan_Sf(f, x, cache_10k, mode=mode)
+            scan_Sf(f, x, mode=mode)
             counts.append(len(calls))
         # the checks made once per scan (the map's override keys) do not
         # grow with the 1229 primes below 10^4
@@ -299,9 +354,9 @@ def test_extend_to_q_and_nu_vote():
     assert extend_to_Q({}, 2, 0)(-3).value() == 9
     with pytest.raises(ConfigError):
         extend_to_Q({}, 1, 2)
-    verdicts, _ = scan_Sf(MultiplicativeMap.global_power(3), 100, PrimeCache(100))
+    verdicts, _ = scan_Sf(MultiplicativeMap.global_power(3), 100)
     assert nu_vote(verdicts) == 1
-    verdicts, _ = scan_Sf(MultiplicativeMap.global_power(2), 100, PrimeCache(100))
+    verdicts, _ = scan_Sf(MultiplicativeMap.global_power(2), 100)
     assert nu_vote(verdicts) == 0
 
 

@@ -10,7 +10,7 @@ from localpow.errors import (
     NotPrimeError,
     ZeroValueError,
 )
-from localpow.ratfact import ONE, FactoredRational, as_factored, is_prime
+from localpow.ratfact import DEFAULT_TRIAL_BOUND, ONE, FactoredRational, as_factored, is_prime
 
 
 def test_factor_matches_sympy_on_random_integers():
@@ -51,8 +51,9 @@ def test_composite_keys_rejected():
 def test_composite_cofactor_error_carries_details():
     p, q = 1000000007, 1000000009
     with pytest.raises(CompositeCofactorError) as exc:
-        FactoredRational.factor(p * q, bound=10**4)
+        FactoredRational.factor(p * q)
     assert exc.value.details["cofactor"] == p * q
+    assert exc.value.details["bound"] == DEFAULT_TRIAL_BOUND
     # a single prime cofactor is fine: Miller-Rabin certifies it
     assert FactoredRational.factor(p).exponents == {p: 1}
 
