@@ -4,7 +4,8 @@ Primes are split into contiguous chunks and each chunk is handed to a
 worker; only integer counters and per-prime rows cross process boundaries,
 and results merge in chunk order, so the output is independent of the
 worker count.  Float accumulations (heuristic sums, observed densities)
-always happen in the parent from the merged integers.
+always happen in the parent from the merged integers.  The shift scan
+keeps its entry point here but runs in-process, on one value table.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
 both call back into this module.  The modules of each cycle import each
@@ -98,6 +99,10 @@ def _tf_chunk(args):
 
 
 def tf_scan_parallel(f_json, primes, shift_bound: int, workers: int = 1):
-    """Primes passing the shift-periodicity check, in ascending order."""
-    parts = _run_chunks(_tf_chunk, primes, workers, f_json, shift_bound)
-    return [p for part in parts for p in part]
+    """Primes passing the shift-periodicity check, in ascending order.
+
+    One chunk in this process, whatever `workers` asks for: the value table
+    f(1 .. shift_bound + the largest prime) costs more than the check loop,
+    and every worker would build its own.
+    """
+    return _tf_chunk((primes, f_json, shift_bound))

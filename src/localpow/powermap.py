@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import _parallel, kernels
 from .errors import (
@@ -23,10 +24,15 @@ from .errors import (
     ZeroValueError,
 )
 from .modular import PrimeCache, check_table_limit
-from .ratfact import ONE, FactoredRational, as_factored, is_prime
+from .ratfact import MAX_VALUE_BITS, ONE, FactoredRational, as_factored, is_prime
 
 
 EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
+
+# The most entries a value table f(1..N) may have.  Small values cost about
+# 50 bytes an entry (the int, its slot and a smallest-prime-factor slot), so
+# the cap keeps such a table near 1 GB.
+MAX_TABLE_SLOTS = 2 * 10**7
 
 
 class MultiplicativeMap:
@@ -266,18 +272,71 @@ def scan_Sf(
     return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
 
 
-def _integer_values(f, top: int) -> list[int]:
-    # 1-indexed table vals[n] = f(n) as ints; index 0 unused
-    check_table_limit(top)
+def _check_table_slots(top: int) -> None:
+    """Reject a value table f(1..top) before any of its slots is allocated."""
+    check_table_limit(top)  # the error every sieve and table gives past sys.maxsize
+    if top > MAX_TABLE_SLOTS:
+        raise DomainError(
+            f"cannot tabulate f up to {top}: value tables stop at "
+            f"{MAX_TABLE_SLOTS} entries",
+            limit=top,
+        )
+
+
+def _as_integer(v, n: int) -> int:
+    # f(n) as an int, or the error that names n
+    if isinstance(v, FactoredRational):
+        v = v.value()
+    v = Fraction(v)
+    if v.denominator != 1:
+        raise NonIntegralValueError(f"f({n}) = {v} is not an integer", n=n)
+    return v.numerator
+
+
+def _integer_values_per_n(f, top: int) -> list[int]:
+    # vals[n] = f(n) for any callable f, one call per n; the test oracle of
+    # _integer_values
     vals = [0] * (top + 1)
     for n in range(1, top + 1):
-        v = f(n)
-        if isinstance(v, FactoredRational):
-            v = v.value()
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise NonIntegralValueError(f"f({n}) = {v} is not an integer", n=n)
-        vals[n] = v.numerator
+        vals[n] = _as_integer(f(n), n)
+    return vals
+
+
+def _smallest_prime_factors(top: int) -> list[int]:
+    # spf[n] = the smallest prime factor of a composite n <= top, 0 elsewhere;
+    # the larger primes are written first, so each slot keeps the smallest
+    spf = [0] * (top + 1)
+    for q in reversed(kernels.sieve(isqrt(top))):
+        spf[q * q :: q] = [q] * len(range(q * q, top + 1, q))
+    return spf
+
+
+def _integer_values(f, top: int) -> list[int]:
+    """1-indexed table vals[n] = f(n) as ints for n <= top; index 0 unused.
+
+    A MultiplicativeMap is evaluated only at the primes, in one ascending
+    pass: a composite n with smallest prime factor q takes f(q)·f(n/q).
+    Every value an error depends on is built as the per-n oracle builds it,
+    so the first failing n and its error are the oracle's.  That n is a
+    prime for a non-integral value, since the values below it are integers.
+    A product wider than MAX_VALUE_BITS is rebuilt as f(n), which raises the
+    oracle's ExactRangeError when its exact form is out of range.
+    """
+    _check_table_slots(top)
+    if not isinstance(f, MultiplicativeMap):
+        return _integer_values_per_n(f, top)
+    spf = _smallest_prime_factors(top)
+    vals = [1] * (top + 1)
+    vals[0] = 0
+    for n in range(2, top + 1):
+        q = spf[n]
+        if q:
+            v = vals[q] * vals[n // q]
+            if v.bit_length() > MAX_VALUE_BITS:
+                f(n).value()  # raises here exactly when the oracle does
+            vals[n] = v
+        else:
+            vals[n] = _as_integer(f._value_at_prime(n), n)
     return vals
 
 
@@ -322,11 +381,13 @@ def tf_members(f, primes, shift_bound: int) -> list[int]:
 def scan_Tf(f, x: int, shift_bound: int = 100, workers: int = 1) -> list[int]:
     """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound.
 
-    f must be a MultiplicativeMap.  The inputs are checked before any prime
-    is sieved; `workers` processes split the scan without changing it.
+    f must be a MultiplicativeMap.  The inputs, and the size of the value
+    table f(1 .. x + shift_bound), are checked before any prime is sieved.
+    The scan runs in this process on one table; `workers` cannot change it.
     """
     spec = _scan_spec(f)
     _check_shift_bound(shift_bound)
+    _check_table_slots(x + shift_bound)
     return _parallel.tf_scan_parallel(spec, PrimeCache(x).primes, shift_bound, workers)
 
 

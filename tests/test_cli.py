@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from localpow import cli
 from localpow.bounds import cyclotomic_discriminant
 from localpow.modular import PrimeCache
+from localpow.powermap import MAX_TABLE_SLOTS
 
 TABLE_F = json.dumps(
     {
@@ -178,6 +179,9 @@ def test_domain_errors_exit_2(capsys):
         ("sf-scan", "--function", TABLE_F, "--limit", "100", "--mode", "empirical",
          "--bound", str(WIDE)),
         ("tf-scan", "--function", TABLE_F, "--limit", "100", "--shift-bound", str(WIDE)),
+        # value tables past the cap on their entries
+        ("tf-scan", "--function", TABLE_F, "--limit", "100", "--shift-bound", "1000000000000"),
+        ("tf-scan", "--function", TABLE_F, "--limit", str(MAX_TABLE_SLOTS)),
         ("witness", "--function", TABLE_F, "--search-limit", str(WIDE)),
         # a report number that overflows to infinity
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--implied-constant", "1e308"),
@@ -232,6 +236,8 @@ def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
         ("density-scan", "--ell", "4", "--tuple", "2,3,5,7", "--limit", "10000000"),
         ("density-scan", "--ell", "3", "--tuple", "2,3", "--limit", "10000000"),
         ("heuristic", "--function", TABLE_F, "--witnesses", "2,3", "--limit", "10000000"),
+        ("tf-scan", "--function", TABLE_F, "--limit", "10000000", "--shift-bound",
+         str(MAX_TABLE_SLOTS)),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -506,7 +512,8 @@ _SUBCOMMANDS = {
     "tf-scan": {
         "--function": _FUNCTION,
         "--limit": _LIMIT,
-        "--shift-bound": _ints("1", "20"),
+        # a bound past the value-table cap is refused before any allocation
+        "--shift-bound": _ints("1", "20", str(MAX_TABLE_SLOTS), str(10**12)),
     },
     "witness": {
         "--function": _FUNCTION,

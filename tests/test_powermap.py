@@ -11,7 +11,9 @@ from localpow.errors import (
     ConfigError,
     DomainError,
     EmptyTupleError,
+    ExactRangeError,
     FunctionSpecError,
+    LocalPowError,
     NotPrimeError,
     OddPrimeRequiredError,
     WitnessSearchExhausted,
@@ -19,7 +21,10 @@ from localpow.errors import (
 )
 from localpow.modular import PrimeCache
 from localpow.powermap import (
+    MAX_TABLE_SLOTS,
     MultiplicativeMap,
+    _integer_values,
+    _integer_values_per_n,
     construct_prescribed,
     evaluate,
     extend_to_Q,
@@ -30,7 +35,7 @@ from localpow.powermap import (
     scan_Tf,
     shift_and_quasi_check,
 )
-from localpow.ratfact import as_factored
+from localpow.ratfact import FactoredRational, as_factored
 
 
 def table_f():
@@ -231,6 +236,10 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
     assert scan_Sf(f, 2000, workers=500) == one
     assert sizes == [2]
+    # a tf scan builds one value table in this process, whatever the count
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    assert scan_Tf(f, 2000, workers=500) == scan_Tf(f, 2000)
+    assert sizes == [2]
 
 
 def test_rejected_library_scans_sieve_nothing(monkeypatch):
@@ -242,6 +251,11 @@ def test_rejected_library_scans_sieve_nothing(monkeypatch):
     f = table_f()
     with pytest.raises(DomainError):
         scan_Tf(f, 10**7, shift_bound=0)
+    # a value table past the cap is refused before any prime is sieved
+    for x, shift_bound in ((100, MAX_TABLE_SLOTS), (MAX_TABLE_SLOTS, 1), (100, 10**12)):
+        with pytest.raises(DomainError) as err:
+            scan_Tf(f, x, shift_bound=shift_bound)
+        assert err.value.details["limit"] == x + shift_bound
     with pytest.raises(ConfigError):
         scan_Sf(f, 10**7, mode="bogus")
     with pytest.raises(DomainError):
@@ -316,6 +330,36 @@ def test_empirical_verdicts_agree_with_exact(f, domain):
             continue
         exact = local_exponent(f, p, domain=domain)
         assert (emp.member, emp.k_p) == (exact.member, exact.k_p), p
+
+
+def values_or_error(build, f, top):
+    # the table, or the type and JSON payload (message, n) of its error
+    try:
+        return build(f, top)
+    except LocalPowError as exc:
+        return type(exc), exc.payload()
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_maps(), st.integers(0, PROPERTY_LIMIT))
+def test_value_table_matches_per_n_oracle(f, top):
+    expected = values_or_error(_integer_values_per_n, f, top)
+    assert values_or_error(_integer_values, f, top) == expected
+
+
+def test_value_table_range_error_at_a_composite():
+    # f(n) = n^(2^19): f(2) and f(3) are in range, f(4) = 2^(2^20) is not
+    f = MultiplicativeMap.global_power(2**19)
+    assert _integer_values(f, 3) == _integer_values_per_n(f, 3)
+    expected = values_or_error(_integer_values_per_n, f, 4)
+    assert expected[0] is ExactRangeError
+    assert values_or_error(_integer_values, f, 10) == expected
+    # f(6) = 2·3^700000 is wider than 2^(2^20) yet in range; f(9) is not
+    g = MultiplicativeMap.table({3: FactoredRational(1, {3: 700000})})
+    assert _integer_values(g, 8) == _integer_values_per_n(g, 8)
+    expected = values_or_error(_integer_values_per_n, g, 9)
+    assert expected[0] is ExactRangeError
+    assert values_or_error(_integer_values, g, 12) == expected
 
 
 def count_is_prime_calls(monkeypatch) -> list:
