@@ -100,7 +100,8 @@ def _write_csv(path, report):
 
 
 def _progress(msg: str):
-    print(f"[localpow] {msg}", file=sys.stderr)
+    # scan progress; names the kernel backend that ran, which stdout never does
+    print(f"[localpow] {msg} ({kernels.BACKEND} kernels)", file=sys.stderr)
 
 
 def _load_function(spec: str) -> MultiplicativeMap:

@@ -1,34 +1,32 @@
 """Prime and scan kernels: compiled fast path with a pure-Python fallback.
 
-Both backends implement the same functions with identical outputs; the
-compiled one is picked when its extension module imported cleanly.  Set
-LOCALPOW_PURE=1 to force the fallback.  `count_primes` is pure under every
-backend: its sublinear sum beats the compiled sieve count.
+The compiled backend is used exactly when its extension module,
+`localpow.kernels._native`, imports.  It runs only the five kernels the scans
+spend their time in: `sieve`, `factorize`, `discrete_log`, `z_b_rows` and
+`omega_members`.  `count_primes`, `is_prime`, `primitive_root` and
+`solve_exponent_system` are pure under every backend: the sublinear prime
+count beats the compiled sieve count, and the other three are called too
+rarely for their speed to show.
 """
-
-import os
 
 from . import pure as _pure
 
-if os.environ.get("LOCALPOW_PURE") == "1":
+try:
+    from . import _native as _impl
+except ImportError:
     _impl = _pure
-else:
-    try:
-        from . import _native as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
 
 BACKEND = _impl.BACKEND
 
 sieve = _impl.sieve
 count_primes = _pure.count_primes
+is_prime = _pure.is_prime
+primitive_root = _pure.primitive_root
+solve_exponent_system = _pure.solve_exponent_system
 
 if _impl is _pure:
-    is_prime = _pure.is_prime
     factorize = _pure.factorize
-    primitive_root = _pure.primitive_root
     discrete_log = _pure.discrete_log
-    solve_exponent_system = _pure.solve_exponent_system
     z_b_rows = _pure.z_b_rows
     omega_members = _pure.omega_members
 else:
@@ -39,30 +37,15 @@ else:
     def _fits(values):
         return all(-_I64_MAX <= v <= _I64_MAX for v in values)
 
-    def is_prime(n):
-        if n <= _I64_MAX:
-            return _impl.is_prime(n)
-        return _pure.is_prime(n)
-
     def factorize(n):
         if n <= _I64_MAX:
             return _impl.factorize(n)
         return _pure.factorize(n)
 
-    def primitive_root(p):
-        if p <= _I64_MAX:
-            return _impl.primitive_root(p)
-        return _pure.primitive_root(p)
-
     def discrete_log(g, h, p):
         if p <= _I64_MAX:
             return _impl.discrete_log(g, h, p)
         return _pure.discrete_log(g, h, p)
-
-    def solve_exponent_system(a, b, m):
-        if len(a) <= 64 and m <= _I64_MAX:
-            return _impl.solve_exponent_system(a, b, m)
-        return _pure.solve_exponent_system(a, b, m)
 
     def z_b_rows(primes, ell, nums, dens):
         if (

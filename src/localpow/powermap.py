@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt, lgamma, log, log2
 
 from . import _parallel, kernels
 from .errors import (
     ConfigError,
     DomainError,
     EmptyTupleError,
+    ExactRangeError,
     FunctionSpecError,
     NonIntegralValueError,
     NotPrimeError,
@@ -33,6 +34,11 @@ EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
 # 50 bytes an entry (the int, its slot and a smallest-prime-factor slot), so
 # the cap keeps such a table near 1 GB.
 MAX_TABLE_SLOTS = 2 * 10**7
+
+# The most bytes the values of a table f(1..N) may take together (1 GiB),
+# estimated from their bit lengths before any value is built: wide values
+# fill memory long before the entries reach MAX_TABLE_SLOTS.
+MAX_TABLE_BYTES = 2**30
 
 
 class MultiplicativeMap:
@@ -283,6 +289,53 @@ def _check_table_slots(top: int) -> None:
         )
 
 
+def _table_bits(f, top: int) -> float | None:
+    """About how many bits the values f(1), ..., f(top) take together.
+
+    log2|f(n)| sums k·log2(q) over the primes q | n that take the default
+    q^k, and log2|f(q)| over the overrides, each v_q(n) times.  Over n <= top
+    the primes sum to log2(top!), and Σ_n v_q(n) = Σ_j ⌊top/q^j⌋ is an
+    override's weight.  None when the table fails at a prime instead (k < 0
+    or a non-integral override q <= top), or when f is not a
+    MultiplicativeMap.
+    """
+    if not isinstance(f, MultiplicativeMap) or f.default_exponent < 0:
+        return None
+    defaulted = lgamma(top + 1) / log(2)  # log2(top!) less the overrides' share
+    bits = 0.0
+    for q, v in f.overrides.items():
+        if q > top:
+            continue
+        exponents = v.exponents
+        if any(e < 0 for e in exponents.values()):
+            return None
+        weight, power = 0, q
+        while power <= top:
+            weight += top // power
+            power *= q
+        defaulted -= weight * log2(q)
+        bits += weight * sum(e * log2(r) for r, e in exponents.items())
+    # 0 when every prime <= top is overridden, else at least log2(2)
+    if defaulted > 0.5:
+        bits += f.default_exponent * defaulted
+    return bits
+
+
+def _check_table_size(f, top: int) -> None:
+    """Reject a value table f(1..top) by its entries, then by its bytes."""
+    _check_table_slots(top)
+    try:
+        bits = _table_bits(f, top)
+    except OverflowError:  # an exponent past a float's range
+        bits = inf
+    if bits is not None and bits > 8 * MAX_TABLE_BYTES:
+        raise ExactRangeError(
+            f"cannot tabulate f up to {top}: its values would take more "
+            f"than {MAX_TABLE_BYTES} bytes",
+            limit=top,
+        )
+
+
 def _as_integer(v, n: int) -> int:
     # f(n) as an int, or the error that names n
     if isinstance(v, FactoredRational):
@@ -351,6 +404,7 @@ def shift_and_quasi_check(f, p: int, bound: int) -> tuple[bool, bool]:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     _check_shift_bound(bound)
+    _check_table_size(f, bound + p)
     vals = _integer_values(f, bound + p)
     shift_ok = all((vals[n + p] - vals[n]) % p == 0 for n in range(1, bound + 1))
     quasi_ok = True
@@ -382,12 +436,13 @@ def scan_Tf(f, x: int, shift_bound: int = 100, workers: int = 1) -> list[int]:
     """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound.
 
     f must be a MultiplicativeMap.  The inputs, and the size of the value
-    table f(1 .. x + shift_bound), are checked before any prime is sieved.
+    table f(1 .. x + shift_bound) in entries and in bytes, are checked before
+    any prime is sieved.
     The scan runs in this process on one table; `workers` cannot change it.
     """
     spec = _scan_spec(f)
     _check_shift_bound(shift_bound)
-    _check_table_slots(x + shift_bound)
+    _check_table_size(f, x + shift_bound)
     return _parallel.tf_scan_parallel(spec, PrimeCache(x).primes, shift_bound, workers)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localpow import cli
+from localpow import cli, kernels
 from localpow.bounds import cyclotomic_discriminant
 from localpow.modular import PrimeCache
 from localpow.powermap import MAX_TABLE_SLOTS
@@ -26,6 +26,7 @@ TABLE_F = json.dumps(
 OVERRIDE_3 = json.dumps({"kind": "table", "overrides": {"3": "5"}})
 WIDE = 2**64 + 13  # wider than any machine word
 WIDE_POWER = json.dumps({"kind": "power", "exponent": WIDE})
+BIG_POWER = json.dumps({"kind": "power", "exponent": 32768})
 
 
 def run_cli(capsys, *argv):
@@ -200,9 +201,11 @@ def test_domain_errors_exit_2(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["type"] == "bad-config"
-    # f(n) = n^k with k wider than 64 bits has no exact value to build
+    # f(n) = n^k with k wider than 64 bits has no exact value to build, and
+    # n^32768 up to 10^5 would take about 6 GiB
     for argv in (
         ("tf-scan", "--function", WIDE_POWER, "--limit", "100"),
+        ("tf-scan", "--function", BIG_POWER, "--limit", "100000"),
         ("heuristic", "--function", WIDE_POWER, "--witnesses", "2,3,5", "--limit", "100"),
         ("sf-scan", "--function", WIDE_POWER, "--limit", "100", "--mode", "empirical"),
     ):
@@ -238,6 +241,7 @@ def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
         ("heuristic", "--function", TABLE_F, "--witnesses", "2,3", "--limit", "10000000"),
         ("tf-scan", "--function", TABLE_F, "--limit", "10000000", "--shift-bound",
          str(MAX_TABLE_SLOTS)),
+        ("tf-scan", "--function", BIG_POWER, "--limit", "100000"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -455,6 +459,7 @@ def test_progress_goes_to_stderr_not_stdout():
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout is pure JSON
     assert "scanning" in proc.stderr
+    assert f"({kernels.BACKEND} kernels)" in proc.stderr
 
 
 # ---------------------------------------------------------------- CLI contract

@@ -1,0 +1,101 @@
+"""The compiled backend, built from a copy of the sources, against the pure one.
+
+The extension is compiled in a temporary directory with the project's own
+`setup.py`, so no build output lands in the source tree.  The kernel tests
+then run against that build, and CLI reports from both backends are
+compared byte for byte.  Skipped only where no C compiler or no Python
+headers exist.  This file is kept apart from test_kernels.py, which it runs.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+COMPILER = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
+HEADERS = Path(sysconfig.get_paths()["include"], "Python.h").is_file()
+
+pytestmark = pytest.mark.skipif(
+    COMPILER is None or not HEADERS, reason="no C compiler or no Python.h"
+)
+
+TABLE_F = json.dumps({"kind": "table", "overrides": {"2": "5", "3": "7", "5": "11"}})
+# f(2) = 2^70 is wider than a machine word, so the dispatch routes to pure
+WIDE_F = json.dumps({"kind": "table", "overrides": {"2": str(2**70), "3": "5", "5": "7"}})
+ARGVS = (
+    ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,7", "--mode", "c4"),
+    ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,5", "--mode", "split"),
+    ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "20000"),
+    ("heuristic", "--function", WIDE_F, "--witnesses", "2,3,5", "--limit", "5000"),
+    ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical"),
+    ("frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3"),
+    ("frobenius", "--p", "1000003", "--ell", "3", "--tuple", "2,3,5,7"),
+    # an error report
+    ("frobenius", "--p", "7", "--ell", "3", "--tuple", "14"),
+)
+
+
+def _run(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True
+    )
+
+
+def _reports(tree: Path) -> list[tuple[int, str, str]]:
+    runs = [_run(tree, "-m", "localpow.cli", *argv) for argv in ARGVS]
+    return [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
+
+
+def _backend(tree: Path) -> str:
+    proc = _run(tree, "-c", "from localpow import kernels; print(kernels.BACKEND)")
+    return proc.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def native_tree(tmp_path_factory):
+    """A built copy of the project, with the reports its pure run gave first."""
+    tree = tmp_path_factory.mktemp("native")
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy(ROOT / name, tree / name)
+    shutil.copytree(
+        ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("*.so", "__pycache__")
+    )
+    assert _backend(tree) == "pure"
+    pure_reports = _reports(tree)
+    build = _run(tree, "setup.py", "build_ext", "--inplace")
+    assert _backend(tree) == "native", build.stdout + build.stderr
+    return tree, pure_reports
+
+
+def test_kernel_tests_pass_on_the_native_build(native_tree):
+    tree, _ = native_tree
+    # the two slowest tests exercise only count_primes, which is pure under
+    # every backend; the tier-1 run covers them
+    proc = _run(
+        tree, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        str(ROOT / "tests" / "test_kernels.py"),
+        "-k", "not running_sieve_count and not published_values",
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert "skipped" not in proc.stdout, proc.stdout
+
+
+def test_reports_match_the_pure_backend(native_tree):
+    tree, pure_reports = native_tree
+    native_reports = _reports(tree)
+    for argv, (code, out, err), (native_code, native_out, native_err) in zip(
+        ARGVS, pure_reports, native_reports
+    ):
+        assert (native_code, native_out) == (code, out), argv
+        # the scans' progress lines name the backend that ran
+        if "(pure kernels)" in err:
+            assert "(native kernels)" in native_err, argv
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 5

@@ -14,6 +14,7 @@ from localpow.errors import (
     ExactRangeError,
     FunctionSpecError,
     LocalPowError,
+    NonIntegralValueError,
     NotPrimeError,
     OddPrimeRequiredError,
     WitnessSearchExhausted,
@@ -25,6 +26,7 @@ from localpow.powermap import (
     MultiplicativeMap,
     _integer_values,
     _integer_values_per_n,
+    _table_bits,
     construct_prescribed,
     evaluate,
     extend_to_Q,
@@ -256,6 +258,15 @@ def test_rejected_library_scans_sieve_nothing(monkeypatch):
         with pytest.raises(DomainError) as err:
             scan_Tf(f, x, shift_bound=shift_bound)
         assert err.value.details["limit"] == x + shift_bound
+    # so is a table of too many bytes: n^32768 to 10^5 + 100 is about 6 GiB,
+    # and a non-integral override above the table takes no part in it
+    for f_wide in (
+        MultiplicativeMap.global_power(32768),
+        MultiplicativeMap.table({1000003: Fraction(1, 2)}, default_exponent=32768),
+    ):
+        with pytest.raises(ExactRangeError) as err:
+            scan_Tf(f_wide, 10**5)
+        assert err.value.details["limit"] == 10**5 + 100
     with pytest.raises(ConfigError):
         scan_Sf(f, 10**7, mode="bogus")
     with pytest.raises(DomainError):
@@ -360,6 +371,41 @@ def test_value_table_range_error_at_a_composite():
     expected = values_or_error(_integer_values_per_n, g, 9)
     assert expected[0] is ExactRangeError
     assert values_or_error(_integer_values, g, 12) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_maps(), st.integers(1, PROPERTY_LIMIT))
+def test_table_bits_estimate_the_table(f, top):
+    # the estimate is Σ log2|f(n)|, and log2|v| < bit_length(v) <= log2|v| + 1
+    bits = _table_bits(f, top)
+    try:
+        vals = _integer_values(f, top)
+    except NonIntegralValueError:
+        assert bits is None
+        return
+    if bits is not None:
+        widths = sum(abs(v).bit_length() for v in vals)
+        assert widths - top - 1e-6 <= bits <= widths + 1e-6
+
+
+def test_wide_tables_are_refused_before_they_are_built():
+    f = MultiplicativeMap.global_power(32768)
+    with pytest.raises(ExactRangeError) as err:
+        shift_and_quasi_check(f, 99991, 100)
+    assert err.value.details["limit"] == 99991 + 100
+    # an exponent past a float's range is past the cap too
+    with pytest.raises(ExactRangeError):
+        shift_and_quasi_check(MultiplicativeMap.global_power(10**400), 2, 1)
+    # a default exponent that no prime <= top takes adds nothing
+    h = MultiplicativeMap.table({2: 1, 3: 1}, default_exponent=10**30)
+    assert shift_and_quasi_check(h, 2, 1) == (True, True)
+    # a table that fails at a prime keeps that error, however wide it is
+    g = MultiplicativeMap.table({3: Fraction(1, 2)}, default_exponent=32768)
+    with pytest.raises(NonIntegralValueError) as err:
+        shift_and_quasi_check(g, 99991, 100)
+    assert err.value.details["n"] == 3
+    with pytest.raises(NonIntegralValueError):
+        shift_and_quasi_check(MultiplicativeMap.global_power(-1), 99991, 100)
 
 
 def count_is_prime_calls(monkeypatch) -> list:
