@@ -321,7 +321,10 @@ def _cmd_heuristic(args):
     cfg = args.config
     hs = heuristic_scan(f, args.witnesses, args.limit, workers=args.workers)
     total = hs.counted + hs.skipped
-    _progress(f"tested {total} primes for simultaneous power membership")
+    _progress(
+        f"tested {total} primes for simultaneous power membership, "
+        f"{hs.settled} by quadratic characters"
+    )
     return {
         "command": "heuristic",
         "parameters": {
@@ -467,10 +470,19 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact reports are long integers: the discriminant at conductor
-        # 10^4 alone has about 14,000 digits
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    # exact reports are long integers: the discriminant at conductor 10^4
+    # alone has about 14,000 digits; the caller's limit is restored on return
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,6 +7,7 @@ return exactly what the native one does.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import compress
 from math import gcd, isqrt
 
 BACKEND = "pure"
@@ -27,8 +28,7 @@ def sieve(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
     if limit < 2:
         return []
-    flags = _flags(limit)
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return list(compress(range(limit + 1), _flags(limit)))
 
 
 def count_primes(limit: int) -> int:

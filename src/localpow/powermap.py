@@ -342,7 +342,14 @@ def _as_integer(v, n: int) -> int:
         v = v.value()
     v = Fraction(v)
     if v.denominator != 1:
-        raise NonIntegralValueError(f"f({n}) = {v} is not an integer", n=n)
+        try:
+            text = str(v)
+        except ValueError:  # too many digits for the int-to-text limit
+            text = (
+                f"{'-' if v < 0 else ''}({v.numerator.bit_length()}-bit integer)"
+                f"/({v.denominator.bit_length()}-bit integer)"
+            )
+        raise NonIntegralValueError(f"f({n}) = {text} is not an integer", n=n)
     return v.numerator
 
 

@@ -4,9 +4,13 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from localpow import kernels
 from localpow.chebotarev import (
     ClassSpec,
+    _character_bits,
     class_ratio,
     cyclotomic_frobenius,
     density_counts,
@@ -190,6 +194,64 @@ def test_heuristic_scan_counts():
     assert hs.members == 0
     with pytest.raises(WrongLengthError):
         heuristic_scan(f, (2, 3), 10**4)
+    # a witness that does not factor turns the prefilter off; 0 skips every prime
+    hs = heuristic_scan(lambda n: 5, (0, 2, 3), 10**4)
+    assert (hs.counted, hs.skipped, hs.settled) == (0, len(PRIMES_10K), 0)
+
+
+def test_character_bits_follow_eulers_criterion():
+    odd_primes = PRIMES_10K[1:]
+    for a in range(-100, 101):
+        if a == 0:
+            continue
+        m = 4 * abs(a)
+        nonresidue = _character_bits(as_factored(a), m).to_bytes(m, "little")
+        for p in odd_primes:
+            if a % p:
+                euler = pow(a, (p - 1) // 2, p)
+                assert nonresidue[p % m] == (euler == p - 1), (a, p)
+
+
+WITNESSES = st.one_of(
+    st.integers(-60, 60).filter(bool),
+    st.sampled_from((1, -1, 4, -9, 36, 49)),
+)
+
+
+@st.composite
+def heuristic_maps(draw):
+    """Table maps on the primes <= 60 with negative, rational and 2^70 values."""
+    keys = draw(st.lists(st.sampled_from(PRIMES_10K[:17]), unique=True, max_size=5))
+    values = st.one_of(
+        st.integers(-40, 40).filter(bool).map(Fraction),
+        st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12)),
+        st.sampled_from((Fraction(2**70), Fraction(-(3**5)), Fraction(1, 2**70))),
+    )
+    return MultiplicativeMap.table(
+        {q: draw(values) for q in keys},
+        default_exponent=draw(st.integers(-2, 3)),
+        sign_value=draw(st.sampled_from((1, -1))),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    heuristic_maps(),
+    st.tuples(WITNESSES, WITNESSES, WITNESSES),
+    st.integers(2, 5000),
+)
+def test_heuristic_scan_prefilter_is_exact(f, witnesses, x):
+    # the quadratic-character prefilter settles only primes the kernel
+    # counts as non-members
+    values = [as_factored(f(n)) for n in witnesses]
+    hs = heuristic_scan(f, witnesses, x)
+    assert (hs.counted, hs.skipped, hs.members) == kernels.omega_members(
+        PrimeCache(x).primes,
+        list(witnesses),
+        [v.sign * v.num for v in values],
+        [v.den for v in values],
+    )
+    assert 0 <= hs.settled <= hs.counted - hs.members
 
 
 def test_z_transport_power_compatibility():

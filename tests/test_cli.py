@@ -29,6 +29,17 @@ WIDE_POWER = json.dumps({"kind": "power", "exponent": WIDE})
 BIG_POWER = json.dumps({"kind": "power", "exponent": 32768})
 
 
+@pytest.fixture(autouse=True)
+def lift_int_to_text_limit():
+    # reports hold exact integers of up to about 14,000 digits, which
+    # json.loads reads back only with the limit lifted; cli.run restores
+    # whatever limit it finds, so each test lifts it for its own reading
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
@@ -305,20 +316,32 @@ def test_density_scan_report(capsys):
 
 
 def test_heuristic_report_fields(capsys):
-    rep = run_json(
-        capsys,
-        "heuristic",
-        "--function",
-        TABLE_F,
-        "--witnesses",
-        "2,3,5",
-        "--limit",
-        "5000",
+    code = cli.run(
+        ["heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "5000"]
     )
+    captured = capsys.readouterr()
+    assert code == 0
+    rep = json.loads(captured.out)
     assert rep["counted"] == 0
     assert rep["observed"] == 0.0
     assert rep["expected"] > 0
     assert rep["counted"] + rep["skipped"] == 669  # pi(5000)
+    # the progress line says how many primes the quadratic characters settled
+    assert (
+        "tested 669 primes for simultaneous power membership, "
+        "525 by quadratic characters"
+    ) in captured.err
+
+
+def test_run_restores_the_int_to_text_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert cli.run(["disc", "--cyclotomic", "10000"]) == 0
+        assert len(capsys.readouterr().out) > 4300  # printed with the limit lifted
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_bounds_report(capsys):

@@ -408,6 +408,25 @@ def test_wide_tables_are_refused_before_they_are_built():
         shift_and_quasi_check(MultiplicativeMap.global_power(-1), 99991, 100)
 
 
+def test_non_integral_message_survives_the_int_to_text_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # 2^-32768 has a 9865-digit denominator: the message gives bit lengths
+        with pytest.raises(NonIntegralValueError) as err:
+            shift_and_quasi_check(MultiplicativeMap.global_power(-32768), 99991, 100)
+        assert err.value.details["n"] == 2
+        assert str(err.value) == (
+            "f(2) = (1-bit integer)/(32769-bit integer) is not an integer"
+        )
+        # a value that formats keeps its message
+        with pytest.raises(NonIntegralValueError) as err:
+            shift_and_quasi_check(MultiplicativeMap.global_power(-1), 99991, 100)
+        assert str(err.value) == "f(2) = 1/2 is not an integer"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def count_is_prime_calls(monkeypatch) -> list:
     # rebind is_prime in every library module that imported it by name
     calls = []
