@@ -4,8 +4,9 @@ Primes are split into contiguous chunks and each chunk is handed to a
 worker; only integer counters and per-prime rows cross process boundaries,
 and results merge in chunk order, so the output is independent of the
 worker count.  Float accumulations (heuristic sums, observed densities)
-always happen in the parent from the merged integers.  The shift scan
-keeps its entry point here but runs in-process, on one value table.
+always happen in the parent from the merged integers.  A map reaches the
+workers pickled as itself.  The shift scan keeps its entry point here but
+runs in this process, on one value table.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
 both call back into this module.  The modules of each cycle import each
@@ -23,17 +24,11 @@ from . import chebotarev, kernels, powermap
 
 
 def chunked(seq, n: int):
-    """Split into at most n contiguous chunks with sizes differing by <= 1."""
-    n = max(1, min(n, len(seq)))
+    """Split a nonempty seq into at most n contiguous chunks, sizes differing by <= 1."""
+    n = min(n, len(seq))
     size, extra = divmod(len(seq), n)
-    out = []
-    start = 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        if end > start:
-            out.append(seq[start:end])
-        start = end
-    return out
+    ends = [i * size + min(i, extra) for i in range(n + 1)]
+    return [seq[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _run_chunks(fn, primes, workers: int, *rest) -> list:
@@ -75,34 +70,26 @@ def omega_members_parallel(primes, ns, fnums, fdens, workers: int = 1):
 
 
 def _sf_chunk(args):
-    primes, f_json, mode, bound, domain = args
-    f = powermap.MultiplicativeMap.from_json(f_json)
+    primes, f, mode, bound, domain = args
     return powermap.sf_members(f, primes, mode, bound, domain)
 
 
-def sf_scan_parallel(f_json, primes, mode, bound, domain, workers: int = 1):
+def sf_scan_parallel(f, primes, mode, bound, domain, workers: int = 1):
     """([(p, k_p) of members], unknown count), chunk results concatenated in order."""
     members = []
     unknown = 0
     for part_members, part_unknown in _run_chunks(
-        _sf_chunk, primes, workers, f_json, mode, bound, domain
+        _sf_chunk, primes, workers, f, mode, bound, domain
     ):
         members.extend(part_members)
         unknown += part_unknown
     return members, unknown
 
 
-def _tf_chunk(args):
-    primes, f_json, shift_bound = args
-    f = powermap.MultiplicativeMap.from_json(f_json)
-    return powermap.tf_members(f, primes, shift_bound)
+def tf_scan_parallel(f, primes, shift_bound: int):
+    """Primes passing the shift-periodicity check, in ascending order, in this process.
 
-
-def tf_scan_parallel(f_json, primes, shift_bound: int, workers: int = 1):
-    """Primes passing the shift-periodicity check, in ascending order.
-
-    One chunk in this process, whatever `workers` asks for: the value table
-    f(1 .. shift_bound + the largest prime) costs more than the check loop,
-    and every worker would build its own.
+    Each worker would build its own value table, which costs more than the
+    check loop.  The name stays because `perfbench/tracing.py` wraps it.
     """
-    return _tf_chunk((primes, f_json, shift_bound))
+    return powermap.tf_members(f, primes, shift_bound)

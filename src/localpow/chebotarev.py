@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from . import _parallel, kernels
+from . import _parallel, kernels, powermap
 from .errors import (
     ConfigError,
     DomainError,
@@ -299,15 +299,14 @@ def _character_prefilter(primes, witnesses, values) -> list[int]:
     If n^t ≡ f(n) (mod p) for each witness n, with p ∤ 2·n·f(n), then
     (f(n)/p) = (n/p)^t: every (f(n)/p) = 1 (t even) or every (f(n)/p) =
     (n/p) (t odd).  The primes that fail both are left out; those dividing 2,
-    a witness or a value are kept, and all are kept unless the witnesses factor.
+    a witness or a value are kept.  The witnesses come factored; all primes
+    are kept when they are None (the witnesses do not factor).
     """
-    try:
-        factored = [as_factored(n) for n in witnesses]
-    except DomainError:
+    if witnesses is None:
         return primes
     keep = {2}
     tables = []
-    for w, v in zip(factored, values):
+    for w, v in zip(witnesses, values):
         keep.update(w.support(), v.support())
         m = lcm(*(4 * prod(q for q, e in u.exponents.items() if e % 2) for u in (w, v)))
         if m <= MAX_CHARACTER_MODULUS:
@@ -335,12 +334,20 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     ns = [int(n) for n in witnesses]
     if len(ns) != 3:
         raise WrongLengthError(f"need a triple of witnesses, got {len(ns)}")
-    values = [as_factored(f(n)) for n in ns]
+    # each witness is factored once, for a map's values and for the prefilter
+    args = ns
+    try:
+        factored = [as_factored(n) for n in ns]
+        if isinstance(f, powermap.MultiplicativeMap):
+            args = factored  # a plain callable still gets the int
+    except DomainError:  # a map raises it again in f(n); a plain callable runs unfiltered
+        factored = None
+    values = [as_factored(f(a)) for a in args]
     fnums = [v.sign * v.num for v in values]
     fdens = [v.den for v in values]
     primes = PrimeCache(x).primes
     total = heuristic_sum(primes)
-    kept = _character_prefilter(primes, ns, values)
+    kept = _character_prefilter(primes, factored, values)
     counted, skipped, members = _parallel.omega_members_parallel(
         kept, ns, fnums, fdens, workers
     )

@@ -196,7 +196,7 @@ def _cmd_tf_scan(args):
     f = _load_function(args.function)
     cfg = args.config
     _progress(f"shift-checking the primes up to {args.limit}")
-    members = scan_Tf(f, args.limit, args.shift_bound, args.workers)
+    members = scan_Tf(f, args.limit, args.shift_bound)
     total = kernels.count_primes(args.limit)
     counted = len(members)
     return {

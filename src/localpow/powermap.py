@@ -107,23 +107,38 @@ class MultiplicativeMap:
     def from_json(cls, obj) -> "MultiplicativeMap":
         try:
             kind = obj["kind"]
+            if kind not in _SPEC_KEYS:
+                raise FunctionSpecError(f"unknown function kind {kind!r}")
+            unknown = sorted(set(obj) - _SPEC_KEYS[kind])
+            if unknown:
+                raise FunctionSpecError(f"unknown keys {unknown} in a {kind} spec")
             if kind == "power":
-                return cls.global_power(int(obj["exponent"]))
-            if kind == "table":
-                overrides = {
-                    int(q): as_factored(str(v))
-                    for q, v in obj.get("overrides", {}).items()
-                }
-                return cls.table(
-                    overrides,
-                    default_exponent=int(obj.get("default_exponent", 1)),
-                    sign_value=int(obj.get("sign_value", 1)),
-                )
+                return cls.global_power(_spec_int(obj["exponent"], "exponent"))
+            overrides = {
+                int(q): as_factored(str(v)) for q, v in obj.get("overrides", {}).items()
+            }
+            return cls.table(
+                overrides,
+                _spec_int(obj.get("default_exponent", 1), "default_exponent"),
+                _spec_int(obj.get("sign_value", 1), "sign_value"),
+            )
         except FunctionSpecError:
             raise
         except Exception as exc:
             raise FunctionSpecError(f"bad function spec: {exc}") from exc
-        raise FunctionSpecError(f"unknown function kind {kind!r}")
+
+
+_SPEC_KEYS = {
+    "power": {"kind", "exponent"},
+    "table": {"kind", "sign_value", "default_exponent", "overrides"},
+}
+
+
+def _spec_int(value, key: str) -> int:
+    # a JSON integer or an integer string: int() would round a float, read a bool as 0/1
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise FunctionSpecError(f"bad function spec: {key} must be an integer")
+    return int(value)
 
 
 def evaluate(f: MultiplicativeMap, x) -> FactoredRational:
@@ -254,11 +269,10 @@ def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], i
     return members, unknown
 
 
-def _scan_spec(f) -> dict:
-    # the scans hand f to their workers as its JSON spec
+def _check_scan_model(f) -> None:
+    # a MultiplicativeMap pickles to pool workers, and its value tables can be sized
     if not isinstance(f, MultiplicativeMap):
         raise ConfigError("a scan needs the structured model")
-    return f.to_json()
 
 
 def scan_Sf(
@@ -269,24 +283,13 @@ def scan_Sf(
     f must be a MultiplicativeMap.  The inputs are checked before any prime
     is sieved; `workers` processes split the scan without changing it.
     """
-    spec = _scan_spec(f)
+    _check_scan_model(f)
     _check_verdicts(f, mode, bound, domain)
     pairs, unknown = _parallel.sf_scan_parallel(
-        spec, PrimeCache(x).primes, mode, bound, domain, workers
+        f, PrimeCache(x).primes, mode, bound, domain, workers
     )
     bound = _verdict_bound(mode, bound)
     return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
-
-
-def _check_table_slots(top: int) -> None:
-    """Reject a value table f(1..top) before any of its slots is allocated."""
-    check_table_limit(top)  # the error every sieve and table gives past sys.maxsize
-    if top > MAX_TABLE_SLOTS:
-        raise DomainError(
-            f"cannot tabulate f up to {top}: value tables stop at "
-            f"{MAX_TABLE_SLOTS} entries",
-            limit=top,
-        )
 
 
 def _table_bits(f, top: int) -> float | None:
@@ -323,7 +326,13 @@ def _table_bits(f, top: int) -> float | None:
 
 def _check_table_size(f, top: int) -> None:
     """Reject a value table f(1..top) by its entries, then by its bytes."""
-    _check_table_slots(top)
+    check_table_limit(top)  # the error every sieve and table gives past sys.maxsize
+    if top > MAX_TABLE_SLOTS:
+        raise DomainError(
+            f"cannot tabulate f up to {top}: value tables stop at "
+            f"{MAX_TABLE_SLOTS} entries",
+            limit=top,
+        )
     try:
         bits = _table_bits(f, top)
     except OverflowError:  # an exponent past a float's range
@@ -382,7 +391,7 @@ def _integer_values(f, top: int) -> list[int]:
     A product wider than MAX_VALUE_BITS is rebuilt as f(n), which raises the
     oracle's ExactRangeError when its exact form is out of range.
     """
-    _check_table_slots(top)
+    _check_table_size(f, top)
     if not isinstance(f, MultiplicativeMap):
         return _integer_values_per_n(f, top)
     spf = _smallest_prime_factors(top)
@@ -400,6 +409,11 @@ def _integer_values(f, top: int) -> list[int]:
     return vals
 
 
+def _shift_periodic(vals: list[int], p: int, bound: int) -> bool:
+    # f(n+p) ≡ f(n) (mod p) for every n <= bound, read from the table vals
+    return all((vals[n + p] - vals[n]) % p == 0 for n in range(1, bound + 1))
+
+
 def _check_shift_bound(bound: int) -> None:
     # a bound below 1 checks no n, so every prime would pass
     if bound < 1:
@@ -411,9 +425,8 @@ def shift_and_quasi_check(f, p: int, bound: int) -> tuple[bool, bool]:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     _check_shift_bound(bound)
-    _check_table_size(f, bound + p)
     vals = _integer_values(f, bound + p)
-    shift_ok = all((vals[n + p] - vals[n]) % p == 0 for n in range(1, bound + 1))
+    shift_ok = _shift_periodic(vals, p, bound)
     quasi_ok = True
     for q in kernels.sieve(bound):
         for n in range(1, bound // q + 1):
@@ -432,25 +445,20 @@ def tf_members(f, primes, shift_bound: int) -> list[int]:
     if not primes:
         return []
     vals = _integer_values(f, shift_bound + primes[-1])
-    out = []
-    for p in primes:
-        if all((vals[n + p] - vals[n]) % p == 0 for n in range(1, shift_bound + 1)):
-            out.append(p)
-    return out
+    return [p for p in primes if _shift_periodic(vals, p, shift_bound)]
 
 
-def scan_Tf(f, x: int, shift_bound: int = 100, workers: int = 1) -> list[int]:
+def scan_Tf(f, x: int, shift_bound: int = 100) -> list[int]:
     """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound.
 
     f must be a MultiplicativeMap.  The inputs, and the size of the value
     table f(1 .. x + shift_bound) in entries and in bytes, are checked before
-    any prime is sieved.
-    The scan runs in this process on one table; `workers` cannot change it.
+    any prime is sieved.  The scan runs in this process, on one table.
     """
-    spec = _scan_spec(f)
+    _check_scan_model(f)
     _check_shift_bound(shift_bound)
     _check_table_size(f, x + shift_bound)
-    return _parallel.tf_scan_parallel(spec, PrimeCache(x).primes, shift_bound, workers)
+    return _parallel.tf_scan_parallel(f, PrimeCache(x).primes, shift_bound)
 
 
 def extend_to_Q(overrides, default_exponent: int, nu_f: int) -> MultiplicativeMap:

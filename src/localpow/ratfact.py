@@ -91,6 +91,10 @@ class FactoredRational:
         object.__setattr__(self, "_exp", exp)
         return self
 
+    def __reduce__(self):
+        # unpickled through _raw: the keys are neither re-checked nor re-factored
+        return FactoredRational._raw, (self.sign, self._exp)
+
     @classmethod
     def factor(cls, numerator: int, denominator: int = 1) -> "FactoredRational":
         if numerator == 0 or denominator == 0:
@@ -206,16 +210,6 @@ class FactoredRational:
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.sign}, {dict(sorted(self._exp.items()))})"
-
-    def to_json(self) -> dict:
-        return {
-            "sign": self.sign,
-            "exponents": {str(q): e for q, e in sorted(self._exp.items())},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FactoredRational":
-        return cls(obj["sign"], {int(q): e for q, e in obj["exponents"].items()})
 
 
 ONE = FactoredRational._raw(1, {})

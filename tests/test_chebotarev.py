@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localpow import kernels
+from localpow import kernels, ratfact
 from localpow.chebotarev import (
     ClassSpec,
     _character_bits,
@@ -197,6 +198,25 @@ def test_heuristic_scan_counts():
     # a witness that does not factor turns the prefilter off; 0 skips every prime
     hs = heuristic_scan(lambda n: 5, (0, 2, 3), 10**4)
     assert (hs.counted, hs.skipped, hs.settled) == (0, len(PRIMES_10K), 0)
+
+
+def test_heuristic_scan_factors_each_witness_once(monkeypatch):
+    calls = Counter()
+    factor_abs = ratfact._factor_abs
+
+    def counting(n):
+        calls[n] += 1
+        return factor_abs(n)
+
+    monkeypatch.setattr(ratfact, "_factor_abs", counting)
+    witnesses = (10**12 + 39, 2, 3)  # a prime past the trial bound, slow to factor
+    f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11}, default_exponent=1)
+    heuristic_scan(f, witnesses, 100)
+    assert [calls[n] for n in witnesses] == [1, 1, 1]
+    # a plain callable is still called with the int
+    seen = []
+    heuristic_scan(lambda n: seen.append(n) or 5, witnesses, 100)
+    assert seen == list(witnesses)
 
 
 def test_character_bits_follow_eulers_criterion():

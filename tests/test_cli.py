@@ -151,6 +151,19 @@ def test_function_spec_errors_exit_65(capsys):
         capsys, "sf-scan", "--function", "/no/such/file.json", "--limit", "100"
     )
     assert code == 65
+    # each of these once scanned a different f than the one written
+    for spec in (
+        '{"kind": "power", "exponent": 1.5}',
+        '{"kind": "power", "exponent": true}',
+        '{"kind": "power", "exponent": 1e30}',
+        '{"kind": "table", "default_exponent": 2.7}',
+        '{"kind": "table", "sign_value": -1.5}',
+        '{"kind": "table", "overides": {"2": "5"}}',
+        '{"kind": "power", "exponent": 2, "overrides": {"2": "5"}}',
+    ):
+        code, out = run_cli(capsys, "sf-scan", "--function", spec, "--limit", "100")
+        assert code == 65, spec
+        assert json.loads(out)["type"] == "malformed-function-spec"
 
 
 def test_domain_errors_exit_2(capsys):

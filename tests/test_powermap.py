@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -83,6 +84,23 @@ def test_function_spec_json_roundtrip():
         MultiplicativeMap.from_json({"kind": "nope"})
     with pytest.raises(FunctionSpecError):
         MultiplicativeMap.from_json({"kind": "table", "overrides": {"4": "3"}})
+    # integer fields: JSON integers or integer strings, nothing int() would round
+    g = MultiplicativeMap.from_json(
+        {"kind": "table", "default_exponent": "2", "sign_value": -1, "overrides": {"3": 5}}
+    )
+    assert (g.default_exponent, g.sign_value, g(3).value()) == (2, -1, 5)
+    for spec in (
+        {"kind": "power", "exponent": 1.5},
+        {"kind": "power", "exponent": False},
+        {"kind": "power", "exponent": None},
+        {"kind": "power", "exponent": "2.0"},
+        {"kind": "table", "default_exponent": 2.0},
+        {"kind": "table", "sign_value": True},
+        {"kind": "table", "overides": {"2": "5"}},
+        {"kind": "power", "exponent": 2, "overrides": {"2": "5"}},
+    ):
+        with pytest.raises(FunctionSpecError):
+            MultiplicativeMap.from_json(spec)
 
 
 def test_exact_scan_small_table():
@@ -205,7 +223,7 @@ def test_scans_split_across_workers_unchanged():
         assert scan_Sf(f, 300, mode=mode, workers=2) == one
         assert one == sf_members_oracle(f, primes, mode)
     g = MultiplicativeMap.global_power(2)
-    assert scan_Tf(g, 300, workers=2) == scan_Tf(g, 300) == primes
+    assert scan_Tf(g, 300) == primes
     with pytest.raises(ConfigError):
         scan_Tf(lambda n: n, 300)
 
@@ -238,10 +256,36 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
     assert scan_Sf(f, 2000, workers=500) == one
     assert sizes == [2]
-    # a tf scan builds one value table in this process, whatever the count
+    # a tf scan builds one value table in this process
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
-    assert scan_Tf(f, 2000, workers=500) == scan_Tf(f, 2000)
+    scan_Tf(f, 2000)
     assert sizes == [2]
+
+
+def test_maps_pickle_as_themselves():
+    for f in (
+        MultiplicativeMap.global_power(3),
+        MultiplicativeMap.table({2: Fraction(5, 9), 7: -3}, default_exponent=2, sign_value=-1),
+    ):
+        g = pickle.loads(pickle.dumps(f))
+        assert type(g) is MultiplicativeMap
+        assert vars(g) == vars(f)
+        assert g.to_json() == f.to_json()
+
+
+def test_scans_take_overrides_too_wide_for_text():
+    # 3^10000 has 4772 digits, past the int-to-text limit a JSON copy of f
+    # would hit; the scans hand f to their workers as itself
+    f = MultiplicativeMap.table({2: 3**10000})
+    primes = PrimeCache(100).primes
+    one = scan_Sf(f, 100)
+    assert scan_Sf(f, 100, workers=2) == one
+    assert one == sf_members_oracle(f, primes, "exact")
+    vals = _integer_values_per_n(f, 50 + 2)
+    expected = [
+        p for p in primes if p <= 50 and all((vals[n + p] - vals[n]) % p == 0 for n in (1, 2))
+    ]
+    assert scan_Tf(f, 50, shift_bound=2) == expected
 
 
 def test_rejected_library_scans_sieve_nothing(monkeypatch):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from localpow.errors import (
     NotPrimeError,
     ZeroValueError,
 )
+from localpow import ratfact
 from localpow.ratfact import DEFAULT_TRIAL_BOUND, ONE, FactoredRational, as_factored, is_prime
 
 
@@ -113,13 +115,29 @@ def test_str_forms():
     assert str(as_factored("7/4")) == "2^-2*7"
 
 
-def test_json_roundtrip():
+def test_pickle_roundtrip(monkeypatch):
     rng = random.Random(105)
+    values = [ONE, as_factored(-12), as_factored("-5/12"), as_factored(3**10000)]
     for _ in range(50):
-        x = FactoredRational.factor(
-            rng.randint(1, 10**6) * rng.choice((1, -1)), rng.randint(1, 10**6)
+        values.append(
+            FactoredRational.factor(
+                rng.randint(1, 10**6) * rng.choice((1, -1)), rng.randint(1, 10**6)
+            )
         )
-        assert FactoredRational.from_json(x.to_json()) == x
+    blobs = [pickle.dumps(x) for x in values]
+
+    def refuse(*args):
+        raise AssertionError("unpickling re-checked or re-factored a value")
+
+    # a value comes back through _raw: its keys are not re-tested for primality
+    monkeypatch.setattr(ratfact, "is_prime", refuse)
+    monkeypatch.setattr(ratfact, "_factor_abs", refuse)
+    for x, blob in zip(values, blobs):
+        y = pickle.loads(blob)
+        assert type(y) is FactoredRational
+        assert (y.sign, y.exponents) == (x.sign, x.exponents)
+    with pytest.raises(AttributeError):
+        y.sign = -1  # still immutable after the round trip
 
 
 def test_as_factored_coercions():
