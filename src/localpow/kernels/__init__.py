@@ -1,12 +1,13 @@
 """Prime and scan kernels: compiled fast path with a pure-Python fallback.
 
 The compiled backend is used exactly when its extension module,
-`localpow.kernels._native`, imports.  It runs only the five kernels the scans
-spend their time in: `sieve`, `factorize`, `discrete_log`, `z_b_rows` and
-`omega_members`.  `count_primes`, `is_prime`, `primitive_root` and
-`solve_exponent_system` are pure under every backend: the sublinear prime
-count beats the compiled sieve count, and the other three are called too
-rarely for their speed to show.
+`localpow.kernels._native`, imports; it is built from the hand-written C
+source `_native.c`, and `pure.py` is its specification.  It exports only the
+five kernels the scans spend their time in: `sieve`, `factorize`,
+`discrete_log`, `z_b_rows` and `omega_members`.  `count_primes`, `is_prime`,
+`primitive_root` and `solve_exponent_system` are pure under every backend:
+the sublinear prime count beats a compiled sieve count, and the other three
+are called too rarely for their speed to show.
 """
 
 from . import pure as _pure
@@ -42,10 +43,10 @@ else:
             return _impl.factorize(n)
         return _pure.factorize(n)
 
-    def discrete_log(g, h, p):
+    def discrete_log(g, h, p, factors=None):
         if p <= _I64_MAX:
-            return _impl.discrete_log(g, h, p)
-        return _pure.discrete_log(g, h, p)
+            return _impl.discrete_log(g, h, p, factors)
+        return _pure.discrete_log(g, h, p, factors)
 
     def z_b_rows(primes, ell, nums, dens):
         if (

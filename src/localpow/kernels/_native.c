@@ -1,17661 +1,830 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "localpow.kernels._native",
-        "sources": [
-            "src/localpow/kernels/_native.pyx"
-        ]
-    },
-    "module_name": "localpow.kernels._native"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__localpow__kernels___native
-#define __PYX_HAVE_API__localpow__kernels___native
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/localpow/kernels/_native.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* #### Code section: numeric_typedefs ### */
-
-/* "localpow/kernels/_native.pyx":12
- * BACKEND = "native"
- * 
- * ctypedef unsigned long long u64             # <<<<<<<<<<<<<<
- * ctypedef long long i64
- * 
-*/
-typedef unsigned PY_LONG_LONG __pyx_t_8localpow_7kernels_7_native_u64;
-
-/* "localpow/kernels/_native.pyx":13
- * 
- * ctypedef unsigned long long u64
- * ctypedef long long i64             # <<<<<<<<<<<<<<
- * 
- * cdef extern from *:
-*/
-typedef PY_LONG_LONG __pyx_t_8localpow_7kernels_7_native_i64;
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_t_8localpow_7kernels_7_native_HashTable;
-
-/* "localpow/kernels/_native.pyx":270
- * 
- * 
- * cdef struct HashTable:             # <<<<<<<<<<<<<<
- *     u64* keys
- *     i64* vals
-*/
-struct __pyx_t_8localpow_7kernels_7_native_HashTable {
-  __pyx_t_8localpow_7kernels_7_native_u64 *keys;
-  __pyx_t_8localpow_7kernels_7_native_i64 *vals;
-  __pyx_t_8localpow_7kernels_7_native_u64 mask;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_RshiftObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_RshiftObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceRshift(op1, op2) : PyNumber_Rshift(op1, op2))
-#endif
-
-/* PyOverflowError_Check.proto */
-#define __Pyx_PyExc_OverflowError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_OverflowError)
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* PyMemoryError_Check.proto */
-#define __Pyx_PyExc_MemoryError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_MemoryError)
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* PySequenceMultiply.proto */
-#define __Pyx_PySequence_Multiply_Left(mul, seq)  __Pyx_PySequence_Multiply(seq, mul)
-#if !CYTHON_USE_TYPE_SLOTS
-#define  __Pyx_PySequence_Multiply PySequence_Repeat
-#else
-static CYTHON_INLINE PyObject* __Pyx_PySequence_Multiply(PyObject *seq, Py_ssize_t mul);
-#endif
-
-/* PyArithmeticError_Check.proto */
-#define __Pyx_PyExc_ArithmeticError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ArithmeticError)
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* PyDictVersioning.proto (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by CLineInTraceback) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE unsigned PY_LONG_LONG __Pyx_PyLong_As_unsigned_PY_LONG_LONG(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "localpow.kernels._native" */
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_8localpow_7kernels_7_native__MR_W[12];
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_8localpow_7kernels_7_native__SMALL_Q[15];
-static CYTHON_INLINE __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_gcd_u64(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_invmod(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static int __pyx_f_8localpow_7kernels_7_native_is_prime_u64(__pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_pollard_brent(__pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_upow(__pyx_t_8localpow_7kernels_7_native_u64, int); /*proto*/
-static int __pyx_f_8localpow_7kernels_7_native_factorize_u64(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64 *, __pyx_t_8localpow_7kernels_7_native_u64 *); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_primitive_root_u64(__pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_isqrt_u64(__pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static int __pyx_f_8localpow_7kernels_7_native_ht_init(struct __pyx_t_8localpow_7kernels_7_native_HashTable *, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static void __pyx_f_8localpow_7kernels_7_native_ht_free(struct __pyx_t_8localpow_7kernels_7_native_HashTable *); /*proto*/
-static CYTHON_INLINE void __pyx_f_8localpow_7kernels_7_native_ht_put(struct __pyx_t_8localpow_7kernels_7_native_HashTable *, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_i64); /*proto*/
-static CYTHON_INLINE __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_ht_get(struct __pyx_t_8localpow_7kernels_7_native_HashTable *, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_bsgs(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_prime_power_log(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64, int, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_discrete_log_u64(__pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static unsigned char *__pyx_f_8localpow_7kernels_7_native__sieve_flags(__pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-static int __pyx_f_8localpow_7kernels_7_native_solve_system_u64(__pyx_t_8localpow_7kernels_7_native_u64 *, __pyx_t_8localpow_7kernels_7_native_u64 *, int, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64 *); /*proto*/
-static int __pyx_f_8localpow_7kernels_7_native_projection_solvable(__pyx_t_8localpow_7kernels_7_native_u64 *, __pyx_t_8localpow_7kernels_7_native_u64 *, int, __pyx_t_8localpow_7kernels_7_native_u64, __pyx_t_8localpow_7kernels_7_native_u64); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "localpow.kernels._native"
-extern int __pyx_module_is_main_localpow__kernels___native;
-int __pyx_module_is_main_localpow__kernels___native = 0;
-
-/* Implementation of "localpow.kernels._native" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_backend_for_the_prime_a[] = "Compiled backend for the prime and scan kernels.\n\nSame contract as pure.py; every public function returns exactly what the\npure one does.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_is_prime(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_2factorize(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_4primitive_root(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_6discrete_log(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_g, PyObject *__pyx_v_h, PyObject *__pyx_v_p); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_8sieve(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_limit); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_10count_primes(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_limit); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_12solve_exponent_system(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_m); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_14z_b_rows(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_primes, PyObject *__pyx_v_ell, PyObject *__pyx_v_nums, PyObject *__pyx_v_dens); /* proto */
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_16omega_members(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_primes, PyObject *__pyx_v_ns, PyObject *__pyx_v_fnums, PyObject *__pyx_v_fdens); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[9];
-  PyObject *__pyx_string_tab[109];
-  PyObject *__pyx_number_tab[4];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_baby_step_table_allocation_faile __pyx_string_tab[1]
-#define __pyx_kp_u_element_outside_the_subgroup_gen __pyx_string_tab[2]
-#define __pyx_kp_u_factorize_needs_n_1 __pyx_string_tab[3]
-#define __pyx_kp_u_native_backend_handles_n_2_63 __pyx_string_tab[4]
-#define __pyx_kp_u_sieve_allocation_failed __pyx_string_tab[5]
-#define __pyx_kp_u_src_localpow_kernels__native_pyx __pyx_string_tab[6]
-#define __pyx_kp_u_system_too_wide_for_the_native_b __pyx_string_tab[7]
-#define __pyx_kp_u_tuple_too_wide_for_the_native_ba __pyx_string_tab[8]
-#define __pyx_kp_u_value_outside_mu_ell __pyx_string_tab[9]
-#define __pyx_n_u_BACKEND __pyx_string_tab[10]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[11]
-#define __pyx_n_u_a __pyx_string_tab[12]
-#define __pyx_n_u_allone __pyx_string_tab[13]
-#define __pyx_n_u_alphas __pyx_string_tab[14]
-#define __pyx_n_u_annotate __pyx_string_tab[15]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[16]
-#define __pyx_n_u_avals __pyx_string_tab[17]
-#define __pyx_n_u_b __pyx_string_tab[18]
-#define __pyx_n_u_betas __pyx_string_tab[19]
-#define __pyx_n_u_bl __pyx_string_tab[20]
-#define __pyx_n_u_bs __pyx_string_tab[21]
-#define __pyx_n_u_bvals __pyx_string_tab[22]
-#define __pyx_n_u_ca __pyx_string_tab[23]
-#define __pyx_n_u_cb __pyx_string_tab[24]
-#define __pyx_n_u_cd __pyx_string_tab[25]
-#define __pyx_n_u_cfd __pyx_string_tab[26]
-#define __pyx_n_u_cfn __pyx_string_tab[27]
-#define __pyx_n_u_cl __pyx_string_tab[28]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[29]
-#define __pyx_n_u_cn __pyx_string_tab[30]
-#define __pyx_n_u_cnt __pyx_string_tab[31]
-#define __pyx_n_u_count_primes __pyx_string_tab[32]
-#define __pyx_n_u_counted __pyx_string_tab[33]
-#define __pyx_n_u_cur __pyx_string_tab[34]
-#define __pyx_n_u_dens __pyx_string_tab[35]
-#define __pyx_n_u_discrete_log __pyx_string_tab[36]
-#define __pyx_n_u_dl __pyx_string_tab[37]
-#define __pyx_n_u_e __pyx_string_tab[38]
-#define __pyx_n_u_ell __pyx_string_tab[39]
-#define __pyx_n_u_es __pyx_string_tab[40]
-#define __pyx_n_u_factorize __pyx_string_tab[41]
-#define __pyx_n_u_fdens __pyx_string_tab[42]
-#define __pyx_n_u_flags __pyx_string_tab[43]
-#define __pyx_n_u_fnums __pyx_string_tab[44]
-#define __pyx_n_u_func __pyx_string_tab[45]
-#define __pyx_n_u_g __pyx_string_tab[46]
-#define __pyx_n_u_h __pyx_string_tab[47]
-#define __pyx_n_u_i __pyx_string_tab[48]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[49]
-#define __pyx_n_u_is_prime __pyx_string_tab[50]
-#define __pyx_n_u_items __pyx_string_tab[51]
-#define __pyx_n_u_j __pyx_string_tab[52]
-#define __pyx_n_u_k __pyx_string_tab[53]
-#define __pyx_n_u_kres __pyx_string_tab[54]
-#define __pyx_n_u_lim __pyx_string_tab[55]
-#define __pyx_n_u_limit __pyx_string_tab[56]
-#define __pyx_n_u_localpow_kernels__native __pyx_string_tab[57]
-#define __pyx_n_u_m __pyx_string_tab[58]
-#define __pyx_n_u_main __pyx_string_tab[59]
-#define __pyx_n_u_members __pyx_string_tab[60]
-#define __pyx_n_u_module __pyx_string_tab[61]
-#define __pyx_n_u_n __pyx_string_tab[62]
-#define __pyx_n_u_n1 __pyx_string_tab[63]
-#define __pyx_n_u_name __pyx_string_tab[64]
-#define __pyx_n_u_native __pyx_string_tab[65]
-#define __pyx_n_u_ns __pyx_string_tab[66]
-#define __pyx_n_u_nums __pyx_string_tab[67]
-#define __pyx_n_u_ok __pyx_string_tab[68]
-#define __pyx_n_u_omega_members __pyx_string_tab[69]
-#define __pyx_n_u_out __pyx_string_tab[70]
-#define __pyx_n_u_p __pyx_string_tab[71]
-#define __pyx_n_u_pobj __pyx_string_tab[72]
-#define __pyx_n_u_pop __pyx_string_tab[73]
-#define __pyx_n_u_primes __pyx_string_tab[74]
-#define __pyx_n_u_primitive_root __pyx_string_tab[75]
-#define __pyx_n_u_ps __pyx_string_tab[76]
-#define __pyx_n_u_q __pyx_string_tab[77]
-#define __pyx_n_u_qi __pyx_string_tab[78]
-#define __pyx_n_u_qualname __pyx_string_tab[79]
-#define __pyx_n_u_r __pyx_string_tab[80]
-#define __pyx_n_u_rejected __pyx_string_tab[81]
-#define __pyx_n_u_rem __pyx_string_tab[82]
-#define __pyx_n_u_res __pyx_string_tab[83]
-#define __pyx_n_u_set_name __pyx_string_tab[84]
-#define __pyx_n_u_setdefault __pyx_string_tab[85]
-#define __pyx_n_u_sieve __pyx_string_tab[86]
-#define __pyx_n_u_skipped __pyx_string_tab[87]
-#define __pyx_n_u_solve_exponent_system __pyx_string_tab[88]
-#define __pyx_n_u_test __pyx_string_tab[89]
-#define __pyx_n_u_us __pyx_string_tab[90]
-#define __pyx_n_u_values __pyx_string_tab[91]
-#define __pyx_n_u_vs __pyx_string_tab[92]
-#define __pyx_n_u_w __pyx_string_tab[93]
-#define __pyx_n_u_width __pyx_string_tab[94]
-#define __pyx_n_u_x __pyx_string_tab[95]
-#define __pyx_n_u_z __pyx_string_tab[96]
-#define __pyx_n_u_z_b_rows __pyx_string_tab[97]
-#define __pyx_n_u_zl __pyx_string_tab[98]
-#define __pyx_n_u_zs __pyx_string_tab[99]
-#define __pyx_kp_b_iso88591_1_vRq_q_q_L_vS_k_E_as_b_5_1 __pyx_string_tab[100]
-#define __pyx_kp_b_iso88591_A_vRq_q_q_L_vS_k_E_as_b_uAQ_7_1 __pyx_string_tab[101]
-#define __pyx_kp_b_iso88591_D_b_e1_r_Q_k_r_1_j_81 __pyx_string_tab[102]
-#define __pyx_kp_b_iso88591_Qe1 __pyx_string_tab[103]
-#define __pyx_kp_b_iso88591_S_1_vRq_j_U_1_5_aq_2Q_5_aq_2Q_q __pyx_string_tab[104]
-#define __pyx_kp_b_iso88591_S_M_vRq_j_U_1_5_Rq_1E_e1A_1E_e1 __pyx_string_tab[105]
-#define __pyx_kp_b_iso88591_S_q_vRq_j_U_1_5_T_5_T_E_Q_E_aq __pyx_string_tab[106]
-#define __pyx_kp_b_iso88591_r_1_j_r_A_m1A_q_S_A_2Rq_E_1D_E __pyx_string_tab[107]
-#define __pyx_kp_b_iso88591_r_1_q_r_A_m1A_4q_AU __pyx_string_tab[108]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_2 __pyx_number_tab[2]
-#define __pyx_int_63 __pyx_number_tab[3]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<9; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<109; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<4; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<9; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<109; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<4; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "localpow/kernels/_native.pyx":19
- * 
- * 
- * cdef inline u64 mulmod(u64 a, u64 b, u64 m) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return <u64>((<u128>a * b) % m)
- * 
-*/
-
-static CYTHON_INLINE __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_a, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_b, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_m) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-
-  /* "localpow/kernels/_native.pyx":20
- * 
- * cdef inline u64 mulmod(u64 a, u64 b, u64 m) noexcept nogil:
- *     return <u64>((<u128>a * b) % m)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_t_8localpow_7kernels_7_native_u64)((((unsigned __int128)__pyx_v_a) * __pyx_v_b) % __pyx_v_m));
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":19
- * 
- * 
- * cdef inline u64 mulmod(u64 a, u64 b, u64 m) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return <u64>((<u128>a * b) % m)
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":23
- * 
- * 
- * cdef u64 powmod(u64 b, u64 e, u64 m) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 r = 1 % m
- *     b %= m
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_b, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_e, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_m) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_r;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-  int __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":24
- * 
- * cdef u64 powmod(u64 b, u64 e, u64 m) noexcept nogil:
- *     cdef u64 r = 1 % m             # <<<<<<<<<<<<<<
- *     b %= m
- *     while e:
-*/
-  __pyx_v_r = (1 % __pyx_v_m);
-
-  /* "localpow/kernels/_native.pyx":25
- * cdef u64 powmod(u64 b, u64 e, u64 m) noexcept nogil:
- *     cdef u64 r = 1 % m
- *     b %= m             # <<<<<<<<<<<<<<
- *     while e:
- *         if e & 1:
-*/
-  __pyx_v_b = (__pyx_v_b % __pyx_v_m);
-
-  /* "localpow/kernels/_native.pyx":26
- *     cdef u64 r = 1 % m
- *     b %= m
- *     while e:             # <<<<<<<<<<<<<<
- *         if e & 1:
- *             r = mulmod(r, b, m)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_e != 0);
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":27
- *     b %= m
- *     while e:
- *         if e & 1:             # <<<<<<<<<<<<<<
- *             r = mulmod(r, b, m)
- *         b = mulmod(b, b, m)
-*/
-    __pyx_t_1 = ((__pyx_v_e & 1) != 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":28
- *     while e:
- *         if e & 1:
- *             r = mulmod(r, b, m)             # <<<<<<<<<<<<<<
- *         b = mulmod(b, b, m)
- *         e >>= 1
-*/
-      __pyx_v_r = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_r, __pyx_v_b, __pyx_v_m);
-
-      /* "localpow/kernels/_native.pyx":27
- *     b %= m
- *     while e:
- *         if e & 1:             # <<<<<<<<<<<<<<
- *             r = mulmod(r, b, m)
- *         b = mulmod(b, b, m)
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":29
- *         if e & 1:
- *             r = mulmod(r, b, m)
- *         b = mulmod(b, b, m)             # <<<<<<<<<<<<<<
- *         e >>= 1
- *     return r
-*/
-    __pyx_v_b = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_b, __pyx_v_b, __pyx_v_m);
-
-    /* "localpow/kernels/_native.pyx":30
- *             r = mulmod(r, b, m)
- *         b = mulmod(b, b, m)
- *         e >>= 1             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-    __pyx_v_e = (__pyx_v_e >> 1);
-  }
-
-  /* "localpow/kernels/_native.pyx":31
- *         b = mulmod(b, b, m)
- *         e >>= 1
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":23
- * 
- * 
- * cdef u64 powmod(u64 b, u64 e, u64 m) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 r = 1 % m
- *     b %= m
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":34
- * 
- * 
- * cdef u64 gcd_u64(u64 a, u64 b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 t
- *     while b:
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_gcd_u64(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_a, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_b) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_t;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-  int __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":36
- * cdef u64 gcd_u64(u64 a, u64 b) noexcept nogil:
- *     cdef u64 t
- *     while b:             # <<<<<<<<<<<<<<
- *         t = a % b
- *         a = b
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_b != 0);
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":37
- *     cdef u64 t
- *     while b:
- *         t = a % b             # <<<<<<<<<<<<<<
- *         a = b
- *         b = t
-*/
-    __pyx_v_t = (__pyx_v_a % __pyx_v_b);
-
-    /* "localpow/kernels/_native.pyx":38
- *     while b:
- *         t = a % b
- *         a = b             # <<<<<<<<<<<<<<
- *         b = t
- *     return a
-*/
-    __pyx_v_a = __pyx_v_b;
-
-    /* "localpow/kernels/_native.pyx":39
- *         t = a % b
- *         a = b
- *         b = t             # <<<<<<<<<<<<<<
- *     return a
- * 
-*/
-    __pyx_v_b = __pyx_v_t;
-  }
-
-  /* "localpow/kernels/_native.pyx":40
- *         a = b
- *         b = t
- *     return a             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_a;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":34
- * 
- * 
- * cdef u64 gcd_u64(u64 a, u64 b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 t
- *     while b:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":43
- * 
- * 
- * cdef u64 invmod(u64 a, u64 m) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # modular inverse assuming gcd(a, m) = 1, m >= 1
- *     cdef i64 old_r, r, old_s, s, q, t
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_invmod(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_a, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_m) {
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_old_r;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_r;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_old_s;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_s;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_q;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_t;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-  int __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":46
- *     # modular inverse assuming gcd(a, m) = 1, m >= 1
- *     cdef i64 old_r, r, old_s, s, q, t
- *     if m == 1:             # <<<<<<<<<<<<<<
- *         return 0
- *     old_r = <i64>m
-*/
-  __pyx_t_1 = (__pyx_v_m == 1);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":47
- *     cdef i64 old_r, r, old_s, s, q, t
- *     if m == 1:
- *         return 0             # <<<<<<<<<<<<<<
- *     old_r = <i64>m
- *     r = <i64>(a % m)
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":46
- *     # modular inverse assuming gcd(a, m) = 1, m >= 1
- *     cdef i64 old_r, r, old_s, s, q, t
- *     if m == 1:             # <<<<<<<<<<<<<<
- *         return 0
- *     old_r = <i64>m
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":48
- *     if m == 1:
- *         return 0
- *     old_r = <i64>m             # <<<<<<<<<<<<<<
- *     r = <i64>(a % m)
- *     old_s = 0
-*/
-  __pyx_v_old_r = ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_m);
-
-  /* "localpow/kernels/_native.pyx":49
- *         return 0
- *     old_r = <i64>m
- *     r = <i64>(a % m)             # <<<<<<<<<<<<<<
- *     old_s = 0
- *     s = 1
-*/
-  __pyx_v_r = ((__pyx_t_8localpow_7kernels_7_native_i64)(__pyx_v_a % __pyx_v_m));
-
-  /* "localpow/kernels/_native.pyx":50
- *     old_r = <i64>m
- *     r = <i64>(a % m)
- *     old_s = 0             # <<<<<<<<<<<<<<
- *     s = 1
- *     while r:
-*/
-  __pyx_v_old_s = 0;
-
-  /* "localpow/kernels/_native.pyx":51
- *     r = <i64>(a % m)
- *     old_s = 0
- *     s = 1             # <<<<<<<<<<<<<<
- *     while r:
- *         q = old_r / r
-*/
-  __pyx_v_s = 1;
-
-  /* "localpow/kernels/_native.pyx":52
- *     old_s = 0
- *     s = 1
- *     while r:             # <<<<<<<<<<<<<<
- *         q = old_r / r
- *         t = old_r - q * r
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_r != 0);
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":53
- *     s = 1
- *     while r:
- *         q = old_r / r             # <<<<<<<<<<<<<<
- *         t = old_r - q * r
- *         old_r = r
-*/
-    __pyx_v_q = (__pyx_v_old_r / __pyx_v_r);
-
-    /* "localpow/kernels/_native.pyx":54
- *     while r:
- *         q = old_r / r
- *         t = old_r - q * r             # <<<<<<<<<<<<<<
- *         old_r = r
- *         r = t
-*/
-    __pyx_v_t = (__pyx_v_old_r - (__pyx_v_q * __pyx_v_r));
-
-    /* "localpow/kernels/_native.pyx":55
- *         q = old_r / r
- *         t = old_r - q * r
- *         old_r = r             # <<<<<<<<<<<<<<
- *         r = t
- *         t = old_s - q * s
-*/
-    __pyx_v_old_r = __pyx_v_r;
-
-    /* "localpow/kernels/_native.pyx":56
- *         t = old_r - q * r
- *         old_r = r
- *         r = t             # <<<<<<<<<<<<<<
- *         t = old_s - q * s
- *         old_s = s
-*/
-    __pyx_v_r = __pyx_v_t;
-
-    /* "localpow/kernels/_native.pyx":57
- *         old_r = r
- *         r = t
- *         t = old_s - q * s             # <<<<<<<<<<<<<<
- *         old_s = s
- *         s = t
-*/
-    __pyx_v_t = (__pyx_v_old_s - (__pyx_v_q * __pyx_v_s));
-
-    /* "localpow/kernels/_native.pyx":58
- *         r = t
- *         t = old_s - q * s
- *         old_s = s             # <<<<<<<<<<<<<<
- *         s = t
- *     if old_s < 0:
-*/
-    __pyx_v_old_s = __pyx_v_s;
-
-    /* "localpow/kernels/_native.pyx":59
- *         t = old_s - q * s
- *         old_s = s
- *         s = t             # <<<<<<<<<<<<<<
- *     if old_s < 0:
- *         old_s += <i64>m
-*/
-    __pyx_v_s = __pyx_v_t;
-  }
-
-  /* "localpow/kernels/_native.pyx":60
- *         old_s = s
- *         s = t
- *     if old_s < 0:             # <<<<<<<<<<<<<<
- *         old_s += <i64>m
- *     return <u64>old_s
-*/
-  __pyx_t_1 = (__pyx_v_old_s < 0);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":61
- *         s = t
- *     if old_s < 0:
- *         old_s += <i64>m             # <<<<<<<<<<<<<<
- *     return <u64>old_s
- * 
-*/
-    __pyx_v_old_s = (__pyx_v_old_s + ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_m));
-
-    /* "localpow/kernels/_native.pyx":60
- *         old_s = s
- *         s = t
- *     if old_s < 0:             # <<<<<<<<<<<<<<
- *         old_s += <i64>m
- *     return <u64>old_s
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":62
- *     if old_s < 0:
- *         old_s += <i64>m
- *     return <u64>old_s             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_v_old_s);
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":43
- * 
- * 
- * cdef u64 invmod(u64 a, u64 m) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # modular inverse assuming gcd(a, m) = 1, m >= 1
- *     cdef i64 old_r, r, old_s, s, q, t
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":77
- * 
- * 
- * cdef bint is_prime_u64(u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, r, s
- *     cdef u64 d, x, a
-*/
-
-static int __pyx_f_8localpow_7kernels_7_native_is_prime_u64(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_n) {
-  int __pyx_v_i;
-  CYTHON_UNUSED int __pyx_v_r;
-  int __pyx_v_s;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_d;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_x;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_a;
-  int __pyx_v_witness;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  long __pyx_t_4;
-  long __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "localpow/kernels/_native.pyx":81
- *     cdef u64 d, x, a
- *     cdef bint witness
- *     if n < 2:             # <<<<<<<<<<<<<<
- *         return False
- *     for i in range(12):
-*/
-  __pyx_t_1 = (__pyx_v_n < 2);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":82
- *     cdef bint witness
- *     if n < 2:
- *         return False             # <<<<<<<<<<<<<<
- *     for i in range(12):
- *         if n % _MR_W[i] == 0:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":81
- *     cdef u64 d, x, a
- *     cdef bint witness
- *     if n < 2:             # <<<<<<<<<<<<<<
- *         return False
- *     for i in range(12):
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":83
- *     if n < 2:
- *         return False
- *     for i in range(12):             # <<<<<<<<<<<<<<
- *         if n % _MR_W[i] == 0:
- *             return n == _MR_W[i]
-*/
-  for (__pyx_t_2 = 0; __pyx_t_2 < 12; __pyx_t_2+=1) {
-    __pyx_v_i = __pyx_t_2;
-
-    /* "localpow/kernels/_native.pyx":84
- *         return False
- *     for i in range(12):
- *         if n % _MR_W[i] == 0:             # <<<<<<<<<<<<<<
- *             return n == _MR_W[i]
- *     d = n - 1
-*/
-    __pyx_t_1 = ((__pyx_v_n % (__pyx_v_8localpow_7kernels_7_native__MR_W[__pyx_v_i])) == 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":85
- *     for i in range(12):
- *         if n % _MR_W[i] == 0:
- *             return n == _MR_W[i]             # <<<<<<<<<<<<<<
- *     d = n - 1
- *     s = 0
-*/
-      __pyx_r = (__pyx_v_n == (__pyx_v_8localpow_7kernels_7_native__MR_W[__pyx_v_i]));
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":84
- *         return False
- *     for i in range(12):
- *         if n % _MR_W[i] == 0:             # <<<<<<<<<<<<<<
- *             return n == _MR_W[i]
- *     d = n - 1
-*/
-    }
-  }
-
-  /* "localpow/kernels/_native.pyx":86
- *         if n % _MR_W[i] == 0:
- *             return n == _MR_W[i]
- *     d = n - 1             # <<<<<<<<<<<<<<
- *     s = 0
- *     while d % 2 == 0:
-*/
-  __pyx_v_d = (__pyx_v_n - 1);
-
-  /* "localpow/kernels/_native.pyx":87
- *             return n == _MR_W[i]
- *     d = n - 1
- *     s = 0             # <<<<<<<<<<<<<<
- *     while d % 2 == 0:
- *         d >>= 1
-*/
-  __pyx_v_s = 0;
-
-  /* "localpow/kernels/_native.pyx":88
- *     d = n - 1
- *     s = 0
- *     while d % 2 == 0:             # <<<<<<<<<<<<<<
- *         d >>= 1
- *         s += 1
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_d % 2) == 0);
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":89
- *     s = 0
- *     while d % 2 == 0:
- *         d >>= 1             # <<<<<<<<<<<<<<
- *         s += 1
- *     for i in range(12):
-*/
-    __pyx_v_d = (__pyx_v_d >> 1);
-
-    /* "localpow/kernels/_native.pyx":90
- *     while d % 2 == 0:
- *         d >>= 1
- *         s += 1             # <<<<<<<<<<<<<<
- *     for i in range(12):
- *         a = _MR_W[i]
-*/
-    __pyx_v_s = (__pyx_v_s + 1);
-  }
-
-  /* "localpow/kernels/_native.pyx":91
- *         d >>= 1
- *         s += 1
- *     for i in range(12):             # <<<<<<<<<<<<<<
- *         a = _MR_W[i]
- *         x = powmod(a, d, n)
-*/
-  for (__pyx_t_2 = 0; __pyx_t_2 < 12; __pyx_t_2+=1) {
-    __pyx_v_i = __pyx_t_2;
-
-    /* "localpow/kernels/_native.pyx":92
- *         s += 1
- *     for i in range(12):
- *         a = _MR_W[i]             # <<<<<<<<<<<<<<
- *         x = powmod(a, d, n)
- *         if x == 1 or x == n - 1:
-*/
-    __pyx_v_a = (__pyx_v_8localpow_7kernels_7_native__MR_W[__pyx_v_i]);
-
-    /* "localpow/kernels/_native.pyx":93
- *     for i in range(12):
- *         a = _MR_W[i]
- *         x = powmod(a, d, n)             # <<<<<<<<<<<<<<
- *         if x == 1 or x == n - 1:
- *             continue
-*/
-    __pyx_v_x = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_a, __pyx_v_d, __pyx_v_n);
-
-    /* "localpow/kernels/_native.pyx":94
- *         a = _MR_W[i]
- *         x = powmod(a, d, n)
- *         if x == 1 or x == n - 1:             # <<<<<<<<<<<<<<
- *             continue
- *         witness = True
-*/
-    __pyx_t_3 = (__pyx_v_x == 1);
-    if (!__pyx_t_3) {
-    } else {
-      __pyx_t_1 = __pyx_t_3;
-      goto __pyx_L12_bool_binop_done;
-    }
-    __pyx_t_3 = (__pyx_v_x == (__pyx_v_n - 1));
-    __pyx_t_1 = __pyx_t_3;
-    __pyx_L12_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":95
- *         x = powmod(a, d, n)
- *         if x == 1 or x == n - 1:
- *             continue             # <<<<<<<<<<<<<<
- *         witness = True
- *         for r in range(s - 1):
-*/
-      goto __pyx_L9_continue;
-
-      /* "localpow/kernels/_native.pyx":94
- *         a = _MR_W[i]
- *         x = powmod(a, d, n)
- *         if x == 1 or x == n - 1:             # <<<<<<<<<<<<<<
- *             continue
- *         witness = True
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":96
- *         if x == 1 or x == n - 1:
- *             continue
- *         witness = True             # <<<<<<<<<<<<<<
- *         for r in range(s - 1):
- *             x = mulmod(x, x, n)
-*/
-    __pyx_v_witness = 1;
-
-    /* "localpow/kernels/_native.pyx":97
- *             continue
- *         witness = True
- *         for r in range(s - 1):             # <<<<<<<<<<<<<<
- *             x = mulmod(x, x, n)
- *             if x == n - 1:
-*/
-    __pyx_t_4 = (__pyx_v_s - 1);
-    __pyx_t_5 = __pyx_t_4;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_r = __pyx_t_6;
-
-      /* "localpow/kernels/_native.pyx":98
- *         witness = True
- *         for r in range(s - 1):
- *             x = mulmod(x, x, n)             # <<<<<<<<<<<<<<
- *             if x == n - 1:
- *                 witness = False
-*/
-      __pyx_v_x = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_x, __pyx_v_x, __pyx_v_n);
-
-      /* "localpow/kernels/_native.pyx":99
- *         for r in range(s - 1):
- *             x = mulmod(x, x, n)
- *             if x == n - 1:             # <<<<<<<<<<<<<<
- *                 witness = False
- *                 break
-*/
-      __pyx_t_1 = (__pyx_v_x == (__pyx_v_n - 1));
-      if (__pyx_t_1) {
-
-        /* "localpow/kernels/_native.pyx":100
- *             x = mulmod(x, x, n)
- *             if x == n - 1:
- *                 witness = False             # <<<<<<<<<<<<<<
- *                 break
- *         if witness:
-*/
-        __pyx_v_witness = 0;
-
-        /* "localpow/kernels/_native.pyx":101
- *             if x == n - 1:
- *                 witness = False
- *                 break             # <<<<<<<<<<<<<<
- *         if witness:
- *             return False
-*/
-        goto __pyx_L15_break;
-
-        /* "localpow/kernels/_native.pyx":99
- *         for r in range(s - 1):
- *             x = mulmod(x, x, n)
- *             if x == n - 1:             # <<<<<<<<<<<<<<
- *                 witness = False
- *                 break
-*/
-      }
-    }
-    __pyx_L15_break:;
-
-    /* "localpow/kernels/_native.pyx":102
- *                 witness = False
- *                 break
- *         if witness:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    if (__pyx_v_witness) {
-
-      /* "localpow/kernels/_native.pyx":103
- *                 break
- *         if witness:
- *             return False             # <<<<<<<<<<<<<<
- *     return True
- * 
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":102
- *                 witness = False
- *                 break
- *         if witness:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    }
-    __pyx_L9_continue:;
-  }
-
-  /* "localpow/kernels/_native.pyx":104
- *         if witness:
- *             return False
- *     return True             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":77
- * 
- * 
- * cdef bint is_prime_u64(u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int i, r, s
- *     cdef u64 d, x, a
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":107
- * 
- * 
- * def is_prime(n):             # <<<<<<<<<<<<<<
- *     """Deterministic Miller-Rabin (capped at 64 bits in this backend)."""
- *     if n < 0:
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_1is_prime(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_is_prime, "Deterministic Miller-Rabin (capped at 64 bits in this backend).");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_1is_prime = {"is_prime", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_1is_prime, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_is_prime};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_1is_prime(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_n = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("is_prime (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 107, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 107, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "is_prime", 0) < (0)) __PYX_ERR(0, 107, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("is_prime", 1, 1, 1, i); __PYX_ERR(0, 107, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 107, __pyx_L3_error)
-    }
-    __pyx_v_n = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("is_prime", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 107, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.is_prime", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_is_prime(__pyx_self, __pyx_v_n);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_is_prime(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("is_prime", 0);
-
-  /* "localpow/kernels/_native.pyx":109
- * def is_prime(n):
- *     """Deterministic Miller-Rabin (capped at 64 bits in this backend)."""
- *     if n < 0:             # <<<<<<<<<<<<<<
- *         return False
- *     if n >> 63:
-*/
-  __pyx_t_1 = PyObject_RichCompare(__pyx_v_n, __pyx_mstate_global->__pyx_int_0, Py_LT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 109, __pyx_L1_error)
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 109, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (__pyx_t_2) {
-
-    /* "localpow/kernels/_native.pyx":110
- *     """Deterministic Miller-Rabin (capped at 64 bits in this backend)."""
- *     if n < 0:
- *         return False             # <<<<<<<<<<<<<<
- *     if n >> 63:
- *         raise OverflowError("native backend handles n < 2^63")
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(Py_False);
-    __pyx_r = Py_False;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":109
- * def is_prime(n):
- *     """Deterministic Miller-Rabin (capped at 64 bits in this backend)."""
- *     if n < 0:             # <<<<<<<<<<<<<<
- *         return False
- *     if n >> 63:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":111
- *     if n < 0:
- *         return False
- *     if n >> 63:             # <<<<<<<<<<<<<<
- *         raise OverflowError("native backend handles n < 2^63")
- *     return bool(is_prime_u64(<u64>n))
-*/
-  __pyx_t_1 = __Pyx_PyLong_RshiftObjC(__pyx_v_n, __pyx_mstate_global->__pyx_int_63, 63, 0, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 111, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 111, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "localpow/kernels/_native.pyx":112
- *         return False
- *     if n >> 63:
- *         raise OverflowError("native backend handles n < 2^63")             # <<<<<<<<<<<<<<
- *     return bool(is_prime_u64(<u64>n))
- * 
-*/
-    __pyx_t_3 = NULL;
-    __pyx_t_4 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_native_backend_handles_n_2_63};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_OverflowError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 112, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 112, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":111
- *     if n < 0:
- *         return False
- *     if n >> 63:             # <<<<<<<<<<<<<<
- *         raise OverflowError("native backend handles n < 2^63")
- *     return bool(is_prime_u64(<u64>n))
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":113
- *     if n >> 63:
- *         raise OverflowError("native backend handles n < 2^63")
- *     return bool(is_prime_u64(<u64>n))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_5 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_n); if (unlikely((__pyx_t_5 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 113, __pyx_L1_error)
-  __pyx_t_2 = __pyx_f_8localpow_7kernels_7_native_is_prime_u64(((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_5));
-  __pyx_t_1 = __Pyx_PyBool_FromLong((!(!__pyx_t_2))); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 113, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":107
- * 
- * 
- * def is_prime(n):             # <<<<<<<<<<<<<<
- *     """Deterministic Miller-Rabin (capped at 64 bits in this backend)."""
- *     if n < 0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_AddTraceback("localpow.kernels._native.is_prime", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":116
- * 
- * 
- * cdef u64 pollard_brent(u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 c, x, y, ys, q, g, m, r, k, i
- *     for c in range(1, 1000):
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_pollard_brent(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_n) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_c;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_x;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_y;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_ys;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_q;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_g;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_m;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_r;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_k;
-  CYTHON_UNUSED __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_i;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_1;
-  int __pyx_t_2;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_3;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_4;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_5;
-  int __pyx_t_6;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_7;
-
-  /* "localpow/kernels/_native.pyx":118
- * cdef u64 pollard_brent(u64 n) noexcept nogil:
- *     cdef u64 c, x, y, ys, q, g, m, r, k, i
- *     for c in range(1, 1000):             # <<<<<<<<<<<<<<
- *         y = 2; r = 1; q = 1; g = 1
- *         x = y; ys = y
-*/
-  for (__pyx_t_1 = 1; __pyx_t_1 < 0x3E8; __pyx_t_1+=1) {
-    __pyx_v_c = __pyx_t_1;
-
-    /* "localpow/kernels/_native.pyx":119
- *     cdef u64 c, x, y, ys, q, g, m, r, k, i
- *     for c in range(1, 1000):
- *         y = 2; r = 1; q = 1; g = 1             # <<<<<<<<<<<<<<
- *         x = y; ys = y
- *         while g == 1:
-*/
-    __pyx_v_y = 2;
-    __pyx_v_r = 1;
-    __pyx_v_q = 1;
-    __pyx_v_g = 1;
-
-    /* "localpow/kernels/_native.pyx":120
- *     for c in range(1, 1000):
- *         y = 2; r = 1; q = 1; g = 1
- *         x = y; ys = y             # <<<<<<<<<<<<<<
- *         while g == 1:
- *             x = y
-*/
-    __pyx_v_x = __pyx_v_y;
-    __pyx_v_ys = __pyx_v_y;
-
-    /* "localpow/kernels/_native.pyx":121
- *         y = 2; r = 1; q = 1; g = 1
- *         x = y; ys = y
- *         while g == 1:             # <<<<<<<<<<<<<<
- *             x = y
- *             for i in range(r):
-*/
-    while (1) {
-      __pyx_t_2 = (__pyx_v_g == 1);
-      if (!__pyx_t_2) break;
-
-      /* "localpow/kernels/_native.pyx":122
- *         x = y; ys = y
- *         while g == 1:
- *             x = y             # <<<<<<<<<<<<<<
- *             for i in range(r):
- *                 y = (mulmod(y, y, n) + c) % n
-*/
-      __pyx_v_x = __pyx_v_y;
-
-      /* "localpow/kernels/_native.pyx":123
- *         while g == 1:
- *             x = y
- *             for i in range(r):             # <<<<<<<<<<<<<<
- *                 y = (mulmod(y, y, n) + c) % n
- *             k = 0
-*/
-      __pyx_t_3 = __pyx_v_r;
-      __pyx_t_4 = __pyx_t_3;
-      for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-        __pyx_v_i = __pyx_t_5;
-
-        /* "localpow/kernels/_native.pyx":124
- *             x = y
- *             for i in range(r):
- *                 y = (mulmod(y, y, n) + c) % n             # <<<<<<<<<<<<<<
- *             k = 0
- *             while k < r and g == 1:
-*/
-        __pyx_v_y = ((__pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_y, __pyx_v_y, __pyx_v_n) + __pyx_v_c) % __pyx_v_n);
-      }
-
-      /* "localpow/kernels/_native.pyx":125
- *             for i in range(r):
- *                 y = (mulmod(y, y, n) + c) % n
- *             k = 0             # <<<<<<<<<<<<<<
- *             while k < r and g == 1:
- *                 ys = y
-*/
-      __pyx_v_k = 0;
-
-      /* "localpow/kernels/_native.pyx":126
- *                 y = (mulmod(y, y, n) + c) % n
- *             k = 0
- *             while k < r and g == 1:             # <<<<<<<<<<<<<<
- *                 ys = y
- *                 m = 128 if r - k > 128 else r - k
-*/
-      while (1) {
-        __pyx_t_6 = (__pyx_v_k < __pyx_v_r);
-        if (__pyx_t_6) {
-        } else {
-          __pyx_t_2 = __pyx_t_6;
-          goto __pyx_L11_bool_binop_done;
-        }
-        __pyx_t_6 = (__pyx_v_g == 1);
-        __pyx_t_2 = __pyx_t_6;
-        __pyx_L11_bool_binop_done:;
-        if (!__pyx_t_2) break;
-
-        /* "localpow/kernels/_native.pyx":127
- *             k = 0
- *             while k < r and g == 1:
- *                 ys = y             # <<<<<<<<<<<<<<
- *                 m = 128 if r - k > 128 else r - k
- *                 for i in range(m):
-*/
-        __pyx_v_ys = __pyx_v_y;
-
-        /* "localpow/kernels/_native.pyx":128
- *             while k < r and g == 1:
- *                 ys = y
- *                 m = 128 if r - k > 128 else r - k             # <<<<<<<<<<<<<<
- *                 for i in range(m):
- *                     y = (mulmod(y, y, n) + c) % n
-*/
-        __pyx_t_2 = ((__pyx_v_r - __pyx_v_k) > 0x80);
-        if (__pyx_t_2) {
-          __pyx_t_3 = 0x80;
-        } else {
-          __pyx_t_3 = (__pyx_v_r - __pyx_v_k);
-        }
-        __pyx_v_m = __pyx_t_3;
-
-        /* "localpow/kernels/_native.pyx":129
- *                 ys = y
- *                 m = 128 if r - k > 128 else r - k
- *                 for i in range(m):             # <<<<<<<<<<<<<<
- *                     y = (mulmod(y, y, n) + c) % n
- *                     q = mulmod(q, x - y if x > y else y - x, n)
-*/
-        __pyx_t_3 = __pyx_v_m;
-        __pyx_t_4 = __pyx_t_3;
-        for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-          __pyx_v_i = __pyx_t_5;
-
-          /* "localpow/kernels/_native.pyx":130
- *                 m = 128 if r - k > 128 else r - k
- *                 for i in range(m):
- *                     y = (mulmod(y, y, n) + c) % n             # <<<<<<<<<<<<<<
- *                     q = mulmod(q, x - y if x > y else y - x, n)
- *                 g = gcd_u64(q, n)
-*/
-          __pyx_v_y = ((__pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_y, __pyx_v_y, __pyx_v_n) + __pyx_v_c) % __pyx_v_n);
-
-          /* "localpow/kernels/_native.pyx":131
- *                 for i in range(m):
- *                     y = (mulmod(y, y, n) + c) % n
- *                     q = mulmod(q, x - y if x > y else y - x, n)             # <<<<<<<<<<<<<<
- *                 g = gcd_u64(q, n)
- *                 k += 128
-*/
-          __pyx_t_2 = (__pyx_v_x > __pyx_v_y);
-          if (__pyx_t_2) {
-            __pyx_t_7 = (__pyx_v_x - __pyx_v_y);
-          } else {
-            __pyx_t_7 = (__pyx_v_y - __pyx_v_x);
-          }
-          __pyx_v_q = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_q, __pyx_t_7, __pyx_v_n);
-        }
-
-        /* "localpow/kernels/_native.pyx":132
- *                     y = (mulmod(y, y, n) + c) % n
- *                     q = mulmod(q, x - y if x > y else y - x, n)
- *                 g = gcd_u64(q, n)             # <<<<<<<<<<<<<<
- *                 k += 128
- *             r *= 2
-*/
-        __pyx_v_g = __pyx_f_8localpow_7kernels_7_native_gcd_u64(__pyx_v_q, __pyx_v_n);
-
-        /* "localpow/kernels/_native.pyx":133
- *                     q = mulmod(q, x - y if x > y else y - x, n)
- *                 g = gcd_u64(q, n)
- *                 k += 128             # <<<<<<<<<<<<<<
- *             r *= 2
- *         if g == n:
-*/
-        __pyx_v_k = (__pyx_v_k + 0x80);
-      }
-
-      /* "localpow/kernels/_native.pyx":134
- *                 g = gcd_u64(q, n)
- *                 k += 128
- *             r *= 2             # <<<<<<<<<<<<<<
- *         if g == n:
- *             g = 1
-*/
-      __pyx_v_r = (__pyx_v_r * 2);
-    }
-
-    /* "localpow/kernels/_native.pyx":135
- *                 k += 128
- *             r *= 2
- *         if g == n:             # <<<<<<<<<<<<<<
- *             g = 1
- *             while g == 1:
-*/
-    __pyx_t_2 = (__pyx_v_g == __pyx_v_n);
-    if (__pyx_t_2) {
-
-      /* "localpow/kernels/_native.pyx":136
- *             r *= 2
- *         if g == n:
- *             g = 1             # <<<<<<<<<<<<<<
- *             while g == 1:
- *                 ys = (mulmod(ys, ys, n) + c) % n
-*/
-      __pyx_v_g = 1;
-
-      /* "localpow/kernels/_native.pyx":137
- *         if g == n:
- *             g = 1
- *             while g == 1:             # <<<<<<<<<<<<<<
- *                 ys = (mulmod(ys, ys, n) + c) % n
- *                 g = gcd_u64(x - ys if x > ys else ys - x, n)
-*/
-      while (1) {
-        __pyx_t_2 = (__pyx_v_g == 1);
-        if (!__pyx_t_2) break;
-
-        /* "localpow/kernels/_native.pyx":138
- *             g = 1
- *             while g == 1:
- *                 ys = (mulmod(ys, ys, n) + c) % n             # <<<<<<<<<<<<<<
- *                 g = gcd_u64(x - ys if x > ys else ys - x, n)
- *         if g != n:
-*/
-        __pyx_v_ys = ((__pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_ys, __pyx_v_ys, __pyx_v_n) + __pyx_v_c) % __pyx_v_n);
-
-        /* "localpow/kernels/_native.pyx":139
- *             while g == 1:
- *                 ys = (mulmod(ys, ys, n) + c) % n
- *                 g = gcd_u64(x - ys if x > ys else ys - x, n)             # <<<<<<<<<<<<<<
- *         if g != n:
- *             return g
-*/
-        __pyx_t_2 = (__pyx_v_x > __pyx_v_ys);
-        if (__pyx_t_2) {
-          __pyx_t_3 = (__pyx_v_x - __pyx_v_ys);
-        } else {
-          __pyx_t_3 = (__pyx_v_ys - __pyx_v_x);
-        }
-        __pyx_v_g = __pyx_f_8localpow_7kernels_7_native_gcd_u64(__pyx_t_3, __pyx_v_n);
-      }
-
-      /* "localpow/kernels/_native.pyx":135
- *                 k += 128
- *             r *= 2
- *         if g == n:             # <<<<<<<<<<<<<<
- *             g = 1
- *             while g == 1:
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":140
- *                 ys = (mulmod(ys, ys, n) + c) % n
- *                 g = gcd_u64(x - ys if x > ys else ys - x, n)
- *         if g != n:             # <<<<<<<<<<<<<<
- *             return g
- *     return 0
-*/
-    __pyx_t_2 = (__pyx_v_g != __pyx_v_n);
-    if (__pyx_t_2) {
-
-      /* "localpow/kernels/_native.pyx":141
- *                 g = gcd_u64(x - ys if x > ys else ys - x, n)
- *         if g != n:
- *             return g             # <<<<<<<<<<<<<<
- *     return 0
- * 
-*/
-      __pyx_r = __pyx_v_g;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":140
- *                 ys = (mulmod(ys, ys, n) + c) % n
- *                 g = gcd_u64(x - ys if x > ys else ys - x, n)
- *         if g != n:             # <<<<<<<<<<<<<<
- *             return g
- *     return 0
-*/
-    }
-  }
-
-  /* "localpow/kernels/_native.pyx":142
- *         if g != n:
- *             return g
- *     return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":116
- * 
- * 
- * cdef u64 pollard_brent(u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 c, x, y, ys, q, g, m, r, k, i
- *     for c in range(1, 1000):
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":145
- * 
- * 
- * cdef u64 upow(u64 b, int e) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 r = 1
- *     cdef int i
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_upow(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_b, int __pyx_v_e) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_r;
-  CYTHON_UNUSED int __pyx_v_i;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-
-  /* "localpow/kernels/_native.pyx":146
- * 
- * cdef u64 upow(u64 b, int e) noexcept nogil:
- *     cdef u64 r = 1             # <<<<<<<<<<<<<<
- *     cdef int i
- *     for i in range(e):
-*/
-  __pyx_v_r = 1;
-
-  /* "localpow/kernels/_native.pyx":148
- *     cdef u64 r = 1
- *     cdef int i
- *     for i in range(e):             # <<<<<<<<<<<<<<
- *         r *= b
- *     return r
-*/
-  __pyx_t_1 = __pyx_v_e;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "localpow/kernels/_native.pyx":149
- *     cdef int i
- *     for i in range(e):
- *         r *= b             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-    __pyx_v_r = (__pyx_v_r * __pyx_v_b);
-  }
-
-  /* "localpow/kernels/_native.pyx":150
- *     for i in range(e):
- *         r *= b
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":145
- * 
- * 
- * cdef u64 upow(u64 b, int e) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 r = 1
- *     cdef int i
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":153
- * 
- * 
- * cdef int factorize_u64(u64 n, u64* ps, u64* es) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # fills sorted (prime, exponent) pairs, returns the count
- *     cdef int cnt = 0, i, j, merged
-*/
-
-static int __pyx_f_8localpow_7kernels_7_native_factorize_u64(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_n, __pyx_t_8localpow_7kernels_7_native_u64 *__pyx_v_ps, __pyx_t_8localpow_7kernels_7_native_u64 *__pyx_v_es) {
-  int __pyx_v_cnt;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_merged;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_d;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_stack[64];
-  int __pyx_v_top;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_tp;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_te;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "localpow/kernels/_native.pyx":155
- * cdef int factorize_u64(u64 n, u64* ps, u64* es) noexcept nogil:
- *     # fills sorted (prime, exponent) pairs, returns the count
- *     cdef int cnt = 0, i, j, merged             # <<<<<<<<<<<<<<
- *     cdef u64 p, d
- *     cdef u64 stack[64]
-*/
-  __pyx_v_cnt = 0;
-
-  /* "localpow/kernels/_native.pyx":158
- *     cdef u64 p, d
- *     cdef u64 stack[64]
- *     cdef int top = 0             # <<<<<<<<<<<<<<
- *     cdef u64 tp, te
- *     if n % 2 == 0:
-*/
-  __pyx_v_top = 0;
-
-  /* "localpow/kernels/_native.pyx":160
- *     cdef int top = 0
- *     cdef u64 tp, te
- *     if n % 2 == 0:             # <<<<<<<<<<<<<<
- *         ps[cnt] = 2; es[cnt] = 0
- *         while n % 2 == 0:
-*/
-  __pyx_t_1 = ((__pyx_v_n % 2) == 0);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":161
- *     cdef u64 tp, te
- *     if n % 2 == 0:
- *         ps[cnt] = 2; es[cnt] = 0             # <<<<<<<<<<<<<<
- *         while n % 2 == 0:
- *             n >>= 1
-*/
-    (__pyx_v_ps[__pyx_v_cnt]) = 2;
-    (__pyx_v_es[__pyx_v_cnt]) = 0;
-
-    /* "localpow/kernels/_native.pyx":162
- *     if n % 2 == 0:
- *         ps[cnt] = 2; es[cnt] = 0
- *         while n % 2 == 0:             # <<<<<<<<<<<<<<
- *             n >>= 1
- *             es[cnt] += 1
-*/
-    while (1) {
-      __pyx_t_1 = ((__pyx_v_n % 2) == 0);
-      if (!__pyx_t_1) break;
-
-      /* "localpow/kernels/_native.pyx":163
- *         ps[cnt] = 2; es[cnt] = 0
- *         while n % 2 == 0:
- *             n >>= 1             # <<<<<<<<<<<<<<
- *             es[cnt] += 1
- *         cnt += 1
-*/
-      __pyx_v_n = (__pyx_v_n >> 1);
-
-      /* "localpow/kernels/_native.pyx":164
- *         while n % 2 == 0:
- *             n >>= 1
- *             es[cnt] += 1             # <<<<<<<<<<<<<<
- *         cnt += 1
- *     if n % 3 == 0:
-*/
-      __pyx_t_2 = __pyx_v_cnt;
-      (__pyx_v_es[__pyx_t_2]) = ((__pyx_v_es[__pyx_t_2]) + 1);
-    }
-
-    /* "localpow/kernels/_native.pyx":165
- *             n >>= 1
- *             es[cnt] += 1
- *         cnt += 1             # <<<<<<<<<<<<<<
- *     if n % 3 == 0:
- *         ps[cnt] = 3; es[cnt] = 0
-*/
-    __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-    /* "localpow/kernels/_native.pyx":160
- *     cdef int top = 0
- *     cdef u64 tp, te
- *     if n % 2 == 0:             # <<<<<<<<<<<<<<
- *         ps[cnt] = 2; es[cnt] = 0
- *         while n % 2 == 0:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":166
- *             es[cnt] += 1
- *         cnt += 1
- *     if n % 3 == 0:             # <<<<<<<<<<<<<<
- *         ps[cnt] = 3; es[cnt] = 0
- *         while n % 3 == 0:
-*/
-  __pyx_t_1 = ((__pyx_v_n % 3) == 0);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":167
- *         cnt += 1
- *     if n % 3 == 0:
- *         ps[cnt] = 3; es[cnt] = 0             # <<<<<<<<<<<<<<
- *         while n % 3 == 0:
- *             n /= 3
-*/
-    (__pyx_v_ps[__pyx_v_cnt]) = 3;
-    (__pyx_v_es[__pyx_v_cnt]) = 0;
-
-    /* "localpow/kernels/_native.pyx":168
- *     if n % 3 == 0:
- *         ps[cnt] = 3; es[cnt] = 0
- *         while n % 3 == 0:             # <<<<<<<<<<<<<<
- *             n /= 3
- *             es[cnt] += 1
-*/
-    while (1) {
-      __pyx_t_1 = ((__pyx_v_n % 3) == 0);
-      if (!__pyx_t_1) break;
-
-      /* "localpow/kernels/_native.pyx":169
- *         ps[cnt] = 3; es[cnt] = 0
- *         while n % 3 == 0:
- *             n /= 3             # <<<<<<<<<<<<<<
- *             es[cnt] += 1
- *         cnt += 1
-*/
-      __pyx_v_n = (__pyx_v_n / 3);
-
-      /* "localpow/kernels/_native.pyx":170
- *         while n % 3 == 0:
- *             n /= 3
- *             es[cnt] += 1             # <<<<<<<<<<<<<<
- *         cnt += 1
- *     p = 5
-*/
-      __pyx_t_2 = __pyx_v_cnt;
-      (__pyx_v_es[__pyx_t_2]) = ((__pyx_v_es[__pyx_t_2]) + 1);
-    }
-
-    /* "localpow/kernels/_native.pyx":171
- *             n /= 3
- *             es[cnt] += 1
- *         cnt += 1             # <<<<<<<<<<<<<<
- *     p = 5
- *     while p <= 10000 and p * p <= n:
-*/
-    __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-    /* "localpow/kernels/_native.pyx":166
- *             es[cnt] += 1
- *         cnt += 1
- *     if n % 3 == 0:             # <<<<<<<<<<<<<<
- *         ps[cnt] = 3; es[cnt] = 0
- *         while n % 3 == 0:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":172
- *             es[cnt] += 1
- *         cnt += 1
- *     p = 5             # <<<<<<<<<<<<<<
- *     while p <= 10000 and p * p <= n:
- *         if n % p == 0:
-*/
-  __pyx_v_p = 5;
-
-  /* "localpow/kernels/_native.pyx":173
- *         cnt += 1
- *     p = 5
- *     while p <= 10000 and p * p <= n:             # <<<<<<<<<<<<<<
- *         if n % p == 0:
- *             ps[cnt] = p; es[cnt] = 0
-*/
-  while (1) {
-    __pyx_t_3 = (__pyx_v_p <= 0x2710);
-    if (__pyx_t_3) {
-    } else {
-      __pyx_t_1 = __pyx_t_3;
-      goto __pyx_L11_bool_binop_done;
-    }
-    __pyx_t_3 = ((__pyx_v_p * __pyx_v_p) <= __pyx_v_n);
-    __pyx_t_1 = __pyx_t_3;
-    __pyx_L11_bool_binop_done:;
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":174
- *     p = 5
- *     while p <= 10000 and p * p <= n:
- *         if n % p == 0:             # <<<<<<<<<<<<<<
- *             ps[cnt] = p; es[cnt] = 0
- *             while n % p == 0:
-*/
-    __pyx_t_1 = ((__pyx_v_n % __pyx_v_p) == 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":175
- *     while p <= 10000 and p * p <= n:
- *         if n % p == 0:
- *             ps[cnt] = p; es[cnt] = 0             # <<<<<<<<<<<<<<
- *             while n % p == 0:
- *                 n /= p
-*/
-      (__pyx_v_ps[__pyx_v_cnt]) = __pyx_v_p;
-      (__pyx_v_es[__pyx_v_cnt]) = 0;
-
-      /* "localpow/kernels/_native.pyx":176
- *         if n % p == 0:
- *             ps[cnt] = p; es[cnt] = 0
- *             while n % p == 0:             # <<<<<<<<<<<<<<
- *                 n /= p
- *                 es[cnt] += 1
-*/
-      while (1) {
-        __pyx_t_1 = ((__pyx_v_n % __pyx_v_p) == 0);
-        if (!__pyx_t_1) break;
-
-        /* "localpow/kernels/_native.pyx":177
- *             ps[cnt] = p; es[cnt] = 0
- *             while n % p == 0:
- *                 n /= p             # <<<<<<<<<<<<<<
- *                 es[cnt] += 1
- *             cnt += 1
-*/
-        __pyx_v_n = (__pyx_v_n / __pyx_v_p);
-
-        /* "localpow/kernels/_native.pyx":178
- *             while n % p == 0:
- *                 n /= p
- *                 es[cnt] += 1             # <<<<<<<<<<<<<<
- *             cnt += 1
- *         if n % (p + 2) == 0:
-*/
-        __pyx_t_2 = __pyx_v_cnt;
-        (__pyx_v_es[__pyx_t_2]) = ((__pyx_v_es[__pyx_t_2]) + 1);
-      }
-
-      /* "localpow/kernels/_native.pyx":179
- *                 n /= p
- *                 es[cnt] += 1
- *             cnt += 1             # <<<<<<<<<<<<<<
- *         if n % (p + 2) == 0:
- *             ps[cnt] = p + 2; es[cnt] = 0
-*/
-      __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-      /* "localpow/kernels/_native.pyx":174
- *     p = 5
- *     while p <= 10000 and p * p <= n:
- *         if n % p == 0:             # <<<<<<<<<<<<<<
- *             ps[cnt] = p; es[cnt] = 0
- *             while n % p == 0:
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":180
- *                 es[cnt] += 1
- *             cnt += 1
- *         if n % (p + 2) == 0:             # <<<<<<<<<<<<<<
- *             ps[cnt] = p + 2; es[cnt] = 0
- *             while n % (p + 2) == 0:
-*/
-    __pyx_t_1 = ((__pyx_v_n % (__pyx_v_p + 2)) == 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":181
- *             cnt += 1
- *         if n % (p + 2) == 0:
- *             ps[cnt] = p + 2; es[cnt] = 0             # <<<<<<<<<<<<<<
- *             while n % (p + 2) == 0:
- *                 n /= p + 2
-*/
-      (__pyx_v_ps[__pyx_v_cnt]) = (__pyx_v_p + 2);
-      (__pyx_v_es[__pyx_v_cnt]) = 0;
-
-      /* "localpow/kernels/_native.pyx":182
- *         if n % (p + 2) == 0:
- *             ps[cnt] = p + 2; es[cnt] = 0
- *             while n % (p + 2) == 0:             # <<<<<<<<<<<<<<
- *                 n /= p + 2
- *                 es[cnt] += 1
-*/
-      while (1) {
-        __pyx_t_1 = ((__pyx_v_n % (__pyx_v_p + 2)) == 0);
-        if (!__pyx_t_1) break;
-
-        /* "localpow/kernels/_native.pyx":183
- *             ps[cnt] = p + 2; es[cnt] = 0
- *             while n % (p + 2) == 0:
- *                 n /= p + 2             # <<<<<<<<<<<<<<
- *                 es[cnt] += 1
- *             cnt += 1
-*/
-        __pyx_v_n = (__pyx_v_n / (__pyx_v_p + 2));
-
-        /* "localpow/kernels/_native.pyx":184
- *             while n % (p + 2) == 0:
- *                 n /= p + 2
- *                 es[cnt] += 1             # <<<<<<<<<<<<<<
- *             cnt += 1
- *         p += 6
-*/
-        __pyx_t_2 = __pyx_v_cnt;
-        (__pyx_v_es[__pyx_t_2]) = ((__pyx_v_es[__pyx_t_2]) + 1);
-      }
-
-      /* "localpow/kernels/_native.pyx":185
- *                 n /= p + 2
- *                 es[cnt] += 1
- *             cnt += 1             # <<<<<<<<<<<<<<
- *         p += 6
- *     if n > 1:
-*/
-      __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-      /* "localpow/kernels/_native.pyx":180
- *                 es[cnt] += 1
- *             cnt += 1
- *         if n % (p + 2) == 0:             # <<<<<<<<<<<<<<
- *             ps[cnt] = p + 2; es[cnt] = 0
- *             while n % (p + 2) == 0:
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":186
- *                 es[cnt] += 1
- *             cnt += 1
- *         p += 6             # <<<<<<<<<<<<<<
- *     if n > 1:
- *         stack[top] = n; top += 1
-*/
-    __pyx_v_p = (__pyx_v_p + 6);
-  }
-
-  /* "localpow/kernels/_native.pyx":187
- *             cnt += 1
- *         p += 6
- *     if n > 1:             # <<<<<<<<<<<<<<
- *         stack[top] = n; top += 1
- *         while top:
-*/
-  __pyx_t_1 = (__pyx_v_n > 1);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":188
- *         p += 6
- *     if n > 1:
- *         stack[top] = n; top += 1             # <<<<<<<<<<<<<<
- *         while top:
- *             top -= 1
-*/
-    (__pyx_v_stack[__pyx_v_top]) = __pyx_v_n;
-    __pyx_v_top = (__pyx_v_top + 1);
-
-    /* "localpow/kernels/_native.pyx":189
- *     if n > 1:
- *         stack[top] = n; top += 1
- *         while top:             # <<<<<<<<<<<<<<
- *             top -= 1
- *             d = stack[top]
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_top != 0);
-      if (!__pyx_t_1) break;
-
-      /* "localpow/kernels/_native.pyx":190
- *         stack[top] = n; top += 1
- *         while top:
- *             top -= 1             # <<<<<<<<<<<<<<
- *             d = stack[top]
- *             if d == 1:
-*/
-      __pyx_v_top = (__pyx_v_top - 1);
-
-      /* "localpow/kernels/_native.pyx":191
- *         while top:
- *             top -= 1
- *             d = stack[top]             # <<<<<<<<<<<<<<
- *             if d == 1:
- *                 continue
-*/
-      __pyx_v_d = (__pyx_v_stack[__pyx_v_top]);
-
-      /* "localpow/kernels/_native.pyx":192
- *             top -= 1
- *             d = stack[top]
- *             if d == 1:             # <<<<<<<<<<<<<<
- *                 continue
- *             if is_prime_u64(d):
-*/
-      __pyx_t_1 = (__pyx_v_d == 1);
-      if (__pyx_t_1) {
-
-        /* "localpow/kernels/_native.pyx":193
- *             d = stack[top]
- *             if d == 1:
- *                 continue             # <<<<<<<<<<<<<<
- *             if is_prime_u64(d):
- *                 merged = 0
-*/
-        goto __pyx_L20_continue;
-
-        /* "localpow/kernels/_native.pyx":192
- *             top -= 1
- *             d = stack[top]
- *             if d == 1:             # <<<<<<<<<<<<<<
- *                 continue
- *             if is_prime_u64(d):
-*/
-      }
-
-      /* "localpow/kernels/_native.pyx":194
- *             if d == 1:
- *                 continue
- *             if is_prime_u64(d):             # <<<<<<<<<<<<<<
- *                 merged = 0
- *                 for i in range(cnt):
-*/
-      __pyx_t_1 = __pyx_f_8localpow_7kernels_7_native_is_prime_u64(__pyx_v_d);
-      if (__pyx_t_1) {
-
-        /* "localpow/kernels/_native.pyx":195
- *                 continue
- *             if is_prime_u64(d):
- *                 merged = 0             # <<<<<<<<<<<<<<
- *                 for i in range(cnt):
- *                     if ps[i] == d:
-*/
-        __pyx_v_merged = 0;
-
-        /* "localpow/kernels/_native.pyx":196
- *             if is_prime_u64(d):
- *                 merged = 0
- *                 for i in range(cnt):             # <<<<<<<<<<<<<<
- *                     if ps[i] == d:
- *                         es[i] += 1
-*/
-        __pyx_t_2 = __pyx_v_cnt;
-        __pyx_t_4 = __pyx_t_2;
-        for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-          __pyx_v_i = __pyx_t_5;
-
-          /* "localpow/kernels/_native.pyx":197
- *                 merged = 0
- *                 for i in range(cnt):
- *                     if ps[i] == d:             # <<<<<<<<<<<<<<
- *                         es[i] += 1
- *                         merged = 1
-*/
-          __pyx_t_1 = ((__pyx_v_ps[__pyx_v_i]) == __pyx_v_d);
-          if (__pyx_t_1) {
-
-            /* "localpow/kernels/_native.pyx":198
- *                 for i in range(cnt):
- *                     if ps[i] == d:
- *                         es[i] += 1             # <<<<<<<<<<<<<<
- *                         merged = 1
- *                         break
-*/
-            __pyx_t_6 = __pyx_v_i;
-            (__pyx_v_es[__pyx_t_6]) = ((__pyx_v_es[__pyx_t_6]) + 1);
-
-            /* "localpow/kernels/_native.pyx":199
- *                     if ps[i] == d:
- *                         es[i] += 1
- *                         merged = 1             # <<<<<<<<<<<<<<
- *                         break
- *                 if not merged:
-*/
-            __pyx_v_merged = 1;
-
-            /* "localpow/kernels/_native.pyx":200
- *                         es[i] += 1
- *                         merged = 1
- *                         break             # <<<<<<<<<<<<<<
- *                 if not merged:
- *                     ps[cnt] = d; es[cnt] = 1
-*/
-            goto __pyx_L25_break;
-
-            /* "localpow/kernels/_native.pyx":197
- *                 merged = 0
- *                 for i in range(cnt):
- *                     if ps[i] == d:             # <<<<<<<<<<<<<<
- *                         es[i] += 1
- *                         merged = 1
-*/
-          }
-        }
-        __pyx_L25_break:;
-
-        /* "localpow/kernels/_native.pyx":201
- *                         merged = 1
- *                         break
- *                 if not merged:             # <<<<<<<<<<<<<<
- *                     ps[cnt] = d; es[cnt] = 1
- *                     cnt += 1
-*/
-        __pyx_t_1 = (!(__pyx_v_merged != 0));
-        if (__pyx_t_1) {
-
-          /* "localpow/kernels/_native.pyx":202
- *                         break
- *                 if not merged:
- *                     ps[cnt] = d; es[cnt] = 1             # <<<<<<<<<<<<<<
- *                     cnt += 1
- *                 continue
-*/
-          (__pyx_v_ps[__pyx_v_cnt]) = __pyx_v_d;
-          (__pyx_v_es[__pyx_v_cnt]) = 1;
-
-          /* "localpow/kernels/_native.pyx":203
- *                 if not merged:
- *                     ps[cnt] = d; es[cnt] = 1
- *                     cnt += 1             # <<<<<<<<<<<<<<
- *                 continue
- *             p = pollard_brent(d)
-*/
-          __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-          /* "localpow/kernels/_native.pyx":201
- *                         merged = 1
- *                         break
- *                 if not merged:             # <<<<<<<<<<<<<<
- *                     ps[cnt] = d; es[cnt] = 1
- *                     cnt += 1
-*/
-        }
-
-        /* "localpow/kernels/_native.pyx":204
- *                     ps[cnt] = d; es[cnt] = 1
- *                     cnt += 1
- *                 continue             # <<<<<<<<<<<<<<
- *             p = pollard_brent(d)
- *             stack[top] = p; top += 1
-*/
-        goto __pyx_L20_continue;
-
-        /* "localpow/kernels/_native.pyx":194
- *             if d == 1:
- *                 continue
- *             if is_prime_u64(d):             # <<<<<<<<<<<<<<
- *                 merged = 0
- *                 for i in range(cnt):
-*/
-      }
-
-      /* "localpow/kernels/_native.pyx":205
- *                     cnt += 1
- *                 continue
- *             p = pollard_brent(d)             # <<<<<<<<<<<<<<
- *             stack[top] = p; top += 1
- *             stack[top] = d / p; top += 1
-*/
-      __pyx_v_p = __pyx_f_8localpow_7kernels_7_native_pollard_brent(__pyx_v_d);
-
-      /* "localpow/kernels/_native.pyx":206
- *                 continue
- *             p = pollard_brent(d)
- *             stack[top] = p; top += 1             # <<<<<<<<<<<<<<
- *             stack[top] = d / p; top += 1
- *     for i in range(1, cnt):
-*/
-      (__pyx_v_stack[__pyx_v_top]) = __pyx_v_p;
-      __pyx_v_top = (__pyx_v_top + 1);
-
-      /* "localpow/kernels/_native.pyx":207
- *             p = pollard_brent(d)
- *             stack[top] = p; top += 1
- *             stack[top] = d / p; top += 1             # <<<<<<<<<<<<<<
- *     for i in range(1, cnt):
- *         tp = ps[i]; te = es[i]
-*/
-      (__pyx_v_stack[__pyx_v_top]) = (__pyx_v_d / __pyx_v_p);
-      __pyx_v_top = (__pyx_v_top + 1);
-      __pyx_L20_continue:;
-    }
-
-    /* "localpow/kernels/_native.pyx":187
- *             cnt += 1
- *         p += 6
- *     if n > 1:             # <<<<<<<<<<<<<<
- *         stack[top] = n; top += 1
- *         while top:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":208
- *             stack[top] = p; top += 1
- *             stack[top] = d / p; top += 1
- *     for i in range(1, cnt):             # <<<<<<<<<<<<<<
- *         tp = ps[i]; te = es[i]
- *         j = i - 1
-*/
-  __pyx_t_2 = __pyx_v_cnt;
-  __pyx_t_4 = __pyx_t_2;
-  for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "localpow/kernels/_native.pyx":209
- *             stack[top] = d / p; top += 1
- *     for i in range(1, cnt):
- *         tp = ps[i]; te = es[i]             # <<<<<<<<<<<<<<
- *         j = i - 1
- *         while j >= 0 and ps[j] > tp:
-*/
-    __pyx_v_tp = (__pyx_v_ps[__pyx_v_i]);
-    __pyx_v_te = (__pyx_v_es[__pyx_v_i]);
-
-    /* "localpow/kernels/_native.pyx":210
- *     for i in range(1, cnt):
- *         tp = ps[i]; te = es[i]
- *         j = i - 1             # <<<<<<<<<<<<<<
- *         while j >= 0 and ps[j] > tp:
- *             ps[j + 1] = ps[j]; es[j + 1] = es[j]
-*/
-    __pyx_v_j = (__pyx_v_i - 1);
-
-    /* "localpow/kernels/_native.pyx":211
- *         tp = ps[i]; te = es[i]
- *         j = i - 1
- *         while j >= 0 and ps[j] > tp:             # <<<<<<<<<<<<<<
- *             ps[j + 1] = ps[j]; es[j + 1] = es[j]
- *             j -= 1
-*/
-    while (1) {
-      __pyx_t_3 = (__pyx_v_j >= 0);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_1 = __pyx_t_3;
-        goto __pyx_L32_bool_binop_done;
-      }
-      __pyx_t_3 = ((__pyx_v_ps[__pyx_v_j]) > __pyx_v_tp);
-      __pyx_t_1 = __pyx_t_3;
-      __pyx_L32_bool_binop_done:;
-      if (!__pyx_t_1) break;
-
-      /* "localpow/kernels/_native.pyx":212
- *         j = i - 1
- *         while j >= 0 and ps[j] > tp:
- *             ps[j + 1] = ps[j]; es[j + 1] = es[j]             # <<<<<<<<<<<<<<
- *             j -= 1
- *         ps[j + 1] = tp; es[j + 1] = te
-*/
-      (__pyx_v_ps[(__pyx_v_j + 1)]) = (__pyx_v_ps[__pyx_v_j]);
-      (__pyx_v_es[(__pyx_v_j + 1)]) = (__pyx_v_es[__pyx_v_j]);
-
-      /* "localpow/kernels/_native.pyx":213
- *         while j >= 0 and ps[j] > tp:
- *             ps[j + 1] = ps[j]; es[j + 1] = es[j]
- *             j -= 1             # <<<<<<<<<<<<<<
- *         ps[j + 1] = tp; es[j + 1] = te
- *     return cnt
-*/
-      __pyx_v_j = (__pyx_v_j - 1);
-    }
-
-    /* "localpow/kernels/_native.pyx":214
- *             ps[j + 1] = ps[j]; es[j + 1] = es[j]
- *             j -= 1
- *         ps[j + 1] = tp; es[j + 1] = te             # <<<<<<<<<<<<<<
- *     return cnt
- * 
-*/
-    (__pyx_v_ps[(__pyx_v_j + 1)]) = __pyx_v_tp;
-    (__pyx_v_es[(__pyx_v_j + 1)]) = __pyx_v_te;
-  }
-
-  /* "localpow/kernels/_native.pyx":215
- *             j -= 1
- *         ps[j + 1] = tp; es[j + 1] = te
- *     return cnt             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_cnt;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":153
- * 
- * 
- * cdef int factorize_u64(u64 n, u64* ps, u64* es) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # fills sorted (prime, exponent) pairs, returns the count
- *     cdef int cnt = 0, i, j, merged
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":218
- * 
- * 
- * def factorize(n):             # <<<<<<<<<<<<<<
- *     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
- *     cdef u64 ps[64]
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_3factorize(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_2factorize, "Prime factorization of n >= 1 as sorted (prime, exponent) pairs.");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_3factorize = {"factorize", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_3factorize, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_2factorize};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_3factorize(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_n = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("factorize (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_n,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 218, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 218, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "factorize", 0) < (0)) __PYX_ERR(0, 218, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("factorize", 1, 1, 1, i); __PYX_ERR(0, 218, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 218, __pyx_L3_error)
-    }
-    __pyx_v_n = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("factorize", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 218, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.factorize", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_2factorize(__pyx_self, __pyx_v_n);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_2factorize(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_n) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_ps[64];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_es[64];
-  int __pyx_v_cnt;
-  int __pyx_7genexpr__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  size_t __pyx_t_4;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("factorize", 0);
-
-  /* "localpow/kernels/_native.pyx":223
- *     cdef u64 es[64]
- *     cdef int cnt, i
- *     if n < 1:             # <<<<<<<<<<<<<<
- *         raise ValueError("factorize needs n >= 1")
- *     if n >> 63:
-*/
-  __pyx_t_1 = PyObject_RichCompare(__pyx_v_n, __pyx_mstate_global->__pyx_int_1, Py_LT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 223, __pyx_L1_error)
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 223, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "localpow/kernels/_native.pyx":224
- *     cdef int cnt, i
- *     if n < 1:
- *         raise ValueError("factorize needs n >= 1")             # <<<<<<<<<<<<<<
- *     if n >> 63:
- *         raise OverflowError("native backend handles n < 2^63")
-*/
-    __pyx_t_3 = NULL;
-    __pyx_t_4 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_factorize_needs_n_1};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 224, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 224, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":223
- *     cdef u64 es[64]
- *     cdef int cnt, i
- *     if n < 1:             # <<<<<<<<<<<<<<
- *         raise ValueError("factorize needs n >= 1")
- *     if n >> 63:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":225
- *     if n < 1:
- *         raise ValueError("factorize needs n >= 1")
- *     if n >> 63:             # <<<<<<<<<<<<<<
- *         raise OverflowError("native backend handles n < 2^63")
- *     cnt = factorize_u64(<u64>n, ps, es)
-*/
-  __pyx_t_1 = __Pyx_PyLong_RshiftObjC(__pyx_v_n, __pyx_mstate_global->__pyx_int_63, 63, 0, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 225, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 225, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "localpow/kernels/_native.pyx":226
- *         raise ValueError("factorize needs n >= 1")
- *     if n >> 63:
- *         raise OverflowError("native backend handles n < 2^63")             # <<<<<<<<<<<<<<
- *     cnt = factorize_u64(<u64>n, ps, es)
- *     return [(ps[i], <int>es[i]) for i in range(cnt)]
-*/
-    __pyx_t_3 = NULL;
-    __pyx_t_4 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_native_backend_handles_n_2_63};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_OverflowError)), __pyx_callargs+__pyx_t_4, (2-__pyx_t_4) | (__pyx_t_4*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 226, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 226, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":225
- *     if n < 1:
- *         raise ValueError("factorize needs n >= 1")
- *     if n >> 63:             # <<<<<<<<<<<<<<
- *         raise OverflowError("native backend handles n < 2^63")
- *     cnt = factorize_u64(<u64>n, ps, es)
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":227
- *     if n >> 63:
- *         raise OverflowError("native backend handles n < 2^63")
- *     cnt = factorize_u64(<u64>n, ps, es)             # <<<<<<<<<<<<<<
- *     return [(ps[i], <int>es[i]) for i in range(cnt)]
- * 
-*/
-  __pyx_t_5 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_n); if (unlikely((__pyx_t_5 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 227, __pyx_L1_error)
-  __pyx_v_cnt = __pyx_f_8localpow_7kernels_7_native_factorize_u64(((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_5), __pyx_v_ps, __pyx_v_es);
-
-  /* "localpow/kernels/_native.pyx":228
- *         raise OverflowError("native backend handles n < 2^63")
- *     cnt = factorize_u64(<u64>n, ps, es)
- *     return [(ps[i], <int>es[i]) for i in range(cnt)]             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  { /* enter inner scope */
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 228, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_6 = __pyx_v_cnt;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_7genexpr__pyx_v_i = __pyx_t_8;
-      __pyx_t_3 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_ps[__pyx_7genexpr__pyx_v_i])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 228, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_9 = __Pyx_PyLong_From_int(((int)(__pyx_v_es[__pyx_7genexpr__pyx_v_i]))); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 228, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_10 = PyTuple_New(2); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 228, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 228, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_9);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 1, __pyx_t_9) != (0)) __PYX_ERR(0, 228, __pyx_L1_error);
-      __pyx_t_3 = 0;
-      __pyx_t_9 = 0;
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_10))) __PYX_ERR(0, 228, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    }
-  } /* exit inner scope */
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":218
- * 
- * 
- * def factorize(n):             # <<<<<<<<<<<<<<
- *     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
- *     cdef u64 ps[64]
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_AddTraceback("localpow.kernels._native.factorize", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":231
- * 
- * 
- * cdef u64 primitive_root_u64(u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 qs[64]
- *     cdef u64 es[64]
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_primitive_root_u64(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_qs[64];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_es[64];
-  int __pyx_v_cnt;
-  int __pyx_v_i;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_g;
-  int __pyx_v_ok;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "localpow/kernels/_native.pyx":237
- *     cdef u64 g
- *     cdef bint ok
- *     if p == 2:             # <<<<<<<<<<<<<<
- *         return 1
- *     cnt = factorize_u64(p - 1, qs, es)
-*/
-  __pyx_t_1 = (__pyx_v_p == 2);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":238
- *     cdef bint ok
- *     if p == 2:
- *         return 1             # <<<<<<<<<<<<<<
- *     cnt = factorize_u64(p - 1, qs, es)
- *     g = 2
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":237
- *     cdef u64 g
- *     cdef bint ok
- *     if p == 2:             # <<<<<<<<<<<<<<
- *         return 1
- *     cnt = factorize_u64(p - 1, qs, es)
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":239
- *     if p == 2:
- *         return 1
- *     cnt = factorize_u64(p - 1, qs, es)             # <<<<<<<<<<<<<<
- *     g = 2
- *     while True:
-*/
-  __pyx_v_cnt = __pyx_f_8localpow_7kernels_7_native_factorize_u64((__pyx_v_p - 1), __pyx_v_qs, __pyx_v_es);
-
-  /* "localpow/kernels/_native.pyx":240
- *         return 1
- *     cnt = factorize_u64(p - 1, qs, es)
- *     g = 2             # <<<<<<<<<<<<<<
- *     while True:
- *         ok = True
-*/
-  __pyx_v_g = 2;
-
-  /* "localpow/kernels/_native.pyx":241
- *     cnt = factorize_u64(p - 1, qs, es)
- *     g = 2
- *     while True:             # <<<<<<<<<<<<<<
- *         ok = True
- *         for i in range(cnt):
-*/
-  while (1) {
-
-    /* "localpow/kernels/_native.pyx":242
- *     g = 2
- *     while True:
- *         ok = True             # <<<<<<<<<<<<<<
- *         for i in range(cnt):
- *             if powmod(g, (p - 1) / qs[i], p) == 1:
-*/
-    __pyx_v_ok = 1;
-
-    /* "localpow/kernels/_native.pyx":243
- *     while True:
- *         ok = True
- *         for i in range(cnt):             # <<<<<<<<<<<<<<
- *             if powmod(g, (p - 1) / qs[i], p) == 1:
- *                 ok = False
-*/
-    __pyx_t_2 = __pyx_v_cnt;
-    __pyx_t_3 = __pyx_t_2;
-    for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-      __pyx_v_i = __pyx_t_4;
-
-      /* "localpow/kernels/_native.pyx":244
- *         ok = True
- *         for i in range(cnt):
- *             if powmod(g, (p - 1) / qs[i], p) == 1:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      __pyx_t_1 = (__pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_g, ((__pyx_v_p - 1) / (__pyx_v_qs[__pyx_v_i])), __pyx_v_p) == 1);
-      if (__pyx_t_1) {
-
-        /* "localpow/kernels/_native.pyx":245
- *         for i in range(cnt):
- *             if powmod(g, (p - 1) / qs[i], p) == 1:
- *                 ok = False             # <<<<<<<<<<<<<<
- *                 break
- *         if ok:
-*/
-        __pyx_v_ok = 0;
-
-        /* "localpow/kernels/_native.pyx":246
- *             if powmod(g, (p - 1) / qs[i], p) == 1:
- *                 ok = False
- *                 break             # <<<<<<<<<<<<<<
- *         if ok:
- *             return g
-*/
-        goto __pyx_L7_break;
-
-        /* "localpow/kernels/_native.pyx":244
- *         ok = True
- *         for i in range(cnt):
- *             if powmod(g, (p - 1) / qs[i], p) == 1:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      }
-    }
-    __pyx_L7_break:;
-
-    /* "localpow/kernels/_native.pyx":247
- *                 ok = False
- *                 break
- *         if ok:             # <<<<<<<<<<<<<<
- *             return g
- *         g += 1
-*/
-    if (__pyx_v_ok) {
-
-      /* "localpow/kernels/_native.pyx":248
- *                 break
- *         if ok:
- *             return g             # <<<<<<<<<<<<<<
- *         g += 1
- * 
-*/
-      __pyx_r = __pyx_v_g;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":247
- *                 ok = False
- *                 break
- *         if ok:             # <<<<<<<<<<<<<<
- *             return g
- *         g += 1
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":249
- *         if ok:
- *             return g
- *         g += 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_g = (__pyx_v_g + 1);
-  }
-
-  /* "localpow/kernels/_native.pyx":231
- * 
- * 
- * cdef u64 primitive_root_u64(u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 qs[64]
- *     cdef u64 es[64]
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":252
- * 
- * 
- * def primitive_root(p):             # <<<<<<<<<<<<<<
- *     """Smallest primitive root mod the prime p."""
- *     return primitive_root_u64(<u64>p)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_5primitive_root(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_4primitive_root, "Smallest primitive root mod the prime p.");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_5primitive_root = {"primitive_root", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_5primitive_root, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_4primitive_root};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_5primitive_root(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("primitive_root (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 252, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 252, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "primitive_root", 0) < (0)) __PYX_ERR(0, 252, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("primitive_root", 1, 1, 1, i); __PYX_ERR(0, 252, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 252, __pyx_L3_error)
-    }
-    __pyx_v_p = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("primitive_root", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 252, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.primitive_root", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_4primitive_root(__pyx_self, __pyx_v_p);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_4primitive_root(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("primitive_root", 0);
-
-  /* "localpow/kernels/_native.pyx":254
- * def primitive_root(p):
- *     """Smallest primitive root mod the prime p."""
- *     return primitive_root_u64(<u64>p)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_p); if (unlikely((__pyx_t_1 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 254, __pyx_L1_error)
-  __pyx_t_2 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_f_8localpow_7kernels_7_native_primitive_root_u64(((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_1))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 254, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":252
- * 
- * 
- * def primitive_root(p):             # <<<<<<<<<<<<<<
- *     """Smallest primitive root mod the prime p."""
- *     return primitive_root_u64(<u64>p)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("localpow.kernels._native.primitive_root", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":257
- * 
- * 
- * cdef u64 isqrt_u64(u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 r = 1, bit
- *     while r * r <= n:
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_u64 __pyx_f_8localpow_7kernels_7_native_isqrt_u64(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_n) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_r;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_bit;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_r;
-  int __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":258
- * 
- * cdef u64 isqrt_u64(u64 n) noexcept nogil:
- *     cdef u64 r = 1, bit             # <<<<<<<<<<<<<<
- *     while r * r <= n:
- *         r <<= 1
-*/
-  __pyx_v_r = 1;
-
-  /* "localpow/kernels/_native.pyx":259
- * cdef u64 isqrt_u64(u64 n) noexcept nogil:
- *     cdef u64 r = 1, bit
- *     while r * r <= n:             # <<<<<<<<<<<<<<
- *         r <<= 1
- *     r >>= 1
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_r * __pyx_v_r) <= __pyx_v_n);
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":260
- *     cdef u64 r = 1, bit
- *     while r * r <= n:
- *         r <<= 1             # <<<<<<<<<<<<<<
- *     r >>= 1
- *     bit = r >> 1
-*/
-    __pyx_v_r = (__pyx_v_r << 1);
-  }
-
-  /* "localpow/kernels/_native.pyx":261
- *     while r * r <= n:
- *         r <<= 1
- *     r >>= 1             # <<<<<<<<<<<<<<
- *     bit = r >> 1
- *     while bit:
-*/
-  __pyx_v_r = (__pyx_v_r >> 1);
-
-  /* "localpow/kernels/_native.pyx":262
- *         r <<= 1
- *     r >>= 1
- *     bit = r >> 1             # <<<<<<<<<<<<<<
- *     while bit:
- *         if (r + bit) * (r + bit) <= n:
-*/
-  __pyx_v_bit = (__pyx_v_r >> 1);
-
-  /* "localpow/kernels/_native.pyx":263
- *     r >>= 1
- *     bit = r >> 1
- *     while bit:             # <<<<<<<<<<<<<<
- *         if (r + bit) * (r + bit) <= n:
- *             r += bit
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_bit != 0);
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":264
- *     bit = r >> 1
- *     while bit:
- *         if (r + bit) * (r + bit) <= n:             # <<<<<<<<<<<<<<
- *             r += bit
- *         bit >>= 1
-*/
-    __pyx_t_1 = (((__pyx_v_r + __pyx_v_bit) * (__pyx_v_r + __pyx_v_bit)) <= __pyx_v_n);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":265
- *     while bit:
- *         if (r + bit) * (r + bit) <= n:
- *             r += bit             # <<<<<<<<<<<<<<
- *         bit >>= 1
- *     return r
-*/
-      __pyx_v_r = (__pyx_v_r + __pyx_v_bit);
-
-      /* "localpow/kernels/_native.pyx":264
- *     bit = r >> 1
- *     while bit:
- *         if (r + bit) * (r + bit) <= n:             # <<<<<<<<<<<<<<
- *             r += bit
- *         bit >>= 1
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":266
- *         if (r + bit) * (r + bit) <= n:
- *             r += bit
- *         bit >>= 1             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-    __pyx_v_bit = (__pyx_v_bit >> 1);
-  }
-
-  /* "localpow/kernels/_native.pyx":267
- *             r += bit
- *         bit >>= 1
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":257
- * 
- * 
- * cdef u64 isqrt_u64(u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 r = 1, bit
- *     while r * r <= n:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":276
- * 
- * 
- * cdef bint ht_init(HashTable* t, u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 size = 4
- *     while size < 2 * n:
-*/
-
-static int __pyx_f_8localpow_7kernels_7_native_ht_init(struct __pyx_t_8localpow_7kernels_7_native_HashTable *__pyx_v_t, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_n) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_size;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "localpow/kernels/_native.pyx":277
- * 
- * cdef bint ht_init(HashTable* t, u64 n) noexcept nogil:
- *     cdef u64 size = 4             # <<<<<<<<<<<<<<
- *     while size < 2 * n:
- *         size <<= 1
-*/
-  __pyx_v_size = 4;
-
-  /* "localpow/kernels/_native.pyx":278
- * cdef bint ht_init(HashTable* t, u64 n) noexcept nogil:
- *     cdef u64 size = 4
- *     while size < 2 * n:             # <<<<<<<<<<<<<<
- *         size <<= 1
- *     t.keys = <u64*>calloc(size, sizeof(u64))  # 0 marks an empty slot
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_size < (2 * __pyx_v_n));
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":279
- *     cdef u64 size = 4
- *     while size < 2 * n:
- *         size <<= 1             # <<<<<<<<<<<<<<
- *     t.keys = <u64*>calloc(size, sizeof(u64))  # 0 marks an empty slot
- *     t.vals = <i64*>malloc(size * sizeof(i64))
-*/
-    __pyx_v_size = (__pyx_v_size << 1);
-  }
-
-  /* "localpow/kernels/_native.pyx":280
- *     while size < 2 * n:
- *         size <<= 1
- *     t.keys = <u64*>calloc(size, sizeof(u64))  # 0 marks an empty slot             # <<<<<<<<<<<<<<
- *     t.vals = <i64*>malloc(size * sizeof(i64))
- *     t.mask = size - 1
-*/
-  __pyx_v_t->keys = ((__pyx_t_8localpow_7kernels_7_native_u64 *)calloc(__pyx_v_size, (sizeof(__pyx_t_8localpow_7kernels_7_native_u64))));
-
-  /* "localpow/kernels/_native.pyx":281
- *         size <<= 1
- *     t.keys = <u64*>calloc(size, sizeof(u64))  # 0 marks an empty slot
- *     t.vals = <i64*>malloc(size * sizeof(i64))             # <<<<<<<<<<<<<<
- *     t.mask = size - 1
- *     return t.keys != NULL and t.vals != NULL
-*/
-  __pyx_v_t->vals = ((__pyx_t_8localpow_7kernels_7_native_i64 *)malloc((__pyx_v_size * (sizeof(__pyx_t_8localpow_7kernels_7_native_i64)))));
-
-  /* "localpow/kernels/_native.pyx":282
- *     t.keys = <u64*>calloc(size, sizeof(u64))  # 0 marks an empty slot
- *     t.vals = <i64*>malloc(size * sizeof(i64))
- *     t.mask = size - 1             # <<<<<<<<<<<<<<
- *     return t.keys != NULL and t.vals != NULL
- * 
-*/
-  __pyx_v_t->mask = (__pyx_v_size - 1);
-
-  /* "localpow/kernels/_native.pyx":283
- *     t.vals = <i64*>malloc(size * sizeof(i64))
- *     t.mask = size - 1
- *     return t.keys != NULL and t.vals != NULL             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = (__pyx_v_t->keys != NULL);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_t->vals != NULL);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L5_bool_binop_done:;
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":276
- * 
- * 
- * cdef bint ht_init(HashTable* t, u64 n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 size = 4
- *     while size < 2 * n:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":286
- * 
- * 
- * cdef void ht_free(HashTable* t) noexcept nogil:             # <<<<<<<<<<<<<<
- *     free(t.keys)
- *     free(t.vals)
-*/
-
-static void __pyx_f_8localpow_7kernels_7_native_ht_free(struct __pyx_t_8localpow_7kernels_7_native_HashTable *__pyx_v_t) {
-
-  /* "localpow/kernels/_native.pyx":287
- * 
- * cdef void ht_free(HashTable* t) noexcept nogil:
- *     free(t.keys)             # <<<<<<<<<<<<<<
- *     free(t.vals)
- * 
-*/
-  free(__pyx_v_t->keys);
-
-  /* "localpow/kernels/_native.pyx":288
- * cdef void ht_free(HashTable* t) noexcept nogil:
- *     free(t.keys)
- *     free(t.vals)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  free(__pyx_v_t->vals);
-
-  /* "localpow/kernels/_native.pyx":286
- * 
- * 
- * cdef void ht_free(HashTable* t) noexcept nogil:             # <<<<<<<<<<<<<<
- *     free(t.keys)
- *     free(t.vals)
-*/
-
-  /* function exit code */
-}
-
-/* "localpow/kernels/_native.pyx":291
- * 
- * 
- * cdef inline void ht_put(HashTable* t, u64 key, i64 val) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # keys are nonzero group elements; keep the first value per key
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
-*/
-
-static CYTHON_INLINE void __pyx_f_8localpow_7kernels_7_native_ht_put(struct __pyx_t_8localpow_7kernels_7_native_HashTable *__pyx_v_t, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_key, __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_val) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_idx;
-  int __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":293
- * cdef inline void ht_put(HashTable* t, u64 key, i64 val) noexcept nogil:
- *     # keys are nonzero group elements; keep the first value per key
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask             # <<<<<<<<<<<<<<
- *     while True:
- *         if t.keys[idx] == 0:
-*/
-  __pyx_v_idx = ((__pyx_v_key * ((__pyx_t_8localpow_7kernels_7_native_u64)0x9E3779B97F4A7C15)) & __pyx_v_t->mask);
-
-  /* "localpow/kernels/_native.pyx":294
- *     # keys are nonzero group elements; keep the first value per key
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:             # <<<<<<<<<<<<<<
- *         if t.keys[idx] == 0:
- *             t.keys[idx] = key
-*/
-  while (1) {
-
-    /* "localpow/kernels/_native.pyx":295
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:
- *         if t.keys[idx] == 0:             # <<<<<<<<<<<<<<
- *             t.keys[idx] = key
- *             t.vals[idx] = val
-*/
-    __pyx_t_1 = ((__pyx_v_t->keys[__pyx_v_idx]) == 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":296
- *     while True:
- *         if t.keys[idx] == 0:
- *             t.keys[idx] = key             # <<<<<<<<<<<<<<
- *             t.vals[idx] = val
- *             return
-*/
-      (__pyx_v_t->keys[__pyx_v_idx]) = __pyx_v_key;
-
-      /* "localpow/kernels/_native.pyx":297
- *         if t.keys[idx] == 0:
- *             t.keys[idx] = key
- *             t.vals[idx] = val             # <<<<<<<<<<<<<<
- *             return
- *         if t.keys[idx] == key:
-*/
-      (__pyx_v_t->vals[__pyx_v_idx]) = __pyx_v_val;
-
-      /* "localpow/kernels/_native.pyx":298
- *             t.keys[idx] = key
- *             t.vals[idx] = val
- *             return             # <<<<<<<<<<<<<<
- *         if t.keys[idx] == key:
- *             return
-*/
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":295
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:
- *         if t.keys[idx] == 0:             # <<<<<<<<<<<<<<
- *             t.keys[idx] = key
- *             t.vals[idx] = val
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":299
- *             t.vals[idx] = val
- *             return
- *         if t.keys[idx] == key:             # <<<<<<<<<<<<<<
- *             return
- *         idx = (idx + 1) & t.mask
-*/
-    __pyx_t_1 = ((__pyx_v_t->keys[__pyx_v_idx]) == __pyx_v_key);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":300
- *             return
- *         if t.keys[idx] == key:
- *             return             # <<<<<<<<<<<<<<
- *         idx = (idx + 1) & t.mask
- * 
-*/
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":299
- *             t.vals[idx] = val
- *             return
- *         if t.keys[idx] == key:             # <<<<<<<<<<<<<<
- *             return
- *         idx = (idx + 1) & t.mask
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":301
- *         if t.keys[idx] == key:
- *             return
- *         idx = (idx + 1) & t.mask             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_idx = ((__pyx_v_idx + 1) & __pyx_v_t->mask);
-  }
-
-  /* "localpow/kernels/_native.pyx":291
- * 
- * 
- * cdef inline void ht_put(HashTable* t, u64 key, i64 val) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # keys are nonzero group elements; keep the first value per key
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-}
-
-/* "localpow/kernels/_native.pyx":304
- * 
- * 
- * cdef inline i64 ht_get(HashTable* t, u64 key) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:
-*/
-
-static CYTHON_INLINE __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_ht_get(struct __pyx_t_8localpow_7kernels_7_native_HashTable *__pyx_v_t, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_key) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_idx;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_r;
-  int __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":305
- * 
- * cdef inline i64 ht_get(HashTable* t, u64 key) noexcept nogil:
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask             # <<<<<<<<<<<<<<
- *     while True:
- *         if t.keys[idx] == 0:
-*/
-  __pyx_v_idx = ((__pyx_v_key * ((__pyx_t_8localpow_7kernels_7_native_u64)0x9E3779B97F4A7C15)) & __pyx_v_t->mask);
-
-  /* "localpow/kernels/_native.pyx":306
- * cdef inline i64 ht_get(HashTable* t, u64 key) noexcept nogil:
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:             # <<<<<<<<<<<<<<
- *         if t.keys[idx] == 0:
- *             return -1
-*/
-  while (1) {
-
-    /* "localpow/kernels/_native.pyx":307
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:
- *         if t.keys[idx] == 0:             # <<<<<<<<<<<<<<
- *             return -1
- *         if t.keys[idx] == key:
-*/
-    __pyx_t_1 = ((__pyx_v_t->keys[__pyx_v_idx]) == 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":308
- *     while True:
- *         if t.keys[idx] == 0:
- *             return -1             # <<<<<<<<<<<<<<
- *         if t.keys[idx] == key:
- *             return t.vals[idx]
-*/
-      __pyx_r = -1LL;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":307
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:
- *         if t.keys[idx] == 0:             # <<<<<<<<<<<<<<
- *             return -1
- *         if t.keys[idx] == key:
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":309
- *         if t.keys[idx] == 0:
- *             return -1
- *         if t.keys[idx] == key:             # <<<<<<<<<<<<<<
- *             return t.vals[idx]
- *         idx = (idx + 1) & t.mask
-*/
-    __pyx_t_1 = ((__pyx_v_t->keys[__pyx_v_idx]) == __pyx_v_key);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":310
- *             return -1
- *         if t.keys[idx] == key:
- *             return t.vals[idx]             # <<<<<<<<<<<<<<
- *         idx = (idx + 1) & t.mask
- * 
-*/
-      __pyx_r = (__pyx_v_t->vals[__pyx_v_idx]);
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":309
- *         if t.keys[idx] == 0:
- *             return -1
- *         if t.keys[idx] == key:             # <<<<<<<<<<<<<<
- *             return t.vals[idx]
- *         idx = (idx + 1) & t.mask
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":311
- *         if t.keys[idx] == key:
- *             return t.vals[idx]
- *         idx = (idx + 1) & t.mask             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_v_idx = ((__pyx_v_idx + 1) & __pyx_v_t->mask);
-  }
-
-  /* "localpow/kernels/_native.pyx":304
- * 
- * 
- * cdef inline i64 ht_get(HashTable* t, u64 key) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef u64 idx = (key * <u64>0x9E3779B97F4A7C15) & t.mask
- *     while True:
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":314
- * 
- * 
- * cdef i64 bsgs(u64 base, u64 target, u64 order, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # discrete log in <base> of the given order; -1 if absent, -2 on alloc failure
- *     cdef u64 m = isqrt_u64(order - 1) + 1
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_bsgs(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_base, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_target, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_order, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_m;
-  struct __pyx_t_8localpow_7kernels_7_native_HashTable __pyx_v_t;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cur;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_step;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_i;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_j;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_r;
-  int __pyx_t_1;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_2;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_3;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_4;
-
-  /* "localpow/kernels/_native.pyx":316
- * cdef i64 bsgs(u64 base, u64 target, u64 order, u64 p) noexcept nogil:
- *     # discrete log in <base> of the given order; -1 if absent, -2 on alloc failure
- *     cdef u64 m = isqrt_u64(order - 1) + 1             # <<<<<<<<<<<<<<
- *     cdef HashTable t
- *     cdef u64 cur, step, i
-*/
-  __pyx_v_m = (__pyx_f_8localpow_7kernels_7_native_isqrt_u64((__pyx_v_order - 1)) + 1);
-
-  /* "localpow/kernels/_native.pyx":320
- *     cdef u64 cur, step, i
- *     cdef i64 j
- *     if not ht_init(&t, m):             # <<<<<<<<<<<<<<
- *         ht_free(&t)
- *         return -2
-*/
-  __pyx_t_1 = (!__pyx_f_8localpow_7kernels_7_native_ht_init((&__pyx_v_t), __pyx_v_m));
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":321
- *     cdef i64 j
- *     if not ht_init(&t, m):
- *         ht_free(&t)             # <<<<<<<<<<<<<<
- *         return -2
- *     cur = 1
-*/
-    __pyx_f_8localpow_7kernels_7_native_ht_free((&__pyx_v_t));
-
-    /* "localpow/kernels/_native.pyx":322
- *     if not ht_init(&t, m):
- *         ht_free(&t)
- *         return -2             # <<<<<<<<<<<<<<
- *     cur = 1
- *     for i in range(m):
-*/
-    __pyx_r = -2LL;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":320
- *     cdef u64 cur, step, i
- *     cdef i64 j
- *     if not ht_init(&t, m):             # <<<<<<<<<<<<<<
- *         ht_free(&t)
- *         return -2
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":323
- *         ht_free(&t)
- *         return -2
- *     cur = 1             # <<<<<<<<<<<<<<
- *     for i in range(m):
- *         ht_put(&t, cur, <i64>i)
-*/
-  __pyx_v_cur = 1;
-
-  /* "localpow/kernels/_native.pyx":324
- *         return -2
- *     cur = 1
- *     for i in range(m):             # <<<<<<<<<<<<<<
- *         ht_put(&t, cur, <i64>i)
- *         cur = mulmod(cur, base, p)
-*/
-  __pyx_t_2 = __pyx_v_m;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "localpow/kernels/_native.pyx":325
- *     cur = 1
- *     for i in range(m):
- *         ht_put(&t, cur, <i64>i)             # <<<<<<<<<<<<<<
- *         cur = mulmod(cur, base, p)
- *     step = invmod(powmod(base, m, p), p)
-*/
-    __pyx_f_8localpow_7kernels_7_native_ht_put((&__pyx_v_t), __pyx_v_cur, ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_i));
-
-    /* "localpow/kernels/_native.pyx":326
- *     for i in range(m):
- *         ht_put(&t, cur, <i64>i)
- *         cur = mulmod(cur, base, p)             # <<<<<<<<<<<<<<
- *     step = invmod(powmod(base, m, p), p)
- *     cur = target
-*/
-    __pyx_v_cur = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_cur, __pyx_v_base, __pyx_v_p);
-  }
-
-  /* "localpow/kernels/_native.pyx":327
- *         ht_put(&t, cur, <i64>i)
- *         cur = mulmod(cur, base, p)
- *     step = invmod(powmod(base, m, p), p)             # <<<<<<<<<<<<<<
- *     cur = target
- *     for i in range(m):
-*/
-  __pyx_v_step = __pyx_f_8localpow_7kernels_7_native_invmod(__pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_base, __pyx_v_m, __pyx_v_p), __pyx_v_p);
-
-  /* "localpow/kernels/_native.pyx":328
- *         cur = mulmod(cur, base, p)
- *     step = invmod(powmod(base, m, p), p)
- *     cur = target             # <<<<<<<<<<<<<<
- *     for i in range(m):
- *         j = ht_get(&t, cur)
-*/
-  __pyx_v_cur = __pyx_v_target;
-
-  /* "localpow/kernels/_native.pyx":329
- *     step = invmod(powmod(base, m, p), p)
- *     cur = target
- *     for i in range(m):             # <<<<<<<<<<<<<<
- *         j = ht_get(&t, cur)
- *         if j >= 0:
-*/
-  __pyx_t_2 = __pyx_v_m;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "localpow/kernels/_native.pyx":330
- *     cur = target
- *     for i in range(m):
- *         j = ht_get(&t, cur)             # <<<<<<<<<<<<<<
- *         if j >= 0:
- *             ht_free(&t)
-*/
-    __pyx_v_j = __pyx_f_8localpow_7kernels_7_native_ht_get((&__pyx_v_t), __pyx_v_cur);
-
-    /* "localpow/kernels/_native.pyx":331
- *     for i in range(m):
- *         j = ht_get(&t, cur)
- *         if j >= 0:             # <<<<<<<<<<<<<<
- *             ht_free(&t)
- *             return <i64>((i * m + <u64>j) % order)
-*/
-    __pyx_t_1 = (__pyx_v_j >= 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":332
- *         j = ht_get(&t, cur)
- *         if j >= 0:
- *             ht_free(&t)             # <<<<<<<<<<<<<<
- *             return <i64>((i * m + <u64>j) % order)
- *         cur = mulmod(cur, step, p)
-*/
-      __pyx_f_8localpow_7kernels_7_native_ht_free((&__pyx_v_t));
-
-      /* "localpow/kernels/_native.pyx":333
- *         if j >= 0:
- *             ht_free(&t)
- *             return <i64>((i * m + <u64>j) % order)             # <<<<<<<<<<<<<<
- *         cur = mulmod(cur, step, p)
- *     ht_free(&t)
-*/
-      __pyx_r = ((__pyx_t_8localpow_7kernels_7_native_i64)(((__pyx_v_i * __pyx_v_m) + ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_v_j)) % __pyx_v_order));
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":331
- *     for i in range(m):
- *         j = ht_get(&t, cur)
- *         if j >= 0:             # <<<<<<<<<<<<<<
- *             ht_free(&t)
- *             return <i64>((i * m + <u64>j) % order)
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":334
- *             ht_free(&t)
- *             return <i64>((i * m + <u64>j) % order)
- *         cur = mulmod(cur, step, p)             # <<<<<<<<<<<<<<
- *     ht_free(&t)
- *     return -1
-*/
-    __pyx_v_cur = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_cur, __pyx_v_step, __pyx_v_p);
-  }
-
-  /* "localpow/kernels/_native.pyx":335
- *             return <i64>((i * m + <u64>j) % order)
- *         cur = mulmod(cur, step, p)
- *     ht_free(&t)             # <<<<<<<<<<<<<<
- *     return -1
- * 
-*/
-  __pyx_f_8localpow_7kernels_7_native_ht_free((&__pyx_v_t));
-
-  /* "localpow/kernels/_native.pyx":336
- *         cur = mulmod(cur, step, p)
- *     ht_free(&t)
- *     return -1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = -1LL;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":314
- * 
- * 
- * cdef i64 bsgs(u64 base, u64 target, u64 order, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # discrete log in <base> of the given order; -1 if absent, -2 on alloc failure
- *     cdef u64 m = isqrt_u64(order - 1) + 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":339
- * 
- * 
- * cdef i64 prime_power_log(u64 gq, u64 hq, u64 q, int e, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # digit-by-digit lift; gq has order exactly q^e
- *     cdef u64 gamma = powmod(gq, upow(q, e - 1), p)
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_prime_power_log(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_gq, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_hq, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_q, int __pyx_v_e, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_gamma;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_x;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_expo;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_target;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_d;
-  int __pyx_v_i;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "localpow/kernels/_native.pyx":341
- * cdef i64 prime_power_log(u64 gq, u64 hq, u64 q, int e, u64 p) noexcept nogil:
- *     # digit-by-digit lift; gq has order exactly q^e
- *     cdef u64 gamma = powmod(gq, upow(q, e - 1), p)             # <<<<<<<<<<<<<<
- *     cdef u64 x = 0, expo, target
- *     cdef i64 d
-*/
-  __pyx_v_gamma = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_gq, __pyx_f_8localpow_7kernels_7_native_upow(__pyx_v_q, (__pyx_v_e - 1)), __pyx_v_p);
-
-  /* "localpow/kernels/_native.pyx":342
- *     # digit-by-digit lift; gq has order exactly q^e
- *     cdef u64 gamma = powmod(gq, upow(q, e - 1), p)
- *     cdef u64 x = 0, expo, target             # <<<<<<<<<<<<<<
- *     cdef i64 d
- *     cdef int i
-*/
-  __pyx_v_x = 0;
-
-  /* "localpow/kernels/_native.pyx":345
- *     cdef i64 d
- *     cdef int i
- *     for i in range(e):             # <<<<<<<<<<<<<<
- *         expo = upow(q, e - 1 - i)
- *         target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p), expo, p)
-*/
-  __pyx_t_1 = __pyx_v_e;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "localpow/kernels/_native.pyx":346
- *     cdef int i
- *     for i in range(e):
- *         expo = upow(q, e - 1 - i)             # <<<<<<<<<<<<<<
- *         target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p), expo, p)
- *         d = bsgs(gamma, target, q, p)
-*/
-    __pyx_v_expo = __pyx_f_8localpow_7kernels_7_native_upow(__pyx_v_q, ((__pyx_v_e - 1) - __pyx_v_i));
-
-    /* "localpow/kernels/_native.pyx":347
- *     for i in range(e):
- *         expo = upow(q, e - 1 - i)
- *         target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p), expo, p)             # <<<<<<<<<<<<<<
- *         d = bsgs(gamma, target, q, p)
- *         if d < 0:
-*/
-    __pyx_v_target = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_f_8localpow_7kernels_7_native_invmod(__pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_gq, __pyx_v_x, __pyx_v_p), __pyx_v_p), __pyx_v_hq, __pyx_v_p), __pyx_v_expo, __pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":348
- *         expo = upow(q, e - 1 - i)
- *         target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p), expo, p)
- *         d = bsgs(gamma, target, q, p)             # <<<<<<<<<<<<<<
- *         if d < 0:
- *             return d
-*/
-    __pyx_v_d = __pyx_f_8localpow_7kernels_7_native_bsgs(__pyx_v_gamma, __pyx_v_target, __pyx_v_q, __pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":349
- *         target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p), expo, p)
- *         d = bsgs(gamma, target, q, p)
- *         if d < 0:             # <<<<<<<<<<<<<<
- *             return d
- *         x += <u64>d * upow(q, i)
-*/
-    __pyx_t_4 = (__pyx_v_d < 0);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":350
- *         d = bsgs(gamma, target, q, p)
- *         if d < 0:
- *             return d             # <<<<<<<<<<<<<<
- *         x += <u64>d * upow(q, i)
- *     return <i64>x
-*/
-      __pyx_r = __pyx_v_d;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":349
- *         target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p), expo, p)
- *         d = bsgs(gamma, target, q, p)
- *         if d < 0:             # <<<<<<<<<<<<<<
- *             return d
- *         x += <u64>d * upow(q, i)
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":351
- *         if d < 0:
- *             return d
- *         x += <u64>d * upow(q, i)             # <<<<<<<<<<<<<<
- *     return <i64>x
- * 
-*/
-    __pyx_v_x = (__pyx_v_x + (((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_v_d) * __pyx_f_8localpow_7kernels_7_native_upow(__pyx_v_q, __pyx_v_i)));
-  }
-
-  /* "localpow/kernels/_native.pyx":352
- *             return d
- *         x += <u64>d * upow(q, i)
- *     return <i64>x             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_x);
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":339
- * 
- * 
- * cdef i64 prime_power_log(u64 gq, u64 hq, u64 q, int e, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # digit-by-digit lift; gq has order exactly q^e
- *     cdef u64 gamma = powmod(gq, upow(q, e - 1), p)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":355
- * 
- * 
- * cdef i64 discrete_log_u64(u64 g, u64 h, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # smallest x >= 0 with g^x = h mod p; -1 if none, -2 on alloc failure
- *     cdef u64 qs[64]
-*/
-
-static __pyx_t_8localpow_7kernels_7_native_i64 __pyx_f_8localpow_7kernels_7_native_discrete_log_u64(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_g, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_h, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_qs[64];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_es[64];
-  int __pyx_v_cnt;
-  int __pyx_v_i;
-  int __pyx_v_t;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_q;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_qt;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_gq;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_hq;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_x;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_mod;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_d;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_dd;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_r;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_xi;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-
-  /* "localpow/kernels/_native.pyx":362
- *     cdef u64 q, qt, gq, hq, x, mod, d, dd, r
- *     cdef i64 xi
- *     g %= p             # <<<<<<<<<<<<<<
- *     h %= p
- *     if g == 0 or h == 0:
-*/
-  __pyx_v_g = (__pyx_v_g % __pyx_v_p);
-
-  /* "localpow/kernels/_native.pyx":363
- *     cdef i64 xi
- *     g %= p
- *     h %= p             # <<<<<<<<<<<<<<
- *     if g == 0 or h == 0:
- *         return -1
-*/
-  __pyx_v_h = (__pyx_v_h % __pyx_v_p);
-
-  /* "localpow/kernels/_native.pyx":364
- *     g %= p
- *     h %= p
- *     if g == 0 or h == 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     cnt = factorize_u64(p - 1, qs, es)
-*/
-  __pyx_t_2 = (__pyx_v_g == 0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_h == 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":365
- *     h %= p
- *     if g == 0 or h == 0:
- *         return -1             # <<<<<<<<<<<<<<
- *     cnt = factorize_u64(p - 1, qs, es)
- *     # d = exact multiplicative order of g, peeled off p-1 prime by prime
-*/
-    __pyx_r = -1LL;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":364
- *     g %= p
- *     h %= p
- *     if g == 0 or h == 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     cnt = factorize_u64(p - 1, qs, es)
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":366
- *     if g == 0 or h == 0:
- *         return -1
- *     cnt = factorize_u64(p - 1, qs, es)             # <<<<<<<<<<<<<<
- *     # d = exact multiplicative order of g, peeled off p-1 prime by prime
- *     d = p - 1
-*/
-  __pyx_v_cnt = __pyx_f_8localpow_7kernels_7_native_factorize_u64((__pyx_v_p - 1), __pyx_v_qs, __pyx_v_es);
-
-  /* "localpow/kernels/_native.pyx":368
- *     cnt = factorize_u64(p - 1, qs, es)
- *     # d = exact multiplicative order of g, peeled off p-1 prime by prime
- *     d = p - 1             # <<<<<<<<<<<<<<
- *     for i in range(cnt):
- *         q = qs[i]
-*/
-  __pyx_v_d = (__pyx_v_p - 1);
-
-  /* "localpow/kernels/_native.pyx":369
- *     # d = exact multiplicative order of g, peeled off p-1 prime by prime
- *     d = p - 1
- *     for i in range(cnt):             # <<<<<<<<<<<<<<
- *         q = qs[i]
- *         while d % q == 0 and powmod(g, d / q, p) == 1:
-*/
-  __pyx_t_3 = __pyx_v_cnt;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "localpow/kernels/_native.pyx":370
- *     d = p - 1
- *     for i in range(cnt):
- *         q = qs[i]             # <<<<<<<<<<<<<<
- *         while d % q == 0 and powmod(g, d / q, p) == 1:
- *             d /= q
-*/
-    __pyx_v_q = (__pyx_v_qs[__pyx_v_i]);
-
-    /* "localpow/kernels/_native.pyx":371
- *     for i in range(cnt):
- *         q = qs[i]
- *         while d % q == 0 and powmod(g, d / q, p) == 1:             # <<<<<<<<<<<<<<
- *             d /= q
- *     if powmod(h, d, p) != 1:
-*/
-    while (1) {
-      __pyx_t_2 = ((__pyx_v_d % __pyx_v_q) == 0);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L10_bool_binop_done;
-      }
-      __pyx_t_2 = (__pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_g, (__pyx_v_d / __pyx_v_q), __pyx_v_p) == 1);
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L10_bool_binop_done:;
-      if (!__pyx_t_1) break;
-
-      /* "localpow/kernels/_native.pyx":372
- *         q = qs[i]
- *         while d % q == 0 and powmod(g, d / q, p) == 1:
- *             d /= q             # <<<<<<<<<<<<<<
- *     if powmod(h, d, p) != 1:
- *         return -1
-*/
-      __pyx_v_d = (__pyx_v_d / __pyx_v_q);
-    }
-  }
-
-  /* "localpow/kernels/_native.pyx":373
- *         while d % q == 0 and powmod(g, d / q, p) == 1:
- *             d /= q
- *     if powmod(h, d, p) != 1:             # <<<<<<<<<<<<<<
- *         return -1
- *     if h == 1:
-*/
-  __pyx_t_1 = (__pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_h, __pyx_v_d, __pyx_v_p) != 1);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":374
- *             d /= q
- *     if powmod(h, d, p) != 1:
- *         return -1             # <<<<<<<<<<<<<<
- *     if h == 1:
- *         return 0
-*/
-    __pyx_r = -1LL;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":373
- *         while d % q == 0 and powmod(g, d / q, p) == 1:
- *             d /= q
- *     if powmod(h, d, p) != 1:             # <<<<<<<<<<<<<<
- *         return -1
- *     if h == 1:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":375
- *     if powmod(h, d, p) != 1:
- *         return -1
- *     if h == 1:             # <<<<<<<<<<<<<<
- *         return 0
- *     x = 0
-*/
-  __pyx_t_1 = (__pyx_v_h == 1);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":376
- *         return -1
- *     if h == 1:
- *         return 0             # <<<<<<<<<<<<<<
- *     x = 0
- *     mod = 1
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":375
- *     if powmod(h, d, p) != 1:
- *         return -1
- *     if h == 1:             # <<<<<<<<<<<<<<
- *         return 0
- *     x = 0
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":377
- *     if h == 1:
- *         return 0
- *     x = 0             # <<<<<<<<<<<<<<
- *     mod = 1
- *     for i in range(cnt):
-*/
-  __pyx_v_x = 0;
-
-  /* "localpow/kernels/_native.pyx":378
- *         return 0
- *     x = 0
- *     mod = 1             # <<<<<<<<<<<<<<
- *     for i in range(cnt):
- *         q = qs[i]
-*/
-  __pyx_v_mod = 1;
-
-  /* "localpow/kernels/_native.pyx":379
- *     x = 0
- *     mod = 1
- *     for i in range(cnt):             # <<<<<<<<<<<<<<
- *         q = qs[i]
- *         t = 0
-*/
-  __pyx_t_3 = __pyx_v_cnt;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_i = __pyx_t_5;
-
-    /* "localpow/kernels/_native.pyx":380
- *     mod = 1
- *     for i in range(cnt):
- *         q = qs[i]             # <<<<<<<<<<<<<<
- *         t = 0
- *         dd = d
-*/
-    __pyx_v_q = (__pyx_v_qs[__pyx_v_i]);
-
-    /* "localpow/kernels/_native.pyx":381
- *     for i in range(cnt):
- *         q = qs[i]
- *         t = 0             # <<<<<<<<<<<<<<
- *         dd = d
- *         while dd % q == 0:
-*/
-    __pyx_v_t = 0;
-
-    /* "localpow/kernels/_native.pyx":382
- *         q = qs[i]
- *         t = 0
- *         dd = d             # <<<<<<<<<<<<<<
- *         while dd % q == 0:
- *             dd /= q
-*/
-    __pyx_v_dd = __pyx_v_d;
-
-    /* "localpow/kernels/_native.pyx":383
- *         t = 0
- *         dd = d
- *         while dd % q == 0:             # <<<<<<<<<<<<<<
- *             dd /= q
- *             t += 1
-*/
-    while (1) {
-      __pyx_t_1 = ((__pyx_v_dd % __pyx_v_q) == 0);
-      if (!__pyx_t_1) break;
-
-      /* "localpow/kernels/_native.pyx":384
- *         dd = d
- *         while dd % q == 0:
- *             dd /= q             # <<<<<<<<<<<<<<
- *             t += 1
- *         if t == 0:
-*/
-      __pyx_v_dd = (__pyx_v_dd / __pyx_v_q);
-
-      /* "localpow/kernels/_native.pyx":385
- *         while dd % q == 0:
- *             dd /= q
- *             t += 1             # <<<<<<<<<<<<<<
- *         if t == 0:
- *             continue
-*/
-      __pyx_v_t = (__pyx_v_t + 1);
-    }
-
-    /* "localpow/kernels/_native.pyx":386
- *             dd /= q
- *             t += 1
- *         if t == 0:             # <<<<<<<<<<<<<<
- *             continue
- *         qt = upow(q, t)
-*/
-    __pyx_t_1 = (__pyx_v_t == 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":387
- *             t += 1
- *         if t == 0:
- *             continue             # <<<<<<<<<<<<<<
- *         qt = upow(q, t)
- *         gq = powmod(g, d / qt, p)  # order exactly q^t
-*/
-      goto __pyx_L14_continue;
-
-      /* "localpow/kernels/_native.pyx":386
- *             dd /= q
- *             t += 1
- *         if t == 0:             # <<<<<<<<<<<<<<
- *             continue
- *         qt = upow(q, t)
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":388
- *         if t == 0:
- *             continue
- *         qt = upow(q, t)             # <<<<<<<<<<<<<<
- *         gq = powmod(g, d / qt, p)  # order exactly q^t
- *         hq = powmod(h, d / qt, p)
-*/
-    __pyx_v_qt = __pyx_f_8localpow_7kernels_7_native_upow(__pyx_v_q, __pyx_v_t);
-
-    /* "localpow/kernels/_native.pyx":389
- *             continue
- *         qt = upow(q, t)
- *         gq = powmod(g, d / qt, p)  # order exactly q^t             # <<<<<<<<<<<<<<
- *         hq = powmod(h, d / qt, p)
- *         xi = prime_power_log(gq, hq, q, t, p)
-*/
-    __pyx_v_gq = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_g, (__pyx_v_d / __pyx_v_qt), __pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":390
- *         qt = upow(q, t)
- *         gq = powmod(g, d / qt, p)  # order exactly q^t
- *         hq = powmod(h, d / qt, p)             # <<<<<<<<<<<<<<
- *         xi = prime_power_log(gq, hq, q, t, p)
- *         if xi < 0:
-*/
-    __pyx_v_hq = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_h, (__pyx_v_d / __pyx_v_qt), __pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":391
- *         gq = powmod(g, d / qt, p)  # order exactly q^t
- *         hq = powmod(h, d / qt, p)
- *         xi = prime_power_log(gq, hq, q, t, p)             # <<<<<<<<<<<<<<
- *         if xi < 0:
- *             return xi
-*/
-    __pyx_v_xi = __pyx_f_8localpow_7kernels_7_native_prime_power_log(__pyx_v_gq, __pyx_v_hq, __pyx_v_q, __pyx_v_t, __pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":392
- *         hq = powmod(h, d / qt, p)
- *         xi = prime_power_log(gq, hq, q, t, p)
- *         if xi < 0:             # <<<<<<<<<<<<<<
- *             return xi
- *         r = (<u64>xi + qt - x % qt) % qt
-*/
-    __pyx_t_1 = (__pyx_v_xi < 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":393
- *         xi = prime_power_log(gq, hq, q, t, p)
- *         if xi < 0:
- *             return xi             # <<<<<<<<<<<<<<
- *         r = (<u64>xi + qt - x % qt) % qt
- *         x += mod * mulmod(r, invmod(mod % qt, qt), qt)
-*/
-      __pyx_r = __pyx_v_xi;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":392
- *         hq = powmod(h, d / qt, p)
- *         xi = prime_power_log(gq, hq, q, t, p)
- *         if xi < 0:             # <<<<<<<<<<<<<<
- *             return xi
- *         r = (<u64>xi + qt - x % qt) % qt
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":394
- *         if xi < 0:
- *             return xi
- *         r = (<u64>xi + qt - x % qt) % qt             # <<<<<<<<<<<<<<
- *         x += mod * mulmod(r, invmod(mod % qt, qt), qt)
- *         mod *= qt
-*/
-    __pyx_v_r = (((((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_v_xi) + __pyx_v_qt) - (__pyx_v_x % __pyx_v_qt)) % __pyx_v_qt);
-
-    /* "localpow/kernels/_native.pyx":395
- *             return xi
- *         r = (<u64>xi + qt - x % qt) % qt
- *         x += mod * mulmod(r, invmod(mod % qt, qt), qt)             # <<<<<<<<<<<<<<
- *         mod *= qt
- *     return <i64>x
-*/
-    __pyx_v_x = (__pyx_v_x + (__pyx_v_mod * __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_r, __pyx_f_8localpow_7kernels_7_native_invmod((__pyx_v_mod % __pyx_v_qt), __pyx_v_qt), __pyx_v_qt)));
-
-    /* "localpow/kernels/_native.pyx":396
- *         r = (<u64>xi + qt - x % qt) % qt
- *         x += mod * mulmod(r, invmod(mod % qt, qt), qt)
- *         mod *= qt             # <<<<<<<<<<<<<<
- *     return <i64>x
- * 
-*/
-    __pyx_v_mod = (__pyx_v_mod * __pyx_v_qt);
-    __pyx_L14_continue:;
-  }
-
-  /* "localpow/kernels/_native.pyx":397
- *         x += mod * mulmod(r, invmod(mod % qt, qt), qt)
- *         mod *= qt
- *     return <i64>x             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_x);
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":355
- * 
- * 
- * cdef i64 discrete_log_u64(u64 g, u64 h, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # smallest x >= 0 with g^x = h mod p; -1 if none, -2 on alloc failure
- *     cdef u64 qs[64]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":400
- * 
- * 
- * def discrete_log(g, h, p):             # <<<<<<<<<<<<<<
- *     """Smallest x >= 0 with g^x  h (mod p), via Pohlig-Hellman + BSGS."""
- *     cdef i64 x = discrete_log_u64(<u64>(g % p), <u64>(h % p), <u64>p)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_7discrete_log(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_6discrete_log, "Smallest x >= 0 with g^x \342\211\241 h (mod p), via Pohlig-Hellman + BSGS.");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_7discrete_log = {"discrete_log", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_7discrete_log, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_6discrete_log};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_7discrete_log(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_g = 0;
-  PyObject *__pyx_v_h = 0;
-  PyObject *__pyx_v_p = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("discrete_log (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_g,&__pyx_mstate_global->__pyx_n_u_h,&__pyx_mstate_global->__pyx_n_u_p,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 400, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 400, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 400, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 400, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "discrete_log", 0) < (0)) __PYX_ERR(0, 400, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("discrete_log", 1, 3, 3, i); __PYX_ERR(0, 400, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 400, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 400, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 400, __pyx_L3_error)
-    }
-    __pyx_v_g = values[0];
-    __pyx_v_h = values[1];
-    __pyx_v_p = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("discrete_log", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 400, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.discrete_log", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_6discrete_log(__pyx_self, __pyx_v_g, __pyx_v_h, __pyx_v_p);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_6discrete_log(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_g, PyObject *__pyx_v_h, PyObject *__pyx_v_p) {
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_x;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_2;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_3;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("discrete_log", 0);
-
-  /* "localpow/kernels/_native.pyx":402
- * def discrete_log(g, h, p):
- *     """Smallest x >= 0 with g^x  h (mod p), via Pohlig-Hellman + BSGS."""
- *     cdef i64 x = discrete_log_u64(<u64>(g % p), <u64>(h % p), <u64>p)             # <<<<<<<<<<<<<<
- *     if x == -2:
- *         raise MemoryError("baby-step table allocation failed")
-*/
-  __pyx_t_1 = PyNumber_Remainder(__pyx_v_g, __pyx_v_p); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 402, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_1); if (unlikely((__pyx_t_2 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 402, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = PyNumber_Remainder(__pyx_v_h, __pyx_v_p); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 402, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_1); if (unlikely((__pyx_t_3 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 402, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_4 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_p); if (unlikely((__pyx_t_4 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 402, __pyx_L1_error)
-  __pyx_v_x = __pyx_f_8localpow_7kernels_7_native_discrete_log_u64(((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_2), ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_3), ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_4));
-
-  /* "localpow/kernels/_native.pyx":403
- *     """Smallest x >= 0 with g^x  h (mod p), via Pohlig-Hellman + BSGS."""
- *     cdef i64 x = discrete_log_u64(<u64>(g % p), <u64>(h % p), <u64>p)
- *     if x == -2:             # <<<<<<<<<<<<<<
- *         raise MemoryError("baby-step table allocation failed")
- *     if x < 0:
-*/
-  __pyx_t_5 = (__pyx_v_x == -2LL);
-  if (unlikely(__pyx_t_5)) {
-
-    /* "localpow/kernels/_native.pyx":404
- *     cdef i64 x = discrete_log_u64(<u64>(g % p), <u64>(h % p), <u64>p)
- *     if x == -2:
- *         raise MemoryError("baby-step table allocation failed")             # <<<<<<<<<<<<<<
- *     if x < 0:
- *         raise ValueError("element outside the subgroup generated by the base")
-*/
-    __pyx_t_6 = NULL;
-    __pyx_t_7 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_mstate_global->__pyx_kp_u_baby_step_table_allocation_faile};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 404, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 404, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":403
- *     """Smallest x >= 0 with g^x  h (mod p), via Pohlig-Hellman + BSGS."""
- *     cdef i64 x = discrete_log_u64(<u64>(g % p), <u64>(h % p), <u64>p)
- *     if x == -2:             # <<<<<<<<<<<<<<
- *         raise MemoryError("baby-step table allocation failed")
- *     if x < 0:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":405
- *     if x == -2:
- *         raise MemoryError("baby-step table allocation failed")
- *     if x < 0:             # <<<<<<<<<<<<<<
- *         raise ValueError("element outside the subgroup generated by the base")
- *     return <object>x
-*/
-  __pyx_t_5 = (__pyx_v_x < 0);
-  if (unlikely(__pyx_t_5)) {
-
-    /* "localpow/kernels/_native.pyx":406
- *         raise MemoryError("baby-step table allocation failed")
- *     if x < 0:
- *         raise ValueError("element outside the subgroup generated by the base")             # <<<<<<<<<<<<<<
- *     return <object>x
- * 
-*/
-    __pyx_t_6 = NULL;
-    __pyx_t_7 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_6, __pyx_mstate_global->__pyx_kp_u_element_outside_the_subgroup_gen};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 406, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 406, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":405
- *     if x == -2:
- *         raise MemoryError("baby-step table allocation failed")
- *     if x < 0:             # <<<<<<<<<<<<<<
- *         raise ValueError("element outside the subgroup generated by the base")
- *     return <object>x
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":407
- *     if x < 0:
- *         raise ValueError("element outside the subgroup generated by the base")
- *     return <object>x             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_x); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 407, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_INCREF(((PyObject *)__pyx_t_1));
-  __pyx_r = __pyx_t_1;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":400
- * 
- * 
- * def discrete_log(g, h, p):             # <<<<<<<<<<<<<<
- *     """Smallest x >= 0 with g^x  h (mod p), via Pohlig-Hellman + BSGS."""
- *     cdef i64 x = discrete_log_u64(<u64>(g % p), <u64>(h % p), <u64>p)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("localpow.kernels._native.discrete_log", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":412
- * # -- sieving -----------------------------------------------------------------
- * 
- * cdef unsigned char* _sieve_flags(u64 limit) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned char* flags = <unsigned char*>malloc(limit + 1)
- *     cdef u64 i, j
-*/
-
-static unsigned char *__pyx_f_8localpow_7kernels_7_native__sieve_flags(__pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_limit) {
-  unsigned char *__pyx_v_flags;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_i;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_j;
-  unsigned char *__pyx_r;
-  int __pyx_t_1;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_2;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_3;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_4;
-
-  /* "localpow/kernels/_native.pyx":413
- * 
- * cdef unsigned char* _sieve_flags(u64 limit) noexcept nogil:
- *     cdef unsigned char* flags = <unsigned char*>malloc(limit + 1)             # <<<<<<<<<<<<<<
- *     cdef u64 i, j
- *     if flags == NULL:
-*/
-  __pyx_v_flags = ((unsigned char *)malloc((__pyx_v_limit + 1)));
-
-  /* "localpow/kernels/_native.pyx":415
- *     cdef unsigned char* flags = <unsigned char*>malloc(limit + 1)
- *     cdef u64 i, j
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         return NULL
- *     for i in range(limit + 1):
-*/
-  __pyx_t_1 = (__pyx_v_flags == NULL);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":416
- *     cdef u64 i, j
- *     if flags == NULL:
- *         return NULL             # <<<<<<<<<<<<<<
- *     for i in range(limit + 1):
- *         flags[i] = 1
-*/
-    __pyx_r = NULL;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":415
- *     cdef unsigned char* flags = <unsigned char*>malloc(limit + 1)
- *     cdef u64 i, j
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         return NULL
- *     for i in range(limit + 1):
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":417
- *     if flags == NULL:
- *         return NULL
- *     for i in range(limit + 1):             # <<<<<<<<<<<<<<
- *         flags[i] = 1
- *     flags[0] = 0
-*/
-  __pyx_t_2 = (__pyx_v_limit + 1);
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_i = __pyx_t_4;
-
-    /* "localpow/kernels/_native.pyx":418
- *         return NULL
- *     for i in range(limit + 1):
- *         flags[i] = 1             # <<<<<<<<<<<<<<
- *     flags[0] = 0
- *     if limit >= 1:
-*/
-    (__pyx_v_flags[__pyx_v_i]) = 1;
-  }
-
-  /* "localpow/kernels/_native.pyx":419
- *     for i in range(limit + 1):
- *         flags[i] = 1
- *     flags[0] = 0             # <<<<<<<<<<<<<<
- *     if limit >= 1:
- *         flags[1] = 0
-*/
-  (__pyx_v_flags[0]) = 0;
-
-  /* "localpow/kernels/_native.pyx":420
- *         flags[i] = 1
- *     flags[0] = 0
- *     if limit >= 1:             # <<<<<<<<<<<<<<
- *         flags[1] = 0
- *     i = 2
-*/
-  __pyx_t_1 = (__pyx_v_limit >= 1);
-  if (__pyx_t_1) {
-
-    /* "localpow/kernels/_native.pyx":421
- *     flags[0] = 0
- *     if limit >= 1:
- *         flags[1] = 0             # <<<<<<<<<<<<<<
- *     i = 2
- *     while i * i <= limit:
-*/
-    (__pyx_v_flags[1]) = 0;
-
-    /* "localpow/kernels/_native.pyx":420
- *         flags[i] = 1
- *     flags[0] = 0
- *     if limit >= 1:             # <<<<<<<<<<<<<<
- *         flags[1] = 0
- *     i = 2
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":422
- *     if limit >= 1:
- *         flags[1] = 0
- *     i = 2             # <<<<<<<<<<<<<<
- *     while i * i <= limit:
- *         if flags[i]:
-*/
-  __pyx_v_i = 2;
-
-  /* "localpow/kernels/_native.pyx":423
- *         flags[1] = 0
- *     i = 2
- *     while i * i <= limit:             # <<<<<<<<<<<<<<
- *         if flags[i]:
- *             j = i * i
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_i * __pyx_v_i) <= __pyx_v_limit);
-    if (!__pyx_t_1) break;
-
-    /* "localpow/kernels/_native.pyx":424
- *     i = 2
- *     while i * i <= limit:
- *         if flags[i]:             # <<<<<<<<<<<<<<
- *             j = i * i
- *             while j <= limit:
-*/
-    __pyx_t_1 = ((__pyx_v_flags[__pyx_v_i]) != 0);
-    if (__pyx_t_1) {
-
-      /* "localpow/kernels/_native.pyx":425
- *     while i * i <= limit:
- *         if flags[i]:
- *             j = i * i             # <<<<<<<<<<<<<<
- *             while j <= limit:
- *                 flags[j] = 0
-*/
-      __pyx_v_j = (__pyx_v_i * __pyx_v_i);
-
-      /* "localpow/kernels/_native.pyx":426
- *         if flags[i]:
- *             j = i * i
- *             while j <= limit:             # <<<<<<<<<<<<<<
- *                 flags[j] = 0
- *                 j += i
-*/
-      while (1) {
-        __pyx_t_1 = (__pyx_v_j <= __pyx_v_limit);
-        if (!__pyx_t_1) break;
-
-        /* "localpow/kernels/_native.pyx":427
- *             j = i * i
- *             while j <= limit:
- *                 flags[j] = 0             # <<<<<<<<<<<<<<
- *                 j += i
- *         i += 1
-*/
-        (__pyx_v_flags[__pyx_v_j]) = 0;
-
-        /* "localpow/kernels/_native.pyx":428
- *             while j <= limit:
- *                 flags[j] = 0
- *                 j += i             # <<<<<<<<<<<<<<
- *         i += 1
- *     return flags
-*/
-        __pyx_v_j = (__pyx_v_j + __pyx_v_i);
-      }
-
-      /* "localpow/kernels/_native.pyx":424
- *     i = 2
- *     while i * i <= limit:
- *         if flags[i]:             # <<<<<<<<<<<<<<
- *             j = i * i
- *             while j <= limit:
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":429
- *                 flags[j] = 0
- *                 j += i
- *         i += 1             # <<<<<<<<<<<<<<
- *     return flags
- * 
-*/
-    __pyx_v_i = (__pyx_v_i + 1);
-  }
-
-  /* "localpow/kernels/_native.pyx":430
- *                 j += i
- *         i += 1
- *     return flags             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_flags;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":412
- * # -- sieving -----------------------------------------------------------------
- * 
- * cdef unsigned char* _sieve_flags(u64 limit) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef unsigned char* flags = <unsigned char*>malloc(limit + 1)
- *     cdef u64 i, j
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":433
- * 
- * 
- * def sieve(limit):             # <<<<<<<<<<<<<<
- *     """All primes <= limit, ascending."""
- *     cdef u64 lim, i
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_9sieve(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_8sieve, "All primes <= limit, ascending.");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_9sieve = {"sieve", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_9sieve, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_8sieve};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_9sieve(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_limit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("sieve (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_limit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 433, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 433, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "sieve", 0) < (0)) __PYX_ERR(0, 433, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("sieve", 1, 1, 1, i); __PYX_ERR(0, 433, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 433, __pyx_L3_error)
-    }
-    __pyx_v_limit = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("sieve", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 433, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.sieve", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_8sieve(__pyx_self, __pyx_v_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_8sieve(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_limit) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_lim;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_i;
-  unsigned char *__pyx_v_flags;
-  PyObject *__pyx_v_out = 0;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_6;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  char const *__pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("sieve", 0);
-
-  /* "localpow/kernels/_native.pyx":437
- *     cdef u64 lim, i
- *     cdef unsigned char* flags
- *     cdef list out = []             # <<<<<<<<<<<<<<
- *     if limit < 2:
- *         return []
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 437, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_out = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "localpow/kernels/_native.pyx":438
- *     cdef unsigned char* flags
- *     cdef list out = []
- *     if limit < 2:             # <<<<<<<<<<<<<<
- *         return []
- *     lim = <u64>limit
-*/
-  __pyx_t_1 = PyObject_RichCompare(__pyx_v_limit, __pyx_mstate_global->__pyx_int_2, Py_LT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 438, __pyx_L1_error)
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 438, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (__pyx_t_2) {
-
-    /* "localpow/kernels/_native.pyx":439
- *     cdef list out = []
- *     if limit < 2:
- *         return []             # <<<<<<<<<<<<<<
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 439, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_r = __pyx_t_1;
-    __pyx_t_1 = 0;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":438
- *     cdef unsigned char* flags
- *     cdef list out = []
- *     if limit < 2:             # <<<<<<<<<<<<<<
- *         return []
- *     lim = <u64>limit
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":440
- *     if limit < 2:
- *         return []
- *     lim = <u64>limit             # <<<<<<<<<<<<<<
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:
-*/
-  __pyx_t_3 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_limit); if (unlikely((__pyx_t_3 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 440, __pyx_L1_error)
-  __pyx_v_lim = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_3);
-
-  /* "localpow/kernels/_native.pyx":441
- *         return []
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)             # <<<<<<<<<<<<<<
- *     if flags == NULL:
- *         raise MemoryError("sieve allocation failed")
-*/
-  __pyx_v_flags = __pyx_f_8localpow_7kernels_7_native__sieve_flags(__pyx_v_lim);
-
-  /* "localpow/kernels/_native.pyx":442
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError("sieve allocation failed")
- *     try:
-*/
-  __pyx_t_2 = (__pyx_v_flags == NULL);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "localpow/kernels/_native.pyx":443
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:
- *         raise MemoryError("sieve allocation failed")             # <<<<<<<<<<<<<<
- *     try:
- *         for i in range(2, lim + 1):
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_sieve_allocation_failed};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 443, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 443, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":442
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError("sieve allocation failed")
- *     try:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":444
- *     if flags == NULL:
- *         raise MemoryError("sieve allocation failed")
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(2, lim + 1):
- *             if flags[i]:
-*/
-  /*try:*/ {
-
-    /* "localpow/kernels/_native.pyx":445
- *         raise MemoryError("sieve allocation failed")
- *     try:
- *         for i in range(2, lim + 1):             # <<<<<<<<<<<<<<
- *             if flags[i]:
- *                 out.append(i)
-*/
-    __pyx_t_3 = (__pyx_v_lim + 1);
-    __pyx_t_6 = __pyx_t_3;
-    for (__pyx_t_7 = 2; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-      __pyx_v_i = __pyx_t_7;
-
-      /* "localpow/kernels/_native.pyx":446
- *     try:
- *         for i in range(2, lim + 1):
- *             if flags[i]:             # <<<<<<<<<<<<<<
- *                 out.append(i)
- *     finally:
-*/
-      __pyx_t_2 = ((__pyx_v_flags[__pyx_v_i]) != 0);
-      if (__pyx_t_2) {
-
-        /* "localpow/kernels/_native.pyx":447
- *         for i in range(2, lim + 1):
- *             if flags[i]:
- *                 out.append(i)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(flags)
-*/
-        __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 447, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_t_8 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_1); if (unlikely(__pyx_t_8 == ((int)-1))) __PYX_ERR(0, 447, __pyx_L6_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-        /* "localpow/kernels/_native.pyx":446
- *     try:
- *         for i in range(2, lim + 1):
- *             if flags[i]:             # <<<<<<<<<<<<<<
- *                 out.append(i)
- *     finally:
-*/
-      }
-    }
-  }
-
-  /* "localpow/kernels/_native.pyx":449
- *                 out.append(i)
- *     finally:
- *         free(flags)             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-  /*finally:*/ {
-    /*normal exit:*/{
-      free(__pyx_v_flags);
-      goto __pyx_L7;
-    }
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0;
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_12, &__pyx_t_13, &__pyx_t_14) < 0)) __Pyx_ErrFetch(&__pyx_t_12, &__pyx_t_13, &__pyx_t_14);
-      __Pyx_XGOTREF(__pyx_t_12);
-      __Pyx_XGOTREF(__pyx_t_13);
-      __Pyx_XGOTREF(__pyx_t_14);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __pyx_t_9 = __pyx_lineno; __pyx_t_10 = __pyx_clineno; __pyx_t_11 = __pyx_filename;
-      {
-        free(__pyx_v_flags);
-      }
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_ExceptionReset(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_12);
-      __Pyx_XGIVEREF(__pyx_t_13);
-      __Pyx_XGIVEREF(__pyx_t_14);
-      __Pyx_ErrRestore(__pyx_t_12, __pyx_t_13, __pyx_t_14);
-      __pyx_t_12 = 0; __pyx_t_13 = 0; __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0;
-      __pyx_lineno = __pyx_t_9; __pyx_clineno = __pyx_t_10; __pyx_filename = __pyx_t_11;
-      goto __pyx_L1_error;
-    }
-    __pyx_L7:;
-  }
-
-  /* "localpow/kernels/_native.pyx":450
- *     finally:
- *         free(flags)
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":433
- * 
- * 
- * def sieve(limit):             # <<<<<<<<<<<<<<
- *     """All primes <= limit, ascending."""
- *     cdef u64 lim, i
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("localpow.kernels._native.sieve", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":453
- * 
- * 
- * def count_primes(limit):             # <<<<<<<<<<<<<<
- *     """Number of primes <= limit."""
- *     cdef u64 lim, i, cnt = 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_11count_primes(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_10count_primes, "Number of primes <= limit.");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_11count_primes = {"count_primes", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_11count_primes, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_10count_primes};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_11count_primes(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_limit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("count_primes (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_limit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 453, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 453, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "count_primes", 0) < (0)) __PYX_ERR(0, 453, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("count_primes", 1, 1, 1, i); __PYX_ERR(0, 453, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 453, __pyx_L3_error)
-    }
-    __pyx_v_limit = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("count_primes", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 453, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.count_primes", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_10count_primes(__pyx_self, __pyx_v_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_10count_primes(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_limit) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_lim;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_i;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cnt;
-  unsigned char *__pyx_v_flags;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_6;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("count_primes", 0);
-
-  /* "localpow/kernels/_native.pyx":455
- * def count_primes(limit):
- *     """Number of primes <= limit."""
- *     cdef u64 lim, i, cnt = 0             # <<<<<<<<<<<<<<
- *     cdef unsigned char* flags
- *     if limit < 2:
-*/
-  __pyx_v_cnt = 0;
-
-  /* "localpow/kernels/_native.pyx":457
- *     cdef u64 lim, i, cnt = 0
- *     cdef unsigned char* flags
- *     if limit < 2:             # <<<<<<<<<<<<<<
- *         return 0
- *     lim = <u64>limit
-*/
-  __pyx_t_1 = PyObject_RichCompare(__pyx_v_limit, __pyx_mstate_global->__pyx_int_2, Py_LT); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 457, __pyx_L1_error)
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 457, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (__pyx_t_2) {
-
-    /* "localpow/kernels/_native.pyx":458
- *     cdef unsigned char* flags
- *     if limit < 2:
- *         return 0             # <<<<<<<<<<<<<<
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __pyx_r = __pyx_mstate_global->__pyx_int_0;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":457
- *     cdef u64 lim, i, cnt = 0
- *     cdef unsigned char* flags
- *     if limit < 2:             # <<<<<<<<<<<<<<
- *         return 0
- *     lim = <u64>limit
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":459
- *     if limit < 2:
- *         return 0
- *     lim = <u64>limit             # <<<<<<<<<<<<<<
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:
-*/
-  __pyx_t_3 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_limit); if (unlikely((__pyx_t_3 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 459, __pyx_L1_error)
-  __pyx_v_lim = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_3);
-
-  /* "localpow/kernels/_native.pyx":460
- *         return 0
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)             # <<<<<<<<<<<<<<
- *     if flags == NULL:
- *         raise MemoryError("sieve allocation failed")
-*/
-  __pyx_v_flags = __pyx_f_8localpow_7kernels_7_native__sieve_flags(__pyx_v_lim);
-
-  /* "localpow/kernels/_native.pyx":461
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError("sieve allocation failed")
- *     with nogil:
-*/
-  __pyx_t_2 = (__pyx_v_flags == NULL);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "localpow/kernels/_native.pyx":462
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:
- *         raise MemoryError("sieve allocation failed")             # <<<<<<<<<<<<<<
- *     with nogil:
- *         for i in range(2, lim + 1):
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_sieve_allocation_failed};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 462, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 462, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":461
- *     lim = <u64>limit
- *     flags = _sieve_flags(lim)
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError("sieve allocation failed")
- *     with nogil:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":463
- *     if flags == NULL:
- *         raise MemoryError("sieve allocation failed")
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(2, lim + 1):
- *             cnt += flags[i]
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "localpow/kernels/_native.pyx":464
- *         raise MemoryError("sieve allocation failed")
- *     with nogil:
- *         for i in range(2, lim + 1):             # <<<<<<<<<<<<<<
- *             cnt += flags[i]
- *     free(flags)
-*/
-        __pyx_t_3 = (__pyx_v_lim + 1);
-        __pyx_t_6 = __pyx_t_3;
-        for (__pyx_t_7 = 2; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-          __pyx_v_i = __pyx_t_7;
-
-          /* "localpow/kernels/_native.pyx":465
- *     with nogil:
- *         for i in range(2, lim + 1):
- *             cnt += flags[i]             # <<<<<<<<<<<<<<
- *     free(flags)
- *     return cnt
-*/
-          __pyx_v_cnt = (__pyx_v_cnt + (__pyx_v_flags[__pyx_v_i]));
-        }
-      }
-
-      /* "localpow/kernels/_native.pyx":463
- *     if flags == NULL:
- *         raise MemoryError("sieve allocation failed")
- *     with nogil:             # <<<<<<<<<<<<<<
- *         for i in range(2, lim + 1):
- *             cnt += flags[i]
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L7;
-        }
-        __pyx_L7:;
-      }
-  }
-
-  /* "localpow/kernels/_native.pyx":466
- *         for i in range(2, lim + 1):
- *             cnt += flags[i]
- *     free(flags)             # <<<<<<<<<<<<<<
- *     return cnt
- * 
-*/
-  free(__pyx_v_flags);
-
-  /* "localpow/kernels/_native.pyx":467
- *             cnt += flags[i]
- *     free(flags)
- *     return cnt             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_cnt); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 467, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_r = __pyx_t_1;
-  __pyx_t_1 = 0;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":453
- * 
- * 
- * def count_primes(limit):             # <<<<<<<<<<<<<<
- *     """Number of primes <= limit."""
- *     cdef u64 lim, i, cnt = 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("localpow.kernels._native.count_primes", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":472
- * # -- exponent systems ----------------------------------------------------------
- * 
- * cdef int solve_system_u64(u64* a, u64* b, int width, u64 m, u64* out) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # smallest k with k*a_j  b_j (mod m) for all j; 1 on success, 0 if none
- *     cdef u64 r = 0, mod = 1
-*/
-
-static int __pyx_f_8localpow_7kernels_7_native_solve_system_u64(__pyx_t_8localpow_7kernels_7_native_u64 *__pyx_v_a, __pyx_t_8localpow_7kernels_7_native_u64 *__pyx_v_b, int __pyx_v_width, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_m, __pyx_t_8localpow_7kernels_7_native_u64 *__pyx_v_out) {
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_r;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_mod;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_aj;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_bj;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_g;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_mj;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_rj;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_gg;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_lcm;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_step;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_t;
-  int __pyx_v_j;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "localpow/kernels/_native.pyx":474
- * cdef int solve_system_u64(u64* a, u64* b, int width, u64 m, u64* out) noexcept nogil:
- *     # smallest k with k*a_j  b_j (mod m) for all j; 1 on success, 0 if none
- *     cdef u64 r = 0, mod = 1             # <<<<<<<<<<<<<<
- *     cdef u64 aj, bj, g, mj, rj, gg, lcm, step, t
- *     cdef int j
-*/
-  __pyx_v_r = 0;
-  __pyx_v_mod = 1;
-
-  /* "localpow/kernels/_native.pyx":477
- *     cdef u64 aj, bj, g, mj, rj, gg, lcm, step, t
- *     cdef int j
- *     for j in range(width):             # <<<<<<<<<<<<<<
- *         aj = a[j] % m
- *         bj = b[j] % m
-*/
-  __pyx_t_1 = __pyx_v_width;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "localpow/kernels/_native.pyx":478
- *     cdef int j
- *     for j in range(width):
- *         aj = a[j] % m             # <<<<<<<<<<<<<<
- *         bj = b[j] % m
- *         g = gcd_u64(aj, m)
-*/
-    __pyx_v_aj = ((__pyx_v_a[__pyx_v_j]) % __pyx_v_m);
-
-    /* "localpow/kernels/_native.pyx":479
- *     for j in range(width):
- *         aj = a[j] % m
- *         bj = b[j] % m             # <<<<<<<<<<<<<<
- *         g = gcd_u64(aj, m)
- *         if g == 0:
-*/
-    __pyx_v_bj = ((__pyx_v_b[__pyx_v_j]) % __pyx_v_m);
-
-    /* "localpow/kernels/_native.pyx":480
- *         aj = a[j] % m
- *         bj = b[j] % m
- *         g = gcd_u64(aj, m)             # <<<<<<<<<<<<<<
- *         if g == 0:
- *             g = m
-*/
-    __pyx_v_g = __pyx_f_8localpow_7kernels_7_native_gcd_u64(__pyx_v_aj, __pyx_v_m);
-
-    /* "localpow/kernels/_native.pyx":481
- *         bj = b[j] % m
- *         g = gcd_u64(aj, m)
- *         if g == 0:             # <<<<<<<<<<<<<<
- *             g = m
- *         if bj % g:
-*/
-    __pyx_t_4 = (__pyx_v_g == 0);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":482
- *         g = gcd_u64(aj, m)
- *         if g == 0:
- *             g = m             # <<<<<<<<<<<<<<
- *         if bj % g:
- *             return 0
-*/
-      __pyx_v_g = __pyx_v_m;
-
-      /* "localpow/kernels/_native.pyx":481
- *         bj = b[j] % m
- *         g = gcd_u64(aj, m)
- *         if g == 0:             # <<<<<<<<<<<<<<
- *             g = m
- *         if bj % g:
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":483
- *         if g == 0:
- *             g = m
- *         if bj % g:             # <<<<<<<<<<<<<<
- *             return 0
- *         mj = m / g
-*/
-    __pyx_t_4 = ((__pyx_v_bj % __pyx_v_g) != 0);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":484
- *             g = m
- *         if bj % g:
- *             return 0             # <<<<<<<<<<<<<<
- *         mj = m / g
- *         if mj > 1:
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":483
- *         if g == 0:
- *             g = m
- *         if bj % g:             # <<<<<<<<<<<<<<
- *             return 0
- *         mj = m / g
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":485
- *         if bj % g:
- *             return 0
- *         mj = m / g             # <<<<<<<<<<<<<<
- *         if mj > 1:
- *             rj = mulmod(bj / g, invmod(aj / g, mj), mj)
-*/
-    __pyx_v_mj = (__pyx_v_m / __pyx_v_g);
-
-    /* "localpow/kernels/_native.pyx":486
- *             return 0
- *         mj = m / g
- *         if mj > 1:             # <<<<<<<<<<<<<<
- *             rj = mulmod(bj / g, invmod(aj / g, mj), mj)
- *         else:
-*/
-    __pyx_t_4 = (__pyx_v_mj > 1);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":487
- *         mj = m / g
- *         if mj > 1:
- *             rj = mulmod(bj / g, invmod(aj / g, mj), mj)             # <<<<<<<<<<<<<<
- *         else:
- *             rj = 0
-*/
-      __pyx_v_rj = __pyx_f_8localpow_7kernels_7_native_mulmod((__pyx_v_bj / __pyx_v_g), __pyx_f_8localpow_7kernels_7_native_invmod((__pyx_v_aj / __pyx_v_g), __pyx_v_mj), __pyx_v_mj);
-
-      /* "localpow/kernels/_native.pyx":486
- *             return 0
- *         mj = m / g
- *         if mj > 1:             # <<<<<<<<<<<<<<
- *             rj = mulmod(bj / g, invmod(aj / g, mj), mj)
- *         else:
-*/
-      goto __pyx_L7;
-    }
-
-    /* "localpow/kernels/_native.pyx":489
- *             rj = mulmod(bj / g, invmod(aj / g, mj), mj)
- *         else:
- *             rj = 0             # <<<<<<<<<<<<<<
- *         gg = gcd_u64(mod, mj)
- *         lcm = (mod / gg) * mj
-*/
-    /*else*/ {
-      __pyx_v_rj = 0;
-    }
-    __pyx_L7:;
-
-    /* "localpow/kernels/_native.pyx":490
- *         else:
- *             rj = 0
- *         gg = gcd_u64(mod, mj)             # <<<<<<<<<<<<<<
- *         lcm = (mod / gg) * mj
- *         if (rj + lcm - r) % gg:
-*/
-    __pyx_v_gg = __pyx_f_8localpow_7kernels_7_native_gcd_u64(__pyx_v_mod, __pyx_v_mj);
-
-    /* "localpow/kernels/_native.pyx":491
- *             rj = 0
- *         gg = gcd_u64(mod, mj)
- *         lcm = (mod / gg) * mj             # <<<<<<<<<<<<<<
- *         if (rj + lcm - r) % gg:
- *             return 0
-*/
-    __pyx_v_lcm = ((__pyx_v_mod / __pyx_v_gg) * __pyx_v_mj);
-
-    /* "localpow/kernels/_native.pyx":492
- *         gg = gcd_u64(mod, mj)
- *         lcm = (mod / gg) * mj
- *         if (rj + lcm - r) % gg:             # <<<<<<<<<<<<<<
- *             return 0
- *         step = mj / gg
-*/
-    __pyx_t_4 = ((((__pyx_v_rj + __pyx_v_lcm) - __pyx_v_r) % __pyx_v_gg) != 0);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":493
- *         lcm = (mod / gg) * mj
- *         if (rj + lcm - r) % gg:
- *             return 0             # <<<<<<<<<<<<<<
- *         step = mj / gg
- *         if step > 1:
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":492
- *         gg = gcd_u64(mod, mj)
- *         lcm = (mod / gg) * mj
- *         if (rj + lcm - r) % gg:             # <<<<<<<<<<<<<<
- *             return 0
- *         step = mj / gg
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":494
- *         if (rj + lcm - r) % gg:
- *             return 0
- *         step = mj / gg             # <<<<<<<<<<<<<<
- *         if step > 1:
- *             t = mulmod(((rj + lcm - r) / gg) % step, invmod((mod / gg) % step, step), step)
-*/
-    __pyx_v_step = (__pyx_v_mj / __pyx_v_gg);
-
-    /* "localpow/kernels/_native.pyx":495
- *             return 0
- *         step = mj / gg
- *         if step > 1:             # <<<<<<<<<<<<<<
- *             t = mulmod(((rj + lcm - r) / gg) % step, invmod((mod / gg) % step, step), step)
- *         else:
-*/
-    __pyx_t_4 = (__pyx_v_step > 1);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":496
- *         step = mj / gg
- *         if step > 1:
- *             t = mulmod(((rj + lcm - r) / gg) % step, invmod((mod / gg) % step, step), step)             # <<<<<<<<<<<<<<
- *         else:
- *             t = 0
-*/
-      __pyx_v_t = __pyx_f_8localpow_7kernels_7_native_mulmod(((((__pyx_v_rj + __pyx_v_lcm) - __pyx_v_r) / __pyx_v_gg) % __pyx_v_step), __pyx_f_8localpow_7kernels_7_native_invmod(((__pyx_v_mod / __pyx_v_gg) % __pyx_v_step), __pyx_v_step), __pyx_v_step);
-
-      /* "localpow/kernels/_native.pyx":495
- *             return 0
- *         step = mj / gg
- *         if step > 1:             # <<<<<<<<<<<<<<
- *             t = mulmod(((rj + lcm - r) / gg) % step, invmod((mod / gg) % step, step), step)
- *         else:
-*/
-      goto __pyx_L9;
-    }
-
-    /* "localpow/kernels/_native.pyx":498
- *             t = mulmod(((rj + lcm - r) / gg) % step, invmod((mod / gg) % step, step), step)
- *         else:
- *             t = 0             # <<<<<<<<<<<<<<
- *         r = (r + mod * t) % lcm
- *         mod = lcm
-*/
-    /*else*/ {
-      __pyx_v_t = 0;
-    }
-    __pyx_L9:;
-
-    /* "localpow/kernels/_native.pyx":499
- *         else:
- *             t = 0
- *         r = (r + mod * t) % lcm             # <<<<<<<<<<<<<<
- *         mod = lcm
- *     out[0] = r
-*/
-    __pyx_v_r = ((__pyx_v_r + (__pyx_v_mod * __pyx_v_t)) % __pyx_v_lcm);
-
-    /* "localpow/kernels/_native.pyx":500
- *             t = 0
- *         r = (r + mod * t) % lcm
- *         mod = lcm             # <<<<<<<<<<<<<<
- *     out[0] = r
- *     return 1
-*/
-    __pyx_v_mod = __pyx_v_lcm;
-  }
-
-  /* "localpow/kernels/_native.pyx":501
- *         r = (r + mod * t) % lcm
- *         mod = lcm
- *     out[0] = r             # <<<<<<<<<<<<<<
- *     return 1
- * 
-*/
-  (__pyx_v_out[0]) = __pyx_v_r;
-
-  /* "localpow/kernels/_native.pyx":502
- *         mod = lcm
- *     out[0] = r
- *     return 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":472
- * # -- exponent systems ----------------------------------------------------------
- * 
- * cdef int solve_system_u64(u64* a, u64* b, int width, u64 m, u64* out) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # smallest k with k*a_j  b_j (mod m) for all j; 1 on success, 0 if none
- *     cdef u64 r = 0, mod = 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":505
- * 
- * 
- * def solve_exponent_system(a, b, m):             # <<<<<<<<<<<<<<
- *     """Smallest k in [0, m) with k*a_j  b_j (mod m) for all j, else None."""
- *     cdef int width = len(a)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_13solve_exponent_system(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_12solve_exponent_system, "Smallest k in [0, m) with k*a_j \342\211\241 b_j (mod m) for all j, else None.");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_13solve_exponent_system = {"solve_exponent_system", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_13solve_exponent_system, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_12solve_exponent_system};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_13solve_exponent_system(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_a = 0;
-  PyObject *__pyx_v_b = 0;
-  PyObject *__pyx_v_m = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("solve_exponent_system (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_m,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 505, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 505, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 505, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 505, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "solve_exponent_system", 0) < (0)) __PYX_ERR(0, 505, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("solve_exponent_system", 1, 3, 3, i); __PYX_ERR(0, 505, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 505, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 505, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 505, __pyx_L3_error)
-    }
-    __pyx_v_a = values[0];
-    __pyx_v_b = values[1];
-    __pyx_v_m = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("solve_exponent_system", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 505, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.solve_exponent_system", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_12solve_exponent_system(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_m);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_12solve_exponent_system(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_m) {
-  int __pyx_v_width;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_ca[64];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cb[64];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_res;
-  int __pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_9;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("solve_exponent_system", 0);
-
-  /* "localpow/kernels/_native.pyx":507
- * def solve_exponent_system(a, b, m):
- *     """Smallest k in [0, m) with k*a_j  b_j (mod m) for all j, else None."""
- *     cdef int width = len(a)             # <<<<<<<<<<<<<<
- *     cdef u64 ca[64]
- *     cdef u64 cb[64]
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_a); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 507, __pyx_L1_error)
-  __pyx_v_width = __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":510
- *     cdef u64 ca[64]
- *     cdef u64 cb[64]
- *     cdef u64 res = 0             # <<<<<<<<<<<<<<
- *     cdef int j
- *     if width > 64:
-*/
-  __pyx_v_res = 0;
-
-  /* "localpow/kernels/_native.pyx":512
- *     cdef u64 res = 0
- *     cdef int j
- *     if width > 64:             # <<<<<<<<<<<<<<
- *         raise ValueError("system too wide for the native backend")
- *     for j in range(width):
-*/
-  __pyx_t_2 = (__pyx_v_width > 64);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "localpow/kernels/_native.pyx":513
- *     cdef int j
- *     if width > 64:
- *         raise ValueError("system too wide for the native backend")             # <<<<<<<<<<<<<<
- *     for j in range(width):
- *         ca[j] = <u64>(a[j] % m)
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_system_too_wide_for_the_native_b};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 513, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 513, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":512
- *     cdef u64 res = 0
- *     cdef int j
- *     if width > 64:             # <<<<<<<<<<<<<<
- *         raise ValueError("system too wide for the native backend")
- *     for j in range(width):
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":514
- *     if width > 64:
- *         raise ValueError("system too wide for the native backend")
- *     for j in range(width):             # <<<<<<<<<<<<<<
- *         ca[j] = <u64>(a[j] % m)
- *         cb[j] = <u64>(b[j] % m)
-*/
-  __pyx_t_6 = __pyx_v_width;
-  __pyx_t_7 = __pyx_t_6;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_j = __pyx_t_8;
-
-    /* "localpow/kernels/_native.pyx":515
- *         raise ValueError("system too wide for the native backend")
- *     for j in range(width):
- *         ca[j] = <u64>(a[j] % m)             # <<<<<<<<<<<<<<
- *         cb[j] = <u64>(b[j] % m)
- *     if solve_system_u64(ca, cb, width, <u64>m, &res):
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_a, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 515, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = PyNumber_Remainder(__pyx_t_3, __pyx_v_m); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 515, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 515, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_ca[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_9);
-
-    /* "localpow/kernels/_native.pyx":516
- *     for j in range(width):
- *         ca[j] = <u64>(a[j] % m)
- *         cb[j] = <u64>(b[j] % m)             # <<<<<<<<<<<<<<
- *     if solve_system_u64(ca, cb, width, <u64>m, &res):
- *         return <object>res
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_b, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 516, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_3 = PyNumber_Remainder(__pyx_t_4, __pyx_v_m); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 516, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 516, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cb[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_9);
-  }
-
-  /* "localpow/kernels/_native.pyx":517
- *         ca[j] = <u64>(a[j] % m)
- *         cb[j] = <u64>(b[j] % m)
- *     if solve_system_u64(ca, cb, width, <u64>m, &res):             # <<<<<<<<<<<<<<
- *         return <object>res
- *     return None
-*/
-  __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_m); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 517, __pyx_L1_error)
-  __pyx_t_2 = (__pyx_f_8localpow_7kernels_7_native_solve_system_u64(__pyx_v_ca, __pyx_v_cb, __pyx_v_width, ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_9), (&__pyx_v_res)) != 0);
-  if (__pyx_t_2) {
-
-    /* "localpow/kernels/_native.pyx":518
- *         cb[j] = <u64>(b[j] % m)
- *     if solve_system_u64(ca, cb, width, <u64>m, &res):
- *         return <object>res             # <<<<<<<<<<<<<<
- *     return None
- * 
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_3 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_res); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 518, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_INCREF(((PyObject *)__pyx_t_3));
-    __pyx_r = __pyx_t_3;
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":517
- *         ca[j] = <u64>(a[j] % m)
- *         cb[j] = <u64>(b[j] % m)
- *     if solve_system_u64(ca, cb, width, <u64>m, &res):             # <<<<<<<<<<<<<<
- *         return <object>res
- *     return None
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":519
- *     if solve_system_u64(ca, cb, width, <u64>m, &res):
- *         return <object>res
- *     return None             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":505
- * 
- * 
- * def solve_exponent_system(a, b, m):             # <<<<<<<<<<<<<<
- *     """Smallest k in [0, m) with k*a_j  b_j (mod m) for all j, else None."""
- *     cdef int width = len(a)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("localpow.kernels._native.solve_exponent_system", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":524
- * # -- scan kernels ----------------------------------------------------------------
- * 
- * def z_b_rows(primes, ell, nums, dens):             # <<<<<<<<<<<<<<
- *     """Per-prime ell-th power classes z_j = c_j^((p-1)/ell) and their logs.
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_15z_b_rows(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_14z_b_rows, "Per-prime ell-th power classes z_j = c_j^((p-1)/ell) and their logs.\n\n    Same contract as the pure backend: rows are (p, zs, bs), with None pairs\n    for primes dividing a numerator or denominator.\n    ");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_15z_b_rows = {"z_b_rows", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_15z_b_rows, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_14z_b_rows};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_15z_b_rows(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_primes = 0;
-  PyObject *__pyx_v_ell = 0;
-  PyObject *__pyx_v_nums = 0;
-  PyObject *__pyx_v_dens = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("z_b_rows (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_primes,&__pyx_mstate_global->__pyx_n_u_ell,&__pyx_mstate_global->__pyx_n_u_nums,&__pyx_mstate_global->__pyx_n_u_dens,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 524, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 524, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 524, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 524, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 524, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "z_b_rows", 0) < (0)) __PYX_ERR(0, 524, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("z_b_rows", 1, 4, 4, i); __PYX_ERR(0, 524, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 4)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 524, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 524, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 524, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 524, __pyx_L3_error)
-    }
-    __pyx_v_primes = values[0];
-    __pyx_v_ell = values[1];
-    __pyx_v_nums = values[2];
-    __pyx_v_dens = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("z_b_rows", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 524, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.z_b_rows", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_14z_b_rows(__pyx_self, __pyx_v_primes, __pyx_v_ell, __pyx_v_nums, __pyx_v_dens);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_14z_b_rows(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_primes, PyObject *__pyx_v_ell, PyObject *__pyx_v_nums, PyObject *__pyx_v_dens) {
-  int __pyx_v_width;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cl;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_m;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_a;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_w;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_r;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cur;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_z;
-  int __pyx_v_j;
-  int __pyx_v_k;
-  int __pyx_v_ok;
-  int __pyx_v_allone;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_cn[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cd[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_zs[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_bs[16];
-  PyObject *__pyx_v_zl = 0;
-  PyObject *__pyx_v_bl = 0;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_v_pobj = NULL;
-  int __pyx_8genexpr1__pyx_v_j;
-  int __pyx_8genexpr2__pyx_v_j;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_t_9;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_t_10;
-  PyObject *(*__pyx_t_11)(PyObject *);
-  int __pyx_t_12;
-  int __pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("z_b_rows", 0);
-
-  /* "localpow/kernels/_native.pyx":530
- *     for primes dividing a numerator or denominator.
- *     """
- *     cdef int width = len(nums)             # <<<<<<<<<<<<<<
- *     cdef u64 cl = <u64>ell
- *     cdef u64 p, m, a, w, r, cur, z
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_nums); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 530, __pyx_L1_error)
-  __pyx_v_width = __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":531
- *     """
- *     cdef int width = len(nums)
- *     cdef u64 cl = <u64>ell             # <<<<<<<<<<<<<<
- *     cdef u64 p, m, a, w, r, cur, z
- *     cdef int j, k
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_ell); if (unlikely((__pyx_t_2 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 531, __pyx_L1_error)
-  __pyx_v_cl = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_2);
-
-  /* "localpow/kernels/_native.pyx":540
- *     cdef u64 bs[16]
- *     cdef list zl, bl
- *     if width > 16:             # <<<<<<<<<<<<<<
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):
-*/
-  __pyx_t_3 = (__pyx_v_width > 16);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "localpow/kernels/_native.pyx":541
- *     cdef list zl, bl
- *     if width > 16:
- *         raise ValueError("tuple too wide for the native backend")             # <<<<<<<<<<<<<<
- *     for j in range(width):
- *         cn[j] = <i64>nums[j]
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_mstate_global->__pyx_kp_u_tuple_too_wide_for_the_native_ba};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 541, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 541, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":540
- *     cdef u64 bs[16]
- *     cdef list zl, bl
- *     if width > 16:             # <<<<<<<<<<<<<<
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":542
- *     if width > 16:
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):             # <<<<<<<<<<<<<<
- *         cn[j] = <i64>nums[j]
- *         cd[j] = <u64>dens[j]
-*/
-  __pyx_t_7 = __pyx_v_width;
-  __pyx_t_8 = __pyx_t_7;
-  for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-    __pyx_v_j = __pyx_t_9;
-
-    /* "localpow/kernels/_native.pyx":543
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):
- *         cn[j] = <i64>nums[j]             # <<<<<<<<<<<<<<
- *         cd[j] = <u64>dens[j]
- *     out = []
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_nums, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 543, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 543, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_cn[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_t_10);
-
-    /* "localpow/kernels/_native.pyx":544
- *     for j in range(width):
- *         cn[j] = <i64>nums[j]
- *         cd[j] = <u64>dens[j]             # <<<<<<<<<<<<<<
- *     out = []
- *     for pobj in primes:
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_dens, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 544, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_2 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_4); if (unlikely((__pyx_t_2 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 544, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_cd[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_2);
-  }
-
-  /* "localpow/kernels/_native.pyx":545
- *         cn[j] = <i64>nums[j]
- *         cd[j] = <u64>dens[j]
- *     out = []             # <<<<<<<<<<<<<<
- *     for pobj in primes:
- *         p = <u64>pobj
-*/
-  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 545, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_out = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "localpow/kernels/_native.pyx":546
- *         cd[j] = <u64>dens[j]
- *     out = []
- *     for pobj in primes:             # <<<<<<<<<<<<<<
- *         p = <u64>pobj
- *         ok = True
-*/
-  if (likely(PyList_CheckExact(__pyx_v_primes)) || PyTuple_CheckExact(__pyx_v_primes)) {
-    __pyx_t_4 = __pyx_v_primes; __Pyx_INCREF(__pyx_t_4);
-    __pyx_t_1 = 0;
-    __pyx_t_11 = NULL;
-  } else {
-    __pyx_t_1 = -1; __pyx_t_4 = PyObject_GetIter(__pyx_v_primes); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 546, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_11 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_4); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 546, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_11)) {
-      if (likely(PyList_CheckExact(__pyx_t_4))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_4);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 546, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_4, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_1;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_4);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 546, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_4, __pyx_t_1));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_4, __pyx_t_1);
-        #endif
-        ++__pyx_t_1;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 546, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_11(__pyx_t_4);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 546, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_XDECREF_SET(__pyx_v_pobj, __pyx_t_5);
-    __pyx_t_5 = 0;
-
-    /* "localpow/kernels/_native.pyx":547
- *     out = []
- *     for pobj in primes:
- *         p = <u64>pobj             # <<<<<<<<<<<<<<
- *         ok = True
- *         for j in range(width):
-*/
-    __pyx_t_2 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_pobj); if (unlikely((__pyx_t_2 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 547, __pyx_L1_error)
-    __pyx_v_p = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_2);
-
-    /* "localpow/kernels/_native.pyx":548
- *     for pobj in primes:
- *         p = <u64>pobj
- *         ok = True             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             if cn[j] % <i64>p == 0 or cd[j] % p == 0:
-*/
-    __pyx_v_ok = 1;
-
-    /* "localpow/kernels/_native.pyx":549
- *         p = <u64>pobj
- *         ok = True
- *         for j in range(width):             # <<<<<<<<<<<<<<
- *             if cn[j] % <i64>p == 0 or cd[j] % p == 0:
- *                 ok = False
-*/
-    __pyx_t_7 = __pyx_v_width;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_j = __pyx_t_9;
-
-      /* "localpow/kernels/_native.pyx":550
- *         ok = True
- *         for j in range(width):
- *             if cn[j] % <i64>p == 0 or cd[j] % p == 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      __pyx_t_12 = (((__pyx_v_cn[__pyx_v_j]) % ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p)) == 0);
-      if (!__pyx_t_12) {
-      } else {
-        __pyx_t_3 = __pyx_t_12;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_12 = (((__pyx_v_cd[__pyx_v_j]) % __pyx_v_p) == 0);
-      __pyx_t_3 = __pyx_t_12;
-      __pyx_L11_bool_binop_done:;
-      if (__pyx_t_3) {
-
-        /* "localpow/kernels/_native.pyx":551
- *         for j in range(width):
- *             if cn[j] % <i64>p == 0 or cd[j] % p == 0:
- *                 ok = False             # <<<<<<<<<<<<<<
- *                 break
- *         if not ok:
-*/
-        __pyx_v_ok = 0;
-
-        /* "localpow/kernels/_native.pyx":552
- *             if cn[j] % <i64>p == 0 or cd[j] % p == 0:
- *                 ok = False
- *                 break             # <<<<<<<<<<<<<<
- *         if not ok:
- *             out.append((pobj, None, None))
-*/
-        goto __pyx_L9_break;
-
-        /* "localpow/kernels/_native.pyx":550
- *         ok = True
- *         for j in range(width):
- *             if cn[j] % <i64>p == 0 or cd[j] % p == 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      }
-    }
-    __pyx_L9_break:;
-
-    /* "localpow/kernels/_native.pyx":553
- *                 ok = False
- *                 break
- *         if not ok:             # <<<<<<<<<<<<<<
- *             out.append((pobj, None, None))
- *             continue
-*/
-    __pyx_t_3 = (!__pyx_v_ok);
-    if (__pyx_t_3) {
-
-      /* "localpow/kernels/_native.pyx":554
- *                 break
- *         if not ok:
- *             out.append((pobj, None, None))             # <<<<<<<<<<<<<<
- *             continue
- *         m = (p - 1) / cl
-*/
-      __pyx_t_5 = PyTuple_New(3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 554, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx_v_pobj);
-      __Pyx_GIVEREF(__pyx_v_pobj);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_v_pobj) != (0)) __PYX_ERR(0, 554, __pyx_L1_error);
-      __Pyx_INCREF(Py_None);
-      __Pyx_GIVEREF(Py_None);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, Py_None) != (0)) __PYX_ERR(0, 554, __pyx_L1_error);
-      __Pyx_INCREF(Py_None);
-      __Pyx_GIVEREF(Py_None);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, Py_None) != (0)) __PYX_ERR(0, 554, __pyx_L1_error);
-      __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_5); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 554, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-
-      /* "localpow/kernels/_native.pyx":555
- *         if not ok:
- *             out.append((pobj, None, None))
- *             continue             # <<<<<<<<<<<<<<
- *         m = (p - 1) / cl
- *         allone = True
-*/
-      goto __pyx_L6_continue;
-
-      /* "localpow/kernels/_native.pyx":553
- *                 ok = False
- *                 break
- *         if not ok:             # <<<<<<<<<<<<<<
- *             out.append((pobj, None, None))
- *             continue
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":556
- *             out.append((pobj, None, None))
- *             continue
- *         m = (p - 1) / cl             # <<<<<<<<<<<<<<
- *         allone = True
- *         for j in range(width):
-*/
-    __pyx_v_m = ((__pyx_v_p - 1) / __pyx_v_cl);
-
-    /* "localpow/kernels/_native.pyx":557
- *             continue
- *         m = (p - 1) / cl
- *         allone = True             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             r = <u64>((cn[j] % <i64>p + <i64>p) % <i64>p)
-*/
-    __pyx_v_allone = 1;
-
-    /* "localpow/kernels/_native.pyx":558
- *         m = (p - 1) / cl
- *         allone = True
- *         for j in range(width):             # <<<<<<<<<<<<<<
- *             r = <u64>((cn[j] % <i64>p + <i64>p) % <i64>p)
- *             r = mulmod(r, invmod(cd[j] % p, p), p)
-*/
-    __pyx_t_7 = __pyx_v_width;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_j = __pyx_t_9;
-
-      /* "localpow/kernels/_native.pyx":559
- *         allone = True
- *         for j in range(width):
- *             r = <u64>((cn[j] % <i64>p + <i64>p) % <i64>p)             # <<<<<<<<<<<<<<
- *             r = mulmod(r, invmod(cd[j] % p, p), p)
- *             z = powmod(r, m, p)
-*/
-      __pyx_v_r = ((__pyx_t_8localpow_7kernels_7_native_u64)((((__pyx_v_cn[__pyx_v_j]) % ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p)) + ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p)) % ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p)));
-
-      /* "localpow/kernels/_native.pyx":560
- *         for j in range(width):
- *             r = <u64>((cn[j] % <i64>p + <i64>p) % <i64>p)
- *             r = mulmod(r, invmod(cd[j] % p, p), p)             # <<<<<<<<<<<<<<
- *             z = powmod(r, m, p)
- *             zs[j] = z
-*/
-      __pyx_v_r = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_r, __pyx_f_8localpow_7kernels_7_native_invmod(((__pyx_v_cd[__pyx_v_j]) % __pyx_v_p), __pyx_v_p), __pyx_v_p);
-
-      /* "localpow/kernels/_native.pyx":561
- *             r = <u64>((cn[j] % <i64>p + <i64>p) % <i64>p)
- *             r = mulmod(r, invmod(cd[j] % p, p), p)
- *             z = powmod(r, m, p)             # <<<<<<<<<<<<<<
- *             zs[j] = z
- *             if z != 1:
-*/
-      __pyx_v_z = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_r, __pyx_v_m, __pyx_v_p);
-
-      /* "localpow/kernels/_native.pyx":562
- *             r = mulmod(r, invmod(cd[j] % p, p), p)
- *             z = powmod(r, m, p)
- *             zs[j] = z             # <<<<<<<<<<<<<<
- *             if z != 1:
- *                 allone = False
-*/
-      (__pyx_v_zs[__pyx_v_j]) = __pyx_v_z;
-
-      /* "localpow/kernels/_native.pyx":563
- *             z = powmod(r, m, p)
- *             zs[j] = z
- *             if z != 1:             # <<<<<<<<<<<<<<
- *                 allone = False
- *         zl = [zs[j] for j in range(width)]
-*/
-      __pyx_t_3 = (__pyx_v_z != 1);
-      if (__pyx_t_3) {
-
-        /* "localpow/kernels/_native.pyx":564
- *             zs[j] = z
- *             if z != 1:
- *                 allone = False             # <<<<<<<<<<<<<<
- *         zl = [zs[j] for j in range(width)]
- *         if allone:
-*/
-        __pyx_v_allone = 0;
-
-        /* "localpow/kernels/_native.pyx":563
- *             z = powmod(r, m, p)
- *             zs[j] = z
- *             if z != 1:             # <<<<<<<<<<<<<<
- *                 allone = False
- *         zl = [zs[j] for j in range(width)]
-*/
-      }
-    }
-
-    /* "localpow/kernels/_native.pyx":565
- *             if z != 1:
- *                 allone = False
- *         zl = [zs[j] for j in range(width)]             # <<<<<<<<<<<<<<
- *         if allone:
- *             out.append((pobj, tuple(zl), (0,) * width))
-*/
-    { /* enter inner scope */
-      __pyx_t_5 = PyList_New(0); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 565, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_7 = __pyx_v_width;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_8genexpr1__pyx_v_j = __pyx_t_9;
-        __pyx_t_14 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG((__pyx_v_zs[__pyx_8genexpr1__pyx_v_j])); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 565, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_14);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_5, (PyObject*)__pyx_t_14))) __PYX_ERR(0, 565, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-      }
-    } /* exit inner scope */
-    __Pyx_XDECREF_SET(__pyx_v_zl, ((PyObject*)__pyx_t_5));
-    __pyx_t_5 = 0;
-
-    /* "localpow/kernels/_native.pyx":566
- *                 allone = False
- *         zl = [zs[j] for j in range(width)]
- *         if allone:             # <<<<<<<<<<<<<<
- *             out.append((pobj, tuple(zl), (0,) * width))
- *             continue
-*/
-    if (__pyx_v_allone) {
-
-      /* "localpow/kernels/_native.pyx":567
- *         zl = [zs[j] for j in range(width)]
- *         if allone:
- *             out.append((pobj, tuple(zl), (0,) * width))             # <<<<<<<<<<<<<<
- *             continue
- *         a = 2
-*/
-      __pyx_t_5 = PyList_AsTuple(__pyx_v_zl); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 567, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_14 = __Pyx_PySequence_Multiply(__pyx_mstate_global->__pyx_tuple[0], __pyx_v_width); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 567, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_14);
-      __pyx_t_15 = PyTuple_New(3); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 567, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_15);
-      __Pyx_INCREF(__pyx_v_pobj);
-      __Pyx_GIVEREF(__pyx_v_pobj);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_v_pobj) != (0)) __PYX_ERR(0, 567, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_5);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 567, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_14);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 2, __pyx_t_14) != (0)) __PYX_ERR(0, 567, __pyx_L1_error);
-      __pyx_t_5 = 0;
-      __pyx_t_14 = 0;
-      __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_15); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 567, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-
-      /* "localpow/kernels/_native.pyx":568
- *         if allone:
- *             out.append((pobj, tuple(zl), (0,) * width))
- *             continue             # <<<<<<<<<<<<<<
- *         a = 2
- *         w = powmod(a, m, p)
-*/
-      goto __pyx_L6_continue;
-
-      /* "localpow/kernels/_native.pyx":566
- *                 allone = False
- *         zl = [zs[j] for j in range(width)]
- *         if allone:             # <<<<<<<<<<<<<<
- *             out.append((pobj, tuple(zl), (0,) * width))
- *             continue
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":569
- *             out.append((pobj, tuple(zl), (0,) * width))
- *             continue
- *         a = 2             # <<<<<<<<<<<<<<
- *         w = powmod(a, m, p)
- *         while w == 1:
-*/
-    __pyx_v_a = 2;
-
-    /* "localpow/kernels/_native.pyx":570
- *             continue
- *         a = 2
- *         w = powmod(a, m, p)             # <<<<<<<<<<<<<<
- *         while w == 1:
- *             a += 1
-*/
-    __pyx_v_w = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_a, __pyx_v_m, __pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":571
- *         a = 2
- *         w = powmod(a, m, p)
- *         while w == 1:             # <<<<<<<<<<<<<<
- *             a += 1
- *             w = powmod(a, m, p)
-*/
-    while (1) {
-      __pyx_t_3 = (__pyx_v_w == 1);
-      if (!__pyx_t_3) break;
-
-      /* "localpow/kernels/_native.pyx":572
- *         w = powmod(a, m, p)
- *         while w == 1:
- *             a += 1             # <<<<<<<<<<<<<<
- *             w = powmod(a, m, p)
- *         for j in range(width):
-*/
-      __pyx_v_a = (__pyx_v_a + 1);
-
-      /* "localpow/kernels/_native.pyx":573
- *         while w == 1:
- *             a += 1
- *             w = powmod(a, m, p)             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             cur = 1
-*/
-      __pyx_v_w = __pyx_f_8localpow_7kernels_7_native_powmod(__pyx_v_a, __pyx_v_m, __pyx_v_p);
-    }
-
-    /* "localpow/kernels/_native.pyx":574
- *             a += 1
- *             w = powmod(a, m, p)
- *         for j in range(width):             # <<<<<<<<<<<<<<
- *             cur = 1
- *             k = 0
-*/
-    __pyx_t_7 = __pyx_v_width;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_j = __pyx_t_9;
-
-      /* "localpow/kernels/_native.pyx":575
- *             w = powmod(a, m, p)
- *         for j in range(width):
- *             cur = 1             # <<<<<<<<<<<<<<
- *             k = 0
- *             while cur != zs[j]:
-*/
-      __pyx_v_cur = 1;
-
-      /* "localpow/kernels/_native.pyx":576
- *         for j in range(width):
- *             cur = 1
- *             k = 0             # <<<<<<<<<<<<<<
- *             while cur != zs[j]:
- *                 cur = mulmod(cur, w, p)
-*/
-      __pyx_v_k = 0;
-
-      /* "localpow/kernels/_native.pyx":577
- *             cur = 1
- *             k = 0
- *             while cur != zs[j]:             # <<<<<<<<<<<<<<
- *                 cur = mulmod(cur, w, p)
- *                 k += 1
-*/
-      while (1) {
-        __pyx_t_3 = (__pyx_v_cur != (__pyx_v_zs[__pyx_v_j]));
-        if (!__pyx_t_3) break;
-
-        /* "localpow/kernels/_native.pyx":578
- *             k = 0
- *             while cur != zs[j]:
- *                 cur = mulmod(cur, w, p)             # <<<<<<<<<<<<<<
- *                 k += 1
- *                 if k >= <int>cl:
-*/
-        __pyx_v_cur = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_cur, __pyx_v_w, __pyx_v_p);
-
-        /* "localpow/kernels/_native.pyx":579
- *             while cur != zs[j]:
- *                 cur = mulmod(cur, w, p)
- *                 k += 1             # <<<<<<<<<<<<<<
- *                 if k >= <int>cl:
- *                     raise ArithmeticError("value outside mu_ell")
-*/
-        __pyx_v_k = (__pyx_v_k + 1);
-
-        /* "localpow/kernels/_native.pyx":580
- *                 cur = mulmod(cur, w, p)
- *                 k += 1
- *                 if k >= <int>cl:             # <<<<<<<<<<<<<<
- *                     raise ArithmeticError("value outside mu_ell")
- *             bs[j] = <u64>k
-*/
-        __pyx_t_3 = (__pyx_v_k >= ((int)__pyx_v_cl));
-        if (unlikely(__pyx_t_3)) {
-
-          /* "localpow/kernels/_native.pyx":581
- *                 k += 1
- *                 if k >= <int>cl:
- *                     raise ArithmeticError("value outside mu_ell")             # <<<<<<<<<<<<<<
- *             bs[j] = <u64>k
- *         bl = [<int>bs[j] for j in range(width)]
-*/
-          __pyx_t_14 = NULL;
-          __pyx_t_6 = 1;
-          {
-            PyObject *__pyx_callargs[2] = {__pyx_t_14, __pyx_mstate_global->__pyx_kp_u_value_outside_mu_ell};
-            __pyx_t_15 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ArithmeticError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-            __Pyx_XDECREF(__pyx_t_14); __pyx_t_14 = 0;
-            if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 581, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_15);
-          }
-          __Pyx_Raise(__pyx_t_15, 0, 0, 0);
-          __Pyx_DECREF(__pyx_t_15); __pyx_t_15 = 0;
-          __PYX_ERR(0, 581, __pyx_L1_error)
-
-          /* "localpow/kernels/_native.pyx":580
- *                 cur = mulmod(cur, w, p)
- *                 k += 1
- *                 if k >= <int>cl:             # <<<<<<<<<<<<<<
- *                     raise ArithmeticError("value outside mu_ell")
- *             bs[j] = <u64>k
-*/
-        }
-      }
-
-      /* "localpow/kernels/_native.pyx":582
- *                 if k >= <int>cl:
- *                     raise ArithmeticError("value outside mu_ell")
- *             bs[j] = <u64>k             # <<<<<<<<<<<<<<
- *         bl = [<int>bs[j] for j in range(width)]
- *         out.append((pobj, tuple(zl), tuple(bl)))
-*/
-      (__pyx_v_bs[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_v_k);
-    }
-
-    /* "localpow/kernels/_native.pyx":583
- *                     raise ArithmeticError("value outside mu_ell")
- *             bs[j] = <u64>k
- *         bl = [<int>bs[j] for j in range(width)]             # <<<<<<<<<<<<<<
- *         out.append((pobj, tuple(zl), tuple(bl)))
- *     return out
-*/
-    { /* enter inner scope */
-      __pyx_t_15 = PyList_New(0); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 583, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_15);
-      __pyx_t_7 = __pyx_v_width;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_8genexpr2__pyx_v_j = __pyx_t_9;
-        __pyx_t_14 = __Pyx_PyLong_From_int(((int)(__pyx_v_bs[__pyx_8genexpr2__pyx_v_j]))); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 583, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_14);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_15, (PyObject*)__pyx_t_14))) __PYX_ERR(0, 583, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-      }
-    } /* exit inner scope */
-    __Pyx_XDECREF_SET(__pyx_v_bl, ((PyObject*)__pyx_t_15));
-    __pyx_t_15 = 0;
-
-    /* "localpow/kernels/_native.pyx":584
- *             bs[j] = <u64>k
- *         bl = [<int>bs[j] for j in range(width)]
- *         out.append((pobj, tuple(zl), tuple(bl)))             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-    __pyx_t_15 = PyList_AsTuple(__pyx_v_zl); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 584, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_15);
-    __pyx_t_14 = PyList_AsTuple(__pyx_v_bl); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 584, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_14);
-    __pyx_t_5 = PyTuple_New(3); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 584, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __Pyx_INCREF(__pyx_v_pobj);
-    __Pyx_GIVEREF(__pyx_v_pobj);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 0, __pyx_v_pobj) != (0)) __PYX_ERR(0, 584, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_15);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 1, __pyx_t_15) != (0)) __PYX_ERR(0, 584, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_14);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_5, 2, __pyx_t_14) != (0)) __PYX_ERR(0, 584, __pyx_L1_error);
-    __pyx_t_15 = 0;
-    __pyx_t_14 = 0;
-    __pyx_t_13 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_5); if (unlikely(__pyx_t_13 == ((int)-1))) __PYX_ERR(0, 584, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-
-    /* "localpow/kernels/_native.pyx":546
- *         cd[j] = <u64>dens[j]
- *     out = []
- *     for pobj in primes:             # <<<<<<<<<<<<<<
- *         p = <u64>pobj
- *         ok = True
-*/
-    __pyx_L6_continue:;
-  }
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "localpow/kernels/_native.pyx":585
- *         bl = [<int>bs[j] for j in range(width)]
- *         out.append((pobj, tuple(zl), tuple(bl)))
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":524
- * # -- scan kernels ----------------------------------------------------------------
- * 
- * def z_b_rows(primes, ell, nums, dens):             # <<<<<<<<<<<<<<
- *     """Per-prime ell-th power classes z_j = c_j^((p-1)/ell) and their logs.
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_AddTraceback("localpow.kernels._native.z_b_rows", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_zl);
-  __Pyx_XDECREF(__pyx_v_bl);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_v_pobj);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":588
- * 
- * 
- * cdef bint projection_solvable(u64* us, u64* vs, int width, u64 q, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # is there t mod q with u_j^t == v_j for all j?  (all u_j have order 1 or q)
- *     cdef int piv = -1, j
-*/
-
-static int __pyx_f_8localpow_7kernels_7_native_projection_solvable(__pyx_t_8localpow_7kernels_7_native_u64 *__pyx_v_us, __pyx_t_8localpow_7kernels_7_native_u64 *__pyx_v_vs, int __pyx_v_width, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_q, __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p) {
-  int __pyx_v_piv;
-  int __pyx_v_j;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_u;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_v;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_w;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_t;
-  int __pyx_v_found;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "localpow/kernels/_native.pyx":590
- * cdef bint projection_solvable(u64* us, u64* vs, int width, u64 q, u64 p) noexcept nogil:
- *     # is there t mod q with u_j^t == v_j for all j?  (all u_j have order 1 or q)
- *     cdef int piv = -1, j             # <<<<<<<<<<<<<<
- *     cdef u64 u, v, w, t
- *     cdef bint found
-*/
-  __pyx_v_piv = -1;
-
-  /* "localpow/kernels/_native.pyx":593
- *     cdef u64 u, v, w, t
- *     cdef bint found
- *     for j in range(width):             # <<<<<<<<<<<<<<
- *         if us[j] != 1:
- *             piv = j
-*/
-  __pyx_t_1 = __pyx_v_width;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "localpow/kernels/_native.pyx":594
- *     cdef bint found
- *     for j in range(width):
- *         if us[j] != 1:             # <<<<<<<<<<<<<<
- *             piv = j
- *             break
-*/
-    __pyx_t_4 = ((__pyx_v_us[__pyx_v_j]) != 1);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":595
- *     for j in range(width):
- *         if us[j] != 1:
- *             piv = j             # <<<<<<<<<<<<<<
- *             break
- *     if piv < 0:
-*/
-      __pyx_v_piv = __pyx_v_j;
-
-      /* "localpow/kernels/_native.pyx":596
- *         if us[j] != 1:
- *             piv = j
- *             break             # <<<<<<<<<<<<<<
- *     if piv < 0:
- *         for j in range(width):
-*/
-      goto __pyx_L4_break;
-
-      /* "localpow/kernels/_native.pyx":594
- *     cdef bint found
- *     for j in range(width):
- *         if us[j] != 1:             # <<<<<<<<<<<<<<
- *             piv = j
- *             break
-*/
-    }
-  }
-  __pyx_L4_break:;
-
-  /* "localpow/kernels/_native.pyx":597
- *             piv = j
- *             break
- *     if piv < 0:             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             if vs[j] != 1:
-*/
-  __pyx_t_4 = (__pyx_v_piv < 0);
-  if (__pyx_t_4) {
-
-    /* "localpow/kernels/_native.pyx":598
- *             break
- *     if piv < 0:
- *         for j in range(width):             # <<<<<<<<<<<<<<
- *             if vs[j] != 1:
- *                 return False
-*/
-    __pyx_t_1 = __pyx_v_width;
-    __pyx_t_2 = __pyx_t_1;
-    for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-      __pyx_v_j = __pyx_t_3;
-
-      /* "localpow/kernels/_native.pyx":599
- *     if piv < 0:
- *         for j in range(width):
- *             if vs[j] != 1:             # <<<<<<<<<<<<<<
- *                 return False
- *         return True
-*/
-      __pyx_t_4 = ((__pyx_v_vs[__pyx_v_j]) != 1);
-      if (__pyx_t_4) {
-
-        /* "localpow/kernels/_native.pyx":600
- *         for j in range(width):
- *             if vs[j] != 1:
- *                 return False             # <<<<<<<<<<<<<<
- *         return True
- *     u = us[piv]
-*/
-        __pyx_r = 0;
-        goto __pyx_L0;
-
-        /* "localpow/kernels/_native.pyx":599
- *     if piv < 0:
- *         for j in range(width):
- *             if vs[j] != 1:             # <<<<<<<<<<<<<<
- *                 return False
- *         return True
-*/
-      }
-    }
-
-    /* "localpow/kernels/_native.pyx":601
- *             if vs[j] != 1:
- *                 return False
- *         return True             # <<<<<<<<<<<<<<
- *     u = us[piv]
- *     v = vs[piv]
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":597
- *             piv = j
- *             break
- *     if piv < 0:             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             if vs[j] != 1:
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":602
- *                 return False
- *         return True
- *     u = us[piv]             # <<<<<<<<<<<<<<
- *     v = vs[piv]
- *     w = 1
-*/
-  __pyx_v_u = (__pyx_v_us[__pyx_v_piv]);
-
-  /* "localpow/kernels/_native.pyx":603
- *         return True
- *     u = us[piv]
- *     v = vs[piv]             # <<<<<<<<<<<<<<
- *     w = 1
- *     found = False
-*/
-  __pyx_v_v = (__pyx_v_vs[__pyx_v_piv]);
-
-  /* "localpow/kernels/_native.pyx":604
- *     u = us[piv]
- *     v = vs[piv]
- *     w = 1             # <<<<<<<<<<<<<<
- *     found = False
- *     t = 0
-*/
-  __pyx_v_w = 1;
-
-  /* "localpow/kernels/_native.pyx":605
- *     v = vs[piv]
- *     w = 1
- *     found = False             # <<<<<<<<<<<<<<
- *     t = 0
- *     while t < q:
-*/
-  __pyx_v_found = 0;
-
-  /* "localpow/kernels/_native.pyx":606
- *     w = 1
- *     found = False
- *     t = 0             # <<<<<<<<<<<<<<
- *     while t < q:
- *         if w == v:
-*/
-  __pyx_v_t = 0;
-
-  /* "localpow/kernels/_native.pyx":607
- *     found = False
- *     t = 0
- *     while t < q:             # <<<<<<<<<<<<<<
- *         if w == v:
- *             found = True
-*/
-  while (1) {
-    __pyx_t_4 = (__pyx_v_t < __pyx_v_q);
-    if (!__pyx_t_4) break;
-
-    /* "localpow/kernels/_native.pyx":608
- *     t = 0
- *     while t < q:
- *         if w == v:             # <<<<<<<<<<<<<<
- *             found = True
- *             break
-*/
-    __pyx_t_4 = (__pyx_v_w == __pyx_v_v);
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":609
- *     while t < q:
- *         if w == v:
- *             found = True             # <<<<<<<<<<<<<<
- *             break
- *         w = mulmod(w, u, p)
-*/
-      __pyx_v_found = 1;
-
-      /* "localpow/kernels/_native.pyx":610
- *         if w == v:
- *             found = True
- *             break             # <<<<<<<<<<<<<<
- *         w = mulmod(w, u, p)
- *         t += 1
-*/
-      goto __pyx_L11_break;
-
-      /* "localpow/kernels/_native.pyx":608
- *     t = 0
- *     while t < q:
- *         if w == v:             # <<<<<<<<<<<<<<
- *             found = True
- *             break
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":611
- *             found = True
- *             break
- *         w = mulmod(w, u, p)             # <<<<<<<<<<<<<<
- *         t += 1
- *     if not found:
-*/
-    __pyx_v_w = __pyx_f_8localpow_7kernels_7_native_mulmod(__pyx_v_w, __pyx_v_u, __pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":612
- *             break
- *         w = mulmod(w, u, p)
- *         t += 1             # <<<<<<<<<<<<<<
- *     if not found:
- *         return False
-*/
-    __pyx_v_t = (__pyx_v_t + 1);
-  }
-  __pyx_L11_break:;
-
-  /* "localpow/kernels/_native.pyx":613
- *         w = mulmod(w, u, p)
- *         t += 1
- *     if not found:             # <<<<<<<<<<<<<<
- *         return False
- *     for j in range(width):
-*/
-  __pyx_t_4 = (!__pyx_v_found);
-  if (__pyx_t_4) {
-
-    /* "localpow/kernels/_native.pyx":614
- *         t += 1
- *     if not found:
- *         return False             # <<<<<<<<<<<<<<
- *     for j in range(width):
- *         if powmod(us[j], t, p) != vs[j]:
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "localpow/kernels/_native.pyx":613
- *         w = mulmod(w, u, p)
- *         t += 1
- *     if not found:             # <<<<<<<<<<<<<<
- *         return False
- *     for j in range(width):
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":615
- *     if not found:
- *         return False
- *     for j in range(width):             # <<<<<<<<<<<<<<
- *         if powmod(us[j], t, p) != vs[j]:
- *             return False
-*/
-  __pyx_t_1 = __pyx_v_width;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "localpow/kernels/_native.pyx":616
- *         return False
- *     for j in range(width):
- *         if powmod(us[j], t, p) != vs[j]:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    __pyx_t_4 = (__pyx_f_8localpow_7kernels_7_native_powmod((__pyx_v_us[__pyx_v_j]), __pyx_v_t, __pyx_v_p) != (__pyx_v_vs[__pyx_v_j]));
-    if (__pyx_t_4) {
-
-      /* "localpow/kernels/_native.pyx":617
- *     for j in range(width):
- *         if powmod(us[j], t, p) != vs[j]:
- *             return False             # <<<<<<<<<<<<<<
- *     return True
- * 
-*/
-      __pyx_r = 0;
-      goto __pyx_L0;
-
-      /* "localpow/kernels/_native.pyx":616
- *         return False
- *     for j in range(width):
- *         if powmod(us[j], t, p) != vs[j]:             # <<<<<<<<<<<<<<
- *             return False
- *     return True
-*/
-    }
-  }
-
-  /* "localpow/kernels/_native.pyx":618
- *         if powmod(us[j], t, p) != vs[j]:
- *             return False
- *     return True             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":588
- * 
- * 
- * cdef bint projection_solvable(u64* us, u64* vs, int width, u64 q, u64 p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     # is there t mod q with u_j^t == v_j for all j?  (all u_j have order 1 or q)
- *     cdef int piv = -1, j
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "localpow/kernels/_native.pyx":621
- * 
- * 
- * def omega_members(primes, ns, fnums, fdens):             # <<<<<<<<<<<<<<
- *     """Count primes where (f(n_j)) is a simultaneous power of (n_j) mod p.
- * 
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_17omega_members(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_8localpow_7kernels_7_native_16omega_members, "Count primes where (f(n_j)) is a simultaneous power of (n_j) mod p.\n\n    Same contract as the pure backend: returns (counted, skipped, members).\n    ");
-static PyMethodDef __pyx_mdef_8localpow_7kernels_7_native_17omega_members = {"omega_members", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_8localpow_7kernels_7_native_17omega_members, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_8localpow_7kernels_7_native_16omega_members};
-static PyObject *__pyx_pw_8localpow_7kernels_7_native_17omega_members(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_primes = 0;
-  PyObject *__pyx_v_ns = 0;
-  PyObject *__pyx_v_fnums = 0;
-  PyObject *__pyx_v_fdens = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("omega_members (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_primes,&__pyx_mstate_global->__pyx_n_u_ns,&__pyx_mstate_global->__pyx_n_u_fnums,&__pyx_mstate_global->__pyx_n_u_fdens,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 621, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 621, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 621, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 621, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 621, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "omega_members", 0) < (0)) __PYX_ERR(0, 621, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("omega_members", 1, 4, 4, i); __PYX_ERR(0, 621, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 4)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 621, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 621, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 621, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 621, __pyx_L3_error)
-    }
-    __pyx_v_primes = values[0];
-    __pyx_v_ns = values[1];
-    __pyx_v_fnums = values[2];
-    __pyx_v_fdens = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("omega_members", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 621, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("localpow.kernels._native.omega_members", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_8localpow_7kernels_7_native_16omega_members(__pyx_self, __pyx_v_primes, __pyx_v_ns, __pyx_v_fnums, __pyx_v_fdens);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_8localpow_7kernels_7_native_16omega_members(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_primes, PyObject *__pyx_v_ns, PyObject *__pyx_v_fnums, PyObject *__pyx_v_fdens) {
-  int __pyx_v_width;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_counted;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_skipped;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_members;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_cfn[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cn[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_cfd[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_avals[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_bvals[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_us[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_vs[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_alphas[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_betas[16];
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_p;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_n1;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_rem;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_q;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_e;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_g;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_v_kres;
-  int __pyx_v_j;
-  int __pyx_v_qi;
-  int __pyx_v_ok;
-  int __pyx_v_rejected;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_v_dl;
-  PyObject *__pyx_v_pobj = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  __pyx_t_8localpow_7kernels_7_native_u64 __pyx_t_9;
-  __pyx_t_8localpow_7kernels_7_native_i64 __pyx_t_10;
-  PyObject *(*__pyx_t_11)(PyObject *);
-  int __pyx_t_12;
-  int __pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("omega_members", 0);
-
-  /* "localpow/kernels/_native.pyx":626
- *     Same contract as the pure backend: returns (counted, skipped, members).
- *     """
- *     cdef int width = len(ns)             # <<<<<<<<<<<<<<
- *     cdef u64 counted = 0, skipped = 0, members = 0
- *     cdef i64 cfn[16]
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_ns); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 626, __pyx_L1_error)
-  __pyx_v_width = __pyx_t_1;
-
-  /* "localpow/kernels/_native.pyx":627
- *     """
- *     cdef int width = len(ns)
- *     cdef u64 counted = 0, skipped = 0, members = 0             # <<<<<<<<<<<<<<
- *     cdef i64 cfn[16]
- *     cdef u64 cn[16]
-*/
-  __pyx_v_counted = 0;
-  __pyx_v_skipped = 0;
-  __pyx_v_members = 0;
-
-  /* "localpow/kernels/_native.pyx":641
- *     cdef bint ok, rejected
- *     cdef i64 dl
- *     if width > 16:             # <<<<<<<<<<<<<<
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):
-*/
-  __pyx_t_2 = (__pyx_v_width > 16);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "localpow/kernels/_native.pyx":642
- *     cdef i64 dl
- *     if width > 16:
- *         raise ValueError("tuple too wide for the native backend")             # <<<<<<<<<<<<<<
- *     for j in range(width):
- *         cn[j] = <u64>ns[j]
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_tuple_too_wide_for_the_native_ba};
-      __pyx_t_3 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 642, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-    }
-    __Pyx_Raise(__pyx_t_3, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __PYX_ERR(0, 642, __pyx_L1_error)
-
-    /* "localpow/kernels/_native.pyx":641
- *     cdef bint ok, rejected
- *     cdef i64 dl
- *     if width > 16:             # <<<<<<<<<<<<<<
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):
-*/
-  }
-
-  /* "localpow/kernels/_native.pyx":643
- *     if width > 16:
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):             # <<<<<<<<<<<<<<
- *         cn[j] = <u64>ns[j]
- *         cfn[j] = <i64>fnums[j]
-*/
-  __pyx_t_6 = __pyx_v_width;
-  __pyx_t_7 = __pyx_t_6;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_j = __pyx_t_8;
-
-    /* "localpow/kernels/_native.pyx":644
- *         raise ValueError("tuple too wide for the native backend")
- *     for j in range(width):
- *         cn[j] = <u64>ns[j]             # <<<<<<<<<<<<<<
- *         cfn[j] = <i64>fnums[j]
- *         cfd[j] = <u64>fdens[j]
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_ns, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 644, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 644, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cn[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_9);
-
-    /* "localpow/kernels/_native.pyx":645
- *     for j in range(width):
- *         cn[j] = <u64>ns[j]
- *         cfn[j] = <i64>fnums[j]             # <<<<<<<<<<<<<<
- *         cfd[j] = <u64>fdens[j]
- *     for pobj in primes:
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_fnums, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 645, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_10 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_10 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 645, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cfn[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_t_10);
-
-    /* "localpow/kernels/_native.pyx":646
- *         cn[j] = <u64>ns[j]
- *         cfn[j] = <i64>fnums[j]
- *         cfd[j] = <u64>fdens[j]             # <<<<<<<<<<<<<<
- *     for pobj in primes:
- *         p = <u64>pobj
-*/
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_fdens, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 646, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 646, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    (__pyx_v_cfd[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_9);
-  }
-
-  /* "localpow/kernels/_native.pyx":647
- *         cfn[j] = <i64>fnums[j]
- *         cfd[j] = <u64>fdens[j]
- *     for pobj in primes:             # <<<<<<<<<<<<<<
- *         p = <u64>pobj
- *         ok = True
-*/
-  if (likely(PyList_CheckExact(__pyx_v_primes)) || PyTuple_CheckExact(__pyx_v_primes)) {
-    __pyx_t_3 = __pyx_v_primes; __Pyx_INCREF(__pyx_t_3);
-    __pyx_t_1 = 0;
-    __pyx_t_11 = NULL;
-  } else {
-    __pyx_t_1 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_v_primes); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 647, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_11 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 647, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_11)) {
-      if (likely(PyList_CheckExact(__pyx_t_3))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 647, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_1;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 647, __pyx_L1_error)
-          #endif
-          if (__pyx_t_1 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_1));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_1);
-        #endif
-        ++__pyx_t_1;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 647, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_11(__pyx_t_3);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 647, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XDECREF_SET(__pyx_v_pobj, __pyx_t_4);
-    __pyx_t_4 = 0;
-
-    /* "localpow/kernels/_native.pyx":648
- *         cfd[j] = <u64>fdens[j]
- *     for pobj in primes:
- *         p = <u64>pobj             # <<<<<<<<<<<<<<
- *         ok = True
- *         for j in range(width):
-*/
-    __pyx_t_9 = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(__pyx_v_pobj); if (unlikely((__pyx_t_9 == (unsigned PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 648, __pyx_L1_error)
-    __pyx_v_p = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_t_9);
-
-    /* "localpow/kernels/_native.pyx":649
- *     for pobj in primes:
- *         p = <u64>pobj
- *         ok = True             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             if cn[j] % p == 0 or cfn[j] % <i64>p == 0 or cfd[j] % p == 0:
-*/
-    __pyx_v_ok = 1;
-
-    /* "localpow/kernels/_native.pyx":650
- *         p = <u64>pobj
- *         ok = True
- *         for j in range(width):             # <<<<<<<<<<<<<<
- *             if cn[j] % p == 0 or cfn[j] % <i64>p == 0 or cfd[j] % p == 0:
- *                 ok = False
-*/
-    __pyx_t_6 = __pyx_v_width;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "localpow/kernels/_native.pyx":651
- *         ok = True
- *         for j in range(width):
- *             if cn[j] % p == 0 or cfn[j] % <i64>p == 0 or cfd[j] % p == 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      __pyx_t_12 = (((__pyx_v_cn[__pyx_v_j]) % __pyx_v_p) == 0);
-      if (!__pyx_t_12) {
-      } else {
-        __pyx_t_2 = __pyx_t_12;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_12 = (((__pyx_v_cfn[__pyx_v_j]) % ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p)) == 0);
-      if (!__pyx_t_12) {
-      } else {
-        __pyx_t_2 = __pyx_t_12;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_12 = (((__pyx_v_cfd[__pyx_v_j]) % __pyx_v_p) == 0);
-      __pyx_t_2 = __pyx_t_12;
-      __pyx_L11_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "localpow/kernels/_native.pyx":652
- *         for j in range(width):
- *             if cn[j] % p == 0 or cfn[j] % <i64>p == 0 or cfd[j] % p == 0:
- *                 ok = False             # <<<<<<<<<<<<<<
- *                 break
- *         if not ok:
-*/
-        __pyx_v_ok = 0;
-
-        /* "localpow/kernels/_native.pyx":653
- *             if cn[j] % p == 0 or cfn[j] % <i64>p == 0 or cfd[j] % p == 0:
- *                 ok = False
- *                 break             # <<<<<<<<<<<<<<
- *         if not ok:
- *             skipped += 1
-*/
-        goto __pyx_L9_break;
-
-        /* "localpow/kernels/_native.pyx":651
- *         ok = True
- *         for j in range(width):
- *             if cn[j] % p == 0 or cfn[j] % <i64>p == 0 or cfd[j] % p == 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      }
-    }
-    __pyx_L9_break:;
-
-    /* "localpow/kernels/_native.pyx":654
- *                 ok = False
- *                 break
- *         if not ok:             # <<<<<<<<<<<<<<
- *             skipped += 1
- *             continue
-*/
-    __pyx_t_2 = (!__pyx_v_ok);
-    if (__pyx_t_2) {
-
-      /* "localpow/kernels/_native.pyx":655
- *                 break
- *         if not ok:
- *             skipped += 1             # <<<<<<<<<<<<<<
- *             continue
- *         counted += 1
-*/
-      __pyx_v_skipped = (__pyx_v_skipped + 1);
-
-      /* "localpow/kernels/_native.pyx":656
- *         if not ok:
- *             skipped += 1
- *             continue             # <<<<<<<<<<<<<<
- *         counted += 1
- *         for j in range(width):
-*/
-      goto __pyx_L6_continue;
-
-      /* "localpow/kernels/_native.pyx":654
- *                 ok = False
- *                 break
- *         if not ok:             # <<<<<<<<<<<<<<
- *             skipped += 1
- *             continue
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":657
- *             skipped += 1
- *             continue
- *         counted += 1             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             avals[j] = cn[j] % p
-*/
-    __pyx_v_counted = (__pyx_v_counted + 1);
-
-    /* "localpow/kernels/_native.pyx":658
- *             continue
- *         counted += 1
- *         for j in range(width):             # <<<<<<<<<<<<<<
- *             avals[j] = cn[j] % p
- *             bvals[j] = mulmod(
-*/
-    __pyx_t_6 = __pyx_v_width;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "localpow/kernels/_native.pyx":659
- *         counted += 1
- *         for j in range(width):
- *             avals[j] = cn[j] % p             # <<<<<<<<<<<<<<
- *             bvals[j] = mulmod(
- *                 <u64>((cfn[j] % <i64>p + <i64>p) % <i64>p), invmod(cfd[j] % p, p), p
-*/
-      (__pyx_v_avals[__pyx_v_j]) = ((__pyx_v_cn[__pyx_v_j]) % __pyx_v_p);
-
-      /* "localpow/kernels/_native.pyx":660
- *         for j in range(width):
- *             avals[j] = cn[j] % p
- *             bvals[j] = mulmod(             # <<<<<<<<<<<<<<
- *                 <u64>((cfn[j] % <i64>p + <i64>p) % <i64>p), invmod(cfd[j] % p, p), p
- *             )
-*/
-      (__pyx_v_bvals[__pyx_v_j]) = __pyx_f_8localpow_7kernels_7_native_mulmod(((__pyx_t_8localpow_7kernels_7_native_u64)((((__pyx_v_cfn[__pyx_v_j]) % ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p)) + ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p)) % ((__pyx_t_8localpow_7kernels_7_native_i64)__pyx_v_p))), __pyx_f_8localpow_7kernels_7_native_invmod(((__pyx_v_cfd[__pyx_v_j]) % __pyx_v_p), __pyx_v_p), __pyx_v_p);
-    }
-
-    /* "localpow/kernels/_native.pyx":663
- *                 <u64>((cfn[j] % <i64>p + <i64>p) % <i64>p), invmod(cfd[j] % p, p), p
- *             )
- *         n1 = p - 1             # <<<<<<<<<<<<<<
- *         rem = n1
- *         rejected = False
-*/
-    __pyx_v_n1 = (__pyx_v_p - 1);
-
-    /* "localpow/kernels/_native.pyx":664
- *             )
- *         n1 = p - 1
- *         rem = n1             # <<<<<<<<<<<<<<
- *         rejected = False
- *         for qi in range(15):
-*/
-    __pyx_v_rem = __pyx_v_n1;
-
-    /* "localpow/kernels/_native.pyx":665
- *         n1 = p - 1
- *         rem = n1
- *         rejected = False             # <<<<<<<<<<<<<<
- *         for qi in range(15):
- *             q = _SMALL_Q[qi]
-*/
-    __pyx_v_rejected = 0;
-
-    /* "localpow/kernels/_native.pyx":666
- *         rem = n1
- *         rejected = False
- *         for qi in range(15):             # <<<<<<<<<<<<<<
- *             q = _SMALL_Q[qi]
- *             if rem % q:
-*/
-    for (__pyx_t_6 = 0; __pyx_t_6 < 15; __pyx_t_6+=1) {
-      __pyx_v_qi = __pyx_t_6;
-
-      /* "localpow/kernels/_native.pyx":667
- *         rejected = False
- *         for qi in range(15):
- *             q = _SMALL_Q[qi]             # <<<<<<<<<<<<<<
- *             if rem % q:
- *                 continue
-*/
-      __pyx_v_q = (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[__pyx_v_qi]);
-
-      /* "localpow/kernels/_native.pyx":668
- *         for qi in range(15):
- *             q = _SMALL_Q[qi]
- *             if rem % q:             # <<<<<<<<<<<<<<
- *                 continue
- *             while rem % q == 0:
-*/
-      __pyx_t_2 = ((__pyx_v_rem % __pyx_v_q) != 0);
-      if (__pyx_t_2) {
-
-        /* "localpow/kernels/_native.pyx":669
- *             q = _SMALL_Q[qi]
- *             if rem % q:
- *                 continue             # <<<<<<<<<<<<<<
- *             while rem % q == 0:
- *                 rem /= q
-*/
-        goto __pyx_L17_continue;
-
-        /* "localpow/kernels/_native.pyx":668
- *         for qi in range(15):
- *             q = _SMALL_Q[qi]
- *             if rem % q:             # <<<<<<<<<<<<<<
- *                 continue
- *             while rem % q == 0:
-*/
-      }
-
-      /* "localpow/kernels/_native.pyx":670
- *             if rem % q:
- *                 continue
- *             while rem % q == 0:             # <<<<<<<<<<<<<<
- *                 rem /= q
- *             e = n1 / q
-*/
-      while (1) {
-        __pyx_t_2 = ((__pyx_v_rem % __pyx_v_q) == 0);
-        if (!__pyx_t_2) break;
-
-        /* "localpow/kernels/_native.pyx":671
- *                 continue
- *             while rem % q == 0:
- *                 rem /= q             # <<<<<<<<<<<<<<
- *             e = n1 / q
- *             for j in range(width):
-*/
-        __pyx_v_rem = (__pyx_v_rem / __pyx_v_q);
-      }
-
-      /* "localpow/kernels/_native.pyx":672
- *             while rem % q == 0:
- *                 rem /= q
- *             e = n1 / q             # <<<<<<<<<<<<<<
- *             for j in range(width):
- *                 us[j] = powmod(avals[j], e, p)
-*/
-      __pyx_v_e = (__pyx_v_n1 / __pyx_v_q);
-
-      /* "localpow/kernels/_native.pyx":673
- *                 rem /= q
- *             e = n1 / q
- *             for j in range(width):             # <<<<<<<<<<<<<<
- *                 us[j] = powmod(avals[j], e, p)
- *                 vs[j] = powmod(bvals[j], e, p)
-*/
-      __pyx_t_7 = __pyx_v_width;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_13 = 0; __pyx_t_13 < __pyx_t_8; __pyx_t_13+=1) {
-        __pyx_v_j = __pyx_t_13;
-
-        /* "localpow/kernels/_native.pyx":674
- *             e = n1 / q
- *             for j in range(width):
- *                 us[j] = powmod(avals[j], e, p)             # <<<<<<<<<<<<<<
- *                 vs[j] = powmod(bvals[j], e, p)
- *             if not projection_solvable(us, vs, width, q, p):
-*/
-        (__pyx_v_us[__pyx_v_j]) = __pyx_f_8localpow_7kernels_7_native_powmod((__pyx_v_avals[__pyx_v_j]), __pyx_v_e, __pyx_v_p);
-
-        /* "localpow/kernels/_native.pyx":675
- *             for j in range(width):
- *                 us[j] = powmod(avals[j], e, p)
- *                 vs[j] = powmod(bvals[j], e, p)             # <<<<<<<<<<<<<<
- *             if not projection_solvable(us, vs, width, q, p):
- *                 rejected = True
-*/
-        (__pyx_v_vs[__pyx_v_j]) = __pyx_f_8localpow_7kernels_7_native_powmod((__pyx_v_bvals[__pyx_v_j]), __pyx_v_e, __pyx_v_p);
-      }
-
-      /* "localpow/kernels/_native.pyx":676
- *                 us[j] = powmod(avals[j], e, p)
- *                 vs[j] = powmod(bvals[j], e, p)
- *             if not projection_solvable(us, vs, width, q, p):             # <<<<<<<<<<<<<<
- *                 rejected = True
- *                 break
-*/
-      __pyx_t_2 = (!__pyx_f_8localpow_7kernels_7_native_projection_solvable(__pyx_v_us, __pyx_v_vs, __pyx_v_width, __pyx_v_q, __pyx_v_p));
-      if (__pyx_t_2) {
-
-        /* "localpow/kernels/_native.pyx":677
- *                 vs[j] = powmod(bvals[j], e, p)
- *             if not projection_solvable(us, vs, width, q, p):
- *                 rejected = True             # <<<<<<<<<<<<<<
- *                 break
- *         if rejected:
-*/
-        __pyx_v_rejected = 1;
-
-        /* "localpow/kernels/_native.pyx":678
- *             if not projection_solvable(us, vs, width, q, p):
- *                 rejected = True
- *                 break             # <<<<<<<<<<<<<<
- *         if rejected:
- *             continue
-*/
-        goto __pyx_L18_break;
-
-        /* "localpow/kernels/_native.pyx":676
- *                 us[j] = powmod(avals[j], e, p)
- *                 vs[j] = powmod(bvals[j], e, p)
- *             if not projection_solvable(us, vs, width, q, p):             # <<<<<<<<<<<<<<
- *                 rejected = True
- *                 break
-*/
-      }
-      __pyx_L17_continue:;
-    }
-    __pyx_L18_break:;
-
-    /* "localpow/kernels/_native.pyx":679
- *                 rejected = True
- *                 break
- *         if rejected:             # <<<<<<<<<<<<<<
- *             continue
- *         g = primitive_root_u64(p)
-*/
-    if (__pyx_v_rejected) {
-
-      /* "localpow/kernels/_native.pyx":680
- *                 break
- *         if rejected:
- *             continue             # <<<<<<<<<<<<<<
- *         g = primitive_root_u64(p)
- *         ok = True
-*/
-      goto __pyx_L6_continue;
-
-      /* "localpow/kernels/_native.pyx":679
- *                 rejected = True
- *                 break
- *         if rejected:             # <<<<<<<<<<<<<<
- *             continue
- *         g = primitive_root_u64(p)
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":681
- *         if rejected:
- *             continue
- *         g = primitive_root_u64(p)             # <<<<<<<<<<<<<<
- *         ok = True
- *         for j in range(width):
-*/
-    __pyx_v_g = __pyx_f_8localpow_7kernels_7_native_primitive_root_u64(__pyx_v_p);
-
-    /* "localpow/kernels/_native.pyx":682
- *             continue
- *         g = primitive_root_u64(p)
- *         ok = True             # <<<<<<<<<<<<<<
- *         for j in range(width):
- *             dl = discrete_log_u64(g, avals[j], p)
-*/
-    __pyx_v_ok = 1;
-
-    /* "localpow/kernels/_native.pyx":683
- *         g = primitive_root_u64(p)
- *         ok = True
- *         for j in range(width):             # <<<<<<<<<<<<<<
- *             dl = discrete_log_u64(g, avals[j], p)
- *             if dl == -2:
-*/
-    __pyx_t_6 = __pyx_v_width;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "localpow/kernels/_native.pyx":684
- *         ok = True
- *         for j in range(width):
- *             dl = discrete_log_u64(g, avals[j], p)             # <<<<<<<<<<<<<<
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")
-*/
-      __pyx_v_dl = __pyx_f_8localpow_7kernels_7_native_discrete_log_u64(__pyx_v_g, (__pyx_v_avals[__pyx_v_j]), __pyx_v_p);
-
-      /* "localpow/kernels/_native.pyx":685
- *         for j in range(width):
- *             dl = discrete_log_u64(g, avals[j], p)
- *             if dl == -2:             # <<<<<<<<<<<<<<
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:
-*/
-      __pyx_t_2 = (__pyx_v_dl == -2LL);
-      if (unlikely(__pyx_t_2)) {
-
-        /* "localpow/kernels/_native.pyx":686
- *             dl = discrete_log_u64(g, avals[j], p)
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")             # <<<<<<<<<<<<<<
- *             if dl < 0:
- *                 ok = False
-*/
-        __pyx_t_14 = NULL;
-        __pyx_t_5 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_14, __pyx_mstate_global->__pyx_kp_u_baby_step_table_allocation_faile};
-          __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_14); __pyx_t_14 = 0;
-          if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 686, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_4);
-        }
-        __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __PYX_ERR(0, 686, __pyx_L1_error)
-
-        /* "localpow/kernels/_native.pyx":685
- *         for j in range(width):
- *             dl = discrete_log_u64(g, avals[j], p)
- *             if dl == -2:             # <<<<<<<<<<<<<<
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:
-*/
-      }
-
-      /* "localpow/kernels/_native.pyx":687
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      __pyx_t_2 = (__pyx_v_dl < 0);
-      if (__pyx_t_2) {
-
-        /* "localpow/kernels/_native.pyx":688
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:
- *                 ok = False             # <<<<<<<<<<<<<<
- *                 break
- *             alphas[j] = <u64>dl
-*/
-        __pyx_v_ok = 0;
-
-        /* "localpow/kernels/_native.pyx":689
- *             if dl < 0:
- *                 ok = False
- *                 break             # <<<<<<<<<<<<<<
- *             alphas[j] = <u64>dl
- *             dl = discrete_log_u64(g, bvals[j], p)
-*/
-        goto __pyx_L27_break;
-
-        /* "localpow/kernels/_native.pyx":687
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      }
-
-      /* "localpow/kernels/_native.pyx":690
- *                 ok = False
- *                 break
- *             alphas[j] = <u64>dl             # <<<<<<<<<<<<<<
- *             dl = discrete_log_u64(g, bvals[j], p)
- *             if dl == -2:
-*/
-      (__pyx_v_alphas[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_v_dl);
-
-      /* "localpow/kernels/_native.pyx":691
- *                 break
- *             alphas[j] = <u64>dl
- *             dl = discrete_log_u64(g, bvals[j], p)             # <<<<<<<<<<<<<<
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")
-*/
-      __pyx_v_dl = __pyx_f_8localpow_7kernels_7_native_discrete_log_u64(__pyx_v_g, (__pyx_v_bvals[__pyx_v_j]), __pyx_v_p);
-
-      /* "localpow/kernels/_native.pyx":692
- *             alphas[j] = <u64>dl
- *             dl = discrete_log_u64(g, bvals[j], p)
- *             if dl == -2:             # <<<<<<<<<<<<<<
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:
-*/
-      __pyx_t_2 = (__pyx_v_dl == -2LL);
-      if (unlikely(__pyx_t_2)) {
-
-        /* "localpow/kernels/_native.pyx":693
- *             dl = discrete_log_u64(g, bvals[j], p)
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")             # <<<<<<<<<<<<<<
- *             if dl < 0:
- *                 ok = False
-*/
-        __pyx_t_14 = NULL;
-        __pyx_t_5 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_14, __pyx_mstate_global->__pyx_kp_u_baby_step_table_allocation_faile};
-          __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_14); __pyx_t_14 = 0;
-          if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 693, __pyx_L1_error)
-          __Pyx_GOTREF(__pyx_t_4);
-        }
-        __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __PYX_ERR(0, 693, __pyx_L1_error)
-
-        /* "localpow/kernels/_native.pyx":692
- *             alphas[j] = <u64>dl
- *             dl = discrete_log_u64(g, bvals[j], p)
- *             if dl == -2:             # <<<<<<<<<<<<<<
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:
-*/
-      }
-
-      /* "localpow/kernels/_native.pyx":694
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      __pyx_t_2 = (__pyx_v_dl < 0);
-      if (__pyx_t_2) {
-
-        /* "localpow/kernels/_native.pyx":695
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:
- *                 ok = False             # <<<<<<<<<<<<<<
- *                 break
- *             betas[j] = <u64>dl
-*/
-        __pyx_v_ok = 0;
-
-        /* "localpow/kernels/_native.pyx":696
- *             if dl < 0:
- *                 ok = False
- *                 break             # <<<<<<<<<<<<<<
- *             betas[j] = <u64>dl
- *         if ok and solve_system_u64(alphas, betas, width, n1, &kres):
-*/
-        goto __pyx_L27_break;
-
-        /* "localpow/kernels/_native.pyx":694
- *             if dl == -2:
- *                 raise MemoryError("baby-step table allocation failed")
- *             if dl < 0:             # <<<<<<<<<<<<<<
- *                 ok = False
- *                 break
-*/
-      }
-
-      /* "localpow/kernels/_native.pyx":697
- *                 ok = False
- *                 break
- *             betas[j] = <u64>dl             # <<<<<<<<<<<<<<
- *         if ok and solve_system_u64(alphas, betas, width, n1, &kres):
- *             members += 1
-*/
-      (__pyx_v_betas[__pyx_v_j]) = ((__pyx_t_8localpow_7kernels_7_native_u64)__pyx_v_dl);
-    }
-    __pyx_L27_break:;
-
-    /* "localpow/kernels/_native.pyx":698
- *                 break
- *             betas[j] = <u64>dl
- *         if ok and solve_system_u64(alphas, betas, width, n1, &kres):             # <<<<<<<<<<<<<<
- *             members += 1
- *     return counted, skipped, members
-*/
-    if (__pyx_v_ok) {
-    } else {
-      __pyx_t_2 = __pyx_v_ok;
-      goto __pyx_L33_bool_binop_done;
-    }
-    __pyx_t_12 = (__pyx_f_8localpow_7kernels_7_native_solve_system_u64(__pyx_v_alphas, __pyx_v_betas, __pyx_v_width, __pyx_v_n1, (&__pyx_v_kres)) != 0);
-    __pyx_t_2 = __pyx_t_12;
-    __pyx_L33_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "localpow/kernels/_native.pyx":699
- *             betas[j] = <u64>dl
- *         if ok and solve_system_u64(alphas, betas, width, n1, &kres):
- *             members += 1             # <<<<<<<<<<<<<<
- *     return counted, skipped, members
-*/
-      __pyx_v_members = (__pyx_v_members + 1);
-
-      /* "localpow/kernels/_native.pyx":698
- *                 break
- *             betas[j] = <u64>dl
- *         if ok and solve_system_u64(alphas, betas, width, n1, &kres):             # <<<<<<<<<<<<<<
- *             members += 1
- *     return counted, skipped, members
-*/
-    }
-
-    /* "localpow/kernels/_native.pyx":647
- *         cfn[j] = <i64>fnums[j]
- *         cfd[j] = <u64>fdens[j]
- *     for pobj in primes:             # <<<<<<<<<<<<<<
- *         p = <u64>pobj
- *         ok = True
-*/
-    __pyx_L6_continue:;
-  }
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "localpow/kernels/_native.pyx":700
- *         if ok and solve_system_u64(alphas, betas, width, n1, &kres):
- *             members += 1
- *     return counted, skipped, members             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_3 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_counted); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 700, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_skipped); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 700, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_14 = __Pyx_PyLong_From_unsigned_PY_LONG_LONG(__pyx_v_members); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 700, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_14);
-  __pyx_t_15 = PyTuple_New(3); if (unlikely(!__pyx_t_15)) __PYX_ERR(0, 700, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_15);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 700, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 700, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_14);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_15, 2, __pyx_t_14) != (0)) __PYX_ERR(0, 700, __pyx_L1_error);
-  __pyx_t_3 = 0;
-  __pyx_t_4 = 0;
-  __pyx_t_14 = 0;
-  __pyx_r = __pyx_t_15;
-  __pyx_t_15 = 0;
-  goto __pyx_L0;
-
-  /* "localpow/kernels/_native.pyx":621
- * 
- * 
- * def omega_members(primes, ns, fnums, fdens):             # <<<<<<<<<<<<<<
- *     """Count primes where (f(n_j)) is a simultaneous power of (n_j) mod p.
- * 
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_XDECREF(__pyx_t_15);
-  __Pyx_AddTraceback("localpow.kernels._native.omega_members", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_pobj);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__native(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__native},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_native",
-      __pyx_k_Compiled_backend_for_the_prime_a, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__native(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__native(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__native(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_native' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_native" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__native", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_localpow__kernels___native) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "localpow.kernels._native")) {
-      if (unlikely((PyDict_SetItemString(modules, "localpow.kernels._native", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "localpow/kernels/_native.pyx":10
- * from libc.stdlib cimport calloc, free, malloc
- * 
- * BACKEND = "native"             # <<<<<<<<<<<<<<
- * 
- * ctypedef unsigned long long u64
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND, __pyx_mstate_global->__pyx_n_u_native) < (0)) __PYX_ERR(0, 10, __pyx_L1_error)
-
-  /* "localpow/kernels/_native.pyx":66
- * 
- * cdef u64 _MR_W[12]
- * _MR_W[0] = 2; _MR_W[1] = 3; _MR_W[2] = 5; _MR_W[3] = 7             # <<<<<<<<<<<<<<
- * _MR_W[4] = 11; _MR_W[5] = 13; _MR_W[6] = 17; _MR_W[7] = 19
- * _MR_W[8] = 23; _MR_W[9] = 29; _MR_W[10] = 31; _MR_W[11] = 37
-*/
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[0]) = 2;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[1]) = 3;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[2]) = 5;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[3]) = 7;
-
-  /* "localpow/kernels/_native.pyx":67
- * cdef u64 _MR_W[12]
- * _MR_W[0] = 2; _MR_W[1] = 3; _MR_W[2] = 5; _MR_W[3] = 7
- * _MR_W[4] = 11; _MR_W[5] = 13; _MR_W[6] = 17; _MR_W[7] = 19             # <<<<<<<<<<<<<<
- * _MR_W[8] = 23; _MR_W[9] = 29; _MR_W[10] = 31; _MR_W[11] = 37
- * 
-*/
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[4]) = 11;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[5]) = 13;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[6]) = 17;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[7]) = 19;
-
-  /* "localpow/kernels/_native.pyx":68
- * _MR_W[0] = 2; _MR_W[1] = 3; _MR_W[2] = 5; _MR_W[3] = 7
- * _MR_W[4] = 11; _MR_W[5] = 13; _MR_W[6] = 17; _MR_W[7] = 19
- * _MR_W[8] = 23; _MR_W[9] = 29; _MR_W[10] = 31; _MR_W[11] = 37             # <<<<<<<<<<<<<<
- * 
- * cdef u64 _SMALL_Q[15]
-*/
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[8]) = 23;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[9]) = 29;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[10]) = 31;
-  (__pyx_v_8localpow_7kernels_7_native__MR_W[11]) = 37;
-
-  /* "localpow/kernels/_native.pyx":71
- * 
- * cdef u64 _SMALL_Q[15]
- * _SMALL_Q[0] = 2; _SMALL_Q[1] = 3; _SMALL_Q[2] = 5; _SMALL_Q[3] = 7             # <<<<<<<<<<<<<<
- * _SMALL_Q[4] = 11; _SMALL_Q[5] = 13; _SMALL_Q[6] = 17; _SMALL_Q[7] = 19
- * _SMALL_Q[8] = 23; _SMALL_Q[9] = 29; _SMALL_Q[10] = 31; _SMALL_Q[11] = 37
-*/
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[0]) = 2;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[1]) = 3;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[2]) = 5;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[3]) = 7;
-
-  /* "localpow/kernels/_native.pyx":72
- * cdef u64 _SMALL_Q[15]
- * _SMALL_Q[0] = 2; _SMALL_Q[1] = 3; _SMALL_Q[2] = 5; _SMALL_Q[3] = 7
- * _SMALL_Q[4] = 11; _SMALL_Q[5] = 13; _SMALL_Q[6] = 17; _SMALL_Q[7] = 19             # <<<<<<<<<<<<<<
- * _SMALL_Q[8] = 23; _SMALL_Q[9] = 29; _SMALL_Q[10] = 31; _SMALL_Q[11] = 37
- * _SMALL_Q[12] = 41; _SMALL_Q[13] = 43; _SMALL_Q[14] = 47
-*/
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[4]) = 11;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[5]) = 13;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[6]) = 17;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[7]) = 19;
-
-  /* "localpow/kernels/_native.pyx":73
- * _SMALL_Q[0] = 2; _SMALL_Q[1] = 3; _SMALL_Q[2] = 5; _SMALL_Q[3] = 7
- * _SMALL_Q[4] = 11; _SMALL_Q[5] = 13; _SMALL_Q[6] = 17; _SMALL_Q[7] = 19
- * _SMALL_Q[8] = 23; _SMALL_Q[9] = 29; _SMALL_Q[10] = 31; _SMALL_Q[11] = 37             # <<<<<<<<<<<<<<
- * _SMALL_Q[12] = 41; _SMALL_Q[13] = 43; _SMALL_Q[14] = 47
- * 
-*/
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[8]) = 23;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[9]) = 29;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[10]) = 31;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[11]) = 37;
-
-  /* "localpow/kernels/_native.pyx":74
- * _SMALL_Q[4] = 11; _SMALL_Q[5] = 13; _SMALL_Q[6] = 17; _SMALL_Q[7] = 19
- * _SMALL_Q[8] = 23; _SMALL_Q[9] = 29; _SMALL_Q[10] = 31; _SMALL_Q[11] = 37
- * _SMALL_Q[12] = 41; _SMALL_Q[13] = 43; _SMALL_Q[14] = 47             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[12]) = 41;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[13]) = 43;
-  (__pyx_v_8localpow_7kernels_7_native__SMALL_Q[14]) = 47;
-
-  /* "localpow/kernels/_native.pyx":107
- * 
- * 
- * def is_prime(n):             # <<<<<<<<<<<<<<
- *     """Deterministic Miller-Rabin (capped at 64 bits in this backend)."""
- *     if n < 0:
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_1is_prime, 0, __pyx_mstate_global->__pyx_n_u_is_prime, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 107, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_is_prime, __pyx_t_2) < (0)) __PYX_ERR(0, 107, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":218
- * 
- * 
- * def factorize(n):             # <<<<<<<<<<<<<<
- *     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
- *     cdef u64 ps[64]
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_3factorize, 0, __pyx_mstate_global->__pyx_n_u_factorize, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 218, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_factorize, __pyx_t_2) < (0)) __PYX_ERR(0, 218, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":252
- * 
- * 
- * def primitive_root(p):             # <<<<<<<<<<<<<<
- *     """Smallest primitive root mod the prime p."""
- *     return primitive_root_u64(<u64>p)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_5primitive_root, 0, __pyx_mstate_global->__pyx_n_u_primitive_root, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 252, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_primitive_root, __pyx_t_2) < (0)) __PYX_ERR(0, 252, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":400
- * 
- * 
- * def discrete_log(g, h, p):             # <<<<<<<<<<<<<<
- *     """Smallest x >= 0 with g^x  h (mod p), via Pohlig-Hellman + BSGS."""
- *     cdef i64 x = discrete_log_u64(<u64>(g % p), <u64>(h % p), <u64>p)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_7discrete_log, 0, __pyx_mstate_global->__pyx_n_u_discrete_log, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 400, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_discrete_log, __pyx_t_2) < (0)) __PYX_ERR(0, 400, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":433
- * 
- * 
- * def sieve(limit):             # <<<<<<<<<<<<<<
- *     """All primes <= limit, ascending."""
- *     cdef u64 lim, i
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_9sieve, 0, __pyx_mstate_global->__pyx_n_u_sieve, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 433, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_sieve, __pyx_t_2) < (0)) __PYX_ERR(0, 433, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":453
- * 
- * 
- * def count_primes(limit):             # <<<<<<<<<<<<<<
- *     """Number of primes <= limit."""
- *     cdef u64 lim, i, cnt = 0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_11count_primes, 0, __pyx_mstate_global->__pyx_n_u_count_primes, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 453, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_count_primes, __pyx_t_2) < (0)) __PYX_ERR(0, 453, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":505
- * 
- * 
- * def solve_exponent_system(a, b, m):             # <<<<<<<<<<<<<<
- *     """Smallest k in [0, m) with k*a_j  b_j (mod m) for all j, else None."""
- *     cdef int width = len(a)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_13solve_exponent_system, 0, __pyx_mstate_global->__pyx_n_u_solve_exponent_system, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_solve_exponent_system, __pyx_t_2) < (0)) __PYX_ERR(0, 505, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":524
- * # -- scan kernels ----------------------------------------------------------------
- * 
- * def z_b_rows(primes, ell, nums, dens):             # <<<<<<<<<<<<<<
- *     """Per-prime ell-th power classes z_j = c_j^((p-1)/ell) and their logs.
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_15z_b_rows, 0, __pyx_mstate_global->__pyx_n_u_z_b_rows, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 524, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_z_b_rows, __pyx_t_2) < (0)) __PYX_ERR(0, 524, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":621
- * 
- * 
- * def omega_members(primes, ns, fnums, fdens):             # <<<<<<<<<<<<<<
- *     """Count primes where (f(n_j)) is a simultaneous power of (n_j) mod p.
- * 
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_8localpow_7kernels_7_native_17omega_members, 0, __pyx_mstate_global->__pyx_n_u_omega_members, NULL, __pyx_mstate_global->__pyx_n_u_localpow_kernels__native, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 621, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_omega_members, __pyx_t_2) < (0)) __PYX_ERR(0, 621, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "localpow/kernels/_native.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled backend for the prime and scan kernels.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init localpow.kernels._native", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init localpow.kernels._native");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "localpow/kernels/_native.pyx":567
- *         zl = [zs[j] for j in range(width)]
- *         if allone:
- *             out.append((pobj, tuple(zl), (0,) * width))             # <<<<<<<<<<<<<<
- *             continue
- *         a = 2
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_New(1); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 567, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_mstate_global->__pyx_tuple[0], 0, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 567, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{33},{50},{22},{31},{23},{32},{38},{37},{20},{7},{20},{1},{6},{6},{12},{18},{5},{1},{5},{2},{2},{5},{2},{2},{2},{3},{3},{2},{18},{2},{3},{12},{7},{3},{4},{12},{2},{1},{3},{2},{9},{5},{5},{5},{8},{1},{1},{1},{13},{8},{5},{1},{1},{4},{3},{5},{24},{1},{8},{7},{10},{1},{2},{8},{6},{2},{4},{2},{13},{3},{1},{4},{3},{6},{14},{2},{1},{2},{12},{1},{8},{3},{3},{12},{10},{5},{7},{21},{8},{2},{6},{2},{1},{5},{1},{1},{8},{2},{2},{96},{107},{73},{14},{119},{651},{528},{84},{49}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1436 bytes) */
-const char* const cstring = "BZh91AY&SY\206\215\263X\000\001b\177\377\377\377\377\277\177\203\277\347\277/~\001\277\377\377\362@@@@@@@@@@@@@\000@\000P\005;\216w\003\000U8\345\007\003M\"\210\324`\207\251\217M4\032Sdm$\336\231\t\224\364\032\214\021\220\032\006@\321\202x\247\242=A(\202i\221\2212h\r\010(z\200\000\032\003@\000\000\000\000\001\246L44DM\032\231\020zM4\364\321\036\210\3204\000\000\001\240\032\007\250\003M\0065\017H\022(\322\212f\220\364C5\032=L# \323OH\320\320h6\211\202\007\250\000\r4\3204mG\241\300\000\000\320\000\001\221\241\220\000\000\000\000\014\214\200\0002,feSUq\370\374\376\200M\235\246R\006\330urv\320\003\0021~\346 >1\270\250\252\255\010lm\267\021|U\301J\262\240P(_\361\257Q\024\n\327\250\"*\312\246\002\026\003H\033\004XP*\305X\250a\"\201\310\277\220L\033m5\024I\004@\224\025$\007\020M$\301:\t\022\002\211\251\270G\005+P\243\212\334\211b\247$\203\005E\025\211\241\267\316\330$`*F\005\205p\201i]kbW]\241\033g+\240\346E\t\310B#\207&\373F\025/B\262\376\017\353\365\377C\354\023\352\241GS\026\370 `-\355\302\031|\340\016\270\203A\021\304\325F\207\021\366\211%\030\321$\014\006_\347\022A$`\030f\320\n\002\363\274y\016\357nyU\377m\226\373\325\275\351WM\245A\001\030\\\256\020\250\204\013\002\266a7 \021\252I\225\016\224\"\240\200(\327%\332KO\231z\332\317:\204\323vH*\216\214i\n\035q+\007{>\222k\273\361\273M\"C\337d\004qK\006kM\354p\370v\022\227\022i\251UEU*\250\222d\320p\003\241\017\250\341\300w\252n\010\327\222\031\000\351\255N:\276\031\327\327;\005\363\352\201\266\245b\305#r1\311\302\315Xl\250\236\034$P\355-\246B\266\227\026'\213z\214\003\214\n.p\306E\313T\235\240\242v.ZM\254\244\n\204\235\371\231\240\231\246|\272\234\376f\023\375p\310,\246\243\014\274G\353\330\312\333Bi\202`a\337j\325+BT_${\001i\331f\\7H\345\256$\260L\r\032\n\255\327\275\262\013Y\213\247\306\267\204\031\245ui\342\034pE9\267\261\257}\331\265F\305\314f\216\313\212\226\236[j^\306\026R\332\227K\267\311\345\224X\026V\334\323)\020\205u-G\0021uM\203\233\014iZ\277QO\007VfgF$y\306mV\261ZF\020\253{\337>M\335\2406/k\207W\224\\*\2212""\r\243&\310\230)\275\3323]\303\321\"6XkBA\323\324\376}t\202m/\350\262\305\331\307\211\215\353^7E\346A\247\010\031+\221\342\226)\207;\222\245\034\216\233\2071\0062\245\\\361\024\250\347\201\t/wP\304\257\303\312\373f\244\255\2137\rseT\334\026,Y,\"G+\203J\274\330\361\257\310\271\221\032XN\306\025$\257+\033:\032\213q7\316+\265g$N\313\346^1\243tf\204\317\322wG\n\035P2\020\315\244\241\324oz\311\226\343f:y\267\357\333\244$D\303\271h\301\247\266%\350\\\232M/\236\303\215\327\277hX\215\006/\300\212\303\233{\301\260\265@\206\263e\362\213_\033\027\362\337O#>\336\216\014\2602\302^\311\207\016V\270\2438\265\223UeU\033V\225\206:\n\304\251Eq\001\322\203\r\325\335\301|}\2754\201\n\\wSL\356\271\250M2:R\371s[L\262\013\325\030\336\204IZj71\3642,\3377\320\216\021\275U<~_\014\212\366k\342\363\325\032\273\263\256\20641y\362\305\346A\252+i\245\336CZ\246\230\304V\030z\217\003^-\033H\230\317\032\365\254'\237)\010\356\376=\253p\232&L\223m,\301\254\213\005\262\344\337+\362\244\306\211b\236@\326%\"'0 \377&)\340>0\344\205\014\r,O\343\351D~'\353-\326\310%\r\356c\373\014E\345f*bH\004\324\322\300:\003d5?A\201\010 \374\360\246\320\201`\222%&\235]A\325\351\264\244\306\302\016\265H\204D\334\356]:2\016\221\232\363\014\326\2519zfAp\377\216\321\010A~\277\251\200\253V(\242\205\001\027\324(\214\340\257\306\r\221\206\"l\003\263\307\266\005\222m-\257\356+\002\310\262o*\203\256M\336\313\202\320\327\270-\264W\2162\017ma\016\262\302\2760\362j\300 \033\025B\220M:g!M\027\305\032KI\207\035\n\024\020\250\317y\347z\035\233nl\331O3\232\300z(\313\310\364B'\222\367\226zN/\273\2670\3509\272\035.9Rd\305\307SG>\335\2159py\245\367\262\356\345\014yR\240\212\2545\374/\344\303J\205i\323\356\265\225\275\0275\023\222\250\356\206iG-\202Y\001d\t\001Z\330w\005\221A\205\205\216<\022\300\352\250\200a\206\237\212o9\001K0%\026\212\026@\27093[\006%)\303\002\301\205\006RxYJ\010Ue\207b\252\342f!\004\331\202\222\n\270`\322iH(\013\250\344\t\267\374]\311\024\341BB\0326\315`";
-    PyObject *data = __Pyx_DecompressString(cstring, 1436, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1384 bytes) */
-const char* const cstring = "x\332\235U\313n\333F\024\265\034\311Vm%\021E;F\233\266\240\354\330]\305\206\354\270I\201> \277\200\242MPY\361\266\304\220\032\331\264\370\036\322/\240@\226\\\316r\226\\r\311\245\226Zf\251%\227\376\004\177B\357\014%\305\211\r$- K\344<\3169\367\3343\343\3374\244]>'\001v\225\000i&V\220i::\n\014\307V\272\3100q\007\233\330\302v\2408a@\214\016V\202\023\254\220P;\366\235\320U\216\261\215}\024\340\216\242]\212\031\r\021\334Ez\340\370\306\025Vl\214;D\261\225_\177Q\0326\200\236\361\005z\017\333\035\345\004\331\035\023\363\311\237\225\315\277\177\334\"\006>\273\207\235\370\372\006\0372]\347|\243\207}\033\233dC\315\261\326\335\313\013r\t\332-%p\034\345\234\253\353:\276\320\3611[\020\272P\332g\026\235!3\304\2232\255P\305\246\271\323\334\375c\377\315\236\252\376uy\001\177{\206\036\250o\360Ep\010Er\2556\006e'\210\250*\262m'\000'\340\211\\\332\272\341\254\353\016X\024\0306&\010\240\211\246\341\000\021\315\324\210\306_u\244kzG\357\302\307\326M\335\204u\252a\253\201\217t\314\005\351\266n\007\272\023\332\201\352\372\206\205\211x\306\035=\364;\330&\035\203\350>\006:\3239\006\037A*&\023\337\273|E\327D\307\244k\207\026\210\353\206\266\256\252\307'\206j\020u\242\013\236\005\264\001\016\222\323^\317\307\3044,\370\030\301\330\362\365\221\345\353#\313-U\265\020\310T-li\330\007h\313\351\204&Tm\333\r\370B\026\177\024Km\302\271\235\236c\341c4^\017\304\256\353h\247\256\343\346U\361o\203/W}\307\t\\\342y\206\252z!2s(\337\307\247X\207\262}l\201<U%8\030\261\300S\007\272\020\232\201\210\016\351\031\256\013yqL\300\302\027.\264\006\254\313\343\241\252\001&\201\252\206D\364\230\234\221s\310Aprqu\245j@|N\256\314+\362\256p]|\312\032\327\305\331wg\321a\344e\345\307\360U\234\213V\371O%\372\223\025\230\224\211\3316-d\345GQ\217I\254\236}5\227\225+\321>]\244\210\022\366\214iq!\253\310t;_^\216\n\021\374\314G\215w\205\233\362Ti\2216\263\377\312P,\335\303\3608\ni\223\266\262\252L_\262:\350\206%\315\2505\242\272.JC\251\036K\361Z2\235,'{\351L\252\365\247\373\317\372x\320\340\014~\264\000k?0\360\221Z\324\340#\247""\271\212\371\350\025\025@\363\303\371\357X\213\341X\274-\3226\237\277\231\231*-\320\333fM6\226\243RtD\353\024\300\346\242z\264Mg@\266\307\036\260M\326\272o\2508;\234]\202\267\"\333\213g\3430\331M\274\264\300\255\271\240\336\330\270\271\251\322\223\2348+.\321\177\342\327\251t\363\355T\251\374y\362\022=\004l\300\003 a!f\r\326\374\364\025\366\225\271\343\334e)+?\344\336\214\035\367\270\327>\225\350\n@\371Lf;L\217\345\270\031\267\301\332\325\304O\345t'\325\373r\277\331o\017\246\007\313\203\335\201\227U\027yk$\316\363\002\004V\2268\314\303\254,se\267\220%\300]\005T\211\255\260C6\0318\003_\252K\320\354:\333\202v\227\342\303\330O\026\023=\255\245\333\375b\377`P\037l\r\320\200\274_~\277\373>\030\266\337^\203\346C\256\222{\201&<\007\200\305\253\257TiY\030\004\245\004t3\327V\251\321gTc\323@-\330<\276\354\201\230\205\207\022=\342\261\312\2525\260s\233\3150\304B(\372m\"'\315\373\0079\366P^\213Q\034$/\222s\360D\312\252O9\204\360\241!\014\250\014+\337\303.\357\256\311\243\300\256\304GI\035\366\013\333\t(DY\365\t\355\301L=\037Y\206\0234\266\267\222\353(A\001\377o\177nw\230'b+\352\014k\313q=~\225\274L\177\350/\364[}\224\267\016b\370\023\375\235\265 \212\225[Q\254q{oj_\030\304\267\342\250}\362\n\247\277\376\345\361\013E\370j\361V\254%\0050}'\321\322\007i\343N\334\036G\347\320\331\031\326\215\233\302\365<\0342\335\0017\312\022\347\270\005_\245\263\223\004\206\361\016@\227\222v:\235\256\246brF\334:kq\001x\033\361.\004Q\206\373\244\360a\212\307\247\002\251\343\027R.V\346\026\177\315\362R\"\215\026`d\017\272t\004\3366FY\030K\204{%>H\3268 \217G\324\314s[\247[Tg\"\316\032\204\262!Z\3651\347\355\032 \007|\262\220\207Zg5q\254\241\361]\326\004\332\225\2705\362H\206|\267E`\026\276a\033\211\224\324\307\332\367\307z1?\002\200\261\000\033Wc/\021\227\307K\310\315\001[e\036\034F\036\260\306\255\253\251|\347\362\344\327\251\314Ky\024Y\371\0053\027=\207\223Xb\355\270\010=\201\275\233<0\264\010\264\\\353\036\014\357\303\tG\211\307o\331\311u,\376A\334E\023m\246\025Q[\375_\331\360\2752";
-    PyObject *data = __Pyx_DecompressString(cstring, 1384, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (2500 bytes) */
-const char* const bytes = "?baby-step table allocation failedelement outside the subgroup generated by the basefactorize needs n >= 1native backend handles n < 2^63sieve allocation failedsrc/localpow/kernels/_native.pyxsystem too wide for the native backendtuple too wide for the native backendvalue outside mu_ellBACKEND__Pyx_PyDict_NextRefaallonealphas__annotate__asyncio.coroutinesavalsbbetasblbsbvalscacbcdcfdcfnclcline_in_tracebackcncntcount_primescountedcurdensdiscrete_logdleellesfactorizefdensflagsfnums__func__ghi_is_coroutineis_primeitemsjkkreslimlimitlocalpow.kernels._nativem__main__members__module__nn1__name__nativensnumsokomega_membersoutppobjpopprimesprimitive_rootpsqqi__qualname__rrejectedremres__set_name__setdefaultsieveskippedsolve_exponent_system__test__usvaluesvswwidthxzz_b_rowszlzs\200\001\340\004\033\2301\340\004\007\200v\210R\210q\330\010\017\210q\330\004\n\210%\210q\330\004\014\210L\230\001\230\021\330\004\007\200v\210S\220\001\330\010\016\210k\230\021\230!\330\t\n\330\010\014\210E\220\025\220a\220s\230$\230b\240\001\330\014\023\2205\230\001\230\021\330\004\010\210\001\210\021\330\004\013\2101\200\001\360\010\000\005\025\220A\330\004\007\200v\210R\210q\330\010\017\210q\330\004\n\210%\210q\330\004\014\210L\230\001\230\021\330\004\007\200v\210S\220\001\330\010\016\210k\230\021\230!\330\004\005\330\010\014\210E\220\025\220a\220s\230$\230b\240\001\330\014\017\210u\220A\220Q\330\020\023\2207\230!\2301\340\010\014\210A\210Q\330\004\013\2101\200\001\340\004\021\320\021!\240\021\240&\250\002\250\"\250D\260\006\260b\270\002\270$\270e\3001\330\004\007\200r\210\024\210Q\330\010\016\210k\230\021\230!\330\004\007\200r\210\022\2101\330\010\016\210j\230\001\230\021\330\004\013\2108\2201\200\001\340\004\013\320\013\035\230Q\230e\2401\200\001\340\004\025\220S\230\001\230\021\360\006\000\005\024\2201\340\004\007\200v\210R\210q\330\010\016\210j\230\001\230\021\330\004\010\210\005\210U\220!\2201\330\010\n\210!\2105\220\006\220a\220q\230\003\2302\230Q\330\010\n\210!\2105\220\006\220a\220q\230""\003\2302\230Q\330\004\007\320\007\027\220q\230\004\230D\240\007\240u\250C\250q\260\001\330\010\017\210x\220q\330\004\013\2101\200\001\360\n\000\005\026\220S\230\001\230\021\330\004\027\220}\240M\260\021\360\034\000\005\010\200v\210R\210q\330\010\016\210j\230\001\230\021\330\004\010\210\005\210U\220!\2201\330\010\n\210!\2105\220\005\220R\220q\230\001\330\010\013\2101\210E\220\025\220e\2301\230A\330\010\013\2101\210E\220\025\220e\2301\230A\330\004\010\210\010\220\001\330\010\014\210E\220\021\330\010\r\210Q\330\010\014\210E\220\025\220a\220q\330\014\017\210r\220\021\220#\220R\220r\230\023\230B\230c\240\023\240A\240S\250\002\250%\250r\260\023\260B\260c\270\023\270A\270S\300\002\300\"\300C\300q\330\020\025\220Q\330\020\021\330\010\013\2104\210q\330\014\027\220q\330\014\r\330\010\023\2201\330\010\014\210E\220\025\220a\220q\330\014\021\220\021\220%\220r\230\021\230#\230R\230q\330\014\021\220\021\220%\220v\230Q\330\020\027\220s\230!\2303\230b\240\005\240R\240r\250\025\250c\260\022\2605\270\004\270F\300!\3003\300a\300s\310\"\310C\310t\320ST\340\010\r\210R\210r\220\021\330\010\016\210a\330\010\023\2201\330\010\014\210F\220%\220q\230\001\330\014\020\220\010\230\001\230\021\330\014\017\210t\2202\220Q\330\020\021\330\014\022\220$\220b\230\002\230#\230Q\330\020\027\220q\330\014\020\220\003\2202\220Q\330\014\020\220\005\220U\230!\2301\330\020\022\220!\2205\230\006\230a\230u\240A\240T\250\023\250A\330\020\022\220!\2205\230\006\230a\230u\240A\240T\250\023\250A\330\014\017\210t\320\023&\240a\240t\2504\250w\260c\270\021\330\020\033\2301\330\020\021\330\010\013\2101\330\014\r\330\010\014\320\014\036\230a\230q\330\010\r\210Q\330\010\014\210E\220\025\220a\220q\330\014\021\320\021!\240\021\240#\240U\250!\2504\250q\330\014\017\210s\220$\220a\330\020\026\220k\240\021\240!\330\014\017\210s\220\"\220A\330\020\025\220Q\330\020\021\330\014\022\220!\2205\230\005\230Q\330\014\021\320\021!\240\021\240#\240U\250!\2504\250q\330\014\017\210s\220$\220a\330\020\026\220k\240\021\240!\330\014\017\210s""\220\"\220A\330\020\025\220Q\330\020\021\330\014\021\220\021\220%\220u\230A\330\010\013\2103\210d\320\022\"\240!\2408\2507\260'\270\024\270Q\270a\330\014\027\220q\330\004\013\2109\220I\230Q\200\001\360\014\000\005\026\220S\230\001\230\021\330\004\022\220%\220q\360\022\000\005\010\200v\210R\210q\330\010\016\210j\230\001\230\021\330\004\010\210\005\210U\220!\2201\330\010\n\210!\2105\220\005\220T\230\021\230!\330\010\n\210!\2105\220\005\220T\230\021\230!\330\004\n\210!\330\004\010\210\010\220\001\330\010\014\210E\220\021\330\010\r\210Q\330\010\014\210E\220\025\220a\220q\330\014\017\210r\220\021\220#\220R\220u\230B\230c\240\022\2403\240b\250\001\250\023\250B\250b\260\003\2601\330\020\025\220Q\330\020\021\330\010\013\2104\210q\330\014\017\210w\220b\230\006\230f\240A\330\014\r\330\010\r\210R\210r\220\023\220B\220a\330\010\021\220\021\330\010\014\210E\220\025\220a\220q\330\014\020\220\007\220r\230\021\230#\230R\230u\240B\240b\250\005\250S\260\002\260%\260q\330\014\020\220\006\220a\220s\230&\240\001\240\022\2401\240C\240r\250\023\250D\260\001\330\014\020\220\006\220a\220s\230#\230Q\330\014\016\210a\210u\220A\330\014\017\210r\220\023\220A\330\020\031\230\021\330\010\r\210Q\210b\220\001\220\023\220D\230\005\230U\240!\2401\330\010\013\2101\330\014\017\210w\220b\230\006\230e\2401\240F\250&\260\001\330\014\r\330\010\014\210A\330\010\014\210F\220!\2203\220c\230\021\330\010\016\210b\220\003\2201\330\014\021\220\021\330\014\020\220\006\220a\220s\230#\230Q\330\010\014\210E\220\025\220a\220q\330\014\022\220!\330\014\020\220\001\330\014\022\220$\220c\230\022\2301\230A\330\020\026\220f\230A\230U\240#\240Q\330\020\025\220Q\330\020\023\2202\220S\230\005\230Q\330\024\032\230/\250\021\250!\330\014\016\210a\210u\220E\230\021\330\010\r\210Q\210e\2202\220Q\220c\230\024\230U\240%\240q\250\001\330\010\013\2107\220\"\220F\230%\230q\240\005\240U\250!\2501\330\004\013\2101\200\001\360\n\000\005\010\200r\210\022\2101\330\010\016\210j\230\001\230\021\330\004\007\200r\210\023\210A\330\010\016\210m""\2301\230A\330\004\n\210-\220q\230\005\230S\240\004\240A\330\004\013\2102\210R\210q\220\004\220E\230\022\2301\230D\240\004\240E\250\025\250a\250q\200\001\340\004\007\200r\210\022\2101\330\010\017\210q\330\004\007\200r\210\023\210A\330\010\016\210m\2301\230A\330\004\013\2104\210q\220\014\230A\230U\240!";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 100; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 10) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 100; i < 109; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 109; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 100;
-      for (Py_ssize_t i=0; i<9; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,2,63};
-    for (int i = 0; i < 4; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<4; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 10;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 107};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_is_prime, __pyx_mstate->__pyx_kp_b_iso88591_r_1_q_r_A_m1A_4q_AU, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 6, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 218};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_ps, __pyx_mstate->__pyx_n_u_es, __pyx_mstate->__pyx_n_u_cnt, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_factorize, __pyx_mstate->__pyx_kp_b_iso88591_r_1_j_r_A_m1A_q_S_A_2Rq_E_1D_E, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 252};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_primitive_root, __pyx_mstate->__pyx_kp_b_iso88591_Qe1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 4, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 400};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_h, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_discrete_log, __pyx_mstate->__pyx_kp_b_iso88591_D_b_e1_r_Q_k_r_1_j_81, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 433};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_limit, __pyx_mstate->__pyx_n_u_lim, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_flags, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_sieve, __pyx_mstate->__pyx_kp_b_iso88591_A_vRq_q_q_L_vS_k_E_as_b_uAQ_7_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 5, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 453};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_limit, __pyx_mstate->__pyx_n_u_lim, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_cnt, __pyx_mstate->__pyx_n_u_flags};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_count_primes, __pyx_mstate->__pyx_kp_b_iso88591_1_vRq_q_q_L_vS_k_E_as_b_5_1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 8, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 505};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_width, __pyx_mstate->__pyx_n_u_ca, __pyx_mstate->__pyx_n_u_cb, __pyx_mstate->__pyx_n_u_res, __pyx_mstate->__pyx_n_u_j};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_solve_exponent_system, __pyx_mstate->__pyx_kp_b_iso88591_S_1_vRq_j_U_1_5_aq_2Q_5_aq_2Q_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 27, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 524};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_primes, __pyx_mstate->__pyx_n_u_ell, __pyx_mstate->__pyx_n_u_nums, __pyx_mstate->__pyx_n_u_dens, __pyx_mstate->__pyx_n_u_width, __pyx_mstate->__pyx_n_u_cl, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_cur, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_ok, __pyx_mstate->__pyx_n_u_allone, __pyx_mstate->__pyx_n_u_cn, __pyx_mstate->__pyx_n_u_cd, __pyx_mstate->__pyx_n_u_zs, __pyx_mstate->__pyx_n_u_bs, __pyx_mstate->__pyx_n_u_zl, __pyx_mstate->__pyx_n_u_bl, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_pobj, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_j};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_z_b_rows, __pyx_mstate->__pyx_kp_b_iso88591_S_q_vRq_j_U_1_5_T_5_T_E_Q_E_aq, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 30, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 621};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_primes, __pyx_mstate->__pyx_n_u_ns, __pyx_mstate->__pyx_n_u_fnums, __pyx_mstate->__pyx_n_u_fdens, __pyx_mstate->__pyx_n_u_width, __pyx_mstate->__pyx_n_u_counted, __pyx_mstate->__pyx_n_u_skipped, __pyx_mstate->__pyx_n_u_members, __pyx_mstate->__pyx_n_u_cfn, __pyx_mstate->__pyx_n_u_cn, __pyx_mstate->__pyx_n_u_cfd, __pyx_mstate->__pyx_n_u_avals, __pyx_mstate->__pyx_n_u_bvals, __pyx_mstate->__pyx_n_u_us, __pyx_mstate->__pyx_n_u_vs, __pyx_mstate->__pyx_n_u_alphas, __pyx_mstate->__pyx_n_u_betas, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_n1, __pyx_mstate->__pyx_n_u_rem, __pyx_mstate->__pyx_n_u_q, __pyx_mstate->__pyx_n_u_e, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_kres, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_qi, __pyx_mstate->__pyx_n_u_ok, __pyx_mstate->__pyx_n_u_rejected, __pyx_mstate->__pyx_n_u_dl, __pyx_mstate->__pyx_n_u_pobj};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_localpow_kernels__native_pyx, __pyx_mstate->__pyx_n_u_omega_members, __pyx_mstate->__pyx_kp_b_iso88591_S_M_vRq_j_U_1_5_Rq_1E_e1A_1E_e1, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled backend for the five dispatched prime and scan kernels.
+ *
+ * Same contract as pure.py: every public function returns exactly what the
+ * pure one does and raises the same exception types.  The arithmetic works
+ * in 64-bit words; localpow.kernels routes wider inputs to pure.py.
+ *
+ * Build: python setup.py build_ext --inplace
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
-/* #### Code section: utility_code_def ### */
+typedef uint64_t u64;
+typedef int64_t i64;
+typedef unsigned __int128 u128;
 
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
+/* widest tuple z_b_rows and omega_members take; localpow.kernels checks it */
+#define MAX_WIDTH 16
+/* more distinct primes than any n < 2^64 has */
+#define MAX_FACTORS 64
 
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+/* -- u64 arithmetic -------------------------------------------------------- */
+
+static inline u64 mulmod(u64 a, u64 b, u64 m)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
+    return (u64)((u128)a * b % m);
 }
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+
+static u64 powmod(u64 b, u64 e, u64 m)
 {
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
+    u64 r = 1 % m;
+    b %= m;
+    while (e) {
+        if (e & 1)
+            r = mulmod(r, b, m);
+        b = mulmod(b, b, m);
+        e >>= 1;
     }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_RshiftObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceRshift : PyNumber_Rshift)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_RshiftObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-#if (defined(__cplusplus) && __cplusplus >= 202002L)\
-        || (defined(__GNUC__) || (defined(__clang__))) &&\
-            (defined(__arm__) || defined(__x86_64__) || defined(__i386__))\
-        || (defined(_MSC_VER) &&\
-            (defined(_M_ARM) || defined(_M_AMD64) || defined(_M_IX86)))
-    const int negative_shift_works = 1;
-#else
-    const int negative_shift_works = 0;
-#endif
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op1);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_rshift(op1, op2);
-    }
-    calculate_long:
-        if ((!negative_shift_works) && unlikely(a < 0)) goto fallback;
-        {
-            long x;
-            if (unlikely(b >= (long) (sizeof(long)*8))) {
-                x = (a < 0) ? -1 : 0;
-            } else
-            x = a >> b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        if ((!negative_shift_works) && unlikely(lla < 0)) goto fallback;
-        {
-            PY_LONG_LONG llx;
-            if (unlikely(llb >= (long long) (sizeof(long long)*8))) {
-                llx = (lla < 0) ? -1 : 0;
-            } else
-            llx = lla >> llb;
-            return PyLong_FromLongLong(llx);
-        }
-    fallback:
-        return __Pyx_Fallback___Pyx_PyLong_RshiftObjC(op1, op2, inplace);
-    
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyLong_RshiftObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_RshiftObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    return __Pyx_Fallback___Pyx_PyLong_RshiftObjC(op1, op2, inplace);
-}
-#endif
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
     return r;
 }
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
+
+static u64 gcd_u64(u64 a, u64 b)
+{
+    while (b) {
+        u64 t = a % b;
+        a = b;
+        b = t;
     }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
+    return a;
 }
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
+
+/* the inverse of a mod m, assuming gcd(a, m) = 1 and m >= 1 */
+static u64 invmod(u64 a, u64 m)
+{
+    i64 old_r = (i64)m, r = (i64)(a % m), old_s = 0, s = 1;
+    if (m == 1)
+        return 0;
+    while (r) {
+        i64 q = old_r / r, t = old_r - q * r;
+        old_r = r;
+        r = t;
+        t = old_s - q * s;
+        old_s = s;
+        s = t;
     }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
+    return (u64)(old_s < 0 ? old_s + (i64)m : old_s);
 }
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
+
+static u64 upow(u64 b, int e)
+{
+    u64 r = 1;
+    while (e-- > 0)
+        r *= b;
+    return r;
+}
+
+static u64 isqrt_u64(u64 n)
+{
+    u64 r = 0, bit = (u64)1 << 31;
+    for (; bit; bit >>= 1)
+        if ((r + bit) * (r + bit) <= n)
+            r += bit;
+    return r;
+}
+
+/* -- primality and factorisation -------------------------------------------- */
+
+static const u64 MR_WITNESSES[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+#define N_WITNESSES (sizeof MR_WITNESSES / sizeof MR_WITNESSES[0])
+
+/* deterministic Miller-Rabin: exact below 3.3e24 */
+static int is_prime_u64(u64 n)
+{
+    u64 d = n - 1;
+    int s = 0;
+    if (n < 2)
+        return 0;
+    for (size_t i = 0; i < N_WITNESSES; i++)
+        if (n % MR_WITNESSES[i] == 0)
+            return n == MR_WITNESSES[i];
+    while (d % 2 == 0) {
+        d >>= 1;
+        s++;
+    }
+    for (size_t i = 0; i < N_WITNESSES; i++) {
+        u64 x = powmod(MR_WITNESSES[i], d, n);
+        int witness = 1;
+        if (x == 1 || x == n - 1)
+            continue;
+        for (int r = 0; r < s - 1; r++) {
+            x = mulmod(x, x, n);
+            if (x == n - 1) {
+                witness = 0;
+                break;
             }
-            return sm->sq_item(o, i);
         }
+        if (witness)
+            return 0;
     }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
+    return 1;
 }
 
-/* PySequenceMultiply */
-#if CYTHON_USE_TYPE_SLOTS
-static PyObject* __Pyx_PySequence_Multiply_Generic(PyObject *seq, Py_ssize_t mul) {
-    PyObject *result, *pymul = PyLong_FromSsize_t(mul);
-    if (unlikely(!pymul))
-        return NULL;
-    result = PyNumber_Multiply(seq, pymul);
-    Py_DECREF(pymul);
-    return result;
-}
-static CYTHON_INLINE PyObject* __Pyx_PySequence_Multiply(PyObject *seq, Py_ssize_t mul) {
-    PyTypeObject *type = Py_TYPE(seq);
-    if (likely(type->tp_as_sequence && type->tp_as_sequence->sq_repeat)) {
-        return type->tp_as_sequence->sq_repeat(seq, mul);
-    } else {
-        return __Pyx_PySequence_Multiply_Generic(seq, mul);
-    }
-}
-#endif
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
+/* a nontrivial factor of the odd composite n by Brent-cycle rho with
+ * deterministic polynomial shifts; 0 if every shift fails */
+static u64 pollard_brent(u64 n)
+{
+    for (u64 c = 1; c < 1000; c++) {
+        u64 y = 2, r = 1, q = 1, g = 1, x = y, ys = y;
+        while (g == 1) {
+            x = y;
+            for (u64 i = 0; i < r; i++)
+                y = (mulmod(y, y, n) + c) % n;
+            for (u64 k = 0; k < r && g == 1; k += 128) {
+                u64 m = r - k > 128 ? 128 : r - k;
+                ys = y;
+                for (u64 i = 0; i < m; i++) {
+                    y = (mulmod(y, y, n) + c) % n;
+                    q = mulmod(q, x > y ? x - y : y - x, n);
                 }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
+                g = gcd_u64(q, n);
             }
-            memb++;
+            r *= 2;
         }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
+        if (g == n) {
+            g = 1;
+            while (g == 1) {
+                ys = (mulmod(ys, ys, n) + c) % n;
+                g = gcd_u64(x > ys ? x - ys : ys - x, n);
             }
-            ++getset;
         }
+        if (g != n)
+            return g;
     }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
     return 0;
 }
 
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
+static int add_factor(u64 *ps, u64 *es, int cnt, u64 p, u64 e)
+{
+    ps[cnt] = p;
+    es[cnt] = e;
+    return cnt + 1;
+}
+
+/* the prime factorisation of n >= 1 as (ps[i], es[i]) in ascending ps;
+ * returns the count, or -1 if rho fails to split a cofactor */
+static int factorize_u64(u64 n, u64 *ps, u64 *es)
+{
+    u64 stack[64], p;
+    int cnt = 0, top = 0;
+    /* trial division by 2, 3 and the q = +-1 (mod 6) up to 10^4 */
+    for (p = 2; p <= 3; p++)
+        if (n % p == 0) {
+            u64 e = 0;
+            for (; n % p == 0; n /= p)
+                e++;
+            cnt = add_factor(ps, es, cnt, p, e);
+        }
+    for (p = 5; p <= 10000 && p * p <= n; p += 6)
+        for (u64 q = p; q <= p + 2; q += 2)
+            if (n % q == 0) {
+                u64 e = 0;
+                for (; n % q == 0; n /= q)
+                    e++;
+                cnt = add_factor(ps, es, cnt, q, e);
             }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
+    if (n == 1)
+        return cnt;
+    if (p * p > n)  /* no factor below p, so the cofactor is prime */
+        return add_factor(ps, es, cnt, n, 1);
+    /* every prime factor left exceeds 10^4, so there are at most four */
+    stack[top++] = n;
+    while (top) {
+        u64 d = stack[--top];
+        if (is_prime_u64(d)) {
+            int i = 0;
+            while (i < cnt && ps[i] != d)
+                i++;
+            if (i < cnt)
+                es[i]++;
+            else
+                cnt = add_factor(ps, es, cnt, d, 1);
+            continue;
         }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
+        p = pollard_brent(d);
+        if (p == 0)
+            return -1;
+        stack[top++] = p;
+        stack[top++] = d / p;
     }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
+    /* insertion sort of the prime factors rho found */
+    for (int i = 1; i < cnt; i++) {
+        u64 tp = ps[i], te = es[i];
+        int j = i - 1;
+        for (; j >= 0 && ps[j] > tp; j--) {
+            ps[j + 1] = ps[j];
+            es[j + 1] = es[j];
         }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
+        ps[j + 1] = tp;
+        es[j + 1] = te;
     }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
+    return cnt;
 }
 
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
+/* the smallest primitive root mod the prime p; qs are the cnt primes of p-1 */
+static u64 primitive_root_u64(u64 p, const u64 *qs, int cnt)
+{
+    if (p == 2)
+        return 1;
+    for (u64 g = 2;; g++) {
+        int i = 0;
+        while (i < cnt && powmod(g, (p - 1) / qs[i], p) != 1)
+            i++;
+        if (i == cnt)
+            return g;
+    }
 }
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
+
+/* -- discrete logs ----------------------------------------------------------- */
+
+/* open addressing from nonzero group elements to their baby-step index */
+typedef struct {
+    u64 *keys;  /* 0 marks an empty slot */
+    i64 *vals;
+    u64 mask;
+} HashTable;
+
+static int ht_init(HashTable *t, u64 n)
+{
+    u64 size = 4;
+    while (size < 2 * n)
+        size <<= 1;
+    t->keys = calloc(size, sizeof(u64));
+    t->vals = malloc(size * sizeof(i64));
+    t->mask = size - 1;
+    return t->keys != NULL && t->vals != NULL;
 }
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
+
+static void ht_free(HashTable *t)
+{
+    free(t->keys);
+    free(t->vals);
+}
+
+static inline u64 ht_slot(const HashTable *t, u64 key)
+{
+    return (key * (u64)0x9E3779B97F4A7C15ULL) & t->mask;
+}
+
+/* keeps the first value per key */
+static inline void ht_put(HashTable *t, u64 key, i64 val)
+{
+    u64 idx = ht_slot(t, key);
+    while (t->keys[idx] != 0 && t->keys[idx] != key)
+        idx = (idx + 1) & t->mask;
+    if (t->keys[idx] == 0) {
+        t->keys[idx] = key;
+        t->vals[idx] = val;
+    }
+}
+
+static inline i64 ht_get(const HashTable *t, u64 key)
+{
+    u64 idx = ht_slot(t, key);
+    while (t->keys[idx] != 0) {
+        if (t->keys[idx] == key)
+            return t->vals[idx];
+        idx = (idx + 1) & t->mask;
+    }
     return -1;
 }
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
+
+/* Error codes of the logs below, which return a nonnegative log otherwise. */
+#define LOG_NONE (-1)     /* the target is outside the base's subgroup */
+#define LOG_NOMEM (-2)    /* the baby-step table could not be allocated */
+
+/* baby-step giant-step in the cyclic group <base> of the given order */
+static i64 bsgs(u64 base, u64 target, u64 order, u64 p)
+{
+    u64 m = isqrt_u64(order - 1) + 1, cur = 1, step;
+    i64 found = LOG_NONE;
+    HashTable t;
+    if (!ht_init(&t, m)) {
+        ht_free(&t);
+        return LOG_NOMEM;
     }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
+    for (u64 i = 0; i < m; i++) {
+        ht_put(&t, cur, (i64)i);
+        cur = mulmod(cur, base, p);
     }
-    return 0;
+    step = invmod(powmod(base, m, p), p);
+    cur = target;
+    for (u64 i = 0; i < m && found < 0; i++) {
+        i64 j = ht_get(&t, cur);
+        if (j >= 0)
+            found = (i64)((i * m + (u64)j) % order);
+        cur = mulmod(cur, step, p);
+    }
+    ht_free(&t);
+    return found;
 }
 
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
+/* digit-by-digit lift; gq has order exactly q^e */
+static i64 prime_power_log(u64 gq, u64 hq, u64 q, int e, u64 p)
 {
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
+    u64 gamma = powmod(gq, upow(q, e - 1), p), x = 0;
+    for (int i = 0; i < e; i++) {
+        u64 target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p),
+                            upow(q, e - 1 - i), p);
+        i64 d = bsgs(gamma, target, q, p);
+        if (d < 0)
+            return d;
+        x += (u64)d * upow(q, i);
     }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
+    return (i64)x;
 }
 
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* PyDictVersioning (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
+/* the smallest x >= 0 with g^x = h (mod p) for units g, h in [1, p), by
+ * Pohlig-Hellman over the cnt primes qs of p-1; LOG_NONE or LOG_NOMEM
+ * otherwise */
+static i64 discrete_log_u64(u64 g, u64 h, u64 p, const u64 *qs, int cnt)
+{
+    u64 d = p - 1, x = 0, mod = 1;
+    /* d = the exact multiplicative order of g, peeled off p-1 prime by prime */
+    for (int i = 0; i < cnt; i++)
+        while (d % qs[i] == 0 && powmod(g, d / qs[i], p) == 1)
+            d /= qs[i];
+    if (powmod(h, d, p) != 1)
+        return LOG_NONE;
+    if (h == 1)
         return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
+    for (int i = 0; i < cnt; i++) {
+        u64 q = qs[i], qt, gq, hq, r, dd = d;
+        int t = 0;
+        i64 xi;
+        for (; dd % q == 0; dd /= q)
+            t++;
+        if (t == 0)
+            continue;
+        qt = upow(q, t);
+        gq = powmod(g, d / qt, p);  /* order exactly q^t */
+        hq = powmod(h, d / qt, p);
+        xi = prime_power_log(gq, hq, q, t, p);
+        if (xi < 0)
+            return xi;
+        r = ((u64)xi + qt - x % qt) % qt;
+        x += mod * mulmod(r, invmod(mod % qt, qt), qt);
+        mod *= qt;
     }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
+    return (i64)x;
+}
+
+/* the smallest k with k*a_j = b_j (mod m) for all j; 1 on success, 0 if none */
+static int solve_system_u64(const u64 *a, const u64 *b, int width, u64 m, u64 *out)
+{
+    u64 r = 0, mod = 1;
+    for (int j = 0; j < width; j++) {
+        u64 aj = a[j] % m, bj = b[j] % m, g = gcd_u64(aj, m), mj, rj, gg, lcm, step, t;
+        if (g == 0)
+            g = m;
+        if (bj % g)
+            return 0;
+        mj = m / g;
+        rj = mj > 1 ? mulmod(bj / g, invmod(aj / g, mj), mj) : 0;
+        gg = gcd_u64(mod, mj);
+        lcm = mod / gg * mj;
+        if ((rj + lcm - r) % gg)
+            return 0;
+        step = mj / gg;
+        t = step > 1
+            ? mulmod((rj + lcm - r) / gg % step, invmod(mod / gg % step, step), step)
+            : 0;
+        r = (r + mod * t) % lcm;
+        mod = lcm;
+    }
+    *out = r;
+    return 1;
+}
+
+/* -- argument conversion ----------------------------------------------------- */
+
+static int as_i64(PyObject *obj, i64 *out)
+{
+    *out = PyLong_AsLongLong(obj);
+    return !(*out == -1 && PyErr_Occurred());
+}
+
+static int as_u64(PyObject *obj, u64 *out)
+{
+    *out = PyLong_AsUnsignedLongLong(obj);
+    return !(*out == (u64)-1 && PyErr_Occurred());
+}
+
+/* Reads a sequence of at most max ints into vals; returns its length, or -1
+ * on error. */
+static Py_ssize_t read_words(PyObject *seq, void *vals, int is_signed, Py_ssize_t max)
+{
+    PyObject *fast = PySequence_Fast(seq, "expected a sequence of ints");
+    Py_ssize_t width;
+    if (fast == NULL)
+        return -1;
+    width = PySequence_Fast_GET_SIZE(fast);
+    if (width > max) {
+        PyErr_Format(PyExc_ValueError, "more than %zd values for the native backend", max);
+        width = -1;
+    }
+    for (Py_ssize_t j = 0; j < width; j++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(fast, j);
+        if (is_signed ? !as_i64(item, (i64 *)vals + j) : !as_u64(item, (u64 *)vals + j)) {
+            width = -1;
+            break;
+        }
+    }
+    Py_DECREF(fast);
+    return width;
+}
+
+/* Python's x % p as a word, so a negative x reduces as in pure.py */
+static int py_mod(PyObject *x, PyObject *p, u64 *out)
+{
+    PyObject *rem = PyNumber_Remainder(x, p);
+    int ok = rem != NULL && as_u64(rem, out);
+    Py_XDECREF(rem);
+    return ok;
+}
+
+/* a prime of the primes argument; p = 0 raises what `x % 0` raises */
+static int as_prime(PyObject *obj, u64 *p)
+{
+    if (!as_u64(obj, p))
+        return 0;
+    if (*p == 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
+        return 0;
+    }
+    return 1;
+}
+
+/* x mod p in [0, p) for a signed word x */
+static inline u64 residue(i64 x, u64 p)
+{
+    i64 r = x % (i64)p;
+    return (u64)(r < 0 ? r + (i64)p : r);
+}
+
+static PyObject *rho_failed(u64 n)
+{
+    PyErr_Format(PyExc_ArithmeticError, "rho failed to split %llu", (unsigned long long)n);
+    return NULL;
+}
+
+static PyObject *log_failed(i64 code)
+{
+    if (code == LOG_NOMEM)
+        return PyErr_NoMemory();
+    PyErr_SetString(PyExc_ValueError, "element outside the subgroup generated by the base");
+    return NULL;
+}
+
+/* -- kernels ------------------------------------------------------------------- */
+
+PyDoc_STRVAR(sieve_doc, "sieve(limit)\n--\n\nAll primes <= limit, ascending.");
+
+static PyObject *kernel_sieve(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    long long limit = PyLong_AsLongLong(arg);
+    unsigned char *flags;
+    Py_ssize_t count = 0, k = 0;
+    PyObject *out;
+    if (limit == -1 && PyErr_Occurred())
+        return NULL;
+    if (limit < 2)
+        return PyList_New(0);
+    if ((unsigned long long)limit >= PY_SSIZE_T_MAX
+        || (flags = malloc((size_t)limit + 1)) == NULL)
+        return PyErr_NoMemory();
+    /* only the odd flags are read: 2 is the one even prime */
+    memset(flags, 1, (size_t)limit + 1);
+    for (long long i = 3; i * i <= limit; i += 2)
+        if (flags[i])
+            for (long long j = i * i; j <= limit; j += 2 * i)
+                flags[j] = 0;
+    for (long long i = 2; i <= limit; i = i == 2 ? 3 : i + 2)
+        count += flags[i];
+    out = PyList_New(count);
+    for (long long i = 2; out != NULL && i <= limit; i = i == 2 ? 3 : i + 2) {
+        PyObject *p;
+        if (!flags[i])
+            continue;
+        if ((p = PyLong_FromLongLong(i)) == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, k++, p);
+    }
+    free(flags);
+    return out;
+}
+
+PyDoc_STRVAR(factorize_doc,
+"factorize(n)\n--\n\nPrime factorization of n >= 1 as sorted (prime, exponent) pairs.");
+
+static PyObject *kernel_factorize(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    u64 ps[MAX_FACTORS], es[MAX_FACTORS];
+    int overflow, cnt;
+    long long n = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    PyObject *out;
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow > 0) {
+        PyErr_SetString(PyExc_OverflowError, "native backend handles n < 2^63");
+        return NULL;
+    }
+    if (overflow < 0 || n < 1) {
+        PyErr_SetString(PyExc_ValueError, "factorize needs n >= 1");
+        return NULL;
+    }
+    cnt = factorize_u64((u64)n, ps, es);
+    if (cnt < 0)
+        return rho_failed((u64)n);
+    out = PyList_New(cnt);
+    for (int i = 0; out != NULL && i < cnt; i++) {
+        PyObject *pair = Py_BuildValue("(Ki)", (unsigned long long)ps[i], (int)es[i]);
+        if (pair == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, pair);
+    }
+    return out;
+}
+
+PyDoc_STRVAR(discrete_log_doc,
+"discrete_log(g, h, p, factors=None)\n--\n\n"
+"Smallest x >= 0 with g^x = h (mod p), via Pohlig-Hellman + BSGS.\n\n"
+"factors, if given, are the distinct primes dividing p - 1.");
+
+static PyObject *kernel_discrete_log(PyObject *Py_UNUSED(module), PyObject *args,
+                                     PyObject *kwargs)
+{
+    static char *kwlist[] = {"g", "h", "p", "factors", NULL};
+    PyObject *g_obj, *h_obj, *p_obj, *factors = Py_None;
+    u64 g, h, p, qs[MAX_FACTORS], es[MAX_FACTORS];
+    int cnt;
+    i64 x;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|O:discrete_log", kwlist,
+                                     &g_obj, &h_obj, &p_obj, &factors)
+        || !py_mod(g_obj, p_obj, &g) || !py_mod(h_obj, p_obj, &h) || !as_u64(p_obj, &p))
+        return NULL;
+    if (g == 0 || h == 0)
+        return log_failed(LOG_NONE);
+    if (factors != Py_None)
+        cnt = (int)read_words(factors, qs, 0, MAX_FACTORS);
+    else if ((cnt = factorize_u64(p - 1, qs, es)) < 0)
+        return rho_failed(p - 1);
+    if (cnt < 0)
+        return NULL;
+    x = discrete_log_u64(g, h, p, qs, cnt);
+    if (x < 0)
+        return log_failed(x);
+    return PyLong_FromLongLong(x);
+}
+
+/* A tuple of width ints; NULL on error. */
+static PyObject *word_tuple(const u64 *vals, Py_ssize_t width)
+{
+    PyObject *out = PyTuple_New(width);
+    for (Py_ssize_t j = 0; out != NULL && j < width; j++) {
+        PyObject *v = PyLong_FromUnsignedLongLong(vals[j]);
+        if (v == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, j, v);
+    }
+    return out;
+}
+
+/* Fills zs and bs for one prime p that divides no numerator or denominator;
+ * returns 0, or -1 with ArithmeticError set. */
+static int z_b_row(u64 p, u64 ell, const i64 *cn, const u64 *cd, Py_ssize_t width,
+                   u64 *zs, u64 *bs)
+{
+    u64 m = (p - 1) / ell, a, w;
+    int allone = 1;
+    for (Py_ssize_t j = 0; j < width; j++) {
+        zs[j] = powmod(mulmod(residue(cn[j], p), invmod(cd[j] % p, p), p), m, p);
+        bs[j] = 0;
+        allone &= zs[j] == 1;
+    }
+    if (allone)
+        return 0;
+    /* b logs are taken base the first a >= 2 whose m-th power is nontrivial */
+    for (a = 2; (w = powmod(a, m, p)) == 1; a++)
+        ;
+    for (Py_ssize_t j = 0; j < width; j++) {
+        u64 cur = 1, k = 0;
+        while (cur != zs[j]) {
+            cur = mulmod(cur, w, p);
+            if (++k >= ell) {
+                PyErr_Format(PyExc_ArithmeticError, "%llu not in mu_%llu mod %llu",
+                             (unsigned long long)zs[j], (unsigned long long)ell,
+                             (unsigned long long)p);
+                return -1;
+            }
+        }
+        bs[j] = k;
     }
     return 0;
 }
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
 
-/* PyObjectGetAttrStrNoError (used by CLineInTraceback) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
+PyDoc_STRVAR(z_b_rows_doc,
+"z_b_rows(primes, ell, nums, dens)\n--\n\n"
+"Per-prime ell-th power classes z_j = c_j^((p-1)/ell) and their logs.\n\n"
+"Same contract as the pure backend: rows are (p, zs, bs), with None pairs\n"
+"for primes dividing a numerator or denominator.");
 
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
+static PyObject *kernel_z_b_rows(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE unsigned PY_LONG_LONG __Pyx_PyLong_As_unsigned_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned PY_LONG_LONG neg_one = (unsigned PY_LONG_LONG) -1, const_zero = (unsigned PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        unsigned PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (unsigned PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_unsigned_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (unsigned PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) (((unsigned PY_LONG_LONG)-1)*(((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(unsigned PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(unsigned PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(unsigned PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (unsigned PY_LONG_LONG) ((((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(unsigned PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(unsigned PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        unsigned PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (unsigned PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (unsigned PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (unsigned PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (unsigned PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(unsigned PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((unsigned PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(unsigned PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((unsigned PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((unsigned PY_LONG_LONG) 1) << (sizeof(unsigned PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (unsigned PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to unsigned PY_LONG_LONG");
-    return (unsigned PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to unsigned PY_LONG_LONG");
-    return (unsigned PY_LONG_LONG) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_unsigned_PY_LONG_LONG(unsigned PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const unsigned PY_LONG_LONG neg_one = (unsigned PY_LONG_LONG) -1, const_zero = (unsigned PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(unsigned PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(unsigned PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(unsigned PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(unsigned PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(unsigned PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
+    PyObject *primes, *ell_obj, *nums, *dens, *fast, *out = NULL;
+    u64 ell, cd[MAX_WIDTH], zs[MAX_WIDTH], bs[MAX_WIDTH];
+    i64 cn[MAX_WIDTH];
+    Py_ssize_t width, n;
+    if (!PyArg_ParseTuple(args, "OOOO:z_b_rows", &primes, &ell_obj, &nums, &dens)
+        || !as_u64(ell_obj, &ell))
+        return NULL;
+    if ((width = read_words(nums, cn, 1, MAX_WIDTH)) < 0
+        || read_words(dens, cd, 0, MAX_WIDTH) < 0)
+        return NULL;
+    if ((fast = PySequence_Fast(primes, "primes must be a sequence")) == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(fast);
+    if ((out = PyList_New(n)) == NULL)
         goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *p_obj = PySequence_Fast_GET_ITEM(fast, i), *row;
+        u64 p;
+        int ok = 1;
+        if (!as_prime(p_obj, &p))
+            goto fail;
+        for (Py_ssize_t j = 0; j < width && ok; j++)
+            ok = cn[j] % (i64)p != 0 && cd[j] % p != 0;
+        if (!ok) {
+            row = PyTuple_Pack(3, p_obj, Py_None, Py_None);
+        } else {
+            PyObject *z_t, *b_t;
+            if (ell == 0) {
+                PyErr_SetString(PyExc_ZeroDivisionError, "integer division by zero");
+                goto fail;
+            }
+            if (z_b_row(p, ell, cn, cd, width, zs, bs) < 0)
+                goto fail;
+            z_t = word_tuple(zs, width);
+            b_t = word_tuple(bs, width);
+            row = z_t && b_t ? PyTuple_Pack(3, p_obj, z_t, b_t) : NULL;
+            Py_XDECREF(z_t);
+            Py_XDECREF(b_t);
+        }
+        if (row == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, i, row);
     }
     goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
+fail:
+    Py_CLEAR(out);
 done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
+    Py_DECREF(fast);
+    return out;
 }
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
+/* is there t mod q with u_j^t = v_j for all j?  (all u_j have order 1 or q) */
+static int projection_solvable(const u64 *us, const u64 *vs, Py_ssize_t width, u64 q, u64 p)
+{
+    Py_ssize_t piv = 0;
+    u64 w = 1, t = 0;
+    while (piv < width && us[piv] == 1)
+        piv++;
+    if (piv < width) {  /* else t = 0 is the only candidate */
+        for (; t < q && w != vs[piv]; t++)
+            w = mulmod(w, us[piv], p);
+        if (t == q)
+            return 0;
     }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
+    for (Py_ssize_t j = 0; j < width; j++)
+        if (powmod(us[j], t, p) != vs[j])
+            return 0;
+    return 1;
 }
 
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
+static const u64 SMALL_Q[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47};
+#define N_SMALL_Q (sizeof SMALL_Q / sizeof SMALL_Q[0])
+
+/* Is (b_j) a simultaneous power of (a_j) mod the prime p?  1 or 0, or a
+ * negative code: LOG_NOMEM, or -3 if rho fails on p-1. */
+static int omega_member(u64 p, const u64 *avals, const u64 *bvals, Py_ssize_t width)
+{
+    u64 n1 = p - 1, us[MAX_WIDTH], vs[MAX_WIDTH], alphas[MAX_WIDTH], betas[MAX_WIDTH];
+    u64 qs[MAX_FACTORS], es[MAX_FACTORS], g, k;
+    int cnt;
+    /* a common k mod p-1 needs one mod each small q | p-1: most primes are
+     * rejected here, before p-1 is factored */
+    for (size_t qi = 0; qi < N_SMALL_Q; qi++) {
+        u64 q = SMALL_Q[qi];
+        if (n1 % q)
+            continue;
+        for (Py_ssize_t j = 0; j < width; j++) {
+            us[j] = powmod(avals[j], n1 / q, p);
+            vs[j] = powmod(bvals[j], n1 / q, p);
         }
-        #endif
-        return result;
+        if (!projection_solvable(us, vs, width, q, p))
+            return 0;
     }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
+    if ((cnt = factorize_u64(n1, qs, es)) < 0)
+        return -3;
+    g = primitive_root_u64(p, qs, cnt);
+    for (Py_ssize_t j = 0; j < width; j++) {
+        i64 alpha = discrete_log_u64(g, avals[j], p, qs, cnt);
+        i64 beta = alpha < 0 ? alpha : discrete_log_u64(g, bvals[j], p, qs, cnt);
+        if (beta < 0)
+            return beta == LOG_NOMEM ? LOG_NOMEM : 0;
+        alphas[j] = (u64)alpha;
+        betas[j] = (u64)beta;
+    }
+    return solve_system_u64(alphas, betas, (int)width, n1, &k);
+}
+
+PyDoc_STRVAR(omega_members_doc,
+"omega_members(primes, ns, fnums, fdens)\n--\n\n"
+"Count primes where (f(n_j)) is a simultaneous power of (n_j) mod p.\n\n"
+"Same contract as the pure backend: returns (counted, skipped, members).");
+
+static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *primes, *ns, *fnums, *fdens, *fast;
+    u64 cn[MAX_WIDTH], cfd[MAX_WIDTH], avals[MAX_WIDTH], bvals[MAX_WIDTH];
+    u64 counted = 0, skipped = 0, members = 0;
+    i64 cfn[MAX_WIDTH];
+    Py_ssize_t width, n;
+    if (!PyArg_ParseTuple(args, "OOOO:omega_members", &primes, &ns, &fnums, &fdens))
         return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
+    if ((width = read_words(ns, cn, 0, MAX_WIDTH)) < 0
+        || read_words(fnums, cfn, 1, MAX_WIDTH) < 0
+        || read_words(fdens, cfd, 0, MAX_WIDTH) < 0)
+        return NULL;
+    if ((fast = PySequence_Fast(primes, "primes must be a sequence")) == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(fast);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        u64 p;
+        int ok = 1, member;
+        if (!as_prime(PySequence_Fast_GET_ITEM(fast, i), &p))
+            goto fail;
+        for (Py_ssize_t j = 0; j < width && ok; j++)
+            ok = cn[j] % p != 0 && cfn[j] % (i64)p != 0 && cfd[j] % p != 0;
+        if (!ok) {
+            skipped++;
+            continue;
         }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
+        counted++;
+        for (Py_ssize_t j = 0; j < width; j++) {
+            avals[j] = cn[j] % p;
+            bvals[j] = mulmod(residue(cfn[j], p), invmod(cfd[j] % p, p), p);
         }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
+        member = omega_member(p, avals, bvals, width);
+        if (member == LOG_NOMEM) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        if (member < 0) {
+            rho_failed(p - 1);
+            goto fail;
+        }
+        members += (u64)member;
     }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
+    Py_DECREF(fast);
+    return Py_BuildValue("(KKK)", (unsigned long long)counted,
+                         (unsigned long long)skipped, (unsigned long long)members);
+fail:
+    Py_DECREF(fast);
     return NULL;
 }
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
 
+/* -- module ------------------------------------------------------------------ */
 
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
-}
-#endif
+static PyMethodDef kernel_methods[] = {
+    {"sieve", kernel_sieve, METH_O, sieve_doc},
+    {"factorize", kernel_factorize, METH_O, factorize_doc},
+    {"discrete_log", (PyCFunction)(void (*)(void))kernel_discrete_log,
+     METH_VARARGS | METH_KEYWORDS, discrete_log_doc},
+    {"z_b_rows", kernel_z_b_rows, METH_VARARGS, z_b_rows_doc},
+    {"omega_members", kernel_omega_members, METH_VARARGS, omega_members_doc},
+    {NULL, NULL, 0, NULL},
+};
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+static struct PyModuleDef native_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "localpow.kernels._native",
+    .m_doc = "Compiled backend for the five dispatched prime and scan kernels.",
+    .m_size = -1,
+    .m_methods = kernel_methods,
+};
 
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+PyMODINIT_FUNC PyInit__native(void)
+{
+    PyObject *module = PyModule_Create(&native_module);
+    if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "native") < 0)
+        Py_CLEAR(module);
+    return module;
+}

@@ -1,7 +1,8 @@
 """Pure-Python backend for the prime and scan kernels.
 
-Mirrors the compiled backend function-for-function; every function here must
-return exactly what the native one does.
+The specification of the compiled backend: each of the five kernels that
+`_native.c` also implements must return exactly what the one here does and
+raise the same exception types.
 """
 
 from __future__ import annotations
@@ -197,16 +198,21 @@ def _prime_power_log(gq: int, hq: int, q: int, e: int, p: int) -> int:
     return x
 
 
-def discrete_log(g: int, h: int, p: int) -> int:
-    """Smallest x >= 0 with g^x ≡ h (mod p), via Pohlig-Hellman + BSGS."""
+def discrete_log(g: int, h: int, p: int, factors: list[int] | None = None) -> int:
+    """Smallest x >= 0 with g^x ≡ h (mod p), via Pohlig-Hellman + BSGS.
+
+    factors, if given, are the distinct primes dividing p - 1; without them
+    p - 1 is factored here.
+    """
     g %= p
     h %= p
     if g == 0 or h == 0:
         raise ValueError("arguments must be units mod p")
-    fac = factorize(p - 1)
+    if factors is None:
+        factors = [q for q, _ in factorize(p - 1)]
     # d = exact multiplicative order of g, peeled off p-1 prime by prime
     d = p - 1
-    for q, _ in fac:
+    for q in factors:
         while d % q == 0 and pow(g, d // q, p) == 1:
             d //= q
     if pow(h, d, p) != 1:
@@ -214,7 +220,7 @@ def discrete_log(g: int, h: int, p: int) -> int:
     if h == 1:
         return 0
     x, mod = 0, 1
-    for q, _ in fac:
+    for q in factors:
         t = 0
         dd = d
         while dd % q == 0:

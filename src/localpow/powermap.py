@@ -45,6 +45,13 @@ class MultiplicativeMap:
     """Finite prime overrides + default rule q -> q^k, extended to all of Q*."""
 
     def __init__(self, sign_value=1, overrides=None, default_exponent=1, kind="table"):
+        # ints only: int() would round a float and read a bool as 0/1
+        for name, value in (
+            ("sign_value", sign_value),
+            ("default_exponent", default_exponent),
+        ):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if sign_value not in (1, -1):
             raise ZeroValueError(f"sign_value must be +1 or -1, got {sign_value}")
         if kind not in ("global_power", "table"):
@@ -58,7 +65,7 @@ class MultiplicativeMap:
             raise ConfigError("a global power map has no overrides")
         self.sign_value = sign_value
         self.overrides = ov
-        self.default_exponent = int(default_exponent)
+        self.default_exponent = default_exponent
         self.kind = kind
 
     @classmethod
@@ -113,14 +120,14 @@ class MultiplicativeMap:
             if unknown:
                 raise FunctionSpecError(f"unknown keys {unknown} in a {kind} spec")
             if kind == "power":
-                return cls.global_power(_spec_int(obj["exponent"], "exponent"))
+                return cls.global_power(_spec_int(obj["exponent"]))
             overrides = {
                 int(q): as_factored(str(v)) for q, v in obj.get("overrides", {}).items()
             }
             return cls.table(
                 overrides,
-                _spec_int(obj.get("default_exponent", 1), "default_exponent"),
-                _spec_int(obj.get("sign_value", 1), "sign_value"),
+                _spec_int(obj.get("default_exponent", 1)),
+                _spec_int(obj.get("sign_value", 1)),
             )
         except FunctionSpecError:
             raise
@@ -134,11 +141,9 @@ _SPEC_KEYS = {
 }
 
 
-def _spec_int(value, key: str) -> int:
-    # a JSON integer or an integer string: int() would round a float, read a bool as 0/1
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise FunctionSpecError(f"bad function spec: {key} must be an integer")
-    return int(value)
+def _spec_int(value):
+    # an integer string becomes its int; the constructor rejects any other non-int
+    return int(value) if isinstance(value, str) else value
 
 
 def evaluate(f: MultiplicativeMap, x) -> FactoredRational:
@@ -238,7 +243,7 @@ def _verdicts(f, mode: str, bound, domain: str):
             return "unknown", None
         if a % p == 0 or b % p == 0:
             return "no", None
-        k_p = kernels.discrete_log(g, a * pow(b, -1, p) % p, p)
+        k_p = kernels.discrete_log(g, a * pow(b, -1, p) % p, p, factors)
         return ("yes", k_p) if agrees(p, k_p) else ("no", None)
 
     return exact if mode == "exact" else empirical

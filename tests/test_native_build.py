@@ -1,10 +1,12 @@
 """The compiled backend, built from a copy of the sources, against the pure one.
 
 The extension is compiled in a temporary directory with the project's own
-`setup.py`, so no build output lands in the source tree.  The kernel tests
-then run against that build, and CLI reports from both backends are
-compared byte for byte.  Skipped only where no C compiler or no Python
-headers exist.  This file is kept apart from test_kernels.py, which it runs.
+`setup.py`, so no build output lands in the source tree; the compiler must
+print no warning.  The kernel tests then run against that build, and CLI
+reports from both backends are compared byte for byte, one argv for each
+benchmark invocation at a smaller limit.  Skipped only where no C compiler
+or no Python headers exist.  This file is kept apart from test_kernels.py,
+which it runs.
 """
 
 import json
@@ -33,7 +35,10 @@ ARGVS = (
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,5", "--mode", "split"),
     ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "20000"),
     ("heuristic", "--function", WIDE_F, "--witnesses", "2,3,5", "--limit", "5000"),
+    ("sf-scan", "--function", TABLE_F, "--limit", "20000"),
     ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical"),
+    ("tf-scan", "--function", TABLE_F, "--limit", "3000"),
+    ("bounds", "--x", "1e7", "--mertens", "5,20000", "--chebyshev-z", "20000"),
     ("frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3"),
     ("frobenius", "--p", "1000003", "--ell", "3", "--tuple", "2,3,5,7"),
     # an error report
@@ -71,8 +76,22 @@ def native_tree(tmp_path_factory):
     assert _backend(tree) == "pure"
     pure_reports = _reports(tree)
     build = _run(tree, "setup.py", "build_ext", "--inplace")
-    assert _backend(tree) == "native", build.stdout + build.stderr
+    log = build.stdout + build.stderr
+    assert _backend(tree) == "native", log
+    assert "warning:" not in log, log
     return tree, pure_reports
+
+
+def test_the_module_exports_the_dispatched_kernels_only(native_tree):
+    tree, _ = native_tree
+    proc = _run(
+        tree, "-c",
+        "from localpow.kernels import _native; "
+        "print(' '.join(sorted(n for n in dir(_native) if not n.startswith('_'))))",
+    )
+    assert proc.stdout.split() == [
+        "BACKEND", "discrete_log", "factorize", "omega_members", "sieve", "z_b_rows"
+    ], proc.stdout + proc.stderr
 
 
 def test_kernel_tests_pass_on_the_native_build(native_tree):
@@ -98,4 +117,5 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 5
+    # density-scan twice, heuristic twice, sf-scan twice and tf-scan once
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 7

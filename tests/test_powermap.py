@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localpow import _parallel, kernels
+from localpow.kernels import pure
 from localpow.errors import (
     ConfigError,
     DomainError,
@@ -72,6 +73,21 @@ def test_overrides_must_be_prime_keyed():
             f.value_at_prime(4)
     with pytest.raises(ConfigError):
         MultiplicativeMap(overrides={2: 3}, kind="global_power")
+
+
+def test_constructor_rejects_non_integer_fields():
+    # each once became a different map: exponent 2, x^2 with sign -1, sign `true`
+    for build in (
+        lambda: MultiplicativeMap.table({2: 5}, default_exponent=2.7),
+        lambda: MultiplicativeMap.global_power(2.5),
+        lambda: MultiplicativeMap.table({2: 5}, sign_value=True),
+        lambda: MultiplicativeMap.table({2: 5}, default_exponent=False),
+        lambda: MultiplicativeMap.table({2: 5}, sign_value=-1.0),
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build()
+    with pytest.raises(ZeroValueError):
+        MultiplicativeMap.table({2: 5}, sign_value=2)
 
 
 def test_function_spec_json_roundtrip():
@@ -499,6 +515,34 @@ def test_sf_scan_does_not_reprove_sieved_primes(monkeypatch):
         # the checks made once per scan (the map's override keys) do not
         # grow with the 1229 primes below 10^4
         assert counts[0] == counts[1] <= 10, (mode, counts)
+
+
+def test_empirical_scan_factors_each_prime_once(monkeypatch):
+    f = table_f()
+    primes = kernels.sieve(3000)
+    factored, logs = [], []
+    real_factorize, real_log = kernels.factorize, kernels.discrete_log
+    # the scan as it was when discrete_log factored p - 1 a second time
+    monkeypatch.setattr(
+        kernels, "discrete_log", lambda g, h, p, factors=None: real_log(g, h, p)
+    )
+    before = scan_Sf(f, 3000, mode="empirical")
+
+    def counting_factorize(n):
+        factored.append(n)
+        return real_factorize(n)
+
+    def recording_log(g, h, p, factors=None):
+        logs.append(factors)
+        return real_log(g, h, p, factors)
+
+    monkeypatch.setattr(kernels, "factorize", counting_factorize)
+    monkeypatch.setattr(kernels, "discrete_log", recording_log)
+    # pure.discrete_log factors p - 1 through this name when given no factors
+    monkeypatch.setattr(pure, "factorize", counting_factorize)
+    assert scan_Sf(f, 3000, mode="empirical") == before
+    assert sorted(factored) == [p - 1 for p in primes]
+    assert logs and all(factors is not None for factors in logs)
 
 
 def test_extend_to_q_and_nu_vote():
