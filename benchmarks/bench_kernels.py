@@ -45,8 +45,8 @@ def main():
             1,
         ),
         (
-            "z_b_rows, tuple (2,3,5,7), p = 1 mod 3 up to 10^6",
-            lambda m: m.z_b_rows(split_3, 3, [2, 3, 5, 7], [1, 1, 1, 1]),
+            "class_counts c4, (2,3,5,7), p = 1 mod 3 to 10^6",
+            lambda m: m.class_counts(split_3, 3, [2, 3, 5, 7], [1, 1, 1, 1], 2),
             1,
         ),
         (

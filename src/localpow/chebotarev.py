@@ -4,7 +4,9 @@ For a prime p ≡ 1 (mod ell) that is unramified for the tuple c, the class
 data is the vector z_j = c_j^((p-1)/ell) in the ell-th roots of unity mod p,
 encoded as an exponent vector mod ell.  A scan compares the observed
 frequency of the proportionality class (the trace every local power map
-forces) with the exact count over the relation-constrained vector space.
+forces) with the exact count over the relation-constrained vector space; it
+decides each prime from the z_j themselves (`kernels.class_counts`), with no
+logs taken.
 """
 
 from __future__ import annotations
@@ -153,19 +155,13 @@ def class_ratio(spec: ClassSpec, enumeration_bound: int = DEFAULT_ENUMERATION_BO
 
 
 def density_counts(primes, ell: int, nums, dens, mode: str):
-    """(counted, skipped, hits) over a prime list; merges by addition."""
-    counted = skipped = hits = 0
-    for _, zs, bs in kernels.z_b_rows(primes, ell, nums, dens):
-        if zs is None:
-            skipped += 1
-            continue
-        counted += 1
-        if mode == "c4":
-            if _proportional(bs, len(bs) // 2, ell):
-                hits += 1
-        elif all(z == 1 for z in zs):
-            hits += 1
-    return counted, skipped, hits
+    """(counted, skipped, hits) over a prime list; merges by addition.
+
+    Mode "c4" counts the proportionality class of the two halves of the
+    tuple, any other mode the primes where every entry is an ell-th power.
+    """
+    k = len(nums) // 2 if mode == "c4" else 0
+    return kernels.class_counts(primes, ell, nums, dens, k)
 
 
 @dataclass

@@ -4,7 +4,7 @@ Output conventions: data (reports and machine-readable error objects) goes to
 stdout as JSON with a fixed field order and floats rounded to 12 significant
 digits, so identical invocations are byte-identical; progress goes to stderr.
 Exit codes: 0 success, 2 domain error, 64 usage error, 65 malformed function
-spec.
+spec; a reader that closes stdout early ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -513,7 +514,15 @@ def _run(argv) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`localpow ... | head`); what is still buffered
+        # goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ The compiled backend is used exactly when its extension module,
 `localpow.kernels._native`, imports; it is built from the hand-written C
 source `_native.c`, and `pure.py` is its specification.  It exports only the
 five kernels the scans spend their time in: `sieve`, `factorize`,
-`discrete_log`, `z_b_rows` and `omega_members`.  `count_primes`, `is_prime`,
-`primitive_root` and `solve_exponent_system` are pure under every backend:
-the sublinear prime count beats a compiled sieve count, and the other three
-are called too rarely for their speed to show.
+`discrete_log`, `class_counts` and `omega_members`.  `count_primes`,
+`is_prime`, `primitive_root`, `solve_exponent_system` and `z_b_rows` are pure
+under every backend: the sublinear prime count beats a compiled sieve count,
+`z_b_rows` is left to single primes (`frobenius_vector`) and to tests, and
+the other three are called too rarely for their speed to show.
 """
 
 from . import pure as _pure
@@ -24,11 +25,12 @@ count_primes = _pure.count_primes
 is_prime = _pure.is_prime
 primitive_root = _pure.primitive_root
 solve_exponent_system = _pure.solve_exponent_system
+z_b_rows = _pure.z_b_rows
 
 if _impl is _pure:
     factorize = _pure.factorize
     discrete_log = _pure.discrete_log
-    z_b_rows = _pure.z_b_rows
+    class_counts = _pure.class_counts
     omega_members = _pure.omega_members
 else:
     # The compiled kernels work in 64-bit words; anything wider routes to
@@ -48,15 +50,15 @@ else:
             return _impl.discrete_log(g, h, p, factors)
         return _pure.discrete_log(g, h, p, factors)
 
-    def z_b_rows(primes, ell, nums, dens):
+    def class_counts(primes, ell, nums, dens, k):
         if (
             len(nums) <= 16
             and max(primes, default=0) <= _I64_MAX
             and _fits(nums)
-            and _fits(dens)
+            and all(0 <= d <= _I64_MAX for d in dens)
         ):
-            return _impl.z_b_rows(primes, ell, nums, dens)
-        return _pure.z_b_rows(primes, ell, nums, dens)
+            return _impl.class_counts(primes, ell, nums, dens, k)
+        return _pure.class_counts(primes, ell, nums, dens, k)
 
     def omega_members(primes, ns, fnums, fdens):
         # the compiled kernel reads the witnesses as unsigned words
@@ -80,5 +82,6 @@ __all__ = [
     "discrete_log",
     "solve_exponent_system",
     "z_b_rows",
+    "class_counts",
     "omega_members",
 ]

@@ -18,7 +18,7 @@ typedef uint64_t u64;
 typedef int64_t i64;
 typedef unsigned __int128 u128;
 
-/* widest tuple z_b_rows and omega_members take; localpow.kernels checks it */
+/* widest tuple class_counts and omega_members take; localpow.kernels checks it */
 #define MAX_WIDTH 16
 /* more distinct primes than any n < 2^64 has */
 #define MAX_FACTORS 64
@@ -27,6 +27,8 @@ typedef unsigned __int128 u128;
 
 static inline u64 mulmod(u64 a, u64 b, u64 m)
 {
+    if ((a | b) >> 32 == 0)  /* the product fits a word: one 64-bit division */
+        return a * b % m;
     return (u64)((u128)a * b % m);
 }
 
@@ -583,110 +585,113 @@ static PyObject *kernel_discrete_log(PyObject *Py_UNUSED(module), PyObject *args
     return PyLong_FromLongLong(x);
 }
 
-/* A tuple of width ints; NULL on error. */
-static PyObject *word_tuple(const u64 *vals, Py_ssize_t width)
+/* The lambda in [0, ell) with w^lambda = z (mod p), for a character w != 1;
+ * -1 with ArithmeticError set if w or z lies outside mu_ell. */
+static i64 character_log(u64 z, u64 w, u64 ell, u64 p)
 {
-    PyObject *out = PyTuple_New(width);
-    for (Py_ssize_t j = 0; out != NULL && j < width; j++) {
-        PyObject *v = PyLong_FromUnsignedLongLong(vals[j]);
-        if (v == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, j, v);
+    u64 cur = 1;
+    i64 lam = -1;
+    for (u64 t = 0; t < ell; t++) {
+        if (cur == z && lam < 0)
+            lam = (i64)t;
+        cur = mulmod(cur, w, p);
     }
-    return out;
+    if (cur != 1 || lam < 0) {
+        PyErr_Format(PyExc_ArithmeticError, "%llu not in mu_%llu mod %llu",
+                     (unsigned long long)(cur != 1 ? w : z), (unsigned long long)ell,
+                     (unsigned long long)p);
+        return -1;
+    }
+    return lam;
 }
 
-/* Fills zs and bs for one prime p that divides no numerator or denominator;
- * returns 0, or -1 with ArithmeticError set. */
-static int z_b_row(u64 p, u64 ell, const i64 *cn, const u64 *cd, Py_ssize_t width,
-                   u64 *zs, u64 *bs)
+/* Is the prime p a hit?  1 or 0, or -1 with ArithmeticError set.  rs are
+ * the nonzero residues of c_j = n_j·d_j^(ell-1), whose characters
+ * chi(c_j) = c_j^((p-1)/ell) are those of n_j/d_j. */
+static int class_hit(u64 p, u64 ell, const u64 *rs, Py_ssize_t width, Py_ssize_t k)
 {
-    u64 m = (p - 1) / ell, a, w;
-    int allone = 1;
-    for (Py_ssize_t j = 0; j < width; j++) {
-        zs[j] = powmod(mulmod(residue(cn[j], p), invmod(cd[j] % p, p), p), m, p);
-        bs[j] = 0;
-        allone &= zs[j] == 1;
+    u64 m = (p - 1) / ell;
+    i64 lam = -1;
+    if (k == 0) {
+        for (Py_ssize_t j = 0; j < width; j++)
+            if (powmod(rs[j], m, p) != 1)
+                return 0;
+        return 1;
     }
-    if (allone)
-        return 0;
-    /* b logs are taken base the first a >= 2 whose m-th power is nontrivial */
-    for (a = 2; (w = powmod(a, m, p)) == 1; a++)
-        ;
-    for (Py_ssize_t j = 0; j < width; j++) {
-        u64 cur = 1, k = 0;
-        while (cur != zs[j]) {
-            cur = mulmod(cur, w, p);
-            if (++k >= ell) {
-                PyErr_Format(PyExc_ArithmeticError, "%llu not in mu_%llu mod %llu",
-                             (unsigned long long)zs[j], (unsigned long long)ell,
-                             (unsigned long long)p);
-                return -1;
-            }
+    for (Py_ssize_t i = 0; i < k; i++) {
+        u64 zb, zf;
+        if (lam >= 0) {
+            /* chi(c_{k+i}) = chi(c_i)^lam iff chi(c_{k+i}·c_i^(ell-lam)) = 1 */
+            if (powmod(mulmod(rs[k + i], powmod(rs[i], ell - (u64)lam, p), p), m, p) != 1)
+                return 0;
+            continue;
         }
-        bs[j] = k;
+        zb = powmod(rs[i], m, p);
+        zf = powmod(rs[k + i], m, p);
+        if (zb != 1) {
+            if ((lam = character_log(zf, zb, ell, p)) < 0)
+                return -1;
+        } else if (zf != 1) {
+            return 0;
+        }
     }
-    return 0;
+    return 1;
 }
 
-PyDoc_STRVAR(z_b_rows_doc,
-"z_b_rows(primes, ell, nums, dens)\n--\n\n"
-"Per-prime ell-th power classes z_j = c_j^((p-1)/ell) and their logs.\n\n"
-"Same contract as the pure backend: rows are (p, zs, bs), with None pairs\n"
-"for primes dividing a numerator or denominator.");
+PyDoc_STRVAR(class_counts_doc,
+"class_counts(primes, ell, nums, dens, k)\n--\n\n"
+"Count the primes whose ell-th power characters lie in the proportionality class.\n\n"
+"Same contract as the pure backend: returns (counted, skipped, hits).");
 
-static PyObject *kernel_z_b_rows(PyObject *Py_UNUSED(module), PyObject *args)
+static PyObject *kernel_class_counts(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *primes, *ell_obj, *nums, *dens, *fast, *out = NULL;
-    u64 ell, cd[MAX_WIDTH], zs[MAX_WIDTH], bs[MAX_WIDTH];
+    PyObject *primes, *nums, *dens, *fast;
+    u64 cd[MAX_WIDTH], rs[MAX_WIDTH], counted = 0, skipped = 0, hits = 0;
     i64 cn[MAX_WIDTH];
-    Py_ssize_t width, n;
-    if (!PyArg_ParseTuple(args, "OOOO:z_b_rows", &primes, &ell_obj, &nums, &dens)
-        || !as_u64(ell_obj, &ell))
+    long long ell;
+    Py_ssize_t width, k, n;
+    if (!PyArg_ParseTuple(args, "OLOOn:class_counts", &primes, &ell, &nums, &dens, &k))
         return NULL;
     if ((width = read_words(nums, cn, 1, MAX_WIDTH)) < 0
         || read_words(dens, cd, 0, MAX_WIDTH) < 0)
         return NULL;
+    if (ell < 1) {
+        PyErr_Format(PyExc_ValueError, "ell must be positive, got %lld", ell);
+        return NULL;
+    }
+    if (k < 0 || (k && 2 * k != width)) {
+        PyErr_Format(PyExc_ValueError, "k = %zd does not halve a tuple of width %zd",
+                     k, width);
+        return NULL;
+    }
     if ((fast = PySequence_Fast(primes, "primes must be a sequence")) == NULL)
         return NULL;
     n = PySequence_Fast_GET_SIZE(fast);
-    if ((out = PyList_New(n)) == NULL)
-        goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *p_obj = PySequence_Fast_GET_ITEM(fast, i), *row;
         u64 p;
-        int ok = 1;
-        if (!as_prime(p_obj, &p))
+        int ok = 1, hit;
+        if (!as_prime(PySequence_Fast_GET_ITEM(fast, i), &p))
             goto fail;
-        for (Py_ssize_t j = 0; j < width && ok; j++)
-            ok = cn[j] % (i64)p != 0 && cd[j] % p != 0;
-        if (!ok) {
-            row = PyTuple_Pack(3, p_obj, Py_None, Py_None);
-        } else {
-            PyObject *z_t, *b_t;
-            if (ell == 0) {
-                PyErr_SetString(PyExc_ZeroDivisionError, "integer division by zero");
-                goto fail;
-            }
-            if (z_b_row(p, ell, cn, cd, width, zs, bs) < 0)
-                goto fail;
-            z_t = word_tuple(zs, width);
-            b_t = word_tuple(bs, width);
-            row = z_t && b_t ? PyTuple_Pack(3, p_obj, z_t, b_t) : NULL;
-            Py_XDECREF(z_t);
-            Py_XDECREF(b_t);
+        /* p | n·d^(ell-1) iff p | n or p | d */
+        for (Py_ssize_t j = 0; j < width && ok; j++) {
+            rs[j] = mulmod(residue(cn[j], p), powmod(cd[j], (u64)ell - 1, p), p);
+            ok = rs[j] != 0;
         }
-        if (row == NULL)
+        if (!ok) {
+            skipped++;
+            continue;
+        }
+        counted++;
+        if ((hit = class_hit(p, (u64)ell, rs, width, k)) < 0)
             goto fail;
-        PyList_SET_ITEM(out, i, row);
+        hits += (u64)hit;
     }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
     Py_DECREF(fast);
-    return out;
+    return Py_BuildValue("(KKK)", (unsigned long long)counted,
+                         (unsigned long long)skipped, (unsigned long long)hits);
+fail:
+    Py_DECREF(fast);
+    return NULL;
 }
 
 /* is there t mod q with u_j^t = v_j for all j?  (all u_j have order 1 or q) */
@@ -808,7 +813,7 @@ static PyMethodDef kernel_methods[] = {
     {"factorize", kernel_factorize, METH_O, factorize_doc},
     {"discrete_log", (PyCFunction)(void (*)(void))kernel_discrete_log,
      METH_VARARGS | METH_KEYWORDS, discrete_log_doc},
-    {"z_b_rows", kernel_z_b_rows, METH_VARARGS, z_b_rows_doc},
+    {"class_counts", kernel_class_counts, METH_VARARGS, class_counts_doc},
     {"omega_members", kernel_omega_members, METH_VARARGS, omega_members_doc},
     {NULL, NULL, 0, NULL},
 };

@@ -1,8 +1,9 @@
 """Pure-Python backend for the prime and scan kernels.
 
 The specification of the compiled backend: each of the five kernels that
-`_native.c` also implements must return exactly what the one here does and
-raise the same exception types.
+`_native.c` also implements (`sieve`, `factorize`, `discrete_log`,
+`class_counts` and `omega_members`) must return exactly what the one here
+does and raise the same exception types.
 """
 
 from __future__ import annotations
@@ -305,6 +306,76 @@ def z_b_rows(
             logs.append(k)
         out.append((p, tuple(zs), tuple(logs)))
     return out
+
+
+def _character_log(z: int, w: int, ell: int, p: int) -> int:
+    # the lambda in [0, ell) with w^lambda = z mod p, for a character w != 1
+    cur, lam = 1, None
+    for t in range(ell):
+        if cur == z and lam is None:
+            lam = t
+        cur = cur * w % p
+    if cur != 1:
+        raise ArithmeticError(f"{w} not in mu_{ell} mod {p}")
+    if lam is None:
+        raise ArithmeticError(f"{z} not in mu_{ell} mod {p}")
+    return lam
+
+
+def class_counts(
+    primes: list[int], ell: int, nums: list[int], dens: list[int], k: int
+) -> tuple[int, int, int]:
+    """Count the primes whose ell-th power characters lie in the proportionality class.
+
+    The character is chi(x) = x^((p-1)/ell) mod p, and c_j = nums[j]/dens[j].
+    Returns (counted, skipped, hits): skipped primes divide a numerator or a
+    denominator.  With k > 0 (the tuple has 2k entries) a counted prime is a
+    hit iff some lambda mod ell gives chi(c_{k+i}) = chi(c_i)^lambda for every
+    i < k, which is proportionality of the z_b_rows log vector's halves
+    whatever the log base; with k = 0 it is a hit iff every chi(c_j) = 1.
+    Callers pass primes with p ≡ 1 (mod ell); nums carry the sign, dens are
+    positive.  Each prime stops at the first pair that settles it, and
+    chi(n/d) = chi(n·d^(ell-1)) needs no inverse mod p.
+    """
+    width = len(nums)
+    if ell < 1:
+        raise ValueError(f"ell must be positive, got {ell}")
+    if k < 0 or (k and 2 * k != width):
+        raise ValueError(f"k = {k} does not halve a tuple of width {width}")
+    cs = [n * d ** (ell - 1) for n, d in zip(nums, dens)]
+    # p | n·d^(ell-1) iff p | n or p | d; no p above every |c_j| divides
+    # one, unless some c_j is 0
+    cmax = max(map(abs, cs), default=0) if all(cs) else max(primes, default=0)
+    counted = skipped = hits = 0
+    for p in primes:
+        if p <= cmax and any(c % p == 0 for c in cs):
+            skipped += 1
+            continue
+        counted += 1
+        m = (p - 1) // ell
+        if not k:
+            for c in cs:
+                if pow(c, m, p) != 1:
+                    break
+            else:
+                hits += 1
+            continue
+        lam = None
+        for i in range(k):
+            if lam is not None:
+                # chi(c_{k+i}) = chi(c_i)^lam iff chi(c_{k+i}·c_i^(ell-lam)) = 1
+                if pow(cs[k + i] * pow(cs[i], ell - lam, p), m, p) != 1:
+                    break
+                continue
+            zb = pow(cs[i], m, p)
+            zf = pow(cs[k + i], m, p)
+            if zb != 1:
+                lam = _character_log(zf, zb, ell, p)
+            elif zf != 1:
+                break
+        else:
+            hits += 1
+    return counted, skipped, hits
 
 
 def _component_solvable(us: list[int], vs: list[int], q: int, p: int) -> bool:

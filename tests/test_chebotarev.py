@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localpow import kernels, ratfact
@@ -169,15 +169,25 @@ def test_scan_density_degenerate_expectation():
     assert ds.observed == 1.0
 
 
-def test_density_counts_merge_by_addition():
-    primes = [p for p in PRIMES_10K if p % 3 == 1]
-    nums, dens = [2, 3, 5, 7], [1, 1, 1, 1]
-    whole = density_counts(primes, 3, nums, dens, "c4")
-    halves = [
-        density_counts(primes[: len(primes) // 2], 3, nums, dens, "c4"),
-        density_counts(primes[len(primes) // 2 :], 3, nums, dens, "c4"),
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.sampled_from(("c4", "split")),
+    st.lists(st.integers(-300, 300).filter(bool), min_size=4, max_size=4),
+    st.lists(st.integers(1, 40), min_size=4, max_size=4),
+    st.lists(st.integers(0, 400), max_size=4),
+)
+@example(3, "c4", [2, 3, 5, 7], [1, 1, 1, 1], [305])  # halves of the 611 primes
+def test_density_counts_merge_by_addition(ell, mode, nums, dens, cuts):
+    # any split of the prime list into contiguous chunks, empty ones included
+    primes = [p for p in PRIMES_10K if p % ell == 1]
+    ends = [0, *sorted(min(c, len(primes)) for c in cuts), len(primes)]
+    parts = [
+        density_counts(primes[a:b], ell, nums, dens, mode) for a, b in zip(ends, ends[1:])
     ]
-    assert whole == tuple(a + b for a, b in zip(*halves))
+    whole = density_counts(primes, ell, nums, dens, mode)
+    assert whole == tuple(map(sum, zip(*parts)))
+    assert whole[0] + whole[1] == len(primes)
 
 
 def test_heuristic_sum_oracle():

@@ -477,6 +477,29 @@ def test_exit_codes_through_real_process():
     assert proc.returncode == 65
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a short report stays buffered until the flush at exit
+        ("frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3"),
+        # about 14,000 digits: print itself meets the closed pipe
+        ("disc", "--cyclotomic", "10000"),
+    ],
+)
+def test_a_closed_stdout_exits_0_without_a_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localpow.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # the reader is gone before the report is written, as with `| head -c 0`
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0, stderr
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
+
+
 def test_progress_goes_to_stderr_not_stdout():
     proc = subprocess.run(
         [

@@ -3,8 +3,11 @@ from bisect import bisect_right
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localpow import kernels
+from localpow.chebotarev import _proportional
 from localpow.kernels import pure
 
 try:
@@ -17,7 +20,7 @@ except ImportError:
 BACKENDS = (pure,) if native is None else (pure, native)
 needs_native = pytest.mark.skipif(native is None, reason="compiled backend not built")
 # the kernels that reach the compiled backend when it is built
-DISPATCHED = ("sieve", "factorize", "discrete_log", "z_b_rows", "omega_members")
+DISPATCHED = ("sieve", "factorize", "discrete_log", "class_counts", "omega_members")
 
 
 @needs_native
@@ -60,7 +63,9 @@ def test_count_primes_published_values():
 
 
 def test_count_primes_is_pure_under_every_backend():
-    for name in ("count_primes", "is_prime", "primitive_root", "solve_exponent_system"):
+    for name in (
+        "count_primes", "is_prime", "primitive_root", "solve_exponent_system", "z_b_rows"
+    ):
         assert getattr(kernels, name) is getattr(pure, name), name
 
 
@@ -142,9 +147,22 @@ def test_kernels_raise_the_same_errors():
         with pytest.raises(ZeroDivisionError):
             mod.discrete_log(2, 3, 0)
         with pytest.raises(ArithmeticError):
-            # p = 11 is not 1 mod 3: z = 3^3 = 5 is none of the ell = 3
-            # powers 1, 8, 9 of the base 2^3
-            mod.z_b_rows([11], 3, [3], [1])
+            # p = 11 is not 1 mod 3: chi(3) = 3^3 = 5 has 5^3 = 4, not 1
+            mod.class_counts([11], 3, [3, 2], [1, 1], 1)
+        with pytest.raises(ArithmeticError):
+            # 91 = 7·13 is 1 mod 3, but chi(2) = 2^30 = 64 has 64^3 = 64
+            mod.class_counts([91], 3, [2, 3], [1, 1], 1)
+        with pytest.raises(ZeroDivisionError):
+            mod.class_counts([0], 3, [2], [1], 0)
+        with pytest.raises(ValueError):
+            mod.class_counts([7], 0, [2], [1], 0)
+        with pytest.raises(ValueError):
+            # k > 0 must halve the tuple
+            mod.class_counts([7], 3, [2, 3, 5], [1, 1, 1], 1)
+    with pytest.raises(ArithmeticError):
+        # z = 3^3 = 5 mod 11 is none of the ell = 3 powers 1, 8, 9 of the
+        # base 2^3
+        pure.z_b_rows([11], 3, [3], [1])
 
 
 def test_solve_exponent_system_brute_force():
@@ -166,10 +184,7 @@ def test_z_b_rows_agreement_and_oracle():
     primes = [p for p in pure.sieve(3000) if p % ell == 1]
     nums = [2, -3, 7, 10]
     dens = [1, 2, 3, 1]
-    rows_pure = pure.z_b_rows(primes, ell, nums, dens)
-    if native is not None:
-        assert native.z_b_rows(primes, ell, nums, dens) == rows_pure
-    for p, zs, bs in rows_pure:
+    for p, zs, bs in pure.z_b_rows(primes, ell, nums, dens):
         if zs is None:
             assert any(n % p == 0 or d % p == 0 for n, d in zip(nums, dens))
             assert bs is None
@@ -181,6 +196,65 @@ def test_z_b_rows_agreement_and_oracle():
             assert z == pow(n % p * pow(d, -1, p) % p, e, p)
             assert 0 <= b < ell
             assert pow(zeta, b, p) == z
+
+
+def _class_counts_oracle(primes, ell, nums, dens, k):
+    # the z_b_rows log vectors, tested by _proportional or for all-trivial
+    counted = skipped = hits = 0
+    for _, zs, bs in pure.z_b_rows(primes, ell, nums, dens):
+        if zs is None:
+            skipped += 1
+            continue
+        counted += 1
+        hits += _proportional(bs, k, ell) if k else all(z == 1 for z in zs)
+    return counted, skipped, hits
+
+
+SPLIT_PRIMES = {ell: [p for p in pure.sieve(4000) if p % ell == 1] for ell in (3, 5, 7, 11, 13)}
+
+
+@st.composite
+def class_count_cases(draw):
+    ell = draw(st.sampled_from(sorted(SPLIT_PRIMES)))
+    primes = SPLIT_PRIMES[ell]
+    width = draw(st.integers(1, 3)) * 2
+    k = draw(st.sampled_from((0, width // 2)))
+    # some entries carry a split prime, so that prime divides a numerator
+    # or a denominator and is skipped
+    factor = st.one_of(st.just(1), st.sampled_from(primes[:12]))
+    nums = [
+        draw(st.sampled_from((1, -1))) * draw(st.integers(0, 400)) * draw(factor)
+        for _ in range(width)
+    ]
+    dens = [draw(st.integers(1, 60)) * draw(factor) for _ in range(width)]
+    return primes, ell, nums, dens, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_count_cases())
+def test_class_counts_match_the_log_vector_oracle(case):
+    expected = _class_counts_oracle(*case)
+    for mod in BACKENDS:
+        assert mod.class_counts(*case) == expected, mod.BACKEND
+    assert kernels.class_counts(*case) == expected
+
+
+def test_class_counts_skip_every_prime_at_a_zero_entry():
+    primes = SPLIT_PRIMES[3]
+    for mod in BACKENDS:
+        for k in (0, 1):
+            assert mod.class_counts(primes, 3, [2, 0], [1, 1], k) == (0, len(primes), 0)
+
+
+def test_class_counts_oracle_at_the_benchmark_tuple():
+    # the c4 tuple (2, 3, 5, 7) and the split pair (2, 5) at ell = 3, over
+    # larger primes than the Hypothesis cases reach
+    primes = SPLIT_PRIMES[3] + [p for p in pure.sieve(60000) if p % 3 == 1 and p > 4000]
+    for nums, k in (([2, 3, 5, 7], 2), ([2, 5], 0), ([-2, 3, 5, -7], 2)):
+        dens = [1] * len(nums)
+        expected = _class_counts_oracle(primes, 3, nums, dens, k)
+        for mod in BACKENDS:
+            assert mod.class_counts(primes, 3, nums, dens, k) == expected
 
 
 def _omega_brute_force(primes, ns, fnums, fdens):
@@ -241,8 +315,11 @@ def test_dispatch_falls_back_beyond_64_bits():
     # dispatch layer, matching the pure backend exactly
     primes = [p for p in pure.sieve(2000) if p % 3 == 1]
     big = 50**12  # above 2^63
-    rows = kernels.z_b_rows(primes, 3, [2, big], [1, 1])
-    assert rows == pure.z_b_rows(primes, 3, [2, big], [1, 1])
+    for k in (0, 1):
+        got = kernels.class_counts(primes, 3, [2, big], [1, 1], k)
+        assert got == pure.class_counts(primes, 3, [2, big], [1, 1], k)
+        got = kernels.class_counts(primes, 3, [2, 5], [big, 1], k)
+        assert got == pure.class_counts(primes, 3, [2, 5], [big, 1], k)
     got = kernels.omega_members(primes, [2, 3], [2**70, 3**45], [1, 1])
     assert got == pure.omega_members(primes, [2, 3], [2**70, 3**45], [1, 1])
     assert kernels.factorize(2**70) == [(2, 70)]

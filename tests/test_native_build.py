@@ -90,7 +90,7 @@ def test_the_module_exports_the_dispatched_kernels_only(native_tree):
         "print(' '.join(sorted(n for n in dir(_native) if not n.startswith('_'))))",
     )
     assert proc.stdout.split() == [
-        "BACKEND", "discrete_log", "factorize", "omega_members", "sieve", "z_b_rows"
+        "BACKEND", "class_counts", "discrete_log", "factorize", "omega_members", "sieve"
     ], proc.stdout + proc.stderr
 
 
