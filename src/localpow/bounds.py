@@ -18,13 +18,11 @@ from .errors import (
     ConfigError,
     DomainError,
     ExactRangeError,
-    NotPrimeError,
-    OddPrimeRequiredError,
     ScheduleDomainError,
     WrongLengthError,
 )
-from .modular import PrimeCache
-from .ratfact import as_factored, is_prime
+from .modular import PrimeCache, require_odd_prime
+from .ratfact import as_factored
 
 EXACT_DISCRIMINANT_LIMIT = 10**4
 
@@ -100,10 +98,7 @@ def squarefree_cyclotomic_log(primes) -> tuple[float, float]:
 
 def kummer_disc_log_bound(ell: int, d: int, c) -> float:
     """log of the divisor bound for the discriminant of the degree-ell radical field."""
-    if not is_prime(ell):
-        raise NotPrimeError(f"{ell} is not prime")
-    if ell == 2:
-        raise OddPrimeRequiredError("ell must be an odd prime")
+    require_odd_prime(ell)
     if d < 0:
         raise DomainError(f"d must be >= 0, got {d}")
     if d == 0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm, prod
 
 from . import _parallel, kernels, powermap
@@ -21,17 +20,13 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyTupleError,
-    EnumerationBoundError,
     NotPrimeError,
-    OddPrimeRequiredError,
     RamifiedPrimeError,
     WrongLengthError,
 )
-from .lattice import build_lattice, kummer_degree, row_space_mod_ell
-from .modular import PrimeCache, validate_split
+from .lattice import build_lattice, row_space_mod_ell
+from .modular import PrimeCache, require_odd_prime, validate_split
 from .ratfact import as_factored, is_prime
-
-DEFAULT_ENUMERATION_BOUND = 13
 
 # heuristic_scan's prefilter leaves out an equation whose table of quadratic
 # characters would have more entries than this
@@ -115,41 +110,40 @@ def in_C4(sample, ell: int | None = None) -> bool:
         vec = tuple(sample)
         if ell is None:
             raise ConfigError("ell is required for a bare vector")
+    require_odd_prime(ell)
     if len(vec) != 4:
         raise WrongLengthError(f"need 4 coordinates, got {len(vec)}")
     return _proportional(vec, 2, ell)
 
 
-def class_ratio(spec: ClassSpec, enumeration_bound: int = DEFAULT_ENUMERATION_BOUND):
-    """(size_C, fiber, group, conditional_density) for the proportionality class."""
+def class_ratio(spec: ClassSpec):
+    """(size_C, fiber, group, conditional_density) for the proportionality class.
+
+    The class is the union over λ mod ell of G_λ = {(b, λb)}, spaces that
+    meet pairwise only in 0, so the span W of the basis meets it in
+    1 + Σ_λ (ell^dim(W ∩ G_λ) − 1) vectors, with dim(W ∩ G_λ) =
+    dim W + k − rank(W ∪ G_λ).  Each vector of W is reached by
+    ell^(n − dim W) of the ell^n = fiber coefficient tuples of an n-vector
+    basis, a dependent one too; "full" is the identity basis.
+    """
     ell, k = spec.ell, spec.k
-    if not is_prime(ell) or ell == 2:
-        raise OddPrimeRequiredError("ell must be an odd prime")
-    if spec.subgroup == "full" and k == 2:
-        size = ell**3 - ell + 1
-        fiber = ell**4
+    require_odd_prime(ell)
+    width = 2 * k
+    if spec.subgroup == "full":
+        basis = [tuple(int(i == j) for j in range(width)) for i in range(width)]
     else:
-        if ell > enumeration_bound:
-            raise EnumerationBoundError(
-                f"ell = {ell} exceeds the enumeration bound {enumeration_bound}",
-                ell=ell,
-                bound=enumeration_bound,
-            )
-        if spec.subgroup == "full":
-            vectors = product(range(ell), repeat=2 * k)
-            fiber = ell ** (2 * k)
-            size = sum(1 for v in vectors if _proportional(v, k, ell))
-        else:
-            basis = [tuple(v) for v in spec.subgroup]
-            fiber = ell ** len(basis)
-            size = 0
-            for coeffs in product(range(ell), repeat=len(basis)):
-                v = [0] * (2 * k)
-                for coef, bas in zip(coeffs, basis):
-                    for i in range(2 * k):
-                        v[i] = (v[i] + coef * bas[i]) % ell
-                if _proportional(v, k, ell):
-                    size += 1
+        basis = [tuple(v) for v in spec.subgroup]
+    w = row_space_mod_ell(basis, width, ell)
+    meets = 1
+    for lam in range(ell):
+        graph = [
+            tuple(int(j == i) + lam * (j == k + i) for j in range(width))
+            for i in range(k)
+        ]
+        rank = len(row_space_mod_ell(w + graph, width, ell))
+        meets += ell ** (len(w) + k - rank) - 1
+    fiber = ell ** len(basis)
+    size = ell ** (len(basis) - len(w)) * meets
     group = (ell - 1) * fiber
     return size, fiber, group, Fraction(size, fiber)
 
@@ -184,7 +178,6 @@ def scan_density(
     c,
     x: int,
     mode: str = "c4",
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
     workers: int = 1,
 ) -> DensityScan:
     """Observed vs expected frequency of a Frobenius event over p ≡ 1 (mod ell).
@@ -201,16 +194,14 @@ def scan_density(
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "c4" and len(entries) != 4:
         raise WrongLengthError(f"c4 mode needs a 4-tuple, got {len(entries)}")
-    dim_v, degree, d = kummer_degree(entries, ell)
+    require_odd_prime(ell)
+    lat = build_lattice(entries)
+    # the row space is V^perp: its rank d gives the Kummer degree ell^d, and
+    # it is the space of exponent vectors the Frobenius ranges over
+    rows = row_space_mod_ell(lat.matrix, lat.m, ell)
+    d = len(rows)
     if mode == "c4":
-        lat = build_lattice(entries)
-        if d == lat.m:
-            cspec = ClassSpec(ell, lat.m // 2, "full")
-        else:
-            cspec = ClassSpec(
-                ell, lat.m // 2, tuple(row_space_mod_ell(lat.matrix, lat.m, ell))
-            )
-        _, _, _, expected = class_ratio(cspec, enumeration_bound)
+        _, _, _, expected = class_ratio(ClassSpec(ell, lat.m // 2, rows))
     else:
         expected = Fraction(1, ell**d)
     primes = [p for p in PrimeCache(x).primes if p % ell == 1]
@@ -230,8 +221,8 @@ def scan_density(
         observed=observed,
         expected=expected,
         deviation=abs(observed - float(expected)),
-        dim_v=dim_v,
-        degree=degree,
+        dim_v=lat.m - d,
+        degree=ell**d,
     )
 
 

@@ -26,13 +26,7 @@ from .bounds import (
     mertens_product,
     yz_schedule,
 )
-from .chebotarev import (
-    DEFAULT_ENUMERATION_BOUND,
-    frobenius_vector,
-    heuristic_scan,
-    in_C4,
-    scan_density,
-)
+from .chebotarev import frobenius_vector, heuristic_scan, in_C4, scan_density
 from .errors import DomainError, FunctionSpecError, LocalPowError
 from .lattice import build_lattice, kummer_degree, relations
 from .powermap import (
@@ -290,12 +284,7 @@ def _cmd_frobenius(args):
 def _cmd_density_scan(args):
     cfg = args.config
     ds = scan_density(
-        args.ell,
-        args.tuple,
-        args.limit,
-        mode=args.mode,
-        enumeration_bound=args.enumeration_bound,
-        workers=args.workers,
+        args.ell, args.tuple, args.limit, mode=args.mode, workers=args.workers
     )
     _progress(f"tested {ds.counted + ds.skipped} primes = 1 mod {args.ell}")
     return {
@@ -305,7 +294,6 @@ def _cmd_density_scan(args):
             "tuple": args.tuple,
             "limit": args.limit,
             "mode": args.mode,
-            "enumeration_bound": args.enumeration_bound,
             "bound_config": cfg.to_json(),
         },
         "range": [2, args.limit],
@@ -444,9 +432,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tuple", type=_entries(_rational), required=True)
     p.add_argument("--limit", type=_int_at_least(2), required=True)
     p.add_argument("--mode", choices=("c4", "split"), default="c4")
-    p.add_argument(
-        "--enumeration-bound", type=int, default=DEFAULT_ENUMERATION_BOUND
-    )
     p.set_defaults(handler=_cmd_density_scan)
 
     p = sub.add_parser("heuristic", parents=[common])
@@ -509,6 +494,11 @@ def _run(argv) -> int:
         return 65
     except LocalPowError as exc:
         print(json.dumps(_round_floats(exc.payload()), indent=2))
+        return 2
+    except MemoryError:
+        # a prime list or table larger than this machine can allocate
+        error = DomainError("not enough memory for this input")
+        print(json.dumps(error.payload(), indent=2))
         return 2
     return 0
 

@@ -74,10 +74,6 @@ class WrongLengthError(DomainError):
     code = "wrong-length"
 
 
-class EnumerationBoundError(DomainError):
-    code = "enumeration-bound"
-
-
 class ExactRangeError(DomainError):
     """Exact big-integer mode was requested beyond its supported range."""
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, log
 
-from .errors import EmptyTupleError, NotPrimeError, OddPrimeRequiredError
-from .ratfact import as_factored, is_prime
+from .errors import EmptyTupleError
+from .modular import require_odd_prime
+from .ratfact import as_factored
 
 MINOR_ENUMERATION_CAP = 10**5
 
@@ -261,17 +262,13 @@ def row_space_mod_ell(matrix: list[list[int]], width: int, ell: int) -> list[tup
 
 def kummer_degree(c, ell: int) -> tuple[int, int, int]:
     """(dim_V, degree, d) for the field of ell-th roots of the tuple over Q(zeta)."""
-    if not is_prime(ell):
-        raise NotPrimeError(f"{ell} is not prime")
-    if ell == 2:
-        raise OddPrimeRequiredError("ell must be an odd prime")
+    require_odd_prime(ell)
     entries = [as_factored(x) for x in c]
     if not entries:
         return 0, 1, 0
     lat = build_lattice(entries)
-    dim_v = len(kernel_mod_ell(lat.matrix, lat.m, ell))
-    d = lat.m - dim_v
-    return dim_v, ell**d, d
+    d = len(row_space_mod_ell(lat.matrix, lat.m, ell))
+    return lat.m - d, ell**d, d
 
 
 def f_invariants(f, n1: int, n2: int):

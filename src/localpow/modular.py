@@ -56,12 +56,17 @@ def discrete_log(g: int, h: int, p: int) -> int:
         raise DomainError(f"{h} is not a power of {g} mod {p}", p=p) from exc
 
 
-def validate_split(p: int, ell: int) -> None:
-    """Reject all but an odd prime ell and a prime p ≠ ell with p ≡ 1 (mod ell)."""
+def require_odd_prime(ell: int) -> None:
+    """Reject all but an odd prime ell: NotPrimeError, or OddPrimeRequiredError at 2."""
     if not is_prime(ell):
         raise NotPrimeError(f"{ell} is not prime")
     if ell == 2:
         raise OddPrimeRequiredError("ell must be an odd prime")
+
+
+def validate_split(p: int, ell: int) -> None:
+    """Reject all but an odd prime ell and a prime p ≠ ell with p ≡ 1 (mod ell)."""
+    require_odd_prime(ell)
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p == ell:

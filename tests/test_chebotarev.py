@@ -23,7 +23,8 @@ from localpow.chebotarev import (
 )
 from localpow.errors import (
     ConfigError,
-    EnumerationBoundError,
+    NotPrimeError,
+    OddPrimeRequiredError,
     RamifiedPrimeError,
     WrongLengthError,
 )
@@ -94,6 +95,18 @@ def test_in_c4_proportional_pairs():
         in_C4((1, 2, 3, 4))
 
 
+def test_ell_must_be_an_odd_prime():
+    for ell in (9, 0, 1, -3):
+        with pytest.raises(NotPrimeError):
+            in_C4((3, 1, 6, 2), ell=ell)
+    with pytest.raises(NotPrimeError):
+        class_ratio(ClassSpec(9, 2))
+    with pytest.raises(OddPrimeRequiredError):
+        in_C4((1, 0, 1, 0), ell=2)
+    with pytest.raises(OddPrimeRequiredError):
+        class_ratio(ClassSpec(2, 2))
+
+
 def test_class_ratio_full_matches_enumeration():
     for ell in (3, 5):
         size, fiber, group, dens = class_ratio(ClassSpec(ell, 2))
@@ -121,11 +134,59 @@ def test_class_ratio_lemma_bound():
 def test_class_ratio_subgroup_enumeration():
     # V-perp of (2,3,4,9): b-halves determine f-halves doubly
     lat = build_lattice(tuple(as_factored(x) for x in (2, 3, 4, 9)))
-    basis = tuple(row_space_mod_ell(lat.matrix, lat.m, 3))
-    size, fiber, group, dens = class_ratio(ClassSpec(3, 2, basis))
-    assert dens == 1  # every constrained vector is proportional
-    with pytest.raises(EnumerationBoundError):
-        class_ratio(ClassSpec(17, 2, basis))
+    for ell in (3, 17, 1009):
+        basis = tuple(row_space_mod_ell(lat.matrix, lat.m, ell))
+        size, fiber, group, dens = class_ratio(ClassSpec(ell, 2, basis))
+        assert dens == 1  # every constrained vector is proportional
+
+
+def _enumerated_class_ratio(spec):
+    """The class counted vector by vector over every coefficient tuple."""
+    ell, k = spec.ell, spec.k
+    if spec.subgroup == "full":
+        basis = [tuple(int(i == j) for j in range(2 * k)) for i in range(2 * k)]
+    else:
+        basis = list(spec.subgroup)
+    size = 0
+    for coeffs in product(range(ell), repeat=len(basis)):
+        v = [sum(c * b[i] for c, b in zip(coeffs, basis)) % ell for i in range(2 * k)]
+        # proportional: the second half is one λ-multiple of the first
+        size += any(
+            all((v[k + i] - lam * v[i]) % ell == 0 for i in range(k))
+            for lam in range(ell)
+        )
+    fiber = ell ** len(basis)
+    return size, fiber, (ell - 1) * fiber, Fraction(size, fiber)
+
+
+ORACLE_TUPLES = 6000  # coefficient tuples the enumeration may visit
+
+
+@st.composite
+def class_specs(draw):
+    """Class specs at small ell, with random bases: dependent, empty, or "full"."""
+    ell = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    k = draw(st.integers(1, 3))
+    most = max(n for n in range(8) if ell**n <= ORACLE_TUPLES)
+    if 2 * k <= most and draw(st.booleans()):
+        return ClassSpec(ell, k)
+    entry = st.integers(-ell, 2 * ell)
+    vectors = st.tuples(*[entry] * (2 * k))
+    basis = draw(st.lists(vectors, max_size=min(most, 2 * k + 1)))
+    if len(basis) >= 2 and draw(st.booleans()):
+        # the last vector becomes a combination of the first two
+        a, b = draw(st.integers(0, ell - 1)), draw(st.integers(0, ell - 1))
+        basis[-1] = tuple(a * x + b * y for x, y in zip(basis[0], basis[1]))
+    return ClassSpec(ell, k, tuple(basis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_specs())
+@example(ClassSpec(3, 2))
+@example(ClassSpec(13, 3, ()))
+@example(ClassSpec(5, 2, ((1, 0, 2, 0), (0, 1, 0, 2), (2, 2, 4, 4))))
+def test_class_ratio_matches_the_enumeration(spec):
+    assert class_ratio(spec) == _enumerated_class_ratio(spec)
 
 
 def test_scan_density_c4_small_range_oracle():

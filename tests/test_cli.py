@@ -273,6 +273,22 @@ def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
     assert built == []
 
 
+def test_an_unallocatable_prime_list_exits_2(capsys, monkeypatch):
+    def refuse(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(kernels, "sieve", refuse)
+    for argv in (
+        ("density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", "10000000000000"),
+        ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit",
+         "10000000000000"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e13"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["type"] == "domain-error", argv
+
+
 def test_frobenius_worked_example(capsys):
     rep = run_json(capsys, "frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3")
     assert rep["z_vector"] == [4, 2]
@@ -326,6 +342,23 @@ def test_density_scan_report(capsys):
     assert rep["expected"] == pytest.approx(25 / 81, abs=1e-9)
     assert abs(rep["observed"] - 25 / 81) < 0.02
     assert rep["counted"] + rep["skipped"] > 0
+
+
+def test_density_scan_expected_is_exact_beyond_small_ell(capsys):
+    rep = run_json(
+        capsys, "density-scan", "--ell", "17", "--tuple", "2,3,4,9", "--limit", "20000"
+    )
+    assert rep["expected"] == rep["observed"] == 1.0
+    assert list(rep["parameters"]) == ["ell", "tuple", "limit", "mode", "bound_config"]
+    rep = run_json(
+        capsys, "density-scan", "--ell", "17", "--tuple", "2,3,5,10", "--limit", "20000"
+    )
+    assert rep["expected"] == float(f"{273 / 4913:.12g}")
+    code, out = run_cli(
+        capsys, "density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", "100",
+        "--enumeration-bound", "13",
+    )
+    assert (code, out) == (64, "")
 
 
 def test_heuristic_report_fields(capsys):
@@ -599,11 +632,10 @@ _SUBCOMMANDS = {
         "--tuple": _entries_text("2", "3", "-5", "3/4"),
     },
     "density-scan": {
-        "--ell": _ints("3", "5", "4"),
+        "--ell": _ints("3", "5", "4", "17"),
         "--tuple": _entries_text("2", "3", "5", "7", "-2", "3/4"),
         "--limit": _LIMIT,
         "--mode": st.sampled_from(("c4", "split", "bogus")),
-        "--enumeration-bound": _ints("3", "50"),
     },
     "heuristic": {
         "--function": _FUNCTION,
