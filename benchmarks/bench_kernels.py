@@ -1,7 +1,8 @@
 """Timing of the compiled kernels against the pure mirror.
 
 Times the five kernels that localpow.kernels dispatches to the compiled
-backend when it is built; the others are pure under every backend.
+backend when it is built, and density-scan's prime generator
+`prime_segments`, which is pure under every backend.
 
 Run as: python3 benchmarks/bench_kernels.py
 """
@@ -68,6 +69,9 @@ def main():
         print(
             f"{label:<50} {t_pure:>9.3f}s {t_native:>9.3f}s {t_pure / t_native:>7.1f}x"
         )
+    label = "prime_segments(2, 10^7 + 1, 6), pure only"
+    t_pure = best_of(lambda: sum(map(len, pure.prime_segments(2, 10**7 + 1, 6))))
+    print(f"{label:<50} {t_pure:>9.3f}s {'n/a':>10} {'n/a':>8}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Process pool for the per-prime scans.
 
-Primes are split into contiguous chunks and each chunk is handed to a
-worker; only integer counters and per-prime rows cross process boundaries,
-and results merge in chunk order, so the output is independent of the
-worker count.  Float accumulations (heuristic sums, observed densities)
+A scan's primes, or for the density scan the range of numbers it draws
+its primes from, are split into contiguous chunks and each chunk is handed
+to a worker; a density worker generates the primes of its own range.  Only
+ranges, integer counters and per-prime rows cross process boundaries, and
+results merge in chunk order, so the output is independent of the worker
+count.  Float accumulations (heuristic sums, observed densities)
 always happen in the parent from the merged integers.  A map reaches the
 workers pickled as itself.  The shift scan keeps its entry point here but
 runs in this process, on one value table.
@@ -31,18 +33,18 @@ def chunked(seq, n: int):
     return [seq[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _run_chunks(fn, primes, workers: int, *rest) -> list:
-    """fn((chunk, *rest)) for each contiguous chunk of primes, results in chunk order.
+def _run_chunks(fn, seq, workers: int, *rest) -> list:
+    """fn((chunk, *rest)) for each contiguous chunk of seq, results in chunk order.
 
     There are at most as many chunks as cores; one chunk runs in this
-    process on the whole list.
+    process on the whole of seq.
     """
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(primes) > 1:
-        jobs = [(part, *rest) for part in chunked(primes, workers)]
+    if workers > 1 and len(seq) > 1:
+        jobs = [(part, *rest) for part in chunked(seq, workers)]
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             return list(pool.map(fn, jobs))
-    return [fn((primes, *rest))]
+    return [fn((seq, *rest))]
 
 
 def _merge_counts(parts):
@@ -50,13 +52,19 @@ def _merge_counts(parts):
 
 
 def _density_chunk(args):
-    primes, ell, nums, dens, mode = args
-    return chebotarev.density_counts(primes, ell, nums, dens, mode)
+    numbers, ell, nums, dens, mode = args
+    # p ≡ 1 (mod ell) is p ≡ 1 (mod 2·ell) for every odd p, and 2 is never 1 mod ell
+    segments = kernels.prime_segments(numbers.start, numbers.stop, 2 * ell)
+    counts = [chebotarev.density_counts(primes, ell, nums, dens, mode) for primes in segments]
+    return _merge_counts([(0, 0, 0), *counts])
 
 
-def density_counts_parallel(primes, ell, nums, dens, mode, workers: int = 1):
-    """(counted, skipped, hits) over the primes, split across processes."""
-    return _merge_counts(_run_chunks(_density_chunk, primes, workers, ell, nums, dens, mode))
+def density_counts_parallel(numbers, ell, nums, dens, mode, workers: int = 1):
+    """(counted, skipped, hits) over the primes p ≡ 1 (mod ell) in a range, across processes.
+
+    Each worker generates the primes of its chunk of the range itself.
+    """
+    return _merge_counts(_run_chunks(_density_chunk, numbers, workers, ell, nums, dens, mode))
 
 
 def _omega_chunk(args):

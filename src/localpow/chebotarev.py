@@ -25,7 +25,7 @@ from .errors import (
     WrongLengthError,
 )
 from .lattice import build_lattice, row_space_mod_ell
-from .modular import PrimeCache, require_odd_prime, validate_split
+from .modular import PrimeCache, check_table_limit, require_odd_prime, validate_split
 from .ratfact import as_factored, is_prime
 
 # heuristic_scan's prefilter leaves out an equation whose table of quadratic
@@ -128,11 +128,16 @@ def class_ratio(spec: ClassSpec):
     """
     ell, k = spec.ell, spec.k
     require_odd_prime(ell)
+    if k < 1:
+        raise DomainError(f"the half-length k must be at least 1, got {k}")
     width = 2 * k
     if spec.subgroup == "full":
         basis = [tuple(int(i == j) for j in range(width)) for i in range(width)]
     else:
         basis = [tuple(v) for v in spec.subgroup]
+    for v in basis:
+        if len(v) != width:
+            raise WrongLengthError(f"basis vectors need {width} coordinates, got {len(v)}")
     w = row_space_mod_ell(basis, width, ell)
     meets = 1
     for lam in range(ell):
@@ -149,7 +154,7 @@ def class_ratio(spec: ClassSpec):
 
 
 def density_counts(primes, ell: int, nums, dens, mode: str):
-    """(counted, skipped, hits) over a prime list; merges by addition.
+    """(counted, skipped, hits) over a list of primes p ≡ 1 (mod ell); merges by addition.
 
     Mode "c4" counts the proportionality class of the two halves of the
     tuple, any other mode the primes where every entry is an ell-th power.
@@ -185,7 +190,8 @@ def scan_density(
     mode "c4" counts the proportionality class of 4-tuples (n1, n2, f1, f2);
     mode "split" counts primes where every tuple entry is an ell-th power.
     The inputs are checked and the expected value computed before any prime
-    is sieved; `workers` processes split the scan without changing it.
+    is generated; `workers` processes split the range 2..x and each
+    generates the primes of its part, without changing the result.
     """
     entries = [as_factored(v) for v in c]
     if not entries:
@@ -204,11 +210,11 @@ def scan_density(
         _, _, _, expected = class_ratio(ClassSpec(ell, lat.m // 2, rows))
     else:
         expected = Fraction(1, ell**d)
-    primes = [p for p in PrimeCache(x).primes if p % ell == 1]
+    check_table_limit(x)  # a range past sys.maxsize has no length to split
     nums = [e.sign * e.num for e in entries]
     dens = [e.den for e in entries]
     counted, skipped, hits = _parallel.density_counts_parallel(
-        primes, ell, nums, dens, mode, workers
+        range(2, x + 1), ell, nums, dens, mode, workers
     )
     observed = hits / counted if counted else 0.0
     return DensityScan(

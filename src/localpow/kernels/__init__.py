@@ -5,10 +5,11 @@ The compiled backend is used exactly when its extension module,
 source `_native.c`, and `pure.py` is its specification.  It exports only the
 five kernels the scans spend their time in: `sieve`, `factorize`,
 `discrete_log`, `class_counts` and `omega_members`.  `count_primes`,
-`is_prime`, `primitive_root`, `solve_exponent_system` and `z_b_rows` are pure
-under every backend: the sublinear prime count beats a compiled sieve count,
-`z_b_rows` is left to single primes (`frobenius_vector`) and to tests, and
-the other three are called too rarely for their speed to show.
+`prime_segments`, `is_prime`, `primitive_root`, `solve_exponent_system` and
+`z_b_rows` are pure under every backend: the sublinear prime count beats a
+compiled sieve count, the segments of one residue class cost a slice per
+base prime, `z_b_rows` is left to single primes (`frobenius_vector`) and to
+tests, and the other three are called too rarely for their speed to show.
 """
 
 from . import pure as _pure
@@ -22,6 +23,7 @@ BACKEND = _impl.BACKEND
 
 sieve = _impl.sieve
 count_primes = _pure.count_primes
+prime_segments = _pure.prime_segments
 is_prime = _pure.is_prime
 primitive_root = _pure.primitive_root
 solve_exponent_system = _pure.solve_exponent_system
@@ -76,6 +78,7 @@ __all__ = [
     "BACKEND",
     "sieve",
     "count_primes",
+    "prime_segments",
     "is_prime",
     "factorize",
     "primitive_root",

@@ -3,7 +3,9 @@
 The specification of the compiled backend: each of the five kernels that
 `_native.c` also implements (`sieve`, `factorize`, `discrete_log`,
 `class_counts` and `omega_members`) must return exactly what the one here
-does and raise the same exception types.
+does and raise the same exception types.  The others (`count_primes`,
+`prime_segments`, `is_prime`, `primitive_root`, `solve_exponent_system` and
+`z_b_rows`) run from here under every backend.
 """
 
 from __future__ import annotations
@@ -17,20 +19,57 @@ BACKEND = "pure"
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _flags(limit: int) -> bytearray:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return flags
+# prime_segments() strikes this many candidates n = s·i + 1 at a time
+SEGMENT = 1 << 17
+
+
+def _roots(s: int, limit: int) -> list[tuple[int, int]]:
+    # (q, r) for each prime q <= limit with q ∤ s: q | s·i + 1 iff i ≡ r (mod q)
+    return [(q, -pow(s, -1, q) % q) for q in sieve(limit) if s % q]
+
+
+def _strike(flags: bytearray, s: int, first: int, roots) -> None:
+    # clear flag j where n = s·(first + j) + 1 is q·m with m >= q for a root's
+    # prime q; no prime factor of n divides s, so once the roots hold every
+    # prime up to sqrt(n), only the primes keep their flags
+    count = len(flags)
+    for q, r in roots:
+        start = max(first, -(-(q * q - 1) // s))
+        j = start + (r - start) % q - first
+        if j < count:
+            flags[j::q] = bytes(len(range(j, count, q)))
 
 
 def sieve(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
+    """All primes <= limit, ascending: 2 and the odd n = 2i + 1 in one window."""
     if limit < 2:
         return []
-    return list(compress(range(limit + 1), _flags(limit)))
+    # a bytes repeat copied into a bytearray, not a bytearray repeat: a window
+    # too large to allocate raises a clean MemoryError, before any base prime
+    flags = bytearray(b"\x01" * ((limit - 1) // 2))
+    _strike(flags, 2, 1, _roots(2, isqrt(limit)))
+    return [2, *compress(range(3, limit + 1, 2), flags)]
+
+
+def prime_segments(lo: int, hi: int, s: int) -> Iterator[list[int]]:
+    """The primes p ≡ 1 (mod s) in [lo, hi), ascending, one list per segment.
+
+    A segment is the window of SEGMENT candidates n = s·i + 1, struck with
+    one slice per base prime q <= sqrt(hi - 1), q ∤ s; memory stays bounded
+    by the segment and the base primes, whatever the range.
+    """
+    if s < 1:
+        raise ValueError(f"modulus must be positive, got {s}")
+    first = max(1, -(-(lo - 1) // s))  # n >= lo, and n = 1 is no prime
+    stop = -(-(hi - 1) // s)  # n < hi
+    if first >= stop:
+        return
+    roots = _roots(s, isqrt(hi - 1))
+    for a in range(first, stop, SEGMENT):
+        count = min(SEGMENT, stop - a)
+        flags = bytearray(b"\x01" * count)
+        _strike(flags, s, a, roots)
+        yield list(compress(range(s * a + 1, s * (a + count) + 1, s), flags))
 
 
 def count_primes(limit: int) -> int:

@@ -23,6 +23,7 @@ from localpow.chebotarev import (
 )
 from localpow.errors import (
     ConfigError,
+    DomainError,
     NotPrimeError,
     OddPrimeRequiredError,
     RamifiedPrimeError,
@@ -105,6 +106,15 @@ def test_ell_must_be_an_odd_prime():
         in_C4((1, 0, 1, 0), ell=2)
     with pytest.raises(OddPrimeRequiredError):
         class_ratio(ClassSpec(2, 2))
+
+
+def test_class_ratio_rejects_a_malformed_spec():
+    with pytest.raises(WrongLengthError):
+        class_ratio(ClassSpec(3, 2, [(1, 2)]))
+    with pytest.raises(WrongLengthError):
+        class_ratio(ClassSpec(3, 2, [(1, 2, 0, 0, 1)]))  # not cut to 4 coordinates
+    with pytest.raises(DomainError):
+        class_ratio(ClassSpec(3, -1))
 
 
 def test_class_ratio_full_matches_enumeration():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from localpow import cli, kernels
 from localpow.bounds import cyclotomic_discriminant
+from localpow.kernels import pure
 from localpow.modular import PrimeCache
 from localpow.powermap import MAX_TABLE_SLOTS
 
@@ -195,6 +196,7 @@ def test_domain_errors_exit_2(capsys):
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--b-f", "nan"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--b-f", "inf"),
         # limits that no sieve can index
+        ("density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", str(sys.maxsize)),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--mertens", "5,1e300"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e300"),
         ("bounds", "--x", "1e300"),
@@ -253,15 +255,23 @@ def test_non_integral_value_exits_2(capsys, workers):
 def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
     built = []
     init = PrimeCache.__init__
+    segments = kernels.prime_segments
 
     def recording_init(self, limit):
         built.append(limit)
         init(self, limit)
 
+    def recording_segments(lo, hi, s):
+        built.append((lo, hi, s))
+        return segments(lo, hi, s)
+
     monkeypatch.setattr(PrimeCache, "__init__", recording_init)
+    monkeypatch.setattr(kernels, "prime_segments", recording_segments)
     for argv in (
         ("density-scan", "--ell", "4", "--tuple", "2,3,5,7", "--limit", "10000000"),
         ("density-scan", "--ell", "3", "--tuple", "2,3", "--limit", "10000000"),
+        # a range that no sequence can index, refused before its length is taken
+        ("density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", str(sys.maxsize)),
         ("heuristic", "--function", TABLE_F, "--witnesses", "2,3", "--limit", "10000000"),
         ("tf-scan", "--function", TABLE_F, "--limit", "10000000", "--shift-bound",
          str(MAX_TABLE_SLOTS)),
@@ -279,7 +289,6 @@ def test_an_unallocatable_prime_list_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(kernels, "sieve", refuse)
     for argv in (
-        ("density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", "10000000000000"),
         ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit",
          "10000000000000"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e13"),
@@ -287,6 +296,59 @@ def test_an_unallocatable_prime_list_exits_2(capsys, monkeypatch):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["type"] == "domain-error", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit",
+         "10000000000000"),
+        ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e13"),
+    ],
+)
+def test_an_unallocatable_flag_array_exits_2_cleanly(argv):
+    # the address space is capped in the child alone, so the sieve's flag
+    # array for 10^13 cannot be allocated; a bytearray repeat would print a
+    # SystemError on stderr on its way to the MemoryError
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from localpow.cli import run; sys.exit(run(sys.argv[1:]))",
+            *argv,
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["type"] == "domain-error"
+    assert "SystemError" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_density_scan_sieves_only_its_base_primes(capsys, monkeypatch):
+    # the primes p ≡ 1 (mod 6) are generated segment by segment; the only
+    # full prime lists are the base primes up to sqrt(limit)
+    asked = []
+
+    def recording(sieve):
+        def wrapped(limit):
+            asked.append(limit)
+            return sieve(limit)
+
+        return wrapped
+
+    def refuse(self, limit):
+        raise AssertionError(f"built a prime list to {limit}")
+
+    monkeypatch.setattr(pure, "sieve", recording(pure.sieve))
+    monkeypatch.setattr(kernels, "sieve", recording(kernels.sieve))
+    monkeypatch.setattr(PrimeCache, "__init__", refuse)
+    rep = run_json(
+        capsys, "density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", "1000000"
+    )
+    assert rep["counted"] + rep["skipped"] == 39231  # primes ≡ 1 (mod 3) below 10^6
+    assert asked and max(asked) == 1000
 
 
 def test_frobenius_worked_example(capsys):

@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -34,8 +35,59 @@ def test_sieve_agreement_and_oracle():
     expected = list(sympy.primerange(2, 10001))
     for mod in BACKENDS:
         assert mod.sieve(10000) == expected
-        assert mod.sieve(1) == []
-        assert mod.sieve(2) == [2]
+        for limit in range(-2, 200):
+            assert mod.sieve(limit) == expected[: bisect_right(expected, limit)], limit
+
+
+# every prime the prime_segments tests ask for, up to past the first
+# SEGMENT boundary at the largest modulus
+SEGMENT_ORACLE = pure.sieve(26 * pure.SEGMENT + 10**4)
+MODULI = (2, 6, 10, 14, 22, 26)  # 2 and 2·ell for ell in 3, 5, 7, 11, 13
+
+
+@st.composite
+def segment_windows(draw):
+    s = draw(st.sampled_from(MODULI))
+    # lo and hi around 0, 1, 2, ell and 2·ell + 1, or anywhere below 3000
+    near = st.sampled_from((0, 1, 2, s // 2, s + 1)).flatmap(
+        lambda a: st.integers(a - 2, a + 2)
+    )
+    lo = draw(st.one_of(near, st.integers(0, 3000)))
+    hi = draw(st.one_of(near, st.integers(0, 3000)))
+    return s, lo, hi, draw(st.sampled_from((1, 2, 7, 64, pure.SEGMENT)))
+
+
+def _segment_oracle(lo, hi, s):
+    below = SEGMENT_ORACLE[: bisect_right(SEGMENT_ORACLE, hi - 1)]
+    return [p for p in below if p >= lo and p % s == 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_windows())
+def test_prime_segments_match_the_sieve(window):
+    # small segments make most windows cross several segment boundaries
+    s, lo, hi, segment = window
+    with patch.object(pure, "SEGMENT", segment):
+        segments = list(kernels.prime_segments(lo, hi, s))
+    assert [p for part in segments for p in part] == _segment_oracle(lo, hi, s)
+    assert all(len(part) <= segment for part in segments)
+
+
+@pytest.mark.parametrize("s", (2, 6, 26))
+def test_prime_segments_cross_the_segment_boundary(s):
+    # from lo <= s + 1 the first segment ends at the candidate s·SEGMENT + 1
+    edge = s * (pure.SEGMENT + 1) + 1
+    for lo in (0, 2, s + 1):
+        for hi in (edge - s, edge, edge + 1, edge + s + 1):
+            segments = list(kernels.prime_segments(lo, hi, s))
+            assert len(segments) == 1 + (hi > edge), (lo, hi)
+            assert [p for part in segments for p in part] == _segment_oracle(lo, hi, s)
+
+
+def test_prime_segments_need_a_positive_modulus():
+    for s in (0, -6):
+        with pytest.raises(ValueError):
+            list(kernels.prime_segments(2, 100, s))
 
 
 def test_count_primes_oracle():
@@ -64,7 +116,8 @@ def test_count_primes_published_values():
 
 def test_count_primes_is_pure_under_every_backend():
     for name in (
-        "count_primes", "is_prime", "primitive_root", "solve_exponent_system", "z_b_rows"
+        "count_primes", "prime_segments", "is_prime", "primitive_root",
+        "solve_exponent_system", "z_b_rows",
     ):
         assert getattr(kernels, name) is getattr(pure, name), name
 

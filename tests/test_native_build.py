@@ -34,6 +34,9 @@ ARGVS = (
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,7", "--mode", "c4"),
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,5", "--mode", "split"),
     ("density-scan", "--ell", "17", "--limit", "20000", "--tuple", "2,3,5,10", "--mode", "c4"),
+    # each worker's range crosses a boundary of the segments of p ≡ 1 (mod 6)
+    ("density-scan", "--ell", "3", "--limit", "2000000", "--tuple", "2,3,5,7", "--mode", "c4",
+     "--workers", "2"),
     ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "20000"),
     ("heuristic", "--function", WIDE_F, "--witnesses", "2,3,5", "--limit", "5000"),
     ("sf-scan", "--function", TABLE_F, "--limit", "20000"),
@@ -118,5 +121,5 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    # density-scan three times, heuristic twice, sf-scan twice and tf-scan once
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 8
+    # density-scan four times, heuristic twice, sf-scan twice and tf-scan once
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 9
