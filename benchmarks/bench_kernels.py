@@ -9,7 +9,9 @@ Run as: python3 benchmarks/bench_kernels.py
 
 import time
 
+from localpow.chebotarev import _character_prefilter
 from localpow.kernels import pure
+from localpow.ratfact import as_factored
 
 try:
     from localpow.kernels import _native as native
@@ -32,6 +34,12 @@ def main():
     primes_200k = [p for p in primes_1m if p <= 2 * 10**5]
     dlog_ps = primes_1m[-200:]
     dlog_gs = [pure.primitive_root(p) for p in dlog_ps]
+    # heuristic's witnesses and values at benchmark seed 1, on the primes its
+    # quadratic-character prefilter leaves to omega_members
+    seed1_ns, seed1_fs = [2, 17, 29], [53, 89, 67]
+    seed1_kept = _character_prefilter(
+        primes_1m, [as_factored(n) for n in seed1_ns], [as_factored(f) for f in seed1_fs]
+    )
 
     tasks = [
         ("sieve(10^6)", lambda m: m.sieve(10**6), 3),
@@ -54,6 +62,11 @@ def main():
             "omega_members, witnesses (2,3,5), primes to 2*10^5",
             lambda m: m.omega_members(primes_200k, [2, 3, 5], [5, 7, 11], [1, 1, 1]),
             1,
+        ),
+        (
+            "omega_members, (2,17,29), prefilter-kept p to 10^6",
+            lambda m: m.omega_members(seed1_kept, seed1_ns, seed1_fs, [1, 1, 1]),
+            3,
         ),
     ]
 

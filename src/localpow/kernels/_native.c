@@ -227,20 +227,6 @@ static int factorize_u64(u64 n, u64 *ps, u64 *es)
     return cnt;
 }
 
-/* the smallest primitive root mod the prime p; qs are the cnt primes of p-1 */
-static u64 primitive_root_u64(u64 p, const u64 *qs, int cnt)
-{
-    if (p == 2)
-        return 1;
-    for (u64 g = 2;; g++) {
-        int i = 0;
-        while (i < cnt && powmod(g, (p - 1) / qs[i], p) != 1)
-            i++;
-        if (i == cnt)
-            return g;
-    }
-}
-
 /* -- discrete logs ----------------------------------------------------------- */
 
 /* open addressing from nonzero group elements to their baby-step index */
@@ -325,6 +311,27 @@ static i64 bsgs(u64 base, u64 target, u64 order, u64 p)
     return found;
 }
 
+/* the primes whose logs are walked, not looked up by BSGS; omega_member
+ * decides their projections before it factors p-1 */
+static const u64 SMALL_Q[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47};
+#define N_SMALL_Q (sizeof SMALL_Q / sizeof SMALL_Q[0])
+#define SMALL_Q_MAX SMALL_Q[N_SMALL_Q - 1]
+
+/* log of target in the group <base> of prime order q: a walk of at most q
+ * steps for q <= 47, BSGS above */
+static i64 digit_log(u64 base, u64 target, u64 q, u64 p)
+{
+    u64 cur = 1;
+    if (q > SMALL_Q_MAX)
+        return bsgs(base, target, q, p);
+    for (u64 t = 0; t < q; t++) {
+        if (cur == target)
+            return (i64)t;
+        cur = mulmod(cur, base, p);
+    }
+    return LOG_NONE;
+}
+
 /* digit-by-digit lift; gq has order exactly q^e */
 static i64 prime_power_log(u64 gq, u64 hq, u64 q, int e, u64 p)
 {
@@ -332,7 +339,7 @@ static i64 prime_power_log(u64 gq, u64 hq, u64 q, int e, u64 p)
     for (int i = 0; i < e; i++) {
         u64 target = powmod(mulmod(invmod(powmod(gq, x, p), p), hq, p),
                             upow(q, e - 1 - i), p);
-        i64 d = bsgs(gamma, target, q, p);
+        i64 d = digit_log(gamma, target, q, p);
         if (d < 0)
             return d;
         x += (u64)d * upow(q, i);
@@ -373,33 +380,6 @@ static i64 discrete_log_u64(u64 g, u64 h, u64 p, const u64 *qs, int cnt)
         mod *= qt;
     }
     return (i64)x;
-}
-
-/* the smallest k with k*a_j = b_j (mod m) for all j; 1 on success, 0 if none */
-static int solve_system_u64(const u64 *a, const u64 *b, int width, u64 m, u64 *out)
-{
-    u64 r = 0, mod = 1;
-    for (int j = 0; j < width; j++) {
-        u64 aj = a[j] % m, bj = b[j] % m, g = gcd_u64(aj, m), mj, rj, gg, lcm, step, t;
-        if (g == 0)
-            g = m;
-        if (bj % g)
-            return 0;
-        mj = m / g;
-        rj = mj > 1 ? mulmod(bj / g, invmod(aj / g, mj), mj) : 0;
-        gg = gcd_u64(mod, mj);
-        lcm = mod / gg * mj;
-        if ((rj + lcm - r) % gg)
-            return 0;
-        step = mj / gg;
-        t = step > 1
-            ? mulmod((rj + lcm - r) / gg % step, invmod(mod / gg % step, step), step)
-            : 0;
-        r = (r + mod * t) % lcm;
-        mod = lcm;
-    }
-    *out = r;
-    return 1;
 }
 
 /* -- argument conversion ----------------------------------------------------- */
@@ -694,60 +674,94 @@ fail:
     return NULL;
 }
 
-/* is there t mod q with u_j^t = v_j for all j?  (all u_j have order 1 or q) */
-static int projection_solvable(const u64 *us, const u64 *vs, Py_ssize_t width, u64 q, u64 p)
+/* is there t mod q with (a_j^t·c_j)^m = 1 for all j, m = (p-1)/q?  1 or 0,
+ * or LOG_NOMEM.  Projections are taken lazily: up to the first a_j of
+ * projection u != 1 (the pivot) each c_j must project to 1; the pivot fixes
+ * t, since its c_j projects to w in <u> = mu_q and u^t·w = 1 for
+ * t = -log_u(w); every later witness then costs one power */
+static int projection_solvable(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q, u64 p)
 {
-    Py_ssize_t piv = 0;
-    u64 w = 1, t = 0;
-    while (piv < width && us[piv] == 1)
-        piv++;
-    if (piv < width) {  /* else t = 0 is the only candidate */
-        for (; t < q && w != vs[piv]; t++)
-            w = mulmod(w, us[piv], p);
-        if (t == q)
+    u64 m = (p - 1) / q;
+    i64 t = -1;
+    for (Py_ssize_t j = 0; j < width; j++) {
+        u64 u, w;
+        i64 s;
+        if (t >= 0) {
+            if (powmod(mulmod(powmod(avals[j], (u64)t, p), cs[j], p), m, p) != 1)
+                return 0;
+            continue;
+        }
+        u = powmod(avals[j], m, p);
+        w = powmod(cs[j], m, p);
+        if (u != 1) {
+            if ((s = digit_log(u, w, q, p)) < 0)
+                return s == LOG_NOMEM ? LOG_NOMEM : 0;
+            t = (i64)((q - (u64)s) % q);
+        } else if (w != 1) {
             return 0;
+        }
     }
+    return 1;
+}
+
+/* is there t with u_j^t = v_j for all j, u_j = a_j^cof and v_j = c_j^cof for
+ * cof = (p-1)/q^e?  (a_j^k·c_j = 1 needs u_j^k = v_j^-1, solvable iff
+ * u_j^t = v_j is.)  1 or 0, or LOG_NOMEM.  All lie in the cyclic subgroup of
+ * order q^e, where the u_j of largest order q^s generates every other u_j;
+ * v_pivot must lie in its group, and t = log v_pivot (mod q^s) is then the
+ * only candidate */
+static int component_solvable(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q,
+                              int e, u64 p)
+{
+    u64 cof = (p - 1) / upow(q, e), us[MAX_WIDTH], vs[MAX_WIDTH], u_piv = 1, v_piv = 1;
+    int s = 0;
+    i64 t = 0;
+    for (Py_ssize_t j = 0; j < width; j++) {
+        u64 w = us[j] = powmod(avals[j], cof, p);
+        int order_exp = 0;
+        vs[j] = powmod(cs[j], cof, p);
+        for (; w != 1; order_exp++)
+            w = powmod(w, q, p);
+        if (order_exp > s) {
+            u_piv = us[j];
+            v_piv = vs[j];
+            s = order_exp;
+        }
+    }
+    if (powmod(v_piv, upow(q, s), p) != 1)
+        return 0;
+    if (s && (t = prime_power_log(u_piv, v_piv, q, s, p)) < 0)
+        return t == LOG_NOMEM ? LOG_NOMEM : 0;
     for (Py_ssize_t j = 0; j < width; j++)
-        if (powmod(us[j], t, p) != vs[j])
+        if (powmod(us[j], (u64)t, p) != vs[j])
             return 0;
     return 1;
 }
 
-static const u64 SMALL_Q[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47};
-#define N_SMALL_Q (sizeof SMALL_Q / sizeof SMALL_Q[0])
-
-/* Is (b_j) a simultaneous power of (a_j) mod the prime p?  1 or 0, or a
- * negative code: LOG_NOMEM, or -3 if rho fails on p-1. */
-static int omega_member(u64 p, const u64 *avals, const u64 *bvals, Py_ssize_t width)
+/* Is there k with a_j^k·c_j = 1 (mod the prime p) for all j?  1 or 0, or a
+ * negative code: LOG_NOMEM, or -3 if rho fails on p-1.  The steps of
+ * pure.py: the projections of order q <= 47 first, which reject almost
+ * every prime; only a survivor factors p-1 and checks the components they
+ * leave open. */
+static int omega_member(u64 p, const u64 *avals, const u64 *cs, Py_ssize_t width)
 {
-    u64 n1 = p - 1, us[MAX_WIDTH], vs[MAX_WIDTH], alphas[MAX_WIDTH], betas[MAX_WIDTH];
-    u64 qs[MAX_FACTORS], es[MAX_FACTORS], g, k;
-    int cnt;
-    /* a common k mod p-1 needs one mod each small q | p-1: most primes are
-     * rejected here, before p-1 is factored */
-    for (size_t qi = 0; qi < N_SMALL_Q; qi++) {
-        u64 q = SMALL_Q[qi];
-        if (n1 % q)
-            continue;
-        for (Py_ssize_t j = 0; j < width; j++) {
-            us[j] = powmod(avals[j], n1 / q, p);
-            vs[j] = powmod(bvals[j], n1 / q, p);
-        }
-        if (!projection_solvable(us, vs, width, q, p))
-            return 0;
-    }
-    if ((cnt = factorize_u64(n1, qs, es)) < 0)
+    u64 qs[MAX_FACTORS], es[MAX_FACTORS];
+    int cnt, ok;
+    for (size_t i = 0; i < N_SMALL_Q; i++)
+        if ((p - 1) % SMALL_Q[i] == 0
+            && (ok = projection_solvable(avals, cs, width, SMALL_Q[i], p)) <= 0)
+            return ok;
+    if ((cnt = factorize_u64(p - 1, qs, es)) < 0)
         return -3;
-    g = primitive_root_u64(p, qs, cnt);
-    for (Py_ssize_t j = 0; j < width; j++) {
-        i64 alpha = discrete_log_u64(g, avals[j], p, qs, cnt);
-        i64 beta = alpha < 0 ? alpha : discrete_log_u64(g, bvals[j], p, qs, cnt);
-        if (beta < 0)
-            return beta == LOG_NOMEM ? LOG_NOMEM : 0;
-        alphas[j] = (u64)alpha;
-        betas[j] = (u64)beta;
+    for (int i = 0; i < cnt; i++) {
+        if (es[i] == 1 && qs[i] <= SMALL_Q_MAX)
+            continue;
+        ok = es[i] == 1 ? projection_solvable(avals, cs, width, qs[i], p)
+                        : component_solvable(avals, cs, width, qs[i], (int)es[i], p);
+        if (ok <= 0)
+            return ok;
     }
-    return solve_system_u64(alphas, betas, (int)width, n1, &k);
+    return 1;
 }
 
 PyDoc_STRVAR(omega_members_doc,
@@ -758,7 +772,7 @@ PyDoc_STRVAR(omega_members_doc,
 static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *primes, *ns, *fnums, *fdens, *fast;
-    u64 cn[MAX_WIDTH], cfd[MAX_WIDTH], avals[MAX_WIDTH], bvals[MAX_WIDTH];
+    u64 cn[MAX_WIDTH], cfd[MAX_WIDTH], avals[MAX_WIDTH], cs[MAX_WIDTH];
     u64 counted = 0, skipped = 0, members = 0;
     i64 cfn[MAX_WIDTH];
     Py_ssize_t width, n;
@@ -783,11 +797,12 @@ static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *arg
             continue;
         }
         counted++;
+        /* c_j = f(n_j)^-1, so each test is a_j^k·c_j = 1 */
         for (Py_ssize_t j = 0; j < width; j++) {
             avals[j] = cn[j] % p;
-            bvals[j] = mulmod(residue(cfn[j], p), invmod(cfd[j] % p, p), p);
+            cs[j] = mulmod(cfd[j] % p, invmod(residue(cfn[j], p), p), p);
         }
-        member = omega_member(p, avals, bvals, width);
+        member = omega_member(p, avals, cs, width);
         if (member == LOG_NOMEM) {
             PyErr_NoMemory();
             goto fail;

@@ -224,6 +224,24 @@ def _bsgs(base: int, target: int, order: int, p: int) -> int | None:
     return None
 
 
+# the primes whose logs are walked, not looked up by BSGS; omega_members
+# decides their projections before it factors p - 1
+_SMALL_Q = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _digit_log(base: int, target: int, q: int, p: int) -> int | None:
+    # log of target in the group <base> of prime order q: a walk of at most
+    # q steps for q <= 47, BSGS above
+    if q > _SMALL_Q[-1]:
+        return _bsgs(base, target, q, p)
+    cur = 1
+    for t in range(q):
+        if cur == target:
+            return t
+        cur = cur * base % p
+    return None
+
+
 def _prime_power_log(gq: int, hq: int, q: int, e: int, p: int) -> int:
     # digit-by-digit lift; gq has order exactly q^e
     gamma = pow(gq, q ** (e - 1), p)
@@ -231,7 +249,7 @@ def _prime_power_log(gq: int, hq: int, q: int, e: int, p: int) -> int:
     for i in range(e):
         expo = q ** (e - 1 - i)
         target = pow(pow(gq, -x, p) * hq % p, expo, p)
-        d = _bsgs(gamma, target, q, p)
+        d = _digit_log(gamma, target, q, p)
         if d is None:
             raise ValueError("element outside the subgroup generated by the base")
         x += d * q**i
@@ -417,11 +435,41 @@ def class_counts(
     return counted, skipped, hits
 
 
-def _component_solvable(us: list[int], vs: list[int], q: int, p: int) -> bool:
-    # is there t with u_j^t == v_j for all j?  All u_j, v_j lie in the cyclic
-    # subgroup of order q^e, where the u_j of largest order q^s generates
-    # every other u_j; v_pivot must lie in its group, and t = log v_pivot
-    # (mod q^s) is then the only candidate
+def _projection_solvable(avals: list[int], cs: list[int], q: int, p: int) -> bool:
+    # is there t mod q with (a_j^t · c_j)^m == 1 for all j, m = (p-1)/q?
+    # Projections are taken lazily: up to the first a_j of projection u != 1
+    # (the pivot) each c_j must project to 1; the pivot fixes t, since its
+    # c_j projects to w in <u> = mu_q and u^t · w == 1 for t = -log_u(w);
+    # every later witness then costs one power
+    m = (p - 1) // q
+    t = None
+    for a, c in zip(avals, cs):
+        if t is not None:
+            if pow(pow(a, t, p) * c % p, m, p) != 1:
+                return False
+            continue
+        u = pow(a, m, p)
+        w = pow(c, m, p)
+        if u != 1:
+            s = _digit_log(u, w, q, p)
+            if s is None:
+                return False
+            t = -s % q
+        elif w != 1:
+            return False
+    return True
+
+
+def _component_solvable(avals: list[int], cs: list[int], q: int, e: int, p: int) -> bool:
+    # is there t with u_j^t == v_j for all j, u_j = a_j^cof and v_j = c_j^cof
+    # for cof = (p-1)/q^e?  (a_j^k · c_j == 1 needs u_j^k == v_j^-1, solvable
+    # iff u_j^t == v_j is.)  All lie in the cyclic subgroup of order q^e,
+    # where the u_j of largest order q^s generates every other u_j; v_pivot
+    # must lie in its group, and t = log v_pivot (mod q^s) is then the only
+    # candidate
+    cof = (p - 1) // q**e
+    us = [pow(a, cof, p) for a in avals]
+    vs = [pow(c, cof, p) for c in cs]
     u_piv, v_piv, s = 1, 1, 0
     for u, v in zip(us, vs):
         w, order_exp = u, 0
@@ -436,6 +484,23 @@ def _component_solvable(us: list[int], vs: list[int], q: int, p: int) -> bool:
     return all(pow(u, t, p) == v for u, v in zip(us, vs))
 
 
+def _omega_member(avals: list[int], cs: list[int], p: int) -> bool:
+    # is there k with a_j^k · c_j == 1 (mod p) for all j?  One exists mod
+    # p-1 iff one exists mod each q^e || p-1 (CRT).  The projections of
+    # order q <= 47 come first and reject almost every prime; only a
+    # survivor factors p-1 and checks the components they leave open
+    for q in _SMALL_Q:
+        if (p - 1) % q == 0 and not _projection_solvable(avals, cs, q, p):
+            return False
+    for q, e in _prime_powers(p - 1):
+        if e == 1:
+            if q > _SMALL_Q[-1] and not _projection_solvable(avals, cs, q, p):
+                return False
+        elif not _component_solvable(avals, cs, q, e, p):
+            return False
+    return True
+
+
 def omega_members(
     primes: list[int], ns: list[int], fnums: list[int], fdens: list[int]
 ) -> tuple[int, int, int]:
@@ -444,6 +509,16 @@ def omega_members(
     Returns (counted, skipped, members): skipped primes divide some n_j or
     some f(n_j) numerator/denominator; counted primes were tested; members
     admit a common exponent k with n_j^k ≡ f(n_j) (mod p) for all j.
+
+    Each counted prime is decided in two steps.  First, for each prime
+    q <= 47 dividing p - 1, ascending, the projections x -> x^((p-1)/q) are
+    taken one witness at a time: a witness whose n_j projects to 1 needs an
+    f(n_j) that does too, the first one projecting to u != 1 fixes k mod q
+    by a walk of at most q steps, each later witness costs one power, and
+    the first failure rejects p.  Then only a survivor factors p - 1: a
+    component of prime order q > 47 gets the same test with k mod q from
+    BSGS, and a component of order q^e, e >= 2, a Pohlig-Hellman log of its
+    largest projection.
     """
     counted = skipped = members = 0
     width = len(ns)
@@ -458,16 +533,7 @@ def omega_members(
             continue
         counted += 1
         avals = [n % p for n in ns]
-        bvals = [fn * pow(fd, -1, p) % p for fn, fd in zip(fnums, fdens)]
-        # a common k mod p-1 exists iff one exists mod each q^e || p-1 (CRT);
-        # small q come first, so most primes are rejected within a component
-        # or two
-        for q, e in _prime_powers(p - 1):
-            cof = (p - 1) // q**e
-            us = [pow(a, cof, p) for a in avals]
-            vs = [pow(b, cof, p) for b in bvals]
-            if not _component_solvable(us, vs, q, p):
-                break
-        else:
-            members += 1
+        # c_j = f(n_j)^-1, so each test is a_j^k · c_j == 1
+        cs = [fd * pow(fn, -1, p) % p for fn, fd in zip(fnums, fdens)]
+        members += _omega_member(avals, cs, p)
     return counted, skipped, members

@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
@@ -327,6 +328,12 @@ def _omega_brute_force(primes, ns, fnums, fdens):
     return counted, skipped, members
 
 
+def _projections_agree(ns, fs, q, p):
+    # is there k mod q with n_j^(k·m) == f_j^m (mod p), m = (p-1)/q?
+    m = (p - 1) // q
+    return any(all(pow(n, k * m, p) == pow(f, m, p) for n, f in zip(ns, fs)) for k in range(q))
+
+
 def test_omega_members_agreement_and_brute_force():
     primes = pure.sieve(3000)
     cases = [
@@ -336,6 +343,12 @@ def test_omega_members_agreement_and_brute_force():
         ([2, 3], [1, 2], [2, 1]),
         # rejected at p = 107 = 2*53 + 1 only by its order-53 component
         ([2, 3], [4, 3], [1, 1]),
+        # rejected at p = 17 = 2^4 + 1 only by its order-16 component
+        ([2, 3], [2, 5], [1, 1]),
+        # x -> x^3 with a square first: at q = 2 the pivot is a later witness
+        ([4, 3, 5], [64, 27, 125], [1, 1, 1]),
+        # a member at p = 107, whose order-53 component is checked by BSGS
+        ([2, 3], [9, 10], [1, 1]),
         # x -> x^3: where 4 | ord(2), the order-2^e component's largest
         # projection is the second entry's
         ([4, 2], [64, 8], [1, 1]),
@@ -351,6 +364,10 @@ def test_omega_members_agreement_and_brute_force():
     assert not any(pow(2, k, p) == 4 and pow(3, k, p) == 3 for k in range(p - 1))
     assert any(pow(2, 53 * k, p) == pow(4, 53, p) and pow(3, 53 * k, p) == pow(3, 53, p)
                for k in range(2))
+    assert any(pow(2, k, p) == 9 and pow(3, k, p) == 10 for k in range(p - 1))
+    p = 17
+    assert _projections_agree([2, 3], [2, 5], 2, p)
+    assert not any(pow(2, k, p) == 2 and pow(3, k, p) == 5 for k in range(p - 1))
     for ns, fnums, fdens in cases:
         got = pure.omega_members(primes, ns, fnums, fdens)
         assert got == _omega_brute_force(primes, ns, fnums, fdens), (ns, fnums, fdens)
@@ -361,6 +378,62 @@ def test_omega_members_agreement_and_brute_force():
             0 <= n < 2**63 for n in ns
         ) and all(abs(v) < 2**63 for v in fnums + fdens):
             assert native.omega_members(primes, ns, fnums, fdens) == got
+
+
+@st.composite
+def omega_cases(draw):
+    ns = draw(st.lists(st.integers(1, 60), min_size=3, max_size=3))
+    k = draw(st.integers(0, 9))
+    fnums, fdens = [], []
+    for n in ns:
+        # f(n) = n^k is a member at every prime; another exponent, a sign, a
+        # factor or a denominator leaves members at some primes only
+        num, den = n**k, 1
+        change = draw(st.integers(0, 6))
+        if change == 1:
+            num = n ** draw(st.integers(0, 9))
+        elif change == 2:
+            num = -num
+        elif change == 3:
+            num *= draw(st.sampled_from((2, 3, 5, 7)))
+        elif change == 4:
+            den = draw(st.sampled_from((2, 11)))
+        fnums.append(num)
+        fdens.append(den)
+    return ns, fnums, fdens
+
+
+OMEGA_PRIMES = pure.sieve(500)
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega_cases())
+def test_omega_members_match_the_brute_force(case):
+    expected = _omega_brute_force(OMEGA_PRIMES, *case)
+    for mod in BACKENDS:
+        assert mod.omega_members(OMEGA_PRIMES, *case) == expected, mod.BACKEND
+    assert kernels.omega_members(OMEGA_PRIMES, *case) == expected
+
+
+def test_omega_members_walk_every_small_order():
+    # Orders q <= 47 are walked, so BSGS runs only for a component of prime
+    # order above 47, once per digit, and only at the primes whose small
+    # projections all allow a common exponent.  53 calls at this shape.
+    primes = pure.sieve(20000)
+    calls = []
+    bsgs = pure._bsgs
+
+    def counting(base, target, order, p):
+        calls.append((order, p))
+        return bsgs(base, target, order, p)
+
+    with patch.object(pure, "_bsgs", counting):
+        got = pure.omega_members(primes, [2, 17, 29], [53, 89, 67], [1, 1, 1])
+    assert got == (len(primes) - 6, 6, 0)
+    assert len(calls) == 53
+    for (order, p), n in Counter(calls).items():
+        assert order > 47 and (p - 1) % order == 0, (order, p)
+        assert n <= dict(pure.factorize(p - 1))[order], (order, p)
 
 
 def test_dispatch_falls_back_beyond_64_bits():

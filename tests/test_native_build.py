@@ -30,6 +30,11 @@ pytestmark = pytest.mark.skipif(
 TABLE_F = json.dumps({"kind": "table", "overrides": {"2": "5", "3": "7", "5": "11"}})
 # f(2) = 2^70 is wider than a machine word, so the dispatch routes to pure
 WIDE_F = json.dumps({"kind": "table", "overrides": {"2": str(2**70), "3": "5", "5": "7"}})
+# the shape of the heuristic benchmark's function at seed 1
+SEED1_F = json.dumps({
+    "kind": "table", "sign_value": -1, "default_exponent": 2,
+    "overrides": {"2": "53", "17": "89", "29": "67"},
+})
 ARGVS = (
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,7", "--mode", "c4"),
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,5", "--mode", "split"),
@@ -39,6 +44,8 @@ ARGVS = (
      "--workers", "2"),
     ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "20000"),
     ("heuristic", "--function", WIDE_F, "--witnesses", "2,3,5", "--limit", "5000"),
+    ("heuristic", "--function", SEED1_F, "--witnesses", "2,17,29", "--limit", "200000",
+     "--workers", "2"),
     ("sf-scan", "--function", TABLE_F, "--limit", "20000"),
     ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical"),
     ("tf-scan", "--function", TABLE_F, "--limit", "3000"),
@@ -121,5 +128,5 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    # density-scan four times, heuristic twice, sf-scan twice and tf-scan once
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 9
+    # density-scan four times, heuristic three times, sf-scan twice and tf-scan once
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 10
