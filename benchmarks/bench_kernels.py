@@ -1,8 +1,8 @@
 """Timing of the compiled kernels against the pure mirror.
 
-Times the five kernels that localpow.kernels dispatches to the compiled
-backend when it is built, and density-scan's prime generator
-`prime_segments`, which is pure under every backend.
+Times the three kernels that localpow.kernels dispatches to the compiled
+backend when it is built, and `factorize`, `discrete_log` and density-scan's
+prime generator `prime_segments`, which are pure under every backend.
 
 Run as: python3 benchmarks/bench_kernels.py
 """
@@ -11,6 +11,7 @@ import time
 
 from localpow.chebotarev import _character_prefilter
 from localpow.kernels import pure
+from localpow.modular import primitive_root
 from localpow.ratfact import as_factored
 
 try:
@@ -33,7 +34,7 @@ def main():
     split_3 = [p for p in primes_1m if p % 3 == 1]
     primes_200k = [p for p in primes_1m if p <= 2 * 10**5]
     dlog_ps = primes_1m[-200:]
-    dlog_gs = [pure.primitive_root(p) for p in dlog_ps]
+    dlog_gs = [primitive_root(p) for p in dlog_ps]
     # heuristic's witnesses and values at benchmark seed 1, on the primes its
     # quadratic-character prefilter leaves to omega_members
     seed1_ns, seed1_fs = [2, 17, 29], [53, 89, 67]
@@ -43,16 +44,6 @@ def main():
 
     tasks = [
         ("sieve(10^6)", lambda m: m.sieve(10**6), 3),
-        (
-            "factorize 2000 ints near 10^12",
-            lambda m: [m.factorize(n) for n in range(10**12, 10**12 + 2000)],
-            1,
-        ),
-        (
-            "discrete_log at 200 primes near 10^6",
-            lambda m: [m.discrete_log(g, 1234567 % p, p) for g, p in zip(dlog_gs, dlog_ps)],
-            1,
-        ),
         (
             "class_counts c4, (2,3,5,7), p = 1 mod 3 to 10^6",
             lambda m: m.class_counts(split_3, 3, [2, 3, 5, 7], [1, 1, 1, 1], 2),
@@ -82,9 +73,28 @@ def main():
         print(
             f"{label:<50} {t_pure:>9.3f}s {t_native:>9.3f}s {t_pure / t_native:>7.1f}x"
         )
-    label = "prime_segments(2, 10^7 + 1, 6), pure only"
-    t_pure = best_of(lambda: sum(map(len, pure.prime_segments(2, 10**7 + 1, 6))))
-    print(f"{label:<50} {t_pure:>9.3f}s {'n/a':>10} {'n/a':>8}")
+    pure_only = [
+        (
+            "factorize 2000 ints near 10^12, pure only",
+            lambda: [pure.factorize(n) for n in range(10**12, 10**12 + 2000)],
+            1,
+        ),
+        (
+            "discrete_log at 200 primes near 10^6, pure only",
+            lambda: [
+                pure.discrete_log(g, 1234567 % p, p) for g, p in zip(dlog_gs, dlog_ps)
+            ],
+            1,
+        ),
+        (
+            "prime_segments(2, 10^7 + 1, 6), pure only",
+            lambda: sum(map(len, pure.prime_segments(2, 10**7 + 1, 6))),
+            3,
+        ),
+    ]
+    for label, fn, repeat in pure_only:
+        t_pure = best_of(fn, repeat)
+        print(f"{label:<50} {t_pure:>9.3f}s {'n/a':>10} {'n/a':>8}")
 
 
 if __name__ == "__main__":

@@ -3,13 +3,13 @@
 The compiled backend is used exactly when its extension module,
 `localpow.kernels._native`, imports; it is built from the hand-written C
 source `_native.c`, and `pure.py` is its specification.  It exports only the
-five kernels the scans spend their time in: `sieve`, `factorize`,
-`discrete_log`, `class_counts` and `omega_members`.  `count_primes`,
-`prime_segments`, `is_prime`, `primitive_root`, `solve_exponent_system` and
-`z_b_rows` are pure under every backend: the sublinear prime count beats a
-compiled sieve count, the segments of one residue class cost a slice per
-base prime, `z_b_rows` is left to single primes (`frobenius_vector`) and to
-tests, and the other three are called too rarely for their speed to show.
+three kernels the scans spend their time in: `sieve`, `class_counts` and
+`omega_members`.  `count_primes`, `prime_segments`, `is_prime`, `factorize`,
+`discrete_log` and `z_b_rows` are pure under every backend: the sublinear
+prime count beats a compiled sieve count, the segments of one residue class
+cost a slice per base prime, `z_b_rows` is left to single primes
+(`frobenius_vector`) and to tests, and factorizations and logs run only at
+the primes a scan's kernel keeps and in single calls.
 """
 
 from . import pure as _pure
@@ -25,13 +25,11 @@ sieve = _impl.sieve
 count_primes = _pure.count_primes
 prime_segments = _pure.prime_segments
 is_prime = _pure.is_prime
-primitive_root = _pure.primitive_root
-solve_exponent_system = _pure.solve_exponent_system
+factorize = _pure.factorize
+discrete_log = _pure.discrete_log
 z_b_rows = _pure.z_b_rows
 
 if _impl is _pure:
-    factorize = _pure.factorize
-    discrete_log = _pure.discrete_log
     class_counts = _pure.class_counts
     omega_members = _pure.omega_members
 else:
@@ -41,16 +39,6 @@ else:
 
     def _fits(values):
         return all(-_I64_MAX <= v <= _I64_MAX for v in values)
-
-    def factorize(n):
-        if n <= _I64_MAX:
-            return _impl.factorize(n)
-        return _pure.factorize(n)
-
-    def discrete_log(g, h, p, factors=None):
-        if p <= _I64_MAX:
-            return _impl.discrete_log(g, h, p, factors)
-        return _pure.discrete_log(g, h, p, factors)
 
     def class_counts(primes, ell, nums, dens, k):
         if (
@@ -81,9 +69,7 @@ __all__ = [
     "prime_segments",
     "is_prime",
     "factorize",
-    "primitive_root",
     "discrete_log",
-    "solve_exponent_system",
     "z_b_rows",
     "class_counts",
     "omega_members",

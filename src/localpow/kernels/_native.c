@@ -1,4 +1,4 @@
-/* Compiled backend for the five dispatched prime and scan kernels.
+/* Compiled backend for the three dispatched prime and scan kernels.
  *
  * Same contract as pure.py: every public function returns exactly what the
  * pure one does and raises the same exception types.  The arithmetic works
@@ -347,41 +347,6 @@ static i64 prime_power_log(u64 gq, u64 hq, u64 q, int e, u64 p)
     return (i64)x;
 }
 
-/* the smallest x >= 0 with g^x = h (mod p) for units g, h in [1, p), by
- * Pohlig-Hellman over the cnt primes qs of p-1; LOG_NONE or LOG_NOMEM
- * otherwise */
-static i64 discrete_log_u64(u64 g, u64 h, u64 p, const u64 *qs, int cnt)
-{
-    u64 d = p - 1, x = 0, mod = 1;
-    /* d = the exact multiplicative order of g, peeled off p-1 prime by prime */
-    for (int i = 0; i < cnt; i++)
-        while (d % qs[i] == 0 && powmod(g, d / qs[i], p) == 1)
-            d /= qs[i];
-    if (powmod(h, d, p) != 1)
-        return LOG_NONE;
-    if (h == 1)
-        return 0;
-    for (int i = 0; i < cnt; i++) {
-        u64 q = qs[i], qt, gq, hq, r, dd = d;
-        int t = 0;
-        i64 xi;
-        for (; dd % q == 0; dd /= q)
-            t++;
-        if (t == 0)
-            continue;
-        qt = upow(q, t);
-        gq = powmod(g, d / qt, p);  /* order exactly q^t */
-        hq = powmod(h, d / qt, p);
-        xi = prime_power_log(gq, hq, q, t, p);
-        if (xi < 0)
-            return xi;
-        r = ((u64)xi + qt - x % qt) % qt;
-        x += mod * mulmod(r, invmod(mod % qt, qt), qt);
-        mod *= qt;
-    }
-    return (i64)x;
-}
-
 /* -- argument conversion ----------------------------------------------------- */
 
 static int as_i64(PyObject *obj, i64 *out)
@@ -420,15 +385,6 @@ static Py_ssize_t read_words(PyObject *seq, void *vals, int is_signed, Py_ssize_
     return width;
 }
 
-/* Python's x % p as a word, so a negative x reduces as in pure.py */
-static int py_mod(PyObject *x, PyObject *p, u64 *out)
-{
-    PyObject *rem = PyNumber_Remainder(x, p);
-    int ok = rem != NULL && as_u64(rem, out);
-    Py_XDECREF(rem);
-    return ok;
-}
-
 /* a prime of the primes argument; p = 0 raises what `x % 0` raises */
 static int as_prime(PyObject *obj, u64 *p)
 {
@@ -451,14 +407,6 @@ static inline u64 residue(i64 x, u64 p)
 static PyObject *rho_failed(u64 n)
 {
     PyErr_Format(PyExc_ArithmeticError, "rho failed to split %llu", (unsigned long long)n);
-    return NULL;
-}
-
-static PyObject *log_failed(i64 code)
-{
-    if (code == LOG_NOMEM)
-        return PyErr_NoMemory();
-    PyErr_SetString(PyExc_ValueError, "element outside the subgroup generated by the base");
     return NULL;
 }
 
@@ -499,70 +447,6 @@ static PyObject *kernel_sieve(PyObject *Py_UNUSED(module), PyObject *arg)
     }
     free(flags);
     return out;
-}
-
-PyDoc_STRVAR(factorize_doc,
-"factorize(n)\n--\n\nPrime factorization of n >= 1 as sorted (prime, exponent) pairs.");
-
-static PyObject *kernel_factorize(PyObject *Py_UNUSED(module), PyObject *arg)
-{
-    u64 ps[MAX_FACTORS], es[MAX_FACTORS];
-    int overflow, cnt;
-    long long n = PyLong_AsLongLongAndOverflow(arg, &overflow);
-    PyObject *out;
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow > 0) {
-        PyErr_SetString(PyExc_OverflowError, "native backend handles n < 2^63");
-        return NULL;
-    }
-    if (overflow < 0 || n < 1) {
-        PyErr_SetString(PyExc_ValueError, "factorize needs n >= 1");
-        return NULL;
-    }
-    cnt = factorize_u64((u64)n, ps, es);
-    if (cnt < 0)
-        return rho_failed((u64)n);
-    out = PyList_New(cnt);
-    for (int i = 0; out != NULL && i < cnt; i++) {
-        PyObject *pair = Py_BuildValue("(Ki)", (unsigned long long)ps[i], (int)es[i]);
-        if (pair == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, pair);
-    }
-    return out;
-}
-
-PyDoc_STRVAR(discrete_log_doc,
-"discrete_log(g, h, p, factors=None)\n--\n\n"
-"Smallest x >= 0 with g^x = h (mod p), via Pohlig-Hellman + BSGS.\n\n"
-"factors, if given, are the distinct primes dividing p - 1.");
-
-static PyObject *kernel_discrete_log(PyObject *Py_UNUSED(module), PyObject *args,
-                                     PyObject *kwargs)
-{
-    static char *kwlist[] = {"g", "h", "p", "factors", NULL};
-    PyObject *g_obj, *h_obj, *p_obj, *factors = Py_None;
-    u64 g, h, p, qs[MAX_FACTORS], es[MAX_FACTORS];
-    int cnt;
-    i64 x;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|O:discrete_log", kwlist,
-                                     &g_obj, &h_obj, &p_obj, &factors)
-        || !py_mod(g_obj, p_obj, &g) || !py_mod(h_obj, p_obj, &h) || !as_u64(p_obj, &p))
-        return NULL;
-    if (g == 0 || h == 0)
-        return log_failed(LOG_NONE);
-    if (factors != Py_None)
-        cnt = (int)read_words(factors, qs, 0, MAX_FACTORS);
-    else if ((cnt = factorize_u64(p - 1, qs, es)) < 0)
-        return rho_failed(p - 1);
-    if (cnt < 0)
-        return NULL;
-    x = discrete_log_u64(g, h, p, qs, cnt);
-    if (x < 0)
-        return log_failed(x);
-    return PyLong_FromLongLong(x);
 }
 
 /* The lambda in [0, ell) with w^lambda = z (mod p), for a character w != 1;
@@ -825,9 +709,6 @@ fail:
 
 static PyMethodDef kernel_methods[] = {
     {"sieve", kernel_sieve, METH_O, sieve_doc},
-    {"factorize", kernel_factorize, METH_O, factorize_doc},
-    {"discrete_log", (PyCFunction)(void (*)(void))kernel_discrete_log,
-     METH_VARARGS | METH_KEYWORDS, discrete_log_doc},
     {"class_counts", kernel_class_counts, METH_VARARGS, class_counts_doc},
     {"omega_members", kernel_omega_members, METH_VARARGS, omega_members_doc},
     {NULL, NULL, 0, NULL},
@@ -836,7 +717,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "localpow.kernels._native",
-    .m_doc = "Compiled backend for the five dispatched prime and scan kernels.",
+    .m_doc = "Compiled backend for the three dispatched prime and scan kernels.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -1,11 +1,11 @@
 """Pure-Python backend for the prime and scan kernels.
 
-The specification of the compiled backend: each of the five kernels that
-`_native.c` also implements (`sieve`, `factorize`, `discrete_log`,
-`class_counts` and `omega_members`) must return exactly what the one here
-does and raise the same exception types.  The others (`count_primes`,
-`prime_segments`, `is_prime`, `primitive_root`, `solve_exponent_system` and
-`z_b_rows`) run from here under every backend.
+The specification of the compiled backend: each of the three kernels that
+`_native.c` also implements (`sieve`, `class_counts` and `omega_members`)
+must return exactly what the one here does and raise the same exception
+types.  The others (`count_primes`, `prime_segments`, `is_prime`,
+`factorize`, `discrete_log` and `z_b_rows`) run from here under every
+backend.
 """
 
 from __future__ import annotations
@@ -193,18 +193,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return list(_prime_powers(n))
 
 
-def primitive_root(p: int) -> int:
-    """Smallest primitive root mod the prime p."""
-    if p == 2:
-        return 1
-    qs = [q for q, _ in factorize(p - 1)]
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-        g += 1
-
-
 def _bsgs(base: int, target: int, order: int, p: int) -> int | None:
     # baby-step giant-step in the cyclic group <base> of the given order
     m = isqrt(order - 1) + 1
@@ -293,29 +281,6 @@ def discrete_log(g: int, h: int, p: int, factors: list[int] | None = None) -> in
         x += mod * ((xi - x) * pow(mod, -1, qt) % qt)
         mod *= qt
     return x
-
-
-def solve_exponent_system(a: list[int], b: list[int], m: int) -> int | None:
-    """Smallest k in [0, m) with k*a_j ≡ b_j (mod m) for all j, else None."""
-    r, mod = 0, 1
-    for aj, bj in zip(a, b):
-        g = gcd(aj, m)
-        if bj % g:
-            return None
-        mj = m // g
-        rj = (bj // g) * pow(aj // g, -1, mj) % mj if mj > 1 else 0
-        gg = gcd(mod, mj)
-        if (rj - r) % gg:
-            return None
-        lcm = mod // gg * mj
-        step = mj // gg
-        if step > 1:
-            t = (rj - r) // gg * pow(mod // gg, -1, step) % step
-        else:
-            t = 0
-        r = (r + mod * t) % lcm
-        mod = lcm
-    return r
 
 
 def z_b_rows(

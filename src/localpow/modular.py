@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 from . import kernels
 from .errors import (
@@ -39,7 +40,13 @@ def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    return kernels.primitive_root(p)
+    if p == 2:
+        return 1
+    qs = [q for q, _ in kernels.factorize(p - 1)]
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g
 
 
 def discrete_log(g: int, h: int, p: int) -> int:
@@ -90,4 +97,22 @@ def solve_power_congruences(a, b, m: int):
         raise WrongLengthError(f"got {len(a)} coefficients and {len(b)} targets")
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    return kernels.solve_exponent_system([x % m for x in a], [y % m for y in b], m)
+    # k ≡ r (mod mod) solves the congruences read so far; the next one says
+    # k ≡ r_i (mod m_i), and the two merge by CRT
+    r, mod = 0, 1
+    for ai, bi in zip(a, b):
+        ai, bi = ai % m, bi % m
+        g = gcd(ai, m)
+        if bi % g:
+            return None
+        mi = m // g
+        ri = bi // g * pow(ai // g, -1, mi) % mi if mi > 1 else 0
+        gg = gcd(mod, mi)
+        if (ri - r) % gg:
+            return None
+        lcm = mod // gg * mi
+        step = mi // gg
+        t = (ri - r) // gg * pow(mod // gg, -1, step) % step if step > 1 else 0
+        r = (r + mod * t) % lcm
+        mod = lcm
+    return r

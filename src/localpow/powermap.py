@@ -30,6 +30,10 @@ from .ratfact import MAX_VALUE_BITS, ONE, FactoredRational, as_factored, is_prim
 
 EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
 
+# The empirical verdict asks omega_members about this many of its witnesses,
+# the most the compiled kernel takes; the default bound tabulates 15.
+HEAD_WITNESSES = 16
+
 # The most entries a value table f(1..N) may have.  Small values cost about
 # 50 bytes an entry (the int, its slot and a smallest-prime-factor slot), so
 # the cap keeps such a table near 1 GB.
@@ -157,7 +161,12 @@ def evaluate(f: MultiplicativeMap, x) -> FactoredRational:
 
 @dataclass
 class LocalVerdict:
-    """Decision for one prime: is f locally x -> x^{k_p} on units mod p?"""
+    """Decision for one prime: is f locally x -> x^{k_p} on units mod p?
+
+    An empirical verdict reads f at the primes q <= bound.  It is "unknown"
+    only when one k gives q^k ≡ f(q) (mod p) at every such q other than p
+    but no such q generates the units mod p, so k_p is not fixed.
+    """
 
     p: int
     member: str  # "yes" | "no" | "unknown"
@@ -204,9 +213,11 @@ def _check_verdicts(f, mode: str, bound, domain: str) -> None:
 def _verdicts(f, mode: str, bound, domain: str):
     """Check mode, domain and model once; the decision p -> (member, k_p) for primes p.
 
-    Each value f(q) the decision reads becomes a pair (a, b) here, so a prime
-    costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p) exactly when
-    p ∤ b and p | a - q^k_p·b.
+    Each value f(q) the decision reads becomes a pair (a, b) here, so an
+    exact verdict costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p)
+    exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict asks
+    `kernels.omega_members` first and takes a discrete log only at a prime
+    it keeps.
     """
     _check_verdicts(f, mode, bound, domain)
     structured = isinstance(f, MultiplicativeMap)
@@ -231,22 +242,43 @@ def _verdicts(f, mode: str, bound, domain: str):
         k_p = f.default_exponent % (p - 1)
         return ("yes", k_p) if agrees(p, k_p) else ("no", None)
 
+    if mode == "exact":
+        return exact
+
+    def witnesses(p: int, rows):
+        # the kernel's columns: each q other than p among the rows, and the
+        # numerator and denominator of f(q)
+        rows = [row for row in rows if row[0] != p]
+        return [q for q, _, _ in rows], [a for _, a, _ in rows], [b for _, _, b in rows]
+
+    head = table[:HEAD_WITNESSES]  # the bound is at least 2, so head[-1] exists
+    first = witnesses(0, head)
+
     def empirical(p: int):
-        # k_p is the log of f(g) to the base g, the smallest tabulated prime
-        # other than p whose residue generates the units mod p
+        # The kernel asks whether one k gives q^k ≡ f(q) (mod p) for the
+        # first HEAD_WITNESSES tabulated q other than p, and skips a p that
+        # divides one of their f(q): either way p is "no", and almost every
+        # prime is.  Only a kept prime takes a log: k_p is the log of f(g) to
+        # the base g, the smallest tabulated prime other than p whose residue
+        # generates the units mod p, checked against every tabulated q.
+        ws = first if p > head[-1][0] else witnesses(p, table[: HEAD_WITNESSES + 1])
+        if not kernels.omega_members([p], *ws)[2]:
+            return "no", None
         factors = [r for r, _ in kernels.factorize(p - 1)]
         for q, a, b in table:
             g = q % p
             if q != p and all(pow(g, (p - 1) // r, p) != 1 for r in factors):
                 break
         else:
-            return "unknown", None
+            # no log fixes k_p: p is "unknown" if one k fits every tabulated q
+            member = kernels.omega_members([p], *witnesses(p, table))[2]
+            return ("unknown" if member else "no"), None
         if a % p == 0 or b % p == 0:
             return "no", None
         k_p = kernels.discrete_log(g, a * pow(b, -1, p) % p, p, factors)
         return ("yes", k_p) if agrees(p, k_p) else ("no", None)
 
-    return exact if mode == "exact" else empirical
+    return empirical
 
 
 def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> LocalVerdict:
@@ -260,7 +292,9 @@ def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> Lo
 def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], int]:
     """(p, k_p) of the members among the primes, in their order, plus the count of unknowns.
 
-    The primes come from a sieve and are not checked again.
+    The primes come from a sieve and are not checked again.  In empirical
+    mode only the primes `kernels.omega_members` keeps factor p - 1 and take
+    a discrete log.
     """
     decide = _verdicts(f, mode, bound, domain)
     members = []
@@ -285,6 +319,8 @@ def scan_Sf(
 ) -> tuple[list[LocalVerdict], int]:
     """All yes-verdicts for primes <= x, plus the count of unknowns.
 
+    An empirical scan counts as unknown only the primes where the tabulated
+    values allow a common k but no tabulated prime generates the units.
     f must be a MultiplicativeMap.  The inputs are checked before any prime
     is sieved; `workers` processes split the scan without changing it.
     """

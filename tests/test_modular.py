@@ -36,6 +36,12 @@ def test_primitive_root_requires_prime():
     assert primitive_root(7) == 3
 
 
+def test_primitive_root_is_smallest_generator():
+    for p in list(sympy.primerange(3, 2000)):
+        assert primitive_root(p) == sympy.primitive_root(p)
+    assert primitive_root(2) == 1
+
+
 def test_discrete_log_validation():
     with pytest.raises(NotPrimeError):
         discrete_log(2, 3, 9)
@@ -112,3 +118,18 @@ def test_solve_power_congruences_validation():
     with pytest.raises(DomainError):
         solve_power_congruences([1], [1], 0)
     assert solve_power_congruences([], [], 5) == 0
+
+
+def test_solve_power_congruences_on_residues_brute_force():
+    # residues of moduli up to 240
+    rng = random.Random(205)
+    for _ in range(400):
+        m = rng.randint(2, 240)
+        width = rng.randint(1, 4)
+        a = [rng.randint(0, m - 1) for _ in range(width)]
+        b = [rng.randint(0, m - 1) for _ in range(width)]
+        brute = next(
+            (k for k in range(m) if all((ai * k - bi) % m == 0 for ai, bi in zip(a, b))),
+            None,
+        )
+        assert solve_power_congruences(a, b, m) == brute

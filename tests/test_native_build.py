@@ -48,6 +48,12 @@ ARGVS = (
      "--workers", "2"),
     ("sf-scan", "--function", TABLE_F, "--limit", "20000"),
     ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical"),
+    # 17 tabulated primes: the verdict asks omega_members about the first 16,
+    # the most the compiled kernel takes, and checks a kept prime at all 17
+    ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical",
+     "--bound", "60", "--domain", "rational"),
+    ("sf-scan", "--function", WIDE_F, "--limit", "3000", "--mode", "empirical",
+     "--bound", "60", "--domain", "rational"),
     ("tf-scan", "--function", TABLE_F, "--limit", "3000"),
     ("bounds", "--x", "1e7", "--mertens", "5,20000", "--chebyshev-z", "20000"),
     ("frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3"),
@@ -101,7 +107,7 @@ def test_the_module_exports_the_dispatched_kernels_only(native_tree):
         "print(' '.join(sorted(n for n in dir(_native) if not n.startswith('_'))))",
     )
     assert proc.stdout.split() == [
-        "BACKEND", "class_counts", "discrete_log", "factorize", "omega_members", "sieve"
+        "BACKEND", "class_counts", "omega_members", "sieve"
     ], proc.stdout + proc.stderr
 
 
@@ -128,5 +134,6 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    # density-scan four times, heuristic three times, sf-scan twice and tf-scan once
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 10
+    # density-scan four times, heuristic three times, sf-scan four times and
+    # tf-scan once
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 12

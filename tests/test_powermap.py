@@ -1,6 +1,7 @@
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -518,31 +519,86 @@ def test_sf_scan_does_not_reprove_sieved_primes(monkeypatch):
 
 
 def test_empirical_scan_factors_each_prime_once(monkeypatch):
+    # only the primes omega_members keeps factor p - 1, each once, and only
+    # those with a tabulated generator take a log, always given the factors
     f = table_f()
-    primes = kernels.sieve(3000)
-    factored, logs = [], []
-    real_factorize, real_log = kernels.factorize, kernels.discrete_log
-    # the scan as it was when discrete_log factored p - 1 a second time
-    monkeypatch.setattr(
-        kernels, "discrete_log", lambda g, h, p, factors=None: real_log(g, h, p)
+    asked, factored, logs = {}, [], []
+    real_omega, real_factorize, real_log = (
+        kernels.omega_members, kernels.factorize, kernels.discrete_log
     )
-    before = scan_Sf(f, 3000, mode="empirical")
+
+    def recording_omega(primes, *witnesses):
+        got = real_omega(primes, *witnesses)
+        (p,) = primes
+        asked.setdefault(p, []).append(got[2])
+        return got
 
     def counting_factorize(n):
         factored.append(n)
         return real_factorize(n)
 
     def recording_log(g, h, p, factors=None):
-        logs.append(factors)
+        logs.append((p, factors))
         return real_log(g, h, p, factors)
 
-    monkeypatch.setattr(kernels, "factorize", counting_factorize)
-    monkeypatch.setattr(kernels, "discrete_log", recording_log)
-    # pure.discrete_log factors p - 1 through this name when given no factors
-    monkeypatch.setattr(pure, "factorize", counting_factorize)
-    assert scan_Sf(f, 3000, mode="empirical") == before
-    assert sorted(factored) == [p - 1 for p in primes]
-    assert logs and all(factors is not None for factors in logs)
+    # at bound 2 the kernel keeps every p where f(2) is a power of 2, and
+    # those where 2 generates no units are unknown
+    expected = {None: (2, 0), 2: (248, 82)}
+    for bound in (None, 2):
+        before = scan_Sf(f, 3000, mode="empirical", bound=bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "omega_members", recording_omega)
+            patch.setattr(kernels, "factorize", counting_factorize)
+            patch.setattr(kernels, "discrete_log", recording_log)
+            # pure.discrete_log factors p - 1 through this name when given no factors
+            patch.setattr(pure, "factorize", counting_factorize)
+            members, unknown = scan_Sf(f, 3000, mode="empirical", bound=bound)
+        assert (members, unknown) == before
+        kept = [p for p, answers in asked.items() if answers[0]]
+        assert factored == [p - 1 for p in kept]
+        assert [p for p, _ in logs] == [v.p for v in members]
+        assert all(factors is not None for _, factors in logs)
+        # the kernel saw every witness at once, so a kept prime is a member,
+        # and one with no tabulated generator asks again and is unknown
+        assert Counter(map(tuple, asked.values())) == Counter(
+            {(0,): len(asked) - len(kept), (1,): len(members), (1, 1): unknown}
+        )
+        assert (len(kept), unknown) == expected[bound]
+        asked.clear()
+        del factored[:], logs[:]
+
+
+def empirical_oracle(f, p, bound, domain):
+    """(member, k_p) of the empirical verdict by trying every k in [0, p - 2]."""
+    values = [(q, f(q).value()) for q in PrimeCache(bound).primes if q != p]
+    ks = [
+        k for k in range(p - 1)
+        if all(
+            v.denominator % p and (v.numerator - pow(q, k, p) * v.denominator) % p == 0
+            for q, v in values
+        )
+    ]
+    if not ks:
+        return "no", None
+    if not any(len({pow(q, i, p) for i in range(p - 1)}) == p - 1 for q, _ in values):
+        return "unknown", None  # no tabulated generator fixes k mod p - 1
+    (k,) = ks
+    if domain == "rational" and (f.sign_value - (-1) ** k) % p:
+        return "no", None
+    return "yes", k
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table_maps(),
+    st.sampled_from(("positive", "rational")),
+    st.sampled_from((2, 50, 60)),
+)
+def test_empirical_verdicts_match_the_brute_force(f, domain, bound):
+    # bound 60 tabulates 17 primes, one more than the verdict asks the kernel about
+    for p in PrimeCache(200).primes:
+        got = local_exponent(f, p, mode="empirical", bound=bound, domain=domain)
+        assert (got.member, got.k_p) == empirical_oracle(f, p, bound, domain), p
 
 
 def test_extend_to_q_and_nu_vote():
