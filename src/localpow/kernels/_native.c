@@ -1,8 +1,9 @@
 /* Compiled backend for the three dispatched prime and scan kernels.
  *
  * Same contract as pure.py: every public function returns exactly what the
- * pure one does and raises the same exception types.  The arithmetic works
- * in 64-bit words; localpow.kernels routes wider inputs to pure.py.
+ * pure one does and raises the same exception types, except that any
+ * argument too wide for its 64-bit words raises OverflowError;
+ * localpow.kernels reruns such a call on pure.py.
  *
  * Build: python setup.py build_ext --inplace
  */
@@ -18,7 +19,7 @@ typedef uint64_t u64;
 typedef int64_t i64;
 typedef unsigned __int128 u128;
 
-/* widest tuple class_counts and omega_members take; localpow.kernels checks it */
+/* widest tuple class_counts and omega_members take; a wider one raises OverflowError */
 #define MAX_WIDTH 16
 /* more distinct primes than any n < 2^64 has */
 #define MAX_FACTORS 64
@@ -371,7 +372,7 @@ static Py_ssize_t read_words(PyObject *seq, void *vals, int is_signed, Py_ssize_
         return -1;
     width = PySequence_Fast_GET_SIZE(fast);
     if (width > max) {
-        PyErr_Format(PyExc_ValueError, "more than %zd values for the native backend", max);
+        PyErr_Format(PyExc_OverflowError, "more than %zd values for the native backend", max);
         width = -1;
     }
     for (Py_ssize_t j = 0; j < width; j++) {
@@ -385,11 +386,15 @@ static Py_ssize_t read_words(PyObject *seq, void *vals, int is_signed, Py_ssize_
     return width;
 }
 
-/* a prime of the primes argument; p = 0 raises what `x % 0` raises */
+/* a prime p < 2^63, as signed words reduce mod (i64)p; p = 0 raises what `x % 0` raises */
 static int as_prime(PyObject *obj, u64 *p)
 {
     if (!as_u64(obj, p))
         return 0;
+    if (*p > INT64_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "prime too large for the native backend");
+        return 0;
+    }
     if (*p == 0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "integer modulo by zero");
         return 0;

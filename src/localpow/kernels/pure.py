@@ -3,9 +3,10 @@
 The specification of the compiled backend: each of the three kernels that
 `_native.c` also implements (`sieve`, `class_counts` and `omega_members`)
 must return exactly what the one here does and raise the same exception
-types.  The others (`count_primes`, `prime_segments`, `is_prime`,
-`factorize`, `discrete_log` and `z_b_rows`) run from here under every
-backend.
+types, or raise `OverflowError` on an argument too wide for its 64-bit
+words, which `localpow.kernels` then reruns here.  The others
+(`count_primes`, `prime_segments`, `is_prime`, `factorize`, `discrete_log`
+and `z_b_rows`) run from here under every backend.
 """
 
 from __future__ import annotations

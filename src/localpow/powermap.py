@@ -31,7 +31,7 @@ from .ratfact import MAX_VALUE_BITS, ONE, FactoredRational, as_factored, is_prim
 EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
 
 # The empirical verdict asks omega_members about this many of its witnesses,
-# the most the compiled kernel takes; the default bound tabulates 15.
+# the widest call the compiled kernel runs itself; the default bound tabulates 15.
 HEAD_WITNESSES = 16
 
 # The most entries a value table f(1..N) may have.  Small values cost about

@@ -287,6 +287,14 @@ def test_class_counts_oracle_at_the_benchmark_tuple():
             assert mod.class_counts(primes, 3, nums, dens, k) == expected
 
 
+def _outcome(fn, *args):
+    # the return value, or the type of the exception raised
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
 def _omega_brute_force(primes, ns, fnums, fdens):
     counted = skipped = members = 0
     for p in primes:
@@ -347,13 +355,13 @@ def test_omega_members_agreement_and_brute_force():
     for ns, fnums, fdens in cases:
         got = pure.omega_members(primes, ns, fnums, fdens)
         assert got == _omega_brute_force(primes, ns, fnums, fdens), (ns, fnums, fdens)
-        # the dispatch layer routes values wider than 64 bits to pure
+        # the compiled kernel answers, or raises OverflowError on a value
+        # wider than its words, and the dispatch layer then reruns pure
         assert kernels.omega_members(primes, ns, fnums, fdens) == got
-        # the compiled kernel reads witnesses as unsigned words
-        if native is not None and all(
-            0 <= n < 2**63 for n in ns
-        ) and all(abs(v) < 2**63 for v in fnums + fdens):
-            assert native.omega_members(primes, ns, fnums, fdens) == got
+        if native is not None:
+            assert _outcome(native.omega_members, primes, ns, fnums, fdens) in (
+                got, OverflowError
+            ), (ns, fnums, fdens)
 
 
 @st.composite
@@ -425,3 +433,62 @@ def test_dispatch_falls_back_beyond_64_bits():
     got = kernels.omega_members(primes, [2, 3], [2**70, 3**45], [1, 1])
     assert got == pure.omega_members(primes, [2, 3], [2**70, 3**45], [1, 1])
     assert kernels.factorize(2**70) == [(2, 70)]
+    # an ell or a k too wide for a word, and a negative prime
+    got = kernels.class_counts(primes, 2**63 + 1, [2, 5], [1, 1], 0)
+    assert got == pure.class_counts(primes, 2**63 + 1, [2, 5], [1, 1], 0)
+    with pytest.raises(ValueError):
+        kernels.class_counts(primes, 3, [2, 5], [1, 1], 2**63)
+    with pytest.raises(ValueError):
+        kernels.omega_members([-7], [1], [1], [1])
+
+
+# values at the edges of the compiled kernels' 64-bit words
+WORD_EDGES = (2**63 - 1, 2**63, 2**64 - 59, 2**64, -(2**63), -(2**63) - 1, 2**70)
+ABOVE_2_63 = 9223372036854775837  # the least prime above 2^63
+
+
+def _word_edge_cases():
+    # (kernel name, args) at small primes, so that pure stays quick: a huge
+    # ell only with k = 0 (k > 0 walks ell steps) and no prime above 2^63
+    # in omega_members (pure would run BSGS on a huge order)
+    split = [p for p in pure.sieve(300) if p % 3 == 1]
+    small = pure.sieve(200)
+    bases = pure.sieve(60)[:17]
+    for width in range(1, 18):
+        nums = bases[:width]
+        for k in {0, width // 2}:
+            yield "class_counts", (split, 3, nums, [1] * width, k)
+        yield "omega_members", (small, nums, [n**3 for n in nums], [1] * width)
+    for v in WORD_EDGES:
+        for ns, fnums, fdens in (
+            ([v, 3], [8, 27], [1, 1]), ([2, 3], [v, 27], [1, 1]), ([2, 3], [8, 27], [v, 1]),
+        ):
+            yield "omega_members", (small, ns, fnums, fdens)
+        for k in (0, 1):
+            yield "class_counts", (split, 3, [v, 5], [1, 1], k)
+            yield "class_counts", (split, 3, [2, 5], [v, 1], k)
+        yield "class_counts", (split, v, [2, 5], [1, 1], 0)
+        yield "class_counts", (split, 3, [2, 5], [1, 1], v)
+        if v < 0:
+            yield "sieve", (v,)
+    yield "class_counts", (split, 2**70 + 1, [2, 5], [1, 1], 0)
+    yield "class_counts", (split, 3, [2, 5], [1, 1], 2**70)
+    # a prime above 2^63 cast to a signed word would reduce mod 2^64 - p,
+    # sending 2^64 - p to 0
+    for v in (2**64 - ABOVE_2_63, *WORD_EDGES):
+        for k in (0, 1):
+            yield "class_counts", ([ABOVE_2_63], 3, [v, 5], [1, 1], k)
+    yield "class_counts", ([-7], 3, [2, 3], [1, 1], 0)
+    yield "omega_members", ([-7], [1], [1], [1])
+
+
+def test_kernels_agree_with_pure_at_the_word_edges():
+    assert sympy.nextprime(2**63) == ABOVE_2_63
+    for name, args in _word_edge_cases():
+        expected = _outcome(getattr(pure, name), *args)
+        # the dispatch layer returns pure's answer or raises pure's type
+        assert _outcome(getattr(kernels, name), *args) == expected, (name, args)
+        # the compiled kernel answers exactly, or raises OverflowError
+        if native is not None:
+            got = _outcome(getattr(native, name), *args)
+            assert got in (expected, OverflowError), (name, args, got)

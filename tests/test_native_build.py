@@ -28,7 +28,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 TABLE_F = json.dumps({"kind": "table", "overrides": {"2": "5", "3": "7", "5": "11"}})
-# f(2) = 2^70 is wider than a machine word, so the dispatch routes to pure
+# f(2) = 2^70 is wider than a machine word: the compiled kernel raises
+# OverflowError and localpow.kernels reruns the call on pure
 WIDE_F = json.dumps({"kind": "table", "overrides": {"2": str(2**70), "3": "5", "5": "7"}})
 # the shape of the heuristic benchmark's function at seed 1
 SEED1_F = json.dumps({
@@ -39,6 +40,10 @@ ARGVS = (
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,7", "--mode", "c4"),
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,5", "--mode", "split"),
     ("density-scan", "--ell", "17", "--limit", "20000", "--tuple", "2,3,5,10", "--mode", "c4"),
+    # a denominator in [2^63, 2^64): the compiled kernel holds it as an
+    # unsigned word
+    ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,1/9223372036854775837",
+     "--mode", "c4"),
     # each worker's range crosses a boundary of the segments of p ≡ 1 (mod 6)
     ("density-scan", "--ell", "3", "--limit", "2000000", "--tuple", "2,3,5,7", "--mode", "c4",
      "--workers", "2"),
@@ -134,6 +139,6 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    # density-scan four times, heuristic three times, sf-scan four times and
+    # density-scan five times, heuristic three times, sf-scan four times and
     # tf-scan once
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 12
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 13
