@@ -55,6 +55,12 @@ def main():
             1,
         ),
         (
+            # x -> x^3: every prime is a member, each solved in full
+            "omega_members, member-dense n^3, primes to 2*10^5",
+            lambda m: m.omega_members(primes_200k, [2, 3, 5], [8, 27, 125], [1, 1, 1]),
+            1,
+        ),
+        (
             "omega_members, (2,17,29), prefilter-kept p to 10^6",
             lambda m: m.omega_members(seed1_kept, seed1_ns, seed1_fs, [1, 1, 1]),
             3,

@@ -69,7 +69,8 @@ def density_counts_parallel(numbers, ell, nums, dens, mode, workers: int = 1):
 
 def _omega_chunk(args):
     primes, ns, fnums, fdens = args
-    return kernels.omega_members(primes, ns, fnums, fdens)
+    counted, skipped, members = kernels.omega_members(primes, ns, fnums, fdens)
+    return counted, skipped, len(members)
 
 
 def omega_members_parallel(primes, ns, fnums, fdens, workers: int = 1):

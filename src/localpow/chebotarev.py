@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyTupleError,
+    ExactRangeError,
     NotPrimeError,
     RamifiedPrimeError,
     WrongLengthError,
@@ -31,6 +32,10 @@ from .ratfact import as_factored, is_prime
 # heuristic_scan's prefilter leaves out an equation whose table of quadratic
 # characters would have more entries than this
 MAX_CHARACTER_MODULUS = 2**20
+
+# class_ratio does one small row reduction per λ mod ell, 20–30 µs each at
+# k = 2 on a 2-core x86-64 machine, so it stops here (about a minute)
+CLASS_RATIO_ELL_LIMIT = 2 * 10**6
 
 
 @dataclass
@@ -124,7 +129,8 @@ def class_ratio(spec: ClassSpec):
     1 + Σ_λ (ell^dim(W ∩ G_λ) − 1) vectors, with dim(W ∩ G_λ) =
     dim W + k − rank(W ∪ G_λ).  Each vector of W is reached by
     ell^(n − dim W) of the ell^n = fiber coefficient tuples of an n-vector
-    basis, a dependent one too; "full" is the identity basis.
+    basis, a dependent one too; "full" is the identity basis.  An ell above
+    CLASS_RATIO_ELL_LIMIT raises ExactRangeError before any reduction.
     """
     ell, k = spec.ell, spec.k
     require_odd_prime(ell)
@@ -138,6 +144,9 @@ def class_ratio(spec: ClassSpec):
     for v in basis:
         if len(v) != width:
             raise WrongLengthError(f"basis vectors need {width} coordinates, got {len(v)}")
+    if ell > CLASS_RATIO_ELL_LIMIT:
+        msg = f"the class is counted only up to ell = {CLASS_RATIO_ELL_LIMIT}, got {ell}"
+        raise ExactRangeError(msg, ell=ell, limit=CLASS_RATIO_ELL_LIMIT)
     w = row_space_mod_ell(basis, width, ell)
     meets = 1
     for lam in range(ell):

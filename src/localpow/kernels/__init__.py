@@ -11,7 +11,7 @@ present one unlimited-precision contract.  `count_primes`, `prime_segments`,
 backend: the sublinear prime count beats a compiled sieve count, the
 segments of one residue class cost a slice per base prime, `z_b_rows` is
 left to single primes (`frobenius_vector`) and to tests, and factorizations
-and logs run only at the primes a scan's kernel keeps and in single calls.
+and logs run only in single calls: the scans' kernels solve their own.
 """
 
 import functools

@@ -19,8 +19,10 @@ typedef uint64_t u64;
 typedef int64_t i64;
 typedef unsigned __int128 u128;
 
-/* widest tuple class_counts and omega_members take; a wider one raises OverflowError */
-#define MAX_WIDTH 16
+/* widest tuple class_counts and omega_members take; a wider one raises
+ * OverflowError.  64 keeps the empirical sf-scan verdict native up to
+ * --bound 312, whose table holds 64 primes */
+#define MAX_WIDTH 64
 /* more distinct primes than any n < 2^64 has */
 #define MAX_FACTORS 64
 
@@ -563,12 +565,15 @@ fail:
     return NULL;
 }
 
-/* is there t mod q with (a_j^t·c_j)^m = 1 for all j, m = (p-1)/q?  1 or 0,
- * or LOG_NOMEM.  Projections are taken lazily: up to the first a_j of
- * projection u != 1 (the pivot) each c_j must project to 1; the pivot fixes
- * t, since its c_j projects to w in <u> = mu_q and u^t·w = 1 for
- * t = -log_u(w); every later witness then costs one power */
-static int projection_solvable(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q, u64 p)
+/* The t mod q with (a_j^t·c_j)^m = 1 for all j, m = (p-1)/q: 1 with *k = t
+ * and *mod = q, or *k = 0 and *mod = 1 when every a_j projects to 1 and t
+ * is free; 0 when no t fits, or LOG_NOMEM.  Projections are taken lazily:
+ * up to the first a_j of projection u != 1 (the pivot) each c_j must
+ * project to 1; the pivot fixes t, since its c_j projects to w in
+ * <u> = mu_q and u^t·w = 1 for t = -log_u(w); every later witness then
+ * costs one power */
+static int projection_solution(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q,
+                               u64 p, u64 *k, u64 *mod)
 {
     u64 m = (p - 1) / q;
     i64 t = -1;
@@ -590,17 +595,19 @@ static int projection_solvable(const u64 *avals, const u64 *cs, Py_ssize_t width
             return 0;
         }
     }
+    *k = t < 0 ? 0 : (u64)t;
+    *mod = t < 0 ? 1 : q;
     return 1;
 }
 
-/* is there t with u_j^t = v_j for all j, u_j = a_j^cof and v_j = c_j^cof for
- * cof = (p-1)/q^e?  (a_j^k·c_j = 1 needs u_j^k = v_j^-1, solvable iff
- * u_j^t = v_j is.)  1 or 0, or LOG_NOMEM.  All lie in the cyclic subgroup of
- * order q^e, where the u_j of largest order q^s generates every other u_j;
- * v_pivot must lie in its group, and t = log v_pivot (mod q^s) is then the
- * only candidate */
-static int component_solvable(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q,
-                              int e, u64 p)
+/* The k with u_j^k = v_j^-1 for all j, u_j = a_j^cof and v_j = c_j^cof for
+ * cof = (p-1)/q^e: 1 with *k mod *mod = q^s, 0 when no k fits, or
+ * LOG_NOMEM.  All lie in the cyclic subgroup of order q^e, where the u_j of
+ * largest order q^s generates every other u_j; v_pivot must lie in its
+ * group, and t = log v_pivot (mod q^s) is then the only candidate for
+ * u_j^t = v_j, so k = -t */
+static int component_solution(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q,
+                              int e, u64 p, u64 *k, u64 *mod)
 {
     u64 cof = (p - 1) / upow(q, e), us[MAX_WIDTH], vs[MAX_WIDTH], u_piv = 1, v_piv = 1;
     int s = 0;
@@ -617,52 +624,74 @@ static int component_solvable(const u64 *avals, const u64 *cs, Py_ssize_t width,
             s = order_exp;
         }
     }
-    if (powmod(v_piv, upow(q, s), p) != 1)
+    *mod = upow(q, s);
+    if (powmod(v_piv, *mod, p) != 1)
         return 0;
     if (s && (t = prime_power_log(u_piv, v_piv, q, s, p)) < 0)
         return t == LOG_NOMEM ? LOG_NOMEM : 0;
     for (Py_ssize_t j = 0; j < width; j++)
         if (powmod(us[j], (u64)t, p) != vs[j])
             return 0;
+    *k = (*mod - (u64)t) % *mod;
     return 1;
 }
 
-/* Is there k with a_j^k·c_j = 1 (mod the prime p) for all j?  1 or 0, or a
- * negative code: LOG_NOMEM, or -3 if rho fails on p-1.  The steps of
- * pure.py: the projections of order q <= 47 first, which reject almost
- * every prime; only a survivor factors p-1 and checks the components they
- * leave open. */
-static int omega_member(u64 p, const u64 *avals, const u64 *cs, Py_ssize_t width)
+/* Is there k with a_j^k·c_j = 1 (mod the prime p) for all j?  1 with the
+ * solutions k + mZ as *k and *m, 0 if none, or a negative code: LOG_NOMEM,
+ * or -3 if rho fails on p-1.  The steps of pure.py: the projections of
+ * order q <= 47 first, which reject almost every prime; only a survivor
+ * factors p-1 and solves the components they leave open.  The residues of
+ * the components combine by CRT, in words: m·n <= p-1 < 2^63. */
+static int omega_solution(u64 p, const u64 *avals, const u64 *cs, Py_ssize_t width, u64 *k,
+                          u64 *m)
 {
-    u64 qs[MAX_FACTORS], es[MAX_FACTORS];
-    int cnt, ok;
-    for (size_t i = 0; i < N_SMALL_Q; i++)
-        if ((p - 1) % SMALL_Q[i] == 0
-            && (ok = projection_solvable(avals, cs, width, SMALL_Q[i], p)) <= 0)
+    u64 qs[MAX_FACTORS], es[MAX_FACTORS], ts[MAX_FACTORS], ns[MAX_FACTORS];
+    int cnt, ok, parts = 0;
+    for (size_t i = 0; i < N_SMALL_Q; i++) {
+        u64 q = SMALL_Q[i];
+        if ((p - 1) % q)
+            continue;
+        if ((ok = projection_solution(avals, cs, width, q, p, ts + parts, ns + parts)) <= 0)
             return ok;
+        parts += (p - 1) % (q * q) != 0;  /* the projection is the whole component */
+    }
     if ((cnt = factorize_u64(p - 1, qs, es)) < 0)
         return -3;
     for (int i = 0; i < cnt; i++) {
         if (es[i] == 1 && qs[i] <= SMALL_Q_MAX)
             continue;
-        ok = es[i] == 1 ? projection_solvable(avals, cs, width, qs[i], p)
-                        : component_solvable(avals, cs, width, qs[i], (int)es[i], p);
+        ok = es[i] == 1
+            ? projection_solution(avals, cs, width, qs[i], p, ts + parts, ns + parts)
+            : component_solution(avals, cs, width, qs[i], (int)es[i], p, ts + parts,
+                                 ns + parts);
         if (ok <= 0)
             return ok;
+        parts++;
+    }
+    *k = 0;
+    *m = 1;
+    for (int i = 0; i < parts; i++) {
+        u64 n = ns[i];
+        if (n == 1)
+            continue;
+        *k += *m * mulmod((ts[i] + n - *k % n) % n, invmod(*m % n, n), n);
+        *m *= n;
     }
     return 1;
 }
 
 PyDoc_STRVAR(omega_members_doc,
 "omega_members(primes, ns, fnums, fdens)\n--\n\n"
-"Count primes where (f(n_j)) is a simultaneous power of (n_j) mod p.\n\n"
-"Same contract as the pure backend: returns (counted, skipped, members).");
+"The primes where (f(n_j)) is a simultaneous power of (n_j) mod p, with its exponents.\n\n"
+"Same contract as the pure backend: returns (counted, skipped, members),\n"
+"members a list of (p, k, m), one per member p: the k with n_j^k = f(n_j)\n"
+"(mod p) for all j are exactly k + mZ, 0 <= k < m, m | p - 1.");
 
 static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *primes, *ns, *fnums, *fdens, *fast;
+    PyObject *primes, *ns, *fnums, *fdens, *fast, *members;
     u64 cn[MAX_WIDTH], cfd[MAX_WIDTH], avals[MAX_WIDTH], cs[MAX_WIDTH];
-    u64 counted = 0, skipped = 0, members = 0;
+    u64 counted = 0, skipped = 0;
     i64 cfn[MAX_WIDTH];
     Py_ssize_t width, n;
     if (!PyArg_ParseTuple(args, "OOOO:omega_members", &primes, &ns, &fnums, &fdens))
@@ -673,10 +702,13 @@ static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *arg
         return NULL;
     if ((fast = PySequence_Fast(primes, "primes must be a sequence")) == NULL)
         return NULL;
+    if ((members = PyList_New(0)) == NULL)
+        goto fail;
     n = PySequence_Fast_GET_SIZE(fast);
     for (Py_ssize_t i = 0; i < n; i++) {
-        u64 p;
+        u64 p, k, m;
         int ok = 1, member;
+        PyObject *row;
         if (!as_prime(PySequence_Fast_GET_ITEM(fast, i), &p))
             goto fail;
         for (Py_ssize_t j = 0; j < width && ok; j++)
@@ -691,7 +723,7 @@ static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *arg
             avals[j] = cn[j] % p;
             cs[j] = mulmod(cfd[j] % p, invmod(residue(cfn[j], p), p), p);
         }
-        member = omega_member(p, avals, cs, width);
+        member = omega_solution(p, avals, cs, width, &k, &m);
         if (member == LOG_NOMEM) {
             PyErr_NoMemory();
             goto fail;
@@ -700,13 +732,22 @@ static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *arg
             rho_failed(p - 1);
             goto fail;
         }
-        members += (u64)member;
+        if (!member)
+            continue;
+        row = Py_BuildValue("(KKK)", (unsigned long long)p, (unsigned long long)k,
+                            (unsigned long long)m);
+        if (row == NULL || PyList_Append(members, row) < 0) {
+            Py_XDECREF(row);
+            goto fail;
+        }
+        Py_DECREF(row);
     }
     Py_DECREF(fast);
-    return Py_BuildValue("(KKK)", (unsigned long long)counted,
-                         (unsigned long long)skipped, (unsigned long long)members);
+    return Py_BuildValue("(KKN)", (unsigned long long)counted,
+                         (unsigned long long)skipped, members);
 fail:
     Py_DECREF(fast);
+    Py_XDECREF(members);
     return NULL;
 }
 

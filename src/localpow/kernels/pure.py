@@ -245,43 +245,19 @@ def _prime_power_log(gq: int, hq: int, q: int, e: int, p: int) -> int:
     return x
 
 
-def discrete_log(g: int, h: int, p: int, factors: list[int] | None = None) -> int:
-    """Smallest x >= 0 with g^x ≡ h (mod p), via Pohlig-Hellman + BSGS.
+def discrete_log(g: int, h: int, p: int) -> int:
+    """Smallest x >= 0 with g^x ≡ h (mod p), by omega_members' solver.
 
-    factors, if given, are the distinct primes dividing p - 1; without them
-    p - 1 is factored here.
+    No scan calls it: `omega_members` solves each prime's logs itself.
     """
     g %= p
     h %= p
     if g == 0 or h == 0:
         raise ValueError("arguments must be units mod p")
-    if factors is None:
-        factors = [q for q, _ in factorize(p - 1)]
-    # d = exact multiplicative order of g, peeled off p-1 prime by prime
-    d = p - 1
-    for q in factors:
-        while d % q == 0 and pow(g, d // q, p) == 1:
-            d //= q
-    if pow(h, d, p) != 1:
+    solution = _omega_solution([g], [pow(h, -1, p)], p)
+    if solution is None:
         raise ValueError("element outside the subgroup generated by the base")
-    if h == 1:
-        return 0
-    x, mod = 0, 1
-    for q in factors:
-        t = 0
-        dd = d
-        while dd % q == 0:
-            dd //= q
-            t += 1
-        if t == 0:
-            continue
-        qt = q**t
-        gq = pow(g, d // qt, p)  # order exactly q^t
-        hq = pow(h, d // qt, p)
-        xi = _prime_power_log(gq, hq, q, t, p)
-        x += mod * ((xi - x) * pow(mod, -1, qt) % qt)
-        mod *= qt
-    return x
+    return solution[0]
 
 
 def z_b_rows(
@@ -401,8 +377,9 @@ def class_counts(
     return counted, skipped, hits
 
 
-def _projection_solvable(avals: list[int], cs: list[int], q: int, p: int) -> bool:
-    # is there t mod q with (a_j^t · c_j)^m == 1 for all j, m = (p-1)/q?
+def _projection_solution(avals: list[int], cs: list[int], q: int, p: int):
+    # the t mod q with (a_j^t · c_j)^m == 1 for all j, m = (p-1)/q, as (t, q),
+    # or (0, 1) when every a_j projects to 1; None when no t fits.
     # Projections are taken lazily: up to the first a_j of projection u != 1
     # (the pivot) each c_j must project to 1; the pivot fixes t, since its
     # c_j projects to w in <u> = mu_q and u^t · w == 1 for t = -log_u(w);
@@ -412,27 +389,26 @@ def _projection_solvable(avals: list[int], cs: list[int], q: int, p: int) -> boo
     for a, c in zip(avals, cs):
         if t is not None:
             if pow(pow(a, t, p) * c % p, m, p) != 1:
-                return False
+                return None
             continue
         u = pow(a, m, p)
         w = pow(c, m, p)
         if u != 1:
             s = _digit_log(u, w, q, p)
             if s is None:
-                return False
+                return None
             t = -s % q
         elif w != 1:
-            return False
-    return True
+            return None
+    return (0, 1) if t is None else (t, q)
 
 
-def _component_solvable(avals: list[int], cs: list[int], q: int, e: int, p: int) -> bool:
-    # is there t with u_j^t == v_j for all j, u_j = a_j^cof and v_j = c_j^cof
-    # for cof = (p-1)/q^e?  (a_j^k · c_j == 1 needs u_j^k == v_j^-1, solvable
-    # iff u_j^t == v_j is.)  All lie in the cyclic subgroup of order q^e,
-    # where the u_j of largest order q^s generates every other u_j; v_pivot
-    # must lie in its group, and t = log v_pivot (mod q^s) is then the only
-    # candidate
+def _component_solution(avals: list[int], cs: list[int], q: int, e: int, p: int):
+    # the k with u_j^k == v_j^-1 for all j, u_j = a_j^cof and v_j = c_j^cof
+    # for cof = (p-1)/q^e, as (k mod q^s, q^s); None when no k fits.  All lie
+    # in the cyclic subgroup of order q^e, where the u_j of largest order q^s
+    # generates every other u_j; v_pivot must lie in its group, and
+    # t = log v_pivot (mod q^s) is then the only candidate for u_j^t == v_j
     cof = (p - 1) // q**e
     us = [pow(a, cof, p) for a in avals]
     vs = [pow(c, cof, p) for c in cs]
@@ -445,48 +421,66 @@ def _component_solvable(avals: list[int], cs: list[int], q: int, e: int, p: int)
         if order_exp > s:
             u_piv, v_piv, s = u, v, order_exp
     if pow(v_piv, q**s, p) != 1:
-        return False
+        return None
     t = _prime_power_log(u_piv, v_piv, q, s, p) if s else 0
-    return all(pow(u, t, p) == v for u, v in zip(us, vs))
+    if not all(pow(u, t, p) == v for u, v in zip(us, vs)):
+        return None
+    return -t % q**s, q**s
 
 
-def _omega_member(avals: list[int], cs: list[int], p: int) -> bool:
-    # is there k with a_j^k · c_j == 1 (mod p) for all j?  One exists mod
-    # p-1 iff one exists mod each q^e || p-1 (CRT).  The projections of
-    # order q <= 47 come first and reject almost every prime; only a
-    # survivor factors p-1 and checks the components they leave open
+def _omega_solution(avals: list[int], cs: list[int], p: int):
+    # (k, m) with a_j^k · c_j == 1 (mod p) for all j exactly when k ≡ k
+    # (mod m), or None.  The projections of order q <= 47 come first and
+    # reject almost every prime; only a survivor factors p-1 and solves the
+    # components they leave open.  The residues combine by CRT
+    parts = []  # (k mod n, n), the n pairwise coprime
     for q in _SMALL_Q:
-        if (p - 1) % q == 0 and not _projection_solvable(avals, cs, q, p):
-            return False
+        if (p - 1) % q == 0:
+            part = _projection_solution(avals, cs, q, p)
+            if part is None:
+                return None
+            if (p - 1) % (q * q):  # q || p-1
+                parts.append(part)
     for q, e in _prime_powers(p - 1):
-        if e == 1:
-            if q > _SMALL_Q[-1] and not _projection_solvable(avals, cs, q, p):
-                return False
-        elif not _component_solvable(avals, cs, q, e, p):
-            return False
-    return True
+        if e > 1:
+            part = _component_solution(avals, cs, q, e, p)
+        elif q > _SMALL_Q[-1]:
+            part = _projection_solution(avals, cs, q, p)
+        else:
+            continue  # solved by its projection above
+        if part is None:
+            return None
+        parts.append(part)
+    k, m = 0, 1
+    for t, n in parts:
+        k += m * ((t - k) * pow(m, -1, n) % n)
+        m *= n
+    return k, m
 
 
 def omega_members(
     primes: list[int], ns: list[int], fnums: list[int], fdens: list[int]
-) -> tuple[int, int, int]:
-    """Count primes where (f(n_j)) is a simultaneous power of (n_j) mod p.
+) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """The primes where (f(n_j)) is a simultaneous power of (n_j) mod p, with its exponents.
 
     Returns (counted, skipped, members): skipped primes divide some n_j or
     some f(n_j) numerator/denominator; counted primes were tested; members
-    admit a common exponent k with n_j^k ≡ f(n_j) (mod p) for all j.
+    lists (p, k, m), in order, for each counted p where the k with
+    n_j^k ≡ f(n_j) (mod p) for all j are exactly k + mZ, 0 <= k < m; m is
+    the order of the group the n_j generate mod p.
 
-    Each counted prime is decided in two steps.  First, for each prime
-    q <= 47 dividing p - 1, ascending, the projections x -> x^((p-1)/q) are
-    taken one witness at a time: a witness whose n_j projects to 1 needs an
-    f(n_j) that does too, the first one projecting to u != 1 fixes k mod q
-    by a walk of at most q steps, each later witness costs one power, and
-    the first failure rejects p.  Then only a survivor factors p - 1: a
-    component of prime order q > 47 gets the same test with k mod q from
-    BSGS, and a component of order q^e, e >= 2, a Pohlig-Hellman log of its
-    largest projection.
+    For each prime q <= 47 dividing p - 1, ascending, the projections
+    x -> x^((p-1)/q) are taken one witness at a time: a witness whose n_j
+    projects to 1 needs an f(n_j) that does too, the first one projecting to
+    u != 1 fixes k mod q by a walk of at most q steps, each later witness
+    costs one power, and the first failure rejects p.  Only a survivor
+    factors p - 1: a component of prime order q > 47 gets the same test with
+    k mod q from BSGS, and one of order q^e, e >= 2, fixes k mod q^s by a
+    Pohlig-Hellman log of its projection of largest order q^s.  The
+    residues combine by CRT.
     """
-    counted = skipped = members = 0
+    counted = skipped = 0
+    members = []
     width = len(ns)
     for p in primes:
         ok = True
@@ -501,5 +495,7 @@ def omega_members(
         avals = [n % p for n in ns]
         # c_j = f(n_j)^-1, so each test is a_j^k · c_j == 1
         cs = [fd * pow(fn, -1, p) % p for fn, fd in zip(fnums, fdens)]
-        members += _omega_member(avals, cs, p)
+        solution = _omega_solution(avals, cs, p)
+        if solution is not None:
+            members.append((p, *solution))
     return counted, skipped, members

@@ -30,10 +30,6 @@ from .ratfact import MAX_VALUE_BITS, ONE, FactoredRational, as_factored, is_prim
 
 EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
 
-# The empirical verdict asks omega_members about this many of its witnesses,
-# the widest call the compiled kernel runs itself; the default bound tabulates 15.
-HEAD_WITNESSES = 16
-
 # The most entries a value table f(1..N) may have.  Small values cost about
 # 50 bytes an entry (the int, its slot and a smallest-prime-factor slot), so
 # the cap keeps such a table near 1 GB.
@@ -164,8 +160,9 @@ class LocalVerdict:
     """Decision for one prime: is f locally x -> x^{k_p} on units mod p?
 
     An empirical verdict reads f at the primes q <= bound.  It is "unknown"
-    only when one k gives q^k ≡ f(q) (mod p) at every such q other than p
-    but no such q generates the units mod p, so k_p is not fixed.
+    exactly when more than one k mod p - 1 gives q^k ≡ f(q) (mod p) at
+    every such q other than p, that is, when those q generate a proper
+    subgroup of the units mod p, so k_p is not fixed.
     """
 
     p: int
@@ -215,9 +212,9 @@ def _verdicts(f, mode: str, bound, domain: str):
 
     Each value f(q) the decision reads becomes a pair (a, b) here, so an
     exact verdict costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p)
-    exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict asks
-    `kernels.omega_members` first and takes a discrete log only at a prime
-    it keeps.
+    exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict is one
+    `kernels.omega_members` call per prime, which returns the exponents
+    themselves.
     """
     _check_verdicts(f, mode, bound, domain)
     structured = isinstance(f, MultiplicativeMap)
@@ -230,13 +227,17 @@ def _verdicts(f, mode: str, bound, domain: str):
             for q in kernels.sieve(_verdict_bound(mode, bound))
         ]
 
+    def signs_agree(p: int, k_p: int) -> bool:
+        # in the rational domain, f(-1) = sign_value must be (-1)^k_p mod p
+        return not rational or (f.sign_value - (-1) ** k_p) % p == 0
+
     def agrees(p: int, k_p: int) -> bool:
         # every tabulated q other than p maps to a unit ≡ q^k_p (mod p);
         # at p = 2 (k_p = 0) that says f(q) is a 2-adic unit
         for q, a, b in table:
             if q != p and (b % p == 0 or (a - pow(q, k_p, p) * b) % p):
                 return False
-        return not rational or (f.sign_value - (-1) ** k_p) % p == 0
+        return signs_agree(p, k_p)
 
     def exact(p: int):
         k_p = f.default_exponent % (p - 1)
@@ -245,38 +246,27 @@ def _verdicts(f, mode: str, bound, domain: str):
     if mode == "exact":
         return exact
 
-    def witnesses(p: int, rows):
-        # the kernel's columns: each q other than p among the rows, and the
+    def witnesses(p: int):
+        # the kernel's columns: each tabulated q other than p, and the
         # numerator and denominator of f(q)
-        rows = [row for row in rows if row[0] != p]
+        rows = [row for row in table if row[0] != p]
         return [q for q, _, _ in rows], [a for _, a, _ in rows], [b for _, _, b in rows]
 
-    head = table[:HEAD_WITNESSES]  # the bound is at least 2, so head[-1] exists
-    first = witnesses(0, head)
+    largest = table[-1][0]  # the bound is at least 2, so the table has a row
+    others = witnesses(0)
 
     def empirical(p: int):
-        # The kernel asks whether one k gives q^k ≡ f(q) (mod p) for the
-        # first HEAD_WITNESSES tabulated q other than p, and skips a p that
-        # divides one of their f(q): either way p is "no", and almost every
-        # prime is.  Only a kept prime takes a log: k_p is the log of f(g) to
-        # the base g, the smallest tabulated prime other than p whose residue
-        # generates the units mod p, checked against every tabulated q.
-        ws = first if p > head[-1][0] else witnesses(p, table[: HEAD_WITNESSES + 1])
-        if not kernels.omega_members([p], *ws)[2]:
+        # The kernel skips a p that divides some f(q), and otherwise returns
+        # the k with q^k ≡ f(q) (mod p) at every tabulated q other than p as
+        # k + mZ, m the order of the group those q generate mod p: none is
+        # "no", and m < p - 1 leaves k_p open
+        members = kernels.omega_members([p], *(others if p > largest else witnesses(p)))[2]
+        if not members:
             return "no", None
-        factors = [r for r, _ in kernels.factorize(p - 1)]
-        for q, a, b in table:
-            g = q % p
-            if q != p and all(pow(g, (p - 1) // r, p) != 1 for r in factors):
-                break
-        else:
-            # no log fixes k_p: p is "unknown" if one k fits every tabulated q
-            member = kernels.omega_members([p], *witnesses(p, table))[2]
-            return ("unknown" if member else "no"), None
-        if a % p == 0 or b % p == 0:
-            return "no", None
-        k_p = kernels.discrete_log(g, a * pow(b, -1, p) % p, p, factors)
-        return ("yes", k_p) if agrees(p, k_p) else ("no", None)
+        ((_, k_p, m),) = members
+        if m < p - 1:
+            return "unknown", None
+        return ("yes", k_p) if signs_agree(p, k_p) else ("no", None)
 
     return empirical
 
@@ -293,8 +283,8 @@ def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], i
     """(p, k_p) of the members among the primes, in their order, plus the count of unknowns.
 
     The primes come from a sieve and are not checked again.  In empirical
-    mode only the primes `kernels.omega_members` keeps factor p - 1 and take
-    a discrete log.
+    mode each prime is one `kernels.omega_members` call, whose exponent is
+    k_p.
     """
     decide = _verdicts(f, mode, bound, domain)
     members = []
@@ -319,8 +309,8 @@ def scan_Sf(
 ) -> tuple[list[LocalVerdict], int]:
     """All yes-verdicts for primes <= x, plus the count of unknowns.
 
-    An empirical scan counts as unknown only the primes where the tabulated
-    values allow a common k but no tabulated prime generates the units.
+    An empirical scan counts as unknown the primes where the tabulated
+    values allow more than one k mod p - 1.
     f must be a MultiplicativeMap.  The inputs are checked before any prime
     is sieved; `workers` processes split the scan without changing it.
     """

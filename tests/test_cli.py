@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from localpow import cli, kernels
 from localpow.bounds import cyclotomic_discriminant
+from localpow.chebotarev import CLASS_RATIO_ELL_LIMIT
 from localpow.kernels import pure
 from localpow.modular import PrimeCache
 from localpow.powermap import MAX_TABLE_SLOTS
@@ -421,6 +422,24 @@ def test_density_scan_expected_is_exact_beyond_small_ell(capsys):
         "--enumeration-bound", "13",
     )
     assert (code, out) == (64, "")
+
+
+def test_density_scan_refuses_an_ell_past_the_class_count_limit(capsys):
+    # the c4 class takes one row reduction per λ mod ell; WIDE is a prime
+    # that the contract test below draws as --ell
+    for ell in (pure.sieve(CLASS_RATIO_ELL_LIMIT + 100)[-1], WIDE):
+        assert pure.is_prime(ell) and ell > CLASS_RATIO_ELL_LIMIT
+        code, out = run_cli(
+            capsys, "density-scan", "--ell", str(ell), "--tuple", "2,3,5,7", "--limit", "100"
+        )
+        assert code == 2, ell
+        assert json.loads(out) == {
+            "type": "exact-range",
+            "message": f"the class is counted only up to ell = {CLASS_RATIO_ELL_LIMIT}, "
+            f"got {ell}",
+            "ell": ell,
+            "limit": CLASS_RATIO_ELL_LIMIT,
+        }
 
 
 def test_heuristic_report_fields(capsys):

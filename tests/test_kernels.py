@@ -156,11 +156,7 @@ def test_discrete_log_random_instances():
         h = pow(g, e, p)
         x = sympy.discrete_log(p, h, g)
         assert pow(g, x, p) == h
-        factors = sorted(sympy.factorint(p - 1))
         assert pure.discrete_log(g, h, p) == x
-        # given the primes of p - 1, in any order
-        assert pure.discrete_log(g, h, p, factors) == x
-        assert pure.discrete_log(g, h, p, factors=factors[::-1]) == x
 
 
 def test_discrete_log_smallest_solution_small_primes():
@@ -180,7 +176,7 @@ def test_discrete_log_outside_subgroup():
     with pytest.raises(ValueError):
         pure.discrete_log(0, 1, 13)
     with pytest.raises(ValueError):
-        pure.discrete_log(2, 0, 13, [2, 3])
+        pure.discrete_log(2, 0, 13)
 
 
 def test_kernels_raise_the_same_errors():
@@ -296,19 +292,27 @@ def _outcome(fn, *args):
 
 
 def _omega_brute_force(primes, ns, fnums, fdens):
-    counted = skipped = members = 0
+    # (counted, skipped, [(p, k, m)]) by trying k = 0, 1, ..., p - 2
+    counted = skipped = 0
+    members = []
     for p in primes:
         if any(v % p == 0 for v in ns + fnums + fdens):
             skipped += 1
             continue
         counted += 1
         targets = [fn * pow(fd, -1, p) % p for fn, fd in zip(fnums, fdens)]
-        powers = [1] * len(ns)  # n_j^k for k = 0, 1, ..., p - 2
-        for _ in range(p - 1):
+        powers = [1] * len(ns)  # n_j^k
+        ks = []
+        for k in range(p - 1):
             if powers == targets:
-                members += 1
-                break
+                ks.append(k)
+                if len(ks) == 2:
+                    break
             powers = [w * n % p for w, n in zip(powers, ns)]
+        if ks:
+            # the k that fit are ks[0] + mZ with m | p - 1, so a second one
+            # below p - 1 exists exactly when m < p - 1
+            members.append((p, ks[0], ks[1] - ks[0] if len(ks) == 2 else p - 1))
     return counted, skipped, members
 
 
@@ -413,7 +417,7 @@ def test_omega_members_walk_every_small_order():
 
     with patch.object(pure, "_bsgs", counting):
         got = pure.omega_members(primes, [2, 17, 29], [53, 89, 67], [1, 1, 1])
-    assert got == (len(primes) - 6, 6, 0)
+    assert got == (len(primes) - 6, 6, [])
     assert len(calls) == 53
     for (order, p), n in Counter(calls).items():
         assert order > 47 and (p - 1) % order == 0, (order, p)
@@ -443,6 +447,7 @@ def test_dispatch_falls_back_beyond_64_bits():
 
 
 # values at the edges of the compiled kernels' 64-bit words
+NATIVE_MAX_WIDTH = 64  # MAX_WIDTH in _native.c: a wider tuple raises OverflowError
 WORD_EDGES = (2**63 - 1, 2**63, 2**64 - 59, 2**64, -(2**63), -(2**63) - 1, 2**70)
 ABOVE_2_63 = 9223372036854775837  # the least prime above 2^63
 
@@ -453,12 +458,14 @@ def _word_edge_cases():
     # in omega_members (pure would run BSGS on a huge order)
     split = [p for p in pure.sieve(300) if p % 3 == 1]
     small = pure.sieve(200)
-    bases = pure.sieve(60)[:17]
-    for width in range(1, 18):
+    # x -> x^3 makes every prime that divides no n_j a member
+    members = pure.sieve(1000)
+    bases = pure.sieve(400)[: NATIVE_MAX_WIDTH + 1]
+    for width in range(1, NATIVE_MAX_WIDTH + 2):
         nums = bases[:width]
         for k in {0, width // 2}:
             yield "class_counts", (split, 3, nums, [1] * width, k)
-        yield "omega_members", (small, nums, [n**3 for n in nums], [1] * width)
+        yield "omega_members", (members, nums, [n**3 for n in nums], [1] * width)
     for v in WORD_EDGES:
         for ns, fnums, fdens in (
             ([v, 3], [8, 27], [1, 1]), ([2, 3], [v, 27], [1, 1]), ([2, 3], [8, 27], [v, 1]),
@@ -484,6 +491,15 @@ def _word_edge_cases():
 
 def test_kernels_agree_with_pure_at_the_word_edges():
     assert sympy.nextprime(2**63) == ABOVE_2_63
+    # members near 2^61, whose CRT moduli need 128-bit products: 2 and 3
+    # generate the subgroup of index 9 mod p, 3 and 5 every unit
+    p = 2**61 - 1
+    for case, member in (
+        (([2, 3], [8, 27], [1, 1]), (p, 3, (p - 1) // 9)),
+        (([3, 5], [3**5, 5**5], [1, 1]), (p, 5, p - 1)),
+    ):
+        for mod in BACKENDS:
+            assert mod.omega_members([p], *case) == (1, 0, [member]), mod.BACKEND
     for name, args in _word_edge_cases():
         expected = _outcome(getattr(pure, name), *args)
         # the dispatch layer returns pure's answer or raises pure's type

@@ -31,6 +31,8 @@ TABLE_F = json.dumps({"kind": "table", "overrides": {"2": "5", "3": "7", "5": "1
 # f(2) = 2^70 is wider than a machine word: the compiled kernel raises
 # OverflowError and localpow.kernels reruns the call on pure
 WIDE_F = json.dumps({"kind": "table", "overrides": {"2": str(2**70), "3": "5", "5": "7"}})
+# x -> x^3: every prime is a member, so each verdict returns k_p from the CRT
+CUBE_F = json.dumps({"kind": "power", "exponent": 3})
 # the shape of the heuristic benchmark's function at seed 1
 SEED1_F = json.dumps({
     "kind": "table", "sign_value": -1, "default_exponent": 2,
@@ -53,8 +55,10 @@ ARGVS = (
      "--workers", "2"),
     ("sf-scan", "--function", TABLE_F, "--limit", "20000"),
     ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical"),
-    # 17 tabulated primes: the verdict asks omega_members about the first 16,
-    # the most the compiled kernel takes, and checks a kept prime at all 17
+    ("sf-scan", "--function", CUBE_F, "--limit", "3000", "--mode", "empirical"),
+    ("sf-scan", "--function", CUBE_F, "--limit", "3000", "--mode", "empirical",
+     "--domain", "rational"),
+    # 17 tabulated primes, all of them witnesses of the compiled kernel
     ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical",
      "--bound", "60", "--domain", "rational"),
     ("sf-scan", "--function", WIDE_F, "--limit", "3000", "--mode", "empirical",
@@ -139,6 +143,6 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    # density-scan five times, heuristic three times, sf-scan four times and
+    # density-scan five times, heuristic three times, sf-scan six times and
     # tf-scan once
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 13
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 15

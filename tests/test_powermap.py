@@ -1,7 +1,6 @@
 import pickle
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localpow import _parallel, kernels
-from localpow.kernels import pure
 from localpow.errors import (
     ConfigError,
     DomainError,
@@ -172,6 +170,22 @@ def test_empirical_agrees_with_exact_on_structured_maps():
             assert emp.member == exact.member, (f.to_json(), p)
             if emp.member == "yes" and p > 2:
                 assert emp.k_p == exact.k_p
+
+
+def test_empirical_scan_of_global_powers_is_exact():
+    # the tabulated q fix k_p whenever they generate the units mod p
+    # together, though none does alone: p = 2791, p - 1 = 2·3^2·5·31
+    p = 2791
+    assert all(
+        len({pow(q, i, p) for i in range(p - 1)}) < p - 1 for q in PrimeCache(50).primes
+    )
+    for k in (2, 3, 5):
+        f = MultiplicativeMap.global_power(k)
+        exact, _ = scan_Sf(f, 3000, mode="exact")
+        empirical, unknown = scan_Sf(f, 3000, mode="empirical")
+        assert [(v.p, v.k_p) for v in empirical] == [(v.p, v.k_p) for v in exact], k
+        assert unknown == 0
+        assert local_exponent(f, p, mode="empirical").k_p == k
 
 
 def test_empirical_callable_function():
@@ -518,58 +532,42 @@ def test_sf_scan_does_not_reprove_sieved_primes(monkeypatch):
         assert counts[0] == counts[1] <= 10, (mode, counts)
 
 
-def test_empirical_scan_factors_each_prime_once(monkeypatch):
-    # only the primes omega_members keeps factor p - 1, each once, and only
-    # those with a tabulated generator take a log, always given the factors
+def test_empirical_scan_asks_the_kernel_once_per_prime(monkeypatch):
+    # one omega_members call per prime decides it, with k_p read from the
+    # kernel's answer: no factorization and no discrete log
     f = table_f()
-    asked, factored, logs = {}, [], []
-    real_omega, real_factorize, real_log = (
-        kernels.omega_members, kernels.factorize, kernels.discrete_log
-    )
+    asked, factored, logs = [], [], []
 
     def recording_omega(primes, *witnesses):
         got = real_omega(primes, *witnesses)
-        (p,) = primes
-        asked.setdefault(p, []).append(got[2])
+        asked.append((primes, got[2]))
         return got
 
-    def counting_factorize(n):
-        factored.append(n)
-        return real_factorize(n)
-
-    def recording_log(g, h, p, factors=None):
-        logs.append((p, factors))
-        return real_log(g, h, p, factors)
-
-    # at bound 2 the kernel keeps every p where f(2) is a power of 2, and
-    # those where 2 generates no units are unknown
-    expected = {None: (2, 0), 2: (248, 82)}
+    real_omega = kernels.omega_members
+    # at bound 2 the kernel sees only q = 2: a p where f(2) is a power of 2
+    # is a member, and "unknown" unless 2 generates the units mod p
+    expected = {None: (2, 0), 2: (167, 81)}
     for bound in (None, 2):
         before = scan_Sf(f, 3000, mode="empirical", bound=bound)
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "omega_members", recording_omega)
-            patch.setattr(kernels, "factorize", counting_factorize)
-            patch.setattr(kernels, "discrete_log", recording_log)
-            # pure.discrete_log factors p - 1 through this name when given no factors
-            patch.setattr(pure, "factorize", counting_factorize)
+            patch.setattr(kernels, "factorize", lambda *args: factored.append(args))
+            patch.setattr(kernels, "discrete_log", lambda *args: logs.append(args))
             members, unknown = scan_Sf(f, 3000, mode="empirical", bound=bound)
         assert (members, unknown) == before
-        kept = [p for p, answers in asked.items() if answers[0]]
-        assert factored == [p - 1 for p in kept]
-        assert [p for p, _ in logs] == [v.p for v in members]
-        assert all(factors is not None for _, factors in logs)
-        # the kernel saw every witness at once, so a kept prime is a member,
-        # and one with no tabulated generator asks again and is unknown
-        assert Counter(map(tuple, asked.values())) == Counter(
-            {(0,): len(asked) - len(kept), (1,): len(members), (1, 1): unknown}
-        )
-        assert (len(kept), unknown) == expected[bound]
-        asked.clear()
-        del factored[:], logs[:]
+        assert [primes for primes, _ in asked] == [[p] for p in PrimeCache(3000).primes]
+        assert factored == logs == []
+        kept = [p for _, answer in asked for p, _, _ in answer]
+        assert len(kept) == len(members) + unknown
+        assert (len(members), unknown) == expected[bound]
+        del asked[:]
 
 
 def empirical_oracle(f, p, bound, domain):
-    """(member, k_p) of the empirical verdict by trying every k in [0, p - 2]."""
+    """(member, k_p) of the empirical verdict by trying every k in [0, p - 2].
+
+    "unknown" exactly when more than one k fits.
+    """
     values = [(q, f(q).value()) for q in PrimeCache(bound).primes if q != p]
     ks = [
         k for k in range(p - 1)
@@ -580,8 +578,8 @@ def empirical_oracle(f, p, bound, domain):
     ]
     if not ks:
         return "no", None
-    if not any(len({pow(q, i, p) for i in range(p - 1)}) == p - 1 for q, _ in values):
-        return "unknown", None  # no tabulated generator fixes k mod p - 1
+    if len(ks) > 1:
+        return "unknown", None  # the tabulated q do not fix k mod p - 1
     (k,) = ks
     if domain == "rational" and (f.sign_value - (-1) ** k) % p:
         return "no", None
@@ -595,7 +593,7 @@ def empirical_oracle(f, p, bound, domain):
     st.sampled_from((2, 50, 60)),
 )
 def test_empirical_verdicts_match_the_brute_force(f, domain, bound):
-    # bound 60 tabulates 17 primes, one more than the verdict asks the kernel about
+    # bound 2 tabulates one prime, so most p are "unknown"; 60 tabulates 17
     for p in PrimeCache(200).primes:
         got = local_exponent(f, p, mode="empirical", bound=bound, domain=domain)
         assert (got.member, got.k_p) == empirical_oracle(f, p, bound, domain), p
