@@ -9,9 +9,9 @@ Run as: python3 benchmarks/bench_kernels.py
 
 import time
 
-from localpow.chebotarev import _character_prefilter
 from localpow.kernels import pure
 from localpow.modular import primitive_root
+from localpow.powermap import _character_prefilter
 from localpow.ratfact import as_factored
 
 try:
@@ -36,9 +36,10 @@ def main():
     dlog_ps = primes_1m[-200:]
     dlog_gs = [primitive_root(p) for p in dlog_ps]
     # heuristic's witnesses and values at benchmark seed 1, on the primes its
-    # quadratic-character prefilter leaves to omega_members
+    # quadratic-character prefilter leaves to omega_members, and their
+    # parity codes
     seed1_ns, seed1_fs = [2, 17, 29], [53, 89, 67]
-    seed1_kept = _character_prefilter(
+    seed1_kept, seed1_parities = _character_prefilter(
         primes_1m, [as_factored(n) for n in seed1_ns], [as_factored(f) for f in seed1_fs]
     )
 
@@ -65,19 +66,26 @@ def main():
             lambda m: m.omega_members(seed1_kept, seed1_ns, seed1_fs, [1, 1, 1]),
             3,
         ),
+        (
+            "omega_members, (2,17,29), prefilter-kept p to 10^6, with parities",
+            lambda m: m.omega_members(
+                seed1_kept, seed1_ns, seed1_fs, [1, 1, 1], seed1_parities
+            ),
+            3,
+        ),
     ]
 
-    header = f"{'task':<50} {'pure':>10} {'native':>10} {'speedup':>8}"
+    header = f"{'task':<68} {'pure':>10} {'native':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for label, fn, repeat in tasks:
         t_pure = best_of(lambda: fn(pure), repeat)
         if native is None:
-            print(f"{label:<50} {t_pure:>9.3f}s {'n/a':>10} {'n/a':>8}")
+            print(f"{label:<68} {t_pure:>9.3f}s {'n/a':>10} {'n/a':>8}")
             continue
         t_native = best_of(lambda: fn(native), repeat)
         print(
-            f"{label:<50} {t_pure:>9.3f}s {t_native:>9.3f}s {t_pure / t_native:>7.1f}x"
+            f"{label:<68} {t_pure:>9.3f}s {t_native:>9.3f}s {t_pure / t_native:>7.1f}x"
         )
     pure_only = [
         (
@@ -100,7 +108,7 @@ def main():
     ]
     for label, fn, repeat in pure_only:
         t_pure = best_of(fn, repeat)
-        print(f"{label:<50} {t_pure:>9.3f}s {'n/a':>10} {'n/a':>8}")
+        print(f"{label:<68} {t_pure:>9.3f}s {'n/a':>10} {'n/a':>8}")
 
 
 if __name__ == "__main__":

@@ -33,18 +33,20 @@ def chunked(seq, n: int):
     return [seq[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _run_chunks(fn, seq, workers: int, *rest) -> list:
-    """fn((chunk, *rest)) for each contiguous chunk of seq, results in chunk order.
+def _run_chunks(fn, columns: tuple, workers: int, *rest) -> list:
+    """fn((*chunk, *rest)) for each contiguous chunk of the columns, results in chunk order.
 
-    There are at most as many chunks as cores; one chunk runs in this
-    process on the whole of seq.
+    The columns are equally long sequences, cut at the same places.  There
+    are at most as many chunks as cores; one chunk runs in this process on
+    the whole of each column.
     """
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(seq) > 1:
-        jobs = [(part, *rest) for part in chunked(seq, workers)]
+    if workers > 1 and len(columns[0]) > 1:
+        parts = zip(*(chunked(column, workers) for column in columns))
+        jobs = [(*chunk, *rest) for chunk in parts]
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             return list(pool.map(fn, jobs))
-    return [fn((seq, *rest))]
+    return [fn((*columns, *rest))]
 
 
 def _merge_counts(parts):
@@ -64,18 +66,22 @@ def density_counts_parallel(numbers, ell, nums, dens, mode, workers: int = 1):
 
     Each worker generates the primes of its chunk of the range itself.
     """
-    return _merge_counts(_run_chunks(_density_chunk, numbers, workers, ell, nums, dens, mode))
+    return _merge_counts(
+        _run_chunks(_density_chunk, (numbers,), workers, ell, nums, dens, mode)
+    )
 
 
 def _omega_chunk(args):
-    primes, ns, fnums, fdens = args
-    counted, skipped, members = kernels.omega_members(primes, ns, fnums, fdens)
+    primes, parities, ns, fnums, fdens = args
+    counted, skipped, members = kernels.omega_members(primes, ns, fnums, fdens, parities)
     return counted, skipped, len(members)
 
 
-def omega_members_parallel(primes, ns, fnums, fdens, workers: int = 1):
-    """(counted, skipped, members) over the primes, split across processes."""
-    return _merge_counts(_run_chunks(_omega_chunk, primes, workers, ns, fnums, fdens))
+def omega_members_parallel(primes, parities, ns, fnums, fdens, workers: int = 1):
+    """(counted, skipped, members) over the primes and their parity codes, across processes."""
+    return _merge_counts(
+        _run_chunks(_omega_chunk, (primes, parities), workers, ns, fnums, fdens)
+    )
 
 
 def _sf_chunk(args):
@@ -88,7 +94,7 @@ def sf_scan_parallel(f, primes, mode, bound, domain, workers: int = 1):
     members = []
     unknown = 0
     for part_members, part_unknown in _run_chunks(
-        _sf_chunk, primes, workers, f, mode, bound, domain
+        _sf_chunk, (primes,), workers, f, mode, bound, domain
     ):
         members.extend(part_members)
         unknown += part_unknown

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd
 
 from . import _parallel, kernels, powermap
 from .errors import (
@@ -28,10 +28,6 @@ from .errors import (
 from .lattice import build_lattice, row_space_mod_ell
 from .modular import PrimeCache, check_table_limit, require_odd_prime, validate_split
 from .ratfact import as_factored, is_prime
-
-# heuristic_scan's prefilter leaves out an equation whose table of quadratic
-# characters would have more entries than this
-MAX_CHARACTER_MODULUS = 2**20
 
 # class_ratio does one small row reduction per λ mod ell, 20–30 µs each at
 # k = 2 on a 2-core x86-64 machine, so it stops here (about a minute)
@@ -260,78 +256,15 @@ def heuristic_sum(primes) -> float:
     return total
 
 
-def _character_bits(v, m: int) -> int:
-    """The quadratic character of the value v at the odd primes p, by p mod m.
-
-    Byte r of the result, as m little-endian bytes, is 1 where (v/p) = -1
-    for the primes p ≡ r (mod m) that do not divide v; m is a multiple of
-    4·|squarefree part of v|.  By reciprocity (v/p) is a product of (-1/p),
-    (2/p) and (p/q) over the odd q of odd exponent, periodic mod 4, 8 and q;
-    the sign flips once more for each such q ≡ 3 (mod 4).
-    """
-    patterns = []
-    minus = v.sign < 0
-    for q, e in v.exponents.items():
-        if e % 2 == 0:
-            continue
-        if q == 2:
-            patterns.append(b"\0\0\0\1\0\1\0\0")
-            continue
-        minus ^= q % 4 == 3
-        nonresidue = bytearray(b"\1") * q
-        nonresidue[0] = 0
-        for y in range(1, q // 2 + 1):
-            nonresidue[y * y % q] = 0
-        patterns.append(nonresidue)
-    if minus:
-        patterns.append(b"\0\0\0\1")
-    bits = 0
-    for pattern in patterns:
-        bits ^= int.from_bytes(pattern * (m // len(pattern)), "little")
-    return bits
-
-
-# code (n/p) = -1 plus 2·[(f/p) = -1] -> bit 1 "(f/p) = 1" | bit 2 "(f/p) = (n/p)"
-_CHARACTER_MASKS = bytes((3, 1, 0, 2)) + bytes(252)
-
-
-def _character_prefilter(primes, witnesses, values) -> list[int]:
-    """The primes where the witnesses' quadratic characters allow a common power.
-
-    If n^t ≡ f(n) (mod p) for each witness n, with p ∤ 2·n·f(n), then
-    (f(n)/p) = (n/p)^t: every (f(n)/p) = 1 (t even) or every (f(n)/p) =
-    (n/p) (t odd).  The primes that fail both are left out; those dividing 2,
-    a witness or a value are kept.  The witnesses come factored; all primes
-    are kept when they are None (the witnesses do not factor).
-    """
-    if witnesses is None:
-        return primes
-    keep = {2}
-    tables = []
-    for w, v in zip(witnesses, values):
-        keep.update(w.support(), v.support())
-        m = lcm(*(4 * prod(q for q, e in u.exponents.items() if e % 2) for u in (w, v)))
-        if m <= MAX_CHARACTER_MODULUS:
-            codes = _character_bits(w, m) + 2 * _character_bits(v, m)
-            tables.append((m, codes.to_bytes(m, "little").translate(_CHARACTER_MASKS)))
-    if not tables:
-        return primes
-    kept = []
-    for p in primes:
-        bits = 3
-        for m, table in tables:
-            bits &= table[p % m]
-        if bits or p in keep:
-            kept.append(p)
-    return kept
-
-
 def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     """Count primes where (f(n_j)) looks like a power of (n_j) mod p.
 
     The expectation (for witnesses with f(n) outside ±n^Z) is that the count
     stays below the sum of 1/(p-1)^2.  The witnesses are checked before any
     prime is sieved; `workers` processes split the scan without changing it.
+    The quadratic-character prefilter (`powermap._character_prefilter`)
+    settles most primes as non-members, and `kernels.omega_members` reads
+    each kept prime's q = 2 projection from the parity code it returns.
     """
     ns = [int(n) for n in witnesses]
     if len(ns) != 3:
@@ -349,9 +282,9 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     fdens = [v.den for v in values]
     primes = PrimeCache(x).primes
     total = heuristic_sum(primes)
-    kept = _character_prefilter(primes, factored, values)
+    kept, parities = powermap._character_prefilter(primes, factored, values)
     counted, skipped, members = _parallel.omega_members_parallel(
-        kept, ns, fnums, fdens, workers
+        kept, parities, ns, fnums, fdens, workers
     )
     settled = len(primes) - len(kept)
     return HeuristicScan(

@@ -639,11 +639,12 @@ static int component_solution(const u64 *avals, const u64 *cs, Py_ssize_t width,
 /* Is there k with a_j^k·c_j = 1 (mod the prime p) for all j?  1 with the
  * solutions k + mZ as *k and *m, 0 if none, or a negative code: LOG_NOMEM,
  * or -3 if rho fails on p-1.  The steps of pure.py: the projections of
- * order q <= 47 first, which reject almost every prime; only a survivor
- * factors p-1 and solves the components they leave open.  The residues of
- * the components combine by CRT, in words: m·n <= p-1 < 2^63. */
-static int omega_solution(u64 p, const u64 *avals, const u64 *cs, Py_ssize_t width, u64 *k,
-                          u64 *m)
+ * order q <= 47 first, which reject almost every prime, with a parity code
+ * in 0..3 standing for the q = 2 one; only a survivor factors p-1 and
+ * solves the components they leave open.  The residues of the components
+ * combine by CRT, in words: m·n <= p-1 < 2^63. */
+static int omega_solution(u64 p, const u64 *avals, const u64 *cs, Py_ssize_t width, i64 code,
+                          u64 *k, u64 *m)
 {
     u64 qs[MAX_FACTORS], es[MAX_FACTORS], ts[MAX_FACTORS], ns[MAX_FACTORS];
     int cnt, ok, parts = 0;
@@ -651,8 +652,16 @@ static int omega_solution(u64 p, const u64 *avals, const u64 *cs, Py_ssize_t wid
         u64 q = SMALL_Q[i];
         if ((p - 1) % q)
             continue;
-        if ((ok = projection_solution(avals, cs, width, q, p, ts + parts, ns + parts)) <= 0)
+        if (q == 2 && code >= 0) {
+            /* code 0 fits no k, 1 only even k, 2 only odd k, 3 every k */
+            if (code == 0)
+                return 0;
+            ts[parts] = code == 2;
+            ns[parts] = code == 3 ? 1 : 2;
+        } else if ((ok = projection_solution(avals, cs, width, q, p, ts + parts,
+                                             ns + parts)) <= 0) {
             return ok;
+        }
         parts += (p - 1) % (q * q) != 0;  /* the projection is the whole component */
     }
     if ((cnt = factorize_u64(p - 1, qs, es)) < 0)
@@ -681,20 +690,40 @@ static int omega_solution(u64 p, const u64 *avals, const u64 *cs, Py_ssize_t wid
 }
 
 PyDoc_STRVAR(omega_members_doc,
-"omega_members(primes, ns, fnums, fdens)\n--\n\n"
+"omega_members(primes, ns, fnums, fdens, parities=None)\n--\n\n"
 "The primes where (f(n_j)) is a simultaneous power of (n_j) mod p, with its exponents.\n\n"
 "Same contract as the pure backend: returns (counted, skipped, members),\n"
 "members a list of (p, k, m), one per member p: the k with n_j^k = f(n_j)\n"
-"(mod p) for all j are exactly k + mZ, 0 <= k < m, m | p - 1.");
+"(mod p) for all j are exactly k + mZ, 0 <= k < m, m | p - 1.  parities,\n"
+"when given, holds one code per prime: bit 1 says every (f(n_j)/p) = 1\n"
+"(k even fits), bit 2 every (f(n_j)/p) = (n_j/p) (k odd fits), and the\n"
+"code stands for the q = 2 projection; -1 is not read.  A code outside\n"
+"-1..3, or a list whose length differs from primes, raises ValueError.");
+
+/* the i-th parity code of the sequence codes (a PySequence_Fast), or -1
+ * for none; -2 with an exception set on a code outside -1..3 */
+static i64 parity_code(PyObject *codes, Py_ssize_t i)
+{
+    i64 code = -1;
+    if (codes != NULL && !as_i64(PySequence_Fast_GET_ITEM(codes, i), &code))
+        return -2;
+    if (code < -1 || code > 3) {
+        PyErr_Format(PyExc_ValueError, "parity code %lld lies outside -1..3", (long long)code);
+        return -2;
+    }
+    return code;
+}
 
 static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *primes, *ns, *fnums, *fdens, *fast, *members;
+    PyObject *primes, *ns, *fnums, *fdens, *parities = Py_None, *fast, *codes = NULL;
+    PyObject *members = NULL;
     u64 cn[MAX_WIDTH], cfd[MAX_WIDTH], avals[MAX_WIDTH], cs[MAX_WIDTH];
     u64 counted = 0, skipped = 0;
     i64 cfn[MAX_WIDTH];
     Py_ssize_t width, n;
-    if (!PyArg_ParseTuple(args, "OOOO:omega_members", &primes, &ns, &fnums, &fdens))
+    if (!PyArg_ParseTuple(args, "OOOO|O:omega_members", &primes, &ns, &fnums, &fdens,
+                          &parities))
         return NULL;
     if ((width = read_words(ns, cn, 0, MAX_WIDTH)) < 0
         || read_words(fnums, cfn, 1, MAX_WIDTH) < 0
@@ -702,9 +731,22 @@ static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *arg
         return NULL;
     if ((fast = PySequence_Fast(primes, "primes must be a sequence")) == NULL)
         return NULL;
+    n = PySequence_Fast_GET_SIZE(fast);
+    if (parities != Py_None) {
+        if ((codes = PySequence_Fast(parities, "parities must be a sequence")) == NULL)
+            goto fail;
+        if (PySequence_Fast_GET_SIZE(codes) != n) {
+            PyErr_Format(PyExc_ValueError, "%zd parity codes for %zd primes",
+                         PySequence_Fast_GET_SIZE(codes), n);
+            goto fail;
+        }
+        /* every code is checked before any prime, as pure.py does */
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (parity_code(codes, i) < -1)
+                goto fail;
+    }
     if ((members = PyList_New(0)) == NULL)
         goto fail;
-    n = PySequence_Fast_GET_SIZE(fast);
     for (Py_ssize_t i = 0; i < n; i++) {
         u64 p, k, m;
         int ok = 1, member;
@@ -723,7 +765,7 @@ static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *arg
             avals[j] = cn[j] % p;
             cs[j] = mulmod(cfd[j] % p, invmod(residue(cfn[j], p), p), p);
         }
-        member = omega_solution(p, avals, cs, width, &k, &m);
+        member = omega_solution(p, avals, cs, width, parity_code(codes, i), &k, &m);
         if (member == LOG_NOMEM) {
             PyErr_NoMemory();
             goto fail;
@@ -743,10 +785,12 @@ static PyObject *kernel_omega_members(PyObject *Py_UNUSED(module), PyObject *arg
         Py_DECREF(row);
     }
     Py_DECREF(fast);
+    Py_XDECREF(codes);
     return Py_BuildValue("(KKN)", (unsigned long long)counted,
                          (unsigned long long)skipped, members);
 fail:
     Py_DECREF(fast);
+    Py_XDECREF(codes);
     Py_XDECREF(members);
     return NULL;
 }

@@ -12,7 +12,7 @@ and `z_b_rows`) run from here under every backend.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, isqrt
 
 BACKEND = "pure"
@@ -195,18 +195,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def _bsgs(base: int, target: int, order: int, p: int) -> int | None:
-    # baby-step giant-step in the cyclic group <base> of the given order
+    # baby-step giant-step in the cyclic group <base> of prime order q > 47;
+    # its m <= q baby steps are distinct powers of base
     m = isqrt(order - 1) + 1
     table: dict[int, int] = {}
     cur = 1
     for j in range(m):
-        if cur not in table:
-            table[cur] = j
+        table[cur] = j
         cur = cur * base % p
+    get = table.get
     step = pow(base, -m, p)
     cur = target
     for i in range(m):
-        j = table.get(cur)
+        j = get(cur)
         if j is not None:
             return (i * m + j) % order
         cur = cur * step % p
@@ -254,7 +255,7 @@ def discrete_log(g: int, h: int, p: int) -> int:
     h %= p
     if g == 0 or h == 0:
         raise ValueError("arguments must be units mod p")
-    solution = _omega_solution([g], [pow(h, -1, p)], p)
+    solution = _omega_solution(p, [g], [h], [1], -1)
     if solution is None:
         raise ValueError("element outside the subgroup generated by the base")
     return solution[0]
@@ -377,21 +378,23 @@ def class_counts(
     return counted, skipped, hits
 
 
-def _projection_solution(avals: list[int], cs: list[int], q: int, p: int):
-    # the t mod q with (a_j^t · c_j)^m == 1 for all j, m = (p-1)/q, as (t, q),
-    # or (0, 1) when every a_j projects to 1; None when no t fits.
-    # Projections are taken lazily: up to the first a_j of projection u != 1
-    # (the pivot) each c_j must project to 1; the pivot fixes t, since its
-    # c_j projects to w in <u> = mu_q and u^t · w == 1 for t = -log_u(w);
-    # every later witness then costs one power
+def _projection_solution(ns: list[int], fnums: list[int], fdens: list[int], q: int, p: int):
+    # the t mod q with (n_j^t · c_j)^m == 1 for all j, m = (p-1)/q and
+    # c_j = f(n_j)^-1, as (t, q), or (0, 1) when every n_j projects to 1;
+    # None when no t fits.  c_j^m = (fd_j · fn_j^(q-1))^m needs no inverse,
+    # and witness j is reduced only when the walk reaches it: up to the
+    # first n_j of projection u != 1 (the pivot) each c_j must project to
+    # 1; the pivot fixes t, since its c_j projects to w in <u> = mu_q and
+    # u^t · w == 1 for t = -log_u(w); every later witness then costs one power
     m = (p - 1) // q
     t = None
-    for a, c in zip(avals, cs):
+    for n, fn, fd in zip(ns, fnums, fdens):
+        c = fd * pow(fn, q - 1, p)
         if t is not None:
-            if pow(pow(a, t, p) * c % p, m, p) != 1:
+            if pow(pow(n, t, p) * c, m, p) != 1:
                 return None
             continue
-        u = pow(a, m, p)
+        u = pow(n, m, p)
         w = pow(c, m, p)
         if u != 1:
             s = _digit_log(u, w, q, p)
@@ -428,24 +431,41 @@ def _component_solution(avals: list[int], cs: list[int], q: int, e: int, p: int)
     return -t % q**s, q**s
 
 
-def _omega_solution(avals: list[int], cs: list[int], p: int):
-    # (k, m) with a_j^k · c_j == 1 (mod p) for all j exactly when k ≡ k
+# the parity codes omega_members reads, and the q = 2 projection each
+# stands for: code 0 fits no k, 1 only even k, 2 only odd k, and 3 every k
+# (every n_j and every f(n_j) is a square mod p); -1 is not read
+_PARITY_CODES = range(-1, 4)
+_PARITY_PARTS = (None, (0, 2), (1, 2), (0, 1))
+
+
+def _omega_solution(p: int, ns: list[int], fnums: list[int], fdens: list[int], code: int):
+    # (k, m) with n_j^k == f(n_j) (mod p) for all j exactly when k ≡ k
     # (mod m), or None.  The projections of order q <= 47 come first and
-    # reject almost every prime; only a survivor factors p-1 and solves the
-    # components they leave open.  The residues combine by CRT
+    # reject almost every prime; a parity code >= 0 stands for the q = 2
+    # one.  Only a survivor factors p-1 and solves the components they
+    # leave open; only one with a component of order q^e, e >= 2, reduces
+    # and inverts every witness.  The residues combine by CRT
     parts = []  # (k mod n, n), the n pairwise coprime
     for q in _SMALL_Q:
         if (p - 1) % q == 0:
-            part = _projection_solution(avals, cs, q, p)
+            if q == 2 and code >= 0:
+                part = _PARITY_PARTS[code]
+            else:
+                part = _projection_solution(ns, fnums, fdens, q, p)
             if part is None:
                 return None
             if (p - 1) % (q * q):  # q || p-1
                 parts.append(part)
+    avals = cs = None
     for q, e in _prime_powers(p - 1):
         if e > 1:
+            if avals is None:
+                # c_j = f(n_j)^-1, so each test is a_j^k · c_j == 1
+                avals = [n % p for n in ns]
+                cs = [fd * pow(fn, -1, p) % p for fn, fd in zip(fnums, fdens)]
             part = _component_solution(avals, cs, q, e, p)
         elif q > _SMALL_Q[-1]:
-            part = _projection_solution(avals, cs, q, p)
+            part = _projection_solution(ns, fnums, fdens, q, p)
         else:
             continue  # solved by its projection above
         if part is None:
@@ -459,7 +479,11 @@ def _omega_solution(avals: list[int], cs: list[int], p: int):
 
 
 def omega_members(
-    primes: list[int], ns: list[int], fnums: list[int], fdens: list[int]
+    primes: list[int],
+    ns: list[int],
+    fnums: list[int],
+    fdens: list[int],
+    parities: list[int] | None = None,
 ) -> tuple[int, int, list[tuple[int, int, int]]]:
     """The primes where (f(n_j)) is a simultaneous power of (n_j) mod p, with its exponents.
 
@@ -469,33 +493,42 @@ def omega_members(
     n_j^k ≡ f(n_j) (mod p) for all j are exactly k + mZ, 0 <= k < m; m is
     the order of the group the n_j generate mod p.
 
+    parities, when given, holds one code per prime: which parities of k the
+    quadratic characters allow, bit 1 "k even" (every (f(n_j)/p) = 1) and
+    bit 2 "k odd" (every (f(n_j)/p) = (n_j/p)).  A code stands for the
+    q = 2 projection: 0 rejects p, 1 fixes k ≡ 0 and 2 fixes k ≡ 1 (mod 2),
+    and 3 leaves k free; -1 means not read, and the projection is taken.
+    A code outside -1..3, or a list whose length differs from primes, raises
+    ValueError.
+
     For each prime q <= 47 dividing p - 1, ascending, the projections
     x -> x^((p-1)/q) are taken one witness at a time: a witness whose n_j
     projects to 1 needs an f(n_j) that does too, the first one projecting to
     u != 1 fixes k mod q by a walk of at most q steps, each later witness
-    costs one power, and the first failure rejects p.  Only a survivor
-    factors p - 1: a component of prime order q > 47 gets the same test with
-    k mod q from BSGS, and one of order q^e, e >= 2, fixes k mod q^s by a
-    Pohlig-Hellman log of its projection of largest order q^s.  The
-    residues combine by CRT.
+    costs one power, and the first failure rejects p.  A witness is reduced
+    mod p only when the walk reaches it, and no inverse is taken.  Only a
+    survivor factors p - 1: a component of prime order q > 47 gets the same
+    test with k mod q from BSGS, and one of order q^e, e >= 2, fixes k mod
+    q^s by a Pohlig-Hellman log of its projection of largest order q^s.
+    The residues combine by CRT.
     """
+    if parities is None:
+        parities = repeat(-1)
+    elif len(parities) != len(primes):
+        raise ValueError(f"{len(parities)} parity codes for {len(primes)} primes")
+    elif not all(code in _PARITY_CODES for code in parities):
+        raise ValueError("a parity code lies outside -1..3")
     counted = skipped = 0
     members = []
-    width = len(ns)
-    for p in primes:
-        ok = True
-        for j in range(width):
-            if ns[j] % p == 0 or fnums[j] % p == 0 or fdens[j] % p == 0:
-                ok = False
-                break
-        if not ok:
+    values = [*ns, *fnums, *fdens]
+    # no p above every |value| divides one, unless some value is 0
+    vmax = max(map(abs, values), default=0) if all(values) else max(primes, default=0)
+    for p, code in zip(primes, parities):
+        if p <= vmax and any(v % p == 0 for v in values):
             skipped += 1
             continue
         counted += 1
-        avals = [n % p for n in ns]
-        # c_j = f(n_j)^-1, so each test is a_j^k · c_j == 1
-        cs = [fd * pow(fn, -1, p) % p for fn, fd in zip(fnums, fdens)]
-        solution = _omega_solution(avals, cs, p)
+        solution = _omega_solution(p, ns, fnums, fdens, code)
         if solution is not None:
             members.append((p, *solution))
     return counted, skipped, members

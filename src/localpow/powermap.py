@@ -7,9 +7,11 @@ mod p) exactly decidable.  Raw integer functions get the empirical mode only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt, lgamma, log, log2
+from itertools import chain
+from math import inf, isqrt, lcm, lgamma, log, log2, prod
 
 from . import _parallel, kernels
 from .errors import (
@@ -39,6 +41,14 @@ MAX_TABLE_SLOTS = 2 * 10**7
 # estimated from their bit lengths before any value is built: wide values
 # fill memory long before the entries reach MAX_TABLE_SLOTS.
 MAX_TABLE_BYTES = 2**30
+
+
+# _character_prefilter leaves out a witness whose table of quadratic
+# characters would have more entries than this, or would take the tables
+# together past MAX_CHARACTER_BYTES (an empirical verdict has a witness for
+# each tabulated prime)
+MAX_CHARACTER_MODULUS = 2**20
+MAX_CHARACTER_BYTES = 2**22
 
 
 class MultiplicativeMap:
@@ -208,13 +218,17 @@ def _check_verdicts(f, mode: str, bound, domain: str) -> None:
 
 
 def _verdicts(f, mode: str, bound, domain: str):
-    """Check mode, domain and model once; the decision p -> (member, k_p) for primes p.
+    """Check mode, domain and model once; the decision primes -> [(p, member, k_p)].
 
-    Each value f(q) the decision reads becomes a pair (a, b) here, so an
-    exact verdict costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p)
-    exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict is one
-    `kernels.omega_members` call per prime, which returns the exponents
-    themselves.
+    The decision takes ascending primes and lists, in their order, those
+    whose verdict is "yes" or "unknown"; every other prime is "no".  Each
+    value f(q) the decision reads becomes a pair (a, b) here, so an exact
+    verdict costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p)
+    exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict asks
+    `kernels.omega_members`, which returns the exponents themselves: one
+    call per prime p up to the largest tabulated q, whose witnesses leave
+    out q = p, and one call for all the larger primes, which the quadratic
+    characters of a structured map's values prefilter.
     """
     _check_verdicts(f, mode, bound, domain)
     structured = isinstance(f, MultiplicativeMap)
@@ -222,10 +236,11 @@ def _verdicts(f, mode: str, bound, domain: str):
     if mode == "exact":
         table = [(q, *_fraction_pair(v)) for q, v in f.overrides.items()]
     else:
-        table = [
-            (q, *_fraction_pair(f._value_at_prime(q) if structured else f(q)))
+        values = [
+            (q, f._value_at_prime(q) if structured else f(q))
             for q in kernels.sieve(_verdict_bound(mode, bound))
         ]
+        table = [(q, *_fraction_pair(v)) for q, v in values]
 
     def signs_agree(p: int, k_p: int) -> bool:
         # in the rational domain, f(-1) = sign_value must be (-1)^k_p mod p
@@ -239,9 +254,13 @@ def _verdicts(f, mode: str, bound, domain: str):
                 return False
         return signs_agree(p, k_p)
 
-    def exact(p: int):
-        k_p = f.default_exponent % (p - 1)
-        return ("yes", k_p) if agrees(p, k_p) else ("no", None)
+    def exact(primes):
+        rows = []
+        for p in primes:
+            k_p = f.default_exponent % (p - 1)
+            if agrees(p, k_p):
+                rows.append((p, "yes", k_p))
+        return rows
 
     if mode == "exact":
         return exact
@@ -254,19 +273,29 @@ def _verdicts(f, mode: str, bound, domain: str):
 
     largest = table[-1][0]  # the bound is at least 2, so the table has a row
     others = witnesses(0)
+    # the tabulated q, factored for the prefilter; a plain callable's values
+    # need not factor, so its primes go unfiltered
+    factored_qs = [FactoredRational._raw(1, {q: 1}) for q, _ in values] if structured else None
+    fvalues = [v for _, v in values]
 
-    def empirical(p: int):
+    def empirical(primes):
         # The kernel skips a p that divides some f(q), and otherwise returns
         # the k with q^k ≡ f(q) (mod p) at every tabulated q other than p as
         # k + mZ, m the order of the group those q generate mod p: none is
-        # "no", and m < p - 1 leaves k_p open
-        members = kernels.omega_members([p], *(others if p > largest else witnesses(p)))[2]
-        if not members:
-            return "no", None
-        ((_, k_p, m),) = members
-        if m < p - 1:
-            return "unknown", None
-        return ("yes", k_p) if signs_agree(p, k_p) else ("no", None)
+        # "no", and m < p - 1 leaves k_p open.  A p the prefilter leaves
+        # out is "no" too: no parity of k fits the quadratic characters
+        cut = bisect_right(primes, largest)
+        answers = [kernels.omega_members([p], *witnesses(p))[2] for p in primes[:cut]]
+        if cut < len(primes):
+            kept, parities = _character_prefilter(primes[cut:], factored_qs, fvalues)
+            answers.append(kernels.omega_members(kept, *others, parities)[2])
+        rows = []
+        for p, k_p, m in chain.from_iterable(answers):
+            if m < p - 1:
+                rows.append((p, "unknown", None))
+            elif signs_agree(p, k_p):
+                rows.append((p, "yes", k_p))
+        return rows
 
     return empirical
 
@@ -275,27 +304,100 @@ def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> Lo
     """Decide whether f is a local power map at p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    member, k_p = _verdicts(f, mode, bound, domain)(p)
+    rows = _verdicts(f, mode, bound, domain)([p])
+    _, member, k_p = rows[0] if rows else (p, "no", None)
     return LocalVerdict(p, member, k_p, mode, _verdict_bound(mode, bound))
 
 
 def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], int]:
     """(p, k_p) of the members among the primes, in their order, plus the count of unknowns.
 
-    The primes come from a sieve and are not checked again.  In empirical
-    mode each prime is one `kernels.omega_members` call, whose exponent is
-    k_p.
+    The primes come ascending from a sieve and are not checked again.  In
+    empirical mode the primes above the largest tabulated q take one
+    prefiltered `kernels.omega_members` call, and each smaller prime one
+    call of its own; the kernel's exponent is k_p.
     """
-    decide = _verdicts(f, mode, bound, domain)
     members = []
     unknown = 0
-    for p in primes:
-        member, k_p = decide(p)
+    for p, member, k_p in _verdicts(f, mode, bound, domain)(primes):
         if member == "yes":
             members.append((p, k_p))
-        elif member == "unknown":
+        else:
             unknown += 1
     return members, unknown
+
+
+def _character_bits(v, m: int) -> int:
+    """The quadratic character of the value v at the odd primes p, by p mod m.
+
+    Byte r of the result, as m little-endian bytes, is 1 where (v/p) = -1
+    for the primes p ≡ r (mod m) that do not divide v; m is a multiple of
+    4·|squarefree part of v|.  By reciprocity (v/p) is a product of (-1/p),
+    (2/p) and (p/q) over the odd q of odd exponent, periodic mod 4, 8 and q;
+    the sign flips once more for each such q ≡ 3 (mod 4).
+    """
+    patterns = []
+    minus = v.sign < 0
+    for q, e in v.exponents.items():
+        if e % 2 == 0:
+            continue
+        if q == 2:
+            patterns.append(b"\0\0\0\1\0\1\0\0")
+            continue
+        minus ^= q % 4 == 3
+        nonresidue = bytearray(b"\1") * q
+        nonresidue[0] = 0
+        for y in range(1, q // 2 + 1):
+            nonresidue[y * y % q] = 0
+        patterns.append(nonresidue)
+    if minus:
+        patterns.append(b"\0\0\0\1")
+    bits = 0
+    for pattern in patterns:
+        bits ^= int.from_bytes(pattern * (m // len(pattern)), "little")
+    return bits
+
+
+# code (n/p) = -1 plus 2·[(f/p) = -1] -> bit 1 "(f/p) = 1" | bit 2 "(f/p) = (n/p)"
+_CHARACTER_MASKS = bytes((3, 1, 0, 2)) + bytes(252)
+
+
+def _character_prefilter(primes, witnesses, values) -> tuple[list[int], list[int]]:
+    """The primes whose quadratic characters allow a common power, with their parity codes.
+
+    If n^t ≡ f(n) (mod p) for each witness n, with p ∤ 2·n·f(n), then
+    (f(n)/p) = (n/p)^t: every (f(n)/p) = 1 (t even) or every (f(n)/p) =
+    (n/p) (t odd).  The primes that fail both are left out; those dividing 2,
+    a witness or a value are kept.  Each kept prime comes with the parity
+    code `kernels.omega_members` reads: bit 1 "t even fits", bit 2 "t odd
+    fits", or -1 where p divides 2·n·f(n) or some witness has no table.  A
+    witness has none when its table would have more than
+    MAX_CHARACTER_MODULUS entries, or would take the tables together past
+    MAX_CHARACTER_BYTES.  The witnesses come factored; all primes are kept,
+    with code -1, when they are None (the witnesses do not factor).
+    """
+    if witnesses is None:
+        return primes, [-1] * len(primes)
+    keep = {2}
+    tables = []
+    size = 0
+    for w, v in zip(witnesses, values):
+        keep.update(w.support(), v.support())
+        m = lcm(*(4 * prod(q for q, e in u.exponents.items() if e % 2) for u in (w, v)))
+        if m <= MAX_CHARACTER_MODULUS and size + m <= MAX_CHARACTER_BYTES:
+            codes = _character_bits(w, m) + 2 * _character_bits(v, m)
+            tables.append((m, codes.to_bytes(m, "little").translate(_CHARACTER_MASKS)))
+            size += m
+    complete = len(tables) == len(witnesses)
+    kept, parities = [], []
+    for p in primes:
+        bits = 3
+        for m, table in tables:
+            bits &= table[p % m]
+        if bits or p in keep:
+            kept.append(p)
+            parities.append(bits if complete and p not in keep else -1)
+    return kept, parities
 
 
 def _check_scan_model(f) -> None:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from localpow import kernels, ratfact
 from localpow.chebotarev import (
     ClassSpec,
-    _character_bits,
     class_ratio,
     cyclotomic_frobenius,
     density_counts,
@@ -31,7 +30,7 @@ from localpow.errors import (
 )
 from localpow.lattice import row_space_mod_ell, build_lattice
 from localpow.modular import PrimeCache, ell_power_class
-from localpow.powermap import MultiplicativeMap
+from localpow.powermap import MultiplicativeMap, _character_bits
 from localpow.ratfact import as_factored
 
 PRIMES_10K = list(sympy.primerange(2, 10**4 + 1))

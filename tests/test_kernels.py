@@ -403,6 +403,60 @@ def test_omega_members_match_the_brute_force(case):
     assert kernels.omega_members(OMEGA_PRIMES, *case) == expected
 
 
+def _parity_codes(primes, ns, fnums, fdens):
+    # the parities of k the quadratic characters allow, by Euler's criterion:
+    # bit 1 every (f_j/p) = 1, bit 2 every (f_j/p) = (n_j/p); -1 at p = 2
+    # and at a p dividing some n_j·fn_j·fd_j
+    codes = []
+    for p in primes:
+        if p == 2 or any(v % p == 0 for v in ns + fnums + fdens):
+            codes.append(-1)
+            continue
+        half = (p - 1) // 2
+        n_chars = [pow(n, half, p) for n in ns]
+        f_chars = [pow(fn * fd, half, p) for fn, fd in zip(fnums, fdens)]
+        codes.append(all(c == 1 for c in f_chars) + 2 * (f_chars == n_chars))
+    return codes
+
+
+@st.composite
+def parity_cases(draw):
+    ns, fnums, fdens = draw(omega_cases())
+    ns = [n * draw(st.sampled_from((1, -1))) for n in ns]
+    if draw(st.booleans()):
+        fnums[draw(st.integers(0, 2))] = draw(st.sampled_from((2**70, -(2**70), 3 * 2**70)))
+    return ns, fnums, fdens
+
+
+@settings(max_examples=60, deadline=None)
+@given(parity_cases())
+def test_omega_members_read_the_parity_codes(case):
+    codes = _parity_codes(OMEGA_PRIMES, *case)
+    expected = _omega_brute_force(OMEGA_PRIMES, *case)
+    unread = [-1] * len(OMEGA_PRIMES)
+    assert pure.omega_members(OMEGA_PRIMES, *case, codes) == expected
+    assert pure.omega_members(OMEGA_PRIMES, *case, unread) == expected
+    assert kernels.omega_members(OMEGA_PRIMES, *case, codes) == expected
+    if native is not None:
+        # a 2^70 value is wider than the compiled kernel's words
+        for parities in (codes, unread, None):
+            got = _outcome(native.omega_members, OMEGA_PRIMES, *case, parities)
+            assert got in (expected, OverflowError), parities
+
+
+def test_omega_members_reject_at_code_0_and_refuse_bad_codes():
+    # x -> x^3 makes 7 a member, with code 2 (k odd); code 0 says no parity fits
+    cube = ([2, 3], [8, 27], [1, 1])
+    for mod in (*BACKENDS, kernels):
+        assert mod.omega_members([7], *cube, [2]) == (1, 0, [(7, 3, 6)])
+        assert mod.omega_members([7], *cube, [0]) == (1, 0, [])
+        for bad in ([4], [-2], [-1, -1], []):
+            with pytest.raises(ValueError):
+                mod.omega_members([7], *cube, bad)
+    with pytest.raises(ValueError):
+        kernels.omega_members([7], *cube, [2**70])
+
+
 def test_omega_members_walk_every_small_order():
     # Orders q <= 47 are walked, so BSGS runs only for a component of prime
     # order above 47, once per digit, and only at the primes whose small

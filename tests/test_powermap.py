@@ -23,6 +23,7 @@ from localpow.errors import (
 )
 from localpow.modular import PrimeCache
 from localpow.powermap import (
+    EMPIRICAL_BOUND,
     MAX_TABLE_SLOTS,
     MultiplicativeMap,
     _integer_values,
@@ -36,6 +37,7 @@ from localpow.powermap import (
     nu_vote,
     scan_Sf,
     scan_Tf,
+    sf_members,
     shift_and_quasi_check,
 )
 from localpow.ratfact import FactoredRational, as_factored
@@ -532,15 +534,18 @@ def test_sf_scan_does_not_reprove_sieved_primes(monkeypatch):
         assert counts[0] == counts[1] <= 10, (mode, counts)
 
 
-def test_empirical_scan_asks_the_kernel_once_per_prime(monkeypatch):
-    # one omega_members call per prime decides it, with k_p read from the
+def test_empirical_scan_asks_the_kernel_once_per_chunk(monkeypatch):
+    # one omega_members call per prime up to the largest tabulated q, whose
+    # witnesses leave out q = p, and one call with parity codes for the
+    # primes above it that the prefilter keeps; k_p is read from the
     # kernel's answer: no factorization and no discrete log
     f = table_f()
+    primes = PrimeCache(3000).primes
     asked, factored, logs = [], [], []
 
     def recording_omega(primes, *witnesses):
         got = real_omega(primes, *witnesses)
-        asked.append((primes, got[2]))
+        asked.append((primes, witnesses[3:], got[2]))
         return got
 
     real_omega = kernels.omega_members
@@ -548,6 +553,8 @@ def test_empirical_scan_asks_the_kernel_once_per_prime(monkeypatch):
     # is a member, and "unknown" unless 2 generates the units mod p
     expected = {None: (2, 0), 2: (167, 81)}
     for bound in (None, 2):
+        largest = PrimeCache(bound or EMPIRICAL_BOUND).primes[-1]
+        small = [p for p in primes if p <= largest]
         before = scan_Sf(f, 3000, mode="empirical", bound=bound)
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "omega_members", recording_omega)
@@ -555,9 +562,14 @@ def test_empirical_scan_asks_the_kernel_once_per_prime(monkeypatch):
             patch.setattr(kernels, "discrete_log", lambda *args: logs.append(args))
             members, unknown = scan_Sf(f, 3000, mode="empirical", bound=bound)
         assert (members, unknown) == before
-        assert [primes for primes, _ in asked] == [[p] for p in PrimeCache(3000).primes]
+        assert [(ps, rest) for ps, rest, _ in asked[:-1]] == [([p], ()) for p in small]
+        chunk, (parities,), _ = asked[-1]
+        assert chunk == sorted(set(chunk)) and chunk[0] > largest
+        # the quadratic characters settle some primes before the kernel
+        assert len(chunk) < len(primes) - len(small)
+        assert len(parities) == len(chunk) and set(parities) <= {-1, 1, 2, 3}
         assert factored == logs == []
-        kept = [p for _, answer in asked for p, _, _ in answer]
+        kept = [p for _, _, answer in asked for p, _, _ in answer]
         assert len(kept) == len(members) + unknown
         assert (len(members), unknown) == expected[bound]
         del asked[:]
@@ -597,6 +609,23 @@ def test_empirical_verdicts_match_the_brute_force(f, domain, bound):
     for p in PrimeCache(200).primes:
         got = local_exponent(f, p, mode="empirical", bound=bound, domain=domain)
         assert (got.member, got.k_p) == empirical_oracle(f, p, bound, domain), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    table_maps(),
+    st.sampled_from(("positive", "rational")),
+    st.sampled_from((2, None, 60)),
+    st.integers(0, 46),
+)
+def test_empirical_scan_matches_the_brute_force(f, domain, bound, start):
+    # a chunk of the primes to 200 from any start: those above the largest
+    # tabulated q are decided in one prefiltered kernel call
+    primes = PrimeCache(200).primes[start:]
+    verdicts = [empirical_oracle(f, p, bound or EMPIRICAL_BOUND, domain) for p in primes]
+    members, unknown = sf_members(f, primes, "empirical", bound, domain)
+    assert members == [(p, k) for p, (member, k) in zip(primes, verdicts) if member == "yes"]
+    assert unknown == sum(member == "unknown" for member, _ in verdicts)
 
 
 def test_extend_to_q_and_nu_vote():
