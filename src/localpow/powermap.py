@@ -7,7 +7,7 @@ mod p) exactly decidable.  Raw integer functions get the empirical mode only.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -31,6 +31,12 @@ from .ratfact import MAX_VALUE_BITS, ONE, FactoredRational, as_factored, is_prim
 
 
 EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
+
+# An empirical verdict asks the kernel with at most this many tabulated q
+# first, and with all of them only for the primes those keep.  It is at most
+# the native kernel's MAX_WIDTH (64), so the first call stays native; the
+# default bound tabulates 15 q, which need no second call.
+HEAD_WITNESSES = 16
 
 # The most entries a value table f(1..N) may have.  Small values cost about
 # 50 bytes an entry (the int, its slot and a smallest-prime-factor slot), so
@@ -228,7 +234,9 @@ def _verdicts(f, mode: str, bound, domain: str):
     `kernels.omega_members`, which returns the exponents themselves: one
     call per prime p up to the largest tabulated q, whose witnesses leave
     out q = p, and one call for all the larger primes, which the quadratic
-    characters of a structured map's values prefilter.
+    characters of a structured map's values prefilter.  A call with more
+    than HEAD_WITNESSES witnesses is made first with the smallest
+    HEAD_WITNESSES of them, and then with all of them on the primes kept.
     """
     _check_verdicts(f, mode, bound, domain)
     structured = isinstance(f, MultiplicativeMap)
@@ -265,17 +273,30 @@ def _verdicts(f, mode: str, bound, domain: str):
     if mode == "exact":
         return exact
 
-    def witnesses(p: int):
-        # the kernel's columns: each tabulated q other than p, and the
-        # numerator and denominator of f(q)
-        rows = [row for row in table if row[0] != p]
+    def columns(rows):
+        # the kernel's columns: each q, and the numerator and denominator of f(q)
         return [q for q, _, _ in rows], [a for _, a, _ in rows], [b for _, _, b in rows]
 
-    largest = table[-1][0]  # the bound is at least 2, so the table has a row
-    others = witnesses(0)
+    def ask(primes, rows, *codes):
+        # the kernel's (p, k, m) over the primes for the witness rows, and
+        # the primes' parity codes if given.  With more rows than
+        # HEAD_WITNESSES, only the primes the head rows keep are asked with
+        # all of them: a k that fits every row fits the head, and a p the
+        # head skips divides a value, so all rows skip it too
+        if len(rows) > HEAD_WITNESSES:
+            head = kernels.omega_members(primes, *columns(rows[:HEAD_WITNESSES]), *codes)
+            kept = {p for p, _, _ in head[2]}
+            if not kept:
+                return []
+            codes = [[c for p, c in zip(primes, cs) if p in kept] for cs in codes]
+            primes = [p for p in primes if p in kept]
+        return kernels.omega_members(primes, *columns(rows), *codes)[2]
+
+    qs = [q for q, _, _ in table]
+    largest = qs[-1]  # the bound is at least 2, so the table has a row
     # the tabulated q, factored for the prefilter; a plain callable's values
     # need not factor, so its primes go unfiltered
-    factored_qs = [FactoredRational._raw(1, {q: 1}) for q, _ in values] if structured else None
+    factored_qs = [FactoredRational._raw(1, {q: 1}) for q in qs] if structured else None
     fvalues = [v for _, v in values]
 
     def empirical(primes):
@@ -283,12 +304,16 @@ def _verdicts(f, mode: str, bound, domain: str):
         # the k with q^k ≡ f(q) (mod p) at every tabulated q other than p as
         # k + mZ, m the order of the group those q generate mod p: none is
         # "no", and m < p - 1 leaves k_p open.  A p the prefilter leaves
-        # out is "no" too: no parity of k fits the quadratic characters
+        # out is "no" too: no parity of k fits the quadratic characters.
+        # A p <= largest is itself the tabulated q at index bisect_left(qs, p)
         cut = bisect_right(primes, largest)
-        answers = [kernels.omega_members([p], *witnesses(p))[2] for p in primes[:cut]]
+        answers = []
+        for p in primes[:cut]:
+            i = bisect_left(qs, p)
+            answers.append(ask([p], table[:i] + table[i + 1 :]))
         if cut < len(primes):
             kept, parities = _character_prefilter(primes[cut:], factored_qs, fvalues)
-            answers.append(kernels.omega_members(kept, *others, parities)[2])
+            answers.append(ask(kept, table, parities))
         rows = []
         for p, k_p, m in chain.from_iterable(answers):
             if m < p - 1:
@@ -315,7 +340,9 @@ def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], i
     The primes come ascending from a sieve and are not checked again.  In
     empirical mode the primes above the largest tabulated q take one
     prefiltered `kernels.omega_members` call, and each smaller prime one
-    call of its own; the kernel's exponent is k_p.
+    call of its own; with more than HEAD_WITNESSES tabulated q, a call with
+    the smallest HEAD_WITNESSES of them comes first, and the full call gets
+    only the primes it keeps.  The kernel's exponent is k_p.
     """
     members = []
     unknown = 0

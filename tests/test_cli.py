@@ -544,6 +544,47 @@ def test_worker_count_never_changes_output(capsys, argv):
     assert serial == parallel
 
 
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+# Runs one sf-scan at --workers 1, then at --workers 2 with two cores, in a
+# fresh interpreter, and prints the pool modules loaded after each and the
+# two reports.
+FAN_OUT_SCRIPT = """
+import contextlib, io, json, os, sys
+from localpow import cli
+
+def loaded():
+    return [name for name in json.loads(sys.argv[1]) if name in sys.modules]
+
+def report(workers):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run([*sys.argv[2:], "--workers", workers]) == 0
+    return out.getvalue()
+
+serial = report("1")
+before = loaded()
+os.cpu_count = lambda: 2
+parallel = report("2")
+print(json.dumps([before, loaded(), serial, parallel]))
+"""
+
+
+def test_the_pool_loads_only_when_a_scan_fans_out():
+    argv = ("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical")
+    proc = subprocess.run(
+        [sys.executable, "-c", FAN_OUT_SCRIPT, json.dumps(POOL_MODULES), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after, serial, parallel = json.loads(proc.stdout)
+    assert before == []
+    assert after == list(POOL_MODULES)
+    assert serial == parallel
+    assert json.loads(serial)["items"]
+
+
 def test_csv_items_written(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _ = run_cli(

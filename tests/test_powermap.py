@@ -1,5 +1,6 @@
 import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localpow import _parallel, kernels
+from localpow import _parallel, kernels, powermap
 from localpow.errors import (
     ConfigError,
     DomainError,
@@ -24,6 +25,7 @@ from localpow.errors import (
 from localpow.modular import PrimeCache
 from localpow.powermap import (
     EMPIRICAL_BOUND,
+    HEAD_WITNESSES,
     MAX_TABLE_SLOTS,
     MultiplicativeMap,
     _integer_values,
@@ -293,6 +295,29 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     scan_Tf(f, 2000)
     assert sizes == [2]
+
+
+def test_the_pool_class_resolves_on_the_module():
+    # before any fan-out the module holds no pool class and the pool modules
+    # are not loaded, yet the name resolves to the stdlib class
+    script = (
+        "import sys\n"
+        "from localpow import _parallel\n"
+        "assert 'ProcessPoolExecutor' not in vars(_parallel)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "assert _parallel.ProcessPoolExecutor is ProcessPoolExecutor\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    from concurrent.futures import ProcessPoolExecutor
+
+    assert _parallel.ProcessPoolExecutor is ProcessPoolExecutor
+    # no other missing name resolves; `__path__` keeps it from passing as a package
+    for name in ("ThreadPoolExecutor", "processpoolexecutor", "__path__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(_parallel, name)
+        assert not hasattr(_parallel, name)
 
 
 def test_maps_pickle_as_themselves():
@@ -626,6 +651,52 @@ def test_empirical_scan_matches_the_brute_force(f, domain, bound, start):
     members, unknown = sf_members(f, primes, "empirical", bound, domain)
     assert members == [(p, k) for p, (member, k) in zip(primes, verdicts) if member == "yes"]
     assert unknown == sum(member == "unknown" for member, _ in verdicts)
+
+
+def test_head_witnesses_reject_before_the_full_call(monkeypatch):
+    # bound 331 tabulates 67 q, more than native's MAX_WIDTH (64).  The
+    # oracle is each prime's verdict from one call with every tabulated q
+    # but p, which is what a HEAD_WITNESSES larger than the table gives.
+    # table_f's head already rejects most primes; q ↦ q^3 but for f(331) =
+    # -331^3 passes every head and fails at 331 nearly everywhere
+    bound = 331
+    assert len(PrimeCache(bound).primes) > 64 >= HEAD_WITNESSES
+    primes = PrimeCache(1000).primes
+    maps = (
+        table_f(),
+        MultiplicativeMap.table({331: -(331**3)}, default_exponent=3),
+        MultiplicativeMap.global_power(3),
+    )
+    widths, asked = [], []
+    real_omega = kernels.omega_members
+
+    def recording_omega(primes, ns, *rest):
+        widths.append((len(ns), len(primes)))
+        return real_omega(primes, ns, *rest)
+
+    for f in maps:
+        for domain in ("positive", "rational"):
+            with monkeypatch.context() as patch:
+                patch.setattr(powermap, "HEAD_WITNESSES", 10**9)
+                verdicts = [local_exponent(f, p, "empirical", bound, domain) for p in primes]
+            expected = (
+                [(v.p, v.k_p) for v in verdicts if v.member == "yes"],
+                sum(v.member == "unknown" for v in verdicts),
+            )
+            del widths[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "omega_members", recording_omega)
+                assert sf_members(f, primes, "empirical", bound, domain) == expected
+            # each call asks the head first; only the primes it keeps go on
+            assert {width for width, _ in widths} <= {HEAD_WITNESSES, 66, 67}
+            head = sum(n for width, n in widths if width == HEAD_WITNESSES)
+            full = sum(n for width, n in widths if width > HEAD_WITNESSES)
+            asked.append((head, full, len(expected[0]) + expected[1]))
+    # table_f's head rejects most primes, and the full calls reject most of
+    # what the cube map's head keeps
+    assert all(found <= full <= head for head, full, found in asked)
+    assert asked[0][1] < asked[0][0] / 10
+    assert asked[2][2] < asked[2][1] / 10
 
 
 def test_extend_to_q_and_nu_vote():
