@@ -10,8 +10,10 @@ present one unlimited-precision contract.  `count_primes`, `prime_segments`,
 `is_prime`, `factorize`, `discrete_log` and `z_b_rows` are pure under every
 backend: the sublinear prime count beats a compiled sieve count, the
 segments of one residue class cost a slice per base prime, `z_b_rows` is
-left to single primes (`frobenius_vector`) and to tests, and factorizations
-and logs run only in single calls: the scans' kernels solve their own.
+left to single primes (`frobenius_vector`) and to tests, taking its logs in
+about sqrt(ell) steps by the solver `omega_members` uses for one prime
+order, and factorizations and logs run only in single calls: the scans'
+kernels solve their own.
 """
 
 import functools

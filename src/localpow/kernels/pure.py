@@ -266,10 +266,13 @@ def z_b_rows(
 ) -> list[tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]]:
     """Per-prime ell-th power classes z_j = c_j^((p-1)/ell) and their logs.
 
-    Callers pass primes with p ≡ 1 (mod ell).  nums carry the sign; dens are
-    positive.  A prime dividing any numerator or denominator yields a
-    (p, None, None) row.  b logs are taken base the first a >= 2 whose
-    (p-1)/ell power is nontrivial, without normalization.
+    Callers pass a prime ell and primes with p ≡ 1 (mod ell).  nums carry the
+    sign; dens are positive.  A prime dividing any numerator or denominator
+    yields a (p, None, None) row.  b logs are taken base the first a >= 2
+    whose (p-1)/ell power w is nontrivial, without normalization, each by
+    `_digit_log` in the group <w> of order ell: a walk up to ell = 47 and
+    baby-step giant-step above, so a large ell costs about sqrt(ell) steps
+    a log.  A z_j that is no power of w raises ArithmeticError.
     """
     out = []
     width = len(nums)
@@ -297,12 +300,9 @@ def z_b_rows(
             w = pow(a, m, p)
         logs = []
         for z in zs:
-            cur, k = 1, 0
-            while cur != z:
-                cur = cur * w % p
-                k += 1
-                if k >= ell:
-                    raise ArithmeticError(f"{z} not in mu_{ell} mod {p}")
+            k = _digit_log(w, z, ell, p)
+            if k is None:
+                raise ArithmeticError(f"{z} not in mu_{ell} mod {p}")
             logs.append(k)
         out.append((p, tuple(zs), tuple(logs)))
     return out

@@ -48,26 +48,36 @@ class RelationReport:
     delta: int | None  # 2*gcd(|minors|), only when some minor is nonzero
 
 
-def _rational_rref(matrix: list[list[int]], width: int):
-    # returns (pivot column list, reduced rows as Fractions)
-    rows = [[Fraction(x) for x in row] for row in matrix]
+def _rref(matrix: list[list[int]], width: int, ell: int | None = None):
+    # (pivot columns, nonzero reduced rows) over F_ell, or over Q on Fractions
+    # when ell is None; the field is chosen once per row operation
+    if ell is None:
+        rows = [[Fraction(x) for x in row] for row in matrix]
+    else:
+        rows = [[x % ell for x in row] for row in matrix]
     pivots = []
     lead = 0
     for col in range(width):
-        piv = None
-        for i in range(lead, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(lead, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = 1 / rows[lead][col]
-        rows[lead] = [x * inv for x in rows[lead]]
-        for i in range(len(rows)):
-            if i != lead and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[lead])]
+        top = rows[piv]
+        rows[piv] = rows[lead]
+        if ell is None:
+            inv = 1 / top[col]
+            top = [x * inv for x in top]
+        else:
+            inv = pow(top[col], -1, ell)
+            top = [x * inv % ell for x in top]
+        rows[lead] = top
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i == lead or not factor:
+                continue
+            if ell is None:
+                rows[i] = [a - factor * b for a, b in zip(row, top)]
+            else:
+                rows[i] = [(a - factor * b) % ell for a, b in zip(row, top)]
         pivots.append(col)
         lead += 1
         if lead == len(rows):
@@ -75,7 +85,23 @@ def _rational_rref(matrix: list[list[int]], width: int):
     return pivots, rows[:lead]
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
+def _kernel_basis(matrix: list[list[int]], width: int, ell: int | None = None):
+    # one kernel vector per free column of the reduced rows: 1 there, 0 at
+    # the other free columns, minus the rows' entries at the pivots
+    pivots, rows = _rref(matrix, width, ell)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [0] * width
+        vec[free] = 1
+        for row, pcol in zip(rows, pivots):
+            vec[pcol] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _primitive(vec) -> tuple[int, ...]:
     # clear denominators, divide by content, make first nonzero entry positive
     denom = 1
     for x in vec:
@@ -95,18 +121,7 @@ def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
 
 def integer_kernel(matrix: list[list[int]], width: int) -> list[tuple[int, ...]]:
     """Primitive basis of {n : matrix @ n = 0}, one vector per free column."""
-    pivots, rows = _rational_rref(matrix, width)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for rowidx, pcol in enumerate(pivots):
-            vec[pcol] = -rows[rowidx][free]
-        basis.append(_primitive(vec))
-    return basis
+    return [_primitive(vec) for vec in _kernel_basis(matrix, width)]
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:
@@ -133,59 +148,40 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def _snf_diagonal(matrix: list[list[int]]) -> list[int]:
-    # nonnegative Smith normal form diagonal of a small integer matrix
-    mat = [row[:] for row in matrix]
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    diag = []
-    top = 0
-    while top < rows and top < cols:
-        piv = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if mat[i][j] and (best is None or abs(mat[i][j]) < best):
-                    best = abs(mat[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        mat[top], mat[i0] = mat[i0], mat[top]
-        for row in mat:
-            row[top], row[j0] = row[j0], row[top]
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(top + 1, rows):
-                q = mat[i][top] // mat[top][top]
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                if mat[i][top]:
-                    mat[top], mat[i] = mat[i], mat[top]
-                    clean = False
-            for j in range(top + 1, cols):
-                q = mat[top][j] // mat[top][top]
-                if q:
-                    for row in mat:
-                        row[j] -= q * row[top]
-                if mat[top][j]:
-                    for row in mat:
-                        row[top], row[j] = row[j], row[top]
-                    clean = False
-        diag.append(abs(mat[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            if g != diag[i]:
-                lcm = diag[i] // g * diag[j]
-                diag[i], diag[j] = g, lcm
-    return diag
+def _maximal_minor_gcd(matrix: list[list[int]], m: int) -> int:
+    # gcd of the m x m minors of an r x m integer matrix, 0 below rank m.
+    # Integer row operations keep it, so Euclid runs down each column,
+    # reducing every row by the one with the smallest nonzero entry until
+    # one row is left; the echelon form's only nonzero maximal minor is the
+    # product of its pivots.
+    rest = [row[:] for row in matrix]
+    g = 1
+    for col in range(m):
+        live = [row for row in rest if row[col]]
+        rest = [row for row in rest if not row[col]]
+        if not live:
+            return 0
+        while len(live) > 1:
+            piv = min(live, key=lambda row: abs(row[col]))
+            reduced = [piv]
+            for row in live:
+                if row is piv:
+                    continue
+                q = row[col] // piv[col]
+                row = [a - q * b for a, b in zip(row, piv)]
+                (reduced if row[col] else rest).append(row)
+            live = reduced
+        g *= abs(live[0][col])
+    return g
 
 
 def relations(lattice: ExponentLattice) -> RelationReport:
-    """Kernel basis, maximal minors, and delta = 2*gcd(minors) of the matrix."""
+    """Kernel basis, maximal minors, and delta = 2*gcd(minors) of the matrix.
+
+    The minors are listed (by Bareiss) up to MINOR_ENUMERATION_CAP of them;
+    past it `minors` stays None and their gcd comes from an integer echelon
+    form of the matrix.
+    """
     r, m = len(lattice.matrix), lattice.m
     basis = integer_kernel(lattice.matrix, m)
     minors = None
@@ -196,67 +192,22 @@ def relations(lattice: ExponentLattice) -> RelationReport:
                 _det_bareiss([lattice.matrix[i] for i in pick])
                 for pick in combinations(range(r), m)
             ]
-            g = 0
-            for d in minors:
-                g = gcd(g, d)
-            if g:
-                delta = 2 * g
+            g = gcd(*minors)
         else:
-            # gcd of all maximal minors = product of the first m invariant factors
-            diag = _snf_diagonal(lattice.matrix)
-            if len(diag) >= m:
-                g = 1
-                for d in diag[:m]:
-                    g *= d
-                delta = 2 * g
+            g = _maximal_minor_gcd(lattice.matrix, m)
+        if g:
+            delta = 2 * g
     return RelationReport(basis, minors, delta)
-
-
-def _mod_rref(matrix: list[list[int]], width: int, ell: int):
-    rows = [[x % ell for x in row] for row in matrix]
-    pivots = []
-    lead = 0
-    for col in range(width):
-        piv = None
-        for i in range(lead, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = pow(rows[lead][col], -1, ell)
-        rows[lead] = [x * inv % ell for x in rows[lead]]
-        for i in range(len(rows)):
-            if i != lead and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [(a - factor * b) % ell for a, b in zip(rows[i], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(rows):
-            break
-    return pivots, rows[:lead]
 
 
 def kernel_mod_ell(matrix: list[list[int]], width: int, ell: int) -> list[tuple[int, ...]]:
     """Basis of the mod-ell kernel (the space V_c(ell) of ell-th power relations)."""
-    pivots, rows = _mod_rref(matrix, width, ell)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        vec = [0] * width
-        vec[free] = 1
-        for rowidx, pcol in enumerate(pivots):
-            vec[pcol] = -rows[rowidx][free] % ell
-        basis.append(tuple(vec))
-    return basis
+    return [tuple(x % ell for x in vec) for vec in _kernel_basis(matrix, width, ell)]
 
 
 def row_space_mod_ell(matrix: list[list[int]], width: int, ell: int) -> list[tuple[int, ...]]:
     """Basis of the mod-ell row space (the annihilator V^perp of the kernel)."""
-    _, rows = _mod_rref(matrix, width, ell)
+    _, rows = _rref(matrix, width, ell)
     return [tuple(row) for row in rows]
 
 

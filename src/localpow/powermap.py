@@ -421,6 +421,8 @@ def _character_prefilter(primes, witnesses, values) -> tuple[list[int], list[int
         bits = 3
         for m, table in tables:
             bits &= table[p % m]
+            if not bits:
+                break  # rejected, or kept with code -1 in keep
         if bits or p in keep:
             kept.append(p)
             parities.append(bits if complete and p not in keep else -1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from localpow import cli, kernels
 from localpow.bounds import cyclotomic_discriminant
 from localpow.chebotarev import CLASS_RATIO_ELL_LIMIT
@@ -356,6 +357,17 @@ def test_frobenius_worked_example(capsys):
     rep = run_json(capsys, "frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3")
     assert rep["z_vector"] == [4, 2]
     assert rep["b_vector"] == [1, 2]
+
+
+def test_frobenius_at_a_large_ell_takes_logs_by_bsgs(capsys):
+    # a walk over mu_ell would take up to 10^9 steps a log
+    p, ell = 44000000309, 1000000007
+    with deadline(2):
+        rep = run_json(capsys, "frobenius", "--p", str(p), "--ell", str(ell), "--tuple", "2,3")
+    z1, z2 = rep["z_vector"]
+    assert (z1, z2) == (pow(2, (p - 1) // ell, p), pow(3, (p - 1) // ell, p))
+    assert rep["b_vector"][0] == 1
+    assert pow(z1, rep["b_vector"][1], p) == z2
 
 
 def test_relations_worked_example(capsys):

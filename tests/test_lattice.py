@@ -1,10 +1,12 @@
 import random
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 import sympy
 
 import localpow.lattice as lattice_mod
+from conftest import deadline
 from localpow.errors import EmptyTupleError, NotPrimeError, OddPrimeRequiredError
 from localpow.lattice import (
     ExponentLattice,
@@ -124,6 +126,70 @@ def test_snf_delta_matches_sympy_smith_form(monkeypatch):
         snf = smith_normal_form(sympy.Matrix(matrix))
         expected = 2 * abs(sympy.prod(snf[i, i] for i in range(cols)))
         assert rep.delta == expected
+
+
+# exponents at the primes 2 .. 29 of a 5-entry tuple; past the minor cap the
+# Smith form this replaced grew its entries to thousands of bits on it
+HANG = [
+    [9, -8, -6, 0, 5],
+    [7, -3, 6, -5, -2],
+    [8, 3, -6, 0, -7],
+    [7, -6, -7, 0, 6],
+    [4, 0, 0, 9, 8],
+    [-5, 0, 2, -2, -7],
+    [8, 0, -3, -8, 0],
+    [0, 6, 0, 3, -8],
+    [0, -3, 4, -3, 3],
+    [4, 9, 2, 0, 3],
+]
+
+
+def test_wide_route_is_fast_on_a_growth_case(monkeypatch):
+    lat = ExponentLattice([0] * len(HANG), HANG, 5)
+    assert relations(lat).delta == 2  # the listed minors
+    monkeypatch.setattr(lattice_mod, "MINOR_ENUMERATION_CAP", 0)
+    with deadline(1):
+        assert relations(lat).delta == 2
+
+
+def _minor_delta(matrix, m):
+    g = 0
+    for pick in combinations(range(len(matrix)), m):
+        g = gcd(g, lattice_mod._det_bareiss([matrix[i] for i in pick]))
+    return 2 * g if g else None
+
+
+def test_wide_route_delta_matches_bareiss_minors(monkeypatch):
+    rng = random.Random(507)
+    monkeypatch.setattr(lattice_mod, "MINOR_ENUMERATION_CAP", 0)
+    deficient = 0
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        r = rng.randint(m, 9)
+        matrix = [[rng.randint(-1000, 1000) for _ in range(m)] for _ in range(r)]
+        if m > 1 and rng.random() < 0.3:
+            # one column a combination of the others, or all zero: rank < m
+            c = rng.randrange(m)
+            others = [j for j in range(m) if j != c]
+            a, b = rng.choice(others), rng.choice(others)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            for row in matrix:
+                row[c] = s * row[a] + t * row[b]
+        expected = _minor_delta(matrix, m)
+        deficient += expected is None
+        with deadline(0.5):
+            delta = relations(ExponentLattice([0] * r, matrix, m)).delta
+        assert delta == expected
+    assert deficient > 10
+    for r, m in ((29, 5), (23, 6)):
+        for _ in range(20):
+            matrix = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(r)]
+            with deadline(0.5):
+                delta = relations(ExponentLattice([0] * r, matrix, m)).delta
+            # half of delta divides every maximal minor
+            for _ in range(5):
+                pick = rng.sample(range(r), m)
+                assert lattice_mod._det_bareiss([matrix[i] for i in pick]) % (delta // 2) == 0
 
 
 def test_kernel_mod_ell_matches_enumeration():
