@@ -2,13 +2,12 @@
 
 A scan's primes, or for the density scan the range of numbers it draws
 its primes from, are split into contiguous chunks and each chunk is handed
-to a worker; a density worker generates the primes of its own range.  Only
-ranges, integer counters and per-prime rows cross process boundaries, and
-results merge in chunk order, so the output is independent of the worker
-count.  Float accumulations (heuristic sums, observed densities)
-always happen in the parent from the merged integers.  A map reaches the
-workers pickled as itself.  The shift scan keeps its entry point here but
-runs in this process, on one value table.
+to a worker; a density worker generates the primes of its own range.  A
+heuristic chunk gets the witness rows, factored too for the prefilter, and
+only an empirical sf-scan chunk gets f, pickled as itself.  Results merge
+in chunk order, so the output is independent of the worker count; floats
+(heuristic sums, observed densities) are summed in the parent from the
+merged integers.  An exact sf-scan and the shift scan run in this process.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
 both call back into this module.  The modules of each cycle import each
@@ -53,21 +52,19 @@ def chunked(seq, n: int):
     return [seq[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _run_chunks(fn, columns: tuple, workers: int, *rest) -> list:
-    """fn((*chunk, *rest)) for each contiguous chunk of the columns, results in chunk order.
+def _run_chunks(fn, seq, workers: int, *rest) -> list:
+    """fn((chunk, *rest)) for each contiguous chunk of seq, results in chunk order.
 
-    The columns are equally long sequences, cut at the same places.  There
-    are at most as many chunks as cores; one chunk runs in this process on
-    the whole of each column.
+    There are at most as many chunks as cores; one chunk runs in this
+    process on the whole of seq.
     """
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(columns[0]) > 1:
-        parts = zip(*(chunked(column, workers) for column in columns))
-        jobs = [(*chunk, *rest) for chunk in parts]
+    if workers > 1 and len(seq) > 1:
+        jobs = [(chunk, *rest) for chunk in chunked(seq, workers)]
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=len(jobs)) as pool:
             return list(pool.map(fn, jobs))
-    return [fn((*columns, *rest))]
+    return [fn((seq, *rest))]
 
 
 def _merge_counts(parts):
@@ -88,20 +85,19 @@ def density_counts_parallel(numbers, ell, nums, dens, mode, workers: int = 1):
     Each worker generates the primes of its chunk of the range itself.
     """
     return _merge_counts(
-        _run_chunks(_density_chunk, (numbers,), workers, ell, nums, dens, mode)
+        _run_chunks(_density_chunk, numbers, workers, ell, nums, dens, mode)
     )
 
 
 def _omega_chunk(args):
-    primes, parities, ns, fnums, fdens = args
-    counted, skipped, members = kernels.omega_members(primes, ns, fnums, fdens, parities)
-    return counted, skipped, len(members)
+    counted, skipped, settled, members = powermap.power_members(*args)
+    return counted, skipped, settled, len(members)
 
 
-def omega_members_parallel(primes, parities, ns, fnums, fdens, workers: int = 1):
-    """(counted, skipped, members) over the primes and their parity codes, across processes."""
+def omega_members_parallel(primes, rows, witnesses, values, workers: int = 1):
+    """`powermap.power_members` across processes, with its members counted."""
     return _merge_counts(
-        _run_chunks(_omega_chunk, (primes, parities), workers, ns, fnums, fdens)
+        _run_chunks(_omega_chunk, primes, workers, rows, witnesses, values)
     )
 
 
@@ -111,11 +107,16 @@ def _sf_chunk(args):
 
 
 def sf_scan_parallel(f, primes, mode, bound, domain, workers: int = 1):
-    """([(p, k_p) of members], unknown count), chunk results concatenated in order."""
+    """([(p, k_p) of members], unknown count), chunk results concatenated in order.
+
+    Only an empirical scan fans out: an exact verdict costs less than
+    sending its prime to a worker.
+    """
     members = []
     unknown = 0
+    workers = workers if mode == "empirical" else 1
     for part_members, part_unknown in _run_chunks(
-        _sf_chunk, (primes,), workers, f, mode, bound, domain
+        _sf_chunk, primes, workers, f, mode, bound, domain
     ):
         members.extend(part_members)
         unknown += part_unknown

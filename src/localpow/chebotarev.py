@@ -262,9 +262,8 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     The expectation (for witnesses with f(n) outside ±n^Z) is that the count
     stays below the sum of 1/(p-1)^2.  The witnesses are checked before any
     prime is sieved; `workers` processes split the scan without changing it.
-    The quadratic-character prefilter (`powermap._character_prefilter`)
-    settles most primes as non-members, and `kernels.omega_members` reads
-    each kept prime's q = 2 projection from the parity code it returns.
+    `powermap.power_members` decides the primes, its quadratic-character
+    prefilter on whenever the witnesses factor.
     """
     ns = [int(n) for n in witnesses]
     if len(ns) != 3:
@@ -278,15 +277,12 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     except DomainError:  # a map raises it again in f(n); a plain callable runs unfiltered
         factored = None
     values = [as_factored(f(a)) for a in args]
-    fnums = [v.sign * v.num for v in values]
-    fdens = [v.den for v in values]
+    rows = [(n, v.sign * v.num, v.den) for n, v in zip(ns, values)]
     primes = PrimeCache(x).primes
     total = heuristic_sum(primes)
-    kept, parities = powermap._character_prefilter(primes, factored, values)
-    counted, skipped, members = _parallel.omega_members_parallel(
-        kept, parities, ns, fnums, fdens, workers
+    counted, skipped, settled, members = _parallel.omega_members_parallel(
+        primes, rows, factored, values, workers
     )
-    settled = len(primes) - len(kept)
     return HeuristicScan(
         x=x,
         witnesses=tuple(ns),

@@ -159,56 +159,49 @@ def _number_pair(text: str) -> tuple[float, float]:
 # ---------------------------------------------------------------- handlers
 
 
+def _scan_report(args, names, counted, skipped, observed, f=None, **extra):
+    """The report of the scan `args.cmd`, its fields in their fixed order.
+
+    `parameters` holds f's spec when f is given, then the arguments `names`
+    and the bound constants; `expected` or `items` come before `cache_limit`.
+    """
+    parameters = {} if f is None else {"function": f.to_json()}
+    parameters.update((name, getattr(args, name)) for name in names)
+    return {
+        "command": args.cmd,
+        "parameters": {**parameters, "bound_config": args.config.to_json()},
+        "range": [2, args.limit],
+        "counted": counted,
+        "skipped": skipped,
+        "observed": observed,
+        **extra,
+        "cache_limit": args.limit,
+    }
+
+
+def _members_report(args, names, items, f):
+    # the member primes' report: counted out of all the primes below the limit
+    total = kernels.count_primes(args.limit)
+    counted = len(items)
+    observed = counted / total if total else 0.0
+    return _scan_report(args, names, counted, total - counted, observed, f, items=items)
+
+
 def _cmd_sf_scan(args):
     f = _load_function(args.function)
-    cfg = args.config
     _progress(f"scanning the primes up to {args.limit} for local power exponents")
     members, _unknown = scan_Sf(
         f, args.limit, args.mode, args.bound, args.domain, args.workers
     )
-    total = kernels.count_primes(args.limit)
-    counted = len(members)
-    return {
-        "command": "sf-scan",
-        "parameters": {
-            "function": f.to_json(),
-            "limit": args.limit,
-            "mode": args.mode,
-            "bound": args.bound,
-            "domain": args.domain,
-            "bound_config": cfg.to_json(),
-        },
-        "range": [2, args.limit],
-        "counted": counted,
-        "skipped": total - counted,
-        "observed": counted / total if total else 0.0,
-        "items": [{"p": v.p, "k_p": v.k_p} for v in members],
-        "cache_limit": args.limit,
-    }
+    items = [{"p": v.p, "k_p": v.k_p} for v in members]
+    return _members_report(args, ("limit", "mode", "bound", "domain"), items, f)
 
 
 def _cmd_tf_scan(args):
     f = _load_function(args.function)
-    cfg = args.config
     _progress(f"shift-checking the primes up to {args.limit}")
     members = scan_Tf(f, args.limit, args.shift_bound)
-    total = kernels.count_primes(args.limit)
-    counted = len(members)
-    return {
-        "command": "tf-scan",
-        "parameters": {
-            "function": f.to_json(),
-            "limit": args.limit,
-            "shift_bound": args.shift_bound,
-            "bound_config": cfg.to_json(),
-        },
-        "range": [2, args.limit],
-        "counted": counted,
-        "skipped": total - counted,
-        "observed": counted / total if total else 0.0,
-        "items": [{"p": p} for p in members],
-        "cache_limit": args.limit,
-    }
+    return _members_report(args, ("limit", "shift_bound"), [{"p": p} for p in members], f)
 
 
 def _cmd_witness(args):
@@ -282,53 +275,29 @@ def _cmd_frobenius(args):
 
 
 def _cmd_density_scan(args):
-    cfg = args.config
     ds = scan_density(
         args.ell, args.tuple, args.limit, mode=args.mode, workers=args.workers
     )
     _progress(f"tested {ds.counted + ds.skipped} primes = 1 mod {args.ell}")
-    return {
-        "command": "density-scan",
-        "parameters": {
-            "ell": args.ell,
-            "tuple": args.tuple,
-            "limit": args.limit,
-            "mode": args.mode,
-            "bound_config": cfg.to_json(),
-        },
-        "range": [2, args.limit],
-        "counted": ds.counted,
-        "skipped": ds.skipped,
-        "observed": ds.observed,
-        "expected": float(ds.expected),
-        "cache_limit": args.limit,
-    }
+    names = ("ell", "tuple", "limit", "mode")
+    return _scan_report(
+        args, names, ds.counted, ds.skipped, ds.observed, expected=float(ds.expected)
+    )
 
 
 def _cmd_heuristic(args):
     f = _load_function(args.function)
-    cfg = args.config
     hs = heuristic_scan(f, args.witnesses, args.limit, workers=args.workers)
     total = hs.counted + hs.skipped
     _progress(
         f"tested {total} primes for simultaneous power membership, "
         f"{hs.settled} by quadratic characters"
     )
-    return {
-        "command": "heuristic",
-        "parameters": {
-            "function": f.to_json(),
-            "witnesses": args.witnesses,
-            "limit": args.limit,
-            "bound_config": cfg.to_json(),
-        },
-        "range": [2, args.limit],
-        "counted": hs.members,
-        "skipped": total - hs.members,
-        "observed": hs.members / total if total else 0.0,
-        "expected": hs.heuristic_sum / total if total else 0.0,
-        "cache_limit": args.limit,
-    }
+    observed = hs.members / total if total else 0.0
+    expected = hs.heuristic_sum / total if total else 0.0
+    names = ("witnesses", "limit")
+    skipped = total - hs.members
+    return _scan_report(args, names, hs.members, skipped, observed, f, expected=expected)
 
 
 def _cmd_bounds(args):

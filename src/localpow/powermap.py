@@ -10,7 +10,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import inf, isqrt, lcm, lgamma, log, log2, prod
 
 from . import _parallel, kernels
@@ -32,10 +31,10 @@ from .ratfact import MAX_VALUE_BITS, ONE, FactoredRational, as_factored, is_prim
 
 EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
 
-# An empirical verdict asks the kernel with at most this many tabulated q
-# first, and with all of them only for the primes those keep.  It is at most
-# the native kernel's MAX_WIDTH (64), so the first call stays native; the
-# default bound tabulates 15 q, which need no second call.
+# power_members asks the kernel with at most this many witness rows first,
+# and with all of them only for the primes those keep.  It is at most the
+# native kernel's MAX_WIDTH (64), so the first call stays native; the
+# empirical verdict's default bound tabulates 15 q, which need no second call.
 HEAD_WITNESSES = 16
 
 # The most entries a value table f(1..N) may have.  Small values cost about
@@ -231,12 +230,10 @@ def _verdicts(f, mode: str, bound, domain: str):
     value f(q) the decision reads becomes a pair (a, b) here, so an exact
     verdict costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p)
     exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict asks
-    `kernels.omega_members`, which returns the exponents themselves: one
-    call per prime p up to the largest tabulated q, whose witnesses leave
-    out q = p, and one call for all the larger primes, which the quadratic
-    characters of a structured map's values prefilter.  A call with more
-    than HEAD_WITNESSES witnesses is made first with the smallest
-    HEAD_WITNESSES of them, and then with all of them on the primes kept.
+    `power_members`, which returns the exponents themselves: one call per
+    prime p up to the largest tabulated q, whose rows leave out q = p, and
+    one call for all the larger primes, with a structured map's tabulated
+    q and values factored for its prefilter.
     """
     _check_verdicts(f, mode, bound, domain)
     structured = isinstance(f, MultiplicativeMap)
@@ -244,11 +241,9 @@ def _verdicts(f, mode: str, bound, domain: str):
     if mode == "exact":
         table = [(q, *_fraction_pair(v)) for q, v in f.overrides.items()]
     else:
-        values = [
-            (q, f._value_at_prime(q) if structured else f(q))
-            for q in kernels.sieve(_verdict_bound(mode, bound))
-        ]
-        table = [(q, *_fraction_pair(v)) for q, v in values]
+        qs = kernels.sieve(_verdict_bound(mode, bound))
+        fvalues = [f._value_at_prime(q) if structured else f(q) for q in qs]
+        table = [(q, *_fraction_pair(v)) for q, v in zip(qs, fvalues)]
 
     def signs_agree(p: int, k_p: int) -> bool:
         # in the rational domain, f(-1) = sign_value must be (-1)^k_p mod p
@@ -273,49 +268,25 @@ def _verdicts(f, mode: str, bound, domain: str):
     if mode == "exact":
         return exact
 
-    def columns(rows):
-        # the kernel's columns: each q, and the numerator and denominator of f(q)
-        return [q for q, _, _ in rows], [a for _, a, _ in rows], [b for _, _, b in rows]
-
-    def ask(primes, rows, *codes):
-        # the kernel's (p, k, m) over the primes for the witness rows, and
-        # the primes' parity codes if given.  With more rows than
-        # HEAD_WITNESSES, only the primes the head rows keep are asked with
-        # all of them: a k that fits every row fits the head, and a p the
-        # head skips divides a value, so all rows skip it too
-        if len(rows) > HEAD_WITNESSES:
-            head = kernels.omega_members(primes, *columns(rows[:HEAD_WITNESSES]), *codes)
-            kept = {p for p, _, _ in head[2]}
-            if not kept:
-                return []
-            codes = [[c for p, c in zip(primes, cs) if p in kept] for cs in codes]
-            primes = [p for p in primes if p in kept]
-        return kernels.omega_members(primes, *columns(rows), *codes)[2]
-
-    qs = [q for q, _, _ in table]
-    largest = qs[-1]  # the bound is at least 2, so the table has a row
     # the tabulated q, factored for the prefilter; a plain callable's values
     # need not factor, so its primes go unfiltered
     factored_qs = [FactoredRational._raw(1, {q: 1}) for q in qs] if structured else None
-    fvalues = [v for _, v in values]
 
     def empirical(primes):
-        # The kernel skips a p that divides some f(q), and otherwise returns
-        # the k with q^k ≡ f(q) (mod p) at every tabulated q other than p as
-        # k + mZ, m the order of the group those q generate mod p: none is
-        # "no", and m < p - 1 leaves k_p open.  A p the prefilter leaves
-        # out is "no" too: no parity of k fits the quadratic characters.
-        # A p <= largest is itself the tabulated q at index bisect_left(qs, p)
-        cut = bisect_right(primes, largest)
-        answers = []
+        # power_members returns the k with q^k ≡ f(q) (mod p) at every row
+        # as k + mZ, m the order of the group those q generate mod p: a p
+        # it leaves out is "no", and m < p - 1 leaves k_p open.  A p up to
+        # the largest q (the bound is at least 2, so there is one) is
+        # itself the tabulated q at index bisect_left(qs, p)
+        cut = bisect_right(primes, qs[-1])
+        found = []
         for p in primes[:cut]:
             i = bisect_left(qs, p)
-            answers.append(ask([p], table[:i] + table[i + 1 :]))
+            found += power_members([p], table[:i] + table[i + 1 :])[3]
         if cut < len(primes):
-            kept, parities = _character_prefilter(primes[cut:], factored_qs, fvalues)
-            answers.append(ask(kept, table, parities))
+            found += power_members(primes[cut:], table, factored_qs, fvalues)[3]
         rows = []
-        for p, k_p, m in chain.from_iterable(answers):
+        for p, k_p, m in found:
             if m < p - 1:
                 rows.append((p, "unknown", None))
             elif signs_agree(p, k_p):
@@ -339,10 +310,8 @@ def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], i
 
     The primes come ascending from a sieve and are not checked again.  In
     empirical mode the primes above the largest tabulated q take one
-    prefiltered `kernels.omega_members` call, and each smaller prime one
-    call of its own; with more than HEAD_WITNESSES tabulated q, a call with
-    the smallest HEAD_WITNESSES of them comes first, and the full call gets
-    only the primes it keeps.  The kernel's exponent is k_p.
+    prefiltered `power_members` call, and each smaller prime one call of
+    its own.  The exponent it returns is k_p.
     """
     members = []
     unknown = 0
@@ -400,11 +369,8 @@ def _character_prefilter(primes, witnesses, values) -> tuple[list[int], list[int
     fits", or -1 where p divides 2·n·f(n) or some witness has no table.  A
     witness has none when its table would have more than
     MAX_CHARACTER_MODULUS entries, or would take the tables together past
-    MAX_CHARACTER_BYTES.  The witnesses come factored; all primes are kept,
-    with code -1, when they are None (the witnesses do not factor).
+    MAX_CHARACTER_BYTES.  The witnesses and values come factored.
     """
-    if witnesses is None:
-        return primes, [-1] * len(primes)
     keep = {2}
     tables = []
     size = 0
@@ -429,8 +395,49 @@ def _character_prefilter(primes, witnesses, values) -> tuple[list[int], list[int
     return kept, parities
 
 
+def _columns(rows) -> list[list[int]]:
+    # the kernel's three columns n, a, b of the rows (n, a, b), also for no rows
+    return [[row[i] for row in rows] for i in range(3)]
+
+
+def power_members(primes, rows, witnesses=None, values=None):
+    """(counted, skipped, settled, members): one k with n^k ≡ a/b (mod p) at every row?
+
+    Each row (n, a, b) is a witness n with its value a/b.  members lists
+    the kernel `omega_members`'s (p, k, m) for each p where the k that fit
+    every row are exactly k + mZ.  skipped counts the primes dividing some
+    n, a or b, settled those the prefilter leaves out, counted the rest.
+    Given the witnesses and values factored, `_character_prefilter`
+    settles the primes where no parity of k fits, and the kernel reads each
+    kept prime's parity code.  With more than HEAD_WITNESSES rows the kernel
+    is asked with the first HEAD_WITNESSES, and with all rows only on the
+    primes those keep: a k that fits every row fits those, so members are
+    those of one full call.  A p the head rejects stays counted.
+    """
+    codes = ()
+    settled = 0
+    if witnesses is not None:
+        kept, parities = _character_prefilter(primes, witnesses, values)
+        settled = len(primes) - len(kept)
+        primes, codes = kept, (parities,)
+    rejected = skipped = 0
+    if len(rows) > HEAD_WITNESSES:
+        counted, skipped, head = kernels.omega_members(
+            primes, *_columns(rows[:HEAD_WITNESSES]), *codes
+        )
+        if not head:
+            return counted, skipped, settled, []
+        kept = {p for p, _, _ in head}
+        rejected = counted - len(kept)
+        codes = [[c for p, c in zip(primes, cs) if p in kept] for cs in codes]
+        primes = [p for p in primes if p in kept]
+    counted, late, members = kernels.omega_members(primes, *_columns(rows), *codes)
+    return rejected + counted, skipped + late, settled, members
+
+
 def _check_scan_model(f) -> None:
-    # a MultiplicativeMap pickles to pool workers, and its value tables can be sized
+    # a MultiplicativeMap's value tables can be sized, and it pickles to the
+    # pool workers of an empirical sf-scan, the only chunks that receive f
     if not isinstance(f, MultiplicativeMap):
         raise ConfigError("a scan needs the structured model")
 
@@ -443,7 +450,8 @@ def scan_Sf(
     An empirical scan counts as unknown the primes where the tabulated
     values allow more than one k mod p - 1.
     f must be a MultiplicativeMap.  The inputs are checked before any prime
-    is sieved; `workers` processes split the scan without changing it.
+    is sieved.  `workers` processes split an empirical scan without
+    changing it; an exact scan runs in this process.
     """
     _check_scan_model(f)
     _check_verdicts(f, mode, bound, domain)

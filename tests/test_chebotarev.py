@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localpow import kernels, ratfact
+from localpow import _parallel, kernels, ratfact
 from localpow.chebotarev import (
     ClassSpec,
     class_ratio,
@@ -297,6 +297,36 @@ def test_heuristic_scan_factors_each_witness_once(monkeypatch):
     seen = []
     heuristic_scan(lambda n: seen.append(n) or 5, witnesses, 100)
     assert seen == list(witnesses)
+
+
+def test_heuristic_scan_fans_out_without_changing_it(monkeypatch):
+    # two chunks through the process pool merge to the one-process scan,
+    # field by field: the table map's members and the primes its prefilter
+    # settles in each chunk, and a plain callable whose first witness does
+    # not factor, so no prime is settled
+    from concurrent.futures import ProcessPoolExecutor
+
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    unfactored = (10**6 + 3) * (10**6 + 33)  # a cofactor past the trial bound
+    cases = (
+        (MultiplicativeMap.table({2: 8, 3: 27, 5: 11}, default_exponent=3), (2, 3, 5)),
+        (lambda n: 4, (unfactored, 2, 3)),
+    )
+    scans = []
+    for f, witnesses in cases:
+        one = heuristic_scan(f, witnesses, 20000)
+        assert vars(heuristic_scan(f, witnesses, 20000, workers=2)) == vars(one)
+        scans.append(one)
+    assert pools == [2, 2]
+    assert [(hs.members, hs.settled > 0) for hs in scans] == [(2, True), (1, False)]
 
 
 def test_character_bits_follow_eulers_criterion():

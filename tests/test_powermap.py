@@ -37,6 +37,7 @@ from localpow.powermap import (
     find_witness,
     local_exponent,
     nu_vote,
+    power_members,
     scan_Sf,
     scan_Tf,
     sf_members,
@@ -283,16 +284,17 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     f = table_f()
-    one = scan_Sf(f, 2000)
+    one = scan_Sf(f, 2000, mode="empirical")
     assert sizes == []  # one worker runs in this process
-    assert scan_Sf(f, 2000, workers=500) == one
+    assert scan_Sf(f, 2000, mode="empirical", workers=500) == one
     assert sizes == [2]
     # an unknown core count allows one chunk, run in this process
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
-    assert scan_Sf(f, 2000, workers=500) == one
+    assert scan_Sf(f, 2000, mode="empirical", workers=500) == one
     assert sizes == [2]
-    # a tf scan builds one value table in this process
+    # an exact sf scan and a tf scan run in this process at any worker count
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    assert scan_Sf(f, 2000, workers=500) == scan_Sf(f, 2000)
     scan_Tf(f, 2000)
     assert sizes == [2]
 
@@ -337,8 +339,9 @@ def test_scans_take_overrides_too_wide_for_text():
     f = MultiplicativeMap.table({2: 3**10000})
     primes = PrimeCache(100).primes
     one = scan_Sf(f, 100)
-    assert scan_Sf(f, 100, workers=2) == one
     assert one == sf_members_oracle(f, primes, "exact")
+    wide = scan_Sf(f, 100, mode="empirical")
+    assert scan_Sf(f, 100, mode="empirical", workers=2) == wide
     vals = _integer_values_per_n(f, 50 + 2)
     expected = [
         p for p in primes if p <= 50 and all((vals[n + p] - vals[n]) % p == 0 for n in (1, 2))
@@ -697,6 +700,26 @@ def test_head_witnesses_reject_before_the_full_call(monkeypatch):
     assert all(found <= full <= head for head, full, found in asked)
     assert asked[0][1] < asked[0][0] / 10
     assert asked[2][2] < asked[2][1] / 10
+    # power_members with the 67 rows gives one full-width call's members,
+    # and with no rows (bound 2 leaves p = 2 none) still asks three columns
+    for f in maps:
+        rows = [(q, *f(q).value().as_integer_ratio()) for q in PrimeCache(bound).primes]
+        counted, skipped, members = kernels.omega_members(
+            primes, *([row[i] for row in rows] for i in range(3))
+        )
+        got = power_members(primes, rows)
+        assert got[2:] == (0, members)
+        assert got[0] + got[1] == counted + skipped
+    calls = []
+
+    def logged_omega(*args):
+        calls.append(args)
+        return real_omega(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "omega_members", logged_omega)
+        assert power_members([2], []) == (1, 0, 0, [(2, 0, 1)])
+    assert calls == [([2], [], [], [])]
 
 
 def test_extend_to_q_and_nu_vote():
