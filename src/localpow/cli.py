@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import kernels
 from .bounds import (
+    PI_COUNT_LIMIT,
     BoundConfig,
     chebyshev_check,
     cyclotomic_discriminant,
@@ -27,8 +28,9 @@ from .bounds import (
     yz_schedule,
 )
 from .chebotarev import frobenius_vector, heuristic_scan, in_C4, scan_density
-from .errors import DomainError, FunctionSpecError, LocalPowError
+from .errors import DomainError, ExactRangeError, FunctionSpecError, LocalPowError
 from .lattice import build_lattice, kummer_degree, relations
+from .modular import check_table_limit
 from .powermap import (
     MultiplicativeMap,
     construct_prescribed,
@@ -189,6 +191,15 @@ def _members_report(args, names, items, f):
 
 def _cmd_sf_scan(args):
     f = _load_function(args.function)
+    if args.mode == "exact":
+        # an exact scan needs no sieve, but its report counts the primes up
+        # to the limit, and pi(x) is counted only up to PI_COUNT_LIMIT
+        check_table_limit(args.limit)
+        if args.limit > PI_COUNT_LIMIT:
+            raise ExactRangeError(
+                f"sf-scan counts the primes only up to {PI_COUNT_LIMIT}",
+                limit=PI_COUNT_LIMIT,
+            )
     _progress(f"scanning the primes up to {args.limit} for local power exponents")
     members, _unknown = scan_Sf(
         f, args.limit, args.mode, args.bound, args.domain, args.workers

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt, lcm, lgamma, log, log2, prod
+from math import gcd, inf, isqrt, lcm, lgamma, log, log2, prod
 
 from . import _parallel, kernels
 from .errors import (
@@ -47,6 +47,14 @@ MAX_TABLE_SLOTS = 2 * 10**7
 # fill memory long before the entries reach MAX_TABLE_SLOTS.
 MAX_TABLE_BYTES = 2**30
 
+# An exact scan reads its candidate primes off G, the gcd of the numbers
+# N_q (see _member_candidates), only where the first N_q it builds is
+# estimated at no more than MAX_GCD_BITS bits (gcd of two such numbers:
+# about 5 ms) and G has at most FACTOR_BITS bits: kernels.factorize splits
+# two 32-bit primes in about 0.03 s and two 40-bit primes in about 0.5 s
+# (pure, 2-vCPU x86-64 VM).  Otherwise it tests every prime.
+MAX_GCD_BITS = 2**16
+FACTOR_BITS = 64
 
 # _character_prefilter leaves out a witness whose table of quadratic
 # characters would have more entries than this, or would take the tables
@@ -308,10 +316,11 @@ def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> Lo
 def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], int]:
     """(p, k_p) of the members among the primes, in their order, plus the count of unknowns.
 
-    The primes come ascending from a sieve and are not checked again.  In
-    empirical mode the primes above the largest tabulated q take one
-    prefiltered `power_members` call, and each smaller prime one call of
-    its own.  The exponent it returns is k_p.
+    The primes come ascending, from a sieve or from the exact scan's
+    candidates, and are not checked again.  In empirical mode the primes
+    above the largest tabulated q take one prefiltered `power_members`
+    call, and each smaller prime one call of its own.  The exponent it
+    returns is k_p.
     """
     members = []
     unknown = 0
@@ -442,22 +451,61 @@ def _check_scan_model(f) -> None:
         raise ConfigError("a scan needs the structured model")
 
 
+def _member_candidates(f, x: int, domain: str) -> list[int] | None:
+    """The primes <= x that may be exact members of S_f, or None to test every prime.
+
+    With f(q) = a_q/b_q and d the default exponent, a prime p that is not
+    an override key is a member exactly when it divides every
+    N_q = a_q - q^d·b_q (a_q·q^-d - b_q when d < 0), and in the rational
+    domain sign_value - (-1)^d too: q^k_p ≡ q^d (mod p), and p cannot
+    divide both N_q and b_q.  So the members are among the prime factors
+    of G, the gcd of those numbers, and the override keys.  Once the gcd so
+    far is nonzero, each N_q is built mod it.  None when G = 0 (f agrees
+    with x^d at every override), when an N_q built in full would be wider
+    than MAX_GCD_BITS, or when G is wider than FACTOR_BITS.
+    """
+    d = f.default_exponent
+    g = 0 if domain == "positive" else abs(f.sign_value - (-1 if d % 2 else 1))
+    for q, v in f.overrides.items():
+        a, b = _fraction_pair(v)
+        if g:
+            t = pow(q, abs(d), g)
+        elif abs(d) * q.bit_length() + (a * b).bit_length() > MAX_GCD_BITS:
+            return None
+        else:
+            t = q ** abs(d)
+        g = gcd(g, a - t * b if d >= 0 else a * t - b)
+    if not g or g.bit_length() > FACTOR_BITS:
+        return None
+    primes = {p for p, _ in kernels.factorize(g)}.union(f.overrides)
+    return sorted(p for p in primes if p <= x)
+
+
 def scan_Sf(
     f, x: int, mode="exact", bound=None, domain="positive", workers: int = 1
 ) -> tuple[list[LocalVerdict], int]:
     """All yes-verdicts for primes <= x, plus the count of unknowns.
 
-    An empirical scan counts as unknown the primes where the tabulated
-    values allow more than one k mod p - 1.
-    f must be a MultiplicativeMap.  The inputs are checked before any prime
-    is sieved.  `workers` processes split an empirical scan without
-    changing it; an exact scan runs in this process.
+    An exact scan decides only the candidates `_member_candidates` reads
+    off one gcd, with no sieve, so it reaches any limit below sys.maxsize;
+    where that gcd is 0, or too wide to build or to factor, it tests every
+    prime <= x instead, with the same result.  An empirical scan tests
+    every prime, and counts as unknown those where the tabulated values
+    allow more than one k mod p - 1.  f must be a MultiplicativeMap.  The
+    inputs are checked before any prime is sieved.  `workers` processes
+    split an empirical scan without changing it; an exact scan runs in
+    this process.
     """
     _check_scan_model(f)
     _check_verdicts(f, mode, bound, domain)
-    pairs, unknown = _parallel.sf_scan_parallel(
-        f, PrimeCache(x).primes, mode, bound, domain, workers
-    )
+    check_table_limit(x)
+    candidates = _member_candidates(f, x, domain) if mode == "exact" else None
+    if candidates is None:
+        pairs, unknown = _parallel.sf_scan_parallel(
+            f, PrimeCache(x).primes, mode, bound, domain, workers
+        )
+    else:
+        pairs, unknown = sf_members(f, candidates, mode, bound, domain)
     bound = _verdict_bound(mode, bound)
     return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
 
@@ -554,10 +602,13 @@ def _integer_values(f, top: int) -> list[int]:
     """1-indexed table vals[n] = f(n) as ints for n <= top; index 0 unused.
 
     A MultiplicativeMap is evaluated only at the primes, in one ascending
-    pass: a composite n with smallest prime factor q takes f(q)·f(n/q).
+    pass: a composite n with smallest prime factor q takes f(q)·f(n/q), and
+    a prime n off the overrides takes n ** d for a default exponent d >= 0.
     Every value an error depends on is built as the per-n oracle builds it,
     so the first failing n and its error are the oracle's.  That n is a
     prime for a non-integral value, since the values below it are integers.
+    n ** d is taken only below the width at which FactoredRational refuses
+    to build n^d; a wider prime value goes through f, which raises there.
     A product wider than MAX_VALUE_BITS is rebuilt as f(n), which raises the
     oracle's ExactRangeError when its exact form is out of range.
     """
@@ -565,6 +616,8 @@ def _integer_values(f, top: int) -> list[int]:
     if not isinstance(f, MultiplicativeMap):
         return _integer_values_per_n(f, top)
     spf = _smallest_prime_factors(top)
+    d = f.default_exponent
+    overrides = f.overrides
     vals = [1] * (top + 1)
     vals[0] = 0
     for n in range(2, top + 1):
@@ -574,6 +627,8 @@ def _integer_values(f, top: int) -> list[int]:
             if v.bit_length() > MAX_VALUE_BITS:
                 f(n).value()  # raises here exactly when the oracle does
             vals[n] = v
+        elif d >= 0 and n not in overrides and (n.bit_length() - 1) * d < MAX_VALUE_BITS:
+            vals[n] = n**d
         else:
             vals[n] = _as_integer(f._value_at_prime(n), n)
     return vals
@@ -615,7 +670,12 @@ def tf_members(f, primes, shift_bound: int) -> list[int]:
     if not primes:
         return []
     vals = _integer_values(f, shift_bound + primes[-1])
-    return [p for p in primes if _shift_periodic(vals, p, shift_bound)]
+    # n = 1 first, inline: almost every prime fails there
+    return [
+        p
+        for p in primes
+        if (vals[p + 1] - vals[1]) % p == 0 and _shift_periodic(vals, p, shift_bound)
+    ]
 
 
 def scan_Tf(f, x: int, shift_bound: int = 100) -> list[int]:

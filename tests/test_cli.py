@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import deadline
 from localpow import cli, kernels
-from localpow.bounds import cyclotomic_discriminant
+from localpow.bounds import PI_COUNT_LIMIT, cyclotomic_discriminant
 from localpow.chebotarev import CLASS_RATIO_ELL_LIMIT
 from localpow.kernels import pure
 from localpow.modular import PrimeCache
@@ -236,10 +236,13 @@ def test_domain_errors_exit_2(capsys):
         ("tf-scan", "--function", BIG_POWER, "--limit", "100000"),
         ("heuristic", "--function", WIDE_POWER, "--witnesses", "2,3,5", "--limit", "100"),
         ("sf-scan", "--function", WIDE_POWER, "--limit", "100", "--mode", "empirical"),
+        # an exact sf-scan needs no sieve, but its report counts pi(limit)
+        ("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["type"] == "exact-range"
+    assert json.loads(out)["limit"] == PI_COUNT_LIMIT
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -269,6 +272,7 @@ def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
 
     monkeypatch.setattr(PrimeCache, "__init__", recording_init)
     monkeypatch.setattr(kernels, "prime_segments", recording_segments)
+    monkeypatch.setattr(kernels, "count_primes", built.append)
     for argv in (
         ("density-scan", "--ell", "4", "--tuple", "2,3,5,7", "--limit", "10000000"),
         ("density-scan", "--ell", "3", "--tuple", "2,3", "--limit", "10000000"),
@@ -278,6 +282,9 @@ def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
         ("tf-scan", "--function", TABLE_F, "--limit", "10000000", "--shift-bound",
          str(MAX_TABLE_SLOTS)),
         ("tf-scan", "--function", BIG_POWER, "--limit", "100000"),
+        # pi(limit) is counted only up to 10^12
+        ("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)),
+        ("sf-scan", "--function", TABLE_F, "--limit", str(sys.maxsize - 1)),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from localpow import _parallel, kernels, powermap
 from localpow.errors import (
     ConfigError,
@@ -27,9 +28,11 @@ from localpow.powermap import (
     EMPIRICAL_BOUND,
     HEAD_WITNESSES,
     MAX_TABLE_SLOTS,
+    LocalVerdict,
     MultiplicativeMap,
     _integer_values,
     _integer_values_per_n,
+    _member_candidates,
     _table_bits,
     construct_prescribed,
     evaluate,
@@ -435,6 +438,122 @@ def test_exact_scan_matches_case_analysis(f, domain):
     assert unknown == 0
 
 
+def per_prime_scan(f, x, domain):
+    # the exact verdict of every prime <= x, as scan_Sf gives it
+    members, unknown = sf_members(f, PrimeCache(x).primes, "exact", None, domain)
+    return [LocalVerdict(p, "yes", k_p, "exact") for p, k_p in members], unknown
+
+
+def record_sieves(monkeypatch) -> list:
+    # the limits of the prime lists built from here on
+    built = []
+    init = PrimeCache.__init__
+
+    def recording_init(self, limit):
+        built.append(limit)
+        init(self, limit)
+
+    monkeypatch.setattr(PrimeCache, "__init__", recording_init)
+    return built
+
+
+@st.composite
+def gcd_tables(draw):
+    """Overrides at keys up to 59 (some above x) with N_q = c or f(q) = q^k·twist.
+
+    f(q) = q^k + c (k >= 0) or 1/(q^-k - c) (k < 0) makes N_q = c, so G is
+    0 when every c is 0, 1 when some c is ±1, and otherwise has prime
+    factors 3, 5 and 7 that need not be keys.
+    """
+    k = draw(st.integers(-3, 4))
+    keys = draw(st.lists(st.sampled_from(PROPERTY_PRIMES[:17]), unique=True, max_size=4))
+    overrides = {}
+    for q in keys:
+        twist = draw(st.sampled_from((None, -1, 2, Fraction(3, 5))))
+        c = draw(st.sampled_from((0, 1, -1, 7, 15, -21, 105)))
+        if twist is not None:
+            overrides[q] = Fraction(q) ** k * twist
+        elif k >= 0 and q**k + c:
+            overrides[q] = q**k + c
+        elif k < 0 and q**-k != c:
+            overrides[q] = Fraction(1, q**-k - c)
+    sign = draw(st.sampled_from((1, -1)))
+    return MultiplicativeMap.table(overrides, default_exponent=k, sign_value=sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gcd_tables(),
+    st.sampled_from(("positive", "rational")),
+    st.sampled_from((2, 3, 10, 50, PROPERTY_LIMIT)),
+)
+def test_gcd_scan_matches_the_per_prime_scan(f, domain, x):
+    assert scan_Sf(f, x, domain=domain) == per_prime_scan(f, x, domain)
+
+
+def test_gcd_candidates_in_each_case(monkeypatch):
+    built = record_sieves(monkeypatch)
+    # G = 0: f agrees with x^3 at every override, so every prime is tested;
+    # in the rational domain the sign of f(-1) = 1 disagrees, and G = 2
+    f = MultiplicativeMap.table({2: 8, 7: 343}, default_exponent=3)
+    assert _member_candidates(f, 100, "positive") is None
+    assert scan_Sf(f, 100) == per_prime_scan(f, 100, "positive")
+    assert built == [100, 100]
+    assert _member_candidates(f, 100, "rational") == [2, 7]
+    assert [v.p for v in scan_Sf(f, 100, domain="rational")[0]] == [2]
+    assert _member_candidates(MultiplicativeMap.global_power(2), 100, "positive") is None
+    # G = 1 (N_2 = 1, N_3 = -1): only the override keys up to x remain
+    for d, overrides in ((2, {2: 5, 3: 8, 61: 7}), (-1, {2: Fraction(1, 1), 3: Fraction(1, 4)})):
+        g = MultiplicativeMap.table(overrides, default_exponent=d)
+        assert _member_candidates(g, 10, "positive") == [2, 3]
+        assert _member_candidates(g, 2, "positive") == [2]
+        assert _member_candidates(g, 1, "positive") == []  # x below every key
+    # N_2 = 105 = 3·5·7, whose factors are members, with k_p ≡ d (mod p - 1)
+    for d, value in ((2, 4 + 105), (-1, Fraction(1, 2 - 105)), (-3, Fraction(1, 8 - 105))):
+        g = MultiplicativeMap.table({2: value}, default_exponent=d)
+        assert _member_candidates(g, 10, "positive") == [2, 3, 5, 7]
+        members = scan_Sf(g, 10)
+        assert [(v.p, v.k_p) for v in members[0]][1:] == [(p, d % (p - 1)) for p in (3, 5, 7)]
+        assert members == per_prime_scan(g, 10, "positive")
+    # the worked table: G = gcd(3, 4, 6) = 1, so 2, 3 and 5 are decided, to any x
+    del built[:]
+    with deadline(5):
+        members, unknown = scan_Sf(table_f(), 10**15)
+    assert [(v.p, v.k_p) for v in members] == [(2, 0), (3, 1)] and unknown == 0
+    assert built == []
+
+
+def test_gcd_scan_falls_back_where_g_is_out_of_reach(monkeypatch):
+    built = record_sieves(monkeypatch)
+    factored = []
+    real_factorize = kernels.factorize
+    monkeypatch.setattr(kernels, "factorize", lambda n: factored.append(n) or real_factorize(n))
+    # a prime P = 2^89 + 509, so that f(2) = 2 + 15·(2^61 - 1)·P is prime too
+    big = 15 * (2**61 - 1) * next(
+        p for p in range(2**89 + 1, 2**90, 2)
+        if kernels.is_prime(p) and kernels.is_prime(2 + 15 * (2**61 - 1) * p)
+    )
+    cases = (
+        # G = 3^10000 - 2 has 15850 bits: too wide to factor
+        (MultiplicativeMap.table({2: 3**10000}), 100),
+        # N_2 = 3 - 2^(10^15) is too wide to build
+        (MultiplicativeMap.from_json(
+            {"kind": "table", "default_exponent": 10**15, "overrides": {"2": "3"}}
+        ), 1000),
+        # G = 3·5·(2^61 - 1)·P: 3 and 5 divide it, and rho would take
+        # about 2^30 steps to split the two large primes
+        (MultiplicativeMap.table({2: 2 + big}), 1000),
+    )
+    for f, x in cases:
+        assert _member_candidates(f, x, "positive") is None
+        with deadline(10):
+            got = scan_Sf(f, x)
+        assert got == per_prime_scan(f, x, "positive")
+    assert [v.p for v in got[0]] == [2, 3, 5]  # the key 2 is exempt from N_2
+    assert built == [x for _, x in cases for _ in range(2)]
+    assert factored == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(table_maps(), st.sampled_from(("positive", "rational")))
 def test_empirical_verdicts_agree_with_exact(f, domain):
@@ -476,6 +595,23 @@ def test_value_table_range_error_at_a_composite():
     expected = values_or_error(_integer_values_per_n, g, 9)
     assert expected[0] is ExactRangeError
     assert values_or_error(_integer_values, g, 12) == expected
+
+
+def test_value_table_edges_match_the_per_n_oracle():
+    # f(3) = 3^(2^19) is in range, f(5) = 5^(2^19) is not: the first value
+    # out of range is at a prime, as f(4) = f(2)^2 = 1
+    f = MultiplicativeMap.table({2: 1}, default_exponent=2**19)
+    expected = values_or_error(_integer_values_per_n, f, 7)
+    assert expected[0] is ExactRangeError and "5^524288" in expected[1]["message"]
+    assert values_or_error(_integer_values, f, 7) == expected
+    # d = 0, with and without overrides
+    for g in (MultiplicativeMap.global_power(0), MultiplicativeMap.table({3: 4}, 0)):
+        assert _integer_values(g, 50) == _integer_values_per_n(g, 50)
+    # d < 0 fails at the first prime off the overrides, here n = 5
+    h = MultiplicativeMap.table({2: 4, 3: 9}, default_exponent=-1)
+    expected = values_or_error(_integer_values_per_n, h, 50)
+    assert expected[0] is NonIntegralValueError and expected[1]["n"] == 5
+    assert values_or_error(_integer_values, h, 50) == expected
 
 
 @settings(max_examples=100, deadline=None)
