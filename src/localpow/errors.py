@@ -31,7 +31,7 @@ class ZeroValueError(DomainError):
 
 
 class CompositeCofactorError(DomainError):
-    """Trial division left a composite cofactor at the configured bound."""
+    """Rho spent its budget on a composite cofactor; `bound` is that budget in steps."""
 
     code = "composite-cofactor"
 

@@ -12,8 +12,11 @@ backend: the sublinear prime count beats a compiled sieve count, the
 segments of one residue class cost a slice per base prime, `z_b_rows` is
 left to single primes (`frobenius_vector`) and to tests, taking its logs in
 about sqrt(ell) steps by the solver `omega_members` uses for one prime
-order, and factorizations and logs run only in single calls: the scans'
-kernels solve their own.
+order, and factorizations and logs run per value, not per prime: the scans'
+kernels solve their own.  `factorize` is the package's one factorizer
+(every `ratfact` value, p - 1 for a primitive root, an exact scan's gcd):
+trial division to 10^4, then Brent's rho with a fixed step budget per
+walk, past which it raises ArithmeticError(message, cofactor, budget).
 """
 
 import functools

@@ -132,22 +132,35 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int) -> int:
-    # Brent-cycle rho with deterministic polynomial shifts; n odd composite.
-    for c in range(1, 1000):
-        y, r, q, g = 2, 1, 1, 1
+    # Brent-cycle rho on an odd composite n.  Each walk squares at most
+    # `budget` times: 2^34/bits^2 holds a walk's multiplication work near
+    # constant, 2^20 bounds the interpreter's per-step cost on narrow n,
+    # and 2^13 steps still find every prime factor below 10^6.  The next
+    # constant runs only when a walk closes on g = n.  A spent budget
+    # raises ArithmeticError(message, n, budget).
+    budget = min(2**20, max(2**13, 2**34 // n.bit_length() ** 2))
+    for c in (1, 2, 3):
+        y, r, q, g, left = 2, 1, 1, 1, budget
         x = ys = y
         while g == 1:
+            if left <= r:
+                raise ArithmeticError(
+                    f"rho spent {budget} steps on a {n.bit_length()}-bit cofactor", n, budget
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            left -= r
             k = 0
-            while k < r and g == 1:
+            while k < r and g == 1 and left:
                 ys = y
-                for _ in range(min(128, r - k)):
+                steps = min(128, r - k, left)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
-                k += 128
+                k += steps
+                left -= steps
             r *= 2
         if g == n:
             g = 1
@@ -156,7 +169,7 @@ def _pollard_brent(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed to split {n}")
+    raise ArithmeticError(f"rho failed to split a {n.bit_length()}-bit cofactor", n, budget)
 
 
 def _prime_powers(n: int) -> Iterator[tuple[int, int]]:

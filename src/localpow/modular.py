@@ -42,7 +42,7 @@ def primitive_root(p: int) -> int:
         raise NotPrimeError(f"{p} is not prime")
     if p == 2:
         return 1
-    qs = [q for q, _ in kernels.factorize(p - 1)]
+    qs = as_factored(p - 1).support()  # CompositeCofactorError past rho's budget
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
         g += 1

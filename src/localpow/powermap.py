@@ -50,9 +50,12 @@ MAX_TABLE_BYTES = 2**30
 # An exact scan reads its candidate primes off G, the gcd of the numbers
 # N_q (see _member_candidates), only where the first N_q it builds is
 # estimated at no more than MAX_GCD_BITS bits (gcd of two such numbers:
-# about 5 ms) and G has at most FACTOR_BITS bits: kernels.factorize splits
-# two 32-bit primes in about 0.03 s and two 40-bit primes in about 0.5 s
-# (pure, 2-vCPU x86-64 VM).  Otherwise it tests every prime.
+# about 5 ms) and G has at most FACTOR_BITS bits.  The cap bounds the
+# Miller-Rabin tests kernels.factorize runs on G's cofactors, not its rho
+# walks, which have their own budget: is_prime on a 4096-bit prime takes
+# about 2.8 s, and G may be 2^16 bits wide (pure, 2-vCPU x86-64 VM).
+# Otherwise, or where rho leaves a cofactor of G unsplit, it tests every
+# prime.
 MAX_GCD_BITS = 2**16
 FACTOR_BITS = 64
 
@@ -462,7 +465,8 @@ def _member_candidates(f, x: int, domain: str) -> list[int] | None:
     of G, the gcd of those numbers, and the override keys.  Once the gcd so
     far is nonzero, each N_q is built mod it.  None when G = 0 (f agrees
     with x^d at every override), when an N_q built in full would be wider
-    than MAX_GCD_BITS, or when G is wider than FACTOR_BITS.
+    than MAX_GCD_BITS, when G is wider than FACTOR_BITS, or when
+    kernels.factorize leaves a cofactor of G unsplit.
     """
     d = f.default_exponent
     g = 0 if domain == "positive" else abs(f.sign_value - (-1 if d % 2 else 1))
@@ -477,7 +481,10 @@ def _member_candidates(f, x: int, domain: str) -> list[int] | None:
         g = gcd(g, a - t * b if d >= 0 else a * t - b)
     if not g or g.bit_length() > FACTOR_BITS:
         return None
-    primes = {p for p, _ in kernels.factorize(g)}.union(f.overrides)
+    try:
+        primes = {p for p, _ in kernels.factorize(g)}.union(f.overrides)
+    except ArithmeticError:  # rho spent its budget on a cofactor of G
+        return None
     return sorted(p for p in primes if p <= x)
 
 

@@ -8,7 +8,7 @@ read off directly.  0 is unrepresentable on purpose.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     CompositeCofactorError,
@@ -17,50 +17,11 @@ from .errors import (
     NotPrimeError,
     ZeroValueError,
 )
-from .kernels import is_prime
-
-DEFAULT_TRIAL_BOUND = 10**6
+from .kernels import factorize, is_prime
 
 # num and den are built as integers only below 2^MAX_VALUE_BITS: a value such
 # as 2^(2^64) would exhaust memory long before its product was done.
 MAX_VALUE_BITS = 2**20
-
-
-def _factor_abs(n: int) -> dict[int, int]:
-    # Trial division up to DEFAULT_TRIAL_BOUND; a surviving cofactor must
-    # itself be prime or the input is rejected (no silent heavy factoring).
-    exps: dict[int, int] = {}
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            exps[p] = e
-    i = 5
-    top = min(DEFAULT_TRIAL_BOUND, isqrt(n))
-    while i <= top:
-        for q in (i, i + 2):
-            if n % q == 0:
-                e = 0
-                while n % q == 0:
-                    n //= q
-                    e += 1
-                exps[q] = e
-        i += 6
-        top = min(DEFAULT_TRIAL_BOUND, isqrt(n))
-    if n > 1:
-        # Cofactor exceeds every trial divisor.  Once the trial passed its
-        # square root it is prime; otherwise Miller-Rabin decides.
-        if i * i <= n and not is_prime(n):
-            raise CompositeCofactorError(
-                f"cofactor {n} is composite and exceeds the trial bound "
-                f"{DEFAULT_TRIAL_BOUND}",
-                cofactor=n,
-                bound=DEFAULT_TRIAL_BOUND,
-            )
-        exps[n] = exps.get(n, 0) + 1
-    return exps
 
 
 class FactoredRational:
@@ -104,9 +65,17 @@ class FactoredRational:
         g = gcd(a, b)
         a //= g
         b //= g
-        exp = _factor_abs(a)
-        for q, e in _factor_abs(b).items():
-            exp[q] = -e  # a and b are coprime, so no key collides
+        try:
+            exp = dict(factorize(a))
+            exp.update((q, -e) for q, e in factorize(b))  # a, b coprime: no key collides
+        except ArithmeticError as exc:
+            _, cofactor, steps = exc.args
+            raise CompositeCofactorError(
+                f"cofactor {cofactor} is composite and rho did not split it "
+                f"in {steps} steps",
+                cofactor=cofactor,
+                bound=steps,
+            ) from None
         return cls._raw(sign, exp)
 
     # -- queries ----------------------------------------------------------

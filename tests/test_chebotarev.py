@@ -282,14 +282,14 @@ def test_heuristic_scan_counts():
 
 def test_heuristic_scan_factors_each_witness_once(monkeypatch):
     calls = Counter()
-    factor_abs = ratfact._factor_abs
+    factorize = ratfact.factorize
 
     def counting(n):
         calls[n] += 1
-        return factor_abs(n)
+        return factorize(n)
 
-    monkeypatch.setattr(ratfact, "_factor_abs", counting)
-    witnesses = (10**12 + 39, 2, 3)  # a prime past the trial bound, slow to factor
+    monkeypatch.setattr(ratfact, "factorize", counting)
+    witnesses = (10**12 + 39, 2, 3)  # a prime past the trial division
     f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11}, default_exponent=1)
     heuristic_scan(f, witnesses, 100)
     assert [calls[n] for n in witnesses] == [1, 1, 1]
@@ -315,7 +315,8 @@ def test_heuristic_scan_fans_out_without_changing_it(monkeypatch):
 
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
-    unfactored = (10**6 + 3) * (10**6 + 33)  # a cofactor past the trial bound
+    p = sympy.nextprime(3 * 2**510)
+    unfactored = p * sympy.nextprime(p + 2**500)  # past rho's budget
     cases = (
         (MultiplicativeMap.table({2: 8, 3: 27, 5: 11}, default_exponent=3), (2, 3, 5)),
         (lambda n: 4, (unfactored, 2, 3)),
@@ -326,7 +327,8 @@ def test_heuristic_scan_fans_out_without_changing_it(monkeypatch):
         assert vars(heuristic_scan(f, witnesses, 20000, workers=2)) == vars(one)
         scans.append(one)
     assert pools == [2, 2]
-    assert [(hs.members, hs.settled > 0) for hs in scans] == [(2, True), (1, False)]
+    # the callable's members are 5 and 331
+    assert [(hs.members, hs.settled > 0) for hs in scans] == [(2, True), (2, False)]
 
 
 def test_character_bits_follow_eulers_criterion():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -441,6 +442,24 @@ def test_density_scan_expected_is_exact_beyond_small_ell(capsys):
         "--enumeration-bound", "13",
     )
     assert (code, out) == (64, "")
+
+
+def test_a_tuple_entry_is_refused_only_past_rhos_budget(capsys):
+    # (10^6 + 3)(10^6 + 33): a trial division to 10^6 would leave it composite
+    rep = run_json(
+        capsys, "density-scan", "--ell", "3", "--tuple", "1000036000099,3,5,7", "--limit", "100"
+    )
+    assert rep["parameters"]["tuple"][0] == "1000036000099"
+    p = sympy.nextprime(3 * 2**510)
+    q = sympy.nextprime(p + 2**500)
+    code, out = run_cli(
+        capsys, "density-scan", "--ell", "3", "--tuple", f"2,3,5,{p * q}", "--limit", "100"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["type"], payload["cofactor"], payload["bound"]) == (
+        "composite-cofactor", p * q, 2**34 // 1024**2
+    )
 
 
 def test_density_scan_refuses_an_ell_past_the_class_count_limit(capsys):

@@ -141,9 +141,25 @@ def test_factorize_agreement():
         9973**2,
         9973 * 10007,
         10007**2,
+        (10**9 + 7) * (10**9 + 9),
+        # the primes below 10^6 that the c = 1 and c = 2 rho walks take
+        # longest to find: 7806 and 7678 steps
+        874771 * (2**127 - 1),
+        874771 * 654053,
     ]
     for n in samples:
         assert pure.factorize(n) == sorted(sympy.factorint(n).items())
+    # past 1448 bits a walk gets the floor of 2^13 steps, still enough
+    mersenne = 2**2203 - 1
+    assert pure.factorize(874771 * mersenne) == [(874771, 1), (mersenne, 1)]
+
+
+def test_factorize_raises_with_the_cofactor_rho_leaves():
+    p = sympy.nextprime(3 * 2**510)
+    q = sympy.nextprime(p + 2**500)
+    with pytest.raises(ArithmeticError) as exc:
+        pure.factorize(2**5 * 10007 * p * q)
+    assert exc.value.args[1:] == (p * q, 2**34 // 1024**2)
 
 
 def test_discrete_log_random_instances():

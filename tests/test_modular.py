@@ -3,7 +3,9 @@ import random
 import pytest
 import sympy
 
+from conftest import deadline
 from localpow.errors import (
+    CompositeCofactorError,
     CongruenceClassError,
     DomainError,
     EqualPrimeError,
@@ -40,6 +42,17 @@ def test_primitive_root_is_smallest_generator():
     for p in list(sympy.primerange(3, 2000)):
         assert primitive_root(p) == sympy.primitive_root(p)
     assert primitive_root(2) == 1
+
+
+def test_primitive_root_refuses_a_p_minus_1_rho_cannot_split():
+    # p - 1 = 2·P·Q with P = 2^64 + 13 and Q prime: rho spends its budget
+    # on the 130-bit P·Q and the refusal names it
+    P, Q = 2**64 + 13, 36893488147419103807
+    p = 2 * P * Q + 1
+    assert p == 1361129467683753876026484806325953903207
+    with deadline(4), pytest.raises(CompositeCofactorError) as exc:
+        primitive_root(p)
+    assert exc.value.details == {"cofactor": P * Q, "bound": 2**34 // 130**2}
 
 
 def test_discrete_log_validation():

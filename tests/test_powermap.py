@@ -553,6 +553,15 @@ def test_gcd_scan_falls_back_where_g_is_out_of_reach(monkeypatch):
     assert built == [x for _, x in cases for _ in range(2)]
     assert factored == []
 
+    # a G within FACTOR_BITS that rho leaves unsplit falls back as well
+    def spent(n):
+        raise ArithmeticError("rho spent its budget", n, 1)
+
+    monkeypatch.setattr(kernels, "factorize", spent)
+    f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11})
+    assert _member_candidates(f, 100, "positive") is None
+    assert scan_Sf(f, 100) == per_prime_scan(f, 100, "positive")
+
 
 @settings(max_examples=40, deadline=None)
 @given(table_maps(), st.sampled_from(("positive", "rational")))

@@ -1,9 +1,12 @@
 import pickle
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localpow.errors import (
     CompositeCofactorError,
@@ -12,7 +15,8 @@ from localpow.errors import (
     ZeroValueError,
 )
 from localpow import ratfact
-from localpow.ratfact import DEFAULT_TRIAL_BOUND, ONE, FactoredRational, as_factored, is_prime
+from localpow.kernels import pure
+from localpow.ratfact import ONE, FactoredRational, as_factored, is_prime
 
 
 def test_factor_matches_sympy_on_random_integers():
@@ -50,14 +54,41 @@ def test_composite_keys_rejected():
         FactoredRational(1, {1: 2})
 
 
+PRIMES_1E6 = pure.sieve(10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(PRIMES_1E6), min_size=1, max_size=4),
+    st.one_of(st.none(), st.integers(2, 2**300)),
+)
+# the slowest primes below 10^6 for rho's c = 1 and c = 2 walks, and the
+# two sides of the trial division's last prime
+@example([874771], 2**127 - 2)
+@example([874771, 654053], None)
+@example([9973, 10007], None)
+def test_factor_matches_sympy_on_small_primes_times_one_large(small, large):
+    # products of primes below 10^6, with multiplicity, times at most one
+    # prime up to about 2^300 (the next prime after `large`) factor completely
+    n = prod(small) * (1 if large is None else sympy.nextprime(large))
+    assert FactoredRational.factor(n).exponents == sympy.factorint(n)
+
+
 def test_composite_cofactor_error_carries_details():
-    p, q = 1000000007, 1000000009
+    # two primes of about 512 bits: rho's 2^34/1024^2 = 16384 steps at this
+    # width find neither
+    p = sympy.nextprime(3 * 2**510)
+    q = sympy.nextprime(p + 2**500)
+    assert (p * q).bit_length() == 1024
     with pytest.raises(CompositeCofactorError) as exc:
-        FactoredRational.factor(p * q)
-    assert exc.value.details["cofactor"] == p * q
-    assert exc.value.details["bound"] == DEFAULT_TRIAL_BOUND
+        FactoredRational.factor(7 * p * q, 10**6 + 3)
+    assert exc.value.details == {"cofactor": p * q, "bound": 16384}
     # a single prime cofactor is fine: Miller-Rabin certifies it
     assert FactoredRational.factor(p).exponents == {p: 1}
+    # a trial division to 10^6 refused this one
+    assert FactoredRational.factor(1000000007 * 1000000009).exponents == {
+        1000000007: 1, 1000000009: 1
+    }
 
 
 def test_reduce_mod_matches_fraction_arithmetic():
@@ -131,7 +162,7 @@ def test_pickle_roundtrip(monkeypatch):
 
     # a value comes back through _raw: its keys are not re-tested for primality
     monkeypatch.setattr(ratfact, "is_prime", refuse)
-    monkeypatch.setattr(ratfact, "_factor_abs", refuse)
+    monkeypatch.setattr(ratfact, "factorize", refuse)
     for x, blob in zip(values, blobs):
         y = pickle.loads(blob)
         assert type(y) is FactoredRational
