@@ -10,10 +10,12 @@ in chunk order, so the output is independent of the worker count; floats
 merged integers.  An exact sf-scan and the shift scan run in this process.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
-both call back into this module.  The modules of each cycle import each
-other as modules and look names up at call time, so the cycles resolve in
+both call back into this module.  This module and `powermap` import each
+other as modules and look names up at call time, so the cycle resolves in
 any import order and a name replaced on a module (as `perfbench/tracing.py`
-does) takes effect everywhere.
+does) takes effect everywhere.  `chebotarev` is imported inside
+`_density_chunk` only, so an sf-scan or tf-scan never loads it, nor the
+`lattice` module it imports.
 
 The pool class loads only when a scan fans out (more than one worker and
 more than one item): `ProcessPoolExecutor` is a module attribute that the
@@ -21,10 +23,12 @@ module `__getattr__` (PEP 562) imports on first use, as `concurrent.futures`
 does for its own pool classes, and `_run_chunks` reads it from the module,
 so a class set on the module in its place is the one that runs.  A
 one-process run never imports `concurrent.futures.process` or
-`multiprocessing`.  On a shared 2-vCPU x86-64 VM (Python 3.11, bytecode
-cached) that cuts a fresh `import localpow.cli` from 0.187 to 0.142 s
-(median of 30, against 0.089 s for `python -c pass`); `python -X importtime
--c "import localpow.cli"` shows what each import still costs.
+`multiprocessing`.  With these deferred imports and the CLI's own, a
+fresh `import localpow.cli` on a shared 2-vCPU x86-64 VM (Python 3.11,
+medians of 31 interleaved runs) went from 0.188 to 0.108 s with no
+bytecode written and from 0.110 to 0.078 s with bytecode cached, against
+0.084 and 0.069 s for `python -c pass`; `python -X importtime -c "import
+localpow.cli"` shows what each import still costs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import os
 import sys
 
-from . import chebotarev, kernels, powermap
+from . import kernels, powermap
 
 
 def __getattr__(name: str):
@@ -72,6 +76,8 @@ def _merge_counts(parts):
 
 
 def _density_chunk(args):
+    from . import chebotarev
+
     numbers, ell, nums, dens, mode = args
     # p ≡ 1 (mod ell) is p ≡ 1 (mod 2·ell) for every odd p, and 2 is never 1 mod ell
     segments = kernels.prime_segments(numbers.start, numbers.stop, 2 * ell)

@@ -56,8 +56,15 @@ class BoundConfig:
 
 
 def euler_phi(n: int) -> int:
+    """Euler's totient of an integer n >= 1.
+
+    A DomainError refuses n < 1, and a CompositeCofactorError an n whose
+    composite cofactor rho does not split within its budget.
+    """
+    if n < 1:
+        raise DomainError(f"euler_phi needs n >= 1, got {n}")
     phi = 1
-    for p, k in kernels.factorize(n):
+    for p, k in as_factored(n).exponents.items():
         phi *= (p - 1) * p ** (k - 1)
     return phi
 

@@ -5,40 +5,18 @@ stdout as JSON with a fixed field order and floats rounded to 12 significant
 digits, so identical invocations are byte-identical; progress goes to stderr.
 Exit codes: 0 success, 2 domain error, 64 usage error, 65 malformed function
 spec; a reader that closes stdout early ends the run quietly with 0.
+
+Each subcommand's handler imports the library modules it calls when it
+runs, so `--help`, a usage error or one subcommand loads none of the
+modules it does not use.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
 import json
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
 
-from . import kernels
-from .bounds import (
-    PI_COUNT_LIMIT,
-    BoundConfig,
-    chebyshev_check,
-    cyclotomic_discriminant,
-    main_bound,
-    mertens_product,
-    yz_schedule,
-)
-from .chebotarev import frobenius_vector, heuristic_scan, in_C4, scan_density
 from .errors import DomainError, ExactRangeError, FunctionSpecError, LocalPowError
-from .lattice import build_lattice, kummer_degree, relations
-from .modular import check_table_limit
-from .powermap import (
-    MultiplicativeMap,
-    construct_prescribed,
-    find_witness,
-    scan_Sf,
-    scan_Tf,
-)
-from .ratfact import as_factored
 
 
 class UsageError(Exception):
@@ -51,15 +29,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, Fraction):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+    """obj with each float and Fraction in it rounded to 12 significant digits."""
+    from fractions import Fraction
+
+    def rounded(obj):
+        if isinstance(obj, (float, Fraction)):
+            return float(f"{float(obj):.12g}")
+        if isinstance(obj, dict):
+            return {k: rounded(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [rounded(v) for v in obj]
+        return obj
+
+    return rounded(obj)
 
 
 def _emit(report: dict, csv_path=None):
@@ -78,6 +60,8 @@ def _emit(report: dict, csv_path=None):
 
 
 def _write_csv(path, report):
+    import csv
+
     items = report.get("items")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -98,12 +82,19 @@ def _write_csv(path, report):
 
 def _progress(msg: str):
     # scan progress; names the kernel backend that ran, which stdout never does
+    from . import kernels
+
     print(f"[localpow] {msg} ({kernels.BACKEND} kernels)", file=sys.stderr)
 
 
-def _load_function(spec: str) -> MultiplicativeMap:
+def _load_function(spec: str):
+    """The MultiplicativeMap of a JSON spec given inline or as a file path."""
+    from .powermap import MultiplicativeMap
+
     text = spec.strip()
     if not text.startswith("{"):
+        from pathlib import Path
+
         try:
             text = Path(spec).read_text()
         except OSError as exc:
@@ -133,6 +124,8 @@ def _entries(convert):
 
 
 def _rational(text: str) -> str:
+    from fractions import Fraction
+
     Fraction(text)  # raises unless text is a rational like '3' or '-7/4'
     return text  # kept as typed: reports echo it
 
@@ -183,6 +176,8 @@ def _scan_report(args, names, counted, skipped, observed, f=None, **extra):
 
 def _members_report(args, names, items, f):
     # the member primes' report: counted out of all the primes below the limit
+    from . import kernels
+
     total = kernels.count_primes(args.limit)
     counted = len(items)
     observed = counted / total if total else 0.0
@@ -190,6 +185,10 @@ def _members_report(args, names, items, f):
 
 
 def _cmd_sf_scan(args):
+    from .bounds import PI_COUNT_LIMIT
+    from .modular import check_table_limit
+    from .powermap import scan_Sf
+
     f = _load_function(args.function)
     if args.mode == "exact":
         # an exact scan needs no sieve, but its report counts the primes up
@@ -209,6 +208,8 @@ def _cmd_sf_scan(args):
 
 
 def _cmd_tf_scan(args):
+    from .powermap import scan_Tf
+
     f = _load_function(args.function)
     _progress(f"shift-checking the primes up to {args.limit}")
     members = scan_Tf(f, args.limit, args.shift_bound)
@@ -216,6 +217,8 @@ def _cmd_tf_scan(args):
 
 
 def _cmd_witness(args):
+    from .powermap import find_witness
+
     f = _load_function(args.function)
     found = find_witness(f, args.count, args.search_limit)
     return {
@@ -230,6 +233,8 @@ def _cmd_witness(args):
 
 
 def _cmd_construct(args):
+    from .powermap import construct_prescribed
+
     if len(args.exponents) != len(args.set):
         raise UsageError("--set and --exponents must have the same length")
     if len(set(args.set)) != len(args.set):
@@ -245,6 +250,9 @@ def _cmd_construct(args):
 
 
 def _cmd_relations(args):
+    from .lattice import build_lattice, relations
+    from .ratfact import as_factored
+
     entries = [as_factored(x) for x in args.tuple]
     lat = build_lattice(entries)
     rep = relations(lat)
@@ -260,6 +268,9 @@ def _cmd_relations(args):
 
 
 def _cmd_kummer_degree(args):
+    from .lattice import kummer_degree
+    from .ratfact import as_factored
+
     entries = [as_factored(x) for x in args.tuple]
     dim_v, degree, d = kummer_degree(entries, args.ell)
     return {
@@ -272,6 +283,9 @@ def _cmd_kummer_degree(args):
 
 
 def _cmd_frobenius(args):
+    from .chebotarev import frobenius_vector, in_C4
+    from .ratfact import as_factored
+
     entries = [as_factored(x) for x in args.tuple]
     sample = frobenius_vector(args.p, args.ell, entries)
     out = {
@@ -286,6 +300,8 @@ def _cmd_frobenius(args):
 
 
 def _cmd_density_scan(args):
+    from .chebotarev import scan_density
+
     ds = scan_density(
         args.ell, args.tuple, args.limit, mode=args.mode, workers=args.workers
     )
@@ -297,6 +313,8 @@ def _cmd_density_scan(args):
 
 
 def _cmd_heuristic(args):
+    from .chebotarev import heuristic_scan
+
     f = _load_function(args.function)
     hs = heuristic_scan(f, args.witnesses, args.limit, workers=args.workers)
     total = hs.counted + hs.skipped
@@ -312,6 +330,8 @@ def _cmd_heuristic(args):
 
 
 def _cmd_bounds(args):
+    from .bounds import chebyshev_check, main_bound, mertens_product
+
     cfg = args.config
     x = args.x
     mb = main_bound(x, args.b_f, cfg, pi_x=args.pi_x)
@@ -351,6 +371,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_disc(args):
+    from .bounds import cyclotomic_discriminant
+
     return {"value": cyclotomic_discriminant(args.cyclotomic)}
 
 
@@ -461,6 +483,8 @@ def _run(argv) -> int:
         print("usage error: missing subcommand", file=sys.stderr)
         return 64
     try:
+        from .bounds import BoundConfig
+
         # the bound constants are common to every subcommand
         args.config = BoundConfig(
             c1=args.c1, c2=args.c2, implied_constant=args.implied_constant

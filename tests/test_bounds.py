@@ -3,6 +3,7 @@ import math
 import pytest
 import sympy
 
+from conftest import deadline
 from localpow.bounds import (
     BoundConfig,
     chebotarev_condition,
@@ -19,6 +20,7 @@ from localpow.bounds import (
     yz_schedule,
 )
 from localpow.errors import (
+    CompositeCofactorError,
     ConfigError,
     DomainError,
     ExactRangeError,
@@ -41,6 +43,17 @@ def test_bound_config_defaults_and_validation():
 def test_euler_phi_matches_sympy():
     for n in range(1, 500):
         assert euler_phi(n) == sympy.totient(n)
+
+
+def test_euler_phi_refusals_are_domain_errors():
+    for n in (0, -12):
+        with pytest.raises(DomainError, match="n >= 1"):
+            euler_phi(n)
+    # a 130-bit product of two 65-bit primes is past rho's step budget
+    cofactor = (2**64 + 13) * 36893488147419103807
+    with deadline(4), pytest.raises(CompositeCofactorError) as info:
+        euler_phi(7 * cofactor)
+    assert info.value.details["cofactor"] == cofactor
 
 
 def test_cyclotomic_discriminant_table():

@@ -623,6 +623,71 @@ def test_the_pool_loads_only_when_a_scan_fans_out():
     assert json.loads(serial)["items"]
 
 
+# Imports localpow.cli in a fresh interpreter, then runs one argv, and prints
+# what each step loaded beyond the interpreter's own modules, with the exit
+# code.  json is imported only once both sets are taken.
+STARTUP_SCRIPT = """
+import io, sys
+bare = set(sys.modules)
+from localpow import cli
+imported = sorted(set(sys.modules) - bare)
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+code = cli.run(sys.argv[1:])
+ran = sorted(set(sys.modules) - bare)
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+import json
+print(json.dumps([imported, code, ran]))
+"""
+
+CLI_ONLY = ["localpow", "localpow.cli", "localpow.errors"]
+HEAVY_STDLIB = ("fractions", "decimal", "csv", "dataclasses", "inspect")
+
+
+def loaded_at_startup(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, code, ran = json.loads(proc.stdout)
+    return imported, code, [name for name in ran if name.startswith("localpow")]
+
+
+def test_importing_the_cli_loads_no_library_module():
+    imported, code, ran = loaded_at_startup("--help")
+    assert [name for name in imported if name.startswith("localpow")] == CLI_ONLY
+    assert not set(HEAVY_STDLIB) & set(imported)
+    assert (code, ran) == (0, CLI_ONLY)
+
+
+def test_a_usage_error_loads_no_library_module():
+    _, code, ran = loaded_at_startup("sf-scan", "--function", TABLE_F, "--limit", "x")
+    assert (code, ran) == (64, CLI_ONLY)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (
+            ("bounds", "--x", "1e8", "--pi-x", "5761455"),
+            ("localpow.powermap", "localpow.chebotarev", "localpow.lattice"),
+        ),
+        (
+            ("sf-scan", "--function", TABLE_F, "--limit", "1000"),
+            ("localpow.chebotarev", "localpow.lattice"),
+        ),
+        (
+            ("tf-scan", "--function", TABLE_F, "--limit", "1000"),
+            ("localpow.chebotarev", "localpow.lattice"),
+        ),
+    ],
+)
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, absent):
+    _, code, ran = loaded_at_startup(*argv)
+    assert code == 0
+    assert set(CLI_ONLY) < set(ran)
+    assert not set(absent) & set(ran)
+
+
 def test_csv_items_written(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _ = run_cli(
