@@ -279,9 +279,7 @@ def main_bound(
                 limit=PI_COUNT_LIMIT,
             )
         pi_x = kernels.count_primes(int(x))
-    l3 = log(log(log(x)))
-    l4 = log(l3)
-    ratio = l4 / l3
+    ratio = iterated_log_ratio(log(x))
     main_term = cfg.implied_constant * ratio * pi_x
     split_term = log(sched.Y) / log(sched.Z) * pi_x
     tail_term = pi_x / (sched.Y * log(sched.Y))

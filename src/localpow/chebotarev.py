@@ -5,8 +5,9 @@ data is the vector z_j = c_j^((p-1)/ell) in the ell-th roots of unity mod p,
 encoded as an exponent vector mod ell.  A scan compares the observed
 frequency of the proportionality class (the trace every local power map
 forces) with the exact count over the relation-constrained vector space; it
-decides each prime from the z_j themselves (`kernels.class_counts`), with no
-logs taken.
+decides each prime from the z_j themselves (`kernels.class_counts`), with at
+most one log of order ell a prime, by the projection solver of the
+simultaneous-power test.
 """
 
 from __future__ import annotations

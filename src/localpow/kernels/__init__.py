@@ -13,7 +13,9 @@ segments of one residue class cost a slice per base prime, `z_b_rows` is
 left to single primes (`frobenius_vector`) and to tests, taking its logs in
 about sqrt(ell) steps by the solver `omega_members` uses for one prime
 order, and factorizations and logs run per value, not per prime: the scans'
-kernels solve their own.  `factorize` is the package's one factorizer
+kernels solve their own.  One pivot test serves both Frobenius scans:
+`class_counts` decides a c4 prime by `omega_members`' projection solver,
+taken at q = ell.  `factorize` is the package's one factorizer
 (every `ratfact` value, p - 1 for a primitive root, an exact scan's gcd):
 trial division to 10^4, then Brent's rho with a fixed step budget per
 walk, past which it raises ArithmeticError(message, cofactor, budget).

@@ -261,16 +261,14 @@ static inline u64 ht_slot(const HashTable *t, u64 key)
     return (key * (u64)0x9E3779B97F4A7C15ULL) & t->mask;
 }
 
-/* keeps the first value per key */
+/* keeps the last value per key, as a Python dict does */
 static inline void ht_put(HashTable *t, u64 key, i64 val)
 {
     u64 idx = ht_slot(t, key);
     while (t->keys[idx] != 0 && t->keys[idx] != key)
         idx = (idx + 1) & t->mask;
-    if (t->keys[idx] == 0) {
-        t->keys[idx] = key;
-        t->vals[idx] = val;
-    }
+    t->keys[idx] = key;
+    t->vals[idx] = val;
 }
 
 static inline i64 ht_get(const HashTable *t, u64 key)
@@ -314,7 +312,7 @@ static i64 bsgs(u64 base, u64 target, u64 order, u64 p)
     return found;
 }
 
-/* the primes whose logs are walked, not looked up by BSGS; omega_member
+/* the primes whose logs are walked, not looked up by BSGS; omega_solution
  * decides their projections before it factors p-1 */
 static const u64 SMALL_Q[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47};
 #define N_SMALL_Q (sizeof SMALL_Q / sizeof SMALL_Q[0])
@@ -456,68 +454,51 @@ static PyObject *kernel_sieve(PyObject *Py_UNUSED(module), PyObject *arg)
     return out;
 }
 
-/* The lambda in [0, ell) with w^lambda = z (mod p), for a character w != 1;
- * -1 with ArithmeticError set if w or z lies outside mu_ell. */
-static i64 character_log(u64 z, u64 w, u64 ell, u64 p)
+/* The t mod q with (a_j^t·c_j)^m = 1 for all j, m = (p-1)/q: 1 with *k = t
+ * and *mod = q, or *k = 0 and *mod = 1 when every a_j projects to 1 and t
+ * is free; 0 when no t fits, or LOG_NOMEM.  Projections are taken lazily:
+ * up to the first a_j of projection u != 1 (the pivot) each c_j must
+ * project to 1; the pivot fixes t, since its c_j projects to w in
+ * <u> = mu_q and u^t·w = 1 for t = -log_u(w); every later witness then
+ * costs one power */
+static int projection_solution(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q,
+                               u64 p, u64 *k, u64 *mod)
 {
-    u64 cur = 1;
-    i64 lam = -1;
-    for (u64 t = 0; t < ell; t++) {
-        if (cur == z && lam < 0)
-            lam = (i64)t;
-        cur = mulmod(cur, w, p);
-    }
-    if (cur != 1 || lam < 0) {
-        PyErr_Format(PyExc_ArithmeticError, "%llu not in mu_%llu mod %llu",
-                     (unsigned long long)(cur != 1 ? w : z), (unsigned long long)ell,
-                     (unsigned long long)p);
-        return -1;
-    }
-    return lam;
-}
-
-/* Is the prime p a hit?  1 or 0, or -1 with ArithmeticError set.  rs are
- * the nonzero residues of c_j = n_j·d_j^(ell-1), whose characters
- * chi(c_j) = c_j^((p-1)/ell) are those of n_j/d_j. */
-static int class_hit(u64 p, u64 ell, const u64 *rs, Py_ssize_t width, Py_ssize_t k)
-{
-    u64 m = (p - 1) / ell;
-    i64 lam = -1;
-    if (k == 0) {
-        for (Py_ssize_t j = 0; j < width; j++)
-            if (powmod(rs[j], m, p) != 1)
-                return 0;
-        return 1;
-    }
-    for (Py_ssize_t i = 0; i < k; i++) {
-        u64 zb, zf;
-        if (lam >= 0) {
-            /* chi(c_{k+i}) = chi(c_i)^lam iff chi(c_{k+i}·c_i^(ell-lam)) = 1 */
-            if (powmod(mulmod(rs[k + i], powmod(rs[i], ell - (u64)lam, p), p), m, p) != 1)
+    u64 m = (p - 1) / q;
+    i64 t = -1;
+    for (Py_ssize_t j = 0; j < width; j++) {
+        u64 u, w;
+        i64 s;
+        if (t >= 0) {
+            if (powmod(mulmod(powmod(avals[j], (u64)t, p), cs[j], p), m, p) != 1)
                 return 0;
             continue;
         }
-        zb = powmod(rs[i], m, p);
-        zf = powmod(rs[k + i], m, p);
-        if (zb != 1) {
-            if ((lam = character_log(zf, zb, ell, p)) < 0)
-                return -1;
-        } else if (zf != 1) {
+        u = powmod(avals[j], m, p);
+        w = powmod(cs[j], m, p);
+        if (u != 1) {
+            if ((s = digit_log(u, w, q, p)) < 0)
+                return s == LOG_NOMEM ? LOG_NOMEM : 0;
+            t = (i64)((q - (u64)s) % q);
+        } else if (w != 1) {
             return 0;
         }
     }
+    *k = t < 0 ? 0 : (u64)t;
+    *mod = t < 0 ? 1 : q;
     return 1;
 }
 
 PyDoc_STRVAR(class_counts_doc,
 "class_counts(primes, ell, nums, dens, k)\n--\n\n"
 "Count the primes whose ell-th power characters lie in the proportionality class.\n\n"
-"Same contract as the pure backend: returns (counted, skipped, hits).");
+"Same contract as the pure backend: returns (counted, skipped, hits), a\n"
+"prime with k > 0 decided by omega_members' projection solver at q = ell.");
 
 static PyObject *kernel_class_counts(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *primes, *nums, *dens, *fast;
-    u64 cd[MAX_WIDTH], rs[MAX_WIDTH], counted = 0, skipped = 0, hits = 0;
+    u64 cd[MAX_WIDTH], rs[MAX_WIDTH], counted = 0, skipped = 0, hits = 0, t, mod;
     i64 cn[MAX_WIDTH];
     long long ell;
     Py_ssize_t width, k, n;
@@ -553,8 +534,20 @@ static PyObject *kernel_class_counts(PyObject *Py_UNUSED(module), PyObject *args
             continue;
         }
         counted++;
-        if ((hit = class_hit(p, (u64)ell, rs, width, k)) < 0)
+        if (k == 0) {
+            u64 m = (p - 1) / (u64)ell;
+            Py_ssize_t j = 0;
+            while (j < width && powmod(rs[j], m, p) == 1)
+                j++;
+            hits += j == width;
+            continue;
+        }
+        /* chi(c_{k+i}) = chi(c_i)^lambda for all i < k: the q = ell
+         * projection of omega_solution's test at a_i = c_i, with t = -lambda */
+        if ((hit = projection_solution(rs, rs + k, k, (u64)ell, p, &t, &mod)) == LOG_NOMEM) {
+            PyErr_NoMemory();
             goto fail;
+        }
         hits += (u64)hit;
     }
     Py_DECREF(fast);
@@ -563,41 +556,6 @@ static PyObject *kernel_class_counts(PyObject *Py_UNUSED(module), PyObject *args
 fail:
     Py_DECREF(fast);
     return NULL;
-}
-
-/* The t mod q with (a_j^t·c_j)^m = 1 for all j, m = (p-1)/q: 1 with *k = t
- * and *mod = q, or *k = 0 and *mod = 1 when every a_j projects to 1 and t
- * is free; 0 when no t fits, or LOG_NOMEM.  Projections are taken lazily:
- * up to the first a_j of projection u != 1 (the pivot) each c_j must
- * project to 1; the pivot fixes t, since its c_j projects to w in
- * <u> = mu_q and u^t·w = 1 for t = -log_u(w); every later witness then
- * costs one power */
-static int projection_solution(const u64 *avals, const u64 *cs, Py_ssize_t width, u64 q,
-                               u64 p, u64 *k, u64 *mod)
-{
-    u64 m = (p - 1) / q;
-    i64 t = -1;
-    for (Py_ssize_t j = 0; j < width; j++) {
-        u64 u, w;
-        i64 s;
-        if (t >= 0) {
-            if (powmod(mulmod(powmod(avals[j], (u64)t, p), cs[j], p), m, p) != 1)
-                return 0;
-            continue;
-        }
-        u = powmod(avals[j], m, p);
-        w = powmod(cs[j], m, p);
-        if (u != 1) {
-            if ((s = digit_log(u, w, q, p)) < 0)
-                return s == LOG_NOMEM ? LOG_NOMEM : 0;
-            t = (i64)((q - (u64)s) % q);
-        } else if (w != 1) {
-            return 0;
-        }
-    }
-    *k = t < 0 ? 0 : (u64)t;
-    *mod = t < 0 ? 1 : q;
-    return 1;
 }
 
 /* The k with u_j^k = v_j^-1 for all j, u_j = a_j^cof and v_j = c_j^cof for

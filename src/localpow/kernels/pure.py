@@ -6,7 +6,9 @@ must return exactly what the one here does and raise the same exception
 types, or raise `OverflowError` on an argument too wide for its 64-bit
 words, which `localpow.kernels` then reruns here.  The others
 (`count_primes`, `prime_segments`, `is_prime`, `factorize`, `discrete_log`
-and `z_b_rows`) run from here under every backend.
+and `z_b_rows`) run from here under every backend.  One pivot test,
+`_projection_solution`, decides a projection for `omega_members` and a
+c4 prime for `class_counts`.
 """
 
 from __future__ import annotations
@@ -321,20 +323,6 @@ def z_b_rows(
     return out
 
 
-def _character_log(z: int, w: int, ell: int, p: int) -> int:
-    # the lambda in [0, ell) with w^lambda = z mod p, for a character w != 1
-    cur, lam = 1, None
-    for t in range(ell):
-        if cur == z and lam is None:
-            lam = t
-        cur = cur * w % p
-    if cur != 1:
-        raise ArithmeticError(f"{w} not in mu_{ell} mod {p}")
-    if lam is None:
-        raise ArithmeticError(f"{z} not in mu_{ell} mod {p}")
-    return lam
-
-
 def class_counts(
     primes: list[int], ell: int, nums: list[int], dens: list[int], k: int
 ) -> tuple[int, int, int]:
@@ -342,13 +330,18 @@ def class_counts(
 
     The character is chi(x) = x^((p-1)/ell) mod p, and c_j = nums[j]/dens[j].
     Returns (counted, skipped, hits): skipped primes divide a numerator or a
-    denominator.  With k > 0 (the tuple has 2k entries) a counted prime is a
-    hit iff some lambda mod ell gives chi(c_{k+i}) = chi(c_i)^lambda for every
+    denominator.  With k = 0 a counted prime is a hit iff every
+    chi(c_j) = 1.  With k > 0 (the tuple has 2k entries) it is a hit iff
+    some lambda mod ell gives chi(c_{k+i}) = chi(c_i)^lambda for every
     i < k, which is proportionality of the z_b_rows log vector's halves
-    whatever the log base; with k = 0 it is a hit iff every chi(c_j) = 1.
-    Callers pass primes with p ≡ 1 (mod ell); nums carry the sign, dens are
-    positive.  Each prime stops at the first pair that settles it, and
-    chi(n/d) = chi(n·d^(ell-1)) needs no inverse mod p.
+    whatever the log base.  That is the q = ell projection of
+    omega_members' test at n_i = c_i and f(n_i) = 1/c_{k+i}, with
+    t = -lambda, and its solver decides it: the first c_i with
+    chi(c_i) != 1 fixes lambda by a walk up to ell = 47 and baby-step
+    giant-step above, and every later pair costs one power.
+    Callers pass a prime ell and primes p ≡ 1 (mod ell); nums carry the
+    sign, dens are positive.  chi(n/d) = chi(n·d^(ell-1)) needs no inverse
+    mod p.
     """
     width = len(nums)
     if ell < 1:
@@ -356,6 +349,7 @@ def class_counts(
     if k < 0 or (k and 2 * k != width):
         raise ValueError(f"k = {k} does not halve a tuple of width {width}")
     cs = [n * d ** (ell - 1) for n, d in zip(nums, dens)]
+    low, high, ones = cs[:k], cs[k:], [1] * k
     # p | n·d^(ell-1) iff p | n or p | d; no p above every |c_j| divides
     # one, unless some c_j is 0
     cmax = max(map(abs, cs), default=0) if all(cs) else max(primes, default=0)
@@ -365,26 +359,12 @@ def class_counts(
             skipped += 1
             continue
         counted += 1
-        m = (p - 1) // ell
-        if not k:
-            for c in cs:
-                if pow(c, m, p) != 1:
-                    break
-            else:
-                hits += 1
+        if k:
+            hits += _projection_solution(low, ones, high, ell, p) is not None
             continue
-        lam = None
-        for i in range(k):
-            if lam is not None:
-                # chi(c_{k+i}) = chi(c_i)^lam iff chi(c_{k+i}·c_i^(ell-lam)) = 1
-                if pow(cs[k + i] * pow(cs[i], ell - lam, p), m, p) != 1:
-                    break
-                continue
-            zb = pow(cs[i], m, p)
-            zf = pow(cs[k + i], m, p)
-            if zb != 1:
-                lam = _character_log(zf, zb, ell, p)
-            elif zf != 1:
+        m = (p - 1) // ell
+        for c in cs:
+            if pow(c, m, p) != 1:
                 break
         else:
             hits += 1

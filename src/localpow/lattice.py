@@ -34,8 +34,10 @@ def build_lattice(c) -> ExponentLattice:
     entries = [as_factored(x) for x in c]
     if not entries:
         raise EmptyTupleError("tuple must be nonempty")
-    support = sorted({q for x in entries for q in x.exponents})
-    matrix = [[x.ord(q) for x in entries] for q in support]
+    # each entry's table is read once; its keys are primes already
+    tables = [x.exponents for x in entries]
+    support = sorted({q for t in tables for q in t})
+    matrix = [[t.get(q, 0) for t in tables] for q in support]
     return ExponentLattice(support, matrix, len(entries))
 
 

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 import localpow.lattice as lattice_mod
+import localpow.ratfact as ratfact_mod
 from conftest import deadline
 from localpow.errors import EmptyTupleError, NotPrimeError, OddPrimeRequiredError
 from localpow.lattice import (
@@ -20,7 +21,7 @@ from localpow.lattice import (
     row_space_mod_ell,
 )
 from localpow.powermap import MultiplicativeMap
-from localpow.ratfact import FactoredRational, as_factored
+from localpow.ratfact import FactoredRational, as_factored, is_prime
 
 
 def test_build_lattice_matrix():
@@ -33,6 +34,28 @@ def test_build_lattice_matrix():
     assert lat.matrix == [[-2, 1], [0, 1], [1, 0]]
     with pytest.raises(EmptyTupleError):
         build_lattice(())
+
+
+def test_build_lattice_of_factored_entries_proves_no_prime(monkeypatch):
+    # the exponent tables of factored entries hold primes already, so even
+    # a 521-bit support prime costs no primality test
+    big = 2**521 - 1
+    entries = [
+        FactoredRational(1, {2: 1, big: 1}),
+        FactoredRational(-1, {3: 2, big: -1}),
+        as_factored(10),
+    ]
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(ratfact_mod, "is_prime", counting)
+    lat = build_lattice(entries)
+    assert calls == []
+    assert lat.support == [2, 3, 5, big]
+    assert lat.matrix == [[1, 0, 1], [0, 2, 0], [0, 0, 1], [1, -1, 0]]
 
 
 def test_integer_kernel_matches_sympy_nullspace():

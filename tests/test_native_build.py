@@ -42,6 +42,8 @@ ARGVS = (
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,7", "--mode", "c4"),
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,5", "--mode", "split"),
     ("density-scan", "--ell", "17", "--limit", "20000", "--tuple", "2,3,5,10", "--mode", "c4"),
+    # ell = 53 > 47: each c4 log is a baby-step giant-step lookup
+    ("density-scan", "--ell", "53", "--tuple", "2,3,5,7", "--limit", "200000", "--mode", "c4"),
     # a denominator in [2^63, 2^64): the compiled kernel holds it as an
     # unsigned word
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,1/9223372036854775837",
@@ -148,6 +150,6 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    # density-scan five times, heuristic four times, sf-scan seven times and
+    # density-scan six times, heuristic four times, sf-scan seven times and
     # tf-scan once
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 17
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 18
