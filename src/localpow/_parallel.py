@@ -17,18 +17,18 @@ does) takes effect everywhere.  `chebotarev` is imported inside
 `_density_chunk` only, so an sf-scan or tf-scan never loads it, nor the
 `lattice` module it imports.
 
-The pool class loads only when a scan fans out (more than one worker and
-more than one item): `ProcessPoolExecutor` is a module attribute that the
-module `__getattr__` (PEP 562) imports on first use, as `concurrent.futures`
-does for its own pool classes, and `_run_chunks` reads it from the module,
-so a class set on the module in its place is the one that runs.  A
-one-process run never imports `concurrent.futures.process` or
-`multiprocessing`.  With these deferred imports and the CLI's own, a
-fresh `import localpow.cli` on a shared 2-vCPU x86-64 VM (Python 3.11,
-medians of 31 interleaved runs) went from 0.188 to 0.108 s with no
-bytecode written and from 0.110 to 0.078 s with bytecode cached, against
-0.084 and 0.069 s for `python -c pass`; `python -X importtime -c "import
-localpow.cli"` shows what each import still costs.
+A scan fans out only where the work pays for the pool: `_run_chunks`
+cuts at most one chunk per `FAN_OUT_SPAN` of the largest number the scan
+covers (x for a density range, the last prime for a prime list), and never
+more chunks than workers or cores.  A scan that gets one chunk runs in this
+process, whatever `workers` asks for.
+
+The pool class loads only when a scan fans out: `ProcessPoolExecutor` is a
+module attribute that the module `__getattr__` (PEP 562) imports on first
+use, as `concurrent.futures` does for its own pool classes, and
+`_run_chunks` reads it from the module, so a class set on the module in its
+place is the one that runs.  A one-process run never imports
+`concurrent.futures.process` or `multiprocessing`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ import os
 import sys
 
 from . import kernels, powermap
+
+# Numbers a scan must cover per chunk before it fans out.  On a 2-core
+# x86-64 VM (pure kernels, two runs of the table in CHANGES.md) --workers 2
+# lost 5–45 ms against --workers 1 on the empirical sf-scan, heuristic and
+# density c4 scans at x <= 3·10^5, came out between -17 and +32 ms at
+# 5·10^5 and gained 31–156 ms at 10^6: below about 5·10^5, starting the
+# pool and pickling its jobs cost more than the second core saves.
+FAN_OUT_SPAN = 2**18
 
 
 def __getattr__(name: str):
@@ -59,12 +67,15 @@ def chunked(seq, n: int):
 def _run_chunks(fn, seq, workers: int, *rest) -> list:
     """fn((chunk, *rest)) for each contiguous chunk of seq, results in chunk order.
 
-    There are at most as many chunks as cores; one chunk runs in this
-    process on the whole of seq.
+    seq ascends.  There are at most as many chunks as workers, as cores, and
+    as whole `FAN_OUT_SPAN`s in seq[-1]; one chunk runs in this process on
+    the whole of seq.
     """
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(seq) > 1:
-        jobs = [(chunk, *rest) for chunk in chunked(seq, workers)]
+    chunks = 1
+    if len(seq) > 1:
+        chunks = min(workers, os.cpu_count() or 1, seq[-1] // FAN_OUT_SPAN)
+    if chunks > 1:
+        jobs = [(chunk, *rest) for chunk in chunked(seq, chunks)]
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=len(jobs)) as pool:
             return list(pool.map(fn, jobs))

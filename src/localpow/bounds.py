@@ -10,7 +10,7 @@ primes, and the headline count bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import ceil, e, exp, isfinite, log, sqrt
 
 from . import kernels
@@ -31,28 +31,26 @@ EXACT_DISCRIMINANT_LIMIT = 10**4
 PI_COUNT_LIMIT = 10**12
 
 
-@dataclass
-class BoundConfig:
+class BoundConfig(namedtuple("BoundConfig", "M c1 c2 implied_constant")):
     """Tunable constants; the sources leave c1, c2, and the implied constant open."""
 
-    M: float = log(4)
-    c1: float = 1.0
-    c2: float = 1.0
-    implied_constant: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("M", "c1", "c2", "implied_constant"):
-            value = getattr(self, name)
+    def __new__(
+        cls,
+        M: float = log(4),
+        c1: float = 1.0,
+        c2: float = 1.0,
+        implied_constant: float = 1.0,
+    ):
+        self = super().__new__(cls, M, c1, c2, implied_constant)
+        for name, value in zip(self._fields, self):
             if not (isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        return self
 
     def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "c1": self.c1,
-            "c2": self.c2,
-            "implied_constant": self.implied_constant,
-        }
+        return self._asdict()
 
 
 def euler_phi(n: int) -> int:
@@ -132,14 +130,7 @@ def chebotarev_condition(
 MINIMAL_SCHEDULE_X = exp(exp(e))
 
 
-@dataclass
-class YZSchedule:
-    x: float
-    Y: float
-    Z: float
-    cap: float
-    y_le_z: bool
-    z_within_cap: bool
+YZSchedule = namedtuple("YZSchedule", "x Y Z cap y_le_z z_within_cap")
 
 
 def yz_schedule(x: float, cfg: BoundConfig | None = None) -> YZSchedule:
@@ -246,18 +237,22 @@ def iterated_log_ratio(log_x: float) -> float:
     return log(l3) / l3
 
 
-@dataclass
-class MainBound:
-    x: float
-    pi_x: int
-    b_f: float
-    ratio: float  # llll x / lll x
-    main_term: float  # implied_constant * ratio * pi(x)
-    total: float  # main_term + b_f
-    split_term: float  # (log Y / log Z) * pi(x)
-    tail_term: float  # pi(x) / (Y log Y)
-    schedule: YZSchedule
-    config: BoundConfig = field(default_factory=BoundConfig)
+MainBound = namedtuple(
+    "MainBound",
+    [
+        "x",
+        "pi_x",
+        "b_f",
+        "ratio",  # llll x / lll x
+        "main_term",  # implied_constant * ratio * pi(x)
+        "total",  # main_term + b_f
+        "split_term",  # (log Y / log Z) * pi(x)
+        "tail_term",  # pi(x) / (Y log Y)
+        "schedule",  # a YZSchedule
+        "config",
+    ],
+    defaults=(BoundConfig(),),
+)
 
 
 def main_bound(

@@ -12,7 +12,7 @@ simultaneous-power test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -35,23 +35,23 @@ from .ratfact import as_factored, is_prime
 CLASS_RATIO_ELL_LIMIT = 2 * 10**6
 
 
-@dataclass
-class FrobeniusSample:
-    """Class data of one split prime: roots of unity and normalized exponents."""
+class FrobeniusSample(namedtuple("FrobeniusSample", "p ell z_vector b_vector")):
+    """Class data of one split prime: roots of unity and normalized exponents.
 
-    p: int
-    ell: int
-    z_vector: tuple[int, ...]
-    b_vector: tuple[int, ...]  # projectively normalized (first nonzero -> 1)
+    b_vector is projectively normalized: its first nonzero entry is 1.
+    """
+
+    __slots__ = ()
 
 
-@dataclass
-class ClassSpec:
-    """Which proportionality class to count: full fiber or a subspace of it."""
+class ClassSpec(namedtuple("ClassSpec", "ell k subgroup", defaults=("full",))):
+    """Which proportionality class to count: full fiber or a subspace of it.
 
-    ell: int
-    k: int  # half-length; vectors have 2k coordinates
-    subgroup: object = "full"  # "full" or a basis of the constrained subspace
+    Vectors have 2k coordinates; subgroup is "full" or a basis of the
+    constrained subspace.
+    """
+
+    __slots__ = ()
 
 
 def cyclotomic_frobenius(p: int, n: int) -> int:
@@ -169,19 +169,10 @@ def density_counts(primes, ell: int, nums, dens, mode: str):
     return kernels.class_counts(primes, ell, nums, dens, k)
 
 
-@dataclass
-class DensityScan:
-    ell: int
-    x: int
-    mode: str
-    counted: int
-    skipped: int
-    hits: int
-    observed: float
-    expected: Fraction
-    deviation: float
-    dim_v: int
-    degree: int
+DensityScan = namedtuple(
+    "DensityScan",
+    "ell x mode counted skipped hits observed expected deviation dim_v degree",
+)
 
 
 def scan_density(
@@ -238,15 +229,19 @@ def scan_density(
     )
 
 
-@dataclass
-class HeuristicScan:
-    x: int
-    witnesses: tuple[int, ...]
-    counted: int
-    skipped: int
-    members: int
-    heuristic_sum: float
-    settled: int = 0  # counted primes the quadratic characters rule out
+HeuristicScan = namedtuple(
+    "HeuristicScan",
+    [
+        "x",
+        "witnesses",
+        "counted",
+        "skipped",
+        "members",
+        "heuristic_sum",
+        "settled",  # counted primes the quadratic characters rule out
+    ],
+    defaults=(0,),
+)
 
 
 def heuristic_sum(primes) -> float:

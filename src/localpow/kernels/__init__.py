@@ -19,6 +19,11 @@ taken at q = ell.  `factorize` is the package's one factorizer
 (every `ratfact` value, p - 1 for a primitive root, an exact scan's gcd):
 trial division to 10^4, then Brent's rho with a fixed step budget per
 walk, past which it raises ArithmeticError(message, cofactor, budget).
+
+`class_counts` and `omega_members` check none of their primes: every p
+must be prime, and for `class_counts` p ≡ 1 (mod ell).  A composite p, or
+one off that class, gets an unspecified result, which may differ by
+backend.
 """
 
 import functools

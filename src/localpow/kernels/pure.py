@@ -9,6 +9,10 @@ words, which `localpow.kernels` then reruns here.  The others
 and `z_b_rows`) run from here under every backend.  One pivot test,
 `_projection_solution`, decides a projection for `omega_members` and a
 c4 prime for `class_counts`.
+
+The scan kernels take their primes on trust: every p in `primes` must be
+prime, and for `class_counts` p ≡ 1 (mod ell).  Neither checks; off that
+contract their results are unspecified and may differ between backends.
 """
 
 from __future__ import annotations
@@ -339,9 +343,9 @@ def class_counts(
     t = -lambda, and its solver decides it: the first c_i with
     chi(c_i) != 1 fixes lambda by a walk up to ell = 47 and baby-step
     giant-step above, and every later pair costs one power.
-    Callers pass a prime ell and primes p ≡ 1 (mod ell); nums carry the
-    sign, dens are positive.  chi(n/d) = chi(n·d^(ell-1)) needs no inverse
-    mod p.
+    Callers pass a prime ell and primes p ≡ 1 (mod ell), unchecked (see the
+    module docstring); nums carry the sign, dens are positive.
+    chi(n/d) = chi(n·d^(ell-1)) needs no inverse mod p.
     """
     width = len(nums)
     if ell < 1:
@@ -382,7 +386,7 @@ def _projection_solution(ns: list[int], fnums: list[int], fdens: list[int], q: i
     m = (p - 1) // q
     t = None
     for n, fn, fd in zip(ns, fnums, fdens):
-        c = fd * pow(fn, q - 1, p)
+        c = fd if fn == 1 else fd * pow(fn, q - 1, p)  # fn = 1 at every c4 witness
         if t is not None:
             if pow(pow(n, t, p) * c, m, p) != 1:
                 return None
@@ -503,7 +507,8 @@ def omega_members(
     survivor factors p - 1: a component of prime order q > 47 gets the same
     test with k mod q from BSGS, and one of order q^e, e >= 2, fixes k mod
     q^s by a Pohlig-Hellman log of its projection of largest order q^s.
-    The residues combine by CRT.
+    The residues combine by CRT.  Every p in primes must be prime, unchecked
+    (see the module docstring).
     """
     if parities is None:
         parities = repeat(-1)

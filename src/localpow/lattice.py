@@ -8,7 +8,7 @@ the obstruction invariant delta(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, log
@@ -20,13 +20,14 @@ from .ratfact import as_factored
 MINOR_ENUMERATION_CAP = 10**5
 
 
-@dataclass
-class ExponentLattice:
-    """Support primes and the exponent matrix of a rational tuple."""
+class ExponentLattice(namedtuple("ExponentLattice", "support matrix m")):
+    """Support primes and the exponent matrix of a rational tuple.
 
-    support: list[int]  # ascending primes
-    matrix: list[list[int]]  # len(support) rows x m columns
-    m: int
+    support lists the primes in ascending order; matrix has a row for each
+    and m columns.
+    """
+
+    __slots__ = ()
 
 
 def build_lattice(c) -> ExponentLattice:
@@ -41,13 +42,14 @@ def build_lattice(c) -> ExponentLattice:
     return ExponentLattice(support, matrix, len(entries))
 
 
-@dataclass
-class RelationReport:
-    """Integer kernel basis, maximal minors, and delta of an exponent matrix."""
+class RelationReport(namedtuple("RelationReport", "integer_kernel_basis minors delta")):
+    """Integer kernel basis, maximal minors, and delta of an exponent matrix.
 
-    integer_kernel_basis: list[tuple[int, ...]]
-    minors: list[int] | None  # only when rows >= columns
-    delta: int | None  # 2*gcd(|minors|), only when some minor is nonzero
+    minors is None unless rows >= columns; delta = 2*gcd(|minors|) is None
+    unless some minor is nonzero.
+    """
+
+    __slots__ = ()
 
 
 def _rref(matrix: list[list[int]], width: int, ell: int | None = None):

@@ -8,7 +8,7 @@ mod p) exactly decidable.  Raw integer functions get the empirical mode only.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, inf, isqrt, lcm, lgamma, log, log2, prod
 
@@ -181,21 +181,17 @@ def evaluate(f: MultiplicativeMap, x) -> FactoredRational:
     return out
 
 
-@dataclass
-class LocalVerdict:
+class LocalVerdict(namedtuple("LocalVerdict", "p member k_p mode bound", defaults=(None,))):
     """Decision for one prime: is f locally x -> x^{k_p} on units mod p?
 
     An empirical verdict reads f at the primes q <= bound.  It is "unknown"
     exactly when more than one k mod p - 1 gives q^k ≡ f(q) (mod p) at
     every such q other than p, that is, when those q generate a proper
-    subgroup of the units mod p, so k_p is not fixed.
+    subgroup of the units mod p, so k_p is not fixed.  member is "yes",
+    "no" or "unknown", mode "exact" or "empirical".
     """
 
-    p: int
-    member: str  # "yes" | "no" | "unknown"
-    k_p: int | None
-    mode: str  # "exact" | "empirical"
-    bound: int | None = None
+    __slots__ = ()
 
 
 def _fraction_pair(value) -> tuple[int, int]:

@@ -177,7 +177,11 @@ def test_criterion_09_transport_invariants():
 
 
 def test_criterion_10_parallel_determinism():
-    shim = "import sys; from localpow.cli import run; sys.exit(run(sys.argv[1:]))"
+    # a fan-out span of 100 numbers makes these short scans cross the pool
+    shim = (
+        "import sys; from localpow import _parallel; _parallel.FAN_OUT_SPAN = 100; "
+        "from localpow.cli import run; sys.exit(run(sys.argv[1:]))"
+    )
 
     def run_bytes(*argv):
         proc = subprocess.run(

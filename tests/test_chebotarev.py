@@ -314,6 +314,7 @@ def test_heuristic_scan_fans_out_without_changing_it(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(_parallel, "FAN_OUT_SPAN", 1000)  # 20000 would run in one chunk
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     p = sympy.nextprime(3 * 2**510)
     unfactored = p * sympy.nextprime(p + 2**500)  # past rho's budget
@@ -324,7 +325,7 @@ def test_heuristic_scan_fans_out_without_changing_it(monkeypatch):
     scans = []
     for f, witnesses in cases:
         one = heuristic_scan(f, witnesses, 20000)
-        assert vars(heuristic_scan(f, witnesses, 20000, workers=2)) == vars(one)
+        assert heuristic_scan(f, witnesses, 20000, workers=2) == one
         scans.append(one)
     assert pools == [2, 2]
     # the callable's members are 5 and 331

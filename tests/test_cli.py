@@ -574,7 +574,10 @@ def test_float_formatting_is_12_significant_digits(capsys):
         ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "2000"),
     ],
 )
-def test_worker_count_never_changes_output(capsys, argv):
+def test_worker_count_never_changes_output(capsys, monkeypatch, argv):
+    from localpow import _parallel
+
+    monkeypatch.setattr(_parallel, "FAN_OUT_SPAN", 100)  # so each scan crosses the pool
     code, serial = run_cli(capsys, *argv, "--workers", "1")
     assert code == 0
     code, parallel = run_cli(capsys, *argv, "--workers", "8")
@@ -584,12 +587,13 @@ def test_worker_count_never_changes_output(capsys, argv):
 
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
-# Runs one sf-scan at --workers 1, then at --workers 2 with two cores, in a
-# fresh interpreter, and prints the pool modules loaded after each and the
-# two reports.
+# Runs one sf-scan at --workers 1, then at --workers 2 with two cores and a
+# fan-out span short enough to cut the scan, in a fresh interpreter, and
+# prints the pool modules loaded after each and the two reports.
 FAN_OUT_SCRIPT = """
 import contextlib, io, json, os, sys
-from localpow import cli
+from localpow import _parallel, cli
+_parallel.FAN_OUT_SPAN = 100
 
 def loaded():
     return [name for name in json.loads(sys.argv[1]) if name in sys.modules]
@@ -648,20 +652,23 @@ def loaded_at_startup(*argv):
         [sys.executable, "-c", STARTUP_SCRIPT, *argv], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    imported, code, ran = json.loads(proc.stdout)
-    return imported, code, [name for name in ran if name.startswith("localpow")]
+    return json.loads(proc.stdout)
+
+
+def library(modules):
+    return [name for name in modules if name.startswith("localpow")]
 
 
 def test_importing_the_cli_loads_no_library_module():
     imported, code, ran = loaded_at_startup("--help")
-    assert [name for name in imported if name.startswith("localpow")] == CLI_ONLY
+    assert library(imported) == CLI_ONLY
     assert not set(HEAVY_STDLIB) & set(imported)
-    assert (code, ran) == (0, CLI_ONLY)
+    assert (code, library(ran)) == (0, CLI_ONLY)
 
 
 def test_a_usage_error_loads_no_library_module():
     _, code, ran = loaded_at_startup("sf-scan", "--function", TABLE_F, "--limit", "x")
-    assert (code, ran) == (64, CLI_ONLY)
+    assert (code, library(ran)) == (64, CLI_ONLY)
 
 
 @pytest.mark.parametrize(
@@ -679,6 +686,8 @@ def test_a_usage_error_loads_no_library_module():
             ("tf-scan", "--function", TABLE_F, "--limit", "1000"),
             ("localpow.chebotarev", "localpow.lattice"),
         ),
+        (("density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", "1000"), ()),
+        (("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "1000"), ()),
     ],
 )
 def test_a_subcommand_loads_only_the_modules_it_runs(argv, absent):
@@ -686,6 +695,8 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, absent):
     assert code == 0
     assert set(CLI_ONLY) < set(ran)
     assert not set(absent) & set(ran)
+    # the library's result types are namedtuples, not dataclasses
+    assert not {"dataclasses", "inspect"} & set(ran)
 
 
 def test_csv_items_written(tmp_path, capsys):

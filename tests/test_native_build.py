@@ -53,7 +53,8 @@ ARGVS = (
      "--workers", "2"),
     ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "20000"),
     ("heuristic", "--function", WIDE_F, "--witnesses", "2,3,5", "--limit", "5000"),
-    ("heuristic", "--function", SEED1_F, "--witnesses", "2,17,29", "--limit", "200000",
+    # past two fan-out spans, so --workers 2 cuts two chunks
+    ("heuristic", "--function", SEED1_F, "--witnesses", "2,17,29", "--limit", "600000",
      "--workers", "2"),
     # the witness 300007 has no quadratic-character table (4·300007 > 2^20),
     # so every parity code is -1 and the kernel takes its own q = 2 step

@@ -254,7 +254,8 @@ def test_scan_tf_power_maps():
             scan_Tf(MultiplicativeMap.table({3: 5}), 100, shift_bound=bound)
 
 
-def test_scans_split_across_workers_unchanged():
+def test_scans_split_across_workers_unchanged(monkeypatch):
+    monkeypatch.setattr(_parallel, "FAN_OUT_SPAN", 100)  # so 300 crosses the pool
     f = table_f()
     primes = PrimeCache(300).primes
     for mode in ("exact", "empirical"):
@@ -267,11 +268,10 @@ def test_scans_split_across_workers_unchanged():
         scan_Tf(lambda n: n, 300)
 
 
-def test_pool_is_capped_at_the_core_count(monkeypatch):
-    sizes = []
+def in_process_pool(sizes):
+    """A pool class that appends each pool size asked for to sizes and maps in this process."""
 
     class InProcessPool:
-        # records the pool size asked for and maps in this process
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -284,7 +284,13 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
+def test_pool_is_capped_at_the_core_count(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(_parallel, "FAN_OUT_SPAN", 100)  # 2000 would run in one chunk
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     f = table_f()
     one = scan_Sf(f, 2000, mode="empirical")
@@ -300,6 +306,30 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
     assert scan_Sf(f, 2000, workers=500) == scan_Sf(f, 2000)
     scan_Tf(f, 2000)
     assert sizes == [2]
+
+
+def test_a_scan_gets_one_chunk_per_span_of_its_largest_number(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+    span = _parallel.FAN_OUT_SPAN
+
+    def ends(job):
+        return job[0][0], job[0][-1]
+
+    # under two spans of numbers, a range runs whole in this process
+    for top in (span - 1, 2 * span - 1):
+        assert _parallel._run_chunks(ends, range(2, top + 1), 4) == [(2, top)]
+    assert sizes == []
+    # two spans open two chunks, where four workers and four cores allow four
+    assert _parallel._run_chunks(ends, range(2, 2 * span + 1), 4) == [
+        (2, span + 1),
+        (span + 2, 2 * span),
+    ]
+    assert sizes == [2]
+    # a prime list is cut by its last prime, not by its length
+    assert _parallel._run_chunks(ends, [2, 3, 5, 2 * span + 1], 4) == [(2, 3), (5, 2 * span + 1)]
+    assert sizes == [2, 2]
 
 
 def test_the_pool_class_resolves_on_the_module():
@@ -336,9 +366,10 @@ def test_maps_pickle_as_themselves():
         assert g.to_json() == f.to_json()
 
 
-def test_scans_take_overrides_too_wide_for_text():
+def test_scans_take_overrides_too_wide_for_text(monkeypatch):
     # 3^10000 has 4772 digits, past the int-to-text limit a JSON copy of f
     # would hit; the scans hand f to their workers as itself
+    monkeypatch.setattr(_parallel, "FAN_OUT_SPAN", 10)  # so 100 crosses the pool
     f = MultiplicativeMap.table({2: 3**10000})
     primes = PrimeCache(100).primes
     one = scan_Sf(f, 100)
