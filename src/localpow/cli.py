@@ -6,6 +6,11 @@ digits, so identical invocations are byte-identical; progress goes to stderr.
 Exit codes: 0 success, 2 domain error, 64 usage error, 65 malformed function
 spec; a reader that closes stdout early ends the run quietly with 0.
 
+`run(argv)` is the in-process entry: it returns the exit code.  `main`,
+which the `localpow` script and `python -m localpow.cli` run, flushes
+stdout and stderr after `run` and then ends the process without the
+interpreter's teardown.
+
 Each subcommand's handler imports the library modules it calls when it
 runs, so `--help`, a usage error or one subcommand loads none of the
 modules it does not use.
@@ -508,15 +513,23 @@ def _run(argv) -> int:
 
 
 def main():
+    """Run the CLI on sys.argv, flush its output and end the process.
+
+    `os._exit` skips the interpreter's teardown of every module and object;
+    a scan's worker pool has already been joined inside `run`.
+    """
     try:
         code = run()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader has gone (`localpow ... | head`); what is still buffered
-        # goes to devnull, so the flush at exit raises nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader has gone (`localpow ... | head`); what is still
+        # buffered is dropped with the process
         code = 0
-    sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # stderr's reader has gone too
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -99,11 +99,13 @@ def count_primes(limit: int) -> int:
         # each list is rebuilt from its old values: strike the n whose
         # smallest prime factor is p
         top = min(r, limit // (p * p))
+        # large[i * p] exists for i <= cut (<= top); past it limit // (i * p)
+        # is at most r and is read from small as q // i
         cut = r // p
-        large[1 : top + 1] = [
-            large[i] - (large[i * p] if i <= cut else small[limit // (i * p)]) + below
-            for i in range(1, top + 1)
-        ]
+        q = limit // p
+        head = [a - b + below for a, b in zip(large[1 : cut + 1], large[p : cut * p + 1 : p])]
+        tail = enumerate(large[cut + 1 : top + 1], cut + 1)
+        large[1 : top + 1] = head + [a - small[q // i] + below for i, a in tail]
         small[p * p :] = [small[v] - small[v // p] + below for v in range(p * p, r + 1)]
     return large[1]
 

@@ -721,9 +721,25 @@ def test_csv_scalar_summary(tmp_path, capsys):
     assert len(lines[0].split(",")) == len(lines[1].split(","))
 
 
+# the environment of a CLI run whose stdout is block-buffered, as it is by
+# default when stdout is a pipe or a file
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "localpow.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=BUFFERED,
+    )
+
+
 def test_exit_codes_through_real_process():
+    # each argv runs through the in-process entry and through main, which
+    # ends the process without teardown: both give the same code and stdout
     def invoke(*argv):
-        return subprocess.run(
+        by_run = subprocess.run(
             [
                 sys.executable,
                 "-c",
@@ -733,6 +749,9 @@ def test_exit_codes_through_real_process():
             capture_output=True,
             text=True,
         )
+        by_main = run_module(*argv)
+        assert (by_main.returncode, by_main.stdout) == (by_run.returncode, by_run.stdout)
+        return by_run
 
     proc = invoke("disc", "--cyclotomic", "5")
     assert proc.returncode == 0
@@ -740,10 +759,12 @@ def test_exit_codes_through_real_process():
     assert proc.stderr == ""
     proc = invoke("disc", "--cyclotomic", "100000")
     assert proc.returncode == 2
+    assert json.loads(proc.stdout)["type"] == "exact-range"
     proc = invoke("bogus")
     assert proc.returncode == 64
     proc = invoke("sf-scan", "--function", "{bad json", "--limit", "10")
     assert proc.returncode == 65
+    assert json.loads(proc.stdout)["type"]
 
 
 @pytest.mark.parametrize(
@@ -760,6 +781,7 @@ def test_a_closed_stdout_exits_0_without_a_traceback(argv):
         [sys.executable, "-m", "localpow.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=BUFFERED,
     )
     # the reader is gone before the report is written, as with `| head -c 0`
     proc.stdout.close()
@@ -767,6 +789,70 @@ def test_a_closed_stdout_exits_0_without_a_traceback(argv):
     proc.stderr.close()
     assert proc.wait() == 0, stderr
     assert "Traceback" not in stderr and "Error" not in stderr, stderr
+    # with stderr's reader gone as well, the run still ends with 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localpow.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=BUFFERED,
+    )
+    proc.stdout.close()
+    proc.stderr.close()
+    assert proc.wait() == 0
+
+
+def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path, capsys):
+    # f(n) = n is a local power map at every prime: the report lists all
+    # 9,592 primes below 10^5, about 440 KB, and is still being written when
+    # the pipe first fills; the process ends only after the last byte
+    argv = ("sf-scan", "--function", json.dumps({"kind": "power", "exponent": 1}),
+            "--limit", "100000")
+    code, out = run_cli(capsys, *argv, "--csv", str(tmp_path / "in-process.csv"))
+    proc = run_module(*argv, "--csv", str(tmp_path / "module.csv"))
+    assert (code, proc.returncode) == (0, 0), proc.stderr
+    assert len(out) > 2**16
+    assert proc.stdout == out
+    csv_text = (tmp_path / "module.csv").read_text()
+    assert csv_text == (tmp_path / "in-process.csv").read_text()
+    assert csv_text.count("\n") == 1 + 9592
+
+
+def test_main_ends_the_process_without_teardown():
+    # an exit handler would run in the interpreter's teardown, which main skips
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import atexit, sys; atexit.register(print, 'teardown', file=sys.stderr); "
+            "from localpow.cli import main; main()",
+            "disc",
+            "--cyclotomic",
+            "5",
+        ],
+        capture_output=True,
+        text=True,
+        env=BUFFERED,
+    )
+    assert (proc.returncode, json.loads(proc.stdout)) == (0, {"value": 125})
+    assert proc.stderr == ""
+
+
+def test_a_fanned_out_run_leaves_no_process_behind():
+    from localpow import _parallel
+
+    # two spans and more: on two or more cores the scan runs in two workers
+    assert 1000000 // _parallel.FAN_OUT_SPAN >= 2
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localpow.cli", "density-scan", "--ell", "3",
+         "--tuple", "2,3,5,7", "--limit", "1000000", "--workers", "2"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    assert proc.wait(timeout=120) == 0
+    # the run led its own process group; no worker of it is left in it
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_progress_goes_to_stderr_not_stdout():
