@@ -11,7 +11,7 @@ import time
 
 from localpow.kernels import pure
 from localpow.modular import primitive_root
-from localpow.powermap import _character_prefilter
+from localpow.powermap import _character_prefilter, _character_tables
 from localpow.ratfact import as_factored
 
 try:
@@ -39,9 +39,10 @@ def main():
     # quadratic-character prefilter leaves to omega_members, and their
     # parity codes
     seed1_ns, seed1_fs = [2, 17, 29], [53, 89, 67]
-    seed1_kept, seed1_parities = _character_prefilter(
-        primes_1m, [as_factored(n) for n in seed1_ns], [as_factored(f) for f in seed1_fs]
+    seed1_tables = _character_tables(
+        [as_factored(n) for n in seed1_ns], [as_factored(f) for f in seed1_fs]
     )
+    seed1_kept, seed1_parities = _character_prefilter(primes_1m, seed1_tables)
 
     tasks = [
         ("sieve(10^6)", lambda m: m.sieve(10**6), 3),

@@ -1,27 +1,26 @@
 """Process pool for the per-prime scans.
 
-A scan's primes, or for the density scan the range of numbers it draws
-its primes from, are split into contiguous chunks and each chunk is handed
-to a worker; a density worker generates the primes of its own range.  A
-heuristic chunk gets the witness rows, factored too for the prefilter, and
-only an empirical sf-scan chunk gets f, pickled as itself.  Results merge
-in chunk order, so the output is independent of the worker count; floats
-(heuristic sums, observed densities) are summed in the parent from the
-merged integers.  An exact sf-scan and the shift scan run in this process.
+A scan that tests each prime up to x splits the range 2..x into
+contiguous chunks, one per worker.  A chunk builds its scan's per-prime
+decider once (density arguments, witness rows with their character
+tables, or sf-scan verdicts, whose f is pickled as itself), generates its
+primes one segment at a time and decides each segment.  Results merge in
+range order, so the output is independent of the worker count; floats
+are summed in the parent.  An exact sf-scan and the shift scan run in
+this process.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
 both call back into this module.  This module and `powermap` import each
 other as modules and look names up at call time, so the cycle resolves in
 any import order and a name replaced on a module (as `perfbench/tracing.py`
 does) takes effect everywhere.  `chebotarev` is imported inside
-`_density_chunk` only, so an sf-scan or tf-scan never loads it, nor the
+`_density_decider` only, so an sf-scan or tf-scan never loads it, nor the
 `lattice` module it imports.
 
 A scan fans out only where the work pays for the pool: `_run_chunks`
-cuts at most one chunk per `FAN_OUT_SPAN` of the largest number the scan
-covers (x for a density range, the last prime for a prime list), and never
-more chunks than workers or cores.  A scan that gets one chunk runs in this
-process, whatever `workers` asks for.
+cuts at most one chunk per `FAN_OUT_SPAN` of x, and never more chunks
+than workers or cores.  A scan that gets one chunk runs in this process,
+whatever `workers` asks for.
 
 The pool class loads only when a scan fans out: `ProcessPoolExecutor` is a
 module attribute that the module `__getattr__` (PEP 562) imports on first
@@ -35,6 +34,8 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import reduce
+from operator import iadd
 
 from . import kernels, powermap
 
@@ -56,88 +57,81 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def chunked(seq, n: int):
-    """Split a nonempty seq into at most n contiguous chunks, sizes differing by <= 1."""
-    n = min(n, len(seq))
-    size, extra = divmod(len(seq), n)
-    ends = [i * size + min(i, extra) for i in range(n + 1)]
-    return [seq[a:b] for a, b in zip(ends, ends[1:])]
+def _run_chunks(fn, numbers: range, workers: int, *rest) -> list:
+    """fn((chunk, *rest)) for each contiguous chunk of a range, results in chunk order.
 
-
-def _run_chunks(fn, seq, workers: int, *rest) -> list:
-    """fn((chunk, *rest)) for each contiguous chunk of seq, results in chunk order.
-
-    seq ascends.  There are at most as many chunks as workers, as cores, and
-    as whole `FAN_OUT_SPAN`s in seq[-1]; one chunk runs in this process on
-    the whole of seq.
+    There are at most as many chunks as workers, as cores, and as whole
+    `FAN_OUT_SPAN`s in the range's last number, their lengths differing by
+    at most 1; one chunk runs in this process on the whole range.
     """
     chunks = 1
-    if len(seq) > 1:
-        chunks = min(workers, os.cpu_count() or 1, seq[-1] // FAN_OUT_SPAN)
+    if len(numbers) > 1:
+        chunks = min(workers, os.cpu_count() or 1, (numbers.stop - 1) // FAN_OUT_SPAN)
     if chunks > 1:
-        jobs = [(chunk, *rest) for chunk in chunked(seq, chunks)]
+        size, extra = divmod(len(numbers), chunks)
+        ends = [i * size + min(i, extra) for i in range(chunks + 1)]
+        jobs = [(numbers[a:b], *rest) for a, b in zip(ends, ends[1:])]
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=len(jobs)) as pool:
             return list(pool.map(fn, jobs))
-    return [fn((seq, *rest))]
+    return [fn((numbers, *rest))]
 
 
-def _merge_counts(parts):
-    return tuple(sum(col) for col in zip(*parts))
+def prime_lists(numbers: range, modulus: int):
+    """The primes ≡ 1 (mod modulus) in a range, a list per segment; 2 first if modulus is 2."""
+    if modulus == 2 and numbers.start <= 2 < numbers.stop:
+        yield [2]
+    yield from kernels.prime_segments(numbers.start, numbers.stop, modulus)
 
 
-def _density_chunk(args):
+def _merge(parts) -> list:
+    # field by field, in order: counts add up, member lists concatenate
+    return [reduce(iadd, column) for column in zip(*parts)]
+
+
+def _chunk(job) -> list:
+    numbers, modulus, decider, args = job
+    decide = decider(*args)  # built once, for every segment of the chunk
+    # decide([]) is the scan's empty result, for a chunk that holds no prime
+    return _merge([decide([]), *map(decide, prime_lists(numbers, modulus))])
+
+
+def _scan(numbers, modulus, workers, decider, *args) -> tuple:
+    # decider(*args) applied to the primes of the range, across processes
+    return tuple(_merge(_run_chunks(_chunk, numbers, workers, modulus, decider, args)))
+
+
+def _density_decider(ell, nums, dens, mode):
     from . import chebotarev
 
-    numbers, ell, nums, dens, mode = args
-    # p ≡ 1 (mod ell) is p ≡ 1 (mod 2·ell) for every odd p, and 2 is never 1 mod ell
-    segments = kernels.prime_segments(numbers.start, numbers.stop, 2 * ell)
-    counts = [chebotarev.density_counts(primes, ell, nums, dens, mode) for primes in segments]
-    return _merge_counts([(0, 0, 0), *counts])
+    return lambda primes: chebotarev.density_counts(primes, ell, nums, dens, mode)
 
 
 def density_counts_parallel(numbers, ell, nums, dens, mode, workers: int = 1):
-    """(counted, skipped, hits) over the primes p ≡ 1 (mod ell) in a range, across processes.
-
-    Each worker generates the primes of its chunk of the range itself.
-    """
-    return _merge_counts(
-        _run_chunks(_density_chunk, numbers, workers, ell, nums, dens, mode)
-    )
+    """(counted, skipped, hits) over the primes p ≡ 1 (mod ell) in a range, across processes."""
+    # p ≡ 1 (mod ell) is p ≡ 1 (mod 2·ell) for every odd p, and 2 is never 1 mod ell
+    return _scan(numbers, 2 * ell, workers, _density_decider, ell, nums, dens, mode)
 
 
-def _omega_chunk(args):
-    counted, skipped, settled, members = powermap.power_members(*args)
-    return counted, skipped, settled, len(members)
+def _omega_decider(rows, witnesses, values):
+    characters = None if witnesses is None else powermap._character_tables(witnesses, values)
+
+    def decide(primes):
+        counted, skipped, settled, members = powermap.power_members(primes, rows, characters)
+        return counted, skipped, settled, len(members)
+
+    return decide
 
 
-def omega_members_parallel(primes, rows, witnesses, values, workers: int = 1):
-    """`powermap.power_members` across processes, with its members counted."""
-    return _merge_counts(
-        _run_chunks(_omega_chunk, primes, workers, rows, witnesses, values)
-    )
+def omega_members_parallel(numbers, rows, witnesses, values, workers: int = 1):
+    """`powermap.power_members` over a range's primes, members counted (witnesses factored)."""
+    return _scan(numbers, 2, workers, _omega_decider, rows, witnesses, values)
 
 
-def _sf_chunk(args):
-    primes, f, mode, bound, domain = args
-    return powermap.sf_members(f, primes, mode, bound, domain)
-
-
-def sf_scan_parallel(f, primes, mode, bound, domain, workers: int = 1):
-    """([(p, k_p) of members], unknown count), chunk results concatenated in order.
-
-    Only an empirical scan fans out: an exact verdict costs less than
-    sending its prime to a worker.
-    """
-    members = []
-    unknown = 0
-    workers = workers if mode == "empirical" else 1
-    for part_members, part_unknown in _run_chunks(
-        _sf_chunk, primes, workers, f, mode, bound, domain
-    ):
-        members.extend(part_members)
-        unknown += part_unknown
-    return members, unknown
+def sf_scan_parallel(f, numbers, mode, bound, domain, workers: int = 1):
+    """([(p, k_p) of members], unknown count) over a range's primes, in order."""
+    workers = workers if mode == "empirical" else 1  # an exact verdict costs less than IPC
+    return _scan(numbers, 2, workers, powermap._verdicts, f, mode, bound, domain)
 
 
 def tf_scan_parallel(f, primes, shift_bound: int):

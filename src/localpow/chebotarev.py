@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from . import _parallel, kernels, powermap
@@ -27,7 +28,7 @@ from .errors import (
     WrongLengthError,
 )
 from .lattice import build_lattice, row_space_mod_ell
-from .modular import PrimeCache, check_table_limit, require_odd_prime, validate_split
+from .modular import check_table_limit, require_odd_prime, validate_split
 from .ratfact import as_factored, is_prime
 
 # class_ratio does one small row reduction per λ mod ell, 20–30 µs each at
@@ -256,8 +257,9 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     """Count primes where (f(n_j)) looks like a power of (n_j) mod p.
 
     The expectation (for witnesses with f(n) outside ±n^Z) is that the count
-    stays below the sum of 1/(p-1)^2.  The witnesses are checked before any
-    prime is sieved; `workers` processes split the scan without changing it.
+    stays below the sum of 1/(p-1)^2, taken here in ascending order.  The
+    witnesses are checked before any prime is generated; `workers`
+    processes split the range 2..x without changing the result.
     `powermap.power_members` decides the primes, its quadratic-character
     prefilter on whenever the witnesses factor.
     """
@@ -274,10 +276,11 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
         factored = None
     values = [as_factored(f(a)) for a in args]
     rows = [(n, v.sign * v.num, v.den) for n, v in zip(ns, values)]
-    primes = PrimeCache(x).primes
-    total = heuristic_sum(primes)
+    check_table_limit(x)  # a range past sys.maxsize has no length to split
+    numbers = range(2, x + 1)
+    total = heuristic_sum(chain.from_iterable(_parallel.prime_lists(numbers, 2)))
     counted, skipped, settled, members = _parallel.omega_members_parallel(
-        primes, rows, factored, values, workers
+        numbers, rows, factored, values, workers
     )
     return HeuristicScan(
         x=x,

@@ -85,11 +85,19 @@ def _write_csv(path, report):
             writer.writerow(list(scalars.values()))
 
 
+def _note(text: str):
+    # stderr carries no data: where its reader has gone, the run goes on
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _progress(msg: str):
     # scan progress; names the kernel backend that ran, which stdout never does
     from . import kernels
 
-    print(f"[localpow] {msg} ({kernels.BACKEND} kernels)", file=sys.stderr)
+    _note(f"[localpow] {msg} ({kernels.BACKEND} kernels)")
 
 
 def _load_function(spec: str):
@@ -385,7 +393,7 @@ def _cmd_disc(args):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="localpow", description=__doc__)
+    parser = _Parser(prog="localpow", description="Local power maps: scans and bounds as JSON.")
     common = _Parser(add_help=False)
     common.add_argument("--workers", type=_int_at_least(1), default=1)
     common.add_argument("--csv", default=None)
@@ -480,12 +488,12 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _note(f"usage error: {exc}")
         return 64
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "handler", None) is None:
-        print("usage error: missing subcommand", file=sys.stderr)
+        _note("usage error: missing subcommand")
         return 64
     try:
         from .bounds import BoundConfig
@@ -496,7 +504,7 @@ def _run(argv) -> int:
         )
         _emit(args.handler(args), args.csv)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _note(f"usage error: {exc}")
         return 64
     except FunctionSpecError as exc:
         print(json.dumps(_round_floats(exc.payload()), indent=2))
@@ -518,6 +526,8 @@ def main():
     `os._exit` skips the interpreter's teardown of every module and object;
     a scan's worker pool has already been joined inside `run`.
     """
+    if sys.stderr is None:  # started with stderr closed (`2>&-`)
+        sys.stderr = open(os.devnull, "w")
     try:
         code = run()
         sys.stdout.flush()

@@ -97,7 +97,8 @@ static u64 isqrt_u64(u64 n)
 static const u64 MR_WITNESSES[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
 #define N_WITNESSES (sizeof MR_WITNESSES / sizeof MR_WITNESSES[0])
 
-/* deterministic Miller-Rabin: exact below 3.3e24 */
+/* Miller-Rabin to the 12 prime bases 2..37: exact below
+   psi_12 = 318665857834031151167461 (OEIS A014233), and so on every u64 */
 static int is_prime_u64(u64 n)
 {
     u64 d = n - 1;

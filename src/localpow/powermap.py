@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import gcd, inf, isqrt, lcm, lgamma, log, log2, prod
 
 from . import _parallel, kernels
@@ -230,17 +231,16 @@ def _check_verdicts(f, mode: str, bound, domain: str) -> None:
 
 
 def _verdicts(f, mode: str, bound, domain: str):
-    """Check mode, domain and model once; the decision primes -> [(p, member, k_p)].
+    """Check mode, domain and model once; the decision primes -> ([(p, k_p)], unknown).
 
-    The decision takes ascending primes and lists, in their order, those
-    whose verdict is "yes" or "unknown"; every other prime is "no".  Each
-    value f(q) the decision reads becomes a pair (a, b) here, so an exact
-    verdict costs only `%` and `pow`: f(q) is a unit ≡ q^k_p (mod p)
-    exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict asks
-    `power_members`, which returns the exponents themselves: one call per
-    prime p up to the largest tabulated q, whose rows leave out q = p, and
-    one call for all the larger primes, with a structured map's tabulated
-    q and values factored for its prefilter.
+    The decision takes ascending primes and returns, in their order, the
+    "yes" primes with k_p, and the number of "unknown" ones; the rest are
+    "no".  Each value f(q) the decision reads becomes a pair (a, b) here,
+    so an exact verdict costs only `%` and `pow`: f(q) is a unit ≡ q^k_p
+    (mod p) exactly when p ∤ b and p | a - q^k_p·b.  An empirical verdict
+    asks `power_members`: one call per prime p up to the largest tabulated
+    q, whose rows leave out q = p, and one for the larger primes, with the
+    character tables of a structured map's q and values, built once.
     """
     _check_verdicts(f, mode, bound, domain)
     structured = isinstance(f, MultiplicativeMap)
@@ -265,19 +265,21 @@ def _verdicts(f, mode: str, bound, domain: str):
         return signs_agree(p, k_p)
 
     def exact(primes):
-        rows = []
+        members = []
         for p in primes:
             k_p = f.default_exponent % (p - 1)
             if agrees(p, k_p):
-                rows.append((p, "yes", k_p))
-        return rows
+                members.append((p, k_p))
+        return members, 0
 
     if mode == "exact":
         return exact
 
-    # the tabulated q, factored for the prefilter; a plain callable's values
-    # need not factor, so its primes go unfiltered
-    factored_qs = [FactoredRational._raw(1, {q: 1}) for q in qs] if structured else None
+    @cache
+    def characters():
+        # built on first use; a plain callable's values need not factor: no filter
+        factored_qs = [FactoredRational._raw(1, {q: 1}) for q in qs]
+        return _character_tables(factored_qs, fvalues) if structured else None
 
     def empirical(primes):
         # power_members returns the k with q^k ≡ f(q) (mod p) at every row
@@ -291,14 +293,14 @@ def _verdicts(f, mode: str, bound, domain: str):
             i = bisect_left(qs, p)
             found += power_members([p], table[:i] + table[i + 1 :])[3]
         if cut < len(primes):
-            found += power_members(primes[cut:], table, factored_qs, fvalues)[3]
-        rows = []
+            found += power_members(primes[cut:], table, characters())[3]
+        members, unknown = [], 0
         for p, k_p, m in found:
             if m < p - 1:
-                rows.append((p, "unknown", None))
+                unknown += 1
             elif signs_agree(p, k_p):
-                rows.append((p, "yes", k_p))
-        return rows
+                members.append((p, k_p))
+        return members, unknown
 
     return empirical
 
@@ -307,28 +309,9 @@ def local_exponent(f, p: int, mode="exact", bound=None, domain="positive") -> Lo
     """Decide whether f is a local power map at p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    rows = _verdicts(f, mode, bound, domain)([p])
-    _, member, k_p = rows[0] if rows else (p, "no", None)
+    members, unknown = _verdicts(f, mode, bound, domain)([p])
+    member, k_p = ("yes", members[0][1]) if members else ("unknown" if unknown else "no", None)
     return LocalVerdict(p, member, k_p, mode, _verdict_bound(mode, bound))
-
-
-def sf_members(f, primes, mode, bound, domain) -> tuple[list[tuple[int, int]], int]:
-    """(p, k_p) of the members among the primes, in their order, plus the count of unknowns.
-
-    The primes come ascending, from a sieve or from the exact scan's
-    candidates, and are not checked again.  In empirical mode the primes
-    above the largest tabulated q take one prefiltered `power_members`
-    call, and each smaller prime one call of its own.  The exponent it
-    returns is k_p.
-    """
-    members = []
-    unknown = 0
-    for p, member, k_p in _verdicts(f, mode, bound, domain)(primes):
-        if member == "yes":
-            members.append((p, k_p))
-        else:
-            unknown += 1
-    return members, unknown
 
 
 def _character_bits(v, m: int) -> int:
@@ -366,18 +349,12 @@ def _character_bits(v, m: int) -> int:
 _CHARACTER_MASKS = bytes((3, 1, 0, 2)) + bytes(252)
 
 
-def _character_prefilter(primes, witnesses, values) -> tuple[list[int], list[int]]:
-    """The primes whose quadratic characters allow a common power, with their parity codes.
+def _character_tables(witnesses, values):
+    """(keep, tables, complete) for `_character_prefilter`, from factored witnesses and values.
 
-    If n^t ≡ f(n) (mod p) for each witness n, with p ∤ 2·n·f(n), then
-    (f(n)/p) = (n/p)^t: every (f(n)/p) = 1 (t even) or every (f(n)/p) =
-    (n/p) (t odd).  The primes that fail both are left out; those dividing 2,
-    a witness or a value are kept.  Each kept prime comes with the parity
-    code `kernels.omega_members` reads: bit 1 "t even fits", bit 2 "t odd
-    fits", or -1 where p divides 2·n·f(n) or some witness has no table.  A
-    witness has none when its table would have more than
-    MAX_CHARACTER_MODULUS entries, or would take the tables together past
-    MAX_CHARACTER_BYTES.  The witnesses and values come factored.
+    keep holds 2 and the primes dividing a witness or value; a witness gets
+    no table (so complete is False) past MAX_CHARACTER_MODULUS entries, or
+    when it would take the tables together past MAX_CHARACTER_BYTES.
     """
     keep = {2}
     tables = []
@@ -389,7 +366,21 @@ def _character_prefilter(primes, witnesses, values) -> tuple[list[int], list[int
             codes = _character_bits(w, m) + 2 * _character_bits(v, m)
             tables.append((m, codes.to_bytes(m, "little").translate(_CHARACTER_MASKS)))
             size += m
-    complete = len(tables) == len(witnesses)
+    return keep, tables, len(tables) == len(witnesses)
+
+
+def _character_prefilter(primes, characters) -> tuple[list[int], list[int]]:
+    """The primes whose quadratic characters allow a common power, with their parity codes.
+
+    If n^t ≡ f(n) (mod p) for each witness n, with p ∤ 2·n·f(n), then
+    (f(n)/p) = (n/p)^t: every (f(n)/p) = 1 (t even) or every (f(n)/p) =
+    (n/p) (t odd).  The primes that fail both are left out; those dividing 2,
+    a witness or a value are kept.  Each kept prime comes with the parity
+    code `kernels.omega_members` reads: bit 1 "t even fits", bit 2 "t odd
+    fits", or -1 where p divides 2·n·f(n) or some witness has no table
+    (see `_character_tables`).
+    """
+    keep, tables, complete = characters
     kept, parities = [], []
     for p in primes:
         bits = 3
@@ -408,24 +399,25 @@ def _columns(rows) -> list[list[int]]:
     return [[row[i] for row in rows] for i in range(3)]
 
 
-def power_members(primes, rows, witnesses=None, values=None):
+def power_members(primes, rows, characters=None):
     """(counted, skipped, settled, members): one k with n^k ≡ a/b (mod p) at every row?
 
     Each row (n, a, b) is a witness n with its value a/b.  members lists
     the kernel `omega_members`'s (p, k, m) for each p where the k that fit
     every row are exactly k + mZ.  skipped counts the primes dividing some
     n, a or b, settled those the prefilter leaves out, counted the rest.
-    Given the witnesses and values factored, `_character_prefilter`
-    settles the primes where no parity of k fits, and the kernel reads each
-    kept prime's parity code.  With more than HEAD_WITNESSES rows the kernel
-    is asked with the first HEAD_WITNESSES, and with all rows only on the
-    primes those keep: a k that fits every row fits those, so members are
-    those of one full call.  A p the head rejects stays counted.
+    Given the witnesses' character tables (`_character_tables`),
+    `_character_prefilter` settles the primes where no parity of k fits,
+    and the kernel reads each kept prime's parity code.  With more than
+    HEAD_WITNESSES rows the kernel is asked with the first HEAD_WITNESSES,
+    and with all rows only on the primes those keep: a k that fits every
+    row fits those, so members are those of one full call.  A p the head
+    rejects stays counted.
     """
     codes = ()
     settled = 0
-    if witnesses is not None:
-        kept, parities = _character_prefilter(primes, witnesses, values)
+    if characters is not None:
+        kept, parities = _character_prefilter(primes, characters)
         settled = len(primes) - len(kept)
         primes, codes = kept, (parities,)
     rejected = skipped = 0
@@ -494,10 +486,10 @@ def scan_Sf(
     where that gcd is 0, or too wide to build or to factor, it tests every
     prime <= x instead, with the same result.  An empirical scan tests
     every prime, and counts as unknown those where the tabulated values
-    allow more than one k mod p - 1.  f must be a MultiplicativeMap.  The
-    inputs are checked before any prime is sieved.  `workers` processes
-    split an empirical scan without changing it; an exact scan runs in
-    this process.
+    allow more than one k mod p - 1.  f must be a MultiplicativeMap, and
+    the inputs are checked before any prime is generated.  A scan of every
+    prime hands `_parallel` the range 2..x, whose chunks generate their
+    primes; `workers` processes split it only in empirical mode.
     """
     _check_scan_model(f)
     _check_verdicts(f, mode, bound, domain)
@@ -505,10 +497,10 @@ def scan_Sf(
     candidates = _member_candidates(f, x, domain) if mode == "exact" else None
     if candidates is None:
         pairs, unknown = _parallel.sf_scan_parallel(
-            f, PrimeCache(x).primes, mode, bound, domain, workers
+            f, range(2, x + 1), mode, bound, domain, workers
         )
     else:
-        pairs, unknown = sf_members(f, candidates, mode, bound, domain)
+        pairs, unknown = _verdicts(f, mode, bound, domain)(candidates)
     bound = _verdict_bound(mode, bound)
     return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
 

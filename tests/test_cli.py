@@ -299,8 +299,9 @@ def test_an_unallocatable_prime_list_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(kernels, "sieve", refuse)
     for argv in (
-        ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit",
-         "10000000000000"),
+        # the empirical verdict tabulates f at every prime up to its bound
+        ("sf-scan", "--function", TABLE_F, "--mode", "empirical", "--bound",
+         "10000000000000", "--limit", "100"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e13"),
     ):
         code, out = run_cli(capsys, *argv)
@@ -311,8 +312,9 @@ def test_an_unallocatable_prime_list_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit",
-         "10000000000000"),
+        # the empirical verdict tabulates f at every prime up to its bound
+        ("sf-scan", "--function", TABLE_F, "--mode", "empirical", "--bound",
+         "10000000000000", "--limit", "100"),
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--chebyshev-z", "1e13"),
     ],
 )
@@ -359,6 +361,65 @@ def test_density_scan_sieves_only_its_base_primes(capsys, monkeypatch):
     )
     assert rep["counted"] + rep["skipped"] == 39231  # primes ≡ 1 (mod 3) below 10^6
     assert asked and max(asked) == 1000
+
+
+def test_heuristic_and_empirical_sf_scans_build_no_full_prime_list(capsys, monkeypatch):
+    # every prime is generated segment by segment, and the heuristic sum is
+    # taken over the same segments; the only full prime lists are the base
+    # primes up to sqrt(limit) and the empirical verdict's tabulated q
+    asked = []
+
+    def recording(sieve):
+        def wrapped(limit):
+            asked.append(limit)
+            return sieve(limit)
+
+        return wrapped
+
+    def refuse(self, limit):
+        raise AssertionError(f"built a prime list to {limit}")
+
+    monkeypatch.setattr(pure, "sieve", recording(pure.sieve))
+    monkeypatch.setattr(kernels, "sieve", recording(kernels.sieve))
+    monkeypatch.setattr(PrimeCache, "__init__", refuse)
+    rep = run_json(
+        capsys, "heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "1000000"
+    )
+    assert rep["counted"] + rep["skipped"] == 78498  # primes below 10^6
+    assert asked and max(asked) == 1000
+    del asked[:]
+    rep = run_json(
+        capsys, "sf-scan", "--function", TABLE_F, "--mode", "empirical", "--bound", "2000",
+        "--limit", "100000",
+    )
+    assert rep["counted"] + rep["skipped"] == 9592  # primes below 10^5
+    assert asked and max(asked) == max(math.isqrt(100000), 2000)
+
+
+def test_character_tables_are_built_once_per_chunk(capsys, monkeypatch):
+    # the heuristic's quadratic-character tables are built once for the
+    # chunk, not once per segment, and the report does not depend on the
+    # segment length
+    from localpow import powermap
+
+    builds = []
+    character_bits = powermap._character_bits
+
+    def counting(v, m):
+        builds.append(m)
+        return character_bits(v, m)
+
+    monkeypatch.setattr(powermap, "_character_bits", counting)
+    argv = ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "10000")
+    code, whole = run_cli(capsys, *argv)
+    assert code == 0 and len(list(kernels.prime_segments(2, 10001, 2))) == 1
+    one_segment = list(builds)
+    del builds[:]
+    monkeypatch.setattr(pure, "SEGMENT", 1000)
+    code, segmented = run_cli(capsys, *argv)
+    assert code == 0 and len(list(kernels.prime_segments(2, 10001, 2))) >= 3
+    assert one_segment and builds == one_segment
+    assert segmented == whole
 
 
 def test_frobenius_worked_example(capsys):
@@ -774,6 +835,9 @@ def test_exit_codes_through_real_process():
         ("frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3"),
         # about 14,000 digits: print itself meets the closed pipe
         ("disc", "--cyclotomic", "10000"),
+        # a progress line goes to stderr before the report
+        ("sf-scan", "--function", json.dumps({"kind": "power", "exponent": 1}), "--limit",
+         "10"),
     ],
 )
 def test_a_closed_stdout_exits_0_without_a_traceback(argv):
@@ -799,6 +863,27 @@ def test_a_closed_stdout_exits_0_without_a_traceback(argv):
     proc.stdout.close()
     proc.stderr.close()
     assert proc.wait() == 0
+    # with stderr closed from the start (`2>&-`), the report still arrives whole
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "localpow.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=BUFFERED,
+    )
+    assert (proc.returncode, proc.stdout) == (0, run_module(*argv).stdout)
+
+
+def test_a_usage_error_keeps_its_exit_code_with_stderr_closed():
+    # the message is lost, but not on stdout, and the code is still 64
+    argv = (sys.executable, "-m", "localpow.cli", "bogus")
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", *argv], capture_output=True, env=BUFFERED
+    )
+    assert (proc.returncode, proc.stdout) == (64, b"")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED)
+    proc.stderr.close()
+    assert (proc.stdout.read(), proc.wait()) == (b"", 64)
+    proc.stdout.close()
 
 
 def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path, capsys):

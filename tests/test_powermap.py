@@ -34,6 +34,7 @@ from localpow.powermap import (
     _integer_values_per_n,
     _member_candidates,
     _table_bits,
+    _verdicts,
     construct_prescribed,
     evaluate,
     extend_to_Q,
@@ -43,7 +44,6 @@ from localpow.powermap import (
     power_members,
     scan_Sf,
     scan_Tf,
-    sf_members,
     shift_and_quasi_check,
 )
 from localpow.ratfact import FactoredRational, as_factored
@@ -327,9 +327,6 @@ def test_a_scan_gets_one_chunk_per_span_of_its_largest_number(monkeypatch):
         (span + 2, 2 * span),
     ]
     assert sizes == [2]
-    # a prime list is cut by its last prime, not by its length
-    assert _parallel._run_chunks(ends, [2, 3, 5, 2 * span + 1], 4) == [(2, 3), (5, 2 * span + 1)]
-    assert sizes == [2, 2]
 
 
 def test_the_pool_class_resolves_on_the_module():
@@ -471,20 +468,27 @@ def test_exact_scan_matches_case_analysis(f, domain):
 
 def per_prime_scan(f, x, domain):
     # the exact verdict of every prime <= x, as scan_Sf gives it
-    members, unknown = sf_members(f, PrimeCache(x).primes, "exact", None, domain)
+    members, unknown = _verdicts(f, "exact", None, domain)(PrimeCache(x).primes)
     return [LocalVerdict(p, "yes", k_p, "exact") for p, k_p in members], unknown
 
 
 def record_sieves(monkeypatch) -> list:
-    # the limits of the prime lists built from here on
+    # the limits of the prime lists built, or the last numbers of the
+    # ranges whose primes are generated, from here on
     built = []
     init = PrimeCache.__init__
+    segments = kernels.prime_segments
 
     def recording_init(self, limit):
         built.append(limit)
         init(self, limit)
 
+    def recording_segments(lo, hi, s):
+        built.append(hi - 1)
+        return segments(lo, hi, s)
+
     monkeypatch.setattr(PrimeCache, "__init__", recording_init)
+    monkeypatch.setattr(kernels, "prime_segments", recording_segments)
     return built
 
 
@@ -827,7 +831,7 @@ def test_empirical_scan_matches_the_brute_force(f, domain, bound, start):
     # tabulated q are decided in one prefiltered kernel call
     primes = PrimeCache(200).primes[start:]
     verdicts = [empirical_oracle(f, p, bound or EMPIRICAL_BOUND, domain) for p in primes]
-    members, unknown = sf_members(f, primes, "empirical", bound, domain)
+    members, unknown = _verdicts(f, "empirical", bound, domain)(primes)
     assert members == [(p, k) for p, (member, k) in zip(primes, verdicts) if member == "yes"]
     assert unknown == sum(member == "unknown" for member, _ in verdicts)
 
@@ -865,7 +869,7 @@ def test_head_witnesses_reject_before_the_full_call(monkeypatch):
             del widths[:]
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "omega_members", recording_omega)
-                assert sf_members(f, primes, "empirical", bound, domain) == expected
+                assert _verdicts(f, "empirical", bound, domain)(primes) == expected
             # each call asks the head first; only the primes it keeps go on
             assert {width for width, _ in widths} <= {HEAD_WITNESSES, 66, 67}
             head = sum(n for width, n in widths if width == HEAD_WITNESSES)
