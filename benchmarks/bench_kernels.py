@@ -2,7 +2,9 @@
 
 Times the three kernels that localpow.kernels dispatches to the compiled
 backend when it is built, and `factorize`, `discrete_log` and density-scan's
-prime generator `prime_segments`, which are pure under every backend.
+prime generator `prime_segments`, which are pure under every backend, and
+the pure ell = 3 range kernel `cubic_class_counts` over the primes that
+`class_counts` is timed on, its own prime generation included.
 
 Run as: python3 benchmarks/bench_kernels.py
 """
@@ -49,6 +51,11 @@ def main():
         (
             "class_counts c4, (2,3,5,7), p = 1 mod 3 to 10^6",
             lambda m: m.class_counts(split_3, 3, [2, 3, 5, 7], [1, 1, 1, 1], 2),
+            1,
+        ),
+        (
+            "class_counts split, (2,5), p = 1 mod 3 to 10^6",
+            lambda m: m.class_counts(split_3, 3, [2, 5], [1, 1], 0),
             1,
         ),
         (
@@ -100,6 +107,16 @@ def main():
                 pure.discrete_log(g, 1234567 % p, p) for g, p in zip(dlog_gs, dlog_ps)
             ],
             1,
+        ),
+        (
+            "cubic_class_counts c4, (2,3,5,7), p = 1 mod 3 to 10^6, pure only",
+            lambda: pure.cubic_class_counts(2, 10**6 + 1, [2, 3, 5, 7], [1, 1, 1, 1], 2),
+            3,
+        ),
+        (
+            "cubic_class_counts split, (2,5), p = 1 mod 3 to 10^6, pure only",
+            lambda: pure.cubic_class_counts(2, 10**6 + 1, [2, 5], [1, 1], 0),
+            3,
         ),
         (
             "prime_segments(2, 10^7 + 1, 6), pure only",

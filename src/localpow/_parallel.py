@@ -1,12 +1,15 @@
 """Process pool for the per-prime scans.
 
 A scan that tests each prime up to x splits the range 2..x into
-contiguous chunks, one per worker.  A chunk builds its scan's per-prime
-decider once (density arguments, witness rows with their character
-tables, or sf-scan verdicts, whose f is pickled as itself), generates its
-primes one segment at a time and decides each segment.  Results merge in
-range order, so the output is independent of the worker count; floats
-are summed in the parent.  An exact sf-scan and the shift scan run in
+contiguous chunks, one per worker.  A chunk builds its scan's decider
+once (density arguments, witness rows with their character tables, or
+sf-scan verdicts, whose f is pickled as itself) and applies it to its
+part of the range.  The density decider hands that part to
+`chebotarev.density_counts`, whose kernel generates its own primes
+(`kernels.class_counts_range`); the other two generate every prime one
+segment at a time and decide each segment (`_per_segment`).  Results
+merge in range order, so the output is independent of the worker count;
+floats are summed in the parent.  An exact sf-scan and the shift scan run in
 this process.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
@@ -77,11 +80,11 @@ def _run_chunks(fn, numbers: range, workers: int, *rest) -> list:
     return [fn((numbers, *rest))]
 
 
-def prime_lists(numbers: range, modulus: int):
-    """The primes ≡ 1 (mod modulus) in a range, a list per segment; 2 first if modulus is 2."""
-    if modulus == 2 and numbers.start <= 2 < numbers.stop:
+def prime_lists(numbers: range):
+    """The primes in a range, a list per segment, 2 first."""
+    if numbers.start <= 2 < numbers.stop:
         yield [2]
-    yield from kernels.prime_segments(numbers.start, numbers.stop, modulus)
+    yield from kernels.prime_segments(numbers.start, numbers.stop, 2)
 
 
 def _merge(parts) -> list:
@@ -89,28 +92,31 @@ def _merge(parts) -> list:
     return [reduce(iadd, column) for column in zip(*parts)]
 
 
-def _chunk(job) -> list:
-    numbers, modulus, decider, args = job
-    decide = decider(*args)  # built once, for every segment of the chunk
-    # decide([]) is the scan's empty result, for a chunk that holds no prime
-    return _merge([decide([]), *map(decide, prime_lists(numbers, modulus))])
+def _per_segment(decide):
+    # a range's result from decide(primes) on each segment of its primes, in
+    # order, with decide([]) the scan's empty result, for a range with none
+    return lambda numbers: _merge([decide([]), *map(decide, prime_lists(numbers))])
 
 
-def _scan(numbers, modulus, workers, decider, *args) -> tuple:
-    # decider(*args) applied to the primes of the range, across processes
-    return tuple(_merge(_run_chunks(_chunk, numbers, workers, modulus, decider, args)))
+def _chunk(job):
+    numbers, decider, args = job
+    return decider(*args)(numbers)  # the decider is built once per chunk
+
+
+def _scan(numbers, workers, decider, *args) -> tuple:
+    # decider(*args) applied to the range, cut into chunks across processes
+    return tuple(_merge(_run_chunks(_chunk, numbers, workers, decider, args)))
 
 
 def _density_decider(ell, nums, dens, mode):
     from . import chebotarev
 
-    return lambda primes: chebotarev.density_counts(primes, ell, nums, dens, mode)
+    return lambda numbers: chebotarev.density_counts(numbers, ell, nums, dens, mode)
 
 
 def density_counts_parallel(numbers, ell, nums, dens, mode, workers: int = 1):
     """(counted, skipped, hits) over the primes p ≡ 1 (mod ell) in a range, across processes."""
-    # p ≡ 1 (mod ell) is p ≡ 1 (mod 2·ell) for every odd p, and 2 is never 1 mod ell
-    return _scan(numbers, 2 * ell, workers, _density_decider, ell, nums, dens, mode)
+    return _scan(numbers, workers, _density_decider, ell, nums, dens, mode)
 
 
 def _omega_decider(rows, witnesses, values):
@@ -120,18 +126,22 @@ def _omega_decider(rows, witnesses, values):
         counted, skipped, settled, members = powermap.power_members(primes, rows, characters)
         return counted, skipped, settled, len(members)
 
-    return decide
+    return _per_segment(decide)
 
 
 def omega_members_parallel(numbers, rows, witnesses, values, workers: int = 1):
     """`powermap.power_members` over a range's primes, members counted (witnesses factored)."""
-    return _scan(numbers, 2, workers, _omega_decider, rows, witnesses, values)
+    return _scan(numbers, workers, _omega_decider, rows, witnesses, values)
+
+
+def _sf_decider(f, mode, bound, domain):
+    return _per_segment(powermap._verdicts(f, mode, bound, domain))
 
 
 def sf_scan_parallel(f, numbers, mode, bound, domain, workers: int = 1):
     """([(p, k_p) of members], unknown count) over a range's primes, in order."""
     workers = workers if mode == "empirical" else 1  # an exact verdict costs less than IPC
-    return _scan(numbers, 2, workers, powermap._verdicts, f, mode, bound, domain)
+    return _scan(numbers, workers, _sf_decider, f, mode, bound, domain)
 
 
 def tf_scan_parallel(f, primes, shift_bound: int):

@@ -7,7 +7,9 @@ frequency of the proportionality class (the trace every local power map
 forces) with the exact count over the relation-constrained vector space; it
 decides each prime from the z_j themselves (`kernels.class_counts`), with at
 most one log of order ell a prime, by the projection solver of the
-simultaneous-power test.
+simultaneous-power test, or at ell = 3 on the pure backend from the logs of
+the z_j that cubic reciprocity reads off each prime's primary pi
+(`kernels.class_counts_range`).
 """
 
 from __future__ import annotations
@@ -161,18 +163,23 @@ def class_ratio(spec: ClassSpec):
 
 
 def density_counts(primes, ell: int, nums, dens, mode: str):
-    """(counted, skipped, hits) over a list of primes p ≡ 1 (mod ell); merges by addition.
+    """(counted, skipped, hits) over primes p ≡ 1 (mod ell); merges by addition.
 
+    primes is a list of such primes, or a range of numbers, whose primes
+    p ≡ 1 (mod ell) the kernel generates itself (`kernels.class_counts_range`).
     Mode "c4" counts the proportionality class of the two halves of the
     tuple, any other mode the primes where every entry is an ell-th power.
     """
     k = len(nums) // 2 if mode == "c4" else 0
+    if isinstance(primes, range):
+        return kernels.class_counts_range(primes.start, primes.stop, ell, nums, dens, k)
     return kernels.class_counts(primes, ell, nums, dens, k)
 
 
 DensityScan = namedtuple(
     "DensityScan",
-    "ell x mode counted skipped hits observed expected deviation dim_v degree",
+    # decided_by: how the kernel decided the primes, for the progress line
+    "ell x mode counted skipped hits observed expected deviation dim_v degree decided_by",
 )
 
 
@@ -227,6 +234,7 @@ def scan_density(
         deviation=abs(observed - float(expected)),
         dim_v=lat.m - d,
         degree=ell**d,
+        decided_by=kernels.class_counts_method(ell, nums, dens),
     )
 
 
@@ -278,7 +286,7 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     rows = [(n, v.sign * v.num, v.den) for n, v in zip(ns, values)]
     check_table_limit(x)  # a range past sys.maxsize has no length to split
     numbers = range(2, x + 1)
-    total = heuristic_sum(chain.from_iterable(_parallel.prime_lists(numbers, 2)))
+    total = heuristic_sum(chain.from_iterable(_parallel.prime_lists(numbers)))
     counted, skipped, settled, members = _parallel.omega_members_parallel(
         numbers, rows, factored, values, workers
     )

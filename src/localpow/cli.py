@@ -318,7 +318,7 @@ def _cmd_density_scan(args):
     ds = scan_density(
         args.ell, args.tuple, args.limit, mode=args.mode, workers=args.workers
     )
-    _progress(f"tested {ds.counted + ds.skipped} primes = 1 mod {args.ell}")
+    _progress(f"tested {ds.counted + ds.skipped} primes = 1 mod {args.ell} by {ds.decided_by}")
     names = ("ell", "tuple", "limit", "mode")
     return _scan_report(
         args, names, ds.counted, ds.skipped, ds.observed, expected=float(ds.expected)

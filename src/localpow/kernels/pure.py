@@ -6,9 +6,12 @@ must return exactly what the one here does and raise the same exception
 types, or raise `OverflowError` on an argument too wide for its 64-bit
 words, which `localpow.kernels` then reruns here.  The others
 (`count_primes`, `prime_segments`, `is_prime`, `factorize`, `discrete_log`
-and `z_b_rows`) run from here under every backend.  One pivot test,
+and `z_b_rows`) run from here under every backend, and
+`cubic_class_counts` on the pure backend only.  One pivot test,
 `_projection_solution`, decides a projection for `omega_members` and a
-c4 prime for `class_counts`.
+c4 prime for `class_counts`; `cubic_class_counts` decides the same c4
+and split primes at ell = 3 from table lookups on each prime's primary
+pi, and `class_counts` is its oracle in the tests.
 
 The scan kernels take their primes on trust: every p in `primes` must be
 prime, and for `class_counts` p ≡ 1 (mod ell).  Neither checks; off that
@@ -18,8 +21,9 @@ contract their results are unspecified and may differ between backends.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress, repeat
-from math import gcd, isqrt
+from itertools import accumulate, chain, compress, product, repeat
+from math import gcd, isqrt, prod
+from operator import itemgetter
 
 BACKEND = "pure"
 
@@ -115,7 +119,15 @@ _TRIAL_PRIMES = tuple(sieve(10**4))
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, bases 2..37: exact below psi_12 = 318665857834031151167461 (A014233)."""
+    """Primality: exact below 2^64, Baillie-PSW above.
+
+    Below 2^64 Miller-Rabin to the 12 bases 2..37 is exact: the least
+    composite passing them is psi_12 = 318665857834031151167461 (OEIS
+    A014233).  From 2^64 on, where a fixed set of bases is no proof, n gets
+    the strong base-2 test and then the strong Lucas test with Selfridge's
+    parameters (Baillie-PSW, Math. Comp. 35, 1980), which no known composite
+    passes.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -126,7 +138,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES if n < 2**64 else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -136,7 +148,58 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < 2**64 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # the Jacobi symbol (a/n) for an odd n > 0
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    # the strong Lucas probable-prime test on an odd n > 37 with no factor up
+    # to 37, with P = 1 and Q = (1 - D)/4 for the first D in 5, -7, 9, -11,
+    # ... with (D/n) = -1 (Selfridge's method A); a square has no such D
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n, from k = 1 along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n  # 2U_{k+1} and 2V_{k+1}
+            U = (U + n * (U & 1)) // 2
+            V = (V + n * (V & 1)) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int) -> int:
@@ -375,6 +438,193 @@ def class_counts(
         else:
             hits += 1
     return counted, skipped, hits
+
+
+# The largest table cubic_class_counts builds: a character table per base
+# prime q of the entries (q entries) and the decision table over their logs.
+# A base prime above it, or a decision table past it, sends the range to
+# class_counts.  A table at q near the cap costs q powers in F_q[omega],
+# about 0.04 s on a 2-vCPU x86-64 VM.
+CUBIC_TABLE_CAP = 2**12
+
+
+def _cubic_characters(q: int) -> list[int]:
+    # e[t] with chi_pi(q) = omega^e[t] for every primary pi = a + b·omega,
+    # b prime to q, whose a ≡ t·b (mod q); a rational b is a cube in F_q[omega]
+    # (q ≡ 2 mod 3) and has trivial norm character (q ≡ 1 mod 3), so only
+    # t matters.  By cubic reciprocity (Ireland & Rosen, ch. 9) chi_pi(q) is
+    # chi_q(pi) = pi^((q^2-1)/3) mod q for q ≡ 2 (mod 3), 2 included, and the
+    # product of chi_rho(pi) over the two primes rho of norm q ≡ 1 (mod 3),
+    # where omega is r and r^2 for a root r of r^2 + r + 1
+    if q % 3 == 2:
+
+        def mul(x, y):  # in F_q[omega], omega^2 = -1 - omega
+            bd = x[1] * y[1]
+            return (x[0] * y[0] - bd) % q, (x[0] * y[1] + x[1] * y[0] - bd) % q
+
+        logs = {(1, 0): 0, (0, 1): 1, (q - 1, q - 1): 2}
+        table = []
+        for t in range(q):
+            z, power, e = (t, 1), (1, 0), (q * q - 1) // 3
+            while e:
+                if e & 1:
+                    power = mul(power, z)
+                z = mul(z, z)
+                e >>= 1
+            table.append(logs[power])
+        return table
+    m = (q - 1) // 3
+    g = 2
+    while pow(g, m, q) == 1:
+        g += 1
+    r = pow(g, m, q)
+    logs = {1: 0, r: 1, r * r % q: 2}
+    # (t + r)(t + r^2) ≡ 0 only at p = q, which the kernel skips
+    return [
+        (logs[pow(t + r, m, q)] + 2 * logs[pow(t + r * r, m, q)]) % 3
+        if (t + r) * (t + r * r) % q
+        else 0
+        for t in range(q)
+    ]
+
+
+def _cubic_exponents(c: int) -> dict[int, int] | None:
+    # {q: v_q(c)} for c != 0 over the primes up to CUBIC_TABLE_CAP, or None
+    # where c is 0 or has a prime factor above it
+    c = abs(c)
+    exps = {}
+    for q in _TRIAL_PRIMES:
+        if c <= 1 or q > CUBIC_TABLE_CAP:
+            break
+        while c % q == 0:
+            c //= q
+            exps[q] = exps.get(q, 0) + 1
+    return exps if c == 1 else None
+
+
+def _log_radix(exps: dict[int, int]) -> int:
+    # an entry's log sum over its r prime factors of exponent prime to 3,
+    # each log in 0..2, lies in 0..2r
+    return 2 * sum(v % 3 != 0 for v in exps.values()) + 1
+
+
+def cubic_factors(nums: list[int], dens: list[int]) -> list[dict[int, int]] | None:
+    """Each c_j = nums[j]·dens[j]^2 as {q: v_q(c_j)}, or None where `cubic_class_counts` declines.
+
+    It declines an entry 0 or with a prime factor above CUBIC_TABLE_CAP,
+    and a decision table of more than CUBIC_TABLE_CAP keys.
+    """
+    factored = [_cubic_exponents(n * d * d) for n, d in zip(nums, dens)]
+    if None in factored or prod(map(_log_radix, factored)) > CUBIC_TABLE_CAP:
+        return None
+    return factored
+
+
+def cubic_class_counts(
+    lo: int, hi: int, nums: list[int], dens: list[int], k: int
+) -> tuple[int, int, int] | None:
+    """`class_counts` at ell = 3 over the primes p ≡ 1 (mod 3) in [lo, hi), or None.
+
+    Each such p is the norm a^2 - ab + b^2 of exactly one primary
+    pi = a + b·omega (a ≡ 2 mod 3, b = 3n > 0), and the cubic character of
+    c_j = nums[j]·dens[j]^2 at p is a product of characters of its prime
+    factors q, each a function of pi: of t ≡ a/b (mod q), tabulated by
+    `_cubic_characters`, and omega^(2n) for q = 3 (-1 is a cube).  So the
+    pairs (a, b) are walked instead of the primes: row by row, each row b
+    crossing a window of `prime_segments`' flags (n = 6i + 1) in two
+    intervals of a, where 4N = (2a - b)^2 + 3b^2 has a constant second
+    difference.  Each prime's entry logs L_j = sum v_q(c_j)·e_q (mod 3),
+    in the log base omega ≡ -a/b (mod p), form a key into a decision table:
+    with k > 0 a hit is some t with t·L_j + L_{k+j} ≡ 0 for every j < k,
+    with k = 0 every L_j ≡ 0.  No power mod p is taken.
+
+    Returns None, having generated no prime, where `cubic_factors` declines
+    the tuple; `class_counts` then decides each prime.
+    """
+    class_counts([], 3, nums, dens, k)  # its checks of k
+    factored = cubic_factors(nums, dens)
+    if factored is None:
+        return None
+    # entry j's log sum is digit j of a prime's key, in mixed radix
+    radices = [_log_radix(exps) for exps in factored]
+    places = [prod(radices[:j]) for j in range(len(radices))]
+    hit = []  # by key, digit 0 turning fastest
+    for digits in product(*map(range, reversed(radices))):
+        logs = [d % 3 for d in reversed(digits)]
+        if k:
+            low, high = logs[:k], logs[k:]
+            fits = any(all((t * x + y) % 3 == 0 for x, y in zip(low, high)) for t in range(3))
+        else:
+            fits = not any(logs)
+        hit.append(int(fits))  # an int, which sum() adds fastest
+    # key step of each prime factor q at log e: the sum over the entries
+    steps = {}
+    for place, exps in zip(places, factored):
+        for q, v in exps.items():
+            row = steps.setdefault(q, [0, 0, 0])
+            for e in (1, 2):
+                row[e] += place * (v * e % 3)
+    three = steps.pop(3, [0, 0, 0])
+    keyed = [(q, [row[e] for e in _cubic_characters(q)]) for q, row in steps.items() if any(row)]
+    split = sorted(q for q in steps if q % 6 == 1)  # primes that divide an entry
+
+    counted = skipped = hits = 0
+    first = max(1, -(-(lo - 1) // 6))  # as prime_segments(lo, hi, 6)
+    stop = -(-(hi - 1) // 6)
+    if first >= stop:
+        return 0, 0, 0
+    roots = _roots(6, isqrt(hi - 1))
+    for w in range(first, stop, SEGMENT):
+        count = min(SEGMENT, stop - w)
+        flags = bytearray(b"\x01" * count)
+        _strike(flags, 6, w, roots)
+        for q in split:
+            j = (q - 1) // 6 - w
+            if 0 <= j < count:
+                flags[j] = 0
+                skipped += 1
+        counted += flags.count(1)
+        hits += _cubic_window_hits(flags, w, hit, three, keyed)
+    return counted, skipped, hits
+
+
+def _cubic_window_hits(flags, w, hit, three, keyed) -> int:
+    # hits among the primes N = 6(w + j) + 1 flagged in one window, walked as
+    # the norms of primary a + b·omega, b = 3, 6, ... while 3b^2 is below 4N
+    # at the window's end
+    low, high = 4 * (6 * w + 1), 4 * (6 * (w + len(flags)) + 1)
+    total = 0
+    b = 3
+    while 3 * b * b < high:
+        lo4, hi4 = low - 3 * b * b, high - 3 * b * b
+        u0 = isqrt(lo4 - 1) + 1 if lo4 > 0 else 0  # u = 2a - b: lo4 <= u^2 < hi4
+        u1 = isqrt(hi4 - 1) + 1
+        # a ≡ 2 (mod 3), and odd where b is even so that N is odd
+        h, res = (3, 2) if b & 1 else (6, 5)
+        avals, idx = [], []
+        for a0, a1 in (
+            ((b + u0 + 1) // 2, (b + u1 + 1) // 2),
+            ((b - u1) // 2 + 1, (b - max(u0, 1)) // 2 + 1),
+        ):
+            a0 += (res - a0) % h
+            if a0 < a1:
+                # j = (N - 1)/6 - w along the interval: first step
+                # h(2a + h - b)/6, second difference h^2/3
+                d0, dd = h * (2 * a0 + h - b) // 6, h * h // 3
+                avals.append(range(a0, a1, h))
+                j0 = (a0 * a0 - a0 * b + b * b - 1) // 6 - w
+                idx += accumulate(range(d0, d0 + dd * (len(avals[-1]) - 1), dd), initial=j0)
+        # the trailing index keeps itemgetter's result a tuple
+        found = [*compress(chain(*avals), itemgetter(*idx, 0)(flags))] if idx else ()
+        if found:
+            keys = [three[2 * (b // 3) % 3]] * len(found)
+            for q, table in keyed:
+                if b % q:
+                    m = pow(b, -1, q)
+                    keys = [key + table[a * m % q] for key, a in zip(keys, found)]
+            total += sum(map(hit.__getitem__, keys))
+        b += 3
+    return total
 
 
 def _projection_solution(ns: list[int], fnums: list[int], fdens: list[int], q: int, p: int):

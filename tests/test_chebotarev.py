@@ -258,6 +258,12 @@ def test_density_counts_merge_by_addition(ell, mode, nums, dens, cuts):
     whole = density_counts(primes, ell, nums, dens, mode)
     assert whole == tuple(map(sum, zip(*parts)))
     assert whole[0] + whole[1] == len(primes)
+    # ranges of numbers cut at the same primes, whose kernel generates them
+    bounds = [2, *(primes[c] if c < len(primes) else 10**4 + 1 for c in ends[1:-1]), 10**4 + 1]
+    ranges = [
+        density_counts(range(a, b), ell, nums, dens, mode) for a, b in zip(bounds, bounds[1:])
+    ]
+    assert tuple(map(sum, zip(*ranges))) == whole
 
 
 def test_heuristic_sum_oracle():

@@ -455,6 +455,16 @@ def test_kummer_degree_worked_example(capsys):
     assert (rep["dim_v"], rep["degree"], rep["d"]) == (0, 25, 2)
 
 
+def test_kummer_degree_factors_a_strong_pseudoprime_to_the_twelve_bases(capsys):
+    # psi_12 (OEIS A014233) = 399165290221 · 798330580441 passes Miller-Rabin
+    # to the bases 2..37; as a prime it would make the entries independent
+    psi12 = 399165290221 * 798330580441
+    rep = run_json(
+        capsys, "kummer-degree", "--tuple", f"{psi12},399165290221,798330580441", "--ell", "3"
+    )
+    assert (rep["degree"], rep["d"]) == (9, 2)
+
+
 def test_witness_and_construct(capsys):
     rep = run_json(capsys, "witness", "--function", TABLE_F, "--count", "3")
     assert rep["witnesses"] == [2, 3, 5]
@@ -559,6 +569,28 @@ def test_heuristic_report_fields(capsys):
     ) in captured.err
 
 
+@pytest.mark.parametrize(
+    "ell, tuple_, method",
+    [
+        # the pure kernels walk each p's primary pi at ell = 3; the compiled
+        # per-prime kernel is the faster one there
+        (
+            "3",
+            "2,3,5,7",
+            "cubic reciprocity" if kernels.BACKEND == "pure" else "power residue characters",
+        ),
+        ("5", "2,3,5,7", "power residue characters"),
+        # 4099 is past the cubic tables' cap
+        ("3", "2,3,5,4099", "power residue characters"),
+    ],
+)
+def test_density_progress_line_names_the_method(capsys, ell, tuple_, method):
+    code = cli.run(["density-scan", "--ell", ell, "--tuple", tuple_, "--limit", "3000"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert f"primes = 1 mod {ell} by {method} ({kernels.BACKEND} kernels)" in err
+
+
 def test_run_restores_the_int_to_text_limit(capsys):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -632,6 +664,7 @@ def test_float_formatting_is_12_significant_digits(capsys):
         ),
         ("tf-scan", "--function", TABLE_F, "--limit", "500"),
         ("density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", "3000"),
+        ("density-scan", "--ell", "3", "--tuple=-2/9,3,14,5", "--limit", "20000"),
         ("heuristic", "--function", TABLE_F, "--witnesses", "2,3,5", "--limit", "2000"),
     ],
 )

@@ -2,6 +2,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from itertools import islice
+from math import isqrt, prod
 from unittest.mock import patch
 
 import pytest
@@ -130,6 +131,35 @@ def test_is_prime_agreement():
     samples = list(range(2, 500)) + [rng.randint(2, 2**62) for _ in range(100)]
     for n in samples:
         assert pure.is_prime(n) == sympy.isprime(n)
+
+
+# psi_1 .. psi_13 (OEIS A014233): psi_t is the least odd composite that is a
+# strong probable prime to each of the first t prime bases
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_is_prime_table_past_the_twelve_bases():
+    # psi_12 and psi_13 pass Miller-Rabin to the bases 2..37, which is exact
+    # only below 2^64; p·(2p - 1) with both factors prime passes more bases
+    # than a random composite; and two Mersenne primes, with random odd n
+    # of 65 to 600 bits, for the primes and composites above 2^64
+    table = list(PSI)
+    p = 2**40
+    while len(table) < len(PSI) + 6:
+        p = sympy.nextprime(p)
+        if sympy.isprime(2 * p - 1):
+            table.append(p * (2 * p - 1))
+    table += [2**1279 - 1, 2**2203 - 1]
+    rng = random.Random(2203)
+    table += [rng.getrandbits(rng.randint(65, 600)) | 2**64 | 1 for _ in range(300)]
+    for n in table:
+        assert pure.is_prime(n) == sympy.isprime(n), n
+    assert not any(map(pure.is_prime, PSI))
+    assert pure.is_prime(2**1279 - 1) and pure.is_prime(2**2203 - 1)
 
 
 def test_factorize_agreement():
@@ -335,6 +365,114 @@ def test_class_counts_oracle_at_the_benchmark_tuple():
         expected = _class_counts_oracle(primes, 3, nums, dens, k)
         for mod in BACKENDS:
             assert mod.class_counts(primes, 3, nums, dens, k) == expected
+
+
+def _primary_norms(limit):
+    # (p, a, b) for each prime p < limit, p ≡ 1 (mod 3), with its primary
+    # pi = a + b·omega, a ≡ 2 (mod 3), b = 3n > 0, found by walking (a, b)
+    out = []
+    for b in range(3, isqrt(4 * limit // 3) + 1, 3):
+        for a in range(b - isqrt(4 * limit), b + isqrt(4 * limit) + 1):
+            p = a * a - a * b + b * b
+            if a % 3 == 2 and p < limit and pure.is_prime(p):
+                out.append((p, a, b))
+    return sorted(out)
+
+
+PRIMARY = _primary_norms(2 * 10**5)
+
+
+def test_primary_norms_list_each_prime_once():
+    assert [p for p, _, _ in PRIMARY] == [p for p in pure.sieve(2 * 10**5) if p % 3 == 1]
+
+
+def test_cubic_characters_match_powers():
+    # chi_p(q) = q^((p-1)/3) mod p equals omega^e, omega ≡ -a/b (mod p), with
+    # e read from q's table at t ≡ a/b (mod q) (0 where q | b), and
+    # e = 2n for q = 3; every prime q <= 59, and the largest of each class
+    # mod 3 under the cap
+    qs = [*pure.sieve(59), 4091, 4093]
+    assert max(qs) <= pure.CUBIC_TABLE_CAP < pure._TRIAL_PRIMES[pure._TRIAL_PRIMES.index(4093) + 1]
+    tables = {q: pure._cubic_characters(q) for q in qs if q != 3}
+    for p, a, b in PRIMARY:
+        omega = -a * pow(b, -1, p) % p
+        for q in qs:
+            if q == p:
+                continue
+            if q == 3:
+                e = 2 * (b // 3) % 3
+            else:
+                e = tables[q][a * pow(b, -1, q) % q] if b % q else 0
+            assert pow(q, (p - 1) // 3, p) == pow(omega, e, p), (p, q)
+
+
+def _segment_counts(lo, hi, nums, dens, k):
+    counts = [(0, 0, 0)]
+    counts += (pure.class_counts(ps, 3, nums, dens, k) for ps in pure.prime_segments(lo, hi, 6))
+    return tuple(map(sum, zip(*counts)))
+
+
+# 3; primes 2 and 5 mod 3; split primes, which an entry's range skips; the
+# largest prime under the cap and the least above it
+CUBIC_FACTORS = (2, 3, 5, 7, 11, 13, 19, 29, 31, 4093, 4099)
+
+
+@st.composite
+def cubic_cases(draw):
+    lo = draw(st.integers(0, 2 * 10**5))
+    hi = draw(st.integers(0, 2 * 10**5))
+    k = draw(st.sampled_from((0, 1, 2)))
+    width = 2 * k if k else draw(st.integers(1, 4))
+
+    def value():
+        return prod(draw(st.lists(st.sampled_from(CUBIC_FACTORS), max_size=3)))
+
+    nums = [draw(st.sampled_from((1, -1))) * value() for _ in range(width)]
+    dens = [value() for _ in range(width)]
+    if width > 1 and draw(st.booleans()):  # an entry dependent on the others
+        nums[-1] = nums[0] ** draw(st.integers(1, 3)) * nums[1 % (width - 1)]
+    if draw(st.integers(0, 9)) == 0:
+        nums[draw(st.integers(0, width - 1))] = 0
+    return lo, hi, nums, dens, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(cubic_cases())
+def test_cubic_class_counts_match_the_per_prime_kernel(case):
+    lo, hi, nums, dens, k = case
+    expected = _segment_counts(*case)
+    got = pure.cubic_class_counts(*case)
+    if got is None:
+        # declined: an entry 0 or with a factor above the cap, or a decision
+        # table past it; class_counts then decides each prime
+        assert pure.cubic_factors(nums, dens) is None
+        assert kernels.class_counts_range(lo, hi, 3, nums, dens, k) == expected
+    else:
+        assert got == expected
+
+
+def test_cubic_class_counts_decline_past_the_cap():
+    assert pure.cubic_factors([2, 4093], [1, 1]) is not None
+    assert pure.cubic_factors([2, 4099], [1, 1]) is None
+    assert pure.cubic_factors([2, 3], [1, 4099]) is None
+    assert pure.cubic_factors([2, 0], [1, 1]) is None
+    # an entry with 12 prime factors of exponent prime to 3 has log sums
+    # 0..24: three such entries make 25^3 decision keys, past the cap
+    big = prod(pure._TRIAL_PRIMES[:12])
+    assert pure.cubic_factors([big, big, big, 2], [1, 1, 1, 1]) is None
+    assert pure.cubic_class_counts(2, 1000, [2, 4099], [1, 1], 0) is None
+    with pytest.raises(ValueError):
+        pure.cubic_class_counts(2, 1000, [2, 3, 5], [1, 1, 1], 1)
+
+
+def test_class_counts_range_at_the_benchmark_tuples():
+    # both decision paths of a range, at ell = 3 and beyond
+    for ell, nums, k in ((3, [2, 3, 5, 7], 2), (3, [2, 5], 0), (5, [2, 3, 5, 7], 2)):
+        dens = [1] * len(nums)
+        primes = [p for p in pure.sieve(60000) if p % ell == 1]
+        assert kernels.class_counts_range(2, 60001, ell, nums, dens, k) == pure.class_counts(
+            primes, ell, nums, dens, k
+        )
 
 
 def _outcome(fn, *args):

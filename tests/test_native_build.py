@@ -48,6 +48,11 @@ ARGVS = (
     # unsigned word
     ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "2,3,5,1/9223372036854775837",
      "--mode", "c4"),
+    # a sign, a denominator, 3, and primes 2 and 5 mod 3 and 7 ≡ 1 (mod 3),
+    # which the pure kernel's cubic reciprocity tables decide and the
+    # compiled one's powers check
+    ("density-scan", "--ell", "3", "--limit", "20000", "--tuple=-2/9,3,14,5", "--mode", "c4"),
+    ("density-scan", "--ell", "3", "--limit", "20000", "--tuple", "12,18/7", "--mode", "split"),
     # each worker's range crosses a boundary of the segments of p ≡ 1 (mod 6)
     ("density-scan", "--ell", "3", "--limit", "2000000", "--tuple", "2,3,5,7", "--mode", "c4",
      "--workers", "2"),
@@ -151,6 +156,6 @@ def test_reports_match_the_pure_backend(native_tree):
         # the scans' progress lines name the backend that ran
         if "(pure kernels)" in err:
             assert "(native kernels)" in native_err, argv
-    # density-scan six times, heuristic four times, sf-scan seven times and
+    # density-scan eight times, heuristic four times, sf-scan seven times and
     # tf-scan once
-    assert sum("(native kernels)" in err for _, _, err in native_reports) == 18
+    assert sum("(native kernels)" in err for _, _, err in native_reports) == 20
