@@ -4,7 +4,8 @@ Times the three kernels that localpow.kernels dispatches to the compiled
 backend when it is built, and `factorize`, `discrete_log` and density-scan's
 prime generator `prime_segments`, which are pure under every backend, and
 the pure ell = 3 range kernel `cubic_class_counts` over the primes that
-`class_counts` is timed on, its own prime generation included.
+`class_counts` is timed on, its own prime generation included, and over
+[2, 10^7] beside [9·10^7, 10^8], two ranges with about as many primes.
 
 Run as: python3 benchmarks/bench_kernels.py
 """
@@ -116,6 +117,18 @@ def main():
         (
             "cubic_class_counts split, (2,5), p = 1 mod 3 to 10^6, pure only",
             lambda: pure.cubic_class_counts(2, 10**6 + 1, [2, 5], [1, 1], 0),
+            3,
+        ),
+        (
+            # the cost per prime should stay flat as the limit grows: the
+            # walk's window widens with sqrt(hi), as its rows do, to its cap
+            "cubic_class_counts c4, (2,3,5,7), [2, 10^7], pure only",
+            lambda: pure.cubic_class_counts(2, 10**7 + 1, [2, 3, 5, 7], [1, 1, 1, 1], 2),
+            3,
+        ),
+        (
+            "cubic_class_counts c4, (2,3,5,7), [9*10^7, 10^8], pure only",
+            lambda: pure.cubic_class_counts(9 * 10**7, 10**8 + 1, [2, 3, 5, 7], [1, 1, 1, 1], 2),
             3,
         ),
         (

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import accumulate, chain, compress, product, repeat
 from math import gcd, isqrt, prod
-from operator import itemgetter
+from operator import add, itemgetter
 
 BACKEND = "pure"
 
@@ -47,8 +47,8 @@ def _strike(flags: bytearray, s: int, first: int, roots) -> None:
     for q, r in roots:
         start = max(first, -(-(q * q - 1) // s))
         j = start + (r - start) % q - first
-        if j < count:
-            flags[j::q] = bytes(len(range(j, count, q)))
+        if j < count:  # from a bytearray, which the slice takes uncopied
+            flags[j::q] = bytearray(len(range(j, count, q)))
 
 
 def sieve(limit: int) -> list[int]:
@@ -441,11 +441,23 @@ def class_counts(
 
 
 # The largest table cubic_class_counts builds: a character table per base
-# prime q of the entries (q entries) and the decision table over their logs.
-# A base prime above it, or a decision table past it, sends the range to
-# class_counts.  A table at q near the cap costs q powers in F_q[omega],
-# about 0.04 s on a 2-vCPU x86-64 VM.
+# prime q of the entries (q entries), the decision table over their logs,
+# and a key table over t mod the product of a group of key primes, the
+# groups being packed to stay within it.  A base prime above it, or a
+# decision table past it, sends the range to class_counts.  A table at q
+# near the cap costs q powers in F_q[omega], about 0.04 s on a 2-vCPU
+# x86-64 VM.
 CUBIC_TABLE_CAP = 2**12
+
+# cubic_class_counts walks windows of CUBIC_WINDOW·isqrt(hi) candidates, so
+# that each of its ~0.4·isqrt(hi) rows is set up a few times a scan, not
+# once per SEGMENT; a window holds at most 2^22 candidates (4 MB a worker),
+# reached at hi ≈ 6.7·10^7.  On a 2-vCPU x86-64 VM the c4 CLI scan of
+# (42,9,38,39) to 10^8 took 1.54, 1.56 and 1.60 s at 2^8, 2^9 and 2^10,
+# at peak RSS 18.6, 21.6 and 26.8 MB uncapped (4.16 s and 17.5 MB in
+# SEGMENT windows), and the in-process scan to 10^7 0.156, 0.146 and
+# 0.145 s.  The cap cost 1% on [9·10^8, 10^9] (1.908 → 1.926 s; 2^21: 2.054).
+CUBIC_WINDOW = 2**9
 
 
 def _cubic_characters(q: int) -> list[int]:
@@ -530,13 +542,19 @@ def cubic_class_counts(
     c_j = nums[j]·dens[j]^2 at p is a product of characters of its prime
     factors q, each a function of pi: of t ≡ a/b (mod q), tabulated by
     `_cubic_characters`, and omega^(2n) for q = 3 (-1 is a cube).  So the
-    pairs (a, b) are walked instead of the primes: row by row, each row b
-    crossing a window of `prime_segments`' flags (n = 6i + 1) in two
-    intervals of a, where 4N = (2a - b)^2 + 3b^2 has a constant second
-    difference.  Each prime's entry logs L_j = sum v_q(c_j)·e_q (mod 3),
-    in the log base omega ≡ -a/b (mod p), form a key into a decision table:
-    with k > 0 a hit is some t with t·L_j + L_{k+j} ≡ 0 for every j < k,
-    with k = 0 every L_j ≡ 0.  No power mod p is taken.
+    pairs (a, b) are walked instead of the primes, in windows of
+    CUBIC_WINDOW·isqrt(hi) candidates n = 6i + 1 (at most 2^22) struck as
+    `prime_segments` strikes its segments, and each row b is set up once
+    per window, crossing it in two intervals of a, where
+    4N = (2a - b)^2 + 3b^2 has a constant second difference.
+    Each prime's entry logs L_j = sum v_q(c_j)·e_q (mod 3), in the log base
+    omega ≡ -a/b (mod p), form a key into a decision table: with k > 0 a
+    hit is some t with t·L_j + L_{k+j} ≡ 0 for every j < k, with k = 0
+    every L_j ≡ 0.  The key primes are packed into groups of product
+    within CUBIC_TABLE_CAP; along a row a group's share of the key is a
+    function of a/b modulo the product of its primes q ∤ b, read from one
+    table built on first use, so a prime costs one lookup per group and one
+    into the decision table.  No power mod p is taken.
 
     Returns None, having generated no prime, where `cubic_factors` declines
     the tuple; `class_counts` then decides each prime.
@@ -565,18 +583,21 @@ def cubic_class_counts(
             for e in (1, 2):
                 row[e] += place * (v * e % 3)
     three = steps.pop(3, [0, 0, 0])
-    keyed = [(q, [row[e] for e in _cubic_characters(q)]) for q, row in steps.items() if any(row)]
+    keyed = {q: [row[e] for e in _cubic_characters(q)] for q, row in steps.items() if any(row)}
     split = sorted(q for q in steps if q % 6 == 1)  # primes that divide an entry
+    row_hits = _cubic_row_decider(hit, three, keyed)
 
     counted = skipped = hits = 0
     first = max(1, -(-(lo - 1) // 6))  # as prime_segments(lo, hi, 6)
     stop = -(-(hi - 1) // 6)
     if first >= stop:
         return 0, 0, 0
-    roots = _roots(6, isqrt(hi - 1))
-    for w in range(first, stop, SEGMENT):
-        count = min(SEGMENT, stop - w)
-        flags = bytearray(b"\x01" * count)
+    root = isqrt(hi - 1)
+    roots = _roots(6, root)
+    width = min(CUBIC_WINDOW * root, 1 << 22)
+    for w in range(first, stop, width):
+        count = min(width, stop - w)
+        flags = bytearray(b"\x01") * count
         _strike(flags, 6, w, roots)
         for q in split:
             j = (q - 1) // 6 - w
@@ -584,11 +605,56 @@ def cubic_class_counts(
                 flags[j] = 0
                 skipped += 1
         counted += flags.count(1)
-        hits += _cubic_window_hits(flags, w, hit, three, keyed)
+        hits += _cubic_window_hits(flags, w, row_hits)
+        del flags  # before the next window's are allocated
     return counted, skipped, hits
 
 
-def _cubic_window_hits(flags, w, hit, three, keyed) -> int:
+def _cubic_row_decider(hit, three, keyed):
+    # row_hits(b, found): the hits among the primes with primary a + b·omega,
+    # a in found.  A prime's key is three's step at n = b/3 plus, for each key
+    # prime q ∤ b, q's step at t ≡ a/b (mod q).  The key primes are packed,
+    # smallest first, into groups whose product is within CUBIC_TABLE_CAP;
+    # along a row a group's steps add up to a function of t modulo the
+    # product M of its primes q ∤ b, read from one table over t mod M built
+    # on first use, so a prime costs one lookup per group
+    groups = [[]]
+    for q in sorted(keyed):
+        if prod(groups[-1]) * q > CUBIC_TABLE_CAP:
+            groups.append([])
+        groups[-1].append(q)
+    shifted = [hit[base:] for base in three]  # hit[base + key] at [key]
+    tables = {}
+
+    def row_hits(b, found):
+        keys = None
+        for group in groups:
+            qs = tuple(q for q in group if b % q)
+            table = tables.get(qs)
+            if table is None:
+                table = tables[qs] = _cubic_key_table(keyed, qs)
+            m = len(table)
+            inv = pow(b, -1, m)
+            if keys is None:
+                keys = [table[a * inv % m] for a in found]
+            else:
+                keys = [key + table[a * inv % m] for key, a in zip(keys, found)]
+        return sum(map(shifted[2 * (b // 3) % 3].__getitem__, keys))
+
+    return row_hits
+
+
+def _cubic_key_table(keyed, qs) -> list[int]:
+    # the sum of q's steps over q in qs at each t mod M = prod(qs): keyed[q]
+    # repeated M/q times
+    m = prod(qs)
+    keys = [0] * m
+    for q in qs:
+        keys = list(map(add, keys, keyed[q] * (m // q)))
+    return keys
+
+
+def _cubic_window_hits(flags, w, row_hits) -> int:
     # hits among the primes N = 6(w + j) + 1 flagged in one window, walked as
     # the norms of primary a + b·omega, b = 3, 6, ... while 3b^2 is below 4N
     # at the window's end
@@ -617,12 +683,7 @@ def _cubic_window_hits(flags, w, hit, three, keyed) -> int:
         # the trailing index keeps itemgetter's result a tuple
         found = [*compress(chain(*avals), itemgetter(*idx, 0)(flags))] if idx else ()
         if found:
-            keys = [three[2 * (b // 3) % 3]] * len(found)
-            for q, table in keyed:
-                if b % q:
-                    m = pow(b, -1, q)
-                    keys = [key + table[a * m % q] for key, a in zip(keys, found)]
-            total += sum(map(hit.__getitem__, keys))
+            total += row_hits(b, found)
         b += 3
     return total
 

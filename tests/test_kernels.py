@@ -465,6 +465,70 @@ def test_cubic_class_counts_decline_past_the_cap():
         pure.cubic_class_counts(2, 1000, [2, 3, 5], [1, 1, 1], 1)
 
 
+def _spy(monkeypatch, name, arg):
+    # argument arg of each call of pure.<name>, in order
+    calls, fn = [], getattr(pure, name)
+
+    def spy(*args):
+        calls.append(args[arg])
+        return fn(*args)
+
+    monkeypatch.setattr(pure, name, spy)
+    return calls
+
+
+# c4 and split tuples: the benchmark's, and signs, denominators and 3
+CUBIC_EDGE_TUPLES = (
+    ([2, 3, 5, 7], [1, 1, 1, 1], 2),
+    ([42, 9, 38, 39], [1, 1, 1, 1], 2),
+    ([-2, 3, 14, 5], [9, 1, 1, 1], 2),
+    ([7, 29], [1, 1], 0),
+    ([12, 18], [1, 7], 0),
+)
+
+
+def test_cubic_windows_meet_at_their_edges(monkeypatch):
+    # windows of 8·isqrt(hi) = 3576 candidates cut [lo, 2·10^5) at least 3
+    # times; the middle lo, not ≡ 1 (mod 6), lies inside the second window
+    # of the walk from lo = 0, so its windows start where that walk's do not
+    monkeypatch.setattr(pure, "CUBIC_WINDOW", 8)
+    width = 8 * isqrt(2 * 10**5 - 1)
+    starts = _spy(monkeypatch, "_cubic_window_hits", 1)
+    for lo in (0, 6 * (width + width // 2) + 4, 10**5 + 3):
+        for nums, dens, k in CUBIC_EDGE_TUPLES:
+            del starts[:]
+            got = pure.cubic_class_counts(lo, 2 * 10**5, nums, dens, k)
+            assert got == _segment_counts(lo, 2 * 10**5, nums, dens, k), (lo, nums)
+            assert len(starts) >= 3 and starts[0] == max(1, -(-(lo - 1) // 6))
+            assert {b - a for a, b in zip(starts, starts[1:])} == {width}
+
+
+def test_cubic_key_tables_by_group(monkeypatch):
+    # a key prime that divides b leaves its group's table: 2 at every even
+    # b, 7 and 13 at odd b = 21, 39 and 273 = 3·7·13.  The key primes of
+    # 2,5,7,59 multiply to 4130, past the cap, so they make two groups,
+    # (2,5,7) and (59,), and a prime takes one lookup in each.  2·4091 and
+    # 4093 are under the cap, and no two of their key primes 2, 4091, 4093
+    # multiply within it, so each is a group of its own: one lookup per q
+    assert 2 * 5 * 7 * 59 > pure.CUBIC_TABLE_CAP and 2 * 4091 > pure.CUBIC_TABLE_CAP
+    built = _spy(monkeypatch, "_cubic_key_table", 1)
+    primes = [p for p in pure.sieve(2 * 10**5) if p % 3 == 1]
+    cases = (
+        ([2, 7, 13, 5], 2, {(2, 5, 7, 13), (5, 7, 13), (2, 5, 13), (2, 5, 7), (2, 5)}),
+        ([7, 13], 0, {(7, 13), (13,), (7,), ()}),
+        ([2, 5, 7, 59], 2, {(2, 5, 7), (5, 7), (2, 5), (2, 7), (59,), ()}),
+        ([2 * 4091, 4093], 0, {(2,), (), (4091,), (4093,)}),
+    )
+    for nums, k, tables in cases:
+        del built[:]
+        dens = [1] * len(nums)
+        got = pure.cubic_class_counts(2, 2 * 10**5, nums, dens, k)
+        assert got == pure.class_counts(primes, 3, nums, dens, k), nums
+        assert tables <= set(built), nums
+        assert all(prod(qs) <= pure.CUBIC_TABLE_CAP for qs in built), nums
+    assert set(built) == {(2,), (), (4091,), (4093,)}
+
+
 def test_class_counts_range_at_the_benchmark_tuples():
     # both decision paths of a range, at ell = 3 and beyond
     for ell, nums, k in ((3, [2, 3, 5, 7], 2), (3, [2, 5], 0), (5, [2, 3, 5, 7], 2)):
