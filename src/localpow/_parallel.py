@@ -9,8 +9,8 @@ part of the range.  The density decider hands that part to
 (`kernels.class_counts_range`); the other two generate every prime one
 segment at a time and decide each segment (`_per_segment`).  Results
 merge in range order, so the output is independent of the worker count;
-floats are summed in the parent.  An exact sf-scan and the shift scan run in
-this process.
+the heuristic's float terms add up exactly, as ints.  An exact sf-scan and
+the shift scan run in this process.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
 both call back into this module.  This module and `powermap` import each
@@ -80,22 +80,20 @@ def _run_chunks(fn, numbers: range, workers: int, *rest) -> list:
     return [fn((numbers, *rest))]
 
 
-def prime_lists(numbers: range):
-    """The primes in a range, a list per segment, 2 first."""
-    if numbers.start <= 2 < numbers.stop:
-        yield [2]
-    yield from kernels.prime_segments(numbers.start, numbers.stop, 2)
-
-
 def _merge(parts) -> list:
     # field by field, in order: counts add up, member lists concatenate
     return [reduce(iadd, column) for column in zip(*parts)]
 
 
 def _per_segment(decide):
-    # a range's result from decide(primes) on each segment of its primes, in
-    # order, with decide([]) the scan's empty result, for a range with none
-    return lambda numbers: _merge([decide([]), *map(decide, prime_lists(numbers))])
+    # a range's result from decide(primes) on [2] and each segment of its odd
+    # primes, in order, with decide([]) the scan's empty result
+    def run(numbers):
+        two = [[2]] if numbers.start <= 2 < numbers.stop else []
+        odd = kernels.prime_segments(numbers.start, numbers.stop, 2)
+        return _merge([decide([]), *map(decide, two), *map(decide, odd)])
+
+    return run
 
 
 def _chunk(job):
@@ -119,18 +117,25 @@ def density_counts_parallel(numbers, ell, nums, dens, mode, workers: int = 1):
     return _scan(numbers, workers, _density_decider, ell, nums, dens, mode)
 
 
+# Every float 1.0/(p - 1)**2 at a prime p < 2^63 is a whole multiple of
+# 2^-HEURISTIC_BITS, so 2^HEURISTIC_BITS times it is an exact int
+HEURISTIC_BITS = 178
+
+
 def _omega_decider(rows, witnesses, values):
     characters = None if witnesses is None else powermap._character_tables(witnesses, values)
+    scale = 2.0**HEURISTIC_BITS
 
     def decide(primes):
         counted, skipped, settled, members = powermap.power_members(primes, rows, characters)
-        return counted, skipped, settled, len(members)
+        scaled = sum([int(scale / (p - 1) ** 2) for p in primes])
+        return counted, skipped, settled, len(members), scaled
 
     return _per_segment(decide)
 
 
 def omega_members_parallel(numbers, rows, witnesses, values, workers: int = 1):
-    """`powermap.power_members` over a range's primes, members counted (witnesses factored)."""
+    """(counted, skipped, settled, members, 2^HEURISTIC_BITS·Σ 1/(p-1)^2) over a range's primes."""
     return _scan(numbers, workers, _omega_decider, rows, witnesses, values)
 
 

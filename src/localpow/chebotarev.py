@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from math import fsum, gcd
 
 from . import _parallel, kernels, powermap
 from .errors import (
@@ -254,20 +253,18 @@ HeuristicScan = namedtuple(
 
 
 def heuristic_sum(primes) -> float:
-    """Sum of 1/(p-1)^2 over the given primes, in ascending order."""
-    total = 0.0
-    for p in primes:
-        total += 1.0 / (p - 1) ** 2
-    return total
+    """Sum of the floats 1/(p-1)^2 over the given primes, correctly rounded, in any order."""
+    return fsum(1.0 / (p - 1) ** 2 for p in primes)
 
 
 def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     """Count primes where (f(n_j)) looks like a power of (n_j) mod p.
 
     The expectation (for witnesses with f(n) outside ±n^Z) is that the count
-    stays below the sum of 1/(p-1)^2, taken here in ascending order.  The
-    witnesses are checked before any prime is generated; `workers`
-    processes split the range 2..x without changing the result.
+    stays below the sum of 1/(p-1)^2, `heuristic_sum` of the primes, added
+    exactly by the chunks that decide them.  The witnesses are checked
+    before any prime is generated; `workers` processes split the range 2..x
+    without changing the result.
     `powermap.power_members` decides the primes, its quadratic-character
     prefilter on whenever the witnesses factor.
     """
@@ -286,8 +283,7 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
     rows = [(n, v.sign * v.num, v.den) for n, v in zip(ns, values)]
     check_table_limit(x)  # a range past sys.maxsize has no length to split
     numbers = range(2, x + 1)
-    total = heuristic_sum(chain.from_iterable(_parallel.prime_lists(numbers)))
-    counted, skipped, settled, members = _parallel.omega_members_parallel(
+    counted, skipped, settled, members, scaled = _parallel.omega_members_parallel(
         numbers, rows, factored, values, workers
     )
     return HeuristicScan(
@@ -296,6 +292,6 @@ def heuristic_scan(f, witnesses, x: int, workers: int = 1) -> HeuristicScan:
         counted=counted + settled,
         skipped=skipped,
         members=members,
-        heuristic_sum=total,
+        heuristic_sum=scaled / 2**_parallel.HEURISTIC_BITS,  # int / int, correctly rounded
         settled=settled,
     )

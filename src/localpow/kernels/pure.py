@@ -34,11 +34,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 SEGMENT = 1 << 17
 
 
-def _roots(s: int, limit: int) -> list[tuple[int, int]]:
-    # (q, r) for each prime q <= limit with q ∤ s: q | s·i + 1 iff i ≡ r (mod q)
-    return [(q, -pow(s, -1, q) % q) for q in sieve(limit) if s % q]
-
-
 def _strike(flags: bytearray, s: int, first: int, roots) -> None:
     # clear flag j where n = s·(first + j) + 1 is q·m with m >= q for a root's
     # prime q; no prime factor of n divides s, so once the roots hold every
@@ -51,36 +46,45 @@ def _strike(flags: bytearray, s: int, first: int, roots) -> None:
             flags[j::q] = bytearray(len(range(j, count, q)))
 
 
+def _windows(lo: int, hi: int, s: int, width: int) -> Iterator[tuple[int, bytearray]]:
+    # (a, flags) for each window of at most width candidates n = s·i + 1 in
+    # [lo, hi), i from a: flags[j] is set iff s·(a + j) + 1 is prime.  A window
+    # grows in place from one byte, which drops the last window first and
+    # fails with a clean MemoryError (a bytearray repeat may print a
+    # SystemError), the first window before any base prime is sieved
+    first = max(1, -(-(lo - 1) // s))  # n >= lo, and n = 1 is no prime
+    stop = -(-(hi - 1) // s)  # n < hi
+    roots = None  # (q, r), q <= sqrt(hi - 1) prime, q ∤ s: q | s·i + 1 iff i ≡ r (mod q)
+    for a in range(first, stop, width):
+        flags = bytearray(b"\x01")
+        flags *= min(width, stop - a)
+        if roots is None:
+            roots = [(q, -pow(s, -1, q) % q) for q in sieve(isqrt(hi - 1)) if s % q]
+        _strike(flags, s, a, roots)
+        yield a, flags
+
+
 def sieve(limit: int) -> list[int]:
     """All primes <= limit, ascending: 2 and the odd n = 2i + 1 in one window."""
     if limit < 2:
         return []
-    # a bytes repeat copied into a bytearray, not a bytearray repeat: a window
-    # too large to allocate raises a clean MemoryError, before any base prime
-    flags = bytearray(b"\x01" * ((limit - 1) // 2))
-    _strike(flags, 2, 1, _roots(2, isqrt(limit)))
-    return [2, *compress(range(3, limit + 1, 2), flags)]
+    primes = [2]
+    for _, flags in _windows(3, limit + 1, 2, limit):
+        primes += compress(range(3, limit + 1, 2), flags)
+    return primes
 
 
 def prime_segments(lo: int, hi: int, s: int) -> Iterator[list[int]]:
     """The primes p ≡ 1 (mod s) in [lo, hi), ascending, one list per segment.
 
-    A segment is the window of SEGMENT candidates n = s·i + 1, struck with
+    A segment is a window of SEGMENT candidates n = s·i + 1, struck with
     one slice per base prime q <= sqrt(hi - 1), q ∤ s; memory stays bounded
     by the segment and the base primes, whatever the range.
     """
     if s < 1:
         raise ValueError(f"modulus must be positive, got {s}")
-    first = max(1, -(-(lo - 1) // s))  # n >= lo, and n = 1 is no prime
-    stop = -(-(hi - 1) // s)  # n < hi
-    if first >= stop:
-        return
-    roots = _roots(s, isqrt(hi - 1))
-    for a in range(first, stop, SEGMENT):
-        count = min(SEGMENT, stop - a)
-        flags = bytearray(b"\x01" * count)
-        _strike(flags, s, a, roots)
-        yield list(compress(range(s * a + 1, s * (a + count) + 1, s), flags))
+    for a, flags in _windows(lo, hi, s, SEGMENT):
+        yield list(compress(range(s * a + 1, s * (a + len(flags)) + 1, s), flags))
 
 
 def count_primes(limit: int) -> int:
@@ -451,13 +455,14 @@ CUBIC_TABLE_CAP = 2**12
 
 # cubic_class_counts walks windows of CUBIC_WINDOW·isqrt(hi) candidates, so
 # that each of its ~0.4·isqrt(hi) rows is set up a few times a scan, not
-# once per SEGMENT; a window holds at most 2^22 candidates (4 MB a worker),
-# reached at hi ≈ 6.7·10^7.  On a 2-vCPU x86-64 VM the c4 CLI scan of
-# (42,9,38,39) to 10^8 took 1.54, 1.56 and 1.60 s at 2^8, 2^9 and 2^10,
+# once per SEGMENT; a window holds at most CUBIC_WINDOW_CAP candidates (4 MB
+# a worker), reached at hi ≈ 6.7·10^7.  On a 2-vCPU x86-64 VM the c4 CLI
+# scan of (42,9,38,39) to 10^8 took 1.54, 1.56 and 1.60 s at 2^8, 2^9 and 2^10,
 # at peak RSS 18.6, 21.6 and 26.8 MB uncapped (4.16 s and 17.5 MB in
 # SEGMENT windows), and the in-process scan to 10^7 0.156, 0.146 and
 # 0.145 s.  The cap cost 1% on [9·10^8, 10^9] (1.908 → 1.926 s; 2^21: 2.054).
 CUBIC_WINDOW = 2**9
+CUBIC_WINDOW_CAP = 2**22
 
 
 def _cubic_characters(q: int) -> list[int]:
@@ -543,9 +548,9 @@ def cubic_class_counts(
     factors q, each a function of pi: of t ≡ a/b (mod q), tabulated by
     `_cubic_characters`, and omega^(2n) for q = 3 (-1 is a cube).  So the
     pairs (a, b) are walked instead of the primes, in windows of
-    CUBIC_WINDOW·isqrt(hi) candidates n = 6i + 1 (at most 2^22) struck as
-    `prime_segments` strikes its segments, and each row b is set up once
-    per window, crossing it in two intervals of a, where
+    CUBIC_WINDOW·isqrt(hi) candidates n = 6i + 1 (at most CUBIC_WINDOW_CAP)
+    struck as `sieve` and `prime_segments` strike theirs, and each row b is
+    set up once per window, crossing it in two intervals of a, where
     4N = (2a - b)^2 + 3b^2 has a constant second difference.
     Each prime's entry logs L_j = sum v_q(c_j)·e_q (mod 3), in the log base
     omega ≡ -a/b (mod p), form a key into a decision table: with k > 0 a
@@ -588,20 +593,11 @@ def cubic_class_counts(
     row_hits = _cubic_row_decider(hit, three, keyed)
 
     counted = skipped = hits = 0
-    first = max(1, -(-(lo - 1) // 6))  # as prime_segments(lo, hi, 6)
-    stop = -(-(hi - 1) // 6)
-    if first >= stop:
-        return 0, 0, 0
-    root = isqrt(hi - 1)
-    roots = _roots(6, root)
-    width = min(CUBIC_WINDOW * root, 1 << 22)
-    for w in range(first, stop, width):
-        count = min(width, stop - w)
-        flags = bytearray(b"\x01") * count
-        _strike(flags, 6, w, roots)
+    width = min(CUBIC_WINDOW * isqrt(max(hi - 1, 1)), CUBIC_WINDOW_CAP)  # > 0 if hi < 2
+    for w, flags in _windows(lo, hi, 6, width):
         for q in split:
             j = (q - 1) // 6 - w
-            if 0 <= j < count:
+            if 0 <= j < len(flags):
                 flags[j] = 0
                 skipped += 1
         counted += flags.count(1)

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import in_process_pool
 from localpow import _parallel, kernels, ratfact
 from localpow.chebotarev import (
     ClassSpec,
@@ -28,6 +29,7 @@ from localpow.errors import (
     RamifiedPrimeError,
     WrongLengthError,
 )
+from localpow.kernels import pure
 from localpow.lattice import row_space_mod_ell, build_lattice
 from localpow.modular import PrimeCache, ell_power_class
 from localpow.powermap import MultiplicativeMap, _character_bits
@@ -284,6 +286,47 @@ def test_heuristic_scan_counts():
     # a witness that does not factor turns the prefilter off; 0 skips every prime
     hs = heuristic_scan(lambda n: 5, (0, 2, 3), 10**4)
     assert (hs.counted, hs.skipped, hs.settled) == (0, len(PRIMES_10K), 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_heuristic_generates_each_prime_once(monkeypatch, workers):
+    # the chunks that decide the primes also sum the heuristic's terms, so
+    # the ranges handed to prime_segments tile [2, x + 1) once, in one chunk
+    # or in two
+    calls = []
+    segments = kernels.prime_segments
+
+    def recording(lo, hi, s):
+        calls.append((lo, hi, s))
+        return segments(lo, hi, s)
+
+    monkeypatch.setattr(kernels, "prime_segments", recording)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", in_process_pool([]))
+    monkeypatch.setattr(_parallel, "FAN_OUT_SPAN", 1000)  # 20000 would run in one chunk
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11}, default_exponent=1)
+    hs = heuristic_scan(f, (2, 3, 5), 20000, workers)
+    ranges = sorted(calls)
+    assert len(ranges) == workers and {s for *_, s in ranges} == {2}
+    assert [lo for lo, _, _ in ranges] + [20001] == [2] + [hi for _, hi, _ in ranges]
+    assert hs.heuristic_sum == heuristic_sum(pure.sieve(20000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=-3, max_value=30000),
+    segment=st.sampled_from([1, 7, 64, 1000, pure.SEGMENT]),
+)
+@example(x=2, segment=1)
+@example(x=10**4, segment=64)
+def test_heuristic_scan_sum_is_the_fsum_oracle(x, segment):
+    # exact int sums per segment, rounded once, equal math.fsum of the same
+    # float terms, bit for bit, however the segments cut the primes
+    f = MultiplicativeMap.table({2: 5, 3: 7, 5: 11}, default_exponent=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pure, "SEGMENT", segment)
+        got = heuristic_scan(f, (2, 3, 5), x).heuristic_sum
+    assert got.hex() == heuristic_sum(kernels.sieve(x)).hex()
 
 
 def test_heuristic_scan_factors_each_witness_once(monkeypatch):

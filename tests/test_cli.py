@@ -573,7 +573,7 @@ def test_heuristic_report_fields(capsys):
     "ell, tuple_, method",
     [
         # the pure kernels walk each p's primary pi at ell = 3; the compiled
-        # per-prime kernel is the faster one there
+        # backend keeps its per-prime kernel there
         (
             "3",
             "2,3,5,7",

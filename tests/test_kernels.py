@@ -503,6 +503,21 @@ def test_cubic_windows_meet_at_their_edges(monkeypatch):
             assert {b - a for a, b in zip(starts, starts[1:])} == {width}
 
 
+def test_cubic_windows_stop_at_their_cap(monkeypatch):
+    # the real cap is reached only past hi ≈ 6.7·10^7; lowered under
+    # CUBIC_WINDOW·isqrt(hi), it cuts [2, 2·10^5) into 34 windows of
+    # CUBIC_WINDOW_CAP candidates, the last one shorter
+    hi = 2 * 10**5
+    monkeypatch.setattr(pure, "CUBIC_WINDOW", 64)
+    monkeypatch.setattr(pure, "CUBIC_WINDOW_CAP", 1000)
+    assert 64 * isqrt(hi - 1) > 1000
+    starts = _spy(monkeypatch, "_cubic_window_hits", 1)
+    for nums, dens, k in CUBIC_EDGE_TUPLES:
+        del starts[:]
+        assert pure.cubic_class_counts(2, hi, nums, dens, k) == _segment_counts(2, hi, nums, dens, k)
+        assert starts == list(range(1, -(-(hi - 1) // 6), 1000))  # n = 6i + 1 < hi
+
+
 def test_cubic_key_tables_by_group(monkeypatch):
     # a key prime that divides b leaves its group's table: 2 at every even
     # b, 7 and 13 at odd b = 21, 39 and 273 = 3·7·13.  The key primes of

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deadline
+from conftest import deadline, in_process_pool
 from localpow import _parallel, kernels, powermap
 from localpow.errors import (
     ConfigError,
@@ -266,25 +266,6 @@ def test_scans_split_across_workers_unchanged(monkeypatch):
     assert scan_Tf(g, 300) == primes
     with pytest.raises(ConfigError):
         scan_Tf(lambda n: n, 300)
-
-
-def in_process_pool(sizes):
-    """A pool class that appends each pool size asked for to sizes and maps in this process."""
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    return InProcessPool
 
 
 def test_pool_is_capped_at_the_core_count(monkeypatch):
