@@ -2,15 +2,15 @@
 
 A scan that tests each prime up to x splits the range 2..x into
 contiguous chunks, one per worker.  A chunk builds its scan's decider
-once (density arguments, witness rows with their character tables, or
-sf-scan verdicts, whose f is pickled as itself) and applies it to its
-part of the range.  The density decider hands that part to
-`chebotarev.density_counts`, whose kernel generates its own primes
-(`kernels.class_counts_range`); the other two generate every prime one
+once (density arguments, witness rows with their character tables,
+sf-scan verdicts, whose f is pickled as itself, or tf-scan's keys) and
+applies it to its part of the range.  The density decider hands that part
+to `chebotarev.density_counts`, whose kernel generates its own primes
+(`kernels.class_counts_range`); the other three generate every prime one
 segment at a time and decide each segment (`_per_segment`).  Results
 merge in range order, so the output is independent of the worker count;
-the heuristic's float terms add up exactly, as ints.  An exact sf-scan and
-the shift scan run in this process.
+the heuristic's float terms add up exactly, as ints.  An exact sf-scan
+runs in this process.
 
 The per-prime loops live in `chebotarev` and `powermap`, and the scans of
 both call back into this module.  This module and `powermap` import each
@@ -149,10 +149,11 @@ def sf_scan_parallel(f, numbers, mode, bound, domain, workers: int = 1):
     return _scan(numbers, workers, _sf_decider, f, mode, bound, domain)
 
 
-def tf_scan_parallel(f, primes, shift_bound: int):
-    """Primes passing the shift-periodicity check, in ascending order, in this process.
+def _tf_decider(keys, d, bound):
+    return _per_segment(lambda primes: (powermap.tf_members(primes, keys, d, bound),))
 
-    Each worker would build its own value table, which costs more than the
-    check loop.  The name stays because `perfbench/tracing.py` wraps it.
-    """
-    return powermap.tf_members(f, primes, shift_bound)
+
+def tf_scan_parallel(numbers, keys, d: int, shift_bound: int, workers: int = 1):
+    """The primes of a range passing the shift check of f's keys and exponent d, in order."""
+    (members,) = _scan(numbers, workers, _tf_decider, keys, d, shift_bound)
+    return members

@@ -197,21 +197,26 @@ def _members_report(args, names, items, f):
     return _scan_report(args, names, counted, total - counted, observed, f, items=items)
 
 
-def _cmd_sf_scan(args):
+def _check_members_limit(args):
+    # a members' report counts the primes up to the limit, and pi(x) is
+    # counted only up to PI_COUNT_LIMIT: a larger limit is refused before
+    # any prime is scanned
     from .bounds import PI_COUNT_LIMIT
     from .modular import check_table_limit
+
+    check_table_limit(args.limit)
+    if args.limit > PI_COUNT_LIMIT:
+        raise ExactRangeError(
+            f"{args.cmd} counts the primes only up to {PI_COUNT_LIMIT}",
+            limit=PI_COUNT_LIMIT,
+        )
+
+
+def _cmd_sf_scan(args):
     from .powermap import scan_Sf
 
     f = _load_function(args.function)
-    if args.mode == "exact":
-        # an exact scan needs no sieve, but its report counts the primes up
-        # to the limit, and pi(x) is counted only up to PI_COUNT_LIMIT
-        check_table_limit(args.limit)
-        if args.limit > PI_COUNT_LIMIT:
-            raise ExactRangeError(
-                f"sf-scan counts the primes only up to {PI_COUNT_LIMIT}",
-                limit=PI_COUNT_LIMIT,
-            )
+    _check_members_limit(args)
     _progress(f"scanning the primes up to {args.limit} for local power exponents")
     members, _unknown = scan_Sf(
         f, args.limit, args.mode, args.bound, args.domain, args.workers
@@ -224,8 +229,9 @@ def _cmd_tf_scan(args):
     from .powermap import scan_Tf
 
     f = _load_function(args.function)
+    _check_members_limit(args)
     _progress(f"shift-checking the primes up to {args.limit}")
-    members = scan_Tf(f, args.limit, args.shift_bound)
+    members = scan_Tf(f, args.limit, args.shift_bound, args.workers)
     return _members_report(args, ("limit", "shift_bound"), [{"p": p} for p in members], f)
 
 

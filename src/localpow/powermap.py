@@ -11,14 +11,13 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import gcd, inf, isqrt, lcm, lgamma, log, log2, prod
+from math import gcd, lcm, prod
 
 from . import _parallel, kernels
 from .errors import (
     ConfigError,
     DomainError,
     EmptyTupleError,
-    ExactRangeError,
     FunctionSpecError,
     NonIntegralValueError,
     NotPrimeError,
@@ -26,8 +25,8 @@ from .errors import (
     WitnessSearchExhausted,
     ZeroValueError,
 )
-from .modular import PrimeCache, check_table_limit
-from .ratfact import MAX_VALUE_BITS, ONE, FactoredRational, as_factored, is_prime
+from .modular import check_table_limit
+from .ratfact import ONE, FactoredRational, as_factored, is_prime
 
 
 EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
@@ -38,15 +37,12 @@ EMPIRICAL_BOUND = 50  # default prime bound of the empirical verdict
 # empirical verdict's default bound tabulates 15 q, which need no second call.
 HEAD_WITNESSES = 16
 
-# The most entries a value table f(1..N) may have.  Small values cost about
-# 50 bytes an entry (the int, its slot and a smallest-prime-factor slot), so
-# the cap keeps such a table near 1 GB.
-MAX_TABLE_SLOTS = 2 * 10**7
-
-# The most bytes the values of a table f(1..N) may take together (1 GiB),
-# estimated from their bit lengths before any value is built: wide values
-# fill memory long before the entries reach MAX_TABLE_SLOTS.
-MAX_TABLE_BYTES = 2**30
+# The largest shift bound B a shift check takes: the largest that a tf-scan
+# accepted while it tabulated f(1 .. x + B) in at most 2·10^7 entries
+# (x >= 2).  A prime that passes the scan costs O(B) steps: at this cap,
+# p = 2 on the table 2 -> 5, 3 -> 7, 5 -> 11 took 31 s (pure, Python 3.11,
+# 2-vCPU x86-64 VM).
+MAX_SHIFT_BOUND = 2 * 10**7 - 2
 
 # An exact scan reads its candidate primes off G, the gcd of the numbers
 # N_q (see _member_candidates), only where the first N_q it builds is
@@ -437,8 +433,9 @@ def power_members(primes, rows, characters=None):
 
 
 def _check_scan_model(f) -> None:
-    # a MultiplicativeMap's value tables can be sized, and it pickles to the
-    # pool workers of an empirical sf-scan, the only chunks that receive f
+    # a MultiplicativeMap's values are read off its overrides and default
+    # exponent, and it pickles to the pool workers of an empirical sf-scan,
+    # the only chunks that receive f
     if not isinstance(f, MultiplicativeMap):
         raise ConfigError("a scan needs the structured model")
 
@@ -506,59 +503,6 @@ def scan_Sf(
     return [LocalVerdict(p, "yes", k_p, mode, bound) for p, k_p in pairs], unknown
 
 
-def _table_bits(f, top: int) -> float | None:
-    """About how many bits the values f(1), ..., f(top) take together.
-
-    log2|f(n)| sums k·log2(q) over the primes q | n that take the default
-    q^k, and log2|f(q)| over the overrides, each v_q(n) times.  Over n <= top
-    the primes sum to log2(top!), and Σ_n v_q(n) = Σ_j ⌊top/q^j⌋ is an
-    override's weight.  None when the table fails at a prime instead (k < 0
-    or a non-integral override q <= top), or when f is not a
-    MultiplicativeMap.
-    """
-    if not isinstance(f, MultiplicativeMap) or f.default_exponent < 0:
-        return None
-    defaulted = lgamma(top + 1) / log(2)  # log2(top!) less the overrides' share
-    bits = 0.0
-    for q, v in f.overrides.items():
-        if q > top:
-            continue
-        exponents = v.exponents
-        if any(e < 0 for e in exponents.values()):
-            return None
-        weight, power = 0, q
-        while power <= top:
-            weight += top // power
-            power *= q
-        defaulted -= weight * log2(q)
-        bits += weight * sum(e * log2(r) for r, e in exponents.items())
-    # 0 when every prime <= top is overridden, else at least log2(2)
-    if defaulted > 0.5:
-        bits += f.default_exponent * defaulted
-    return bits
-
-
-def _check_table_size(f, top: int) -> None:
-    """Reject a value table f(1..top) by its entries, then by its bytes."""
-    check_table_limit(top)  # the error every sieve and table gives past sys.maxsize
-    if top > MAX_TABLE_SLOTS:
-        raise DomainError(
-            f"cannot tabulate f up to {top}: value tables stop at "
-            f"{MAX_TABLE_SLOTS} entries",
-            limit=top,
-        )
-    try:
-        bits = _table_bits(f, top)
-    except OverflowError:  # an exponent past a float's range
-        bits = inf
-    if bits is not None and bits > 8 * MAX_TABLE_BYTES:
-        raise ExactRangeError(
-            f"cannot tabulate f up to {top}: its values would take more "
-            f"than {MAX_TABLE_BYTES} bytes",
-            limit=top,
-        )
-
-
 def _as_integer(v, n: int) -> int:
     # f(n) as an int, or the error that names n
     if isinstance(v, FactoredRational):
@@ -576,78 +520,36 @@ def _as_integer(v, n: int) -> int:
     return v.numerator
 
 
-def _integer_values_per_n(f, top: int) -> list[int]:
-    # vals[n] = f(n) for any callable f, one call per n; the test oracle of
-    # _integer_values
+def _integer_values(f, top: int) -> list[int]:
+    # vals[n] = f(n) as an int for n <= top, one call of f per n; index 0 unused
     vals = [0] * (top + 1)
     for n in range(1, top + 1):
         vals[n] = _as_integer(f(n), n)
     return vals
 
 
-def _smallest_prime_factors(top: int) -> list[int]:
-    # spf[n] = the smallest prime factor of a composite n <= top, 0 elsewhere;
-    # the larger primes are written first, so each slot keeps the smallest
-    spf = [0] * (top + 1)
-    for q in reversed(kernels.sieve(isqrt(top))):
-        spf[q * q :: q] = [q] * len(range(q * q, top + 1, q))
-    return spf
-
-
-def _integer_values(f, top: int) -> list[int]:
-    """1-indexed table vals[n] = f(n) as ints for n <= top; index 0 unused.
-
-    A MultiplicativeMap is evaluated only at the primes, in one ascending
-    pass: a composite n with smallest prime factor q takes f(q)·f(n/q), and
-    a prime n off the overrides takes n ** d for a default exponent d >= 0.
-    Every value an error depends on is built as the per-n oracle builds it,
-    so the first failing n and its error are the oracle's.  That n is a
-    prime for a non-integral value, since the values below it are integers.
-    n ** d is taken only below the width at which FactoredRational refuses
-    to build n^d; a wider prime value goes through f, which raises there.
-    A product wider than MAX_VALUE_BITS is rebuilt as f(n), which raises the
-    oracle's ExactRangeError when its exact form is out of range.
-    """
-    _check_table_size(f, top)
-    if not isinstance(f, MultiplicativeMap):
-        return _integer_values_per_n(f, top)
-    spf = _smallest_prime_factors(top)
-    d = f.default_exponent
-    overrides = f.overrides
-    vals = [1] * (top + 1)
-    vals[0] = 0
-    for n in range(2, top + 1):
-        q = spf[n]
-        if q:
-            v = vals[q] * vals[n // q]
-            if v.bit_length() > MAX_VALUE_BITS:
-                f(n).value()  # raises here exactly when the oracle does
-            vals[n] = v
-        elif d >= 0 and n not in overrides and (n.bit_length() - 1) * d < MAX_VALUE_BITS:
-            vals[n] = n**d
-        else:
-            vals[n] = _as_integer(f._value_at_prime(n), n)
-    return vals
-
-
-def _shift_periodic(vals: list[int], p: int, bound: int) -> bool:
-    # f(n+p) ≡ f(n) (mod p) for every n <= bound, read from the table vals
-    return all((vals[n + p] - vals[n]) % p == 0 for n in range(1, bound + 1))
-
-
 def _check_shift_bound(bound: int) -> None:
     # a bound below 1 checks no n, so every prime would pass
     if bound < 1:
         raise DomainError(f"the shift bound must be >= 1, got {bound}", bound=bound)
+    if bound > MAX_SHIFT_BOUND:
+        raise DomainError(
+            f"the shift bound must be at most {MAX_SHIFT_BOUND}, got {bound}", bound=bound
+        )
 
 
 def shift_and_quasi_check(f, p: int, bound: int) -> tuple[bool, bool]:
-    """Shift periodicity f(n+p) ≡ f(n) (mod p) and quasi-multiplicativity, n <= bound."""
+    """Shift periodicity f(n+p) ≡ f(n) (mod p) and quasi-multiplicativity, n <= bound.
+
+    f is read at n and at n + p for each n <= bound, and must be an integer
+    there; the error names the first n read, in that order, where it is not.
+    """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     _check_shift_bound(bound)
-    vals = _integer_values(f, bound + p)
-    shift_ok = _shift_periodic(vals, p, bound)
+    vals = _integer_values(f, bound)
+    shifted = [_as_integer(f(n + p), n + p) for n in range(1, bound + 1)]
+    shift_ok = all((v - vals[n]) % p == 0 for n, v in enumerate(shifted, 1))
     quasi_ok = True
     for q in kernels.sieve(bound):
         for n in range(1, bound // q + 1):
@@ -661,30 +563,95 @@ def shift_and_quasi_check(f, p: int, bound: int) -> tuple[bool, bool]:
     return shift_ok, quasi_ok
 
 
-def tf_members(f, primes, shift_bound: int) -> list[int]:
-    """Primes of an ascending list passing f(n+p) ≡ f(n) (mod p) for n <= shift_bound."""
-    if not primes:
-        return []
-    vals = _integer_values(f, shift_bound + primes[-1])
-    # n = 1 first, inline: almost every prime fails there
-    return [
-        p
-        for p in primes
-        if (vals[p + 1] - vals[1]) % p == 0 and _shift_periodic(vals, p, shift_bound)
-    ]
+def _shift_keys(f: MultiplicativeMap, top: int) -> list[tuple[int, int]]:
+    """The keys (q, f(q)) of f up to top, once f(1), ..., f(top) are known to be integers.
+
+    A key is an override q <= top with f(q) ≠ q^d, d the default exponent.
+    f(n) is an integer at every n <= top exactly when f(q) is at every prime
+    q <= top, so the first n where it is not is the smallest such q: an
+    override, or, for d < 0, the smallest prime off the overrides.  The error
+    is the one the value f(q) itself raises there.
+    """
+    d = f.default_exponent
+    primes = [q for q in f.overrides if q <= top]
+    if d < 0:
+        q = 2
+        while q in f.overrides or not is_prime(q):
+            q += 1
+        primes.append(q)  # f(q) = q^d is not an integer
+    keys = []
+    for q in sorted(primes):
+        if q > top:
+            break
+        v = f._value_at_prime(q)
+        a = _as_integer(v, q)
+        if v.sign < 0 or v.exponents != ({q: d} if d else {}):
+            keys.append((q, a))
+    return keys
 
 
-def scan_Tf(f, x: int, shift_bound: int = 100) -> list[int]:
+def tf_members(primes, keys, d: int, bound: int) -> list[int]:
+    """The primes p of a list with f(n + p) ≡ f(n) (mod p) at every n <= bound.
+
+    f is given by its keys (q, f(q)) (see `_shift_keys`) and its default
+    exponent d: f(m) = m'^d · ∏ f(q)^v_q(m), m' being m less its key
+    factors (m' = 1 for d < 0, where every prime up to x + bound is a key).
+    So f(m) mod p costs one `pow` and no wide integer, and f(m) = m^d where
+    no key divides m.  As (n + p)^d ≡ n^d (mod p), only the n
+    where a key divides n or n + p can fail: first each n <= bound with a
+    key factor, in ascending order, where almost every prime fails at the
+    first, then, key by key, the other n <= bound with n ≡ -p (mod q).
+    """
+
+    def value(m: int, p: int) -> int:
+        # f(m) mod p
+        v = 1
+        for q, a in keys:
+            if m % q == 0:
+                m //= q
+                v = v * a % p
+                while m % q == 0:
+                    m //= q
+                    v = v * a % p
+        return v * pow(m, d, p) % p
+
+    def holds(n: int, p: int) -> bool:
+        return value(n + p, p) == value(n, p)
+
+    # n <= bound has a key factor exactly when gcd(n, small) > 1
+    small = prod(q for q, _ in keys if q <= bound)
+    members = primes
+    if small > 1:
+        for n in range(1, bound + 1):
+            if not members:
+                return members
+            if gcd(n, small) > 1:
+                members = [p for p in members if holds(n, p)]
+    for q, _ in keys:
+        members = [
+            p
+            for p in members
+            if all(holds(n, p) for n in range(-p % q or q, bound + 1, q) if gcd(n, small) == 1)
+        ]
+    return members
+
+
+def scan_Tf(f, x: int, shift_bound: int = 100, workers: int = 1) -> list[int]:
     """Primes p <= x passing the shift check f(n+p) ≡ f(n) (mod p), n <= shift_bound.
 
-    f must be a MultiplicativeMap.  The inputs, and the size of the value
-    table f(1 .. x + shift_bound) in entries and in bytes, are checked before
-    any prime is sieved.  The scan runs in this process, on one table.
+    f must be a MultiplicativeMap whose values f(1), ..., f(x + shift_bound)
+    are integers.  The inputs are checked, and f reduced to its keys
+    (`_shift_keys`), before any prime is generated.  The scan hands
+    `_parallel` the range 2..x, whose chunks generate their primes and decide
+    them mod p with `tf_members`; `workers` processes split it.
     """
     _check_scan_model(f)
     _check_shift_bound(shift_bound)
-    _check_table_size(f, x + shift_bound)
-    return _parallel.tf_scan_parallel(f, PrimeCache(x).primes, shift_bound)
+    check_table_limit(x)
+    keys = _shift_keys(f, x + shift_bound)
+    return _parallel.tf_scan_parallel(
+        range(2, x + 1), keys, f.default_exponent, shift_bound, workers
+    )
 
 
 def extend_to_Q(overrides, default_exponent: int, nu_f: int) -> MultiplicativeMap:

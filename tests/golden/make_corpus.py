@@ -28,7 +28,11 @@ TABLE_F = json.dumps(
     }
 )
 OVERRIDE_3 = json.dumps({"kind": "table", "overrides": {"3": "5"}})
-WIDE_POWER = json.dumps({"kind": "power", "exponent": 2**64 + 13})
+HALF_3 = json.dumps({"kind": "table", "overrides": {"3": "1/2"}})
+WIDE = 2**64 + 13
+WIDE_POWER = json.dumps({"kind": "power", "exponent": WIDE})
+BIG_POWER = json.dumps({"kind": "power", "exponent": 32768})
+CUBE_F = json.dumps({"kind": "power", "exponent": 3})
 # the function specs that perfbench/workloads.py draws at seed 1
 MEMBERSHIP_F = json.dumps(
     {
@@ -38,6 +42,16 @@ MEMBERSHIP_F = json.dumps(
         "overrides": {"2": "34", "7": "45", "19": "72"},
     }
 )
+# membership-1e6's function at seeds 2 to 5 (seed 1 is MEMBERSHIP_F)
+MEMBERSHIP_SEEDS = [
+    json.dumps({"kind": "table", "sign_value": s, "default_exponent": d, "overrides": o})
+    for s, d, o in (
+        (-1, 1, {"3": "13", "7": "48", "23": "60"}),
+        (1, 2, {"2": "54", "3": "65", "5": "18"}),
+        (-1, 1, {"7": "6", "13": "65", "19": "17"}),
+        (-1, 1, {"13": "30", "17": "43", "19": "46"}),
+    )
+]
 HEURISTIC_F = json.dumps(
     {
         "kind": "table",
@@ -46,6 +60,14 @@ HEURISTIC_F = json.dumps(
         "overrides": {"2": "53", "17": "89", "29": "67"},
     }
 )
+
+
+# a strong pseudoprime to the bases 2..37 (psi_12, OEIS A014233)
+PSI12 = 399165290221 * 798330580441
+
+
+def _tf(f, limit, *rest):
+    return ("tf-scan", "--function", f, "--limit", str(limit), *rest)
 
 
 def _heuristic(f, witnesses, limit):
@@ -99,9 +121,9 @@ ARGVS = [
     (("bounds", "--x", "1e8", "--mertens", "5,1000000", "--chebyshev-z", "1000000"), False),
     (("bounds", "--x", "1e8", "--pi-x", "5761455", "--mertens", "5,1e6"), False),
     (("bounds", "--x", "1e8", "--pi-x", "5761455"), False),
-    (("tf-scan", "--function", TABLE_F, "--limit", "500"), False),
-    (("tf-scan", "--function", MEMBERSHIP_F, "--limit", "100000"), False),
-    (("tf-scan", "--function", OVERRIDE_3, "--limit", "100", "--shift-bound", "0"), False),
+    (_tf(TABLE_F, 500), True),
+    (_tf(MEMBERSHIP_F, 100000), False),
+    (_tf(OVERRIDE_3, 100, "--shift-bound", "0"), False),
     (("sf-scan", "--function", TABLE_F, "--limit", "1000", "--mode", "empirical",
       "--bound", "50"), False),
     (("sf-scan", "--function", TABLE_F, "--limit", "100000", "--mode", "empirical",
@@ -110,6 +132,42 @@ ARGVS = [
      False),
     (("sf-scan", "--function", MEMBERSHIP_F, "--limit", "1000000"), False),
     (("sf-scan", "--function", TABLE_F, "--limit", "2000"), False),
+    # tf-scan: every argv of tests/test_cli.py, refusals included, and the
+    # benchmark's at seeds 2 to 5
+    (_tf(TABLE_F, -5), False),
+    (_tf(OVERRIDE_3, 100, "--shift-bound", "-1"), False),
+    (_tf(TABLE_F, 100, "--shift-bound", str(WIDE)), False),
+    (_tf(TABLE_F, 100, "--shift-bound", str(10**12)), False),
+    (_tf(TABLE_F, 2 * 10**7), False),
+    (_tf(TABLE_F, 10**7, "--shift-bound", str(2 * 10**7)), False),
+    (_tf(WIDE_POWER, 100), False),
+    (_tf(BIG_POWER, 100000), False),
+    (_tf(HALF_3, 100), False),
+    (_tf(TABLE_F, 1000), False),
+    (_tf(TABLE_F, 3000), False),
+    *((_tf(spec, 100000), i == 1) for i, spec in enumerate(MEMBERSHIP_SEEDS)),
+    # the other subcommands, the rational domain and each kind of exit
+    (("sf-scan", "--function", TABLE_F, "--limit", "2000", "--domain", "rational"), False),
+    (("sf-scan", "--function", CUBE_F, "--limit", "3000", "--mode", "empirical",
+      "--domain", "rational"), False),
+    (("sf-scan", "--function", TABLE_F, "--limit", "3000", "--mode", "empirical",
+      "--bound", "60", "--domain", "rational"), False),
+    (("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)), False),
+    (("witness", "--function", TABLE_F, "--count", "3"), False),
+    (("witness", "--function", TABLE_F, "--count", "9", "--search-limit", "20"), False),
+    (("construct", "--set", "3,5,7", "--exponents", "1,2,3"), False),
+    (("relations", "--tuple", "12,18"), False),
+    (("relations", "--tuple=-2/9,3,14,5"), False),
+    (("kummer-degree", "--tuple", "12,18", "--ell", "3"), False),
+    (("kummer-degree", "--tuple", "12,18", "--ell", "5"), False),
+    (("kummer-degree", "--tuple", f"{PSI12},399165290221,798330580441", "--ell", "3"), False),
+    (("frobenius", "--p", "7", "--ell", "3", "--tuple", "2,3"), False),
+    (("frobenius", "--p", "1000003", "--ell", "3", "--tuple", "2,3,5,7"), False),
+    (("frobenius", "--p", "7", "--ell", "3", "--tuple", "14"), False),
+    (("disc", "--cyclotomic", "12"), False),
+    (("disc", "--cyclotomic", "100000"), False),
+    (("no-such-command",), False),
+    (("sf-scan", "--function", '{"kind": "bogus"}', "--limit", "100"), False),
 ]
 
 

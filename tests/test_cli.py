@@ -11,13 +11,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deadline
-from localpow import cli, kernels
+from conftest import deadline, in_process_pool
+from golden.make_corpus import MEMBERSHIP_F, MEMBERSHIP_SEEDS
+from localpow import _parallel, cli, kernels, powermap
 from localpow.bounds import PI_COUNT_LIMIT, cyclotomic_discriminant
 from localpow.chebotarev import CLASS_RATIO_ELL_LIMIT
 from localpow.kernels import pure
 from localpow.modular import PrimeCache
-from localpow.powermap import MAX_TABLE_SLOTS
+from localpow.powermap import MAX_SHIFT_BOUND
 
 TABLE_F = json.dumps(
     {
@@ -209,9 +210,10 @@ def test_domain_errors_exit_2(capsys):
         ("sf-scan", "--function", TABLE_F, "--limit", "100", "--mode", "empirical",
          "--bound", str(WIDE)),
         ("tf-scan", "--function", TABLE_F, "--limit", "100", "--shift-bound", str(WIDE)),
-        # value tables past the cap on their entries
+        # shift bounds past the cap
         ("tf-scan", "--function", TABLE_F, "--limit", "100", "--shift-bound", "1000000000000"),
-        ("tf-scan", "--function", TABLE_F, "--limit", str(MAX_TABLE_SLOTS)),
+        ("tf-scan", "--function", TABLE_F, "--limit", "2", "--shift-bound",
+         str(MAX_SHIFT_BOUND + 1)),
         ("witness", "--function", TABLE_F, "--search-limit", str(WIDE)),
         # a report number that overflows to infinity
         ("bounds", "--x", "1e8", "--pi-x", "5761455", "--implied-constant", "1e308"),
@@ -230,20 +232,32 @@ def test_domain_errors_exit_2(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["type"] == "bad-config"
-    # f(n) = n^k with k wider than 64 bits has no exact value to build, and
-    # n^32768 up to 10^5 would take about 6 GiB
+    # f(n) = n^k with k wider than 64 bits has no exact value to build
     for argv in (
-        ("tf-scan", "--function", WIDE_POWER, "--limit", "100"),
-        ("tf-scan", "--function", BIG_POWER, "--limit", "100000"),
         ("heuristic", "--function", WIDE_POWER, "--witnesses", "2,3,5", "--limit", "100"),
         ("sf-scan", "--function", WIDE_POWER, "--limit", "100", "--mode", "empirical"),
-        # an exact sf-scan needs no sieve, but its report counts pi(limit)
+        # a members' report counts pi(limit), which stops at 10^12
         ("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)),
+        ("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1), "--mode", "empirical"),
+        ("tf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["type"] == "exact-range"
     assert json.loads(out)["limit"] == PI_COUNT_LIMIT
+
+
+def test_tf_scan_needs_no_value_table(capsys):
+    # the shift check reads f mod p off the keys and the default exponent:
+    # every prime passes for a power map, however wide its values, and the
+    # limit is not bounded by a table of f(1 .. limit + shift bound)
+    rep = run_json(capsys, "tf-scan", "--function", WIDE_POWER, "--limit", "100")
+    assert [item["p"] for item in rep["items"]] == list(sympy.primerange(101))
+    rep = run_json(capsys, "tf-scan", "--function", BIG_POWER, "--limit", "100000")
+    assert rep["counted"] == len(rep["items"]) == 9592 and rep["skipped"] == 0
+    rep = run_json(capsys, "tf-scan", "--function", TABLE_F, "--limit", "20000000")
+    assert rep["items"] == [{"p": 2}]
+    assert (rep["counted"], rep["skipped"]) == (1, 1270606)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -281,15 +295,21 @@ def test_rejected_scans_sieve_nothing(capsys, monkeypatch):
         ("density-scan", "--ell", "3", "--tuple", "2,3,5,7", "--limit", str(sys.maxsize)),
         ("heuristic", "--function", TABLE_F, "--witnesses", "2,3", "--limit", "10000000"),
         ("tf-scan", "--function", TABLE_F, "--limit", "10000000", "--shift-bound",
-         str(MAX_TABLE_SLOTS)),
-        ("tf-scan", "--function", BIG_POWER, "--limit", "100000"),
-        # pi(limit) is counted only up to 10^12
-        ("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)),
+         str(MAX_SHIFT_BOUND + 1)),
         ("sf-scan", "--function", TABLE_F, "--limit", str(sys.maxsize - 1)),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["message"]
+    # pi(limit) is counted only up to 10^12, which each members' report
+    # checks before the scan, streamed or not, starts
+    for argv in (
+        ("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)),
+        ("sf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1), "--mode", "empirical"),
+        ("tf-scan", "--function", TABLE_F, "--limit", str(10**12 + 1)),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)["type"]) == (2, "exact-range"), argv
     assert built == []
 
 
@@ -394,6 +414,33 @@ def test_heuristic_and_empirical_sf_scans_build_no_full_prime_list(capsys, monke
     )
     assert rep["counted"] + rep["skipped"] == 9592  # primes below 10^5
     assert asked and max(asked) == max(math.isqrt(100000), 2000)
+
+
+def test_tf_scan_builds_no_value_table_and_no_full_prime_list(capsys, monkeypatch):
+    # the shift check decides each streamed prime mod p from f's keys
+    def refuse(*args):
+        raise AssertionError(f"built a value table or a prime list: {args[1:]}")
+
+    monkeypatch.setattr(powermap, "_integer_values", refuse)
+    monkeypatch.setattr(PrimeCache, "__init__", refuse)
+    rep = run_json(capsys, "tf-scan", "--function", TABLE_F, "--limit", "1000000")
+    assert rep["items"] == [{"p": 2}]
+    assert rep["counted"] + rep["skipped"] == 78498  # primes below 10^6
+
+
+def test_tf_scan_fans_out_with_the_same_report(capsys, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(_parallel, "FAN_OUT_SPAN", 1000)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    # the worked table and membership-1e6's function at seeds 1 to 3
+    for spec in (TABLE_F, MEMBERSHIP_F, *MEMBERSHIP_SEEDS[:2]):
+        argv = ("tf-scan", "--function", spec, "--limit", "100000")
+        code, one = run_cli(capsys, *argv, "--workers", "1")
+        rep = json.loads(one)
+        assert code == 0 and rep["counted"] + rep["skipped"] == 9592
+        assert run_cli(capsys, *argv, "--workers", "2") == (0, one)
+    assert sizes == [2] * 4
 
 
 def test_character_tables_are_built_once_per_chunk(capsys, monkeypatch):
@@ -1049,8 +1096,8 @@ _SUBCOMMANDS = {
     "tf-scan": {
         "--function": _FUNCTION,
         "--limit": _LIMIT,
-        # a bound past the value-table cap is refused before any allocation
-        "--shift-bound": _ints("1", "20", str(MAX_TABLE_SLOTS), str(10**12)),
+        # a bound past the cap is refused before any prime is generated
+        "--shift-bound": _ints("1", "20", str(MAX_SHIFT_BOUND + 1), str(10**12)),
     },
     "witness": {
         "--function": _FUNCTION,

@@ -2,11 +2,12 @@
 
 The extension is compiled in a temporary directory with the project's own
 `setup.py`, so no build output lands in the source tree; the compiler must
-print no warning.  The kernel tests then run against that build, and CLI
+print no warning.  The kernel tests then run against that build, CLI
 reports from both backends are compared byte for byte, one argv for each
-benchmark invocation at a smaller limit.  Skipped only where no C compiler
-or no Python headers exist.  This file is kept apart from test_kernels.py,
-which it runs.
+benchmark invocation at a smaller limit, and the golden corpus
+(`tests/golden/reports.json`) is replayed on the build as `test_golden.py`
+replays it on pure.  Skipped only where no C compiler or no Python headers
+exist.  This file is kept apart from test_kernels.py, which it runs.
 """
 
 import json
@@ -85,6 +86,23 @@ ARGVS = (
 )
 
 
+# Replays the golden corpus in one interpreter, as tests/test_golden.py
+# does: each entry at --workers 1, the pool entries at --workers 2 with a
+# short fan-out span; prints the backend and the (code, stdout) pairs.
+GOLDEN_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from golden.make_corpus import replay
+from localpow import _parallel, kernels
+corpus = json.loads(Path(sys.argv[1], "golden", "reports.json").read_text())
+runs = [replay((*entry["argv"], "--workers", "1")) for entry in corpus]
+_parallel.FAN_OUT_SPAN = 100
+pooled = [replay((*entry["argv"], "--workers", "2")) for entry in corpus if entry["pool"]]
+print(json.dumps([kernels.BACKEND, runs, pooled]))
+"""
+
+
 def _run(tree: Path, *args: str) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -159,3 +177,16 @@ def test_reports_match_the_pure_backend(native_tree):
     # density-scan eight times, heuristic four times, sf-scan seven times and
     # tf-scan once
     assert sum("(native kernels)" in err for _, _, err in native_reports) == 20
+
+
+def test_golden_corpus_replays_on_the_native_build(native_tree):
+    tree, _ = native_tree
+    proc = _run(tree, "-c", GOLDEN_SCRIPT, str(ROOT / "tests"))
+    assert proc.returncode == 0, proc.stderr
+    backend, runs, pooled = json.loads(proc.stdout)
+    corpus = json.loads((ROOT / "tests" / "golden" / "reports.json").read_text())
+    assert backend == "native"
+    expected = [[entry["code"], entry["stdout"]] for entry in corpus]
+    for entry, run, want in zip(corpus, runs, expected):
+        assert run == want, entry["argv"]
+    assert pooled == [want for entry, want in zip(corpus, expected) if entry["pool"]]

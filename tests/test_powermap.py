@@ -27,13 +27,11 @@ from localpow.modular import PrimeCache
 from localpow.powermap import (
     EMPIRICAL_BOUND,
     HEAD_WITNESSES,
-    MAX_TABLE_SLOTS,
+    MAX_SHIFT_BOUND,
     LocalVerdict,
     MultiplicativeMap,
-    _integer_values,
-    _integer_values_per_n,
+    _as_integer,
     _member_candidates,
-    _table_bits,
     _verdicts,
     construct_prescribed,
     evaluate,
@@ -263,7 +261,8 @@ def test_scans_split_across_workers_unchanged(monkeypatch):
         assert scan_Sf(f, 300, mode=mode, workers=2) == one
         assert one == sf_members_oracle(f, primes, mode)
     g = MultiplicativeMap.global_power(2)
-    assert scan_Tf(g, 300) == primes
+    assert scan_Tf(g, 300) == scan_Tf(g, 300, workers=2) == primes
+    assert scan_Tf(f, 300, workers=2) == scan_Tf(f, 300) == [2]
     with pytest.raises(ConfigError):
         scan_Tf(lambda n: n, 300)
 
@@ -282,11 +281,13 @@ def test_pool_is_capped_at_the_core_count(monkeypatch):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
     assert scan_Sf(f, 2000, mode="empirical", workers=500) == one
     assert sizes == [2]
-    # an exact sf scan and a tf scan run in this process at any worker count
+    # an exact sf scan runs in this process at any worker count; a tf scan
+    # fans out like the empirical one
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     assert scan_Sf(f, 2000, workers=500) == scan_Sf(f, 2000)
-    scan_Tf(f, 2000)
     assert sizes == [2]
+    assert scan_Tf(f, 2000, workers=500) == scan_Tf(f, 2000) == [2]
+    assert sizes == [2, 2]
 
 
 def test_a_scan_gets_one_chunk_per_span_of_its_largest_number(monkeypatch):
@@ -354,7 +355,7 @@ def test_scans_take_overrides_too_wide_for_text(monkeypatch):
     assert one == sf_members_oracle(f, primes, "exact")
     wide = scan_Sf(f, 100, mode="empirical")
     assert scan_Sf(f, 100, mode="empirical", workers=2) == wide
-    vals = _integer_values_per_n(f, 50 + 2)
+    vals = integer_values_per_n(f, 50 + 2)
     expected = [
         p for p in primes if p <= 50 and all((vals[n + p] - vals[n]) % p == 0 for n in (1, 2))
     ]
@@ -370,20 +371,20 @@ def test_rejected_library_scans_sieve_nothing(monkeypatch):
     f = table_f()
     with pytest.raises(DomainError):
         scan_Tf(f, 10**7, shift_bound=0)
-    # a value table past the cap is refused before any prime is sieved
-    for x, shift_bound in ((100, MAX_TABLE_SLOTS), (MAX_TABLE_SLOTS, 1), (100, 10**12)):
+    # a shift bound past the cap is refused before any prime is generated
+    for shift_bound in (MAX_SHIFT_BOUND + 1, 10**12):
         with pytest.raises(DomainError) as err:
-            scan_Tf(f, x, shift_bound=shift_bound)
-        assert err.value.details["limit"] == x + shift_bound
-    # so is a table of too many bytes: n^32768 to 10^5 + 100 is about 6 GiB,
-    # and a non-integral override above the table takes no part in it
-    for f_wide in (
-        MultiplicativeMap.global_power(32768),
-        MultiplicativeMap.table({1000003: Fraction(1, 2)}, default_exponent=32768),
-    ):
-        with pytest.raises(ExactRangeError) as err:
-            scan_Tf(f_wide, 10**5)
-        assert err.value.details["limit"] == 10**5 + 100
+            scan_Tf(f, 100, shift_bound=shift_bound)
+        assert err.value.details["bound"] == shift_bound
+    # so is a non-integral value at a prime up to x + shift_bound, first or
+    # not; one above it takes no part in the scan
+    g = MultiplicativeMap.table({3: Fraction(1, 2), 101: Fraction(1, 3)})
+    with pytest.raises(NonIntegralValueError) as err:
+        scan_Tf(g, 10**7)
+    assert err.value.details["n"] == 3
+    with pytest.raises(NonIntegralValueError) as err:
+        scan_Tf(MultiplicativeMap.table({1000003: Fraction(1, 2)}), 10**7)
+    assert err.value.details["n"] == 1000003
     with pytest.raises(ConfigError):
         scan_Sf(f, 10**7, mode="bogus")
     with pytest.raises(DomainError):
@@ -592,86 +593,122 @@ def test_empirical_verdicts_agree_with_exact(f, domain):
         assert (emp.member, emp.k_p) == (exact.member, exact.k_p), p
 
 
-def values_or_error(build, f, top):
-    # the table, or the type and JSON payload (message, n) of its error
+def integer_values_per_n(f, top: int) -> list[int]:
+    # the per-n oracle: vals[n] = f(n) as an int for n <= top, one call of f per n
+    vals = [0] * (top + 1)
+    for n in range(1, top + 1):
+        vals[n] = _as_integer(f(n), n)
+    return vals
+
+
+def shift_members_oracle(f, x, bound):
+    # the primes p <= x with f(n+p) ≡ f(n) (mod p) for n <= bound, read
+    # from the table f(1 .. x + bound)
+    vals = integer_values_per_n(f, x + bound)
+    return [
+        p for p in PrimeCache(x).primes
+        if all((vals[n + p] - vals[n]) % p == 0 for n in range(1, bound + 1))
+    ]
+
+
+def outcome(scan, *args):
+    # the scan's result, or the type and JSON payload (message, n) of its error
     try:
-        return build(f, top)
+        return scan(*args)
     except LocalPowError as exc:
         return type(exc), exc.payload()
 
 
-@settings(max_examples=100, deadline=None)
-@given(table_maps(), st.integers(0, PROPERTY_LIMIT))
-def test_value_table_matches_per_n_oracle(f, top):
-    expected = values_or_error(_integer_values_per_n, f, top)
-    assert values_or_error(_integer_values, f, top) == expected
+@st.composite
+def shift_maps(draw):
+    """f(q) = q^d·t at up to four primes among 2..13 and 1009, above any x + bound.
+
+    The twist t is 1 (no key), -1, a small integer, which a prime p <= x may
+    divide, or now and then a fraction.  d = -1 comes with f(q) = t at every
+    prime up to 13, so that the values up to 13 may all be integers.
+    """
+    d = draw(st.integers(-1, 3))
+    keys = [2, 3, 5, 7, 11, 13] if d < 0 else draw(
+        st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 1009)), unique=True, max_size=4)
+    )
+    small = st.integers(-30, 30).filter(bool)
+    twists = st.one_of(
+        st.sampled_from((1, -1)),
+        small,
+        small,
+        st.builds(Fraction, st.integers(1, 5), st.integers(2, 3)),
+    )
+    overrides = {q: Fraction(q) ** max(d, 0) * draw(twists) for q in keys}
+    return MultiplicativeMap.table(overrides, default_exponent=d)
 
 
-def test_value_table_range_error_at_a_composite():
-    # f(n) = n^(2^19): f(2) and f(3) are in range, f(4) = 2^(2^20) is not
-    f = MultiplicativeMap.global_power(2**19)
-    assert _integer_values(f, 3) == _integer_values_per_n(f, 3)
-    expected = values_or_error(_integer_values_per_n, f, 4)
-    assert expected[0] is ExactRangeError
-    assert values_or_error(_integer_values, f, 10) == expected
-    # f(6) = 2·3^700000 is wider than 2^(2^20) yet in range; f(9) is not
-    g = MultiplicativeMap.table({3: FactoredRational(1, {3: 700000})})
-    assert _integer_values(g, 8) == _integer_values_per_n(g, 8)
-    expected = values_or_error(_integer_values_per_n, g, 9)
-    assert expected[0] is ExactRangeError
-    assert values_or_error(_integer_values, g, 12) == expected
+@settings(max_examples=150, deadline=None)
+@given(shift_maps(), st.integers(2, PROPERTY_LIMIT), st.sampled_from((1, 2, 5, 30, 100)))
+def test_shift_scan_matches_the_per_n_table_check(f, x, bound):
+    # the decider mod p against the exact table, primes p <= bound included,
+    # errors included; d = -1 runs only where x + bound <= 13
+    if f.default_exponent < 0:
+        x, bound = min(x, 12), min(bound, 13 - min(x, 12))
+    expected = outcome(shift_members_oracle, f, x, bound)
+    assert outcome(scan_Tf, f, x, bound) == expected
 
 
 def test_value_table_edges_match_the_per_n_oracle():
-    # f(3) = 3^(2^19) is in range, f(5) = 5^(2^19) is not: the first value
-    # out of range is at a prime, as f(4) = f(2)^2 = 1
-    f = MultiplicativeMap.table({2: 1}, default_exponent=2**19)
-    expected = values_or_error(_integer_values_per_n, f, 7)
-    assert expected[0] is ExactRangeError and "5^524288" in expected[1]["message"]
-    assert values_or_error(_integer_values, f, 7) == expected
-    # d = 0, with and without overrides
-    for g in (MultiplicativeMap.global_power(0), MultiplicativeMap.table({3: 4}, 0)):
-        assert _integer_values(g, 50) == _integer_values_per_n(g, 50)
+    # d = 0, with and without keys, and f(q) = -q^d
+    for g in (
+        MultiplicativeMap.global_power(0),
+        MultiplicativeMap.table({3: 4}, 0),
+        MultiplicativeMap.table({2: -4, 5: -25}, 2),
+    ):
+        assert scan_Tf(g, 300, 50) == shift_members_oracle(g, 300, 50)
     # d < 0 fails at the first prime off the overrides, here n = 5
     h = MultiplicativeMap.table({2: 4, 3: 9}, default_exponent=-1)
-    expected = values_or_error(_integer_values_per_n, h, 50)
+    expected = outcome(shift_members_oracle, h, 50, 10)
     assert expected[0] is NonIntegralValueError and expected[1]["n"] == 5
-    assert values_or_error(_integer_values, h, 50) == expected
+    assert outcome(scan_Tf, h, 50, 10) == expected
+    # d < 0 with every prime up to x + bound overridden: no value fails
+    h = MultiplicativeMap.table({2: 4, 3: 9, 5: 5, 7: 1}, default_exponent=-1)
+    assert scan_Tf(h, 5, 2) == shift_members_oracle(h, 5, 2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(table_maps(), st.integers(1, PROPERTY_LIMIT))
-def test_table_bits_estimate_the_table(f, top):
-    # the estimate is Σ log2|f(n)|, and log2|v| < bit_length(v) <= log2|v| + 1
-    bits = _table_bits(f, top)
-    try:
-        vals = _integer_values(f, top)
-    except NonIntegralValueError:
-        assert bits is None
-        return
-    if bits is not None:
-        widths = sum(abs(v).bit_length() for v in vals)
-        assert widths - top - 1e-6 <= bits <= widths + 1e-6
-
-
-def test_wide_tables_are_refused_before_they_are_built():
-    f = MultiplicativeMap.global_power(32768)
-    with pytest.raises(ExactRangeError) as err:
-        shift_and_quasi_check(f, 99991, 100)
-    assert err.value.details["limit"] == 99991 + 100
-    # an exponent past a float's range is past the cap too
+def test_wide_values_are_shift_checked_mod_p():
+    # no value is built: n^32768 to 10^5 + 100 would take about 6 GiB, and
+    # n^(2^19) has no exact value past n = 4; a non-integral override above
+    # x + shift_bound takes no part in the scan
+    primes = PrimeCache(10**5).primes
+    for f_wide in (
+        MultiplicativeMap.global_power(32768),
+        MultiplicativeMap.table({1000003: Fraction(1, 2)}, default_exponent=32768),
+    ):
+        assert scan_Tf(f_wide, 10**5) == primes
+    # mod p, n^(2^19) is n^d for d ≡ 2^19 (mod p - 1), d >= 1
+    d = 2**19
+    members = scan_Tf(MultiplicativeMap.table({2: 3}, default_exponent=d), 400)
+    assert members == [
+        p for p in PrimeCache(400).primes
+        if shift_members_oracle(MultiplicativeMap.table({2: 3}, d % (p - 1) + p - 1), p, 100)[-1:]
+        == [p]
+    ]
+    # the single-prime check reads f at n and n + p only, exactly
+    assert shift_and_quasi_check(MultiplicativeMap.global_power(32768), 99991, 100) == (
+        True,
+        True,
+    )
+    # an exponent past a float's range has no exact value at 3
     with pytest.raises(ExactRangeError):
         shift_and_quasi_check(MultiplicativeMap.global_power(10**400), 2, 1)
-    # a default exponent that no prime <= top takes adds nothing
+    # a default exponent that no n or n + p read takes adds nothing
     h = MultiplicativeMap.table({2: 1, 3: 1}, default_exponent=10**30)
     assert shift_and_quasi_check(h, 2, 1) == (True, True)
-    # a table that fails at a prime keeps that error, however wide it is
+    # a map that fails at a prime keeps that error, however wide it is
     g = MultiplicativeMap.table({3: Fraction(1, 2)}, default_exponent=32768)
     with pytest.raises(NonIntegralValueError) as err:
         shift_and_quasi_check(g, 99991, 100)
     assert err.value.details["n"] == 3
     with pytest.raises(NonIntegralValueError):
         shift_and_quasi_check(MultiplicativeMap.global_power(-1), 99991, 100)
+    with pytest.raises(DomainError):
+        shift_and_quasi_check(h, 2, MAX_SHIFT_BOUND + 1)
 
 
 def test_non_integral_message_survives_the_int_to_text_limit():
